@@ -5,10 +5,7 @@ as ``bench_city_mesh``, same seed) with a
 :class:`~repro.apps.tolling.TollingService` riding the sighting tap —
 run once per backhaul configuration:
 
-* **wired** — the free-uplink anchor. Gated bit-identical to a mesh
-  built with no backhaul argument at all: same mesh summary, same
-  billing summary, to the byte (the golden-pin contract — PR 9's
-  billing latency and air numbers exactly).
+* **wired** — the free-uplink anchor and the mesh's default policy.
 * **scheduled** at four sync periods — reports and push intents batch
   at each pole and flush on its staggered schedule. The curve the
   module exists to measure: longer periods push billing latency up
@@ -62,9 +59,8 @@ FAULT_SEED = 17
 FAULT_SYNC_PERIOD_S = 1.0
 
 
-def build_mesh(backhaul=None) -> CityMesh:
-    kwargs = {} if backhaul is None else {"backhaul": backhaul}
-    mesh = CityMesh(rng=MESH_SEED, handoff="push", **kwargs)
+def build_mesh(backhaul) -> CityMesh:
+    mesh = CityMesh(rng=MESH_SEED, handoff="push", backhaul=backhaul)
     mesh.add_node("u", light=TrafficLight(green_s=8.0, yellow_s=1.0, red_s=4.0))
     mesh.add_node(
         "v", light=TrafficLight(green_s=8.0, yellow_s=1.0, red_s=4.0, offset_s=3.0)
@@ -83,7 +79,7 @@ def build_mesh(backhaul=None) -> CityMesh:
     return mesh
 
 
-def run_config(duration_s: float, backhaul=None) -> dict:
+def run_config(duration_s: float, backhaul) -> dict:
     """One seeded mesh run with a billing tap; returns the curve point."""
     mesh = build_mesh(backhaul)
     service = TollingService(
@@ -95,8 +91,7 @@ def run_config(duration_s: float, backhaul=None) -> dict:
     t0 = time.perf_counter()
     result = mesh.run(duration_s)
     wall_s = time.perf_counter() - t0
-    if mesh._plane is not None and mesh._plane.batched:
-        mesh._plane.check_consistent()
+    mesh._plane.check_consistent()
     service.check_consistent()
     billing = service.finish()
     ledger = result.ledger.summary()
@@ -125,9 +120,8 @@ def _snapshot(point: dict) -> str:
 def bench_backhaul(benchmark, report):
     duration_s = max(DURATION_S * _scale(), 20.0)
 
-    # -- the wired anchor, gated against the bare mesh -----------------
+    # -- the wired anchor ----------------------------------------------
     with timer.phase("wired-anchor"):
-        bare = run_config(duration_s)
         wired = benchmark.pedantic(
             lambda: run_config(duration_s, BackhaulConfig(policy="wired")),
             rounds=1,
@@ -167,10 +161,8 @@ def bench_backhaul(benchmark, report):
         faulted = [run_config(duration_s, fault_cfg()) for _ in range(2)]
 
     for point in curve + [mule]:
-        backhaul = point["mesh"].get("backhaul")
-        lag = "wired" if backhaul is None else (
-            f"mean lag {backhaul['sync_lag_s']['mean']:.2f}s"
-        )
+        backhaul = point["mesh"]["backhaul"]
+        lag = f"{backhaul['policy']}, mean lag {backhaul['sync_lag_s']['mean']:.2f}s"
         report(
             f"{point['label']}: {point['billing']['toll_events']} events, "
             f"completeness {point['completeness']:.3f}, "
@@ -199,7 +191,7 @@ def bench_backhaul(benchmark, report):
                     "max_latency_s": p["billing"]["max_latency_s"],
                     "toll_events": p["billing"]["toll_events"],
                     "air_queries_total": p["billing"]["air_queries_total"],
-                    "backhaul": p["mesh"].get("backhaul"),
+                    "backhaul": p["mesh"]["backhaul"],
                 }
                 for p in curve + [mule]
             ],
@@ -215,10 +207,6 @@ def bench_backhaul(benchmark, report):
     )
 
     # Gates (after the JSON lands, so a trip still leaves the numbers).
-    assert _snapshot(bare) == _snapshot(wired), (
-        "backhaul='wired' is not bit-identical to the bare mesh — the "
-        "pass-through contract broke"
-    )
     for point in curve[1:] + [mule, *faulted]:
         assert point["completeness"] == 1.0, (
             f"{point.get('label', 'faulted')}: completeness "

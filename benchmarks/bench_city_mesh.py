@@ -25,7 +25,7 @@ Gates:
    sighting at the entered corridor's *first* pole versus pull — the
    first-round latency §7's speed machinery buys;
 3. both runs keep the street clean: zero corrupted responses under
-   CSMA on the shared mesh-wide air log.
+   CSMA on every corridor's air log.
 
 Alongside the 3-corridor experiment, the same file carries the
 **full-city scale-out curve**: a 100-corridor downtown grid

@@ -4,7 +4,7 @@
 Three two-pole corridors A -> B -> C joined by signalized intersections;
 Poisson traffic enters at A, most of it routed all the way to C, some
 turning off after B. Every pole runs its own CSMA cadence on one shared
-discrete-event timeline (`repro.sim.city.mesh.CityMesh`), every resolved
+discrete-event clock (`repro.sim.city.mesh.CityMesh`), every resolved
 sighting is reported to the city-wide `IdentityDirectory`, and handoff
 is *predictive*: a pole whose fixes complete a §7 cross-pole speed
 estimate pushes the car's identity-cache entry to the predicted next
@@ -17,16 +17,12 @@ re-decode wherever they actually went.
 Run:  python examples/city_mesh.py    (about ten seconds of compute;
       set REPRO_MESH_DURATION_S to shorten/lengthen the simulation)
 
-``--workers N`` (N >= 2) runs the city through the sharded engine
-(`repro.sim.city.parallel.run_sharded`): interference-closed edge
-groups in forked worker processes, rendezvousing at sync barriers for
-directory replay and push delivery. **Determinism note:** the sharded
-engine is worker-count invariant — any N produces bit-for-bit the same
-result — but it is *not* bit-identical to the serial run (``--workers
-1``, the default, which runs ``CityMesh.run`` untouched): the serial
-mesh interleaves one RNG stream across all corridors in global event
-order, which sharding by design does not reproduce. Compare sharded
-runs with sharded runs, serial with serial. See docs/PERFORMANCE.md.
+``--workers N`` (N >= 2) spreads the city over N forked worker
+processes (`repro.sim.city.parallel.run_sharded`): interference-closed
+edge groups rendezvousing at sync barriers for directory replay and
+push delivery. ``--workers 1``, the default, runs ``CityMesh.run`` —
+the same engine in-process. Any N prints the same numbers for the same
+seed. See docs/PERFORMANCE.md.
 
 ``--grid ROWSxCOLS`` swaps the 3-corridor demo for a generated downtown
 (`repro.sim.city.mesh.downtown_grid`) — e.g. ``--grid 10x10 --workers
@@ -37,8 +33,8 @@ Pass ``--trace trace.json`` and/or ``--metrics metrics.json`` to record
 the push run through ``repro.obs`` (see docs/OBSERVABILITY.md): the
 trace is Chrome trace_event JSON — load it at https://ui.perfetto.dev —
 and both files render via ``python -m repro.obs.report``. Sim-time
-tracing requires the serial path (``--workers 1``); metrics work under
-both (per-shard registries merge in deterministic order).
+tracing needs the in-process run (``--workers 1``); metrics work at any
+worker count (per-shard registries merge in deterministic order).
 """
 
 import argparse
@@ -90,9 +86,8 @@ def main() -> None:
         type=int,
         default=1,
         metavar="N",
-        help="1 (default): the serial CityMesh.run reference; >= 2: the "
-        "sharded engine, worker-count invariant but not bit-identical "
-        "to serial (see the docstring)",
+        help="1 (default): CityMesh.run, in-process; >= 2: that many "
+        "forked workers, same results (see the docstring)",
     )
     parser.add_argument(
         "--grid",
@@ -104,7 +99,7 @@ def main() -> None:
     if args.workers < 1:
         parser.error("--workers wants a positive count")
     if args.trace and args.workers > 1:
-        parser.error("sim-time tracing needs the serial path (--workers 1)")
+        parser.error("sim-time tracing needs the in-process run (--workers 1)")
     obs = None
     if args.trace or args.metrics:
         obs = Obs(trace=bool(args.trace))
@@ -128,18 +123,20 @@ def main() -> None:
         )
         fresh_mesh = lambda handoff: build_mesh(handoff, obs=obs)  # noqa: E731
 
-    mesh = fresh_mesh("push")
-    if args.workers == 1:
-        if not args.grid:
-            finder = mesh.subscribe(CarFinder())
-        result = mesh.run(duration_s)
-    else:
-        result = run_sharded(
+    def run(mesh: CityMesh):
+        if args.workers == 1:
+            return mesh.run(duration_s)
+        return run_sharded(
             mesh,
             duration_s,
             workers=args.workers,
             shard_obs_factory=Obs if obs is not None else None,
         )
+
+    mesh = fresh_mesh("push")
+    if not args.grid:
+        finder = mesh.subscribe(CarFinder())
+    result = run(mesh)
     ledger = result.ledger
 
     if args.metrics:
@@ -157,7 +154,7 @@ def main() -> None:
     )
     print(
         f"air: {result.queries_sent} queries, {result.responses} responses, "
-        f"{result.corrupted_responses} corrupted (CSMA on, one shared log)"
+        f"{result.corrupted_responses} corrupted (CSMA on)"
     )
     print(
         f"sightings: {ledger.counts()}\n"
@@ -172,14 +169,12 @@ def main() -> None:
         f"cost {result.mean_first_pole_queries:.2f} decode queries on average"
     )
     print(f"directory: {result.directory}")
-    if args.workers > 1:
-        shards = len(result.groups)
-        events = sum(result.events_processed.values())
-        print(
-            f"shards: {shards} interference-closed groups across "
-            f"{result.workers} workers, {events} scheduler events, "
-            f"sync quantum {result.sync_quantum_s * 1e3:.0f} ms"
-        )
+    events = sum(result.events_processed.values())
+    print(
+        f"shards: {len(result.groups)} interference-closed groups across "
+        f"{result.workers} workers, {events} scheduler events, "
+        f"sync quantum {result.sync_quantum_s * 1e3:.0f} ms"
+    )
 
     if finder is not None:
         print("\nlast known positions (find-my-car, city-wide):")
@@ -192,11 +187,7 @@ def main() -> None:
 
     if not args.grid:
         print("\n--- the same world under pull-at-sighting (the ablation) ---")
-        pull_mesh = fresh_mesh("pull")
-        if args.workers == 1:
-            pull = pull_mesh.run(duration_s)
-        else:
-            pull = run_sharded(pull_mesh, duration_s, workers=args.workers)
+        pull = run(fresh_mesh("pull"))
         print(
             f"pull: {100 * pull.cross_resolution_rate:.0f}% of "
             f"{pull.cross_entries} cross-corridor entries resolved; first pole "

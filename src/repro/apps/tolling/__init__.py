@@ -21,12 +21,10 @@ city-wide sighting stream into money:
   three *measured* points on one latency/air-time curve instead of a
   slogan;
 * :mod:`~repro.apps.tolling.service` — :class:`TollingService`, the
-  sighting tap that ties the stages together. Attach it to a serial
-  mesh via ``mesh.add_sighting_tap(service)`` — and, unlike
-  ``subscribe()`` services, it works under
-  :func:`~repro.sim.city.parallel.run_sharded` too: the coordinator
-  replays the merged sighting stream through taps in canonical order,
-  so billing is identical for any worker count;
+  sighting tap that ties the stages together. Attach it to a mesh via
+  ``mesh.add_sighting_tap(service)``: the engine's coordinator replays
+  the merged sighting stream through taps in canonical order, so
+  billing is identical for any worker count;
 * :mod:`~repro.apps.tolling.replay` — seeded synthetic sighting
   streams (no radio synthesis), for load tests at account populations
   no simulated radio could reach.

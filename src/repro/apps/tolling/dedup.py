@@ -27,10 +27,9 @@ class TollDedup:
     """Windowed first-read filter over the (tag, zone) sighting stream.
 
     Relies on the *delivery* stream being time-ordered, which every
-    feed guarantees: the serial mesh's taps fire in scheduler order,
-    the sharded coordinator replays sightings in canonical
-    ``(t_s, group, arrival)`` order, and a batched backhaul link
-    applies its batches in delivery order. Emit times inside those
+    feed guarantees: the mesh engine's coordinator replays sightings
+    in canonical ``(t_s, group, arrival)`` order, and a batched backhaul
+    link applies its batches in delivery order. Emit times inside those
     deliveries may lag: the watermark tracks delivery time, and a read
     *emitted* more than ``window_s + max_lag_s`` behind it would be
     unjudgeable (its window may have been swept) and raises instead of

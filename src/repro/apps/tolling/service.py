@@ -46,8 +46,8 @@ _DECODE_KINDS = ("decode", "redecode")
 class TollingService:
     """Billing plane over the city sighting stream.
 
-    Attach to a mesh with ``mesh.add_sighting_tap(service)`` (works
-    serial and sharded — the instance *is* the tap callable), or feed
+    Attach to a mesh with ``mesh.add_sighting_tap(service)`` (works at
+    any worker count — the instance *is* the tap callable), or feed
     :class:`~repro.apps.tolling.events.TollRead` records directly via
     :meth:`ingest`. Call :meth:`finish` once the stream ends to flush
     in-flight backend answers and get the summary.

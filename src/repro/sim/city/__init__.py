@@ -28,7 +28,7 @@ per-pole machinery into that infrastructure:
   estimates.
 * :mod:`repro.sim.city.mesh` — :class:`CityMesh`, the city graph:
   corridors as edges, intersections as nodes, Poisson traffic routed
-  edge-to-edge on one shared timeline, with predictive *push* handoff
+  edge-to-edge on one shared clock, with predictive *push* handoff
   planting cache entries at the predicted next pole ahead of each car
   (``handoff="pull"`` is the at-sighting ablation).
 * :mod:`repro.sim.city.backhaul` — the intermittent pole↔directory
@@ -53,7 +53,7 @@ from .pool import ResponsePool, TriggerWindow
 from .corridor import CityCorridor, CorridorResult, CorridorStation
 from .directory import IdentityDirectory, SightingFix
 from .mesh import CityMesh, MeshEdge, MeshNode, MeshResult, downtown_grid
-from .parallel import ShardedMeshResult, interference_groups, run_sharded
+from .parallel import interference_groups, run_sharded
 
 __all__ = [
     "BackhaulConfig",
@@ -82,7 +82,6 @@ __all__ = [
     "MeshNode",
     "MeshResult",
     "downtown_grid",
-    "ShardedMeshResult",
     "interference_groups",
     "run_sharded",
 ]

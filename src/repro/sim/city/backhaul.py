@@ -13,11 +13,11 @@ configured, measured axis:
   :class:`SyncBuffer` of pending sighting deltas, the downlink queue of
   push intents waiting to reach the pole, and the link's sync schedule
   (next attempt, retry backoff).
-* :class:`BackhaulConfig` — the delivery policy. ``"wired"`` is
-  today's behavior (immediate application — golden-pinned bit-for-bit
-  against the pre-backhaul mesh), ``"scheduled"`` batches each pole's
-  traffic and flushes it on a staggered per-pole sync schedule with
-  retry/backoff under injected outages, ``"mule"`` has cars crossing a
+* :class:`BackhaulConfig` — the delivery policy. ``"wired"``, the
+  default, applies every item the moment it is submitted;
+  ``"scheduled"`` batches each pole's traffic and flushes it on a
+  staggered per-pole sync schedule with retry/backoff under injected
+  outages, ``"mule"`` has cars crossing a
   pole pick up its buffered deltas and deliver them at the next synced
   (gateway) pole they pass.
 * :class:`FaultPlan` — seeded, injectable degradation: outage windows
@@ -27,25 +27,27 @@ configured, measured axis:
   generator consumed in canonical event order, so an identical plan +
   seed reproduces byte-identical runs.
 * :class:`BackhaulPlane` — the coordinator-owned router every sighting
-  crosses. The mesh (serial) and the sharded coordinator both submit
-  the canonical sighting stream through one plane, so summaries stay
-  worker-count invariant; the plane is the **only** library code that
-  talks to the directory from the pole path (the ``backhaul-policy``
-  analyzer rule enforces it).
+  crosses. The mesh engine's coordinator submits the canonical sighting
+  stream through one plane, so summaries stay worker-count invariant;
+  the plane is the **only** library code that talks to the directory
+  from the pole path (the ``backhaul-policy`` analyzer rule enforces
+  it).
 
 Determinism contract: the plane holds no wall clock and no RNG of its
-own — time comes from the submitted stream (plus the mesh heartbeat),
-and the only stochastic element is the :class:`FaultPlan`'s explicitly
-seeded generator, drawn once per flush attempt in canonical order.
+own — time comes from the submitted stream (plus the engine's quantum
+boundaries), and the only stochastic element is the
+:class:`FaultPlan`'s explicitly seeded generator, drawn once per flush
+attempt in canonical order.
 Batched deliveries apply at their *delivery* time (``delivered_s``),
 which drives directory aging and billing watermarks; the emission time
 rides along so dedup windows and speed estimates stay anchored to when
 the car actually crossed.
 
 ``python -m repro.sim.city.backhaul --smoke`` runs all three policies
-plus one fault plan on a small grid and checks wired bit-identity,
-lossless convergence after the final flush, and repeat-seed
-determinism (the fast CI tier runs it per push).
+plus one fault plan on a small grid and checks lossless convergence
+after the final flush, repeat-seed determinism, and that ``mesh.run``
+equals a forked two-worker run under ``scheduled`` (the fast CI tier
+runs it per push).
 """
 
 from __future__ import annotations
@@ -242,8 +244,8 @@ class BackhaulConfig:
     """Delivery policy for every pole↔directory link of a mesh.
 
     Attributes:
-        policy: one of :data:`POLICIES` — ``"wired"`` (immediate
-            application, the pre-backhaul behavior, golden-pinned),
+        policy: one of :data:`POLICIES` — ``"wired"`` (the default:
+            immediate application),
             ``"scheduled"`` (per-pole sync schedule with retry/backoff)
             or ``"mule"`` (cars carry deltas to gateway poles).
         sync_period_s: flush cadence under ``scheduled``.
@@ -253,11 +255,6 @@ class BackhaulConfig:
             Deterministic — derived from sorted station order, no RNG.
         retry_backoff_s / max_backoff_s: exponential retry backoff
             bounds after an outage or dropped flush.
-        heartbeat_s: how often a *serial* mesh run advances the plane
-            between sightings (bounds push-delivery staleness; the
-            sharded coordinator advances at its own sync quanta).
-            Delivery times themselves are exact regardless — the
-            heartbeat only bounds how late a delivered push is planted.
         gateways: stations with a wired uplink under ``mule``; empty
             means the mesh derives them (the last pole of every exit
             edge, where departing cars naturally pass).
@@ -270,7 +267,6 @@ class BackhaulConfig:
     stagger: bool = True
     retry_backoff_s: float = 0.25
     max_backoff_s: float = 2.0
-    heartbeat_s: float = 0.25
     gateways: tuple[str, ...] = ()
     fault_plan: FaultPlan | None = None
 
@@ -285,24 +281,22 @@ class BackhaulConfig:
             raise ConfigurationError(
                 "need 0 < retry_backoff_s <= max_backoff_s"
             )
-        if self.heartbeat_s <= 0:
-            raise ConfigurationError("the heartbeat must be positive")
 
 
 class BackhaulPlane:
     """The router every pole→directory (and push downlink) hop crosses.
 
-    One plane serves one run. Both execution engines drive it with the
-    same protocol: :meth:`submit` once per resolved sighting in
-    canonical time order, :meth:`advance` at heartbeat / rendezvous
-    boundaries, :meth:`final_flush` once at end of run (the DTN
-    convergence flush — after it, every submitted item has been applied
-    and :meth:`check_consistent` holds).
+    One plane serves one run. The engine's coordinator drives it:
+    :meth:`submit` once per resolved sighting in canonical time order,
+    :meth:`advance` at every quantum boundary, :meth:`final_flush` once
+    at end of run (the DTN convergence flush — after it, every
+    submitted item has been applied and :meth:`check_consistent`
+    holds).
 
-    Under ``wired`` the plane is a pass-through executing exactly the
-    pre-backhaul sequence (directory report, then taps) — bit-identical
-    by construction. Under the batched policies items apply at delivery
-    time: the directory via
+    Under ``wired`` the plane is a pass-through: directory report, taps,
+    then the push decision, all at sighting time, with the push handed
+    straight to ``deliver_push``. Under the batched policies items apply
+    at delivery time: the directory via
     :meth:`~repro.sim.city.directory.IdentityDirectory.apply_delta`,
     taps with an extra ``delivered_s`` keyword, and push intents are
     recomputed at delivery against the then-current speed estimate and
@@ -321,8 +315,8 @@ class BackhaulPlane:
             intent | None`` computing a push decision (the mesh's own
             predictor); None disables push routing entirely.
         deliver_push: optional callback ``(intent, now_s)`` planting a
-            push that reached its pole (serial: the live station cache;
-            sharded: the coordinator's next-quantum intent queue).
+            push that reached its pole (the engine queues it for the
+            owning shard's next quantum).
         obs: nullable observability hook — mirrors the ``backhaul.*``
             metric family; never affects delivery.
     """
@@ -405,17 +399,16 @@ class BackhaulPlane:
     ):
         """Route one resolved sighting onto its pole's link.
 
-        Wired: applies immediately and returns the directory's speed
-        estimate (the caller runs its own inline push logic, exactly as
-        before this module existed). Batched policies: buffers /
-        satchels the delta and returns None — pushes happen at delivery
-        through the plane's callbacks.
+        Wired: applies immediately. Batched policies: buffers /
+        satchels the delta. Either way pushes leave through the plane's
+        callbacks once the delta reaches the directory side.
         """
         if not self.batched:
-            return self._apply(
+            self._apply(
                 (t_s, edge, station, tag_id, cfo_hz, x_m, localized, kind, n_queries),
                 None,
             )
+            return
         self.advance(t_s)
         self.items_submitted += 1
         item = (
@@ -432,7 +425,7 @@ class BackhaulPlane:
         link = self._links[station]
         if self.policy == "scheduled":
             link.buffer.append(item)
-            return None
+            return
         # mule: a car at a gateway hands over its satchel (plus this
         # very read — the gateway pole is synced); anywhere else it
         # picks up the pole's pile and leaves its own read behind for
@@ -456,12 +449,11 @@ class BackhaulPlane:
                 if self.obs is not None:
                     self.obs.count("backhaul.mule", kind="pickup", n=len(picked))
             link.buffer.append(item)
-        return None
 
     def advance(self, now_s: float) -> None:
         """Process every sync attempt and in-flight delivery due by
-        ``now_s``, in global (time, sequence) order. Idempotent; both
-        engines may call it as often as they like — delivery times are
+        ``now_s``, in global (time, sequence) order. Idempotent; the
+        engine may call it as often as it likes — delivery times are
         computed from the schedule, never from the call instant."""
         if not self.batched:
             return
@@ -489,7 +481,7 @@ class BackhaulPlane:
                 # carried by the next attempt, never skipped because the
                 # schedule fast-forwarded past it. Delivery times stay a
                 # pure function of the submitted stream, however often
-                # the engines call advance().
+                # the engine calls advance().
                 cand_link.backoff_s = 0.0
                 cand_link.next_attempt_s = cand_t + self.config.sync_period_s
             else:
@@ -624,10 +616,10 @@ class BackhaulPlane:
         for item in items:
             self._apply(item, delivered_s)
 
-    def _apply(self, item: tuple, delivered_s: float | None):
+    def _apply(self, item: tuple, delivered_s: float | None) -> None:
         t_s, edge, station, tag_id, cfo_hz, x_m, localized, kind, n_queries = item
         if delivered_s is None:
-            # The wired pass-through: the exact pre-backhaul sequence.
+            # The wired pass-through: everything happens at sighting time.
             estimate = self.directory.report(
                 tag_id, cfo_hz, station, edge, x_m, t_s, localized=localized
             )
@@ -636,7 +628,8 @@ class BackhaulPlane:
                     t_s, edge, station, tag_id, cfo_hz, x_m, localized,
                     kind, n_queries,
                 )
-            return estimate
+            self._push(item, estimate, t_s)
+            return
         estimate = self.directory.apply_delta(
             tag_id, cfo_hz, station, edge, x_m, t_s,
             localized=localized, delivered_s=delivered_s,
@@ -658,17 +651,19 @@ class BackhaulPlane:
         if self.obs is not None:
             self.obs.count("backhaul.item", kind="delivered")
             self.obs.observe("backhaul.sync_lag_s", lag_s, link=station)
-        if (
-            not self._closing
-            and estimate is not None
-            and self._make_push_intent is not None
-        ):
-            intent = self._make_push_intent(
-                edge, station, x_m, tag_id, cfo_hz, t_s, estimate
-            )
-            if intent is not None:
-                self._route_push(intent, delivered_s)
-        return None
+        self._push(item, estimate, delivered_s)
+
+    def _push(self, item: tuple, estimate, now_s: float) -> None:
+        """The push decision for one applied item, routed toward its
+        target pole (the run is over once the final flush starts)."""
+        if self._closing or estimate is None or self._make_push_intent is None:
+            return
+        t_s, edge, station, tag_id, cfo_hz, x_m = item[:6]
+        intent = self._make_push_intent(
+            edge, station, x_m, tag_id, cfo_hz, t_s, estimate
+        )
+        if intent is not None:
+            self._route_push(intent, now_s)
 
     def _route_push(self, intent: tuple, now_s: float) -> None:
         target = intent[0]
@@ -678,8 +673,10 @@ class BackhaulPlane:
         if self.policy == "scheduled":
             self._links[target].downlink.append(intent)
             return
-        # mule: only gateway poles have a downlink path.
-        if target in self.gateways and self._deliver_push is not None:
+        # wired delivers at once; under mule only gateway poles have a
+        # downlink path.
+        reachable = self.policy == "wired" or target in self.gateways
+        if reachable and self._deliver_push is not None:
             self._deliver_push(intent, now_s)
             self.pushes_delivered += 1
             if self.obs is not None:
@@ -758,40 +755,44 @@ class BackhaulPlane:
 
 def _smoke(seed: int, duration_s: float) -> int:  # pragma: no cover
     """Fast-tier check: all three policies + one fault plan on a small
-    grid — wired bit-identity, lossless convergence, repeat-seed
-    determinism."""
+    grid — lossless convergence, repeat-seed determinism, and
+    ``mesh.run`` equal to a forked two-worker run."""
     import json
 
     from .mesh import downtown_grid
+    from .parallel import run_sharded
 
     failures: list[str] = []
 
-    def run_one(backhaul):
-        mesh = downtown_grid(2, 2, rng=seed, rate_per_s=0.5, backhaul=backhaul)
-        result = mesh.run(duration_s)
-        return mesh, result
+    def build(backhaul):
+        return downtown_grid(2, 2, rng=seed, rate_per_s=0.5, backhaul=backhaul)
 
-    _, baseline = run_one(None)
-    _, wired = run_one(BackhaulConfig(policy="wired"))
-    if json.dumps(baseline.summary(), sort_keys=True) != json.dumps(
-        wired.summary(), sort_keys=True
-    ):
-        failures.append("wired backhaul is not bit-identical to the bare mesh")
+    def canon(result) -> str:
+        return json.dumps(result.summary(), sort_keys=True)
+
+    def scheduled_cfg():
+        return BackhaulConfig(policy="scheduled", sync_period_s=1.0)
 
     delivered = {}
-    for label, cfg in (
-        ("scheduled", BackhaulConfig(policy="scheduled", sync_period_s=1.0)),
-        ("mule", BackhaulConfig(policy="mule")),
+    for label, make_cfg in (
+        ("scheduled", scheduled_cfg),
+        ("mule", lambda: BackhaulConfig(policy="mule")),
     ):
-        mesh, result = run_one(cfg)
+        mesh = build(make_cfg())
+        result = mesh.run(duration_s)
         plane = mesh._plane
         try:
             plane.check_consistent()
         except ConfigurationError as exc:
             failures.append(f"{label}: {exc}")
-        if result.summary().get("backhaul") is None:
-            failures.append(f"{label}: no backhaul section in the summary")
+        policy = result.backhaul["policy"]
+        if policy != label:
+            failures.append(f"{label}: the summary reports {policy!r}")
         delivered[label] = plane.items_delivered
+        if label == "scheduled":
+            forked = run_sharded(build(make_cfg()), duration_s, workers=2)
+            if canon(forked) != canon(result):
+                failures.append("scheduled: mesh.run differs from 2 forked workers")
 
     def fault_cfg():
         return BackhaulConfig(
@@ -809,12 +810,13 @@ def _smoke(seed: int, duration_s: float) -> int:  # pragma: no cover
 
     snapshots = []
     for _ in range(2):
-        mesh, result = run_one(fault_cfg())
+        mesh = build(fault_cfg())
+        result = mesh.run(duration_s)
         try:
             mesh._plane.check_consistent()
         except ConfigurationError as exc:
             failures.append(f"faulted: {exc}")
-        snapshots.append(json.dumps(result.summary(), sort_keys=True))
+        snapshots.append(canon(result))
     if snapshots[0] != snapshots[1]:
         failures.append("fault-plan run is not repeat-seed deterministic")
 
@@ -823,9 +825,9 @@ def _smoke(seed: int, duration_s: float) -> int:  # pragma: no cover
             print(f"FAIL: {failure}")
         return 1
     print(
-        "ok: backhaul smoke — wired bit-identical; "
-        f"scheduled delivered {delivered['scheduled']} items, "
-        f"mule {delivered['mule']}; faulted run deterministic"
+        "ok: backhaul smoke — "
+        f"scheduled delivered {delivered['scheduled']} items (mesh.run == "
+        f"2 forked workers), mule {delivered['mule']}; faulted run deterministic"
     )
     return 0
 

@@ -1,19 +1,20 @@
-"""The city mesh: a directed graph of corridors on one shared timeline.
+"""The city mesh: a directed graph of corridors on one shared clock.
 
 One :class:`~repro.sim.city.corridor.CityCorridor` is one street. A city
 is a *graph* of streets: corridors (edges) meeting at intersections
 (nodes), with cars routed edge-to-edge and every reader pole feeding the
 same backend. :class:`CityMesh` is that layer:
 
-* **One timeline, one ether** — every corridor is primed onto a single
-  :class:`~repro.sim.events.EventScheduler` and records onto a single
-  :class:`~repro.sim.medium.AirLog` and
-  :class:`~repro.sim.city.pool.ResponsePool`. Corridor frames are laid
-  out along a global city axis far enough apart that carrier sensing,
-  corruption and overhearing — all gated by
+* **One engine** — :meth:`CityMesh.run` is the sharded engine of
+  :mod:`repro.sim.city.parallel` run in-process with one worker.
+  Corridor frames are laid out along a global city axis far enough
+  apart that carrier sensing, corruption and overhearing — all gated by
   ``interference_range_m`` — behave exactly as on one street *within*
   an edge and not at all *across* edges (distant streets share the
-  clock, not the ether).
+  clock, not the ether), so each interference-closed group of edges
+  runs on its own scheduler, air log and response pool, and the groups
+  rendezvous every sync quantum for directory replay and push delivery.
+  The same seed gives the same bytes at any worker count.
 * **Routed traffic** — cars are injected by
   :class:`~repro.sim.traffic.PoissonArrivals` at an entry edge, follow
   a route of edges, and dwell at each intersection according to its
@@ -33,7 +34,8 @@ same backend. :class:`CityMesh` is that layer:
   estimate (:class:`~repro.core.speed.CrossPoleSpeedTracker`, fed
   through the directory) pushes the tag's cache entry to the predicted
   next pole — its downstream neighbor, or across the intersection to
-  the first pole of the predicted successor edge — *ahead of arrival*.
+  the first pole of the predicted successor edge — *ahead of arrival*
+  (the push lands on the target pole at the next quantum boundary).
   The entered corridor's first pole then resolves the tag's first
   sighting from its own cache at zero decode queries and zero pull
   latency. ``handoff="pull"`` is the ablation: today's
@@ -58,15 +60,12 @@ from ...constants import QUERY_PERIOD_S, READER_RANGE_M, RESPONSE_DURATION_S
 from ...errors import ConfigurationError
 from ...utils import as_rng
 from ..scenario import city_corridor_scene, make_tags
-from ..events import EventScheduler
 from ..medium import AirLog
-from ..mobility import ConstantSpeedTrajectory
 from ..traffic import PoissonArrivals, TrafficLight
 from .backhaul import BackhaulConfig, BackhaulPlane
 from .corridor import CityCorridor, CorridorResult, CorridorStation
 from .directory import IdentityDirectory
 from .handoff import DECODE, HANDOFF, OWN_HIT, PUSH, REDECODE, HandoffLedger
-from .moving import MovingTag
 from .pool import ResponsePool
 
 __all__ = ["MeshNode", "MeshEdge", "CityMesh", "MeshResult", "downtown_grid"]
@@ -178,7 +177,15 @@ class MeshResult:
     *first* pole, how many decode queries that first sighting cost
     (``first_pole_queries``; 0 for a push hit, the burst size for a
     re-decode). ``handoff`` records which policy ran: ``"push"``
-    (predictive push) or ``"pull"`` (on-demand directory lookup).
+    (predictive push) or ``"pull"`` (on-demand directory lookup), and
+    ``backhaul`` is the run's
+    :class:`~repro.sim.city.backhaul.BackhaulPlane` summary.
+
+    How the engine was shaped rides alongside and stays out of
+    :meth:`summary` (which is identical at any worker count):
+    ``workers``, ``sync_quantum_s``, the interference partition
+    ``groups`` and ``events_processed`` per group (a deterministic work
+    proxy the benches scale by).
     """
 
     duration_s: float
@@ -186,21 +193,21 @@ class MeshResult:
     edges: dict[str, CorridorResult]
     ledger: HandoffLedger
     directory: dict
+    backhaul: dict
     station_edge: dict[str, str]
     cars_injected: int
     cars_transferred: int
     cars_departed: int
+    responses: int
+    corrupted_responses: int
+    workers: int
+    sync_quantum_s: float
+    groups: tuple
+    events_processed: dict
     cross_entries: int = 0
     cross_resolved: int = 0
     cross_redecodes: int = 0
     first_pole_queries: list[int] = field(default_factory=list)
-    responses: int = 0
-    corrupted_responses: int = 0
-    #: The run's :class:`~repro.sim.city.backhaul.BackhaulPlane`
-    #: summary under a batched delivery policy; None when the links
-    #: were wired (so wired summaries stay bit-identical to pre-backhaul
-    #: output).
-    backhaul: dict | None = None
 
     @property
     def queries_sent(self) -> int:
@@ -222,7 +229,7 @@ class MeshResult:
 
     def summary(self) -> dict:
         """Headline numbers, JSON-friendly."""
-        out = {
+        return {
             "duration_s": self.duration_s,
             "handoff": self.handoff,
             "cars_injected": self.cars_injected,
@@ -241,11 +248,9 @@ class MeshResult:
             },
             "handoff_ledger": self.ledger.summary(),
             "directory": self.directory,
+            "backhaul": self.backhaul,
             "edges": {name: r.summary() for name, r in self.edges.items()},
         }
-        if self.backhaul is not None:
-            out["backhaul"] = self.backhaul
-        return out
 
 
 class CityMesh:
@@ -276,20 +281,20 @@ class CityMesh:
         push_horizon_s: do not push for predicted arrivals further out
             than this (the entry would age toward uselessness first).
         backhaul: how pole↔directory traffic travels (see
-            :mod:`repro.sim.city.backhaul`) — None or ``"wired"`` for
-            the immediate-delivery behavior (bit-identical to a mesh
-            without the parameter), a policy name (``"scheduled"`` /
-            ``"mule"``) for that policy's defaults, or a full
-            :class:`~repro.sim.city.backhaul.BackhaulConfig`. Under a
-            batched policy every directory report, sighting tap and
-            push intent rides a per-pole link, applied at delivery
+            :mod:`repro.sim.city.backhaul`) — a policy name
+            (``"wired"``, the default immediate delivery;
+            ``"scheduled"`` / ``"mule"``) for that policy's defaults,
+            or a full :class:`~repro.sim.city.backhaul.BackhaulConfig`.
+            Under a batched policy every directory report, sighting tap
+            and push intent rides a per-pole link, applied at delivery
             time; batched taps receive an extra ``delivered_s``
             keyword.
         obs: nullable observability hook (see :mod:`repro.obs`),
-            threaded into the shared air log, response pool, scheduler,
-            the default-built directory and every edge corridor — one
-            registry and one tracer for the whole city. Never affects
-            simulation behavior.
+            threaded into the default-built directory and every edge
+            corridor — one registry and one tracer for the whole city.
+            In-process runs (:meth:`run`) record every shard into it,
+            sim-time trace spans included. Never affects simulation
+            behavior.
     """
 
     def __init__(
@@ -302,11 +307,16 @@ class CityMesh:
         frame_gap_m: float = 1000.0,
         push_horizon_s: float = 60.0,
         max_queries: int = 32,
-        backhaul: BackhaulConfig | str | None = None,
+        backhaul: BackhaulConfig | str = "wired",
         obs=None,
     ) -> None:
         if handoff not in ("push", "pull"):
             raise ConfigurationError(f"unknown handoff policy {handoff!r}")
+        if backhaul is None:
+            raise ConfigurationError(
+                "backhaul wants a policy name or a BackhaulConfig ('wired' "
+                "is the default)"
+            )
         if isinstance(backhaul, str):
             backhaul = BackhaulConfig(policy=backhaul)
         if frame_gap_m <= interference_range_m + 2.0 * READER_RANGE_M:
@@ -332,7 +342,7 @@ class CityMesh:
         self.ledger = HandoffLedger()
         self.backhaul = backhaul
         self._plane: BackhaulPlane | None = None
-        self._station_objs: dict[str, CorridorStation] = {}
+        self._stations: dict[str, CorridorStation] = {}
         self.nodes: dict[str, MeshNode] = {}
         self.edges: dict[str, MeshEdge] = {}
         self.services: list[object] = []
@@ -341,8 +351,6 @@ class CityMesh:
         self._cursor_x_m = 0.0
         self._node_next_free: dict[str, float] = {}
         self._predicted_next: dict[str, str] = {}
-        self._scheduler: EventScheduler | None = None
-        self._end_s = 0.0
         self.cars_injected = 0
         self.cars_transferred = 0
         self.cars_departed = 0
@@ -377,8 +385,9 @@ class CityMesh:
         """Add one corridor edge running ``src -> dst``; returns it.
 
         The edge's scene is laid out at the next free slot on the
-        global city axis and its corridor is built on the mesh's shared
-        air log, response pool, ledger and sighting hook. Extra keyword
+        global city axis and its corridor is built on the mesh's
+        shared air log, response pool and ledger (the run rewires them
+        onto the edge's shard). Extra keyword
         arguments flow to :meth:`CityCorridor.build` (cadence, decode
         budget, CSMA/opportunistic policies, ...).
         """
@@ -419,11 +428,11 @@ class CityMesh:
             pool=self.pool,
             ledger=self.ledger,
             interference_range_m=self.interference_range_m,
-            on_sighting=self._on_sighting,
             **corridor_kwargs,
         )
         edge = MeshEdge(name=name, src=src, dst=dst, corridor=corridor, scene=scene)
         self.edges[name] = edge
+        self._stations.update((s.name, s) for s in corridor.stations)
         return edge
 
     def add_traffic(
@@ -466,7 +475,12 @@ class CityMesh:
         )
 
     def subscribe(self, service: object) -> object:
-        """Fan every corridor's observations into ``service.observe``."""
+        """Fan every corridor's observations into ``service.observe``.
+
+        The engine replays observations coordinator-side in the same
+        canonical order as sighting taps, so a service sees one stream
+        whatever the worker count. Returns ``service``.
+        """
         self.services.append(service)
         return service
 
@@ -478,14 +492,12 @@ class CityMesh:
         directory report — ``edge``/``station`` are names (strings),
         ``kind`` a :mod:`~repro.sim.city.handoff` resolution kind and
         ``n_queries`` the decode queries that sighting itself spent.
-        This is the raw feed a billing plane dedups and charges from.
-        Unlike :meth:`subscribe` services, taps also work under
-        :func:`~repro.sim.city.parallel.run_sharded`: the coordinator
-        replays the merged sighting stream through them in canonical
-        order. Under a batched ``backhaul`` policy the call gains a
-        ``delivered_s`` keyword (when the delta actually reached the
-        directory side) — a tap that should survive batched runs must
-        accept it. Returns ``tap`` for chaining.
+        This is the raw feed a billing plane dedups and charges from;
+        the coordinator replays the merged sighting stream through it
+        in canonical order. Under a batched ``backhaul`` policy the
+        call gains a ``delivered_s`` keyword (when the delta actually
+        reached the directory side) — a tap that should survive
+        batched runs must accept it. Returns ``tap`` for chaining.
         """
         self.sighting_taps.append(tap)
         return tap
@@ -499,65 +511,27 @@ class CityMesh:
     # -- the run -----------------------------------------------------------------
 
     def run(self, duration_s: float) -> MeshResult:
-        """Simulate the whole mesh for ``duration_s`` seconds."""
-        if self._ran:
-            raise ConfigurationError("a CityMesh instance runs once; build a fresh one")
-        if not self.edges:
-            raise ConfigurationError("a mesh needs at least one edge")
-        self._ran = True
-        self._end_s = float(duration_s)
-        self._predicted_next = self._turn_policy()
-        self._station_objs = {
-            station.name: station
-            for edge in self.edges.values()
-            for station in edge.corridor.stations
-        }
-        self._plane = self._build_plane(
-            push_intent=self._push_intent_named, deliver_push=self._plant_push
-        )
-        scheduler = EventScheduler(obs=self.obs)
-        self._scheduler = scheduler
-        for edge in self.edges.values():
-            for service in self.services:
-                edge.corridor.subscribe(service)
-            edge.corridor.prime(scheduler, duration_s)
-        if self._plane.batched:
-            # Heartbeats bound how stale a delivered push can be planted
-            # (delivery *times* are exact regardless — the plane computes
-            # them from the sync schedule, not the call instant).
-            def tick(sched: EventScheduler) -> None:
-                self._plane.advance(sched.now_s)
+        """Simulate the whole mesh for ``duration_s`` seconds.
 
-            step_s = self._plane.config.heartbeat_s
-            n_ticks = int(float(duration_s) / step_s)
-            for i in range(1, n_ticks + 1):
-                scheduler.schedule(i * step_s, tick, label="backhaul-sync")
-        for car, t_arrival in self._draw_cars(duration_s):
-            scheduler.schedule(
-                t_arrival,
-                self._make_entry(car),
-                label=f"car{car.transponder.tag_id}-enter",
-            )
-        scheduler.run_until(duration_s)
-        return self._finish(duration_s)
+        Runs the sharded engine in-process with one worker — the same
+        bytes as :func:`~repro.sim.city.parallel.run_sharded` at any
+        worker count, with every shard recording into :attr:`obs`.
+        """
+        from . import parallel
 
-    def _build_plane(self, *, push_intent, deliver_push) -> BackhaulPlane:
-        """The run's backhaul plane — shared construction for the
-        serial engine and the sharded coordinator (which owns the links
-        either way; see :func:`~repro.sim.city.parallel.run_sharded`)."""
-        config = self.backhaul if self.backhaul is not None else BackhaulConfig()
-        gateways = config.gateways or self._default_gateways()
+        return parallel.run_sharded(self, duration_s, workers=1, in_process=True)
+
+    def _build_plane(self, deliver_push) -> BackhaulPlane:
+        """The run's backhaul plane, owned by the coordinator: one set
+        of links for the whole city, with pushes computed by
+        :meth:`_push_intent` and handed to ``deliver_push``."""
         return BackhaulPlane(
-            config,
+            self.backhaul,
             directory=self.directory,
             taps=self.sighting_taps,
-            stations=[
-                station.name
-                for edge in self.edges.values()
-                for station in edge.corridor.stations
-            ],
-            gateways=gateways,
-            push_intent=push_intent,
+            stations=list(self._stations),
+            gateways=self.backhaul.gateways or self._default_gateways(),
+            push_intent=self._push_intent,
             deliver_push=deliver_push,
             obs=self.obs,
         )
@@ -571,12 +545,7 @@ class CityMesh:
         )
         if exits:
             return tuple(exits)
-        all_stations = sorted(
-            station.name
-            for edge in self.edges.values()
-            for station in edge.corridor.stations
-        )
-        return (all_stations[-1],) if all_stations else ()
+        return (max(self._stations),) if self._stations else ()
 
     def _turn_policy(self) -> dict[str, str]:
         """The static per-edge successor prediction pushes aim at.
@@ -647,63 +616,6 @@ class CityMesh:
             for (route, t, speed, lane_y), transponder in zip(plan, transponders)
         ]
 
-    # -- car movement ------------------------------------------------------------
-
-    def _make_entry(self, car: _RoutedCar):
-        def enter(scheduler: EventScheduler) -> None:
-            self._enter_edge(car, scheduler, scheduler.now_s)
-
-        return enter
-
-    def _enter_edge(
-        self, car: _RoutedCar, scheduler: EventScheduler, now_s: float
-    ) -> None:
-        edge = self._edge(car.route[car.leg])
-        trajectory = ConstantSpeedTrajectory(
-            start_m=np.array([edge.entry_x_m, car.lane_y_m, 1.0]),
-            velocity_m_s=np.array([car.speed_m_s, 0.0, 0.0]),
-            t0_s=now_s,
-        )
-        tag = MovingTag(transponder=car.transponder, trajectory=trajectory)
-        edge.corridor.admit(tag, scheduler, now_s)
-        self.cars_injected += 1
-        if self.obs is not None:
-            self.obs.count("mesh.car", kind="injected", edge=edge.name)
-        t_exit = now_s + (edge.exit_x_m - edge.entry_x_m) / car.speed_m_s
-        if t_exit <= self._end_s:
-            scheduler.schedule(
-                t_exit,
-                self._make_exit(car, edge),
-                label=f"car{car.transponder.tag_id}-exit-{edge.name}",
-            )
-
-    def _make_exit(self, car: _RoutedCar, edge: MeshEdge):
-        def exit_edge(scheduler: EventScheduler) -> None:
-            self._exit_edge(car, edge, scheduler, scheduler.now_s)
-
-        return exit_edge
-
-    def _exit_edge(
-        self, car: _RoutedCar, edge: MeshEdge, scheduler: EventScheduler, now_s: float
-    ) -> None:
-        car.leg += 1
-        if car.leg >= len(car.route):
-            self.cars_departed += 1
-            if self.obs is not None:
-                self.obs.count("mesh.car", kind="departed", edge=edge.name)
-            return
-        node = self.nodes[edge.dst]
-        depart_s = self._release(node, now_s)
-        if depart_s <= self._end_s:
-            self.cars_transferred += 1
-            if self.obs is not None:
-                self.obs.count("mesh.car", kind="transferred", edge=edge.name)
-            scheduler.schedule(
-                depart_s,
-                self._make_entry(car),
-                label=f"car{car.transponder.tag_id}-enter-{car.route[car.leg]}",
-            )
-
     def _release(self, node: MeshNode, arrival_s: float) -> float:
         """Intersection dwell: wait for the car ahead (saturation
         headway), then for the signal. The signal check runs on the
@@ -717,75 +629,7 @@ class CityMesh:
 
     # -- predictive push ---------------------------------------------------------
 
-    def _on_sighting(
-        self,
-        corridor: CityCorridor,
-        station: CorridorStation,
-        tag_id: int,
-        cfo_hz: float,
-        t_s: float,
-        x_m: float,
-        localized: bool,
-        kind: str = "own",
-        n_queries: int = 0,
-    ) -> None:
-        """Corridor hook: route the sighting over its pole's backhaul
-        link; maybe push ahead of it.
-
-        Under wired links the plane applies inline (directory report,
-        taps) and returns the §7 estimate, and the push decision runs
-        here at sighting time — exactly the pre-backhaul sequence.
-        Under batched links the plane buffers the delta and both the
-        directory application and the push decision happen at delivery.
-
-        Only §6-localized fixes feed the §7 speed estimator (a
-        pole-position stand-in would poison the ratio); the corridor
-        name is the estimator's coordinate frame, so crossings rebase
-        instead of pairing across the layout gap.
-        """
-        edge = self.edges[corridor.name]
-        estimate = self._plane.submit(
-            t_s, edge.name, station.name, tag_id, cfo_hz, x_m, localized,
-            kind, n_queries,
-        )
-        if estimate is None:
-            return
-        intent = self._push_intent(edge, station, x_m, tag_id, cfo_hz, t_s, estimate)
-        if intent is None:
-            return
-        self._plant_push(intent, t_s)
-
     def _push_intent(
-        self,
-        edge: MeshEdge,
-        station: CorridorStation,
-        x_m: float,
-        tag_id: int,
-        cfo_hz: float,
-        t_s: float,
-        estimate,
-        check_live: bool = True,
-    ) -> tuple | None:
-        """The push decision for one reported sighting, as data:
-        ``(target, from_station, tag_id, cfo_hz, t_emit_s, eta_s)`` or
-        None. ``check_live=False`` skips the target-cache liveness
-        check for callers without live station state (the sharded
-        coordinator, which re-checks at the owning shard)."""
-        if self.handoff != "push" or estimate is None:
-            return None
-        if estimate.speed_m_s <= 0.5:
-            return None  # effectively parked: no meaningful arrival prediction
-        target, distance_m = self._predict_target(edge, station, x_m)
-        if target is None:
-            return None
-        if check_live and (tag_id in target.identities or tag_id in target.pushed):
-            return None
-        eta_s = t_s + max(distance_m, 0.0) / estimate.speed_m_s
-        if eta_s - t_s > self.push_horizon_s:
-            return None
-        return (target.name, station.name, tag_id, cfo_hz, float(t_s), eta_s)
-
-    def _push_intent_named(
         self,
         edge_name: str,
         station_name: str,
@@ -795,28 +639,26 @@ class CityMesh:
         t_s: float,
         estimate,
     ) -> tuple | None:
-        """Name-keyed :meth:`_push_intent` — the serial plane's
-        delivery-time push callback."""
-        return self._push_intent(
-            self.edges[edge_name], self._station_objs[station_name],
-            x_m, tag_id, cfo_hz, t_s, estimate,
+        """The push decision for one reported sighting, as data:
+        ``(target, from_station, tag_id, cfo_hz, t_emit_s, eta_s)`` or
+        None. The plane calls it with the directory's §7 estimate once
+        a sighting reaches the directory side. Whether the target
+        already knows the tag is checked by the shard that owns the
+        target, against its live cache, when the push lands.
+        """
+        if self.handoff != "push" or estimate is None:
+            return None
+        if estimate.speed_m_s <= 0.5:
+            return None  # effectively parked: no meaningful arrival prediction
+        target, distance_m = self._predict_target(
+            self.edges[edge_name], self._stations[station_name], x_m
         )
-
-    def _plant_push(self, intent: tuple, now_s: float) -> None:
-        """Plant one push intent into the live target cache at
-        ``now_s`` (sighting time when wired; link delivery time when
-        batched — the entry's age and the ledger record follow the
-        moment the pole actually learned of it)."""
-        target_name, from_station, tag_id, cfo_hz, _t_emit, eta_s = intent
-        target = self._station_objs[target_name]
-        if tag_id in target.identities or tag_id in target.pushed:
-            return
-        target.receive_push(cfo_hz, tag_id, from_station=from_station, now_s=now_s)
-        self.ledger.record_push(
-            target_name, from_station, tag_id, now_s, cfo_hz, eta_s=eta_s
-        )
-        if self.obs is not None:
-            self.obs.count("mesh.push", station=target_name)
+        if target is None:
+            return None
+        eta_s = t_s + max(distance_m, 0.0) / estimate.speed_m_s
+        if eta_s - t_s > self.push_horizon_s:
+            return None
+        return (target.name, station_name, tag_id, cfo_hz, float(t_s), eta_s)
 
     def _predict_target(
         self, edge: MeshEdge, station: CorridorStation, x_m: float
@@ -840,49 +682,6 @@ class CityMesh:
         return target, distance_m
 
     # -- results -----------------------------------------------------------------
-
-    def _finish(self, duration_s: float) -> MeshResult:
-        # The DTN convergence flush runs before any summary is taken,
-        # so the directory (and every tap, e.g. a billing service)
-        # reflects all batched traffic. A no-op when wired.
-        if self._plane is not None:
-            self._plane.final_flush(duration_s)
-        # Sweep speculative pushes that no sighting ever consumed: the
-        # car turned off-route, parked, or the run ended first.
-        for edge in self.edges.values():
-            for station in edge.corridor.stations:
-                for tag_id in sorted(station.pushed):
-                    from_station, cfo_hz, t_push = station.pushed[tag_id]
-                    self.ledger.record_push_miss(
-                        station.name, from_station, tag_id, t_push, cfo_hz
-                    )
-        station_edge = {
-            station.name: edge.name
-            for edge in self.edges.values()
-            for station in edge.corridor.stations
-        }
-        result = MeshResult(
-            duration_s=duration_s,
-            handoff=self.handoff,
-            edges={name: e.corridor.finish() for name, e in self.edges.items()},
-            ledger=self.ledger,
-            directory=self.directory.summary(),
-            station_edge=station_edge,
-            cars_injected=self.cars_injected,
-            cars_transferred=self.cars_transferred,
-            cars_departed=self.cars_departed,
-            responses=len(self.air.responses()),
-            corrupted_responses=len(
-                self.air.corrupted_responses(self.interference_range_m)
-            ),
-            backhaul=(
-                self._plane.summary()
-                if self._plane is not None and self._plane.batched
-                else None
-            ),
-        )
-        self.cross_corridor_stats(result, station_edge)
-        return result
 
     def cross_corridor_stats(
         self, result: MeshResult, station_edge: dict[str, str]

@@ -1,10 +1,10 @@
-"""Sharded mesh execution: interference-closed edge groups in workers.
+"""The mesh engine: interference-closed edge groups on sync quanta.
 
-:class:`~repro.sim.city.mesh.CityMesh` runs every corridor on one
-shared :class:`~repro.sim.events.EventScheduler`. That is the reference
-semantics, but it serializes the whole city onto one core. This module
-scales the hot path out by exploiting two structural facts the mesh
-already guarantees:
+:meth:`CityMesh.run <repro.sim.city.mesh.CityMesh.run>` and
+:func:`run_sharded` are one engine — ``mesh.run(d)`` is
+``run_sharded(mesh, d, workers=1, in_process=True)``. It can spread a
+city over worker processes because of two structural facts the mesh
+guarantees:
 
 * **The ether partitions.** Mesh layout enforces
   ``frame_gap_m > interference_range_m + 2 * READER_RANGE_M``, so
@@ -16,36 +16,32 @@ already guarantees:
 * **Car motion is radio-free.** A routed car's every entry/exit time
   depends only on its draw (route, speed, lane), the intersection
   signals, and the release headway — never on what the readers decoded.
-  The coordinator therefore *precomputes the complete itinerary*
-  (replaying the serial mesh's arrival/transfer logic event-for-event,
-  consuming ``mesh.rng`` exactly as :meth:`CityMesh.run` would) and
-  hands each shard its admissions up front.
+  The coordinator therefore *precomputes the complete itinerary* on a
+  private scheduler and hands each shard its admissions up front.
 
-What cannot be sharded exactly is the *coupling that remains*: the
-city-wide :class:`~repro.sim.city.directory.IdentityDirectory` (bounded
-and aging — eviction couples tags globally) and the predictive push
-handoff (a sighting on one edge plants a cache entry on another). Both
-run on the coordinator at **rendezvous barriers**: simulation advances
-in fixed sync quanta; at each barrier every shard surrenders the
-sightings of its quantum, the coordinator replays them into the one
-true directory in canonical order — ``(t_s, group, arrival index)`` —
-computes push intents with the serial mesh's own prediction logic, and
-delivers them to the target shards for the next quantum. A push
-therefore lands up to one quantum later than in the serial mesh (the
-quantum is chosen well below the seconds a car needs to reach the next
-pole, so in practice the entry is still planted ahead of arrival).
+What cannot be sharded is the *coupling that remains*: the city-wide
+:class:`~repro.sim.city.directory.IdentityDirectory` (bounded and
+aging — eviction couples tags globally) and the predictive push handoff
+(a sighting on one edge plants a cache entry on another). Both run on
+the coordinator at **rendezvous barriers**: simulation advances in
+fixed sync quanta; at each barrier every shard surrenders the sightings
+of its quantum (and, when services are subscribed, the observations),
+and the coordinator replays them in canonical order — ``(t_s, group,
+arrival index)`` — over the backhaul plane into the one directory, the
+sighting taps and the push predictor, and into ``mesh.services``. The
+resulting push intents reach their target shards at the start of the
+next quantum: **a push lands on a quantum boundary**, up to one
+quantum after the sighting that triggered it (the quantum is well
+below the seconds a car needs to reach the next pole, so the entry is
+still planted ahead of arrival).
 
-**The determinism contract** (see ``docs/PERFORMANCE.md``): the serial
-mesh shares one RNG stream across every corridor, interleaved in global
-event order — a sharded run cannot reproduce that interleaving, so
-``run_sharded`` is *not* bit-identical to :meth:`CityMesh.run` (which
-remains untouched, golden-pinned reference semantics). What it *is* is
-**worker-count invariant**: every worker count — and the in-process
-debug mode — executes the identical per-group protocol (per-edge RNG
-streams seeded from ``mesh.rng`` in sorted edge order, identical quanta,
-identical barrier replay), so ``workers=1``, ``workers=2`` and
+**The determinism contract** (see ``docs/PERFORMANCE.md``): the same
+seed gives the same bytes at any worker count, forked or in-process.
+Every run executes the identical per-group protocol (per-edge RNG
+streams seeded from ``mesh.rng`` in sorted edge order, identical
+quanta, identical barrier replay), so ``mesh.run``, ``workers=2`` and
 ``workers=8`` produce bit-for-bit the same merged ledger, directory,
-metrics snapshot and :meth:`MeshResult.summary`.
+service state and :meth:`MeshResult.summary`.
 
 Merged results are canonical, not concatenated: sighting records from
 all shards are replayed into one fresh
@@ -54,11 +50,17 @@ all shards are replayed into one fresh
 (a shard alone cannot know a tag was first decoded two corridors away);
 per-group metrics registries merge in sorted group order.
 
+Observability: in-process shards record straight into ``mesh.obs``,
+sim-time trace spans included, so every station's rounds land on its
+own track. Forked shards record into hooks minted by
+``shard_obs_factory``; their registries merge into ``mesh.obs`` after
+the run and their traces stay in the worker.
+
 This module is the **only** place in ``src/`` allowed to import
 ``multiprocessing`` (the ``parallel-policy`` analyzer enforces it).
 Workers are forked, so shard objects cross by memory inheritance and
-only plain tuples (reports, push intents) and the final per-group
-payloads travel the pipes.
+only plain data (sighting tuples, observations, push intents) and the
+final per-group payloads travel the pipes.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,14 +91,13 @@ from .mesh import CityMesh, MeshResult
 from .moving import MovingTag
 from .pool import ResponsePool
 
-__all__ = ["interference_groups", "run_sharded", "ShardedMeshResult"]
+__all__ = ["interference_groups", "run_sharded"]
 
 #: Default rendezvous quantum: directory replay and push delivery happen
 #: at this cadence. Well below the seconds a car needs between poles
 #: (~40 m at city speeds), so a one-quantum push delay still plants the
 #: entry ahead of arrival; identical for every worker count by
-#: construction, so it never breaks invariance — only fidelity to the
-#: serial push timing.
+#: construction, so it never breaks invariance — only push timing.
 DEFAULT_SYNC_QUANTUM_S = 0.25
 
 
@@ -157,19 +158,14 @@ class _Admission:
 def _plan_itinerary(
     mesh: CityMesh, duration_s: float
 ) -> dict[str, list[_Admission]]:
-    """Precompute every edge admission of the run, serially and exactly.
+    """Precompute every edge admission of the run.
 
-    Replays the serial mesh's car machinery — ``_draw_cars`` (the only
-    RNG consumer, called here so ``mesh.rng`` advances exactly as in
-    :meth:`CityMesh.run`), entry/exit scheduling, and intersection
-    release via :meth:`CityMesh._release` — on a private ghost
-    scheduler that touches no corridor. Event tie-breaking matches the
-    serial run: car events all carry priority 0 and their relative
-    sequence order is preserved (corridor events interleave between
-    them in the serial heap but never mutate car state). The mesh's
-    ``cars_injected`` / ``cars_transferred`` / ``cars_departed``
-    counters and ``mesh.car`` obs counts are produced here, exactly as
-    the serial callbacks would.
+    Draws the cars (``CityMesh._draw_cars``, the itinerary's only
+    ``mesh.rng`` consumer) and runs their entry/exit and intersection
+    release (:meth:`CityMesh._release`) on a private ghost scheduler
+    that touches no corridor. The mesh's ``cars_injected`` /
+    ``cars_transferred`` / ``cars_departed`` counters and ``mesh.car``
+    obs counts are produced here.
     """
     admissions: dict[str, list[_Admission]] = {name: [] for name in mesh.edges}
     ghost = EventScheduler()
@@ -236,18 +232,16 @@ class _ShardGroup:
 
     * fresh :class:`AirLog` / :class:`ResponsePool` (radio locality is
       guaranteed by the partition, so local logs are semantically
-      identical to slices of the shared one);
+      identical to slices of one shared log);
     * a fresh :class:`HandoffLedger` (globally re-classified at merge);
     * a per-edge RNG stream (one ``Generator`` shared by the corridor,
-      its waveform bank and every station source — mirroring how the
-      serial mesh shares one stream, just scoped to the edge);
-    * an injected shard-local obs hook (minted by the caller's
-      ``shard_obs_factory`` — the obs-policy contract forbids the
-      library minting its own) whose registry merges into the
-      coordinator's after the run; sim-time tracing is not supported
-      in sharded runs;
-    * an ``on_sighting`` hook that *buffers* instead of reporting —
-      the directory lives with the coordinator.
+      its waveform bank and every station source);
+    * the obs hook the run hands it (``mesh.obs`` in-process, a minted
+      per-shard hook or None when forked);
+    * an ``on_sighting`` hook, and a stand-in for ``mesh.services`` when
+      any are subscribed, that *buffer* into the outbox instead of
+      reporting — the directory and the services live with the
+      coordinator.
     """
 
     def __init__(
@@ -282,11 +276,11 @@ class _ShardGroup:
                 for s in corridor.stations
             }
             corridor.on_sighting = self._buffer_sighting
+            corridor.services = [self] if mesh.services else []
             for station in corridor.stations:
                 station.source.rng = rng
                 station.source.bank.rng = rng
-                if self.obs is not None:
-                    station.mac.obs = corridor._station_obs[station.name]
+                station.mac.obs = corridor._station_obs[station.name]
                 self._stations[station.name] = station
             corridor.prime(self.scheduler, duration_s)
 
@@ -301,7 +295,6 @@ class _ShardGroup:
 
     def _make_entry(self, edge, adm: _Admission):
         def enter(scheduler: EventScheduler) -> None:
-            # Mirrors CityMesh._enter_edge: same trajectory, same admit.
             trajectory = ConstantSpeedTrajectory(
                 start_m=np.array([edge.entry_x_m, adm.lane_y_m, 1.0]),
                 velocity_m_s=np.array([adm.speed_m_s, 0.0, 0.0]),
@@ -311,6 +304,11 @@ class _ShardGroup:
             edge.corridor.admit(tag, scheduler, scheduler.now_s)
 
         return enter
+
+    def _post(self, t_s: float, item) -> None:
+        # (t_s, arrival index, item): the index is the canonical
+        # within-group tie-breaker the coordinator sorts replays by.
+        self.outbox.append((float(t_s), len(self.outbox), item))
 
     def _buffer_sighting(
         self,
@@ -324,12 +322,10 @@ class _ShardGroup:
         kind="own",
         n_queries=0,
     ) -> None:
-        # (t_s, edge, station, tag, cfo, x, localized, kind, n_queries,
-        # arrival index) — the index is the canonical within-group
-        # tie-breaker the coordinator sorts replays by.
-        self.outbox.append(
+        # A sighting is a tuple: BackhaulPlane.submit's arguments after t_s.
+        self._post(
+            t_s,
             (
-                float(t_s),
                 corridor.name,
                 station.name,
                 int(tag_id),
@@ -338,25 +334,28 @@ class _ShardGroup:
                 bool(localized),
                 str(kind),
                 int(n_queries),
-                len(self.outbox),
-            )
+            ),
         )
 
+    def observe(self, observation) -> None:
+        """The corridors' service hook: buffer the observation for the
+        coordinator's replay into ``mesh.services``."""
+        self._post(observation.timestamp_s, observation)
+
     def advance(self, t_s: float, intents: list[tuple]) -> list[tuple]:
-        """One quantum: apply delivered pushes, run, surrender sightings."""
+        """One quantum: apply delivered pushes, run, surrender the outbox."""
         self.apply_intents(intents)
         self.scheduler.run_until(t_s)
         reports, self.outbox = self.outbox, []
         return reports
 
     def apply_intents(self, intents: list[tuple]) -> None:
-        """Plant coordinator-computed pushes, with the serial skip rule.
+        """Plant coordinator-computed pushes.
 
         The "already knows / already pushed" check runs *here*, against
         the live shard caches — the coordinator's copies are stale by
-        up to a quantum. Accepted pushes land exactly as in
-        ``CityMesh._on_sighting``: cache store at the original push
-        time, a ledger push record, and a ``mesh.push`` count.
+        up to a quantum. An accepted push stores the cache entry at the
+        push time, records a ledger push and counts ``mesh.push``.
         """
         for t_s, target_name, from_station, tag_id, cfo_hz, eta_s in intents:
             station = self._stations[target_name]
@@ -389,33 +388,49 @@ class _ShardGroup:
         }
 
 
-# -- workers ---------------------------------------------------------------
+# -- hosts -----------------------------------------------------------------
+
+
+def _handle(groups: list[_ShardGroup], msg: tuple) -> tuple:
+    """One protocol step over a host's groups; returns the reply."""
+    if msg[0] == "advance":
+        _, t_s, intents_by_group = msg
+        reports = []
+        for group in groups:
+            out = group.advance(t_s, intents_by_group.get(group.key, []))
+            reports.extend((group.key,) + r for r in out)
+        return ("reports", reports)
+    if msg[0] == "apply":
+        _, intents_by_group = msg
+        for group in groups:
+            group.apply_intents(intents_by_group.get(group.key, []))
+        return ("ok",)
+    if msg[0] == "finish":
+        return ("result", [g.finish_payload() for g in groups])
+    raise RuntimeError(f"unknown message {msg[0]!r}")  # pragma: no cover
 
 
 def _worker_main(groups: list[_ShardGroup], conn) -> None:
     """Worker loop: lockstep with the coordinator over one pipe."""
     try:
         while True:
-            msg = conn.recv()
-            if msg[0] == "advance":
-                _, t_s, intents_by_group = msg
-                reports = []
-                for group in groups:
-                    out = group.advance(t_s, intents_by_group.get(group.key, []))
-                    reports.extend((group.key,) + r for r in out)
-                conn.send(("reports", reports))
-            elif msg[0] == "apply":
-                _, intents_by_group = msg
-                for group in groups:
-                    group.apply_intents(intents_by_group.get(group.key, []))
-                conn.send(("ok",))
-            elif msg[0] == "finish":
-                conn.send(("result", [g.finish_payload() for g in groups]))
+            try:
+                msg = conn.recv()
+            except EOFError:
+                return  # the coordinator hung up (it failed elsewhere)
+            conn.send(_handle(groups, msg))
+            if msg[0] == "finish":
                 return
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown message {msg[0]!r}")
     except Exception:
         conn.send(("error", traceback.format_exc()))
+
+
+def _describe(msg: tuple) -> str:
+    if msg[0] == "advance":
+        return f"advancing to the t={msg[1]:g} s quantum boundary"
+    if msg[0] == "apply":
+        return "applying the final push intents"
+    return "collecting its results"
 
 
 class _ForkedHost:
@@ -429,49 +444,48 @@ class _ForkedHost:
         )
         self.process.start()
         child.close()
+        self._pending: tuple = ("start",)
 
     def send(self, msg) -> None:
+        self._pending = msg
         self.conn.send(msg)
 
     def recv(self):
-        reply = self.conn.recv()
+        keys = ", ".join(g.key for g in self.groups)
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            self.process.join()
+            raise RuntimeError(
+                f"shard worker for groups [{keys}] died (exit code "
+                f"{self.process.exitcode}) while {_describe(self._pending)}"
+            ) from None
         if reply[0] == "error":
             self.process.join()
-            raise RuntimeError(f"shard worker failed:\n{reply[1]}")
+            raise RuntimeError(
+                f"shard worker for groups [{keys}] failed while "
+                f"{_describe(self._pending)}:\n{reply[1]}"
+            )
         return reply
 
     def close(self) -> None:
-        self.process.join()
+        # Hang up first, so a worker still waiting for its next message
+        # exits instead of blocking the join.
         self.conn.close()
+        self.process.join()
 
 
 class _LocalHost:
-    """The same protocol without a fork — debugging / no-fork platforms.
-
-    Runs its groups inline in the coordinator process. Identical
-    results by construction: shards are isolated objects and the
-    message sequence is the same.
-    """
+    """The same protocol without a fork: groups run inline in the
+    coordinator process. Identical results by construction — shards are
+    isolated objects and the message sequence is the same."""
 
     def __init__(self, groups: list[_ShardGroup]) -> None:
         self.groups = groups
         self._reply = None
 
     def send(self, msg) -> None:
-        if msg[0] == "advance":
-            _, t_s, intents_by_group = msg
-            reports = []
-            for group in self.groups:
-                out = group.advance(t_s, intents_by_group.get(group.key, []))
-                reports.extend((group.key,) + r for r in out)
-            self._reply = ("reports", reports)
-        elif msg[0] == "apply":
-            _, intents_by_group = msg
-            for group in self.groups:
-                group.apply_intents(intents_by_group.get(group.key, []))
-            self._reply = ("ok",)
-        elif msg[0] == "finish":
-            self._reply = ("result", [g.finish_payload() for g in self.groups])
+        self._reply = _handle(self.groups, msg)
 
     def recv(self):
         reply, self._reply = self._reply, None
@@ -482,22 +496,6 @@ class _LocalHost:
 
 
 # -- the coordinator -------------------------------------------------------
-
-
-@dataclass
-class ShardedMeshResult(MeshResult):
-    """A :class:`MeshResult` plus how the sharded run was shaped.
-
-    ``summary()`` is inherited unchanged — worker-count invariance is
-    asserted on it — so the engine shape rides alongside:
-    ``events_processed`` (per group, a deterministic work proxy the
-    bench scales by) and the partition itself.
-    """
-
-    workers: int = 1
-    sync_quantum_s: float = DEFAULT_SYNC_QUANTUM_S
-    groups: tuple = ()
-    events_processed: dict = field(default_factory=dict)
 
 
 def _quantum_boundaries(duration_s: float, quantum_s: float) -> list[float]:
@@ -518,87 +516,73 @@ def run_sharded(
     sync_quantum_s: float = DEFAULT_SYNC_QUANTUM_S,
     in_process: bool = False,
     shard_obs_factory=None,
-) -> ShardedMeshResult:
+) -> MeshResult:
     """Run a built (un-run) mesh via interference-closed shard groups.
 
-    Results are worker-count invariant (see the module docstring for
-    the exact contract and what differs from the serial
-    :meth:`CityMesh.run`). The mesh instance is consumed, exactly like
-    a serial run — build a fresh mesh per run.
+    :meth:`CityMesh.run` is this call with ``workers=1,
+    in_process=True``; every worker count gives the same bytes (see the
+    module docstring). The mesh instance is consumed — build a fresh
+    mesh per run.
 
     Args:
         mesh: a fully built :class:`CityMesh` that has not run.
         duration_s: simulated seconds.
         workers: forked worker processes; groups are dealt round-robin.
-            Capped at the number of groups. ``workers=1`` still runs
-            the sharded protocol (the serial golden path is
-            ``mesh.run``, not this).
+            Capped at the number of groups.
         sync_quantum_s: rendezvous cadence for directory replay and
             push delivery. Must be identical across runs being
             compared; changing it changes push timing (not safety).
         in_process: host every group in the coordinator process —
-            same protocol, same results, no fork (debugging, or
-            platforms without ``fork``).
+            same protocol, same results, no fork (what
+            :meth:`CityMesh.run` does; also platforms without
+            ``fork``). Shards record straight into ``mesh.obs``, trace
+            spans included.
         shard_obs_factory: zero-arg callable minting one fresh obs hook
-            per shard group (e.g. ``Obs``). Library code may not
-            construct hooks itself (the obs-policy contract), so
-            per-shard instrumentation is opt-in: without a factory the
-            shards run unobserved and only coordinator-side series
-            (directory, car counts) land in ``mesh.obs``. With one,
-            shard registries merge into ``mesh.obs.metrics`` after the
-            run, in sorted group order — invariant across worker
-            counts. Ignored when ``mesh.obs`` is None. Sim-time
-            tracing is not supported in sharded runs either way.
+            per shard group of a *forked* run (e.g. ``Obs``). Library
+            code may not construct hooks itself (the obs-policy
+            contract), so forked per-shard instrumentation is opt-in:
+            without a factory forked shards run unobserved and only
+            coordinator-side series (directory, car counts, backhaul)
+            land in ``mesh.obs``. With one, shard registries merge into
+            ``mesh.obs.metrics`` after the run, in sorted group order.
+            Ignored in-process and when ``mesh.obs`` is None.
     """
     if mesh._ran:
         raise ConfigurationError("a CityMesh instance runs once; build a fresh one")
     if not mesh.edges:
         raise ConfigurationError("a mesh needs at least one edge")
-    if mesh.services:
-        raise ConfigurationError(
-            "subscribe() services need the single shared timeline — "
-            "run serial (mesh.run), drop the services, or consume the "
-            "merged sighting stream via mesh.add_sighting_tap() instead "
-            "(taps replay coordinator-side, in canonical order)"
-        )
     if workers < 1:
         raise ConfigurationError("need at least one worker")
     if sync_quantum_s <= 0:
         raise ConfigurationError("the sync quantum must be positive")
     duration_s = float(duration_s)
     mesh._ran = True
-    mesh._end_s = duration_s
     mesh._predicted_next = mesh._turn_policy()
 
-    # Serial-equivalent preamble: the itinerary consumes mesh.rng exactly
-    # as CityMesh.run's _draw_cars would; per-edge stream seeds are drawn
-    # after it, in sorted edge order — both independent of worker count.
+    # The itinerary consumes mesh.rng first; per-edge stream seeds are
+    # drawn after it, in sorted edge order — both independent of worker
+    # count.
     admissions = _plan_itinerary(mesh, duration_s)
     edge_seeds = {
         name: int(mesh.rng.integers(np.iinfo(np.int64).max))
         for name in sorted(mesh.edges)
     }
+
+    def shard_obs():
+        if in_process:
+            return mesh.obs
+        if mesh.obs is None or shard_obs_factory is None:
+            return None
+        return shard_obs_factory()
+
     groups = [
-        _ShardGroup(
-            mesh,
-            edge_names,
-            edge_seeds,
-            duration_s,
-            obs=None
-            if mesh.obs is None or shard_obs_factory is None
-            else shard_obs_factory(),
-        )
+        _ShardGroup(mesh, edge_names, edge_seeds, duration_s, obs=shard_obs())
         for edge_names in interference_groups(mesh)
     ]
     for group in groups:
         group.schedule_admissions(admissions)
     station_group = {
         name: group.key for group in groups for name in group._stations
-    }
-    station_by_name = {
-        station.name: (edge, station)
-        for edge in mesh.edges.values()
-        for station in edge.corridor.stations
     }
 
     workers = min(int(workers), len(groups))
@@ -612,75 +596,39 @@ def run_sharded(
             for w in range(workers)
         ]
 
-    # The backhaul plane is coordinator-owned — one set of links for
-    # the whole city, fed by the canonical-order replay below, so
-    # batched delivery stays worker-count invariant. Wired configs make
-    # it a pass-through executing the exact pre-backhaul sequence.
+    # The backhaul plane is coordinator-owned — one set of links for the
+    # whole city, fed by the canonical-order replay below, so delivery
+    # stays worker-count invariant. A push that reached its pole's side
+    # of the link waits here for the owning shard's next quantum (the
+    # shard re-checks its live cache before planting).
     push_sink: dict[str, list[tuple]] = {}
 
     def queue_push(intent: tuple, now_s: float) -> None:
-        # A push that reached its pole's side of the link: hand it to
-        # the owning shard at the next rendezvous (same one-quantum
-        # granularity as wired sharded pushes; the shard re-checks its
-        # live cache before planting).
         target_name, from_station, tag_id, cfo_hz, _t_emit, eta_s = intent
         push_sink.setdefault(station_group[target_name], []).append(
             (float(now_s), target_name, from_station, tag_id, cfo_hz, eta_s)
         )
 
-    plane = mesh._build_plane(
-        push_intent=lambda edge_name, stn_name, x_m, tag_id, cfo_hz, t_s, est: (
-            mesh._push_intent(
-                mesh.edges[edge_name], station_by_name[stn_name][1], x_m,
-                tag_id, cfo_hz, t_s, est, check_live=False,
-            )
-        ),
-        deliver_push=queue_push,
-    )
+    plane = mesh._build_plane(queue_push)
     mesh._plane = plane
 
     def replay(reports: list[tuple], t_end_s: float) -> dict[str, list[tuple]]:
-        """Feed one quantum's sightings over the backhaul plane — and
-        through it the directory and any registered sighting taps — in
-        canonical order, then advance the plane's links to the quantum
-        boundary. Wired: the plane applies inline and the push intents
-        are computed here, the exact decision sequence of
-        CityMesh._on_sighting with the live-cache skip check deferred
-        to the owning shard. Batched: submission buffers the delta and
-        push intents surface at delivery via ``queue_push``."""
-        push_sink.clear()
-        reports.sort(key=lambda r: (r[1], r[0], r[10]))
-        for (
-            _,
-            t_s,
-            edge_name,
-            stn_name,
-            tag_id,
-            cfo_hz,
-            x_m,
-            localized,
-            kind,
-            n_queries,
-            _,
-        ) in reports:
-            estimate = plane.submit(
-                t_s, edge_name, stn_name, tag_id, cfo_hz, x_m, localized,
-                kind, n_queries,
-            )
-            if estimate is None:
-                continue
-            intent = mesh._push_intent(
-                mesh.edges[edge_name], station_by_name[stn_name][1], x_m,
-                tag_id, cfo_hz, t_s, estimate, check_live=False,
-            )
-            if intent is None:
-                continue
-            target_name, from_station, _tag, _cfo, t_emit, eta_s = intent
-            push_sink.setdefault(station_group[target_name], []).append(
-                (t_emit, target_name, from_station, tag_id, cfo_hz, eta_s)
-            )
+        """Feed one quantum's outbox in canonical order: sightings over
+        the backhaul plane (directory, taps, push decisions),
+        observations into ``mesh.services``; then advance the plane's
+        links to the quantum boundary. Returns the pushes that reached
+        their poles, by target group."""
+        reports.sort(key=lambda r: (r[1], r[0], r[2]))
+        for _, t_s, _, item in reports:
+            if isinstance(item, tuple):
+                plane.submit(t_s, *item)
+            else:
+                for service in mesh.services:
+                    service.observe(item)
         plane.advance(t_end_s)
-        return {key: list(batch) for key, batch in push_sink.items()}
+        intents = dict(push_sink)
+        push_sink.clear()
+        return intents
 
     try:
         intents_by_group: dict[str, list[tuple]] = {}
@@ -696,7 +644,7 @@ def run_sharded(
         # over). A no-op when wired.
         plane.final_flush(duration_s)
         # Pushes triggered by the final quantum's sightings are still
-        # sent (they become push misses in the sweep, as in serial).
+        # planted (they become push misses in the merge's sweep).
         for host in hosts:
             host.send(("apply", intents_by_group))
         for host in hosts:
@@ -711,10 +659,7 @@ def run_sharded(
         for host in hosts:
             host.close()
 
-    result = _merge(mesh, payloads, duration_s, workers, sync_quantum_s, groups)
-    if plane.batched:
-        result.backhaul = plane.summary()
-    return result
+    return _merge(mesh, payloads, duration_s, workers, sync_quantum_s, groups)
 
 
 def _merge(
@@ -724,17 +669,17 @@ def _merge(
     workers: int,
     sync_quantum_s: float,
     groups: list[_ShardGroup],
-) -> ShardedMeshResult:
+) -> MeshResult:
     """Rebuild the mesh-wide result from per-group payloads, canonically.
 
     The merged ledger is a *replay*, not a concatenation: sighting
     records stream in global ``(t_s, group, local index)`` order through
     a fresh ledger so decode/redecode classification sees city-wide
-    knowledge, exactly as the serial shared ledger did. The push-miss
-    sweep then mirrors ``CityMesh._finish`` (edge order, station order,
-    sorted tag ids). Every per-edge result is re-pointed at the merged
-    ledger — in the serial mesh all edge results reference the one
-    shared ledger, and downstream consumers rely on that.
+    knowledge. The push-miss sweep then records every pushed entry no
+    sighting consumed (edge order, station order, sorted tag ids): the
+    car turned off-route, parked, or the run ended first. Every
+    per-edge result is re-pointed at the merged ledger, so all edge
+    results share the one mesh-wide ledger.
     """
     merged = HandoffLedger()
     ordered_keys = sorted(payloads)
@@ -793,7 +738,7 @@ def _merge(
             rows.extend(getattr(payloads[key]["ledger"], attr))
         getattr(merged, attr).extend(sorted(rows))
 
-    # The speculative-push sweep, in the serial _finish order.
+    # The speculative-push sweep.
     group_of_edge = {
         name: group.key for group in groups for name in group.edge_names
     }
@@ -824,12 +769,13 @@ def _merge(
         for edge in mesh.edges.values()
         for station in edge.corridor.stations
     }
-    result = ShardedMeshResult(
+    result = MeshResult(
         duration_s=duration_s,
         handoff=mesh.handoff,
         edges=edges,
         ledger=merged,
         directory=mesh.directory.summary(),
+        backhaul=mesh._plane.summary(),
         station_edge=station_edge,
         cars_injected=mesh.cars_injected,
         cars_transferred=mesh.cars_transferred,
@@ -854,24 +800,26 @@ def _merge(
 
 
 def _smoke(workers: int, duration_s: float) -> int:  # pragma: no cover
-    """Tiny invariance check for CI: sharded protocol, 1 worker vs N."""
+    """Tiny invariance check for CI: ``mesh.run`` vs N forked workers."""
     from .mesh import downtown_grid
 
-    summaries = []
-    for n in (1, workers):
-        mesh = downtown_grid(2, 2, rng=7, rate_per_s=0.5)
-        result = run_sharded(mesh, duration_s, workers=n)
-        summaries.append(result.summary())
+    def build():
+        return downtown_grid(2, 2, rng=7, rate_per_s=0.5)
+
+    summaries = [
+        build().run(duration_s).summary(),
+        run_sharded(build(), duration_s, workers=workers).summary(),
+    ]
     # Compare as canonical JSON text: short runs legitimately carry NaN
     # means (no cross-corridor entries yet), and NaN != NaN would fail a
     # plain dict comparison even on identical results.
     canon = [json.dumps(s, sort_keys=True) for s in summaries]
     if canon[0] != canon[-1]:
-        print("FAIL: worker-count invariance broken")
+        print(f"FAIL: mesh.run differs from {workers} forked workers")
         return 1
     ledger = summaries[0]["handoff_ledger"]
     print(
-        f"ok: workers 1 == {workers} "
+        f"ok: mesh.run == {workers} forked workers "
         f"(sightings={ledger['sightings']}, pushes={ledger['pushes_sent']}, "
         f"cars={summaries[0]['cars_injected']})"
     )

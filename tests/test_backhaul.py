@@ -2,9 +2,8 @@
 
 The contract under test (see ``src/repro/sim/city/backhaul.py``):
 
-* ``backhaul="wired"`` is a bit-for-bit pass-through — serial and
-  sharded summaries are identical to a mesh without the parameter, and
-  the pre-backhaul serial golden sha still reproduces;
+* ``backhaul="wired"`` is the default pass-through — an explicit
+  ``"wired"`` mesh reproduces the mesh golden sha;
 * batched policies are lossless after the final convergence flush —
   every submitted sighting delta is applied exactly once, whatever the
   fault plan injected;
@@ -37,7 +36,7 @@ from repro.sim.city import (
 from repro.utils import as_rng
 
 from tests.test_city_mesh import chain_mesh
-from tests.test_city_parallel import SERIAL_GOLDEN_SHA256, summary_json
+from tests.test_city_parallel import MESH_GOLDEN_SHA256, summary_json
 
 
 class Recorder:
@@ -130,8 +129,6 @@ class TestConfigValidation:
             BackhaulConfig(sync_period_s=0.0)
         with pytest.raises(ConfigurationError):
             BackhaulConfig(retry_backoff_s=1.0, max_backoff_s=0.5)
-        with pytest.raises(ConfigurationError):
-            BackhaulConfig(heartbeat_s=-1.0)
 
     def test_mule_needs_a_gateway(self):
         with pytest.raises(ConfigurationError):
@@ -241,28 +238,15 @@ class TestMuleDelivery:
 class TestWiredGoldenPin:
     @pytest.mark.slow
     def test_wired_serial_reproduces_the_pre_backhaul_golden_sha(self):
+        """An explicit ``backhaul="wired"`` is the default: it
+        reproduces the mesh golden."""
         result = chain_mesh("push", seed=7, backhaul="wired").run(16.0)
         digest = hashlib.sha256(summary_json(result).encode()).hexdigest()
-        assert digest == SERIAL_GOLDEN_SHA256
+        assert digest == MESH_GOLDEN_SHA256
 
-    def test_wired_equals_no_backhaul_serial(self):
-        bare = downtown_grid(2, 2, rng=11, rate_per_s=0.5).run(4.0)
-        wired = downtown_grid(
-            2, 2, rng=11, rate_per_s=0.5, backhaul=BackhaulConfig()
-        ).run(4.0)
-        assert summary_json(bare) == summary_json(wired)
-        assert "backhaul" not in wired.summary()
-
-    def test_wired_equals_no_backhaul_sharded(self):
-        bare = run_sharded(
-            downtown_grid(2, 2, rng=11, rate_per_s=0.5), 4.0, in_process=True
-        )
-        wired = run_sharded(
-            downtown_grid(2, 2, rng=11, rate_per_s=0.5, backhaul="wired"),
-            4.0,
-            in_process=True,
-        )
-        assert summary_json(bare) == summary_json(wired)
+    def test_none_is_not_a_backhaul(self):
+        with pytest.raises(ConfigurationError):
+            downtown_grid(1, 1, rng=0, backhaul=None)
 
 
 def _scheduled_fault_cfg(duration_s):
@@ -278,8 +262,7 @@ def _scheduled_fault_cfg(duration_s):
 
 def _grid_snapshot(workers, backhaul_factory, *, duration_s=6.0, seed=11):
     mesh = downtown_grid(
-        2, 2, rng=seed, rate_per_s=0.5,
-        backhaul=None if backhaul_factory is None else backhaul_factory(duration_s),
+        2, 2, rng=seed, rate_per_s=0.5, backhaul=backhaul_factory(duration_s)
     )
     svc = TollingService(policy="as-sighted", max_lag_s=1e6, keep_events=False)
     mesh.add_sighting_tap(svc)

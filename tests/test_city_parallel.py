@@ -1,14 +1,14 @@
-"""The sharded mesh engine: partition, itinerary, invariance, merge.
+"""The mesh engine: partition, invariance, merge, one contract.
 
 The contract under test (see ``src/repro/sim/city/parallel.py``):
 
-* the serial :meth:`CityMesh.run` is untouched reference semantics —
-  its output is golden-pinned against the pre-sharding behavior;
-* ``run_sharded`` is worker-count invariant bit-for-bit: every worker
-  count (and the forkless in-process mode) produces identical
-  summaries, merged ledgers, and metrics snapshots;
-* car motion is radio-free, so the coordinator's precomputed itinerary
-  reproduces the serial mesh's traffic exactly (counters, cell entries);
+* ``mesh.run`` is the engine run in-process with one worker, and its
+  output is golden-pinned;
+* the same seed gives the same bytes at any worker count, forked or
+  in-process: summaries, merged ledgers, metrics snapshots and
+  subscribed services all agree;
+* a shard worker that dies fails the run loudly, naming its groups and
+  the quantum being advanced;
 * the interference partition is derived from geometry, not assumed.
 """
 
@@ -16,23 +16,31 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from types import SimpleNamespace
 
 import pytest
 
+from repro.apps import CarFinder
 from repro.errors import ConfigurationError
 from repro.obs import Obs
-from repro.sim.city import downtown_grid, interference_groups, run_sharded
-from repro.sim.city.parallel import _quantum_boundaries
+from repro.sim.city import (
+    BackhaulConfig,
+    downtown_grid,
+    interference_groups,
+    run_sharded,
+)
+from repro.sim.city.parallel import _quantum_boundaries, _ShardGroup
 
 from tests.test_city_mesh import chain_mesh
 
-#: sha256 of the serial chain mesh's summary JSON (push, seed 7, 16 s),
-#: captured on the commit *before* the sharding engine landed and
-#: verified identical after: the sharded PR may not move the serial
-#: golden path by a bit.
-SERIAL_GOLDEN_SHA256 = (
-    "2b6c318a25fd44da14257b45d9d4e4be517043ce2e32f06907bbfea3f12b4974"
+#: sha256 of ``chain_mesh("push", seed=7).run(16.0).summary()`` as JSON.
+#: Re-pinned once when ``mesh.run`` became the sharded engine run
+#: in-process (its per-edge RNG streams and quantum-boundary pushes
+#: replaced the serial loop's interleaved stream and inline pushes, and
+#: every summary gained the ``backhaul`` section).
+MESH_GOLDEN_SHA256 = (
+    "94aab841544916ced7b51073aac6e3310f4e511a3f4d9e4cdc044f4f09da0df4"
 )
 
 
@@ -88,30 +96,11 @@ class TestQuantumBoundaries:
 class TestSerialGoldenPin:
     @pytest.mark.slow
     def test_serial_mesh_unchanged_by_sharding_pr(self):
+        """``mesh.run`` (the one-worker in-process engine) reproduces
+        the mesh golden."""
         result = chain_mesh("push", seed=7).run(16.0)
         digest = hashlib.sha256(summary_json(result).encode()).hexdigest()
-        assert digest == SERIAL_GOLDEN_SHA256
-
-
-class TestItineraryFidelity:
-    @pytest.mark.slow
-    def test_sharded_traffic_matches_serial_exactly(self):
-        """Car motion never depends on radio events, so the sharded
-        itinerary reproduces the serial counters and cell crossings
-        bit-for-bit even though radio streams differ."""
-        serial = downtown_grid(2, 2, rng=11, rate_per_s=0.5).run(8.0)
-        sharded = run_sharded(
-            downtown_grid(2, 2, rng=11, rate_per_s=0.5), 8.0, workers=2
-        )
-        assert sharded.cars_injected == serial.cars_injected
-        assert sharded.cars_transferred == serial.cars_transferred
-        assert sharded.cars_departed == serial.cars_departed
-        assert sorted(sharded.ledger.cell_entries) == sorted(
-            serial.ledger.cell_entries
-        )
-        assert sorted(sharded.ledger.cell_exits) == sorted(
-            serial.ledger.cell_exits
-        )
+        assert digest == MESH_GOLDEN_SHA256
 
 
 def run_grid(workers, *, in_process=False, with_obs=False, seed=11):
@@ -161,8 +150,7 @@ class TestMergedResultShape:
     @pytest.mark.slow
     def test_merge_produces_mesh_wide_views(self):
         result, _ = run_grid(2)
-        # Every edge result references the one merged ledger, as the
-        # serial mesh's shared-ledger structure does.
+        # Every edge result references the one merged ledger.
         for edge_result in result.edges.values():
             assert edge_result.ledger is result.ledger
         # The partition is recorded, and the work proxy covers it.
@@ -203,12 +191,6 @@ class TestGuards:
         with pytest.raises(ConfigurationError):
             mesh.run(0.5)
 
-    def test_rejects_services(self):
-        mesh = downtown_grid(1, 1, rng=0)
-        mesh.subscribe(SimpleNamespace(observe=lambda *a, **k: None))
-        with pytest.raises(ConfigurationError):
-            run_sharded(mesh, 0.5, workers=1, in_process=True)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             run_sharded(downtown_grid(1, 1, rng=0), 0.5, workers=0)
@@ -216,6 +198,66 @@ class TestGuards:
             run_sharded(
                 downtown_grid(1, 1, rng=0), 0.5, workers=1, sync_quantum_s=0.0
             )
+
+
+class TestOneContract:
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "backhaul",
+        ["wired", BackhaulConfig(policy="scheduled", sync_period_s=1.0)],
+        ids=["wired", "scheduled"],
+    )
+    def test_mesh_run_equals_forked_workers(self, backhaul):
+        def build():
+            return downtown_grid(2, 2, rng=11, rate_per_s=0.5, backhaul=backhaul)
+
+        local = build().run(6.0)
+        forked = run_sharded(build(), 6.0, workers=2)
+        assert summary_json(local) == summary_json(forked)
+        assert local.ledger.records == forked.ledger.records
+
+    @pytest.mark.slow
+    def test_subscribed_car_finder_is_worker_count_invariant(self):
+        """Services get the same canonical replay as taps, so a
+        find-my-car service ends identical under ``mesh.run`` and two
+        forked workers."""
+
+        def fixes(finder):
+            out = []
+            for tag_id in finder.known_tags():
+                fix = finder.locate(tag_id)
+                position = tuple(fix.position_m)
+                out.append((tag_id, fix.timestamp_s, fix.station, fix.cell, position))
+            return out
+
+        local_mesh = chain_mesh("push", seed=7)
+        local = local_mesh.subscribe(CarFinder())
+        local_mesh.run(10.0)
+        forked_mesh = chain_mesh("push", seed=7)
+        forked = forked_mesh.subscribe(CarFinder())
+        run_sharded(forked_mesh, 10.0, workers=2)
+        assert local.known_tags()
+        assert local.known_tags() == forked.known_tags()
+        assert fixes(local) == fixes(forked)
+
+
+class TestLoudWorkers:
+    def test_dead_worker_names_its_groups_and_quantum(self, monkeypatch):
+        advance = _ShardGroup.advance
+
+        def dying_advance(self, t_s, intents):
+            if t_s > 1.0:
+                os._exit(3)
+            return advance(self, t_s, intents)
+
+        monkeypatch.setattr(_ShardGroup, "advance", dying_advance)
+        mesh = downtown_grid(1, 2, rng=3)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_sharded(mesh, 2.0, workers=2)
+        message = str(excinfo.value)
+        assert "st00a0" in message
+        assert "1.25" in message
+        assert "exit code 3" in message
 
 
 class TestDowntownGrid:

@@ -337,14 +337,33 @@ class TestDeterminism:
         assert json.loads(runs[0][0])["counters"]
         assert len(json.loads(runs[0][1])["traceEvents"]) > 2
 
-    def test_mesh_same_seed_snapshots_identical(self):
+    def test_mesh_same_seed_snapshots_identical(self, tmp_path):
         runs = []
-        for _ in range(2):
+        files = []
+        for k in range(2):
             obs = Obs(trace=True)
             chain_mesh(seed=7, obs=obs).run(10.0)
             runs.append((obs.metrics.snapshot_json(), obs.tracer.to_json()))
+            metrics_path = tmp_path / f"metrics{k}.json"
+            trace_path = tmp_path / f"trace{k}.json"
+            obs.metrics.write(metrics_path)
+            obs.tracer.write(trace_path)
+            files.append((metrics_path.read_bytes(), trace_path.read_bytes()))
         assert runs[0] == runs[1]
+        assert files[0] == files[1]  # exported files byte-identical
         assert json.loads(runs[0][0])["counters"]
+
+    def test_mesh_run_traces_rounds_on_every_station_track(self):
+        obs = Obs(trace=True)
+        mesh = chain_mesh(seed=7, obs=obs)
+        mesh.run(10.0)
+        stations = {s.name for e in mesh.edges.values() for s in e.corridor.stations}
+        round_tracks = {
+            event["cat"]
+            for event in obs.tracer.to_chrome()["traceEvents"]
+            if event.get("name") == "round"
+        }
+        assert round_tracks == stations
 
     def test_obs_does_not_perturb_simulation(self):
         # NaN summary fields (e.g. a mean over zero identifications)

@@ -19,8 +19,8 @@ registry of domain-aware checkers:
 * ``ablation-api``  — public callables exposing ``combining`` /
   ``opportunistic`` / ``scheduling`` / ``handoff`` must document the
   allowed values; the deprecated ``antenna_index`` keyword is flagged.
-* ``unused-import`` — the original ``tools/lint.py`` pass, registered
-  as the first checker.
+* ``unused-import`` — imports a module never references (the
+  ``make lint`` rule for machines without ruff).
 
 Findings can be suppressed per line with ``# repro: allow[<rule>]``
 (with a justification after the closing bracket), or grandfathered in

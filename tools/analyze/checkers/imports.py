@@ -1,7 +1,7 @@
-"""``unused-import``: the original ``tools/lint.py`` pass, as a registered checker.
+"""``unused-import``: imports a module never references.
 
-Behavior is unchanged from the lint-gate original (which remains the
-``make check`` entry point via the ``tools/lint.py`` shim):
+``make analyze`` runs it on every check, so it covers machines where
+``make lint`` finds no ruff. Rules:
 
 * ``__init__.py`` files are skipped (imports there are re-exports);
 * names listed in ``__all__`` are considered used;

@@ -33,8 +33,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
 #: Directories analyzed when the CLI gets no explicit paths. ``tools``
-#: rides along so the analyzer keeps itself honest (lint.py always
-#: covered it).
+#: rides along so the analyzer keeps itself honest.
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples", "tools")
 
 _PRAGMA = re.compile(r"#\s*repro:\s*allow\[([a-z0-9_,\s-]+)\]", re.I)
