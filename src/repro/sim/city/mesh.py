@@ -479,8 +479,13 @@ class CityMesh:
 
         The engine replays observations coordinator-side in the same
         canonical order as sighting taps, so a service sees one stream
-        whatever the worker count. Returns ``service``.
+        whatever the worker count. Returns ``service``. An object with
+        no ``observe`` method is refused here, not mid-run.
         """
+        if not callable(getattr(service, "observe", None)):
+            raise ConfigurationError(
+                f"a service needs an observe() method, got {service!r}"
+            )
         self.services.append(service)
         return service
 

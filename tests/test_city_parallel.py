@@ -191,6 +191,16 @@ class TestGuards:
         with pytest.raises(ConfigurationError):
             mesh.run(0.5)
 
+    def test_rejects_services(self):
+        # The engine replays services coordinator-side, so any observer
+        # runs; one that cannot observe is refused at subscribe time.
+        mesh = downtown_grid(1, 1, rng=0)
+        with pytest.raises(ConfigurationError):
+            mesh.subscribe(SimpleNamespace())
+        assert mesh.services == []
+        mesh.subscribe(SimpleNamespace(observe=lambda *a, **k: None))
+        run_sharded(mesh, 0.5, workers=1, in_process=True)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             run_sharded(downtown_grid(1, 1, rng=0), 0.5, workers=0)

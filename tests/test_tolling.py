@@ -1,6 +1,7 @@
 """Unit and integration tests for repro.apps.tolling (the billing plane)."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -354,6 +355,22 @@ class TestMeshIntegration:
         assert summary["reads"] > 0
         # Every tap read is a directory report too: same stream.
         assert summary["reads"] == mesh.directory.reports
+
+    def test_sharded_rejects_services_but_not_taps(self):
+        # A non-observer is refused as a service, while the same engine
+        # takes a billing tap and a real observer side by side.
+        mesh = self.build()
+        with pytest.raises(ConfigurationError):
+            mesh.subscribe(object())
+        seen = []
+        mesh.subscribe(SimpleNamespace(observe=seen.append))
+        service = mesh.add_sighting_tap(
+            TollingService(policy="as-sighted", window_s=5.0)
+        )
+        run_sharded(mesh, 8.0, workers=1, in_process=True)
+        service.check_consistent()
+        assert service.finish()["reads"] > 0
+        assert seen
 
     def test_sharded_tap_is_worker_count_invariant(self):
         """Billing over the coordinator-replayed stream must not depend
