@@ -113,8 +113,11 @@ class MetricsRegistry:
         order keeps that deterministic — callers must sort shards
         before merging. The merged snapshot of shard registries
         equals the snapshot one shared registry would have produced,
-        up to counter float-add ordering.
+        up to counter float-add ordering. Merging a registry into
+        itself would double every series, so it is refused.
         """
+        if other is self:
+            raise ValueError("cannot merge a metrics registry into itself")
         for key in sorted(other._counters):
             self._counters[key] = self._counters.get(key, 0) + other._counters[key]
         for key in sorted(other._gauges):

@@ -60,13 +60,11 @@ from ...constants import QUERY_PERIOD_S, READER_RANGE_M, RESPONSE_DURATION_S
 from ...errors import ConfigurationError
 from ...utils import as_rng
 from ..scenario import city_corridor_scene, make_tags
-from ..medium import AirLog
 from ..traffic import PoissonArrivals, TrafficLight
 from .backhaul import BackhaulConfig, BackhaulPlane
 from .corridor import CityCorridor, CorridorResult, CorridorStation
 from .directory import IdentityDirectory
 from .handoff import DECODE, HANDOFF, OWN_HIT, PUSH, REDECODE, HandoffLedger
-from .pool import ResponsePool
 
 __all__ = ["MeshNode", "MeshEdge", "CityMesh", "MeshResult", "downtown_grid"]
 
@@ -113,8 +111,8 @@ class MeshEdge:
         src / dst: intersection names this edge runs from/to; None marks
             a mesh boundary (cars appear at ``src=None`` edges via
             traffic sources and vanish after a ``dst=None`` exit).
-        corridor: the edge's :class:`CityCorridor`, sharing the mesh's
-            air log, pool, ledger and scheduler.
+        corridor: the edge's :class:`CityCorridor`; the run wires it
+            onto its shard's scheduler, air log, pool and ledger.
         scene: the edge's deployment (global-frame coordinates).
     """
 
@@ -334,11 +332,11 @@ class CityMesh:
         self.frame_gap_m = float(frame_gap_m)
         self.push_horizon_s = float(push_horizon_s)
         self.max_queries = int(max_queries)
-        slack_s = max(
+        #: Air-log sensing / response-pool scan-back slack every shard
+        #: uses: the widest any edge's decode burst needs.
+        self.slack_s = max(
             0.25, self.max_queries * QUERY_PERIOD_S + RESPONSE_DURATION_S + 0.05
         )
-        self.air = AirLog(sense_slack_s=slack_s, obs=obs)
-        self.pool = ResponsePool(slack_s=slack_s, obs=obs)
         self.ledger = HandoffLedger()
         self.backhaul = backhaul
         self._plane: BackhaulPlane | None = None
@@ -386,8 +384,8 @@ class CityMesh:
 
         The edge's scene is laid out at the next free slot on the
         global city axis and its corridor is built on the mesh's
-        shared air log, response pool and ledger (the run rewires them
-        onto the edge's shard). Extra keyword
+        shared ledger (the run rewires the corridor onto its shard's air
+        log, response pool and ledger). Extra keyword
         arguments flow to :meth:`CityCorridor.build` (cadence, decode
         budget, CSMA/opportunistic policies, ...).
         """
@@ -424,12 +422,11 @@ class CityMesh:
             rng=self.rng,
             name=name,
             scheduling="event",
-            air=self.air,
-            pool=self.pool,
             ledger=self.ledger,
             interference_range_m=self.interference_range_m,
             **corridor_kwargs,
         )
+        self.slack_s = max(self.slack_s, corridor.air.sense_slack_s)
         edge = MeshEdge(name=name, src=src, dst=dst, corridor=corridor, scene=scene)
         self.edges[name] = edge
         self._stations.update((s.name, s) for s in corridor.stations)

@@ -257,8 +257,8 @@ class _ShardGroup:
         self.interference_range_m = mesh.interference_range_m
         self.obs = obs
         self.ledger = HandoffLedger()
-        self.air = AirLog(sense_slack_s=mesh.air.sense_slack_s, obs=self.obs)
-        self.pool = ResponsePool(slack_s=mesh.pool.slack_s, obs=self.obs)
+        self.air = AirLog(sense_slack_s=mesh.slack_s, obs=self.obs)
+        self.pool = ResponsePool(slack_s=mesh.slack_s, obs=self.obs)
         self.scheduler = EventScheduler(obs=self.obs)
         self.outbox: list[tuple] = []
         self._stations: dict[str, object] = {}
@@ -410,8 +410,16 @@ def _handle(groups: list[_ShardGroup], msg: tuple) -> tuple:
     raise RuntimeError(f"unknown message {msg[0]!r}")  # pragma: no cover
 
 
-def _worker_main(groups: list[_ShardGroup], conn) -> None:
-    """Worker loop: lockstep with the coordinator over one pipe."""
+def _worker_main(groups: list[_ShardGroup], conn, inherited: list) -> None:
+    """Worker loop: lockstep with the coordinator over one pipe.
+
+    ``inherited`` are the coordinator-side pipe ends the fork copied
+    into this process (its own and those of hosts started before it).
+    They are closed first: otherwise this process holds its own pipe
+    open and never sees the coordinator hang up.
+    """
+    for parent_end in inherited:
+        parent_end.close()
     try:
         while True:
             try:
@@ -422,7 +430,10 @@ def _worker_main(groups: list[_ShardGroup], conn) -> None:
             if msg[0] == "finish":
                 return
     except Exception:
-        conn.send(("error", traceback.format_exc()))
+        try:
+            conn.send(("error", traceback.format_exc()))
+        except OSError:
+            pass  # the coordinator already hung up
 
 
 def _describe(msg: tuple) -> str:
@@ -436,11 +447,12 @@ def _describe(msg: tuple) -> str:
 class _ForkedHost:
     """N groups hosted in a forked process, driven over a pipe."""
 
-    def __init__(self, ctx, groups: list[_ShardGroup]) -> None:
+    def __init__(self, ctx, groups: list[_ShardGroup], started: list) -> None:
         self.groups = groups
         self.conn, child = ctx.Pipe()
+        inherited = [self.conn] + [host.conn for host in started]
         self.process = ctx.Process(
-            target=_worker_main, args=(groups, child), daemon=True
+            target=_worker_main, args=(groups, child, inherited), daemon=True
         )
         self.process.start()
         child.close()
@@ -591,10 +603,10 @@ def run_sharded(
     else:
         ctx = multiprocessing.get_context("fork")
         # workers is capped at len(groups), so every host gets >= 1 group.
-        hosts = [
-            _ForkedHost(ctx, [g for i, g in enumerate(groups) if i % workers == w])
-            for w in range(workers)
-        ]
+        hosts = []
+        for w in range(workers):
+            dealt = [g for i, g in enumerate(groups) if i % workers == w]
+            hosts.append(_ForkedHost(ctx, dealt, hosts))
 
     # The backhaul plane is coordinator-owned — one set of links for the
     # whole city, fed by the canonical-order replay below, so delivery
@@ -761,7 +773,8 @@ def _merge(
     if mesh.obs is not None:
         for key in ordered_keys:
             metrics = payloads[key]["metrics"]
-            if metrics is not None:
+            # In-process shards recorded straight into mesh.obs.
+            if metrics is not None and metrics is not mesh.obs.metrics:
                 mesh.obs.metrics.merge(metrics)
 
     station_edge = {

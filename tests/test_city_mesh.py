@@ -236,7 +236,7 @@ class TestCityMeshRun:
         # The headline: strictly cheaper first sightings at first poles.
         assert push.first_pole_queries and pull.first_pole_queries
         assert push.mean_first_pole_queries < pull.mean_first_pole_queries
-        # One shared air log, CSMA on: the street stays clean.
+        # One air log per street, CSMA on: the street stays clean.
         assert push.corrupted_responses == 0
         assert pull.corrupted_responses == 0
         # Directory bookkeeping stayed consistent throughout.

@@ -269,6 +269,27 @@ class TestLoudWorkers:
         assert "1.25" in message
         assert "exit code 3" in message
 
+    def test_one_dead_worker_does_not_hang_the_survivor(self, monkeypatch):
+        """Only one group's worker dies; the other is left waiting for
+        its next message. The coordinator must still hang up on it, join
+        it and surface the loud error."""
+        advance = _ShardGroup.advance
+        mesh = downtown_grid(1, 2, rng=3)
+        doomed = interference_groups(mesh)[-1][0]
+
+        def dying_advance(self, t_s, intents):
+            if self.key == doomed and t_s > 1.0:
+                os._exit(3)
+            return advance(self, t_s, intents)
+
+        monkeypatch.setattr(_ShardGroup, "advance", dying_advance)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_sharded(mesh, 2.0, workers=2)
+        message = str(excinfo.value)
+        assert doomed in message
+        assert "1.25" in message
+        assert "exit code 3" in message
+
 
 class TestDowntownGrid:
     def test_grid_shape(self):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import MetricsRegistry, Obs, SpanTracer, TraceError
 from repro.obs.report import main as report_main, validate_metrics, validate_trace
-from repro.sim.city import CityCorridor, CityMesh
+from repro.sim.city import CityCorridor, CityMesh, run_sharded
 from repro.sim.scenario import city_corridor_scene
 from repro.sim.traffic import TrafficLight
 
@@ -138,6 +138,13 @@ class TestMetricsRegistry:
         dst = MetricsRegistry()
         dst.merge(src)
         assert dst.snapshot_json() == src.snapshot_json()
+
+    def test_merge_into_itself_is_refused(self):
+        reg = MetricsRegistry()
+        reg.inc("x", 2)
+        with pytest.raises(ValueError):
+            reg.merge(reg)
+        assert reg.counter("x") == 2
 
 
 class TestPhaseTimerMerge:
@@ -352,6 +359,27 @@ class TestDeterminism:
         assert runs[0] == runs[1]
         assert files[0] == files[1]  # exported files byte-identical
         assert json.loads(runs[0][0])["counters"]
+
+    def test_mesh_run_metrics_equal_forked_shards(self):
+        """In-process shards record straight into ``mesh.obs``; forked
+        shards record into minted hooks merged after the run. Both give
+        the same snapshot, and each car is counted once."""
+        local_obs = Obs()
+        local = chain_mesh(seed=7, obs=local_obs).run(10.0)
+        forked_obs = Obs()
+        run_sharded(
+            chain_mesh(seed=7, obs=forked_obs),
+            10.0,
+            workers=2,
+            shard_obs_factory=Obs,
+        )
+        injected = sum(
+            local_obs.metrics.counter("mesh.car", kind="injected", edge=name)
+            for name in ("A", "B")
+        )
+        assert local.cars_injected > 0
+        assert injected == local.cars_injected
+        assert local_obs.metrics.snapshot_json() == forked_obs.metrics.snapshot_json()
 
     def test_mesh_run_traces_rounds_on_every_station_track(self):
         obs = Obs(trace=True)
