@@ -218,37 +218,39 @@ def bench_city_corridor(benchmark, report):
     # CollisionCounter.count dominates each occupied round; its probe
     # and decision passes share one set of spectra + CFAR floors, and
     # the refine/fit stages run batched across peaks and captures.
-    # Outputs are identical on every ablation — this times the savings.
+    # The counter's private oracles (per-pass recompute, per-capture
+    # fit) give identical outputs — this times the savings.
     sim = population_simulator(m=10, seed=77)
     capture = sim.query(0.0).antenna(0)
+    counter = CollisionCounter()
     counter_ms = {}
-    for label, counter in (
-        ("shared", CollisionCounter()),
-        ("recompute", CollisionCounter(reuse_probe_spectra=False)),
+    for label, count in (
+        ("shared", lambda: counter.count(capture)),
+        ("recompute", lambda: counter._count_burst([capture], share_spectra=False)),
     ):
-        counter.count(capture)  # warm-up
+        count()  # warm-up
         best = float("inf")
         with timer.phase("count"):
             for _ in range(3):
                 t0 = time.perf_counter()
                 for _ in range(10):
-                    counter.count(capture)
+                    count()
                 best = min(best, (time.perf_counter() - t0) / 10)
         counter_ms[label] = best * 1e3
     # A shared-t0 burst exercises the stacked multi-RHS lstsq; the
-    # batch_fit=False ablation is the pre-batching per-capture loop.
+    # stacked_fit=False oracle is the pre-batching per-capture loop.
     burst = [sim.query(0.0).antenna(0) for _ in range(4)]
-    for label, counter in (
-        ("burst_batched", CollisionCounter()),
-        ("burst_looped", CollisionCounter(batch_fit=False)),
+    for label, count in (
+        ("burst_batched", lambda: counter.count_multi(burst)),
+        ("burst_looped", lambda: counter._count_burst(burst, stacked_fit=False)),
     ):
-        counter.count_multi(burst)  # warm-up
+        count()  # warm-up
         best = float("inf")
         with timer.phase("count"):
             for _ in range(3):
                 t0 = time.perf_counter()
                 for _ in range(5):
-                    counter.count_multi(burst)
+                    count()
                 best = min(best, (time.perf_counter() - t0) / 5)
         counter_ms[label] = best * 1e3
     report("")

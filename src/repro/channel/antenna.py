@@ -11,6 +11,7 @@ triangle and, per tag, uses the pair whose measured angle lands closest to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,9 +22,19 @@ from .geometry import spatial_angle_rad, unit
 __all__ = ["AntennaPair", "TriangleArray"]
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values`` with writes disabled, for geometry shared by reference."""
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class AntennaPair:
     """Two antenna elements used for one phase-difference measurement.
+
+    The pair is immutable: its positions are read-only copies, and the
+    derived baseline (spacing, axis, midpoint) is computed once, on first
+    use, as read-only values.
 
     Attributes:
         first_m: (3,) world position of the reference element.
@@ -34,8 +45,9 @@ class AntennaPair:
     second_m: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "first_m", np.asarray(self.first_m, dtype=np.float64))
-        object.__setattr__(self, "second_m", np.asarray(self.second_m, dtype=np.float64))
+        for name in ("first_m", "second_m"):
+            position = np.array(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, _read_only(position))
         if self.first_m.shape != (3,) or self.second_m.shape != (3,):
             raise ConfigurationError("antenna positions must be 3-vectors")
         # Absolute tolerance only: the default relative tolerance would
@@ -44,20 +56,20 @@ class AntennaPair:
         if np.allclose(self.first_m, self.second_m, rtol=0.0, atol=1e-9):
             raise ConfigurationError("antenna elements must not coincide")
 
-    @property
+    @cached_property
     def spacing_m(self) -> float:
         """Baseline length d of Eq 10."""
         return float(np.linalg.norm(self.second_m - self.first_m))
 
-    @property
+    @cached_property
     def axis(self) -> np.ndarray:
         """Unit vector from the first to the second element."""
-        return unit(self.second_m - self.first_m)
+        return _read_only(unit(self.second_m - self.first_m))
 
-    @property
+    @cached_property
     def midpoint_m(self) -> np.ndarray:
         """Cone apex used for localization."""
-        return (self.first_m + self.second_m) / 2.0
+        return _read_only((self.first_m + self.second_m) / 2.0)
 
     def true_spatial_angle_rad(self, point_m: np.ndarray) -> float:
         """Ground-truth alpha between this baseline and a world point."""
@@ -72,6 +84,9 @@ class TriangleArray:
     ``e1`` and ``e2`` centred on ``center_m``. Vertices sit at in-plane
     angles 90, 210 and 330 degrees so the three baselines are mutually
     rotated by 60 degrees.
+
+    The array is immutable, so its element positions and baselines are
+    computed once, on first use, and handed out read-only.
 
     Attributes:
         center_m: (3,) world position of the triangle centroid.
@@ -117,14 +132,14 @@ class TriangleArray:
     def circumradius_m(self) -> float:
         return self.side_m / np.sqrt(3.0)
 
-    @property
+    @cached_property
     def positions_m(self) -> np.ndarray:
         """(3, 3) array of element positions (rows are elements)."""
         angles = np.deg2rad([90.0, 210.0, 330.0])
         offsets = self.circumradius_m * (
             np.outer(np.cos(angles), self.e1) + np.outer(np.sin(angles), self.e2)
         )
-        return self.center_m + offsets
+        return _read_only(self.center_m + offsets)
 
     def element(self, index: int) -> np.ndarray:
         """World position of one element (0, 1 or 2)."""
@@ -133,12 +148,14 @@ class TriangleArray:
     def pairs(self) -> list[AntennaPair]:
         """The three switchable baselines, as (element, element) index pairs
         (0,1), (1,2), (2,0)."""
+        return list(self._pairs)
+
+    @cached_property
+    def _pairs(self) -> tuple[AntennaPair, ...]:
         positions = self.positions_m
-        return [
-            AntennaPair(positions[0], positions[1]),
-            AntennaPair(positions[1], positions[2]),
-            AntennaPair(positions[2], positions[0]),
-        ]
+        return tuple(
+            AntennaPair(positions[i], positions[j]) for i, j in self.pair_indices()
+        )
 
     def pair_indices(self) -> list[tuple[int, int]]:
         """Element index pairs matching :meth:`pairs` order."""

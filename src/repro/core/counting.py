@@ -180,12 +180,6 @@ class CollisionCounter:
         shift_samples: window offsets for the "shift" method.
         shift_tolerance: noise-independent floor of the shift test's
             relative-magnitude-change threshold.
-        reuse_probe_spectra: compute each burst's per-capture spectra,
-            averaged magnitudes and CFAR floors once and share them
-            between the density probe and the decision pass (same
-            captures -> same spectra -> same floor). Off reproduces the
-            recompute-everything behavior, kept for the throughput
-            ablation benchmark; the outputs are identical either way.
         probe: how the density probe counts band crowding —
             ``"dense"`` (default: CFAR peak detection on the averaged
             magnitude spectrum at ``probe_snr_db``, the bit-exact
@@ -200,12 +194,6 @@ class CollisionCounter:
             and its dedicated shift-randomness seed (a fresh seeded
             stream per probe call keeps ``count_multi`` deterministic
             and stateless).
-        batch_fit: solve the per-burst joint tone fit as one stacked
-            multi-column least squares when the captures share a time
-            base (they do whenever a burst re-queries the same scene),
-            instead of one ``lstsq`` per capture. Bit-exact either way
-            (LAPACK solves multi-RHS columns independently); off is the
-            per-capture loop, kept for the throughput ablation.
         obs: nullable observability hook (see :mod:`repro.obs`): counts
             passes by regime and spike verdicts by label. Never affects
             the estimate.
@@ -236,11 +224,9 @@ class CollisionCounter:
     shift_tolerance: float = 0.18
     search_lo_hz: float = DEFAULT_SEARCH_LO_HZ
     search_hi_hz: float = DEFAULT_SEARCH_HI_HZ
-    reuse_probe_spectra: bool = True
     probe: str = "dense"
     sfft_max_tones: int = 24
     sfft_seed: int = 2015
-    batch_fit: bool = True
     obs: object = None
 
     def __post_init__(self) -> None:
@@ -266,6 +252,23 @@ class CollisionCounter:
         scene; tags keep their CFOs but re-randomize their phases, which
         the per-spike statistics align out.
         """
+        return self._count_burst(waves)
+
+    def _count_burst(
+        self,
+        waves: list[Waveform],
+        share_spectra: bool = True,
+        stacked_fit: bool = True,
+    ) -> CountEstimate:
+        """:meth:`count_multi`, with its two private oracles.
+
+        ``share_spectra=False`` recomputes the spectra, averaged
+        magnitudes and CFAR floors for the probe and again for the
+        decision pass; ``stacked_fit=False`` fits every capture's tones
+        with its own ``lstsq``. Both reproduce the default estimate
+        bit-for-bit; the tests and the corridor bench's counting gates
+        compare against them.
+        """
         if not waves:
             raise ConfigurationError("need at least one capture")
         # Multi-capture averaging only suppresses *cross-tag* interference
@@ -279,19 +282,28 @@ class CollisionCounter:
         # averaged magnitudes and the CFAR floor depend only on the
         # captures, so they are computed once and shared (the per-round
         # hot path of the city event engine runs through here).
-        shared = self._spectral_state(waves) if self.reuse_probe_spectra else None
+        shared = self._spectral_state(waves) if share_spectra else None
         # Regime probe: the raw candidate count at a permissive threshold
         # cleanly separates sparse scenes (few tags + structured-floor
         # flukes) from dense ones (many tags, Gaussianized floor).
         dense = self._probe_candidates(waves, shared) >= self.dense_trigger
         if self.obs is not None:
             self.obs.count("count.pass", regime="dense" if dense else "sparse")
-        if dense:
-            return self._count_pass(waves, dense_thr, dense_mode=True, shared=shared)
-        return self._count_pass(waves, self.min_snr_db, dense_mode=False, shared=shared)
+        return self._count_pass(
+            waves,
+            dense_thr if dense else self.min_snr_db,
+            dense_mode=dense,
+            shared=shared,
+            stacked_fit=stacked_fit,
+        )
 
     def _spectral_state(self, waves: list[Waveform]):
-        """(spectra, averaged magnitudes, band CFAR floors) of one burst."""
+        """(spectra, averaged magnitudes, band CFAR floors) of one burst.
+
+        The floors are computed only at the band's local maxima (see
+        :func:`~repro.dsp.peaks.band_floors`): those are the only bins
+        either detection pass compares against a threshold.
+        """
         spectra = [fft_spectrum(w) for w in waves]
         n_bins = min(s.n_bins for s in spectra)
         avg_mag = np.mean([s.magnitude()[:n_bins] for s in spectra], axis=0)
@@ -370,7 +382,12 @@ class CollisionCounter:
     # -- one detection/classification pass ----------------------------------------
 
     def _count_pass(
-        self, waves: list[Waveform], snr_db: float, dense_mode: bool, shared=None
+        self,
+        waves: list[Waveform],
+        snr_db: float,
+        dense_mode: bool,
+        shared=None,
+        stacked_fit: bool = True,
     ) -> CountEstimate:
         spectra, avg_mag, floors = (
             shared if shared is not None else self._spectral_state(waves)
@@ -409,7 +426,7 @@ class CollisionCounter:
         # tone on the neighbour-cancelled residual removes the bias.
         freqs = self._joint_refine(waves[0], freqs, bin_hz)
 
-        per_capture = self._fit_tones_burst(waves, freqs)
+        per_capture = self._fit_tones_burst(waves, freqs, stacked=stacked_fit)
         # Sub-window values per capture, other tones cancelled, phases
         # aligned on each capture's own fitted amplitude.
         aligned_values = self._aligned_subwindow_values(waves, freqs, per_capture)
@@ -614,7 +631,7 @@ class CollisionCounter:
         return amplitudes, probes
 
     def _fit_tones_burst(
-        self, waves: list[Waveform], freqs: np.ndarray
+        self, waves: list[Waveform], freqs: np.ndarray, stacked: bool = True
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """:meth:`_fit_tones` for a whole burst, one stacked solve.
 
@@ -629,12 +646,12 @@ class CollisionCounter:
         per-capture solve; at 26+ columns the divide-and-conquer kernel
         (SMLSIZ = 25) blocks the RHS application differently and drifts
         by an ulp, so wider bases — and bursts whose captures disagree
-        on the time base, or ``batch_fit=False``, the ablation — fall
-        back to the per-capture loop.
+        on the time base, or ``stacked=False``, the oracle — fall back
+        to the per-capture loop.
         """
         first = waves[0]
         if (
-            not self.batch_fit
+            not stacked
             or len(waves) == 1
             or freqs.size > 25
             or any(

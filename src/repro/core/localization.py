@@ -155,9 +155,22 @@ class AoAEstimator:
             raise LocalizationError(
                 f"triangle AoA needs 3 antenna captures, got {collision.n_antennas}"
             )
-        channels = np.array(
-            [estimate_channel(wave, cfo_hz) for wave in collision.antennas[:3]]
-        )
+        waves = collision.antennas[:3]
+        first = waves[0]
+        if all(
+            wave.n_samples == first.n_samples
+            and wave.sample_rate_hz == first.sample_rate_hz
+            and wave.t0_s == first.t0_s
+            for wave in waves[1:]
+        ):
+            # One time base: the three Eq 5 readouts share one probe,
+            # term for term the one estimate_channel builds per antenna.
+            probe = np.exp(-2j * np.pi * cfo_hz * first.times())
+            channels = np.array(
+                [2.0 * complex(np.mean(wave.samples * probe)) for wave in waves]
+            )
+        else:
+            channels = np.array([estimate_channel(wave, cfo_hz) for wave in waves])
         return self.estimate_from_channels(cfo_hz, channels)
 
     def estimate_from_decode(self, result) -> AoAEstimate:

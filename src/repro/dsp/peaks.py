@@ -89,9 +89,32 @@ def local_noise_floor(
     under-estimates near strong tags and sprays false peaks there. This is
     an ordered-statistic CFAR: for every bin, the floor is the median of
     ``window_bins`` neighbours with the closest ``guard_bins`` (which may
-    contain the peak itself) excluded.
+    contain the peak itself) excluded. Windows clipped by the array ends
+    keep what they have; a clipped window with nothing outside the guard
+    falls back to all of its bins.
+
+    This is the full-array form of the floor detection uses; detection
+    itself only needs it where a spike can be declared (see
+    :func:`band_floors`).
     """
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
+    return _floors_at(
+        magnitudes, np.arange(magnitudes.size), window_bins, guard_bins
+    )
+
+
+def _floors_at(
+    magnitudes: np.ndarray,
+    bins: np.ndarray,
+    window_bins: int = 65,
+    guard_bins: int = 3,
+) -> np.ndarray:
+    """The :func:`local_noise_floor` of ``magnitudes`` at ``bins`` only.
+
+    Both branches produce the two order statistics ``np.median`` averages
+    (or its one middle value), so every floor is bit-identical to the
+    per-bin median.
+    """
     n = magnitudes.size
     if window_bins % 2 == 0 or window_bins < 2 * guard_bins + 3:
         raise SpectrumError(
@@ -99,52 +122,61 @@ def local_noise_floor(
         )
     half = window_bins // 2
     scale = np.sqrt(np.log(4.0))
-    floors = np.empty(n)
-    # Interior bins all share one window/guard shape, so their medians
-    # come from a single strided view and one axis-wise median — the
-    # per-bin Python loop was the counting chain's hot spot (§5 runs
-    # this twice per capture over the whole CFO band). Edge bins keep
-    # the scalar path; their clipped windows have irregular shapes.
-    interior_lo, interior_hi = half, n - half  # k with a full window
-    if interior_hi > interior_lo:
-        windows = np.lib.stride_tricks.sliding_window_view(magnitudes, window_bins)
-        keep = np.concatenate(
-            [
-                np.arange(0, half - guard_bins),
-                np.arange(half + guard_bins + 1, window_bins),
-            ]
+    floors = np.empty(bins.size)
+    interior = (bins >= half) & (bins < n - half)
+    if interior.any():
+        # A full window minus the guard keeps window_bins - 2*guard_bins - 1
+        # bins, an even count: the median averages the two middle order
+        # statistics. One partition at the upper middle places it, and the
+        # lower middle is the largest value left of it.
+        offsets = np.concatenate(
+            [np.arange(-half, -guard_bins), np.arange(guard_bins + 1, half + 1)]
         )
-        floors[interior_lo:interior_hi] = (
-            np.median(windows[:, keep], axis=1) / scale
+        mid = offsets.size // 2
+        part = np.partition(
+            magnitudes[bins[interior][:, None] + offsets[None, :]], mid, axis=1
         )
-    for k in (*range(min(interior_lo, n)), *range(max(interior_hi, interior_lo, 0), n)):
-        lo = max(0, k - half)
-        hi = min(n, k + half + 1)
-        neighbourhood = np.concatenate(
-            [magnitudes[lo : max(lo, k - guard_bins)], magnitudes[min(hi, k + guard_bins + 1) : hi]]
-        )
-        if neighbourhood.size == 0:
-            neighbourhood = magnitudes[lo:hi]
-        floors[k] = _median(neighbourhood) / scale
+        floors[interior] = (part[:, :mid].max(axis=1) + part[:, mid]) / 2.0 / scale
+    edge = ~interior
+    if edge.any():
+        # Clipped windows have irregular sizes: pad each to the full window
+        # with +inf, sort the rows once, and read each row's median off
+        # its own count of real values.
+        centers = bins[edge]
+        window = centers[:, None] + np.arange(-half, half + 1)[None, :]
+        inside = (window >= 0) & (window < n)
+        kept = inside & (np.abs(window - centers[:, None]) > guard_bins)
+        empty = ~kept.any(axis=1)
+        kept[empty] = inside[empty]
+        values = np.where(kept, magnitudes[np.clip(window, 0, n - 1)], np.inf)
+        values.sort(axis=1)
+        count = kept.sum(axis=1)
+        rows = np.arange(centers.size)
+        upper = values[rows, count // 2]
+        lower = values[rows, (count - 1) // 2]
+        floors[edge] = np.where(count % 2 == 1, upper, (lower + upper) / 2.0) / scale
     return floors
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a 1-D array without its dispatch overhead.
+def _peak_bins(band: np.ndarray) -> np.ndarray:
+    """Ascending indices of ``band`` where a spike can be declared.
 
-    The edge bins of :func:`local_noise_floor` each need one small
-    median; going through ``np.median`` costs ~45 us of wrapper per
-    call, which multiplied by the window width dominated the §5 CFAR
-    floor. This replicates its arithmetic exactly — partition on the
-    middle index (both middles when even, averaged as ``sum / 2``, the
-    same float op ``np.mean`` performs) — so floors are bit-identical.
+    Interior local maxima (at least the left neighbour, above the right
+    one) and an end bin above its one neighbour; ``band`` has 2+ bins.
     """
-    n = values.size
-    mid = n // 2
-    if n % 2:
-        return float(np.partition(values, mid)[mid])
-    part = np.partition(values, [mid - 1, mid])
-    return float((part[mid - 1] + part[mid]) / 2.0)
+    mask = np.empty(band.size, dtype=bool)
+    mask[1:-1] = (band[1:-1] >= band[:-2]) & (band[1:-1] > band[2:])
+    mask[0] = band[0] > band[1]
+    mask[-1] = band[-1] > band[-2]
+    return np.flatnonzero(mask)
+
+
+def _candidate_floors(band: np.ndarray) -> np.ndarray:
+    """The band's CFAR floor at its :func:`_peak_bins`, NaN elsewhere."""
+    floors = np.full(band.size, np.nan)
+    bins = _peak_bins(band)
+    floors[bins] = _floors_at(band, bins)
+    return floors
 
 
 def _band_bounds(
@@ -168,14 +200,17 @@ def band_floors(
 ) -> np.ndarray:
     """The CFAR floor of a search band, reusable across detection passes.
 
-    :func:`find_peaks_in_magnitudes` recomputes the local floor on every
-    call; a caller that probes the *same* magnitudes at several
-    thresholds (the §5 counter's density probe followed by its decision
-    pass) computes the floor once here and hands it back via ``floors``.
+    A spike can only be declared at a local maximum of the band (or an
+    end bin above its neighbour), so the floor is computed at those bins
+    only and every other entry is NaN; the computed entries equal
+    :func:`local_noise_floor` of the band. A caller that probes the
+    *same* magnitudes at several thresholds (the §5 counter's density
+    probe followed by its decision pass) computes the floor once here
+    and hands it back to :func:`find_peaks_in_magnitudes` via ``floors``.
     """
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
     lo_bin, hi_bin = _band_bounds(magnitudes.size, bin_hz, search_lo_hz, search_hi_hz)
-    return local_noise_floor(magnitudes[lo_bin : hi_bin + 1])
+    return _candidate_floors(magnitudes[lo_bin : hi_bin + 1])
 
 
 def find_peaks_in_magnitudes(
@@ -208,7 +243,8 @@ def find_peaks_in_magnitudes(
         floors: optional precomputed CFAR floor for the search band (from
             :func:`band_floors` over the same magnitudes/band) — skips
             the per-call floor estimate when one caller scans the same
-            spectrum at several thresholds.
+            spectrum at several thresholds. Only its entries at local
+            maxima are read.
 
     Returns:
         Peaks sorted by ascending frequency.
@@ -218,26 +254,19 @@ def find_peaks_in_magnitudes(
 
     band = magnitudes[lo_bin : hi_bin + 1]
     if floors is None:
-        floors = local_noise_floor(band)
+        floors = _candidate_floors(band)
     elif floors.size != band.size:
         raise SpectrumError(
             f"precomputed floors cover {floors.size} bins, band has {band.size}"
         )
-    thresholds = floors * db_to_amplitude(min_snr_db)
 
-    # Local maxima above their local threshold.
-    candidates = []
-    for k in range(1, band.size - 1):
-        if band[k] >= thresholds[k] and band[k] >= band[k - 1] and band[k] > band[k + 1]:
-            candidates.append(k)
-    # Band edges can hold real peaks too.
-    if band.size >= 2 and band[0] >= thresholds[0] and band[0] > band[1]:
-        candidates.insert(0, 0)
-    if band.size >= 2 and band[-1] >= thresholds[-1] and band[-1] > band[-2]:
-        candidates.append(band.size - 1)
+    # Local maxima above their local threshold, strongest first; the
+    # stable sort keeps equal magnitudes in ascending-bin order.
+    bins = _peak_bins(band)
+    bins = bins[band[bins] >= floors[bins] * db_to_amplitude(min_snr_db)]
+    candidates = bins[np.argsort(-band[bins], kind="stable")].tolist()
 
-    # Greedy non-maximum suppression, strongest first.
-    candidates.sort(key=lambda k: -band[k])
+    # Greedy non-maximum suppression.
     kept: list[int] = []
     for k in candidates:
         if all(abs(k - other) >= min_separation_bins for other in kept):

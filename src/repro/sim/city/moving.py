@@ -23,6 +23,7 @@ The per-tag CFO-mixed baseband templates are precomputed once in a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,9 +145,12 @@ class MovingCollisionSource:
     def n_antennas(self) -> int:
         return int(self.antenna_positions_m.shape[0])
 
-    @property
+    @cached_property
     def pole_position_m(self) -> np.ndarray:
-        return self.antenna_positions_m.mean(axis=0)
+        """Centroid of the antennas (computed once; read-only)."""
+        position = self.antenna_positions_m.mean(axis=0)
+        position.setflags(write=False)
+        return position
 
     def query(
         self, tags: list[MovingTag], query_start_s: float, corrupted: bool = False

@@ -38,6 +38,10 @@ from .events import EventScheduler
 
 __all__ = ["TxKind", "Transmission", "AirLog", "ReaderNode", "Medium"]
 
+#: Slack on the corruption sweep's lower bound, far above the rounding
+#: error of a recorded query span at any simulated time.
+_SWEEP_MARGIN_S = 1e-6
+
 
 class TxKind(enum.Enum):
     QUERY = "query"
@@ -108,6 +112,9 @@ class AirLog:
         self.sense_slack_s = float(sense_slack_s)
         self.transmissions: list[Transmission] = []
         self._queries: list[Transmission] = []
+        #: Longest recorded query, end minus start: bounds how far back
+        #: the corruption sweep looks for a query overlapping a response.
+        self._longest_query_s = 0.0
         self._sense_cursor = 0
         # End-of-run sweeps over a *shared* log are repeated per caller
         # (every mesh corridor collects its own result); the log is
@@ -125,6 +132,7 @@ class AirLog:
         self.transmissions.append(tx)
         if tx.kind is TxKind.QUERY:
             self._queries.append(tx)
+            self._longest_query_s = max(self._longest_query_s, tx.end_s - tx.start_s)
         if self.obs is not None:
             self.obs.count(f"air.{tx.kind.value}", source=tx.source)
         return tx
@@ -282,13 +290,16 @@ class AirLog:
             return cache[1]
         queries = self.sorted_queries()
         starts = [q.start_s for q in queries]
+        reach_s = self._longest_query_s + _SWEEP_MARGIN_S
         corrupted = []
         for response in self.responses():
-            # Only queries starting before the response ends can overlap.
+            # Only queries starting before the response ends, and no more
+            # than the longest query before it starts, can overlap.
+            lo = bisect.bisect_left(starts, response.start_s - reach_s)
             hi = bisect.bisect_left(starts, response.end_s)
             if any(
                 q.overlaps(response) and q.reaches(response.x_m, interference_range_m)
-                for q in queries[:hi]
+                for q in queries[lo:hi]
             ):
                 corrupted.append(response)
         self._corrupted_cache = (key, corrupted)

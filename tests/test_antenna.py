@@ -82,6 +82,44 @@ class TestTriangleArray:
                 e2=np.array([1.0, 1.0, 0.0]),
             )
 
+    def test_returned_geometry_cannot_change_later_calls(self, array):
+        """Positions and baselines are computed once and shared; what a
+        caller gets back is read-only, and the pair list is its own."""
+        positions = array.positions_m.copy()
+        pairs = array.pairs()
+        baselines = [(p.first_m.copy(), p.second_m.copy(), p.spacing_m,
+                      p.axis.copy(), p.midpoint_m.copy()) for p in pairs]
+        with pytest.raises(ValueError):
+            array.positions_m[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            array.element(1)[2] += 1.0
+        for pair in pairs:
+            for values in (pair.first_m, pair.second_m, pair.axis, pair.midpoint_m):
+                with pytest.raises(ValueError):
+                    values[0] = 99.0
+        pairs.reverse()
+        pairs.append(pairs[0])
+        assert np.array_equal(array.positions_m, positions)
+        again = array.pairs()
+        assert len(again) == 3
+        for pair, (first, second, spacing, axis, midpoint) in zip(again, baselines):
+            assert np.array_equal(pair.first_m, first)
+            assert np.array_equal(pair.second_m, second)
+            assert pair.spacing_m == spacing
+            assert np.array_equal(pair.axis, axis)
+            assert np.array_equal(pair.midpoint_m, midpoint)
+
+    def test_pair_copies_its_positions(self):
+        """A pair does not alias the caller's arrays, so its cached
+        baseline can never go stale."""
+        first, second = np.zeros(3), np.array([0.0, 2.0, 0.0])
+        pair = AntennaPair(first, second)
+        assert pair.spacing_m == 2.0
+        second[1] = 5.0
+        assert pair.second_m[1] == 2.0
+        assert pair.spacing_m == 2.0
+        assert np.array_equal(pair.midpoint_m, [0.0, 1.0, 0.0])
+
     def test_element_accessor(self, array):
         assert np.allclose(array.element(1), array.positions_m[1])
 

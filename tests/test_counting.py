@@ -207,16 +207,37 @@ class TestSfftProbeParity:
 
 class TestBatchedToneFit:
     def test_burst_stacked_fit_bit_exact(self):
-        """``batch_fit`` solves the per-burst joint tone fit as one
+        """``count_multi`` solves the per-burst joint tone fit as one
         stacked least-squares; it must reproduce the per-capture loop
-        observation-for-observation."""
+        (the private ``stacked_fit=False`` oracle) observation-for-
+        observation."""
         rng = np.random.default_rng(7)
         cfos = rng.uniform(20e3, 1.19e6, size=6)
         sim = build_simulator(cfos, seed=7)
         burst = [sim.query(0.0).antenna(0) for _ in range(4)]
-        batched = CollisionCounter(batch_fit=True).count_multi(burst)
-        looped = CollisionCounter(batch_fit=False).count_multi(burst)
+        counter = CollisionCounter()
+        batched = counter.count_multi(burst)
+        looped = counter._count_burst(burst, stacked_fit=False)
         assert batched.count == looped.count
         assert len(batched.observations) == len(looped.observations)
         for b, l in zip(batched.observations, looped.observations):
             assert str(b) == str(l)
+
+    @pytest.mark.parametrize("n_tags, seed", [(6, 3), (30, 4)])
+    def test_shared_spectra_bit_exact(self, n_tags, seed):
+        """The probe and the decision pass share one spectral state; the
+        private ``share_spectra=False`` oracle recomputes it per pass and
+        must give the same estimate, sparse and dense regime alike."""
+        rng = np.random.default_rng(seed)
+        cfos = rng.uniform(20e3, 1.19e6, size=n_tags)
+        sim = build_simulator(cfos, seed=seed)
+        counter = CollisionCounter()
+        single = [sim.query(0.0).antenna(0)]
+        triple = [sim.query(0.0).antenna(0) for _ in range(3)]
+        for burst in (single, triple):
+            shared = counter.count_multi(burst)
+            recomputed = counter._count_burst(burst, share_spectra=False)
+            assert shared.dense_mode == recomputed.dense_mode
+            assert [str(o) for o in shared.observations] == [
+                str(o) for o in recomputed.observations
+            ]

@@ -11,7 +11,9 @@ from repro.core.localization import (
     aoa_from_phase,
     phase_from_aoa,
 )
+from repro.core.cfo import estimate_channel
 from repro.errors import GeometryError, LocalizationError
+from repro.phy.waveform import Waveform
 from repro.sim.scenario import Scene, make_tags, parking_scene, two_pole_speed_scene
 
 
@@ -89,6 +91,48 @@ class TestAoAEstimator:
         estimator = AoAEstimator(scene.arrays[0])
         estimates = estimator.estimate_all(sim.query(0.0))
         assert len(estimates[0].alphas_rad) == 3
+
+    @staticmethod
+    def _per_antenna_reference(estimator, collision, cfo_hz):
+        """The readout with one ``estimate_channel`` per antenna."""
+        channels = np.array(
+            [estimate_channel(wave, cfo_hz) for wave in collision.antennas[:3]]
+        )
+        return estimator.estimate_from_channels(cfo_hz, channels)
+
+    def test_estimate_for_cfo_equals_per_antenna_readout(self):
+        """One shared probe reproduces the per-antenna Eq 5 readout bit
+        for bit, at each tag's CFO and off any spike."""
+        scene, _, _ = parking_scene(target_spots=[1, 4], n_background_cars=2, rng=13)
+        sim = scene.simulator(0, rng=14)
+        estimator = AoAEstimator(scene.arrays[0])
+        for t_s in (0.0, 1.5e-3, 20.25):
+            collision = sim.query(t_s)
+            assert len({wave.t0_s for wave in collision.antennas}) == 1
+            cfos = [float(c) for c in collision.true_cfos_hz()] + [333_333.3]
+            for cfo_hz in cfos:
+                got = estimator.estimate_for_cfo(collision, cfo_hz)
+                want = self._per_antenna_reference(estimator, collision, cfo_hz)
+                assert np.array_equal(got.channels, want.channels)
+                assert got.alphas_rad == want.alphas_rad
+                assert got.best_pair_index == want.best_pair_index
+
+    def test_estimate_for_cfo_without_shared_time_base(self):
+        """Antennas on different time bases fall back to one readout each."""
+        scene, _, _ = parking_scene(target_spots=[2], n_background_cars=0, rng=15)
+        collision = scene.simulator(0, rng=16).query(0.0)
+        first, second, third = collision.antennas[:3]
+        collision.antennas = [
+            first,
+            Waveform(second.samples, second.sample_rate_hz, second.t0_s + 1e-6),
+            third,
+        ]
+        estimator = AoAEstimator(scene.arrays[0])
+        cfo_hz = float(collision.true_cfos_hz()[0])
+        got = estimator.estimate_for_cfo(collision, cfo_hz)
+        want = self._per_antenna_reference(estimator, collision, cfo_hz)
+        assert np.array_equal(got.channels, want.channels)
+        assert got.alphas_rad == want.alphas_rad
 
 
 class TestTwoReaderLocalizer:

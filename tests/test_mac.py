@@ -1,5 +1,6 @@
 """Unit tests for repro.core.mac and repro.sim.medium (§9)."""
 
+import numpy as np
 import pytest
 
 from repro.constants import (
@@ -243,6 +244,65 @@ class TestAirLog:
             legacy_response
         ]
         assert near.reaches(0.0, 500.0)
+
+
+class TestCorruptionSweep:
+    """The bounded sweep equals the brute-force check of every response
+    against every query."""
+
+    @staticmethod
+    def _brute_force(air: AirLog, interference_range_m):
+        return [
+            response
+            for response in air.responses()
+            if any(
+                query.overlaps(response)
+                and query.reaches(response.x_m, interference_range_m)
+                for query in air.queries()
+            )
+        ]
+
+    @staticmethod
+    def _random_log(rng) -> AirLog:
+        air = AirLog()
+        horizon_s = 0.05
+        for _ in range(int(rng.integers(20, 200))):
+            start = float(rng.uniform(0.0, horizon_s))
+            x_m = None if rng.random() < 0.2 else float(rng.uniform(0.0, 1500.0))
+            if rng.random() < 0.5:
+                air.record_query(f"r{rng.integers(4)}", start, x_m=x_m)
+            else:
+                air.record_response(f"t{rng.integers(50)}", start, x_m=x_m)
+        # Queries longer than the standard 20 us, recorded directly: the
+        # sweep's lower bound must widen to the longest one.
+        for span_s in rng.uniform(QUERY_DURATION_S, 40 * QUERY_DURATION_S, 3):
+            start = float(rng.uniform(0.0, horizon_s))
+            air.record(
+                Transmission(TxKind.QUERY, "long", start, start + float(span_s),
+                             x_m=float(rng.uniform(0.0, 1500.0)))
+            )
+        return air
+
+    def test_equals_brute_force_on_random_logs(self):
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            air = self._random_log(rng)
+            for interference_range_m in (None, 100.0, 600.0):
+                assert air.corrupted_responses(interference_range_m) == (
+                    self._brute_force(air, interference_range_m)
+                )
+
+    def test_long_query_reaches_back(self):
+        """A response that starts long after a long query began, but
+        before it ends, is corrupted."""
+        air = AirLog()
+        for k in range(50):
+            air.record_query("A", k * 1e-3)
+        response = air.record_response("tag0", 0.2)
+        assert air.corrupted_responses() == []
+        air.record(Transmission(TxKind.QUERY, "long", 0.19, 0.2 + 1e-6))
+        assert air.corrupted_responses() == [response]
+        assert self._brute_force(air, None) == [response]
 
 
 class TestMedium:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.constants import CFO_BIN_COUNT, FFT_RESOLUTION_HZ, READER_LO_HZ
 from repro.dsp.peaks import (
+    SpectralPeak,
+    band_floors,
     estimate_noise_floor,
     find_peaks_in_magnitudes,
     find_spectral_peaks,
@@ -14,6 +16,7 @@ from repro.dsp.peaks import (
 from repro.dsp.spectrum import fft_spectrum, single_bin_dft
 from repro.errors import SpectrumError
 from repro.phy.waveform import Waveform
+from repro.utils import db_to_amplitude
 from tests.conftest import make_tag
 
 FS = 4e6
@@ -185,3 +188,149 @@ class TestFindPeaks:
         noisy = Waveform(wave.samples + rng.normal(0, 0.02, wave.n_samples), FS)
         peaks = find_spectral_peaks(fft_spectrum(noisy), 10e3, 1.25e6)
         assert peaks[0].snr > 10.0
+
+
+# -- bit-exactness against the per-bin reference ------------------------------
+
+
+def _reference_median(values: np.ndarray) -> float:
+    """The scalar median the per-bin floor loop used."""
+    n = values.size
+    mid = n // 2
+    if n % 2:
+        return float(np.partition(values, mid)[mid])
+    part = np.partition(values, [mid - 1, mid])
+    return float((part[mid - 1] + part[mid]) / 2.0)
+
+
+def _reference_floor(magnitudes, window_bins=65, guard_bins=3) -> np.ndarray:
+    """The CFAR floor as one median per bin over its guarded window."""
+    n = magnitudes.size
+    half = window_bins // 2
+    floors = np.empty(n)
+    for k in range(n):
+        lo = max(0, k - half)
+        hi = min(n, k + half + 1)
+        neighbourhood = np.concatenate(
+            [
+                magnitudes[lo : max(lo, k - guard_bins)],
+                magnitudes[min(hi, k + guard_bins + 1) : hi],
+            ]
+        )
+        if neighbourhood.size == 0:
+            neighbourhood = magnitudes[lo:hi]
+        floors[k] = _reference_median(neighbourhood) / np.sqrt(np.log(4.0))
+    return floors
+
+
+def _reference_find_peaks(magnitudes, bin_hz, lo_hz, hi_hz, min_snr_db=12.0,
+                          max_peaks=None, values=None):
+    """The per-bin local-maximum scan with Python greedy suppression."""
+    lo_bin = max(0, int(np.floor(lo_hz / bin_hz)))
+    hi_bin = min(magnitudes.size - 1, int(np.ceil(hi_hz / bin_hz)))
+    band = magnitudes[lo_bin : hi_bin + 1]
+    floors = _reference_floor(band)
+    thresholds = floors * db_to_amplitude(min_snr_db)
+    candidates = [
+        k
+        for k in range(1, band.size - 1)
+        if band[k] >= thresholds[k] and band[k] >= band[k - 1] and band[k] > band[k + 1]
+    ]
+    if band[0] >= thresholds[0] and band[0] > band[1]:
+        candidates.insert(0, 0)
+    if band[-1] >= thresholds[-1] and band[-1] > band[-2]:
+        candidates.append(band.size - 1)
+    candidates.sort(key=lambda k: -band[k])
+    kept: list[int] = []
+    for k in candidates:
+        if all(abs(k - other) >= 2 for other in kept):
+            kept.append(k)
+        if max_peaks is not None and len(kept) >= max_peaks:
+            break
+    peaks = []
+    for k in sorted(kept):
+        b = lo_bin + k
+        left = magnitudes[b - 1] if b > 0 else magnitudes[b]
+        right = magnitudes[b + 1] if b < magnitudes.size - 1 else magnitudes[b]
+        peaks.append(
+            SpectralPeak(
+                bin_index=b,
+                freq_hz=(b + parabolic_offset(left, magnitudes[b], right)) * bin_hz,
+                value=complex(values[b]) if values is not None else 0j,
+                magnitude=float(magnitudes[b]),
+                floor=float(floors[k]),
+            )
+        )
+    return peaks
+
+
+def _random_magnitudes(rng, size: int, ties: bool) -> np.ndarray:
+    if ties:
+        # Small integers: many equal neighbours and equal window values.
+        return rng.integers(0, 4, size).astype(np.float64)
+    mags = np.abs(rng.normal(size=size) + 1j * rng.normal(size=size))
+    spikes = rng.integers(0, size, max(1, size // 40))
+    mags[spikes] *= rng.uniform(3.0, 30.0, spikes.size)
+    return mags
+
+
+WINDOW_SHAPES = [(65, 3), (41, 3)]
+
+
+class TestFloorBitExact:
+    """The candidate-only floor and the vectorized scan reproduce the
+    per-bin median loop exactly (``==``, not approximately)."""
+
+    @pytest.mark.parametrize("window_bins, guard_bins", WINDOW_SHAPES)
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_full_floor_equals_per_bin_loop(self, window_bins, guard_bins, ties):
+        rng = np.random.default_rng(window_bins + 2 * ties)
+        half = window_bins // 2
+        sizes = [1, 2, 3, guard_bins + 1, half, window_bins - 1, window_bins,
+                 window_bins + 1, 2 * window_bins, 615]
+        for size in sizes:
+            mags = _random_magnitudes(rng, size, ties)
+            assert np.array_equal(
+                local_noise_floor(mags, window_bins, guard_bins),
+                _reference_floor(mags, window_bins, guard_bins),
+            ), size
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_band_floor_at_every_computed_bin(self, ties):
+        rng = np.random.default_rng(11 + ties)
+        for size in (2, 3, 40, 64, 65, 66, 130, 615):
+            mags = _random_magnitudes(rng, size + 6, ties)
+            floors = band_floors(mags, 1.0, 3.0, size + 2.0)
+            band = mags[3 : size + 3]
+            computed = ~np.isnan(floors)
+            assert np.array_equal(floors[computed], _reference_floor(band)[computed])
+            # Every bin a spike can be declared at has its floor.
+            inner = np.flatnonzero(
+                (band[1:-1] >= band[:-2]) & (band[1:-1] > band[2:])
+            ) + 1
+            assert computed[inner].all()
+            assert computed[0] == (band[0] > band[1])
+            assert computed[-1] == (band[-1] > band[-2])
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_find_peaks_equals_per_bin_scan(self, ties):
+        rng = np.random.default_rng(21 + ties)
+        for trial in range(40):
+            size = int(rng.integers(8, 700))
+            mags = _random_magnitudes(rng, size, ties)
+            values = mags * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size))
+            lo_hz = float(rng.uniform(0.0, size / 3))
+            hi_hz = float(rng.uniform(lo_hz + 2.0, size + 5.0))
+            for snr_db in (3.0, 10.0, 13.0):
+                for max_peaks in (None, 2):
+                    expected = _reference_find_peaks(
+                        mags, 1.0, lo_hz, hi_hz, snr_db, max_peaks, values
+                    )
+                    kwargs = dict(min_snr_db=snr_db, max_peaks=max_peaks, values=values)
+                    assert find_peaks_in_magnitudes(
+                        mags, 1.0, lo_hz, hi_hz, **kwargs
+                    ) == expected
+                    shared = band_floors(mags, 1.0, lo_hz, hi_hz)
+                    assert find_peaks_in_magnitudes(
+                        mags, 1.0, lo_hz, hi_hz, floors=shared, **kwargs
+                    ) == expected
