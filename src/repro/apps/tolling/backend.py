@@ -11,10 +11,11 @@ re-decode pays air time instead — and modeling it is what turns the
 three policies into measured points on one curve.
 
 The model is deliberately simple and deterministic: a FIFO of pending
-resolutions, each ready ``latency_rounds * round_s`` after submission,
-resolved against the directory *at delivery time* (the answer reflects
-directory state when the backend got around to it, not when the
-question was asked — exactly how a real queue behaves).
+resolutions, each ready ``latency_rounds`` backend rounds (of
+:data:`BACKEND_ROUND_S`) after submission, resolved against the
+directory *at delivery time* (the answer reflects directory state when
+the backend got around to it, not when the question was asked —
+exactly how a real queue behaves).
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from dataclasses import dataclass
 from ...errors import ConfigurationError
 
 __all__ = ["BackendAnswer", "DirectoryBackend"]
+
+#: Length of one backend round.
+BACKEND_ROUND_S = 1e-3
 
 
 @dataclass(frozen=True)
@@ -48,18 +52,15 @@ class DirectoryBackend:
     Attributes:
         directory: anything with ``resolve(cfo_hz, now_s) -> int | None``
             (an :class:`~repro.sim.city.directory.IdentityDirectory`).
-        latency_rounds: scheduler rounds between submit and answer.
-        round_s: length of one backend round.
+        latency_rounds: backend rounds (of :data:`BACKEND_ROUND_S`)
+            between submit and answer.
     """
 
-    def __init__(self, directory, latency_rounds: int = 5, round_s: float = 1e-3):
+    def __init__(self, directory, latency_rounds: int = 5):
         if latency_rounds < 0:
             raise ConfigurationError("backend latency cannot be negative")
-        if round_s <= 0:
-            raise ConfigurationError("the backend round must be positive")
         self.directory = directory
         self.latency_rounds = int(latency_rounds)
-        self.round_s = float(round_s)
         self._pending: deque[tuple[float, float, float, object]] = deque()
         self.submitted = 0
         self.delivered = 0
@@ -67,7 +68,7 @@ class DirectoryBackend:
     @property
     def latency_s(self) -> float:
         """The link's round trip: submit -> answer."""
-        return self.latency_rounds * self.round_s
+        return self.latency_rounds * BACKEND_ROUND_S
 
     def submit(self, cfo_hz: float, t_s: float, token: object = None) -> float:
         """Queue one resolution; returns when its answer will be ready."""

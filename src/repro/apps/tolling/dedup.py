@@ -19,6 +19,7 @@ so memory tracks *concurrent* crossings, not history length.
 from __future__ import annotations
 
 from ...errors import ConfigurationError
+from .events import TollEvent
 
 __all__ = ["TollDedup"]
 
@@ -59,12 +60,13 @@ class TollDedup:
             raise ConfigurationError("max_lag_s cannot be negative")
         self.window_s = float(window_s)
         self.max_lag_s = float(max_lag_s)
-        # Per (tag, zone): every un-swept window index -> read count.
+        # Per (tag, zone): every un-swept window index -> its toll event.
         # Remembering *all* windows inside the sweep horizon (not just
         # the latest) is what keeps a reordered batch from re-opening a
-        # window that already billed; on an ordered wired stream each
-        # key holds exactly one window, as before.
-        self._live: dict[tuple[int, str], dict[int, int]] = {}
+        # window that already billed, and what folds a late duplicate
+        # into its own window's event; on an ordered wired stream each
+        # key holds exactly one window.
+        self._live: dict[tuple[int, str], dict[int, TollEvent]] = {}
         self._watermark_s = float("-inf")
         self._next_sweep_s = float("-inf")
         self.events = 0
@@ -77,9 +79,10 @@ class TollDedup:
         zone: str,
         t_s: float,
         delivered_s: float | None = None,
-    ) -> bool:
-        """True when this read opens a new toll event; False for a
-        duplicate of one already admitted this window.
+    ) -> TollEvent | None:
+        """The new toll event this read opens, or None for a duplicate
+        of one already admitted in its window (whose ``n_reads`` the
+        duplicate increments).
 
         ``t_s`` is the *emit* time (when the car crossed — the dedup
         window key); ``delivered_s`` is when the read reached billing
@@ -113,20 +116,17 @@ class TollDedup:
         key = (int(tag_id), zone)
         windows = self._live.get(key)
         if windows is not None and index in windows:
-            windows[index] += 1
+            windows[index].n_reads += 1
             self.duplicates += 1
-            return False
-        self._live.setdefault(key, {})[index] = 1
+            return None
+        event = TollEvent(
+            tag_id=key[0], zone=zone, window_index=index, first_read_s=t_s
+        )
+        self._live.setdefault(key, {})[index] = event
         self.events += 1
         if len(self._live) > self.peak_entries:
             self.peak_entries = len(self._live)
-        return True
-
-    def reads_in_window(self, tag_id: int, zone: str) -> int:
-        """How many reads the (tag, zone)'s latest live window has seen
-        (0 once swept or never seen)."""
-        windows = self._live.get((int(tag_id), zone))
-        return 0 if not windows else windows[max(windows)]
+        return event
 
     def _sweep(self) -> None:
         # An entry in window w can only receive duplicates while

@@ -88,7 +88,7 @@ class TollEvent:
     zone: str
     window_index: int
     first_read_s: float
-    kind: str
+    kind: str = "own"
     n_reads: int = 1
     account_id: int | None = None
     amount_cents: int = 0

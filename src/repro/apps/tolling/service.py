@@ -62,7 +62,9 @@ class TollingService:
             final convergence flush — when reads ride batched links;
             the default 0 is the wired contract.
         accounts: the sharded store charges post against.
-        dedup: the windowed dedup stage.
+        dedup: the windowed dedup stage; it holds every live window's
+            toll event, so a duplicate read counts on its own window's
+            event even when it arrives after a later window opened.
         backend: the latency-modeled directory link (required for — and
             only used by — the ``pull`` policy).
         fallback_decode_queries: air cost of the blind decode a pull
@@ -87,7 +89,6 @@ class TollingService:
         accounts: ShardedAccountStore | None = None,
         backend: DirectoryBackend | None = None,
         fallback_decode_queries: int = 12,
-        query_period_s: float = QUERY_PERIOD_S,
         keep_events: bool = True,
         obs=None,
     ) -> None:
@@ -108,7 +109,6 @@ class TollingService:
         self.dedup = TollDedup(window_s=window_s, max_lag_s=max_lag_s)
         self.backend = backend
         self.fallback_decode_queries = int(fallback_decode_queries)
-        self.query_period_s = float(query_period_s)
         self.keep_events = bool(keep_events)
         self.obs = obs
         self.events: list[TollEvent] = []
@@ -121,11 +121,6 @@ class TollingService:
         self.latency_sum_s = 0.0
         self.latency_max_s = 0.0
         self.air_queries_total = 0
-        # Most-recent open event per (tag, zone), so duplicate reads can
-        # be folded into their event's n_reads. Bounded exactly like the
-        # dedup table: swept once the watermark passes the window.
-        self._recent: dict[tuple[int, str], TollEvent] = {}
-        self._next_recent_sweep_s = float("-inf")
 
     # -- the tap -----------------------------------------------------------------
 
@@ -173,47 +168,18 @@ class TollingService:
         if self.backend is not None:
             for answer in self.backend.drain(delivered_s):
                 self._apply_answer(answer)
-        key = (read.tag_id, read.zone)
-        if not self.dedup.admit(
+        event = self.dedup.admit(
             read.tag_id, read.zone, read.t_s, delivered_s=delivered_s
-        ):
-            recent = self._recent.get(key)
-            if recent is not None:
-                recent.n_reads += 1
-            return None
-        event = TollEvent(
-            tag_id=read.tag_id,
-            zone=read.zone,
-            window_index=int(read.t_s // self.dedup.window_s),
-            first_read_s=read.t_s,
-            kind=read.kind,
         )
-        if delivered_s >= self._next_recent_sweep_s:
-            self._sweep_recent(delivered_s)
-            self._next_recent_sweep_s = delivered_s + self.dedup.window_s
-        self._recent[key] = event
+        if event is None:
+            return None
+        event.kind = read.kind
         if self.keep_events:
             self.events.append(event)
         if self.obs is not None:
             self.obs.count("tolling.event", policy=self.policy, zone=read.zone)
         self._settle(event, read)
         return event
-
-    def _sweep_recent(self, watermark_s: float) -> None:
-        # Mirror the dedup sweep horizon (delivery watermark, minus the
-        # window, minus the lag allowance): an event stays foldable as
-        # long as its window can still admit a duplicate.
-        horizon = int(
-            (watermark_s - self.dedup.window_s - self.dedup.max_lag_s)
-            // self.dedup.window_s
-        )
-        stale = [
-            key
-            for key, event in self._recent.items()
-            if event.window_index < horizon
-        ]
-        for key in stale:
-            del self._recent[key]
 
     # -- policy settlement -------------------------------------------------------
 
@@ -237,13 +203,13 @@ class TollingService:
             )
             self._post(
                 event, read.tag_id, air=air,
-                latency_s=lag_s + air * self.query_period_s,
+                latency_s=lag_s + air * QUERY_PERIOD_S,
             )
         elif self.policy == "as-sighted":
             air = read.n_queries if read.kind in _DECODE_KINDS else 0
             self._post(
                 event, read.tag_id, air=air,
-                latency_s=lag_s + air * self.query_period_s,
+                latency_s=lag_s + air * QUERY_PERIOD_S,
             )
         else:  # pull
             # The lookup leaves when the read reaches billing; its
@@ -279,7 +245,7 @@ class TollingService:
         # time), and the recovery is reported so later pulls hit.
         self.pull_fallbacks += 1
         air = self.fallback_decode_queries
-        decode_done_s = answer.ready_s + air * self.query_period_s
+        decode_done_s = answer.ready_s + air * QUERY_PERIOD_S
         self.backend.report(
             read.tag_id,
             read.cfo_hz,

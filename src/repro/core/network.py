@@ -44,12 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CaraokeError
-from .decoding import (
-    DecodeResult,
-    deprecated_antenna_index,
-    validate_combining,
-    validate_opportunistic,
-)
+from .decoding import DecodeResult, validate_combining, validate_opportunistic
 from .reader import ReaderReport
 
 __all__ = [
@@ -60,6 +55,13 @@ __all__ = [
     "resolve_cached_ids",
     "decode_aoa",
 ]
+
+#: Last-fix hints older than this are neither used (a car returning
+#: hours later should be re-localized from its measurement alone, not
+#: pulled toward where it parked last time) nor kept (the table stays
+#: bounded by the recently active population, like the red-light
+#: detector's tracks).
+HINT_HORIZON_S = 300.0
 
 
 def _tag_observation():
@@ -325,18 +327,14 @@ class ReaderStation:
             sessions — ``"accept"`` (default) combines captures donated
             by a shared-medium layer (e.g. the city corridor's response
             pool) as free evidence; ``"ignore"`` drops them (ablation).
-        antenna_index: **deprecated** alias selecting
-            ``combining="single"`` on that antenna.
         localizer: object with ``locate(estimate, estimator, hint_xy=None)
             -> (x, y)`` — typically a
             :class:`~repro.core.localization.LaneProjectionLocalizer`;
             None disables positioning (and therefore observations).
         identities: per-station CFO -> account-id cache.
-        hint_horizon_s: last-fix hints older than this are neither used
-            (a car returning hours later should be re-localized from its
-            measurement alone, not pulled toward where it parked last
-            time) nor kept (the table stays bounded by the recently
-            active population, like the red-light detector's tracks).
+
+    Last-fix hints older than :data:`HINT_HORIZON_S` are neither used nor
+    kept.
     """
 
     name: str
@@ -346,25 +344,18 @@ class ReaderStation:
     opportunistic: str = "accept"
     localizer: object | None = None
     identities: IdentityCache = field(default_factory=IdentityCache)
-    hint_horizon_s: float = 300.0
     _last_fixes: dict[int, tuple[np.ndarray, float]] = field(
         default_factory=dict, repr=False
     )
-    antenna_index: int | None = None
 
     def __post_init__(self) -> None:
-        if self.antenna_index is not None:
-            self.antenna_index = deprecated_antenna_index(
-                self.antenna_index, "ReaderStation"
-            )
-            self.combining = "single"
         validate_combining(self.combining)
         validate_opportunistic(self.opportunistic)
 
     def recall_fix(self, tag_id: int, now_s: float) -> np.ndarray | None:
         """The tag's last fix, if recent enough to serve as a hint."""
         entry = self._last_fixes.get(tag_id)
-        if entry is None or now_s - entry[1] > self.hint_horizon_s:
+        if entry is None or now_s - entry[1] > HINT_HORIZON_S:
             return None
         return entry[0]
 
@@ -377,7 +368,7 @@ class ReaderStation:
         stale = [
             tag_id
             for tag_id, (_, seen_s) in self._last_fixes.items()
-            if now_s - seen_s > self.hint_horizon_s
+            if now_s - seen_s > HINT_HORIZON_S
         ]
         for tag_id in stale:
             del self._last_fixes[tag_id]
@@ -472,19 +463,10 @@ class ReaderNetwork:
 
         decode_results: dict[float, DecodeResult] = {}
         if unknown and self.decode:
-            # Stations configured through the deprecated alias forward it
-            # conditionally (the station __post_init__ already warned and
-            # pinned combining="single"); clean stations never touch it.
-            extra = (
-                {}
-                if station.antenna_index is None
-                else {"antenna_index": station.antenna_index}
-            )
             session = station.reader.decode_session(
                 lambda t: station.query_fn(timestamp_s + t),
                 combining=station.combining,
                 opportunistic=station.opportunistic,
-                **extra,
             )
             # Reuse the measurement capture as the first decode capture
             # (the whole collision: MRC combines every antenna of it).

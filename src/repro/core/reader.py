@@ -100,7 +100,6 @@ class CaraokeReader:
         query_fn,
         combining: str = "mrc",
         opportunistic: str = "accept",
-        antenna_index: int | None = None,
         obs=None,
     ) -> DecodeSession:
         """Open a repeated-query decode session (§8).
@@ -114,23 +113,16 @@ class CaraokeReader:
                 ``DecodeSession.donate_capture`` — windows overheard from
                 other readers — are combined as free evidence) or
                 ``"ignore"`` (donations dropped; the ablation baseline).
-            antenna_index: **deprecated** alias selecting
-                ``combining="single"`` on that antenna.
             obs: nullable observability hook (see :mod:`repro.obs`),
                 threaded into the session and its combiner.
         """
         decoder = CoherentDecoder(self.sample_rate_hz, self.query_period_s)
-        # The deprecated alias is forwarded only when actually set, so
-        # DecodeSession owns the single deprecation warning and clean
-        # callers never touch the legacy keyword.
-        extra = {} if antenna_index is None else {"antenna_index": antenna_index}
         return DecodeSession(
             query_fn=query_fn,
             decoder=decoder,
             combining=combining,
             opportunistic=opportunistic,
             obs=obs,
-            **extra,
         )
 
     def decode_all_in_range(
@@ -138,19 +130,15 @@ class CaraokeReader:
         query_fn,
         max_queries: int = 64,
         combining: str = "mrc",
-        antenna_index: int | None = None,
     ) -> dict[float, DecodeResult]:
         """Count first, then decode every detected tag (§12.4 workflow).
 
         All detected tags are decoded as one batch from a single shared
         capture stream; the counting capture is the batch's first capture.
         ``combining`` is ``"mrc"`` (default: maximum-ratio across every
-        antenna) or ``"single"`` (one-antenna ablation baseline);
-        ``antenna_index`` is the **deprecated** alias selecting
-        ``combining="single"`` on that antenna.
+        antenna) or ``"single"`` (one-antenna ablation baseline).
         """
-        extra = {} if antenna_index is None else {"antenna_index": antenna_index}
-        session = self.decode_session(query_fn, combining=combining, **extra)
+        session = self.decode_session(query_fn, combining=combining)
         session._ensure_captures(1)
         estimate = self.counter.count(session.readout_capture(0))
         cfos = [float(c) for c in estimate.cfos_hz()]

@@ -75,6 +75,11 @@ POLICIES = ("wired", "scheduled", "mule")
 #: open-ended). Fixed so snapshots compare bit-for-bit across runs.
 LAG_BUCKETS_S = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
+#: Exponential retry backoff bounds after an outage or dropped flush:
+#: the first retry waits the base, each further one doubles it, capped.
+RETRY_BACKOFF_S = 0.25
+MAX_BACKOFF_S = 2.0
+
 
 @dataclass(frozen=True)
 class OutageWindow:
@@ -248,13 +253,11 @@ class BackhaulConfig:
             immediate application),
             ``"scheduled"`` (per-pole sync schedule with retry/backoff)
             or ``"mule"`` (cars carry deltas to gateway poles).
-        sync_period_s: flush cadence under ``scheduled``.
-        stagger: phase-stagger the per-pole schedules (pole ``i`` of
-            ``n`` first syncs at ``period * (1 + i/n)``) so the
-            directory sees a spread load instead of a thundering herd.
-            Deterministic — derived from sorted station order, no RNG.
-        retry_backoff_s / max_backoff_s: exponential retry backoff
-            bounds after an outage or dropped flush.
+        sync_period_s: flush cadence under ``scheduled``. The per-pole
+            schedules are phase-staggered (pole ``i`` of ``n`` first
+            syncs at ``period * (1 + i/n)``) so the directory sees a
+            spread load instead of a thundering herd. Deterministic —
+            derived from sorted station order, no RNG.
         gateways: stations with a wired uplink under ``mule``; empty
             means the mesh derives them (the last pole of every exit
             edge, where departing cars naturally pass).
@@ -264,9 +267,6 @@ class BackhaulConfig:
 
     policy: str = "wired"
     sync_period_s: float = 2.0
-    stagger: bool = True
-    retry_backoff_s: float = 0.25
-    max_backoff_s: float = 2.0
     gateways: tuple[str, ...] = ()
     fault_plan: FaultPlan | None = None
 
@@ -277,10 +277,6 @@ class BackhaulConfig:
             )
         if self.sync_period_s <= 0:
             raise ConfigurationError("the sync period must be positive")
-        if self.retry_backoff_s <= 0 or self.max_backoff_s < self.retry_backoff_s:
-            raise ConfigurationError(
-                "need 0 < retry_backoff_s <= max_backoff_s"
-            )
 
 
 class BackhaulPlane:
@@ -355,8 +351,8 @@ class BackhaulPlane:
         for i, name in enumerate(self.stations):
             link = BackhaulLink(station=name)
             if self.policy == "scheduled":
-                phase = (config.sync_period_s * i / n) if (config.stagger and n) else 0.0
-                link.next_attempt_s = config.sync_period_s + phase
+                phase_s = config.sync_period_s * i / n
+                link.next_attempt_s = config.sync_period_s + phase_s
             self._links[name] = link
         #: car satchels under ``mule``: items riding each tag, keyed by id.
         self._satchels: dict[int, list[tuple]] = {}
@@ -566,9 +562,9 @@ class BackhaulPlane:
         delay_s = self._attempt_fate(link, t_s)
         if delay_s is None:
             link.backoff_s = (
-                self.config.retry_backoff_s
+                RETRY_BACKOFF_S
                 if link.backoff_s <= 0.0
-                else min(link.backoff_s * 2.0, self.config.max_backoff_s)
+                else min(link.backoff_s * 2.0, MAX_BACKOFF_S)
             )
             link.next_attempt_s = t_s + link.backoff_s
             return

@@ -52,10 +52,6 @@ class StationCell:
     def span_m(self) -> float:
         return self.x_max_m - self.x_min_m
 
-    @property
-    def center_x_m(self) -> float:
-        return (self.x_min_m + self.x_max_m) / 2.0
-
     def contains_x(self, x_m: float) -> bool:
         """Whether an along-road coordinate falls in this cell.
 

@@ -70,11 +70,7 @@ from ...constants import (
     RESPONSE_DURATION_S,
     TURNAROUND_S,
 )
-from ...core.decoding import (
-    deprecated_antenna_index,
-    validate_combining,
-    validate_opportunistic,
-)
+from ...core.decoding import validate_combining, validate_opportunistic
 from ...core.mac import ReaderMac
 from ...core.network import IdentityCache, decode_aoa, resolve_cached_ids
 from ...errors import CaraokeError, ConfigurationError
@@ -87,6 +83,20 @@ from .moving import MovingCollisionSource, MovingTag, TagWaveformBank
 from .pool import ResponsePool, TriggerWindow
 
 __all__ = ["CorridorStation", "CityCorridor", "CorridorResult", "IdentificationStat"]
+
+#: How long a station's receiver buffers overheard windows between
+#: decode bursts; windows older than this at harvest time are lost, not
+#: combined.
+OVERHEARD_HORIZON_S = 0.25
+
+#: Spikes below this detection SNR are not worth a decode burst yet (the
+#: tag is still far; a later, closer round decodes it in fewer queries).
+DECODE_SNR_DB = 17.0
+
+#: Bounds of every pole's identity cache built by
+#: :meth:`CityCorridor.build` (see :class:`~repro.core.network.IdentityCache`).
+CACHE_MAX_ENTRIES = 512
+CACHE_MAX_AGE_S = 600.0
 
 
 def _tag_observation():
@@ -119,8 +129,6 @@ class CorridorStation:
             this station's decode sessions as free evidence) or
             ``"ignore"`` (never harvest — bit-for-bit the pool-less
             corridor numerics, the ablation baseline).
-        antenna_index: **deprecated** alias selecting
-            ``combining="single"`` on that antenna.
     """
 
     name: str
@@ -158,14 +166,8 @@ class CorridorStation:
     #: own capture.
     _own_windows: list[tuple[float, float]] = field(default_factory=list, repr=False)
     _hints: dict[int, tuple[np.ndarray, float]] = field(default_factory=dict, repr=False)
-    antenna_index: int | None = None
 
     def __post_init__(self) -> None:
-        if self.antenna_index is not None:
-            self.antenna_index = deprecated_antenna_index(
-                self.antenna_index, "CorridorStation"
-            )
-            self.combining = "single"
         validate_combining(self.combining)
         validate_opportunistic(self.opportunistic)
 
@@ -270,11 +272,6 @@ class CorridorResult:
         return self.burst_corrupted_posthoc - self.burst_corrupted_at_synthesis
 
     @property
-    def overheard_corruption_undercount(self) -> int:
-        """Donated overheard captures the harvest-time check missed."""
-        return self.overheard_corrupted_posthoc
-
-    @property
     def overheard_per_identified(self) -> float:
         if not self.identifications:
             return float("nan")
@@ -360,32 +357,21 @@ class CityCorridor:
             every downstream sighting burns a re-decode; the waste the
             :class:`~repro.sim.city.handoff.HandoffLedger` exists to
             measure).
-        decode: run §8 identification at all (False = count-only).
         opportunistic: when given, overrides every station's
             overheard-response policy — ``"accept"`` harvests other
             poles' trigger windows from the shared :class:`ResponsePool`
             as free decode evidence, ``"ignore"`` never does (bit-for-bit
             the pool-less numerics, the ablation). None leaves each
             station's own setting.
-        overheard_horizon_s: how long a station's receiver buffers
-            overheard windows between decode bursts; windows older than
-            this at harvest time are lost, not combined.
         max_queries: decode budget per identification burst.
-        decode_snr_db: spikes below this detection SNR are not worth a
-            decode burst yet (the tag is still far; a later, closer
-            round decodes it in fewer queries). None disables the gate.
-        range_m: radio range gating which tags hear a query.
         name: corridor label. When set, it scopes this corridor inside a
             larger deployment (a :class:`~repro.sim.city.mesh.CityMesh`
             names stations ``"<edge>/pole-k"`` through
             :meth:`build`) — pass it there; the corridor itself only
             stores it for reports.
-        air / pool / ledger: externally shared infrastructure. A mesh
-            runs several corridors on *one* air log, one response pool
-            and one handoff ledger (so carrier sensing, overhearing and
-            re-decode classification all span corridor boundaries); None
-            (the default) gives the corridor private instances — the
-            single-street behavior, bit-for-bit.
+        air / pool / ledger: the corridor's own air log, response pool
+            and handoff ledger. A mesh shard replaces them with the ones
+            its interference group shares before the run.
         interference_range_m: along-city distance beyond which
             transmitters are inaudible (carrier sensing, corruption and
             post-hoc re-checks all gate on it). None — the default, and
@@ -427,16 +413,9 @@ class CityCorridor:
         scheduling: str = "event",
         use_csma: bool = True,
         handoff: bool = True,
-        decode: bool = True,
         opportunistic: str | None = None,
-        overheard_horizon_s: float = 0.25,
         max_queries: int = 32,
-        decode_snr_db: float | None = 17.0,
-        range_m: float = READER_RANGE_M,
         name: str = "",
-        air: AirLog | None = None,
-        pool: ResponsePool | None = None,
-        ledger: HandoffLedger | None = None,
         interference_range_m: float | None = None,
         on_sighting=None,
         obs=None,
@@ -453,15 +432,11 @@ class CityCorridor:
         self.scheduling = scheduling
         self.use_csma = bool(use_csma)
         self.handoff = bool(handoff)
-        self.decode = bool(decode)
         if opportunistic is not None:
             validate_opportunistic(opportunistic)
             for station in self.stations:
                 station.opportunistic = opportunistic
-        self.overheard_horizon_s = float(overheard_horizon_s)
         self.max_queries = int(max_queries)
-        self.decode_snr_db = decode_snr_db
-        self.range_m = float(range_m)
         self.interference_range_m = (
             None if interference_range_m is None else float(interference_range_m)
         )
@@ -485,20 +460,11 @@ class CityCorridor:
         slack_s = max(
             0.25, self.max_queries * QUERY_PERIOD_S + RESPONSE_DURATION_S + 0.05
         )
-        if air is None:
-            self.air = AirLog(sense_slack_s=slack_s, obs=obs)
-        else:
-            # Shared log (mesh): never shrink another corridor's slack.
-            self.air = air
-            self.air.sense_slack_s = max(self.air.sense_slack_s, slack_s)
+        self.air = AirLog(sense_slack_s=slack_s, obs=obs)
         #: Every trigger window on the street, shared by all poles; the
         #: scan-back slack mirrors the air log's (bursts publish their
         #: future windows when the burst executes).
-        if pool is None:
-            self.pool = ResponsePool(slack_s=self.air.sense_slack_s, obs=obs)
-        else:
-            self.pool = pool
-            self.pool.slack_s = max(self.pool.slack_s, self.air.sense_slack_s)
+        self.pool = ResponsePool(slack_s=slack_s, obs=obs)
         # Overheard captures take their receiver noise from a stream
         # spawned off the corridor seed: deterministic, but never a draw
         # from the main stream — so an "accept" run and its "ignore"
@@ -517,7 +483,7 @@ class CityCorridor:
                 # at construction), so accept/ignore stay aligned.
                 entropy = int(self.rng.integers(1 << 63))
             self.overhear_rng = as_rng(entropy & ((1 << 63) - 1))
-        self.ledger = HandoffLedger() if ledger is None else ledger
+        self.ledger = HandoffLedger()
         self.services: list[object] = []
         self.observations: list = []
         self._cell_index = {s.cell.name: i for i, s in enumerate(self.stations)}
@@ -527,7 +493,7 @@ class CityCorridor:
         # the distance a car covers during one decode burst). Derived
         # from the geometry rather than assuming "one neighbor suffices"
         # so narrow cells with a wide radio range still hear everyone.
-        reach = self.range_m + 5.0
+        reach = READER_RANGE_M + 5.0
         self._audible_cells: list[list[int]] = []
         for station in self.stations:
             x = float(station.pole_position_m[0])
@@ -571,8 +537,6 @@ class CityCorridor:
         rng=None,
         query_interval_s: float = 80e-3,
         jitter_s: float = 5e-3,
-        cache_max_entries: int | None = 512,
-        cache_max_age_s: float | None = 600.0,
         name: str = "",
         **kwargs,
     ) -> "CityCorridor":
@@ -616,7 +580,7 @@ class CityCorridor:
                     cell=cell,
                     localizer=cell.localizer(),
                     identities=IdentityCache(
-                        max_entries=cache_max_entries, max_age_s=cache_max_age_s
+                        max_entries=CACHE_MAX_ENTRIES, max_age_s=CACHE_MAX_AGE_S
                     ),
                     query_interval_s=query_interval_s,
                     jitter_s=jitter_s,
@@ -815,7 +779,7 @@ class CityCorridor:
         return [
             self.tags[i]
             for i in sorted(candidates)
-            if self.tags[i].in_range(pole, response_t, self.range_m)
+            if self.tags[i].in_range(pole, response_t, READER_RANGE_M)
         ]
 
     # -- station events ----------------------------------------------------------
@@ -1011,7 +975,7 @@ class CityCorridor:
 
         busy_end = response_end
         decode_results: dict = {}
-        if still_unknown and self.decode:
+        if still_unknown:
             busy_end = self._decode_burst(
                 station,
                 t_query,
@@ -1073,8 +1037,7 @@ class CityCorridor:
         sobs = self._station_obs[station.name]
         worth_it = []
         for cfo in targets:
-            snr = snr_by_cfo.get(cfo, float("inf"))
-            if self.decode_snr_db is not None and snr < self.decode_snr_db:
+            if snr_by_cfo.get(cfo, float("inf")) < DECODE_SNR_DB:
                 self.ledger.record_decode_deferred(station.name, t_query, cfo)
             else:
                 worth_it.append(cfo)
@@ -1135,20 +1098,11 @@ class CityCorridor:
                 )
             return collision
 
-        # Stations configured through the deprecated alias forward it
-        # conditionally (__post_init__ already warned and pinned
-        # combining="single"); clean stations never touch the keyword.
-        extra = (
-            {}
-            if station.antenna_index is None
-            else {"antenna_index": station.antenna_index}
-        )
         session = station.reader.decode_session(
             decode_query,
             combining=station.combining,
             opportunistic=station.opportunistic,
             obs=sobs,
-            **extra,
         )
         if seed is not None:
             # The measurement capture doubles as the burst's first decode
@@ -1243,7 +1197,7 @@ class CityCorridor:
         window = station.mac.response_window(t_query_s)
         station._own_windows.append(window)
         if len(station._own_windows) > 256:
-            floor = window[1] - (self.overheard_horizon_s + 1.0)
+            floor = window[1] - (OVERHEARD_HORIZON_S + 1.0)
             station._own_windows = [
                 w for w in station._own_windows if w[1] > floor
             ]
@@ -1301,7 +1255,7 @@ class CityCorridor:
         dropped (their content is query-energy garbage), and `_result`
         re-checks the donated ones against the final log.
         """
-        lo = max(station.last_harvest_s, now_s - self.overheard_horizon_s)
+        lo = max(station.last_harvest_s, now_s - OVERHEARD_HORIZON_S)
         station.last_harvest_s = now_s
         station._own_windows = [
             w for w in station._own_windows if w[1] > lo - 1e-3
@@ -1312,7 +1266,7 @@ class CityCorridor:
             lo,
             now_s,
             station._own_windows,
-            self.range_m,
+            READER_RANGE_M,
         )
         captures = []
         for window, audible in harvested:

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...constants import QUERY_PERIOD_S, READER_RANGE_M, RESPONSE_DURATION_S
+from ...constants import READER_RANGE_M
 from ...errors import ConfigurationError
 from ...utils import as_rng
 from ..scenario import city_corridor_scene, make_tags
@@ -71,6 +71,10 @@ __all__ = ["MeshNode", "MeshEdge", "CityMesh", "MeshResult", "downtown_grid"]
 #: Sighting kinds that attribute a tag id (the records the cross-corridor
 #: analysis walks). Failures/deferrals carry no id and cannot mark entry.
 _ATTRIBUTED = (OWN_HIT, HANDOFF, PUSH, DECODE, REDECODE)
+
+#: Do not push for predicted arrivals further out than this (the entry
+#: would age toward uselessness first).
+PUSH_HORIZON_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -268,7 +272,7 @@ class CityMesh:
             directory only audits). Within-corridor neighbor pull is
             active under both policies — push rides on top of it.
         directory: the city-wide identity service (a default-bounded
-            :class:`IdentityDirectory` unless one is supplied).
+            :class:`IdentityDirectory`).
         interference_range_m: along-city distance beyond which
             transmitters are inaudible. Every edge must fit inside it
             (so one street keeps single-street semantics) and the
@@ -276,8 +280,6 @@ class CityMesh:
             both are validated.
         frame_gap_m: spacing between consecutive edge frames on the
             global axis.
-        push_horizon_s: do not push for predicted arrivals further out
-            than this (the entry would age toward uselessness first).
         backhaul: how pole↔directory traffic travels (see
             :mod:`repro.sim.city.backhaul`) — a policy name
             (``"wired"``, the default immediate delivery;
@@ -300,11 +302,8 @@ class CityMesh:
         *,
         rng=None,
         handoff: str = "push",
-        directory: IdentityDirectory | None = None,
         interference_range_m: float = 500.0,
         frame_gap_m: float = 1000.0,
-        push_horizon_s: float = 60.0,
-        max_queries: int = 32,
         backhaul: BackhaulConfig | str = "wired",
         obs=None,
     ) -> None:
@@ -325,18 +324,9 @@ class CityMesh:
         self.rng = as_rng(rng)
         self.handoff = handoff
         self.obs = obs
-        self.directory = (
-            directory if directory is not None else IdentityDirectory(obs=obs)
-        )
+        self.directory = IdentityDirectory(obs=obs)
         self.interference_range_m = float(interference_range_m)
         self.frame_gap_m = float(frame_gap_m)
-        self.push_horizon_s = float(push_horizon_s)
-        self.max_queries = int(max_queries)
-        #: Air-log sensing / response-pool scan-back slack every shard
-        #: uses: the widest any edge's decode burst needs.
-        self.slack_s = max(
-            0.25, self.max_queries * QUERY_PERIOD_S + RESPONSE_DURATION_S + 0.05
-        )
         self.ledger = HandoffLedger()
         self.backhaul = backhaul
         self._plane: BackhaulPlane | None = None
@@ -378,16 +368,13 @@ class CityMesh:
         n_poles: int = 2,
         pole_spacing_m: float = 40.0,
         lane_ys_m: tuple[float, ...] = (-1.75, -5.25),
-        **corridor_kwargs,
     ) -> MeshEdge:
         """Add one corridor edge running ``src -> dst``; returns it.
 
         The edge's scene is laid out at the next free slot on the
-        global city axis and its corridor is built on the mesh's
-        shared ledger (the run rewires the corridor onto its shard's air
-        log, response pool and ledger). Extra keyword
-        arguments flow to :meth:`CityCorridor.build` (cadence, decode
-        budget, CSMA/opportunistic policies, ...).
+        global city axis and its corridor is built with the corridor
+        defaults (the run rewires it onto its shard's air log, response
+        pool and ledger).
         """
         if name in self.edges:
             raise ConfigurationError(f"duplicate edge {name!r}")
@@ -413,8 +400,6 @@ class CityMesh:
             rng=self.rng,
         )
         self._cursor_x_m = float(scene.road.x_max_m) + self.frame_gap_m
-        corridor_kwargs.setdefault("max_queries", self.max_queries)
-        corridor_kwargs.setdefault("obs", self.obs)
         corridor = CityCorridor.build(
             scene,
             [],
@@ -422,11 +407,9 @@ class CityMesh:
             rng=self.rng,
             name=name,
             scheduling="event",
-            ledger=self.ledger,
             interference_range_m=self.interference_range_m,
-            **corridor_kwargs,
+            obs=self.obs,
         )
-        self.slack_s = max(self.slack_s, corridor.air.sense_slack_s)
         edge = MeshEdge(name=name, src=src, dst=dst, corridor=corridor, scene=scene)
         self.edges[name] = edge
         self._stations.update((s.name, s) for s in corridor.stations)
@@ -658,7 +641,7 @@ class CityMesh:
         if target is None:
             return None
         eta_s = t_s + max(distance_m, 0.0) / estimate.speed_m_s
-        if eta_s - t_s > self.push_horizon_s:
+        if eta_s - t_s > PUSH_HORIZON_S:
             return None
         return (target.name, station_name, tag_id, cfo_hz, float(t_s), eta_s)
 

@@ -256,13 +256,17 @@ class _ShardGroup:
         self.edge_names = list(edge_names)
         self.interference_range_m = mesh.interference_range_m
         self.obs = obs
+        self._edges = [mesh.edges[name] for name in edge_names]
+        # Every edge corridor sized its own air log's sensing slack (and
+        # the matching pool scan-back) for its decode burst; the shared
+        # ones must cover the widest.
+        slack_s = max(edge.corridor.air.sense_slack_s for edge in self._edges)
         self.ledger = HandoffLedger()
-        self.air = AirLog(sense_slack_s=mesh.slack_s, obs=self.obs)
-        self.pool = ResponsePool(slack_s=mesh.slack_s, obs=self.obs)
+        self.air = AirLog(sense_slack_s=slack_s, obs=self.obs)
+        self.pool = ResponsePool(slack_s=slack_s, obs=self.obs)
         self.scheduler = EventScheduler(obs=self.obs)
         self.outbox: list[tuple] = []
         self._stations: dict[str, object] = {}
-        self._edges = [mesh.edges[name] for name in edge_names]
         for edge in self._edges:
             corridor = edge.corridor
             rng = np.random.default_rng(edge_seeds[edge.name])

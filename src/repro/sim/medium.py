@@ -305,16 +305,6 @@ class AirLog:
         self._corrupted_cache = (key, corrupted)
         return corrupted
 
-    def response_corrupted(
-        self, response: Transmission, interference_range_m: float | None = None
-    ) -> bool:
-        """Whether one response interval was stepped on by any query
-        (within the interference range, when given)."""
-        return any(
-            q.overlaps(response) and q.reaches(response.x_m, interference_range_m)
-            for q in self.queries()
-        )
-
 
 @dataclass
 class ReaderNode:
@@ -344,6 +334,16 @@ class Medium:
     range of every reader. Per query, every tag responds after the 100 µs
     turnaround; the response is *corrupted* if any query transmission
     overlaps it.
+
+    Why it stays next to the city corridor engine: it already *is*
+    :class:`AirLog` + :class:`~repro.core.mac.ReaderMac` — the same air
+    log and MAC policy the corridor runs on, plus only a cadence loop
+    and an abstract tag count. It is the only §9 model of abstract
+    readers without waveform synthesis, so a reader-density sweep needs
+    no radio simulation, and the three claims of
+    ``benchmarks/bench_sec09_mac.py`` (query/query overlap is harmless,
+    listen-before-talk removes query/response corruption, blind readers
+    corrupt responses) run on it.
     """
 
     def __init__(self, n_tags: int = 3, rng=None, obs=None):

@@ -252,15 +252,6 @@ class TestAblationApiChecker:
         assert len(found) == 1
         assert "handoff" in found[0].message
 
-    def test_deprecated_antenna_index_keyword_flagged(self):
-        found = check(
-            "session = open_session(antenna_index=2)\n",
-            "ablation-api",
-            rel_path="examples/fake.py",
-        )
-        assert len(found) == 1
-        assert "antenna_index" in found[0].message
-
     def test_private_helpers_exempt(self):
         good = """\
         def _forward(combining):

@@ -127,8 +127,6 @@ class TestConfigValidation:
     def test_bad_periods_rejected(self):
         with pytest.raises(ConfigurationError):
             BackhaulConfig(sync_period_s=0.0)
-        with pytest.raises(ConfigurationError):
-            BackhaulConfig(retry_backoff_s=1.0, max_backoff_s=0.5)
 
     def test_mule_needs_a_gateway(self):
         with pytest.raises(ConfigurationError):
@@ -167,7 +165,6 @@ class TestScheduledDelivery:
         cfg = BackhaulConfig(
             policy="scheduled",
             sync_period_s=1.0,
-            retry_backoff_s=0.25,
             fault_plan=FaultPlan(outages=[OutageWindow(0.0, 3.0, "s0")], rng=1),
         )
         tap = Recorder()

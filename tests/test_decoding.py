@@ -312,63 +312,6 @@ class TestDecodeSession:
         }
 
 
-class TestDeprecatedAntennaIndexAlias:
-    """The ``antenna_index`` alias must warn *and* keep matching the
-    ``combining="single"`` numerics exactly — a silent divergence of the
-    deprecated spelling is a correctness bug, not a deprecation."""
-
-    def replay(self, session, pool, cfos):
-        captures = iter(pool)
-
-        def ensure(n):
-            while len(session.captures) < n:
-                session.captures.append(next(captures))
-
-        session._ensure_captures = ensure
-        return session.decode_all(cfos, max_queries=32)
-
-    def test_warns_on_every_owner(self):
-        from repro.core.network import ReaderStation
-        from repro.sim.city import CorridorStation
-
-        with pytest.warns(DeprecationWarning, match="antenna_index"):
-            # repro: allow[ablation-api] — deprecation coverage exercises the alias on purpose
-            DecodeSession(query_fn=None, decoder=CoherentDecoder(FS), antenna_index=0)
-        with pytest.warns(DeprecationWarning, match="antenna_index"):
-            # repro: allow[ablation-api] — deprecation coverage exercises the alias on purpose
-            ReaderStation(name="p", reader=None, query_fn=None, antenna_index=0)
-        with pytest.warns(DeprecationWarning, match="antenna_index"):
-            CorridorStation(
-                # repro: allow[ablation-api] — deprecation coverage exercises the alias on purpose
-                name="p", reader=None, source=None, cell=None, antenna_index=0
-            )
-
-    def test_alias_matches_single_policy_bit_for_bit(self):
-        cfos = [200e3, 500e3, 800e3]
-        sim, _ = build_sim(cfos, seed=11)
-        pool = [sim.query(i * 1e-3) for i in range(32)]
-        decoder = CoherentDecoder(FS)
-
-        single = DecodeSession(
-            query_fn=None, decoder=decoder, combining="single"
-        )
-        with pytest.warns(DeprecationWarning):
-            # repro: allow[ablation-api] — deprecation coverage exercises the alias on purpose
-            aliased = DecodeSession(query_fn=None, decoder=decoder, antenna_index=0)
-        assert aliased.combining == "single"
-
-        results_single = self.replay(single, pool, cfos)
-        results_alias = self.replay(aliased, pool, cfos)
-        for cfo in cfos:
-            a, s = results_alias[cfo], results_single[cfo]
-            assert a.packet == s.packet
-            assert a.n_queries == s.n_queries
-            assert a.cfo_hz == s.cfo_hz  # identical refinement
-            assert np.array_equal(a.channels, s.channels)  # bitwise
-        # Identical accumulator state, not just identical outcomes.
-        assert np.array_equal(aliased._combiner._acc, single._combiner._acc)
-
-
 class TestMultiAntennaChannels:
     """Satellite coverage: per-antenna Eq 5 readout vs synthesis truth,
     and the MRC-vs-single SNR gain the whole refactor exists for."""

@@ -203,7 +203,6 @@ class TestAirLog:
         response = air.record_response("tag0", 0.0)
         air.record_query("B", 100e-6)  # lands inside the response
         assert air.corrupted_responses() == [response]
-        assert air.response_corrupted(response)
 
     def test_horizon_drops_ancient_history(self):
         air = AirLog()
@@ -228,7 +227,6 @@ class TestAirLog:
             response.start_s, response.end_s, x_m=0.0, hear_range_m=500.0
         )
         assert air.corrupted_responses(interference_range_m=500.0) == []
-        assert not air.response_corrupted(response, interference_range_m=500.0)
         # The same query placed nearby is heard and corrupts.
         near = air.record_query("near", 150e-6, x_m=100.0)
         assert air.any_query_overlapping(

@@ -6,6 +6,7 @@ import pytest
 from repro.apps import CarFinder, ParkingBillingService
 from repro.core.localization import LaneProjectionLocalizer
 from repro.core.network import (
+    HINT_HORIZON_S,
     IdentityCache,
     ReaderNetwork,
     ReaderStation,
@@ -241,10 +242,10 @@ class TestReaderNetwork:
         assert station.recall_fix(next(iter(station._last_fixes)), 1.0) is not None
         # Past the horizon the hint is neither used nor retained.
         tag_id = next(iter(station._last_fixes))
-        assert station.recall_fix(tag_id, station.hint_horizon_s + 10.0) is None
-        network.step(station.hint_horizon_s + 100.0)
+        assert station.recall_fix(tag_id, HINT_HORIZON_S + 10.0) is None
+        network.step(HINT_HORIZON_S + 100.0)
         alive = {seen for _, (_, seen) in station._last_fixes.items()}
-        assert alive == {station.hint_horizon_s + 100.0}  # only fresh fixes kept
+        assert alive == {HINT_HORIZON_S + 100.0}  # only fresh fixes kept
 
     def test_multi_station_round(self):
         cars = [(-6.0, 0), (18.0, 1)]

@@ -110,14 +110,22 @@ class TestCaraokeReader:
         assert len(queries) == 1  # only the counting capture
 
     def test_decode_all_in_range_nonzero_antenna(self):
-        """Decoding must work from any antenna of the triangle."""
+        """Decoding must work from any antenna of the triangle: the
+        one-antenna policy reads the first antenna, so each capture is
+        handed over with antenna k moved to the front."""
         scene, _, _ = parking_scene(target_spots=[1, 4], n_background_cars=0, rng=19)
         truth = {t.packet.tag_id for t in scene.tags}
-        for antenna_index in (1, 2):
-            sim = scene.simulator(0, rng=20 + antenna_index)
+        for k in (1, 2):
+            sim = scene.simulator(0, rng=20 + k)
+
+            def query_fn(t, k=k, sim=sim):
+                collision = sim.query(t)
+                antennas = collision.antennas
+                collision.antennas = [antennas[k]] + antennas[:k] + antennas[k + 1 :]
+                return collision
+
             results = build_reader(scene).decode_all_in_range(
-                # repro: allow[ablation-api] — no non-deprecated API selects a nonzero antenna yet
-                lambda t: sim.query(t), max_queries=64, antenna_index=antenna_index
+                query_fn, max_queries=64, combining="single"
             )
             decoded = {r.packet.tag_id for r in results.values() if r.success}
             assert decoded == truth

@@ -182,9 +182,7 @@ class TestBackend:
         return directory
 
     def test_answer_arrives_k_rounds_later(self):
-        backend = DirectoryBackend(
-            self.make_directory(), latency_rounds=5, round_s=1e-3
-        )
+        backend = DirectoryBackend(self.make_directory(), latency_rounds=5)
         backend.submit(1400.0, 10.0, token="q")
         assert backend.drain(10.004) == []  # not ready yet
         answers = backend.drain(10.005)
@@ -199,7 +197,7 @@ class TestBackend:
         resolves to nothing."""
         directory = IdentityDirectory(tolerance_hz=50.0, max_age_s=10.0)
         directory.report(7, 1400.0, "s", "z", 0.0, 0.0)
-        backend = DirectoryBackend(directory, latency_rounds=1, round_s=15.0)
+        backend = DirectoryBackend(directory, latency_rounds=15_000)  # 15 s
         backend.submit(1400.0, 1.0)  # ready at 16.0; entry expires at 10.0
         answers = backend.drain(16.0)
         assert answers[0].account_id is None
@@ -477,11 +475,22 @@ class TestDedupEmitVsDelivery:
             assert service.events[0].charged_s == pytest.approx(13.5)
 
     def test_service_sweep_honors_the_lag_allowance(self):
-        # With a lag allowance the recent-event table must keep events
-        # foldable for window_s + max_lag_s, not sweep them at window_s.
+        # With a lag allowance the dedup table must keep events foldable
+        # for window_s + max_lag_s, not sweep them at window_s.
         service = TollingService(policy="as-sighted", max_lag_s=20.0)
         service.ingest(read(10.0, delivered_s=10.0))
         service.ingest(read(31.0, tag_id=9, delivered_s=31.0))
         service.ingest(read(12.0, delivered_s=32.0))  # straggler duplicate
         assert service.dedup.events == 2
         assert service.events[0].n_reads == 2
+
+    def test_late_duplicate_counts_on_its_own_windows_event(self):
+        # Under scheduled backhaul each pole of a zone rides its own
+        # link, so a duplicate from window w-1 can arrive after window w
+        # opened. It belongs to w-1's event, not to the zone's latest.
+        service = TollingService(policy="as-sighted", window_s=5.0)
+        service.ingest(read(4.0))
+        service.ingest(read(6.0))
+        service.ingest(read(4.5, delivered_s=6.5))
+        assert [event.n_reads for event in service.events] == [2, 1]
+        assert service.dedup.duplicates == 1
