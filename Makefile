@@ -42,7 +42,10 @@ test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 
 # Paper-figure regeneration (slow). REPRO_BENCH_SCALE scales MC runs.
+# One BLAS thread, as benchmarks/e2e/run.py pins it: the speedup gates
+# compare the simulator's own cost, not a thread pool's scheduling.
 bench:
+	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
 	$(PYTHON) -m pytest benchmarks -q \
 		-o python_files='bench_*.py' -o python_functions='bench_*' \
 		-p no:cacheprovider

@@ -12,7 +12,11 @@ the leakage of *neighbouring resolved spikes*, which can sit only a few
 bins away. The counter therefore:
 
 1. detects spikes against a local (CFAR) floor,
-2. refines each spike frequency to a fraction of a bin,
+2. refines each spike frequency to a fraction of a bin, in closed form
+   from the detected bin and its two neighbours in the FFT it already
+   took (:func:`~repro.dsp.peaks.quinn_offset`) — the joint pass below
+   re-reads a close pair's bins from one FFT of the neighbour-cancelled
+   residual,
 3. jointly least-squares fits the complex amplitudes of all detected
    tones over the full window,
 4. **cancels the other tones** before applying the per-spike test, and
@@ -52,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsp.peaks import band_floors, find_peaks_in_magnitudes
+from ..dsp.peaks import band_floors, find_peaks_in_magnitudes, quinn_offset
 from ..dsp.sfft import sparse_fft_peaks
 from ..dsp.spectrum import fft_spectrum
 from ..errors import ConfigurationError
@@ -195,8 +199,12 @@ class CollisionCounter:
             stream per probe call keeps ``count_multi`` deterministic
             and stateless).
         obs: nullable observability hook (see :mod:`repro.obs`): counts
-            passes by regime and spike verdicts by label. Never affects
-            the estimate.
+            passes by regime (``count.pass``), spike verdicts by label
+            (``count.spike``) and the pass's work (``count.work``):
+            complex-exponential samples, FFT points and ``lstsq`` solves,
+            labelled by ``kind`` and by ``stage`` (detect, refine, fit,
+            align). The sparse probe's own recovery work is not counted.
+            Never affects the estimate.
     """
 
     min_snr_db: float = 15.0
@@ -239,6 +247,10 @@ class CollisionCounter:
         if self.dense_snr_db > self.min_snr_db:
             raise ConfigurationError("dense threshold must not exceed the sparse one")
 
+    def _work(self, kind: str, stage: str, n: int) -> None:
+        if self.obs is not None:
+            self.obs.count("count.work", n, kind=kind, stage=stage)
+
     # -- public API -------------------------------------------------------------
 
     def count(self, wave: Waveform) -> CountEstimate:
@@ -271,6 +283,16 @@ class CollisionCounter:
         """
         if not waves:
             raise ConfigurationError("need at least one capture")
+        # Detection averages magnitudes bin for bin and refinement reads
+        # one bin grid, so a burst's captures must share length and rate
+        # (their start times may differ).
+        first = waves[0]
+        for wave in waves[1:]:
+            if (wave.n_samples, wave.sample_rate_hz) != (first.n_samples, first.sample_rate_hz):
+                raise ConfigurationError(
+                    f"burst captures must share one bin grid: {first.n_samples} samples "
+                    f"at {first.sample_rate_hz} Hz vs {wave.n_samples} at {wave.sample_rate_hz} Hz"
+                )
         # Multi-capture averaging only suppresses *cross-tag* interference
         # (phases re-randomize per response); each tag's own data spectrum
         # repeats identically (same bits every response). The sparse-regime
@@ -305,8 +327,8 @@ class CollisionCounter:
         either detection pass compares against a threshold.
         """
         spectra = [fft_spectrum(w) for w in waves]
-        n_bins = min(s.n_bins for s in spectra)
-        avg_mag = np.mean([s.magnitude()[:n_bins] for s in spectra], axis=0)
+        self._work("fft_points", "detect", sum(s.n_bins for s in spectra))
+        avg_mag = np.mean([s.magnitude() for s in spectra], axis=0)
         floors = band_floors(
             avg_mag, spectra[0].bin_hz, self.search_lo_hz, self.search_hi_hz
         )
@@ -406,9 +428,14 @@ class CollisionCounter:
                 count=0, observations=[], dense_mode=dense_mode, n_captures=len(waves)
             )
 
-        refined_freqs = self._refine_multi_batch(
-            waves, np.array([p.freq_hz for p in raw_peaks]), bin_hz / 2.0
-        )
+        # Every capture's FFT already brackets each spike: read its
+        # sub-bin frequency off bins k-1, k, k+1 of the spectra in hand.
+        n_bins = spectra[0].n_bins
+        bins = np.array([p.bin_index for p in raw_peaks])
+        taps = (bins[:, None] + np.array([-1, 0, 1])) % n_bins
+        values = np.stack([s.values[taps] for s in spectra], axis=-1)  # (P, 3, K)
+        offsets = quinn_offset(values[:, 0], values[:, 1], values[:, 2])
+        refined_freqs = (bins + offsets) * bin_hz
         refined = [
             (float(freq), p.snr, p.floor)
             for freq, p in zip(refined_freqs, raw_peaks)
@@ -533,6 +560,7 @@ class CollisionCounter:
         # fit entirely.
         amplitudes = probes = None
         refined = freqs.copy()
+        n = wave.n_samples
         for k in range(freqs.size):
             # Only bother when a neighbour sits close enough to bias us.
             gaps = np.abs(np.delete(freqs, k) - freqs[k])
@@ -542,61 +570,14 @@ class CollisionCounter:
                 amplitudes, probes = self._fit_tones(wave, freqs)
             others = np.delete(np.arange(freqs.size), k)
             residual = wave.samples - (amplitudes[others][:, None] * probes[others].conj()).sum(axis=0)
-            residual_wave = Waveform(residual, wave.sample_rate_hz, wave.t0_s)
-            refined[k] = _parabolic_refine(residual_wave, freqs[k], bin_hz / 2.0)
+            spectrum = np.fft.fft(residual)
+            self._work("fft_points", "refine", n)
+            centre = int(round(freqs[k] / bin_hz)) % n
+            offset = quinn_offset(
+                spectrum[centre - 1], spectrum[centre], spectrum[(centre + 1) % n]
+            )
+            refined[k] = (centre + float(offset)) * bin_hz
         return refined
-
-    def _refine_multi(self, waves: list[Waveform], freq_hz: float, span_hz: float) -> float:
-        """Refine one tone frequency on the summed |DFT|^2 across captures."""
-        return float(
-            self._refine_multi_batch(waves, np.array([float(freq_hz)]), span_hz)[0]
-        )
-
-    def _refine_multi_batch(
-        self, waves: list[Waveform], freqs_hz: np.ndarray, span_hz: float
-    ) -> np.ndarray:
-        """Refine every candidate's frequency in one vectorized sweep.
-
-        As in :func:`~repro.core.cfo.refine_frequency`, each iteration's
-        three probe frequencies share two complex exponentials
-        (``probe(f +- span) = probe(f) * probe(+-span)``); on top of
-        that, all P candidates iterate in lockstep (the span schedule is
-        frequency-independent), so one iteration costs a single
-        ``(P, N)`` demodulation per capture plus one shared shift
-        exponential — instead of P separate Python-loop passes.
-        Arithmetic is element-for-element the per-peak recursion, so the
-        refined frequencies are bit-identical to the scalar loop; a
-        candidate whose curvature denominator hits zero freezes (the
-        scalar loop's ``break``) while the others keep iterating.
-        """
-        f = np.array(freqs_hz, dtype=np.float64)
-        if f.size == 0:
-            return f
-        span = float(span_hz)
-        times = [wave.times() for wave in waves]
-        active = np.ones(f.size, dtype=bool)
-        for _ in range(3):
-            mags = np.zeros((3, f.size))
-            for wave, t in zip(waves, times):
-                y = wave.samples[None, :] * np.exp(
-                    -2j * np.pi * f[:, None] * t[None, :]
-                )
-                shift = np.exp(-2j * np.pi * span * t)
-                # Builtin abs (C hypot), not np.abs (npy_cabs): the two
-                # differ by one ulp on some inputs, and bit-identity with
-                # the per-peak recursion requires the former. P is small,
-                # so the Python-level loop costs nothing next to the
-                # (P, N) demodulation above.
-                mags[0] += _abs_sq(np.mean(y * np.conj(shift)[None, :], axis=1))
-                mags[1] += _abs_sq(np.mean(y, axis=1))
-                mags[2] += _abs_sq(np.mean(y * shift[None, :], axis=1))
-            denom = mags[0] - 2.0 * mags[1] + mags[2]
-            active = active & (denom != 0.0)
-            offset = np.zeros(f.size)
-            offset[active] = 0.5 * (mags[0, active] - mags[2, active]) / denom[active]
-            f = f + np.where(active, np.clip(offset, -1.0, 1.0) * span, 0.0)
-            span /= 2.0
-        return f
 
     def _merge_candidates(
         self, refined: list[tuple[float, float, float]], resolution_hz: float
@@ -628,6 +609,8 @@ class CollisionCounter:
         probes = np.exp(-2j * np.pi * freqs[:, None] * t[None, :])
         basis = probes.conj().T  # (N, m)
         amplitudes, *_ = np.linalg.lstsq(basis, wave.samples, rcond=None)
+        self._work("exp_samples", "fit", probes.size)
+        self._work("lstsq", "fit", 1)
         return amplitudes, probes
 
     def _fit_tones_burst(
@@ -645,21 +628,17 @@ class CollisionCounter:
         RHS, so each capture's amplitudes are bit-identical to its own
         per-capture solve; at 26+ columns the divide-and-conquer kernel
         (SMLSIZ = 25) blocks the RHS application differently and drifts
-        by an ulp, so wider bases — and bursts whose captures disagree
-        on the time base, or ``stacked=False``, the oracle — fall back
-        to the per-capture loop.
+        by an ulp, so wider bases — and bursts whose captures start at
+        different times, or ``stacked=False``, the oracle — fall back
+        to the per-capture loop. (Length and rate agree across every
+        burst :meth:`count_multi` accepts.)
         """
         first = waves[0]
         if (
             not stacked
             or len(waves) == 1
             or freqs.size > 25
-            or any(
-                w.n_samples != first.n_samples
-                or w.sample_rate_hz != first.sample_rate_hz
-                or w.t0_s != first.t0_s
-                for w in waves[1:]
-            )
+            or any(w.t0_s != first.t0_s for w in waves[1:])
         ):
             return [self._fit_tones(w, freqs) for w in waves]
         t = first.times()
@@ -667,6 +646,8 @@ class CollisionCounter:
         basis = probes.conj().T  # (N, m)
         stacked = np.stack([w.samples for w in waves], axis=1)  # (N, K)
         amplitudes, *_ = np.linalg.lstsq(basis, stacked, rcond=None)
+        self._work("exp_samples", "fit", probes.size)
+        self._work("lstsq", "fit", 1)
         return [(amplitudes[:, k], probes) for k in range(len(waves))]
 
     def _aligned_subwindow_values(
@@ -700,6 +681,7 @@ class CollisionCounter:
             # The k == j term removed its own amplitude; add it back.
             x_cancelled = x_cancelled + amplitudes[:, None]
             phases = np.exp(-1j * np.angle(amplitudes))
+            self._work("exp_samples", "align", phases.size)
             chunks.append(x_cancelled * phases[:, None])
         return np.concatenate(chunks, axis=1)
 
@@ -800,33 +782,6 @@ class CollisionCounter:
         if worst <= self.shift_tolerance:
             return BinClass.SINGLE, _stats(np.nan, 1.0, 1.0, worst)
         return BinClass.MULTIPLE, _stats(np.nan, 0.0, 1.0, worst)
-
-
-def _abs_sq(values: np.ndarray) -> np.ndarray:
-    """``abs(v) ** 2`` per element via the builtin (C ``hypot``) path."""
-    return np.array([abs(v) ** 2 for v in values])
-
-
-def _parabolic_refine(wave: Waveform, freq_hz: float, span_hz: float) -> float:
-    """Iterated parabolic |DFT| maximization (local copy avoids the
-    counting -> cfo -> counting import cycle for this one helper)."""
-    t = wave.times()
-    f, span = float(freq_hz), float(span_hz)
-    for _ in range(3):
-        # One (3, N) demodulation instead of three 1-D passes; builtin
-        # abs keeps each probe magnitude bit-identical to the scalar
-        # form (same hypot path, see _abs_sq).
-        probes = np.exp(
-            -2j * np.pi * (f + np.array([-span, 0.0, span]))[:, None] * t[None, :]
-        )
-        mags = [abs(v) for v in np.mean(wave.samples[None, :] * probes, axis=1)]
-        denom = mags[0] - 2.0 * mags[1] + mags[2]
-        if denom == 0.0:
-            break
-        offset = 0.5 * (mags[0] - mags[2]) / denom
-        f += float(np.clip(offset, -1.0, 1.0)) * span
-        span /= 2.0
-    return f
 
 
 def _stats(gamma: float, coherence: float, expected: float, dispersion: float) -> dict:

@@ -22,6 +22,7 @@ __all__ = [
     "local_noise_floor",
     "band_floors",
     "parabolic_offset",
+    "quinn_offset",
     "find_peaks_in_magnitudes",
     "find_spectral_peaks",
 ]
@@ -77,6 +78,47 @@ def parabolic_offset(left: float, center: float, right: float) -> float:
         return 0.0
     offset = 0.5 * (left - right) / denom
     return float(np.clip(offset, -0.5, 0.5))
+
+
+_QUINN_ROOT = np.sqrt(2.0 / 3.0)
+
+
+def _quinn_tau(x: np.ndarray) -> np.ndarray:
+    return 0.25 * np.log(3.0 * x * x + 6.0 * x + 1.0) - np.sqrt(6.0) / 24.0 * np.log(
+        (x + 1.0 - _QUINN_ROOT) / (x + 1.0 + _QUINN_ROOT)
+    )
+
+
+def quinn_offset(left, center, right) -> np.ndarray:
+    """Sub-bin offset of a tone from its complex DFT bins k-1, k, k+1.
+
+    Quinn's second estimator (IEEE Trans. Signal Processing 45(3),
+    1997): the ratios ``X[k+-1] / X[k]`` of an unwindowed DFT give two
+    estimates of the offset, and a closed-form correction combines them
+    with near-minimal variance. A clean tone lands within a millionth of
+    a bin at N = 2048, with no probe exponentials at all.
+
+    The last axis indexes captures of the same tone (any others index
+    tones). Each capture's ratio is free of that capture's phase, so the
+    captures combine as a ``|X[k]|^2``-weighted mean of the ratios. The
+    result is clipped to +-1 bin; a tone whose centre bin is zero in
+    every capture gets offset 0.
+    """
+    left, center, right = (
+        np.atleast_1d(np.asarray(v, dtype=np.complex128)) for v in (left, center, right)
+    )
+    power = (center.real**2 + center.imag**2).sum(axis=-1)
+    norm = np.where(power > 0.0, power, 1.0)
+    ap = (right * center.conj()).real.sum(axis=-1) / norm
+    am = (left * center.conj()).real.sum(axis=-1) / norm
+    # A ratio near 1 is no tone's (a lone tone's ratios stay below 1/2
+    # within a bin of the centre): such an estimate overflows and either
+    # saturates at the clip or, undefined, falls back to the centre bin.
+    with np.errstate(all="ignore"):
+        dp = -ap / (1.0 - ap)
+        dm = am / (1.0 - am)
+        offset = (dp + dm) / 2.0 + _quinn_tau(dp * dp) - _quinn_tau(dm * dm)
+    return np.where(np.isnan(offset), 0.0, np.minimum(np.maximum(offset, -1.0), 1.0))
 
 
 def local_noise_floor(

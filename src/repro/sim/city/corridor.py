@@ -398,7 +398,9 @@ class CityCorridor:
             the hook carries a tracer — emits sim-time spans for every
             measurement round and decode burst plus identification
             instants. Also threaded into privately built infrastructure
-            (air log, pool, scheduler) and every decode session. Never
+            (air log, pool, scheduler), every decode session and, as a
+            station-labelled view, each station's MAC and §5 counter
+            that has no hook of its own. Never
             affects simulation behavior: recordings derive only from
             sim time and seeded state.
     """
@@ -454,6 +456,8 @@ class CityCorridor:
             for station in self.stations:
                 if station.mac.obs is None:
                     station.mac.obs = self._station_obs[station.name]
+                if station.reader.counter.obs is None:
+                    station.reader.counter.obs = self._station_obs[station.name]
         # Sensing lookback must cover a whole synchronous decode burst:
         # burst queries sense up to max_queries periods past the event
         # clock, and later events still need everything in that window.

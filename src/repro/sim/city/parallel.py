@@ -237,7 +237,8 @@ class _ShardGroup:
     * a per-edge RNG stream (one ``Generator`` shared by the corridor,
       its waveform bank and every station source);
     * the obs hook the run hands it (``mesh.obs`` in-process, a minted
-      per-shard hook or None when forked);
+      per-shard hook or None when forked), rewired into every station's
+      MAC and §5 counter;
     * an ``on_sighting`` hook, and a stand-in for ``mesh.services`` when
       any are subscribed, that *buffer* into the outbox instead of
       reporting — the directory and the services live with the
@@ -285,6 +286,7 @@ class _ShardGroup:
                 station.source.rng = rng
                 station.source.bank.rng = rng
                 station.mac.obs = corridor._station_obs[station.name]
+                station.reader.counter.obs = corridor._station_obs[station.name]
                 self._stations[station.name] = station
             corridor.prime(self.scheduler, duration_s)
 

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.counting (§5)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,10 @@ from repro.channel.collision import StaticCollisionSimulator
 from repro.channel.noise import thermal_noise_power_w
 from repro.channel.propagation import LosChannel
 from repro.core.counting import BinClass, CollisionCounter, CountEstimate
+from repro.dsp.peaks import quinn_offset
 from repro.errors import ConfigurationError
+from repro.obs import Obs
+from repro.phy.waveform import Waveform
 from tests.conftest import make_tag
 
 FS = 4e6
@@ -241,3 +246,122 @@ class TestBatchedToneFit:
             assert [str(o) for o in shared.observations] == [
                 str(o) for o in recomputed.observations
             ]
+
+
+class TestThreeBinEstimator:
+    """Refinement reads each spike's sub-bin frequency off FFT bins
+    k-1, k and k+1 (Quinn's second estimator, ``quinn_offset``)."""
+
+    N = 2048
+    BIN_HZ = FS / N
+    #: A clean tone's closed-form estimate is exact to well under this.
+    CLEAN_TONE_BOUND_HZ = 0.05
+
+    def _tone(self, freq_hz, phase=0.0):
+        n = np.arange(self.N)
+        return np.exp(2j * np.pi * freq_hz * n / FS + 1j * phase)
+
+    def _estimate(self, spectra, centre):
+        spectra = np.atleast_2d(spectra)
+        offset = quinn_offset(
+            spectra[:, centre - 1], spectra[:, centre], spectra[:, centre + 1]
+        )
+        return (centre + float(offset)) * self.BIN_HZ
+
+    @pytest.mark.parametrize("centre", [11, 256, 611])
+    def test_clean_tone_swept_across_the_bin(self, centre):
+        for delta in np.linspace(-0.5, 0.5, 41):
+            freq = (centre + delta) * self.BIN_HZ
+            spectrum = np.fft.fft(self._tone(freq, phase=0.3 + delta))
+            estimate = self._estimate(spectrum, centre)
+            assert estimate == pytest.approx(freq, abs=self.CLEAN_TONE_BOUND_HZ)
+
+    def test_per_capture_phases_do_not_move_the_estimate(self):
+        rng = np.random.default_rng(3)
+        freq = 300.37 * self.BIN_HZ
+        noise = 0.3 * (rng.standard_normal(self.N) + 1j * rng.standard_normal(self.N))
+        capture = self._tone(freq) + 0.5 * self._tone(freq + 4.6 * self.BIN_HZ) + noise
+        single = self._estimate(np.fft.fft(capture), 300)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=5))
+        burst = np.fft.fft(capture[None, :] * phases[:, None], axis=1)
+        assert self._estimate(burst, 300) == pytest.approx(single, abs=1e-6)
+
+    def test_counter_burst_of_rephased_captures_matches_single(self):
+        sim = build_simulator([210e3, 640e3, 641.2e3, 1020e3], seed=9)
+        wave = sim.query(0.0).antenna(0)
+        rng = np.random.default_rng(9)
+        burst = [
+            Waveform(wave.samples * np.exp(1j * phi), wave.sample_rate_hz, wave.t0_s)
+            for phi in rng.uniform(0.0, 2.0 * np.pi, size=4)
+        ]
+        counter = CollisionCounter()
+        single = [o.cfo_hz for o in counter.count(wave).observations]
+        multi = [o.cfo_hz for o in counter.count_multi(burst).observations]
+        assert multi == pytest.approx(single, abs=1e-6)
+
+    def test_zero_centre_bin_is_finite_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zero = quinn_offset(1.0 + 2.0j, 0j, -0.5 + 1.0j)
+            all_zero = quinn_offset(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)))
+            spectrum = np.zeros(self.N, dtype=complex)
+            spectrum[[299, 301]] = [1.0, -2.0j]
+            freq = self._estimate(spectrum, 300)
+        assert np.isfinite(zero) and abs(float(zero)) <= 1.0
+        assert np.array_equal(all_zero, np.zeros(3))
+        assert np.isfinite(freq)
+
+
+class TestBurstGrid:
+    def _wave(self, n, fs=FS, t0=0.0):
+        rng = np.random.default_rng(n)
+        return Waveform(
+            rng.standard_normal(n) + 1j * rng.standard_normal(n), fs, t0
+        )
+
+    def test_mismatched_lengths_rejected_naming_both(self):
+        with pytest.raises(ConfigurationError, match="2048.*1024"):
+            CollisionCounter().count_multi([self._wave(2048), self._wave(1024)])
+
+    def test_mismatched_rates_rejected_naming_both(self):
+        with pytest.raises(ConfigurationError, match="4000000.0.*2000000.0"):
+            CollisionCounter().count_multi(
+                [self._wave(2048), self._wave(2048, fs=FS / 2)]
+            )
+
+    def test_start_times_may_differ(self):
+        sim = build_simulator([300e3, 700e3], seed=3)
+        waves = [sim.query(i * 1e-3).antenna(0) for i in range(3)]
+        assert len({w.t0_s for w in waves}) == 3
+        assert CollisionCounter().count_multi(waves).count == 2
+
+
+class TestWorkCounters:
+    def test_one_capture_pass_reports_its_work(self):
+        sim = build_simulator([200e3, 203.5e3, 900e3], seed=4)
+        obs = Obs()
+        estimate = CollisionCounter(obs=obs).count(sim.query(0.0).antenna(0))
+        m = len(estimate.observations)
+        work = obs.metrics
+        assert work.counter("count.work", kind="fft_points", stage="detect") == 2048
+        # The close pair re-refines: one residual FFT per tone of it.
+        assert work.counter("count.work", kind="fft_points", stage="refine") == 2 * 2048
+        # Refinement itself builds no complex exponentials.
+        assert work.counter("count.work", kind="exp_samples", stage="refine") == 0
+        # Cancellation fit for the joint pass, then the final fit.
+        assert work.counter("count.work", kind="exp_samples", stage="fit") == 2 * m * 2048
+        assert work.counter("count.work", kind="lstsq", stage="fit") == 2
+        assert work.counter("count.work", kind="exp_samples", stage="align") == m
+
+    def test_stacked_burst_fits_once(self):
+        sim = build_simulator([150e3, 500e3, 900e3], seed=6)
+        burst = [sim.query(0.0).antenna(0) for _ in range(3)]
+        obs = Obs()
+        estimate = CollisionCounter(obs=obs).count_multi(burst)
+        m = len(estimate.observations)
+        work = obs.metrics
+        assert work.counter("count.work", kind="fft_points", stage="detect") == 3 * 2048
+        assert work.counter("count.work", kind="fft_points", stage="refine") == 0
+        assert work.counter("count.work", kind="exp_samples", stage="fit") == m * 2048
+        assert work.counter("count.work", kind="lstsq", stage="fit") == 1
+        assert work.counter("count.work", kind="exp_samples", stage="align") == 3 * m

@@ -381,6 +381,28 @@ class TestDeterminism:
         assert injected == local.cars_injected
         assert local_obs.metrics.snapshot_json() == forked_obs.metrics.snapshot_json()
 
+    def test_corridor_reports_counting_per_station(self):
+        """Each station's §5 counter reports into its station-labelled
+        view: passes, spike verdicts and work counts, byte-identical
+        across same-seed runs."""
+        snapshots = []
+        for _ in range(2):
+            obs = Obs()
+            corridor = small_corridor(seed=17, obs=obs)
+            corridor.run(4.0)
+            snapshots.append(obs.metrics.snapshot_json())
+        assert snapshots[0] == snapshots[1]
+        counters = json.loads(snapshots[0])["counters"]
+        stations = {station.name for station in corridor.stations}
+        counting = [key for key in counters if key.startswith("count.")]
+        for family in ("count.pass", "count.spike", "count.work"):
+            assert any(key.startswith(family + "{") for key in counting), family
+        for key in counting:
+            assert any(f"station={name}}}" in key for name in stations), key
+        assert not any(
+            "kind=exp_samples" in key and "stage=refine" in key for key in counting
+        )
+
     def test_mesh_run_traces_rounds_on_every_station_track(self):
         obs = Obs(trace=True)
         mesh = chain_mesh(seed=7, obs=obs)
