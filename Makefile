@@ -9,7 +9,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check check-fast check-docs lint analyze test test-fast bench
+.PHONY: check check-fast check-docs lint analyze test test-fast bench e2e
 
 check: lint analyze test
 
@@ -49,3 +49,10 @@ bench:
 	$(PYTHON) -m pytest benchmarks -q \
 		-o python_files='bench_*.py' -o python_functions='bench_*' \
 		-p no:cacheprovider
+
+# End-to-end benchmark, report form: every workload's metrics from one
+# fresh process each, plus one traced run per workload for the layer
+# split (Chrome traces land in benchmarks/results/e2e_trace_*.json).
+# run.py pins one BLAS thread itself.
+e2e:
+	$(PYTHON) benchmarks/e2e/run.py --repeat 1

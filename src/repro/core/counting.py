@@ -15,8 +15,8 @@ bins away. The counter therefore:
 2. refines each spike frequency to a fraction of a bin, in closed form
    from the detected bin and its two neighbours in the FFT it already
    took (:func:`~repro.dsp.peaks.quinn_offset`) — the joint pass below
-   re-reads a close pair's bins from one FFT of the neighbour-cancelled
-   residual,
+   re-reads a close pair's bins with the neighbours' fitted
+   contributions taken out,
 3. jointly least-squares fits the complex amplitudes of all detected
    tones over the full window,
 4. **cancels the other tones** before applying the per-spike test, and
@@ -58,7 +58,7 @@ import numpy as np
 
 from ..dsp.peaks import band_floors, find_peaks_in_magnitudes, quinn_offset
 from ..dsp.sfft import sparse_fft_peaks
-from ..dsp.spectrum import fft_spectrum
+from ..dsp.spectrum import Spectrum, dirichlet_kernel, fft_spectrum
 from ..errors import ConfigurationError
 from ..phy.waveform import Waveform
 from ..utils import as_rng
@@ -69,6 +69,12 @@ __all__ = ["BinClass", "BinObservation", "CountEstimate", "CollisionCounter"]
 # In-band sFFT tones weaker than this fraction of the strongest one are
 # treated as data sidelobes, not carriers (see _sfft_probe_candidates).
 _SFFT_STRONG_RATIO = 0.3
+
+# Two tones whose Gram coherence |G_jk| / N is within this of 1 (closer
+# than ~2.5e-5 bin) are one tone to working precision: the fit drops the
+# Gram's singular values below this fraction of the largest and returns
+# the minimum-norm amplitudes (see CollisionCounter._solve_tones).
+_GRAM_RCOND = 1e-9
 
 
 class BinClass(enum.Enum):
@@ -122,6 +128,13 @@ class CountEstimate:
     observations: list[BinObservation] = field(default_factory=list)
     dense_mode: bool = False
     n_captures: int = 1
+    #: The final fit's probe rows on the first capture's time base:
+    #: ``basis[k] = exp(-j 2 pi f_k t)`` demodulates ``observations[k]``,
+    #: the same exponential an Eq 5 readout at that CFO builds. A
+    #: consumer that reads the spikes at the other antennas takes it
+    #: (:meth:`~repro.core.reader.CaraokeReader.observe` does, then drops
+    #: it so its report keeps no m x N array). None when nothing was fit.
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_single(self) -> int:
@@ -201,10 +214,10 @@ class CollisionCounter:
         obs: nullable observability hook (see :mod:`repro.obs`): counts
             passes by regime (``count.pass``), spike verdicts by label
             (``count.spike``) and the pass's work (``count.work``):
-            complex-exponential samples, FFT points and ``lstsq`` solves,
-            labelled by ``kind`` and by ``stage`` (detect, refine, fit,
-            align). The sparse probe's own recovery work is not counted.
-            Never affects the estimate.
+            complex-exponential samples, FFT points, closed-form kernel
+            terms and m x m solves, labelled by ``kind`` and by ``stage``
+            (detect, refine, fit, align). The sparse probe's own recovery
+            work is not counted. Never affects the estimate.
     """
 
     min_snr_db: float = 15.0
@@ -277,7 +290,7 @@ class CollisionCounter:
         ``share_spectra=False`` recomputes the spectra, averaged
         magnitudes and CFAR floors for the probe and again for the
         decision pass; ``stacked_fit=False`` fits every capture's tones
-        with its own ``lstsq``. Both reproduce the default estimate
+        on its own basis. Both reproduce the default estimate
         bit-for-bit; the tests and the corridor bench's counting gates
         compare against them.
         """
@@ -451,7 +464,7 @@ class CollisionCounter:
         # per-peak frequency estimate by hundreds of Hz, which then leaks
         # a beating residue through the cancellation. Re-refining each
         # tone on the neighbour-cancelled residual removes the bias.
-        freqs = self._joint_refine(waves[0], freqs, bin_hz)
+        freqs = self._joint_refine(waves[0], spectra[0], freqs, bin_hz)
 
         per_capture = self._fit_tones_burst(waves, freqs, stacked=stacked_fit)
         # Sub-window values per capture, other tones cancelled, phases
@@ -507,6 +520,7 @@ class CollisionCounter:
             observations=observations,
             dense_mode=dense_mode,
             n_captures=len(waves),
+            basis=per_capture[0][1],
         )
 
     def _phase_fingerprints(
@@ -549,34 +563,40 @@ class CollisionCounter:
         return rejected
 
     def _joint_refine(
-        self, wave: Waveform, freqs: np.ndarray, bin_hz: float
+        self, wave: Waveform, spectrum: Spectrum, freqs: np.ndarray, bin_hz: float
     ) -> np.ndarray:
-        """One coordinate-descent pass of neighbour-cancelled refinement."""
+        """One pass of neighbour-cancelled refinement.
+
+        Every tone with a close neighbour re-reads bins c-1, c, c+1 of
+        the capture's spectrum with the other fitted tones taken out:
+        tone ``j`` puts ``a_j exp(j w_j t0) D(w_j/fs - 2 pi c/N, N)`` into
+        bin ``c`` (:func:`~repro.dsp.spectrum.dirichlet_kernel`), so the
+        cancelled residual is never built or transformed.
+        """
         if freqs.size < 2:
             return freqs
-        # Only peaks with a close neighbour re-refine; the joint fit that
-        # feeds the cancellation is deferred until the first one, so
-        # well-separated scenes (most occupied rounds) skip the tone
-        # fit entirely.
-        amplitudes = probes = None
-        refined = freqs.copy()
+        # Only peaks with a close neighbour re-refine, so well-separated
+        # scenes (most occupied rounds) skip the tone fit entirely.
+        gaps = np.abs(freqs[:, None] - freqs[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        close = np.flatnonzero(gaps.min(axis=1) <= 6.0 * bin_hz)
+        if close.size == 0:
+            return freqs
+        amplitudes, _ = self._fit_tones(wave, freqs)
+        omega = 2.0 * np.pi * freqs
+        weights = np.tile(amplitudes * np.exp(1j * omega * wave.t0_s), (close.size, 1))
+        weights[np.arange(close.size), close] = 0.0  # a tone is not its own leakage
         n = wave.n_samples
-        for k in range(freqs.size):
-            # Only bother when a neighbour sits close enough to bias us.
-            gaps = np.abs(np.delete(freqs, k) - freqs[k])
-            if gaps.min() > 6.0 * bin_hz:
-                continue
-            if amplitudes is None:
-                amplitudes, probes = self._fit_tones(wave, freqs)
-            others = np.delete(np.arange(freqs.size), k)
-            residual = wave.samples - (amplitudes[others][:, None] * probes[others].conj()).sum(axis=0)
-            spectrum = np.fft.fft(residual)
-            self._work("fft_points", "refine", n)
-            centre = int(round(freqs[k] / bin_hz)) % n
-            offset = quinn_offset(
-                spectrum[centre - 1], spectrum[centre], spectrum[(centre + 1) % n]
-            )
-            refined[k] = (centre + float(offset)) * bin_hz
+        centres = np.array([int(round(f / bin_hz)) % n for f in freqs[close]])
+        taps = (centres[:, None] + np.array([-1, 0, 1])) % n  # (K, 3)
+        kernel = dirichlet_kernel(
+            omega[None, :, None] / wave.sample_rate_hz - 2.0 * np.pi * taps[:, None, :] / n, n
+        )  # (K, m, 3)
+        self._work("kernel_terms", "refine", 3 * (freqs.size - 1) * close.size)
+        residual = spectrum.values[taps] - (weights[:, None, :] @ kernel)[:, 0, :]
+        offsets = quinn_offset(residual[:, :1], residual[:, 1:2], residual[:, 2:])
+        refined = freqs.copy()
+        refined[close] = (centres + offsets) * bin_hz
         return refined
 
     def _merge_candidates(
@@ -596,59 +616,75 @@ class CollisionCounter:
 
     # -- tone model --------------------------------------------------------------
 
+    def _tone_basis(
+        self, wave: Waveform, freqs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(probes, gram)`` of the tone model on one capture's time base.
+
+        ``probes[k] = exp(-j w_k t)`` with ``w_k = 2 pi f_k`` (so
+        ``probes[k] * samples`` demodulates tone k) and the model is
+        ``samples ~= sum_k amplitudes[k] * conj(probes[k])``. The Gram
+        ``probes @ probes.conj().T`` is a Dirichlet kernel per tone pair,
+        ``exp(-j (w_j - w_k) t0) D(-(w_j - w_k)/fs, N)``: m^2 closed-form
+        terms instead of an m^2 N product.
+        """
+        probes = np.exp(-2j * np.pi * freqs[:, None] * wave.times()[None, :])
+        d_omega = _omega_differences(freqs)
+        gram = np.exp(-1j * d_omega * wave.t0_s) * dirichlet_kernel(
+            -d_omega / wave.sample_rate_hz, wave.n_samples
+        )
+        self._work("exp_samples", "fit", probes.size)
+        self._work("kernel_terms", "fit", gram.size)
+        return probes, gram
+
+    def _solve_tones(self, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Tone amplitudes from the m x m normal equations ``gram a = rhs``.
+
+        Candidates are merged when closer than ``merge_bins``, so the
+        Gram of resolved tones is well conditioned and ``np.linalg.solve``
+        gives what least squares on the N x m basis gives. Joint
+        refinement can still pull two tones onto one frequency, which
+        makes the Gram singular: they get the minimum-norm answer, an
+        equal share of the fitted amplitude each — what least squares on
+        the basis itself returns.
+        """
+        self._work("solve", "fit", 1)
+        coherence = np.abs(gram) / gram[0, 0].real
+        if np.count_nonzero(coherence > 1.0 - _GRAM_RCOND) > len(gram):
+            return np.linalg.lstsq(gram, rhs, rcond=_GRAM_RCOND)[0]
+        return np.linalg.solve(gram, rhs)
+
     def _fit_tones(
         self, wave: Waveform, freqs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Jointly fit complex amplitudes of all detected tones.
 
-        Returns (amplitudes, probes) where ``probes[k] = exp(-j2pi f_k t)``
-        (so ``probes[k] * samples`` demodulates tone k) and the model is
-        ``samples ~= sum_k amplitudes[k] * conj(probes[k])``.
+        Returns ``(amplitudes, probes)``; see :meth:`_tone_basis`.
         """
-        t = wave.times()
-        probes = np.exp(-2j * np.pi * freqs[:, None] * t[None, :])
-        basis = probes.conj().T  # (N, m)
-        amplitudes, *_ = np.linalg.lstsq(basis, wave.samples, rcond=None)
-        self._work("exp_samples", "fit", probes.size)
-        self._work("lstsq", "fit", 1)
-        return amplitudes, probes
+        probes, gram = self._tone_basis(wave, freqs)
+        return self._solve_tones(gram, probes @ wave.samples), probes
 
     def _fit_tones_burst(
         self, waves: list[Waveform], freqs: np.ndarray, stacked: bool = True
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """:meth:`_fit_tones` for a whole burst, one stacked solve.
+        """:meth:`_fit_tones` for a whole burst, one basis per time base.
 
-        Captures of one burst re-query the same static scene, so they
-        share the time base (length, rate, start offset) and therefore
-        the probe basis. Stacking their samples as the columns of a
-        single multi-RHS least squares replaces K ``lstsq`` calls (and
-        K basis constructions — the dominant cost, ``m*N`` complex
-        exponentials each) with one. Up to 25 tones LAPACK's ``gelsd``
-        solves multi-RHS columns through the same code path as a lone
-        RHS, so each capture's amplitudes are bit-identical to its own
-        per-capture solve; at 26+ columns the divide-and-conquer kernel
-        (SMLSIZ = 25) blocks the RHS application differently and drifts
-        by an ulp, so wider bases — and bursts whose captures start at
-        different times, or ``stacked=False``, the oracle — fall back
-        to the per-capture loop. (Length and rate agree across every
-        burst :meth:`count_multi` accepts.)
+        Captures of one burst re-query the same static scene, so when
+        they share the time base (length, rate, start offset) they share
+        the probe basis and its Gram — the dominant cost, ``m*N`` complex
+        exponentials — and only their own ``probes @ samples`` and
+        solve remain per capture. Each capture's amplitudes are those of
+        its own per-capture fit bit for bit (a multi-RHS product or
+        solve would block its columns differently). Bursts whose
+        captures start at different times, or ``stacked=False`` (the
+        oracle), fit each capture on its own basis. (Length and rate
+        agree across every burst :meth:`count_multi` accepts.)
         """
         first = waves[0]
-        if (
-            not stacked
-            or len(waves) == 1
-            or freqs.size > 25
-            or any(w.t0_s != first.t0_s for w in waves[1:])
-        ):
+        if not stacked or any(w.t0_s != first.t0_s for w in waves[1:]):
             return [self._fit_tones(w, freqs) for w in waves]
-        t = first.times()
-        probes = np.exp(-2j * np.pi * freqs[:, None] * t[None, :])
-        basis = probes.conj().T  # (N, m)
-        stacked = np.stack([w.samples for w in waves], axis=1)  # (N, K)
-        amplitudes, *_ = np.linalg.lstsq(basis, stacked, rcond=None)
-        self._work("exp_samples", "fit", probes.size)
-        self._work("lstsq", "fit", 1)
-        return [(amplitudes[:, k], probes) for k in range(len(waves))]
+        probes, gram = self._tone_basis(first, freqs)
+        return [(self._solve_tones(gram, probes @ w.samples), probes) for w in waves]
 
     def _aligned_subwindow_values(
         self,
@@ -660,26 +696,34 @@ class CollisionCounter:
 
         Per capture: ``X[k, q] = mean_q(samples * probes[k])`` minus every
         other tone's exactly-known leakage ``A_j * mean_q(conj(probes[j]) *
-        probes[k])``. Each capture's values are then rotated by the
-        conjugate phase of its own fitted amplitude so that a lone tag
-        lines up across captures despite its per-response random phase.
+        probes[k])``, which over a sub-window of ``L = N/Q`` samples
+        starting at ``t_q`` is ``exp(-j (w_k - w_j) t_q) D(-(w_k - w_j)/fs,
+        L) / L``. Each capture's values are then rotated by the conjugate
+        phase of its own fitted amplitude so that a lone tag lines up
+        across captures despite its per-response random phase.
         """
         q = self.n_subwindows
+        d_omega = _omega_differences(freqs)
         chunks = []
+        leak = leak_t0 = None
         for wave, (amplitudes, probes) in zip(waves, per_capture):
             n = wave.n_samples
             length = n // q
             usable = length * q
-            reshaped = probes[:, :usable].reshape(freqs.size, q, length)
             demod = (wave.samples[:usable] * probes[:, :usable]).reshape(
                 freqs.size, q, length
             )
             x = demod.mean(axis=2)  # (m, Q)
-            # G[k, j, q] = mean_q(probes[k] * conj(probes[j]))
-            leak = np.einsum("kqn,jqn->kjq", reshaped, reshaped.conj()) / length
-            x_cancelled = x - np.einsum("kjq,j->kq", leak, amplitudes)
-            # The k == j term removed its own amplitude; add it back.
-            x_cancelled = x_cancelled + amplitudes[:, None]
+            if leak is None or wave.t0_s != leak_t0:
+                # leak[k, q, j]: tone j's mean over sub-window q of tone k's
+                # demodulation; a tone's own term (j == k) is not leakage.
+                kernel = dirichlet_kernel(-d_omega / wave.sample_rate_hz, length) / length
+                np.fill_diagonal(kernel, 0.0)
+                starts = wave.t0_s + np.arange(q) * length / wave.sample_rate_hz
+                leak = np.exp(-1j * d_omega[:, None, :] * starts[None, :, None]) * kernel[:, None, :]
+                leak_t0 = wave.t0_s
+                self._work("kernel_terms", "align", leak.size)
+            x_cancelled = x - leak @ amplitudes
             phases = np.exp(-1j * np.angle(amplitudes))
             self._work("exp_samples", "align", phases.size)
             chunks.append(x_cancelled * phases[:, None])
@@ -791,3 +835,12 @@ def _stats(gamma: float, coherence: float, expected: float, dispersion: float) -
         "expected_single_coherence": float(expected),
         "magnitude_dispersion": float(dispersion),
     }
+
+
+def _omega_differences(freqs: np.ndarray) -> np.ndarray:
+    """``w_j - w_k`` for every tone pair, with ``w = 2 pi f`` rounded as
+    the probe basis rounds it (so a pair's Gram and leakage phases are
+    the basis's own)."""
+    omega = 2.0 * np.pi * freqs
+    return omega[:, None] - omega[None, :]
+

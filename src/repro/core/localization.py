@@ -18,7 +18,7 @@ import numpy as np
 
 from ..channel.antenna import AntennaPair, TriangleArray
 from ..channel.collision import ReceivedCollision
-from ..channel.geometry import RoadSegment, aoa_cone_conic, intersect_conics
+from ..channel.geometry import RoadSegment, aoa_cone_conic, intersect_conics, unit
 from ..constants import PAIR_USABLE_MAX_DEG, PAIR_USABLE_MIN_DEG, WAVELENGTH_M
 from ..errors import GeometryError, LocalizationError
 from ..utils import wrap_angle
@@ -105,11 +105,16 @@ class AoAEstimator:
         array: the reader's antenna triangle.
         wavelength_m: carrier wavelength.
         min_snr_db: spike detection threshold (forwarded to peak search).
+        obs: nullable observability hook (see :mod:`repro.obs`): counts
+            each :meth:`estimate_for_cfo` readout by where its probe came
+            from (``aoa.readout{probe=basis|built}``). Never affects the
+            estimate.
     """
 
     array: TriangleArray
     wavelength_m: float = WAVELENGTH_M
     min_snr_db: float = 15.0
+    obs: object = None
 
     def estimate_from_channels(
         self, cfo_hz: float, channels: np.ndarray
@@ -144,12 +149,23 @@ class AoAEstimator:
             channels=channels,
         )
 
-    def estimate_for_cfo(self, collision: ReceivedCollision, cfo_hz: float) -> AoAEstimate:
+    def estimate_for_cfo(
+        self,
+        collision: ReceivedCollision,
+        cfo_hz: float,
+        probe: np.ndarray | None = None,
+    ) -> AoAEstimate:
         """AoA of the tag whose spike sits at (or near) ``cfo_hz``.
 
         Reads the channel at each antenna, then forms the phase difference
         per pair. All three pairs are computed; the one nearest broadside
         is selected, emulating the antenna switch of Fig 6.
+
+        Args:
+            probe: ``exp(-j 2 pi cfo_hz t)`` on the first antenna's time
+                base, when the caller already holds it (the counter's fit
+                basis row, :attr:`~repro.core.counting.CountEstimate.basis`);
+                built here when omitted.
         """
         if collision.n_antennas < 3:
             raise LocalizationError(
@@ -157,15 +173,21 @@ class AoAEstimator:
             )
         waves = collision.antennas[:3]
         first = waves[0]
-        if all(
+        shared = all(
             wave.n_samples == first.n_samples
             and wave.sample_rate_hz == first.sample_rate_hz
             and wave.t0_s == first.t0_s
             for wave in waves[1:]
-        ):
+        )
+        if self.obs is not None:
+            self.obs.count(
+                "aoa.readout", probe="basis" if shared and probe is not None else "built"
+            )
+        if shared:
             # One time base: the three Eq 5 readouts share one probe,
             # term for term the one estimate_channel builds per antenna.
-            probe = np.exp(-2j * np.pi * cfo_hz * first.times())
+            if probe is None:
+                probe = np.exp(-2j * np.pi * cfo_hz * first.times())
             channels = np.array(
                 [2.0 * complex(np.mean(wave.samples * probe)) for wave in waves]
             )
@@ -324,6 +346,10 @@ class LaneProjectionLocalizer:
             candidate exceeding it on any baseline is a ghost (e.g. a tag
             that is really outside this reader's road segment) and is
             rejected rather than reported.
+        obs: nullable observability hook (see :mod:`repro.obs`): counts
+            the lane candidates :meth:`locate` scores, by whether the
+            phase gate kept them (``locate.candidates{outcome=kept|gated}``).
+            Never affects the fix.
     """
 
     road: RoadSegment
@@ -331,6 +357,7 @@ class LaneProjectionLocalizer:
     tag_height_m: float = 1.0
     road_margin_m: float = 1.5
     max_phase_error_deg: float = 15.0
+    obs: object = None
 
     def locate(
         self,
@@ -390,48 +417,68 @@ class LaneProjectionLocalizer:
                 point = np.array([apex[0] + x_rel, lane_y])
                 if self.road.contains(point, margin_m=self.road_margin_m):
                     candidates.append(point)
-        pairs = estimator.array.pairs()
-        self_wl = estimator.wavelength_m
-
-        def phase_errors_rad(point_xy: np.ndarray) -> np.ndarray:
-            p = np.array([point_xy[0], point_xy[1], z])
-            # Wrap each difference into (-pi, pi]: near end-fire the true
-            # phase sits next to +-pi and noise can flip the measured
-            # sign — a tiny physical error that would otherwise read ~2pi.
-            return np.array(
-                [
-                    abs(
-                        float(
-                            wrap_angle(
-                                phase_from_aoa(alpha, pair_k.spacing_m, self_wl)
-                                - phase_from_aoa(
-                                    pair_k.true_spatial_angle_rad(p),
-                                    pair_k.spacing_m,
-                                    self_wl,
-                                )
-                            )
-                        )
-                    )
-                    for alpha, pair_k in zip(estimate.alphas_rad, pairs)
-                ]
-            )
-
         # A real tag matches all three measured baselines to within phase
         # noise; a ghost (wrong lane, or a tag outside this road segment
         # whose cone happens to graze it) only matches the selected one.
         ceiling = float(np.deg2rad(self.max_phase_error_deg))
-        scored = [(p, phase_errors_rad(p)) for p in candidates]
-        scored = [(p, errors) for p, errors in scored if errors.max() <= ceiling]
-        if not scored:
+        points = np.array(candidates, dtype=np.float64).reshape(-1, 2)
+        errors = self._phase_errors_rad(points, z, estimate, estimator)
+        kept = errors.max(axis=1) <= ceiling
+        n_kept = int(np.count_nonzero(kept))
+        if self.obs is not None:
+            if n_kept:
+                self.obs.count("locate.candidates", n_kept, outcome="kept")
+            if n_kept < kept.size:
+                self.obs.count("locate.candidates", kept.size - n_kept, outcome="gated")
+        if not n_kept:
             raise GeometryError(
                 f"AoA cone (alpha={estimate.alpha_deg:.1f} deg) intersects "
                 f"no lane of {self.lane_ys_m} on the road consistently "
                 f"with all baselines"
             )
+        points, errors = points[kept], errors[kept]
         if hint_xy is not None:
-            hint = np.asarray(hint_xy, dtype=np.float64)
-            return min(
-                (p for p, _ in scored),
-                key=lambda p: float(np.linalg.norm(p - hint)),
-            )
-        return min(scored, key=lambda item: float(np.sum(item[1] ** 2)))[0]
+            delta = points - np.asarray(hint_xy, dtype=np.float64)
+            # Stacked 1x2 @ 2x1 products are the dot np.linalg.norm takes.
+            score = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+        else:
+            score = np.sum(errors**2, axis=1)
+        return points[int(np.argmin(score))].copy()
+
+    @staticmethod
+    def _phase_errors_rad(
+        points: np.ndarray, z: float, estimate: AoAEstimate, estimator: AoAEstimator
+    ) -> np.ndarray:
+        """(C, 3) wrapped phase error of each candidate on each baseline.
+
+        The phase a tag at the candidate would produce on a baseline,
+        ``phase_from_aoa`` of its true spatial angle, against the measured
+        one. One array expression over every candidate and baseline,
+        equal bit for bit to scoring them one at a time: the norms and
+        direction cosines are stacked ``1x3 @ 3x1`` products, the same
+        BLAS dot ``np.linalg.norm`` and ``np.dot`` of a 3-vector take (a
+        row sum or ``einsum`` rounds differently).
+        """
+        pairs = estimator.array.pairs()
+        wavelength_m = estimator.wavelength_m
+        tags = np.column_stack([points, np.full(len(points), z)])
+        directions = tags[:, None, :] - np.array([pair.midpoint_m for pair in pairs])
+        norms = np.sqrt((directions[..., None, :] @ directions[..., :, None])[..., 0, 0])
+        if np.any(norms == 0.0):
+            raise GeometryError("cannot normalize the zero vector")
+        axes = np.array([unit(pair.axis) for pair in pairs])
+        cosines = (
+            (directions / norms[..., None])[..., None, :] @ axes[None, :, :, None]
+        )[..., 0, 0]
+        true_alphas = np.arccos(np.clip(cosines, -1.0, 1.0))
+        gains = np.array([2.0 * np.pi * pair.spacing_m / wavelength_m for pair in pairs])
+        measured = np.array(
+            [
+                phase_from_aoa(alpha, pair.spacing_m, wavelength_m)
+                for alpha, pair in zip(estimate.alphas_rad, pairs)
+            ]
+        )
+        # Wrap each difference into (-pi, pi]: near end-fire the true
+        # phase sits next to +-pi and noise can flip the measured sign —
+        # a tiny physical error that would otherwise read ~2pi.
+        return np.abs(wrap_angle(measured - gains * np.cos(true_alphas)))

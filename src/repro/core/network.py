@@ -39,6 +39,7 @@ Example::
 from __future__ import annotations
 
 import bisect
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,7 @@ from .decoding import DecodeResult, validate_combining, validate_opportunistic
 from .reader import ReaderReport
 
 __all__ = [
+    "FixHints",
     "IdentityCache",
     "ReaderStation",
     "StationReport",
@@ -312,8 +314,48 @@ def decode_aoa(station, decode_results: dict | None, cfo: float):
         return None
 
 
+class FixHints:
+    """The last-fix hint rule every station follows.
+
+    A station keeps each tag's latest fix in ``_last_fixes`` (tag id ->
+    ``(fix, time)``, oldest record first) and hints the tag's next
+    localization with it. Fixes older than :data:`HINT_HORIZON_S` are
+    neither used nor kept.
+    """
+
+    _last_fixes: OrderedDict[int, tuple[np.ndarray, float]]
+
+    def recall_fix(self, tag_id: int, now_s: float) -> np.ndarray | None:
+        """The tag's last fix, if recent enough to serve as a hint."""
+        entry = self._last_fixes.get(tag_id)
+        if entry is None or now_s - entry[1] > HINT_HORIZON_S:
+            return None
+        return entry[0]
+
+    def record_fix(self, tag_id: int, fix: np.ndarray, now_s: float) -> None:
+        """Remember a fix for hinting the tag's next localization."""
+        self._last_fixes[tag_id] = (np.asarray(fix, dtype=np.float64), now_s)
+        self._last_fixes.move_to_end(tag_id)
+
+    def prune_fixes(self, now_s: float) -> int:
+        """Forget fixes past the hint horizon; returns how many.
+
+        A station records its rounds in time order, so the stale fixes
+        are the oldest records: the scan stops at the first fresh one,
+        and costs what it forgets, not what it keeps.
+        """
+        forgotten = 0
+        while self._last_fixes:
+            _, seen_s = next(iter(self._last_fixes.values()))
+            if now_s - seen_s <= HINT_HORIZON_S:
+                break
+            self._last_fixes.popitem(last=False)
+            forgotten += 1
+        return forgotten
+
+
 @dataclass
-class ReaderStation:
+class ReaderStation(FixHints):
     """One pole of the network: reader + collision stream + localizer.
 
     Attributes:
@@ -333,8 +375,7 @@ class ReaderStation:
             None disables positioning (and therefore observations).
         identities: per-station CFO -> account-id cache.
 
-    Last-fix hints older than :data:`HINT_HORIZON_S` are neither used nor
-    kept.
+    Last-fix hints follow :class:`FixHints`.
     """
 
     name: str
@@ -344,35 +385,13 @@ class ReaderStation:
     opportunistic: str = "accept"
     localizer: object | None = None
     identities: IdentityCache = field(default_factory=IdentityCache)
-    _last_fixes: dict[int, tuple[np.ndarray, float]] = field(
-        default_factory=dict, repr=False
+    _last_fixes: OrderedDict[int, tuple[np.ndarray, float]] = field(
+        default_factory=OrderedDict, repr=False
     )
 
     def __post_init__(self) -> None:
         validate_combining(self.combining)
         validate_opportunistic(self.opportunistic)
-
-    def recall_fix(self, tag_id: int, now_s: float) -> np.ndarray | None:
-        """The tag's last fix, if recent enough to serve as a hint."""
-        entry = self._last_fixes.get(tag_id)
-        if entry is None or now_s - entry[1] > HINT_HORIZON_S:
-            return None
-        return entry[0]
-
-    def record_fix(self, tag_id: int, fix: np.ndarray, now_s: float) -> None:
-        """Remember a fix for hinting the tag's next localization."""
-        self._last_fixes[tag_id] = (np.asarray(fix, dtype=np.float64), now_s)
-
-    def prune_fixes(self, now_s: float) -> int:
-        """Forget fixes past the hint horizon; returns how many."""
-        stale = [
-            tag_id
-            for tag_id, (_, seen_s) in self._last_fixes.items()
-            if now_s - seen_s > HINT_HORIZON_S
-        ]
-        for tag_id in stale:
-            del self._last_fixes[tag_id]
-        return len(stale)
 
 
 @dataclass

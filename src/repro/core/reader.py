@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
 from ..channel.collision import ReceivedCollision
 from ..constants import QUERY_PERIOD_S
-from .counting import CollisionCounter, CountEstimate
+from .counting import BinClass, CollisionCounter, CountEstimate
 from .decoding import CoherentDecoder, DecodeResult, DecodeSession
 from .localization import AoAEstimate, AoAEstimator, ReaderGeometry
 
@@ -80,13 +79,23 @@ class CaraokeReader:
         """Count + localize in one pass, sharing the spike detection.
 
         The count's accepted spikes seed the AoA measurements, mirroring
-        the hardware pipeline (one sFFT pass feeds everything, §10).
+        the hardware pipeline (one sFFT pass feeds everything, §10): each
+        spike's row of the counter's final fit basis is the Eq 5 probe
+        its AoA readout needs, so no exponential is built twice.
         """
         estimate = self.count(collision)
+        basis, estimate.basis = estimate.basis, None
         aoas = []
         if collision.n_antennas >= 3:
-            for cfo in estimate.cfos_hz():
-                aoas.append(self.estimator.estimate_for_cfo(collision, float(cfo)))
+            accepted = sorted(
+                (o.cfo_hz, k)
+                for k, o in enumerate(estimate.observations)
+                if o.label is not BinClass.REJECTED
+            )
+            for cfo, k in accepted:
+                aoas.append(
+                    self.estimator.estimate_for_cfo(collision, cfo, probe=basis[k])
+                )
         return ReaderReport(
             timestamp_s=collision.t0_s if timestamp_s is None else timestamp_s,
             count=estimate,

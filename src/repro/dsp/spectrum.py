@@ -8,7 +8,10 @@ is half the tag's channel (Eq 5). Resolution is set by the window length
 Two access patterns are provided: a full :class:`Spectrum` (peak *search*)
 and :func:`single_bin_dft`, an exact DFT at one arbitrary — not necessarily
 bin-centered — frequency (channel readout, the §5 time-shift test, and CFO
-refinement all probe single known frequencies).
+refinement all probe single known frequencies). :func:`dirichlet_kernel`
+is the closed form of every product of two such probes: the sum of one
+tone demodulated at another's frequency over a window is a geometric
+series.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from ..errors import SpectrumError
 from ..phy.waveform import Waveform
 
-__all__ = ["Spectrum", "fft_spectrum", "single_bin_dft"]
+__all__ = ["Spectrum", "dirichlet_kernel", "fft_spectrum", "single_bin_dft"]
 
 _WINDOWS = {
     "rect": lambda n: np.ones(n),
@@ -148,3 +151,23 @@ def single_bin_dft(
     t = segment.times() if absolute_time else np.arange(segment.n_samples) / wave.sample_rate_hz
     probe = np.exp(-2j * np.pi * freq_hz * t)
     return complex(np.mean(segment.samples * probe))
+
+
+def dirichlet_kernel(phi_rad, length: int) -> np.ndarray:
+    """``D(phi, L) = sum_{n<L} exp(j phi n)`` in closed form, elementwise.
+
+    The geometric series is ``exp(j phi (L-1)/2) sin(phi L/2) / sin(phi/2)``,
+    and ``L`` where ``phi`` is a multiple of 2 pi. With sample times
+    ``t_n = t0 + n/fs``, two unit tones at ``f_j`` and ``f_k`` correlate
+    over ``L`` samples as ``exp(j 2 pi (f_j - f_k) t0) D(2 pi (f_j - f_k)/fs,
+    L)`` — the Gram of a tone basis, the leakage between tones in a
+    sub-window, or a tone's value in one FFT bin, without touching a
+    sample.
+    """
+    phi = np.asarray(phi_rad, dtype=np.float64)
+    # D is 2 pi-periodic in phi: reduce to [-pi, pi] so the ratio's
+    # removable singularity sits at phi == 0 alone.
+    half = (phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi))) / 2.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(half == 0.0, float(length), np.sin(half * length) / np.sin(half))
+    return np.exp(1j * half * (length - 1)) * ratio

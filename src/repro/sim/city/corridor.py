@@ -58,6 +58,7 @@ from :meth:`AirLog.corrupted_responses` cover the response side.
 from __future__ import annotations
 
 import bisect
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,7 @@ from ...constants import (
 )
 from ...core.decoding import validate_combining, validate_opportunistic
 from ...core.mac import ReaderMac
-from ...core.network import IdentityCache, decode_aoa, resolve_cached_ids
+from ...core.network import FixHints, IdentityCache, decode_aoa, resolve_cached_ids
 from ...errors import CaraokeError, ConfigurationError
 from ...utils import as_rng
 from ..events import EventScheduler
@@ -108,7 +109,7 @@ def _tag_observation():
 
 
 @dataclass
-class CorridorStation:
+class CorridorStation(FixHints):
     """One pole of the corridor: reader + front-end + cell + cache.
 
     Attributes:
@@ -129,6 +130,9 @@ class CorridorStation:
             this station's decode sessions as free evidence) or
             ``"ignore"`` (never harvest — bit-for-bit the pool-less
             corridor numerics, the ablation baseline).
+
+    Last-fix hints follow :class:`~repro.core.network.FixHints`, the
+    rule :class:`~repro.core.network.ReaderStation` follows too.
     """
 
     name: str
@@ -165,7 +169,9 @@ class CorridorStation:
     #: receiver was busy, and coincident triggers already merged into the
     #: own capture.
     _own_windows: list[tuple[float, float]] = field(default_factory=list, repr=False)
-    _hints: dict[int, tuple[np.ndarray, float]] = field(default_factory=dict, repr=False)
+    _last_fixes: OrderedDict[int, tuple[np.ndarray, float]] = field(
+        default_factory=OrderedDict, repr=False
+    )
 
     def __post_init__(self) -> None:
         validate_combining(self.combining)
@@ -174,6 +180,14 @@ class CorridorStation:
     @property
     def pole_position_m(self) -> np.ndarray:
         return self.source.pole_position_m
+
+    def observed_parts(self) -> list:
+        """Components with a nullable ``obs`` hook: the MAC, the counter,
+        the AoA estimator and the localizer (when there is one)."""
+        parts = [self.mac, self.reader.counter, self.reader.estimator]
+        if self.localizer is not None:
+            parts.append(self.localizer)
+        return parts
 
     def neighbors(self) -> list["CorridorStation"]:
         """Upstream first: traffic flows +x, so the usual donor is the
@@ -454,10 +468,10 @@ class CityCorridor:
         }
         if obs is not None:
             for station in self.stations:
-                if station.mac.obs is None:
-                    station.mac.obs = self._station_obs[station.name]
-                if station.reader.counter.obs is None:
-                    station.reader.counter.obs = self._station_obs[station.name]
+                sobs = self._station_obs[station.name]
+                for part in station.observed_parts():
+                    if part.obs is None:
+                        part.obs = sobs
         # Sensing lookback must cover a whole synchronous decode burst:
         # burst queries sense up to max_queries periods past the event
         # clock, and later events still need everything in that window.
@@ -1012,10 +1026,10 @@ class CityCorridor:
             # this round produced one (§7 speed runs on repeated
             # localization), the pole's own position otherwise.
             for cfo, tag_id in sorted(ids.items()):
-                hint = station._hints.get(tag_id)
-                localized = hint is not None and hint[1] == t_query
+                fix = station._last_fixes.get(tag_id)
+                localized = fix is not None and fix[1] == t_query
                 if localized:
-                    x_m = float(hint[0][0])
+                    x_m = float(fix[0][0])
                 else:
                     x_m = float(station.pole_position_m[0])
                 kind, n_queries = kinds.get(cfo, (OWN_HIT, 0))
@@ -1318,6 +1332,7 @@ class CityCorridor:
         t_query: float,
         decode_results: dict | None = None,
     ) -> None:
+        station.prune_fixes(t_query)
         if station.localizer is None or not ids:
             return
         observation_cls = _tag_observation()
@@ -1331,16 +1346,15 @@ class CityCorridor:
                 estimate = decode_aoa(station, decode_results, cfo)
             if estimate is None or not estimate.in_usable_band():
                 continue
-            hint = station._hints.get(tag_id)
             try:
                 fix = station.localizer.locate(
                     estimate,
                     station.reader.estimator,
-                    hint_xy=None if hint is None else hint[0],
+                    hint_xy=station.recall_fix(tag_id, t_query),
                 )
             except CaraokeError:
                 continue
-            station._hints[tag_id] = (fix, t_query)
+            station.record_fix(tag_id, fix, t_query)
             observation = observation_cls(
                 tag_id=tag_id,
                 position_m=fix,

@@ -285,8 +285,8 @@ class _ShardGroup:
             for station in corridor.stations:
                 station.source.rng = rng
                 station.source.bank.rng = rng
-                station.mac.obs = corridor._station_obs[station.name]
-                station.reader.counter.obs = corridor._station_obs[station.name]
+                for part in station.observed_parts():
+                    part.obs = corridor._station_obs[station.name]
                 self._stations[station.name] = station
             corridor.prime(self.scheduler, duration_s)
 

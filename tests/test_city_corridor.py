@@ -285,3 +285,52 @@ class TestCityCorridorRun:
         assert finder.known_tags()
         fix = finder.locate(finder.known_tags()[0])
         assert fix.station is not None and fix.cell is not None
+
+
+class TestFixHints:
+    """Corridor stations follow the one last-fix hint rule
+    (``repro.core.network.FixHints``): a fix older than
+    ``HINT_HORIZON_S`` is neither used nor kept."""
+
+    class SpyLocalizer:
+        """Records the hint each ``locate`` call gets; fixes every tag at
+        the origin."""
+
+        def __init__(self):
+            self.hints = []
+
+        def locate(self, estimate, estimator, hint_xy=None):
+            self.hints.append(None if hint_xy is None else tuple(hint_xy))
+            return np.array([0.0, -1.75])
+
+    def emit(self, hint_age_s, t_query=400.0, tag_id=7, cfo_hz=250e3):
+        from types import SimpleNamespace
+
+        from repro.core.localization import AoAEstimate
+
+        corridor = small_corridor(seed=17)
+        station = corridor.stations[0]
+        station.localizer = self.SpyLocalizer()
+        station.record_fix(99, np.array([5.0, -5.25]), t_query - 400.0)
+        station.record_fix(tag_id, np.array([12.0, -5.25]), t_query - hint_age_s)
+        broadside = AoAEstimate(cfo_hz=cfo_hz, alphas_rad=(1.4, 1.6, 1.5), best_pair_index=2)
+        report = SimpleNamespace(aoas=[broadside])
+        corridor._emit_observations(station, report, {cfo_hz: tag_id}, t_query)
+        return corridor, station
+
+    def test_hint_past_the_horizon_is_neither_used_nor_kept(self):
+        from repro.core.network import HINT_HORIZON_S
+
+        assert HINT_HORIZON_S == 300.0
+        corridor, station = self.emit(hint_age_s=301.0)
+        assert station.localizer.hints == [None]
+        # Both stale fixes are gone; the round's own fix replaced one.
+        assert list(station._last_fixes) == [7]
+        fix, seen_s = station._last_fixes[7]
+        assert seen_s == 400.0 and fix.tolist() == [0.0, -1.75]
+        assert len(corridor.observations) == 1
+
+    def test_hint_within_the_horizon_is_used(self):
+        _, station = self.emit(hint_age_s=299.0)
+        assert station.localizer.hints == [(12.0, -5.25)]
+        assert list(station._last_fixes) == [7]  # tag 99's 400 s fix pruned

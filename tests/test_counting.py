@@ -11,6 +11,7 @@ from repro.channel.noise import thermal_noise_power_w
 from repro.channel.propagation import LosChannel
 from repro.core.counting import BinClass, CollisionCounter, CountEstimate
 from repro.dsp.peaks import quinn_offset
+from repro.dsp.spectrum import fft_spectrum
 from repro.errors import ConfigurationError
 from repro.obs import Obs
 from repro.phy.waveform import Waveform
@@ -344,13 +345,19 @@ class TestWorkCounters:
         m = len(estimate.observations)
         work = obs.metrics
         assert work.counter("count.work", kind="fft_points", stage="detect") == 2048
-        # The close pair re-refines: one residual FFT per tone of it.
-        assert work.counter("count.work", kind="fft_points", stage="refine") == 2 * 2048
+        # The close pair re-refines: three cancelled bins per tone of it,
+        # each the other m - 1 tones' closed-form leakage; no residual FFT.
+        assert work.counter("count.work", kind="fft_points", stage="refine") == 0
+        assert work.counter("count.work", kind="kernel_terms", stage="refine") == 2 * 3 * (m - 1)
         # Refinement itself builds no complex exponentials.
         assert work.counter("count.work", kind="exp_samples", stage="refine") == 0
-        # Cancellation fit for the joint pass, then the final fit.
+        # Cancellation fit for the joint pass, then the final fit: one
+        # basis, one m x m Gram and one m x m solve each.
         assert work.counter("count.work", kind="exp_samples", stage="fit") == 2 * m * 2048
-        assert work.counter("count.work", kind="lstsq", stage="fit") == 2
+        assert work.counter("count.work", kind="kernel_terms", stage="fit") == 2 * m * m
+        assert work.counter("count.work", kind="solve", stage="fit") == 2
+        assert work.counter("count.work", kind="lstsq", stage="fit") == 0
+        assert work.counter("count.work", kind="kernel_terms", stage="align") == m * m * 8
         assert work.counter("count.work", kind="exp_samples", stage="align") == m
 
     def test_stacked_burst_fits_once(self):
@@ -362,6 +369,163 @@ class TestWorkCounters:
         work = obs.metrics
         assert work.counter("count.work", kind="fft_points", stage="detect") == 3 * 2048
         assert work.counter("count.work", kind="fft_points", stage="refine") == 0
+        # One shared basis, Gram and leakage; one solve per capture.
         assert work.counter("count.work", kind="exp_samples", stage="fit") == m * 2048
-        assert work.counter("count.work", kind="lstsq", stage="fit") == 1
+        assert work.counter("count.work", kind="kernel_terms", stage="fit") == m * m
+        assert work.counter("count.work", kind="solve", stage="fit") == 3
+        assert work.counter("count.work", kind="kernel_terms", stage="align") == m * m * 8
         assert work.counter("count.work", kind="exp_samples", stage="align") == 3 * m
+
+
+def _tone_scene(rng, m, t0_s, n_captures=1):
+    """``m`` random tones — one pair 0.6-3 bins apart — in complex noise,
+    on ``n_captures`` 2048-sample captures sharing one time base, with
+    fresh amplitudes per capture (a burst re-randomizes phases)."""
+    bin_hz = FS / 2048
+    freqs = np.sort(rng.uniform(2e3, 1.2e6, m))
+    if m >= 2:
+        freqs[1] = freqs[0] + rng.uniform(0.6, 3.0) * bin_hz
+    freqs = np.sort(freqs)
+    t = t0_s + np.arange(2048) / FS
+    waves = []
+    for _ in range(n_captures):
+        amps = rng.normal(size=m) + 1j * rng.normal(size=m)
+        samples = (amps[:, None] * np.exp(2j * np.pi * freqs[:, None] * t)).sum(axis=0)
+        samples = samples + 0.3 * (rng.normal(size=2048) + 1j * rng.normal(size=2048))
+        waves.append(Waveform(samples, FS, t0_s))
+    return freqs, waves
+
+
+def _rel_err(got, want):
+    return float(np.abs(np.asarray(got) - np.asarray(want)).max() / np.abs(want).max())
+
+
+def _einsum_aligned_values(counter, waves, freqs, per_capture):
+    """Reference: the sub-window leakage as an m^2 N ``einsum`` over the
+    probe rows, as the counter computed it before the closed form."""
+    q = counter.n_subwindows
+    chunks = []
+    for wave, (amplitudes, probes) in zip(waves, per_capture):
+        length = wave.n_samples // q
+        usable = length * q
+        reshaped = probes[:, :usable].reshape(freqs.size, q, length)
+        demod = (wave.samples[:usable] * probes[:, :usable]).reshape(freqs.size, q, length)
+        x = demod.mean(axis=2)
+        leak = np.einsum("kqn,jqn->kjq", reshaped, reshaped.conj()) / length
+        x_cancelled = x - np.einsum("kjq,j->kq", leak, amplitudes) + amplitudes[:, None]
+        chunks.append(x_cancelled * np.exp(-1j * np.angle(amplitudes))[:, None])
+    return np.concatenate(chunks, axis=1)
+
+
+class TestClosedFormToneAlgebra:
+    """Every tone-pair product the counter needs is a Dirichlet kernel;
+    each closed form must match the brute-force product it replaces
+    within 1e-8 relative. Clocks up to 0.5 s keep the brute force's own
+    per-sample phase rounding (~ulp of ``2 pi f t``) below that."""
+
+    TOL = 1e-8
+    CLOCKS_S = (0.0, 1.5e-3, 0.5)
+
+    def scenes(self, n=30, n_captures=1, seed=11):
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            m = int(rng.integers(2, 36))
+            yield _tone_scene(rng, m, self.CLOCKS_S[i % 3], n_captures)
+
+    def test_gram_matches_probe_products(self):
+        counter = CollisionCounter()
+        for freqs, (wave,) in self.scenes():
+            probes, gram = counter._tone_basis(wave, freqs)
+            assert _rel_err(gram, probes @ probes.conj().T) < self.TOL
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble"
+    )
+    def test_gram_exact_on_a_long_clock(self):
+        """At a 90 s world clock the basis's own phases carry ~1e-8 rad
+        of rounding, so the brute-force Gram drifts; the closed form
+        tracks an extended-precision product of the same tones."""
+        counter = CollisionCounter()
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            freqs, (wave,) = _tone_scene(rng, 12, 89.9)
+            _, gram = counter._tone_basis(wave, freqs)
+            omega = (2.0 * np.pi * freqs).astype(np.longdouble)
+            t = np.longdouble(89.9) + np.arange(2048, dtype=np.longdouble) / np.longdouble(FS)
+            exact = np.exp(-1j * omega[:, None] * t[None, :])
+            assert _rel_err(gram, exact @ exact.conj().T) < 1e-9
+
+    def test_leakage_matches_einsum(self):
+        counter = CollisionCounter()
+        for freqs, waves in self.scenes(n=12, n_captures=2):
+            per_capture = counter._fit_tones_burst(waves, freqs)
+            got = counter._aligned_subwindow_values(waves, freqs, per_capture)
+            want = _einsum_aligned_values(counter, waves, freqs, per_capture)
+            assert _rel_err(got, want) < self.TOL
+
+    def test_residual_bins_match_fft_of_built_residual(self, monkeypatch):
+        import repro.core.counting as counting
+
+        seen = []
+
+        def recording_quinn(left, centre, right):
+            # One call, one row of (c-1, c, c+1) bins per re-refined tone.
+            seen.extend(np.concatenate([left, centre, right], axis=-1))
+            return quinn_offset(left, centre, right)
+
+        monkeypatch.setattr(counting, "quinn_offset", recording_quinn)
+        counter = CollisionCounter()
+        n, bin_hz = 2048, FS / 2048
+        checked = 0
+        for freqs, (wave,) in self.scenes():
+            seen.clear()
+            counter._joint_refine(wave, fft_spectrum(wave), freqs, bin_hz)
+            amplitudes, probes = counter._fit_tones(wave, freqs)
+            close = [
+                k for k in range(freqs.size)
+                if np.abs(np.delete(freqs, k) - freqs[k]).min() <= 6.0 * bin_hz
+            ]
+            assert len(seen) == len(close) >= 2
+            for bins, k in zip(seen, close):
+                others = np.delete(np.arange(freqs.size), k)
+                residual = wave.samples - (amplitudes[others][:, None] * probes[others].conj()).sum(axis=0)
+                centre = int(round(freqs[k] / bin_hz)) % n
+                want = np.fft.fft(residual)[np.array([centre - 1, centre, centre + 1]) % n]
+                assert _rel_err(bins, want) < self.TOL
+                checked += 1
+        assert checked >= 60
+
+    def test_fit_matches_lstsq_one_capture(self):
+        counter = CollisionCounter()
+        for freqs, (wave,) in self.scenes():
+            amplitudes, probes = counter._fit_tones(wave, freqs)
+            want, *_ = np.linalg.lstsq(probes.conj().T, wave.samples, rcond=None)
+            assert _rel_err(amplitudes, want) < self.TOL
+
+    def test_fit_matches_lstsq_shared_clock_burst(self):
+        counter = CollisionCounter()
+        for freqs, waves in self.scenes(n=12, n_captures=3):
+            fits = counter._fit_tones_burst(waves, freqs)
+            assert all(probes is fits[0][1] for _, probes in fits)
+            for wave, (amplitudes, probes) in zip(waves, fits):
+                want, *_ = np.linalg.lstsq(probes.conj().T, wave.samples, rcond=None)
+                assert _rel_err(amplitudes, want) < self.TOL
+
+    def test_coincident_tones_get_the_min_norm_answer(self):
+        """Two tones refined onto one frequency leave the Gram singular:
+        the fit splits their amplitude evenly, as least squares on the
+        basis does, with no exception and no numpy warning."""
+        counter = CollisionCounter()
+        rng = np.random.default_rng(9)
+        for t0_s in self.CLOCKS_S:
+            freqs, (wave,) = _tone_scene(rng, 6, t0_s)
+            freqs = np.sort(np.append(freqs, freqs[3]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                amplitudes, probes = counter._fit_tones(wave, freqs)
+            want, *_ = np.linalg.lstsq(probes.conj().T, wave.samples, rcond=None)
+            assert np.all(np.isfinite(amplitudes))
+            assert _rel_err(amplitudes, want) < self.TOL
+            twins = np.flatnonzero(freqs == freqs[3])
+            assert twins.size == 2
+            assert abs(amplitudes[twins[0]] - amplitudes[twins[1]]) < 1e-9 * abs(amplitudes[twins[0]])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.constants import WAVELENGTH_M
 from repro.core.localization import (
+    AoAEstimate,
     AoAEstimator,
     ReaderGeometry,
     TwoReaderLocalizer,
@@ -184,3 +185,136 @@ class TestReaderGeometry:
         geometry = ReaderGeometry(arrays[0], road)
         assert geometry.pole_height_m == pytest.approx(arrays[0].center_m[2])
         assert np.allclose(geometry.pole_position_m, arrays[0].center_m)
+
+
+def _scalar_lane_locate(localizer, estimate, estimator, hint_xy=None):
+    """Reference: ``LaneProjectionLocalizer.locate`` scoring one candidate
+    and one baseline at a time, as the lane localizer first shipped."""
+    from repro.channel.geometry import spatial_angle_rad
+    from repro.utils import wrap_angle
+
+    pair = estimator.best_pair(estimate)
+    apex = pair.midpoint_m
+    axis = pair.axis
+    cos_a = float(np.cos(estimate.alpha_rad))
+    z = localizer.road.z_m + localizer.tag_height_m
+    candidates = []
+    for lane_y in localizer.lane_ys_m:
+        dy = lane_y - apex[1]
+        dz = z - apex[2]
+        c1 = axis[1] * dy + axis[2] * dz
+        c2 = dy * dy + dz * dz
+        a = axis[0] ** 2 - cos_a**2
+        b = 2.0 * axis[0] * c1
+        c = c1 * c1 - c2 * cos_a**2
+        if abs(a) < 1e-12:
+            if abs(b) < 1e-12:
+                continue
+            roots = [-c / b]
+        else:
+            disc = b * b - 4.0 * a * c
+            if disc < 0:
+                continue
+            sq = float(np.sqrt(disc))
+            roots = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
+        for x_rel in roots:
+            along = axis[0] * x_rel + c1
+            if cos_a * along < -1e-9:
+                continue
+            point = np.array([apex[0] + x_rel, lane_y])
+            if localizer.road.contains(point, margin_m=localizer.road_margin_m):
+                candidates.append(point)
+    pairs = estimator.array.pairs()
+    wl = estimator.wavelength_m
+
+    def phase_errors_rad(point_xy):
+        p = np.array([point_xy[0], point_xy[1], z])
+        return np.array(
+            [
+                abs(
+                    float(
+                        wrap_angle(
+                            phase_from_aoa(alpha, pair_k.spacing_m, wl)
+                            - phase_from_aoa(
+                                spatial_angle_rad(p - pair_k.midpoint_m, pair_k.axis),
+                                pair_k.spacing_m,
+                                wl,
+                            )
+                        )
+                    )
+                )
+                for alpha, pair_k in zip(estimate.alphas_rad, pairs)
+            ]
+        )
+
+    ceiling = float(np.deg2rad(localizer.max_phase_error_deg))
+    scored = [(p, phase_errors_rad(p)) for p in candidates]
+    all_scored = list(scored)
+    scored = [(p, errors) for p, errors in scored if errors.max() <= ceiling]
+    if not scored:
+        return None, all_scored
+    if hint_xy is not None:
+        hint = np.asarray(hint_xy, dtype=np.float64)
+        return min((p for p, _ in scored), key=lambda p: float(np.linalg.norm(p - hint))), all_scored
+    return min(scored, key=lambda item: float(np.sum(item[1] ** 2)))[0], all_scored
+
+
+class TestLaneScoringArrayForm:
+    """``LaneProjectionLocalizer.locate`` scores every lane root against
+    all three baselines in one array expression; it must return the
+    scalar scorer's fix bit for bit."""
+
+    def _station(self):
+        from repro.channel.geometry import RoadSegment
+        from repro.core.localization import LaneProjectionLocalizer
+        from repro.sim.scenario import corridor_scene
+
+        scene = corridor_scene(pole_xs_m=[0.0], lane_ys_m=[-1.75, -5.25], cars=[(0.0, 0)], rng=3)
+        estimator = AoAEstimator(scene.arrays[0])
+        road = RoadSegment(x_min_m=-40.0, x_max_m=60.0, y_center_m=-3.5, width_m=7.0)
+        localizer = LaneProjectionLocalizer(road=road, lane_ys_m=(-1.75, -5.25, -8.75))
+        return estimator, localizer
+
+    def test_array_form_equals_scalar_scorer(self):
+        from repro.obs import Obs
+
+        estimator, localizer = self._station()
+        localizer.obs = Obs()
+        pairs = estimator.array.pairs()
+        rng = np.random.default_rng(8)
+        fixes = ghosts = wraps = hinted = 0
+        for trial in range(600):
+            truth = np.array([rng.uniform(-45.0, 65.0), rng.uniform(-10.0, 0.0), 1.0])
+            phases = [phase_from_aoa(p.true_spatial_angle_rad(truth), p.spacing_m) for p in pairs]
+            noisy = [ph + rng.normal(0.0, rng.choice([0.02, 0.3])) for ph in phases]
+            # Some end-fire phases cross the +-pi boundary.
+            if trial % 5 == 0:
+                k = int(np.argmax(np.abs(noisy)))
+                noisy[k] = -np.sign(noisy[k]) * (2 * np.pi - abs(noisy[k]))
+                wraps += 1
+            alphas = tuple(aoa_from_phase(ph, p.spacing_m) for ph, p in zip(noisy, pairs))
+            for best in range(3):
+                estimate = AoAEstimate(cfo_hz=0.0, alphas_rad=alphas, best_pair_index=best)
+                hint = None if trial % 3 else truth[:2] + rng.normal(0.0, 3.0, 2)
+                want, scored = _scalar_lane_locate(localizer, estimate, estimator, hint)
+                if scored:
+                    # Every candidate's per-baseline errors, bit for bit.
+                    errors = localizer._phase_errors_rad(
+                        np.array([p for p, _ in scored]),
+                        localizer.road.z_m + localizer.tag_height_m,
+                        estimate,
+                        estimator,
+                    )
+                    assert errors.tobytes() == np.array([e for _, e in scored]).tobytes()
+                ceiling = np.deg2rad(localizer.max_phase_error_deg)
+                ghosts += sum(1 for _, e in scored if e.max() > ceiling)
+                if want is None:
+                    with pytest.raises(GeometryError):
+                        localizer.locate(estimate, estimator, hint_xy=hint)
+                    continue
+                got = localizer.locate(estimate, estimator, hint_xy=hint)
+                assert got.tobytes() == want.tobytes()
+                fixes += 1
+                hinted += hint is not None
+        assert fixes > 400 and ghosts > 1000 and hinted > 150 and wraps == 120
+        assert localizer.obs.metrics.counter("locate.candidates", outcome="gated") == ghosts

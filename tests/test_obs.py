@@ -403,6 +403,27 @@ class TestDeterminism:
             "kind=exp_samples" in key and "stage=refine" in key for key in counting
         )
 
+    def test_corridor_reports_localization_per_station(self):
+        """Each station's AoA estimator and lane localizer report into its
+        station-labelled view: every readout reads the counter's fit
+        basis, and scored lane candidates split by the phase gate —
+        byte-identical across same-seed runs."""
+        snapshots = []
+        for _ in range(2):
+            obs = Obs()
+            corridor = small_corridor(seed=17, obs=obs)
+            corridor.run(4.0)
+            snapshots.append(obs.metrics.snapshot_json())
+        assert snapshots[0] == snapshots[1]
+        counters = json.loads(snapshots[0])["counters"]
+        stations = {station.name for station in corridor.stations}
+        readouts = [key for key in counters if key.startswith("aoa.readout{")]
+        candidates = [key for key in counters if key.startswith("locate.candidates{")]
+        assert readouts and all("probe=basis" in key for key in readouts)
+        assert any("outcome=kept" in key for key in candidates)
+        for key in readouts + candidates:
+            assert any(f"station={name}}}" in key for name in stations), key
+
     def test_mesh_run_traces_rounds_on_every_station_track(self):
         obs = Obs(trace=True)
         mesh = chain_mesh(seed=7, obs=obs)

@@ -69,6 +69,32 @@ class TestCaraokeReader:
         for aoa in report.aoas:
             assert 0.0 < aoa.alpha_deg < 180.0
 
+    def test_observe_reads_aoa_with_the_fit_basis(self):
+        """``observe`` hands each accepted spike's fit-basis row to the AoA
+        readout; its estimates equal per-spike ``estimate_for_cfo`` calls
+        that build their own probe, and the report keeps no basis."""
+        from repro.obs import Obs
+
+        scene, _, _ = parking_scene(target_spots=[1, 2, 4, 6], n_background_cars=2, rng=21)
+        reader = build_reader(scene)
+        reader.estimator.obs = Obs()
+        sim = scene.simulator(0, rng=22)
+        spikes = 0
+        for t_s in (0.0, 2.5e-3, 37.5):
+            collision = sim.query(t_s)
+            report = reader.observe(collision)
+            assert report.count.basis is None
+            cfos = [float(c) for c in report.count.cfos_hz()]
+            assert len(report.aoas) == len(cfos) > 0
+            for got, cfo in zip(report.aoas, cfos):
+                want = reader.estimator.estimate_for_cfo(collision, cfo)
+                assert str(got) == str(want)
+                assert got.channels.tobytes() == want.channels.tobytes()
+            spikes += len(cfos)
+        metrics = reader.estimator.obs.metrics
+        assert metrics.counter("aoa.readout", probe="basis") == spikes
+        assert metrics.counter("aoa.readout", probe="built") == spikes
+
     def test_report_payload_small(self):
         """§12.5 footnote: a report is a few kbits at most."""
         scene, _, _ = parking_scene(target_spots=[1, 2], n_background_cars=2, rng=9)

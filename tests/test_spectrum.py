@@ -13,7 +13,7 @@ from repro.dsp.peaks import (
     local_noise_floor,
     parabolic_offset,
 )
-from repro.dsp.spectrum import fft_spectrum, single_bin_dft
+from repro.dsp.spectrum import dirichlet_kernel, fft_spectrum, single_bin_dft
 from repro.errors import SpectrumError
 from repro.phy.waveform import Waveform
 from repro.utils import db_to_amplitude
@@ -93,6 +93,32 @@ class TestSingleBinDft:
         # Tag applies its own random phase0; compare magnitudes and the
         # phase difference against that known phase.
         assert abs(estimate) == pytest.approx(abs(h), rel=0.02)
+
+
+class TestDirichletKernel:
+    """``dirichlet_kernel(phi, L)`` is the sum ``sum_{n<L} exp(j phi n)``."""
+
+    def test_matches_the_series(self):
+        rng = np.random.default_rng(4)
+        for length in (1, 2, 7, 256, 2048):
+            phis = np.concatenate(
+                [
+                    rng.uniform(-7.0, 7.0, 40),
+                    [0.0, 2 * np.pi, -4 * np.pi, np.pi, -np.pi, 1e-12, -3e-9, 2 * np.pi + 1e-9],
+                ]
+            )
+            series = np.exp(1j * phis[:, None] * np.arange(length)[None, :]).sum(axis=1)
+            got = dirichlet_kernel(phis, length)
+            assert np.abs(got - series).max() < 1e-11 * length
+
+    def test_zero_frequency_is_the_length_without_warnings(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dirichlet_kernel(np.array([[0.0, 2 * np.pi]]), 64)
+        assert got.shape == (1, 2)
+        assert got[0, 0] == 64.0
 
 
 class TestFloorEstimation:
