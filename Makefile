@@ -9,7 +9,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check check-fast check-docs lint analyze test test-fast bench e2e
+.PHONY: check check-fast check-docs lint analyze test test-fast bench accuracy e2e
 
 check: lint analyze test
 
@@ -48,6 +48,18 @@ bench:
 	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
 	$(PYTHON) -m pytest benchmarks -q \
 		-o python_files='bench_*.py' -o python_functions='bench_*' \
+		-p no:cacheprovider
+
+# The paper-figure accuracy gates at full scale, one BLAS thread: Fig 11,
+# the counting ablation, Fig 13 and Fig 15. Each prints its table and
+# writes it to benchmarks/results/bench_*.txt, so what a change does to
+# the figures is one diff of those four reports against the parent's.
+accuracy:
+	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 REPRO_BENCH_SCALE=1.0 \
+	$(PYTHON) -m pytest \
+		benchmarks/bench_fig11_counting.py benchmarks/bench_ablation_counting.py \
+		benchmarks/bench_fig13_localization.py benchmarks/bench_fig15_speed.py \
+		-q -o python_files='bench_*.py' -o python_functions='bench_*' \
 		-p no:cacheprovider
 
 # End-to-end benchmark, report form: every workload's metrics from one

@@ -237,8 +237,8 @@ def bench_city_corridor(benchmark, report):
                     count()
                 best = min(best, (time.perf_counter() - t0) / 10)
         counter_ms[label] = best * 1e3
-    # A shared-t0 burst builds one probe basis and one Gram for all its
-    # captures (each keeps its own probes @ samples and m x m solve);
+    # A shared-t0 burst builds one set of probe factors and one Gram for
+    # all its captures (each keeps its own block sums and m x m solve);
     # the stacked_fit=False oracle builds them once per capture.
     burst = [sim.query(0.0).antenna(0) for _ in range(4)]
     for label, count in (

@@ -37,11 +37,12 @@ the paper's one-shot estimator.
 Two per-spike tests are provided:
 
 * ``method="coherence"`` (default) — cut the capture into Q disjoint
-  sub-windows; a lone tag yields Q identical complex DFT values
-  (coherence ~1); co-binned tags beat against each other (coherence
-  drops, magnitudes disperse); a data-floor fluke decorrelates. The
-  single/multiple decision compares the measured coherence against the
-  value a lone tone at the same sub-window SNR would show.
+  sub-windows (the probe blocks, :data:`~repro.dsp.spectrum.PROBE_BLOCKS`);
+  a lone tag yields Q identical complex DFT values (coherence ~1);
+  co-binned tags beat against each other (coherence drops, magnitudes
+  disperse); a data-floor fluke decorrelates. The single/multiple
+  decision compares the measured coherence against the value a lone
+  tone at the same sub-window SNR would show.
 * ``method="shift"`` — the paper's literal Eq 8 test: |FFT| over
   ``[0, W)`` versus ``[tau, tau+W)``; a lone tag's magnitude is
   shift-invariant, co-binned tags beat. Several shifts dodge the
@@ -58,7 +59,14 @@ import numpy as np
 
 from ..dsp.peaks import band_floors, find_peaks_in_magnitudes, quinn_offset
 from ..dsp.sfft import sparse_fft_peaks
-from ..dsp.spectrum import Spectrum, dirichlet_kernel, fft_spectrum
+from ..dsp.spectrum import (
+    PROBE_BLOCKS,
+    Spectrum,
+    dirichlet_kernel,
+    fft_spectrum,
+    tone_block_sums,
+    tone_factors,
+)
 from ..errors import ConfigurationError
 from ..phy.waveform import Waveform
 from ..utils import as_rng
@@ -128,13 +136,18 @@ class CountEstimate:
     observations: list[BinObservation] = field(default_factory=list)
     dense_mode: bool = False
     n_captures: int = 1
-    #: The final fit's probe rows on the first capture's time base:
-    #: ``basis[k] = exp(-j 2 pi f_k t)`` demodulates ``observations[k]``,
-    #: the same exponential an Eq 5 readout at that CFO builds. A
-    #: consumer that reads the spikes at the other antennas takes it
+    #: The final fit's probe factors on the first capture's time base,
+    #: ``(outer, inner)`` from :func:`~repro.dsp.spectrum.tone_factors`:
+    #: rows ``outer[k]`` and ``inner[k]`` factor ``exp(-j 2 pi f_k t)``,
+    #: which demodulates ``observations[k]`` — the same factors an Eq 5
+    #: readout at that CFO builds. A consumer that reads the spikes at
+    #: the other antennas takes them
     #: (:meth:`~repro.core.reader.CaraokeReader.observe` does, then drops
-    #: it so its report keeps no m x N array). None when nothing was fit.
-    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: them so its report keeps no per-tone arrays). None when nothing
+    #: was fit.
+    basis: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def n_single(self) -> int:
@@ -176,8 +189,6 @@ class CollisionCounter:
             per doubling of averaged captures (incoherent averaging
             tightens the floor tail), floored at ``min_multi_snr_db``.
         method: "coherence" (default) or "shift" (the paper's literal test).
-        n_subwindows: disjoint sub-windows per capture for the coherence
-            statistic.
         slack_base / slack_gamma / min_slack: the single/multiple coherence
             threshold is ``C_expected(gamma)`` minus a slack that widens
             for noisy spikes and never shrinks below ``min_slack``.
@@ -230,7 +241,6 @@ class CollisionCounter:
     fingerprint_parent_ratio: float = 3.0
     fingerprint_max_gamma: float = 8.0
     method: str = "coherence"
-    n_subwindows: int = 8
     slack_base: float = 0.03
     slack_gamma: float = 0.30
     min_slack: float = 0.055
@@ -255,8 +265,6 @@ class CollisionCounter:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.probe not in ("dense", "sfft"):
             raise ConfigurationError(f"unknown probe {self.probe!r}")
-        if self.n_subwindows < 3:
-            raise ConfigurationError("need at least 3 sub-windows")
         if self.dense_snr_db > self.min_snr_db:
             raise ConfigurationError("dense threshold must not exceed the sparse one")
 
@@ -470,9 +478,9 @@ class CollisionCounter:
         # Sub-window values per capture, other tones cancelled, phases
         # aligned on each capture's own fitted amplitude.
         aligned_values = self._aligned_subwindow_values(waves, freqs, per_capture)
-        amplitudes = per_capture[0][0]
+        amplitudes, _, factors = per_capture[0]
         mean_abs_amplitude = np.mean(
-            [np.abs(amps) for amps, _ in per_capture], axis=0
+            [np.abs(amps) for amps, _, _ in per_capture], axis=0
         )
         # Fingerprinting is a sparse-regime tool: dense collisions have a
         # Gaussianized floor (the reality filter handles it) and many
@@ -481,6 +489,9 @@ class CollisionCounter:
             {} if dense_mode else self._phase_fingerprints(per_capture, mean_abs_amplitude)
         )
 
+        probes = (
+            _probe_rows(factors, waves[0].n_samples) if self.method == "shift" else None
+        )
         observations = []
         for k in range(freqs.size):
             # A candidate whose jointly-fitted amplitude collapses was a
@@ -499,9 +510,7 @@ class CollisionCounter:
                     aligned_values[k], floors_norm[k], len(waves), dense_mode
                 )
             else:
-                label, stats = self._classify_shift(
-                    waves[0], k, freqs, per_capture[0][0], per_capture[0][1]
-                )
+                label, stats = self._classify_shift(waves[0], k, freqs, amplitudes, probes)
             observations.append(
                 BinObservation(
                     cfo_hz=float(freqs[k]),
@@ -520,12 +529,12 @@ class CollisionCounter:
             observations=observations,
             dense_mode=dense_mode,
             n_captures=len(waves),
-            basis=per_capture[0][1],
+            basis=factors,
         )
 
     def _phase_fingerprints(
         self,
-        per_capture: list[tuple[np.ndarray, np.ndarray]],
+        per_capture: list[tuple],
         mean_abs_amplitude: np.ndarray,
     ) -> dict[int, float]:
         """Identify candidates that are data artifacts of a stronger tag.
@@ -542,7 +551,7 @@ class CollisionCounter:
         k_captures = len(per_capture)
         if k_captures < 3:
             return {}
-        amp_matrix = np.stack([amps for amps, _ in per_capture])  # (K, m)
+        amp_matrix = np.stack([amps for amps, _, _ in per_capture])  # (K, m)
         with np.errstate(invalid="ignore", divide="ignore"):
             phasors = amp_matrix / np.abs(amp_matrix)
         phasors = np.nan_to_num(phasors)
@@ -582,7 +591,7 @@ class CollisionCounter:
         close = np.flatnonzero(gaps.min(axis=1) <= 6.0 * bin_hz)
         if close.size == 0:
             return freqs
-        amplitudes, _ = self._fit_tones(wave, freqs)
+        amplitudes = self._fit_tones(wave, freqs)[0]
         omega = 2.0 * np.pi * freqs
         weights = np.tile(amplitudes * np.exp(1j * omega * wave.t0_s), (close.size, 1))
         weights[np.arange(close.size), close] = 0.0  # a tone is not its own leakage
@@ -616,26 +625,26 @@ class CollisionCounter:
 
     # -- tone model --------------------------------------------------------------
 
-    def _tone_basis(
-        self, wave: Waveform, freqs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(probes, gram)`` of the tone model on one capture's time base.
+    def _tone_basis(self, wave: Waveform, freqs: np.ndarray) -> tuple[tuple, np.ndarray]:
+        """``(factors, gram)`` of the tone model on one capture's time base.
 
-        ``probes[k] = exp(-j w_k t)`` with ``w_k = 2 pi f_k`` (so
-        ``probes[k] * samples`` demodulates tone k) and the model is
-        ``samples ~= sum_k amplitudes[k] * conj(probes[k])``. The Gram
-        ``probes @ probes.conj().T`` is a Dirichlet kernel per tone pair,
-        ``exp(-j (w_j - w_k) t0) D(-(w_j - w_k)/fs, N)``: m^2 closed-form
-        terms instead of an m^2 N product.
+        ``factors = (outer, inner)`` factor the probes ``exp(-j w_k t)``
+        with ``w_k = 2 pi f_k`` by block
+        (:func:`~repro.dsp.spectrum.tone_factors`; a probe demodulates
+        tone k) and the model is ``samples ~= sum_k amplitudes[k] *
+        conj(probe_k)``. The Gram ``probes @ probes.conj().T`` is a
+        Dirichlet kernel per tone pair, ``exp(-j (w_j - w_k) t0)
+        D(-(w_j - w_k)/fs, N)``: m^2 closed-form terms instead of an
+        m^2 N product.
         """
-        probes = np.exp(-2j * np.pi * freqs[:, None] * wave.times()[None, :])
+        factors = tone_factors(freqs, wave.t0_s, wave.sample_rate_hz, wave.n_samples)
         d_omega = _omega_differences(freqs)
         gram = np.exp(-1j * d_omega * wave.t0_s) * dirichlet_kernel(
             -d_omega / wave.sample_rate_hz, wave.n_samples
         )
-        self._work("exp_samples", "fit", probes.size)
+        self._work("exp_samples", "fit", factors[0].size + factors[1].size)
         self._work("kernel_terms", "fit", gram.size)
-        return probes, gram
+        return factors, gram
 
     def _solve_tones(self, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Tone amplitudes from the m x m normal equations ``gram a = rhs``.
@@ -654,47 +663,54 @@ class CollisionCounter:
             return np.linalg.lstsq(gram, rhs, rcond=_GRAM_RCOND)[0]
         return np.linalg.solve(gram, rhs)
 
-    def _fit_tones(
-        self, wave: Waveform, freqs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _fit_tones(self, wave: Waveform, freqs: np.ndarray) -> tuple:
         """Jointly fit complex amplitudes of all detected tones.
 
-        Returns ``(amplitudes, probes)``; see :meth:`_tone_basis`.
+        Returns ``(amplitudes, sums, factors)``: ``sums`` are the block
+        sums of the capture under each probe
+        (:func:`~repro.dsp.spectrum.tone_block_sums`), whose row sums
+        are the normal equations' right-hand side; ``factors`` as in
+        :meth:`_tone_basis`.
         """
-        probes, gram = self._tone_basis(wave, freqs)
-        return self._solve_tones(gram, probes @ wave.samples), probes
+        return self._fit_on_basis(wave, *self._tone_basis(wave, freqs))
+
+    def _fit_on_basis(self, wave: Waveform, factors: tuple, gram: np.ndarray) -> tuple:
+        """:meth:`_fit_tones` on a basis already built for ``wave``'s time base."""
+        sums = tone_block_sums(*factors, wave.samples)
+        return self._solve_tones(gram, sums.sum(axis=1)), sums, factors
 
     def _fit_tones_burst(
         self, waves: list[Waveform], freqs: np.ndarray, stacked: bool = True
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    ) -> list[tuple]:
         """:meth:`_fit_tones` for a whole burst, one basis per time base.
 
         Captures of one burst re-query the same static scene, so when
         they share the time base (length, rate, start offset) they share
-        the probe basis and its Gram — the dominant cost, ``m*N`` complex
-        exponentials — and only their own ``probes @ samples`` and
-        solve remain per capture. Each capture's amplitudes are those of
-        its own per-capture fit bit for bit (a multi-RHS product or
-        solve would block its columns differently). Bursts whose
-        captures start at different times, or ``stacked=False`` (the
-        oracle), fit each capture on its own basis. (Length and rate
-        agree across every burst :meth:`count_multi` accepts.)
+        the probe factors and the Gram, and only their own block sums
+        and solve remain per capture. Each capture's amplitudes are
+        those of its own per-capture fit bit for bit (a multi-RHS
+        product or solve would block its columns differently). Bursts
+        whose captures start at different times, or ``stacked=False``
+        (the oracle), fit each capture on its own basis. (Length and
+        rate agree across every burst :meth:`count_multi` accepts.)
         """
         first = waves[0]
         if not stacked or any(w.t0_s != first.t0_s for w in waves[1:]):
             return [self._fit_tones(w, freqs) for w in waves]
-        probes, gram = self._tone_basis(first, freqs)
-        return [(self._solve_tones(gram, probes @ w.samples), probes) for w in waves]
+        factors, gram = self._tone_basis(first, freqs)
+        return [self._fit_on_basis(w, factors, gram) for w in waves]
 
     def _aligned_subwindow_values(
         self,
         waves: list[Waveform],
         freqs: np.ndarray,
-        per_capture: list[tuple[np.ndarray, np.ndarray]],
+        per_capture: list[tuple],
     ) -> np.ndarray:
         """(m, Q * n_captures) cancelled, phase-aligned sub-window DFTs.
 
-        Per capture: ``X[k, q] = mean_q(samples * probes[k])`` minus every
+        The sub-windows are the first Q = ``PROBE_BLOCKS`` probe blocks of
+        ``L`` samples each. Per capture: ``X[k, q] = mean_q(samples *
+        probes[k])``, the fit's block sum over ``L``, minus every
         other tone's exactly-known leakage ``A_j * mean_q(conj(probes[j]) *
         probes[k])``, which over a sub-window of ``L = N/Q`` samples
         starting at ``t_q`` is ``exp(-j (w_k - w_j) t_q) D(-(w_k - w_j)/fs,
@@ -702,18 +718,13 @@ class CollisionCounter:
         phase of its own fitted amplitude so that a lone tag lines up
         across captures despite its per-response random phase.
         """
-        q = self.n_subwindows
+        q = PROBE_BLOCKS
         d_omega = _omega_differences(freqs)
         chunks = []
         leak = leak_t0 = None
-        for wave, (amplitudes, probes) in zip(waves, per_capture):
-            n = wave.n_samples
-            length = n // q
-            usable = length * q
-            demod = (wave.samples[:usable] * probes[:, :usable]).reshape(
-                freqs.size, q, length
-            )
-            x = demod.mean(axis=2)  # (m, Q)
+        for wave, (amplitudes, sums, (_, inner)) in zip(waves, per_capture):
+            length = inner.shape[1]
+            x = sums[:, :q] / length  # (m, Q)
             if leak is None or wave.t0_s != leak_t0:
                 # leak[k, q, j]: tone j's mean over sub-window q of tone k's
                 # demodulation; a tone's own term (j == k) is not leakage.
@@ -773,15 +784,13 @@ class CollisionCounter:
     ) -> tuple[BinClass, dict]:
         mags = np.abs(values)
         mean_mag = float(mags.mean())
-        sigma_q = max(floor_norm * np.sqrt(self.n_subwindows), 1e-300)
+        sigma_q = max(floor_norm * np.sqrt(PROBE_BLOCKS), 1e-300)
         gamma = mean_mag / sigma_q
         if mean_mag == 0.0:
             return BinClass.REJECTED, _stats(0.0, 0.0, 0.0, 0.0)
         coherence = float(np.abs(values.mean()) / mean_mag)
         dispersion = float(mags.std() / mean_mag)
-        expected = self._expected_single_coherence(
-            gamma, self.n_subwindows * n_captures
-        )
+        expected = self._expected_single_coherence(gamma, PROBE_BLOCKS * n_captures)
         stats = _stats(gamma, coherence, expected, dispersion)
         if dense_mode and coherence < self.reality_coherence and gamma < self.reality_gamma:
             return BinClass.REJECTED, stats
@@ -835,6 +844,12 @@ def _stats(gamma: float, coherence: float, expected: float, dispersion: float) -
         "expected_single_coherence": float(expected),
         "magnitude_dispersion": float(dispersion),
     }
+
+
+def _probe_rows(factors: tuple, n_samples: int) -> np.ndarray:
+    """The m x N probes ``exp(-j w_k t)`` materialized from their factors."""
+    outer, inner = factors
+    return (outer[:, :, None] * inner[:, None, :]).reshape(len(outer), -1)[:, :n_samples]
 
 
 def _omega_differences(freqs: np.ndarray) -> np.ndarray:

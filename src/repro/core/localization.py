@@ -20,6 +20,7 @@ from ..channel.antenna import AntennaPair, TriangleArray
 from ..channel.collision import ReceivedCollision
 from ..channel.geometry import RoadSegment, aoa_cone_conic, intersect_conics, unit
 from ..constants import PAIR_USABLE_MAX_DEG, PAIR_USABLE_MIN_DEG, WAVELENGTH_M
+from ..dsp.spectrum import tone_block_sums, tone_factors
 from ..errors import GeometryError, LocalizationError
 from ..utils import wrap_angle
 from .cfo import estimate_channel, extract_collision_peaks
@@ -153,7 +154,7 @@ class AoAEstimator:
         self,
         collision: ReceivedCollision,
         cfo_hz: float,
-        probe: np.ndarray | None = None,
+        probe: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> AoAEstimate:
         """AoA of the tag whose spike sits at (or near) ``cfo_hz``.
 
@@ -162,10 +163,12 @@ class AoAEstimator:
         is selected, emulating the antenna switch of Fig 6.
 
         Args:
-            probe: ``exp(-j 2 pi cfo_hz t)`` on the first antenna's time
-                base, when the caller already holds it (the counter's fit
-                basis row, :attr:`~repro.core.counting.CountEstimate.basis`);
-                built here when omitted.
+            probe: the factors ``(outer, inner)`` of ``exp(-j 2 pi cfo_hz
+                t)`` on the first antenna's time base, one row each
+                (:func:`~repro.dsp.spectrum.tone_factors`), when the
+                caller already holds them (the counter's fit factors,
+                :attr:`~repro.core.counting.CountEstimate.basis`); built
+                here when omitted.
         """
         if collision.n_antennas < 3:
             raise LocalizationError(
@@ -184,12 +187,17 @@ class AoAEstimator:
                 "aoa.readout", probe="basis" if shared and probe is not None else "built"
             )
         if shared:
-            # One time base: the three Eq 5 readouts share one probe,
-            # term for term the one estimate_channel builds per antenna.
+            # One time base: the three Eq 5 readouts share one probe's
+            # factors, the ones estimate_channel builds per antenna.
             if probe is None:
-                probe = np.exp(-2j * np.pi * cfo_hz * first.times())
+                probe = tone_factors(
+                    [cfo_hz], first.t0_s, first.sample_rate_hz, first.n_samples
+                )
             channels = np.array(
-                [2.0 * complex(np.mean(wave.samples * probe)) for wave in waves]
+                [
+                    2.0 * complex(tone_block_sums(*probe, wave.samples).sum() / wave.n_samples)
+                    for wave in waves
+                ]
             )
         else:
             channels = np.array([estimate_channel(wave, cfo_hz) for wave in waves])

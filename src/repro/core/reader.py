@@ -80,8 +80,9 @@ class CaraokeReader:
 
         The count's accepted spikes seed the AoA measurements, mirroring
         the hardware pipeline (one sFFT pass feeds everything, §10): each
-        spike's row of the counter's final fit basis is the Eq 5 probe
-        its AoA readout needs, so no exponential is built twice.
+        spike's rows of the counter's final fit factors
+        (:attr:`~repro.core.counting.CountEstimate.basis`) are the Eq 5
+        probe its AoA readout needs, so no exponential is built twice.
         """
         estimate = self.count(collision)
         basis, estimate.basis = estimate.basis, None
@@ -93,9 +94,8 @@ class CaraokeReader:
                 if o.label is not BinClass.REJECTED
             )
             for cfo, k in accepted:
-                aoas.append(
-                    self.estimator.estimate_for_cfo(collision, cfo, probe=basis[k])
-                )
+                probe = tuple(factor[k : k + 1] for factor in basis)
+                aoas.append(self.estimator.estimate_for_cfo(collision, cfo, probe=probe))
         return ReaderReport(
             timestamp_s=collision.t0_s if timestamp_s is None else timestamp_s,
             count=estimate,

@@ -7,8 +7,12 @@ is half the tag's channel (Eq 5). Resolution is set by the window length
 
 Two access patterns are provided: a full :class:`Spectrum` (peak *search*)
 and :func:`single_bin_dft`, an exact DFT at one arbitrary — not necessarily
-bin-centered — frequency (channel readout, the §5 time-shift test, and CFO
-refinement all probe single known frequencies). :func:`dirichlet_kernel`
+bin-centered — frequency (channel readout, the §5 fit and sub-window
+test, and the §6 phase differences all probe single known frequencies).
+Every such probe ``exp(-j 2 pi f t)`` is built once, in block-factored
+form (:func:`tone_factors`), and read with :func:`tone_block_sums`: one
+product gives the window's DFT (the sum of the block sums) and the §5
+sub-window values (the block sums themselves). :func:`dirichlet_kernel`
 is the closed form of every product of two such probes: the sum of one
 tone demodulated at another's frequency over a window is a geometric
 series.
@@ -23,7 +27,19 @@ import numpy as np
 from ..errors import SpectrumError
 from ..phy.waveform import Waveform
 
-__all__ = ["Spectrum", "dirichlet_kernel", "fft_spectrum", "single_bin_dft"]
+__all__ = [
+    "PROBE_BLOCKS",
+    "Spectrum",
+    "dirichlet_kernel",
+    "fft_spectrum",
+    "single_bin_dft",
+    "tone_block_sums",
+    "tone_factors",
+]
+
+#: Blocks a tone probe is factored into (:func:`tone_factors`). The §5
+#: coherence test's sub-windows are these blocks.
+PROBE_BLOCKS = 8
 
 _WINDOWS = {
     "rect": lambda n: np.ones(n),
@@ -139,7 +155,10 @@ def single_bin_dft(
     ``absolute_time`` the phase reference is the world clock, which makes
     values comparable across antennas and across windows — exactly what the
     channel readout (Eq 5), the AoA phase difference (§6), and the
-    time-shift magnitude test (§5) need.
+    time-shift magnitude test (§5) need. The probe is the block-factored
+    one (:func:`tone_factors`), summed with :func:`tone_block_sums` — the
+    readout :meth:`~repro.core.localization.AoAEstimator.estimate_for_cfo`
+    takes per antenna, so the two agree bit for bit.
 
     The normalization is ``1/n``, so a pure tone ``A*exp(j 2 pi f t)``
     returns ``A`` and the tag's OOK signal returns ``h/2`` (Eq 5): callers
@@ -148,9 +167,56 @@ def single_bin_dft(
     if length_samples is None:
         length_samples = wave.n_samples - offset_samples
     segment = wave.window(offset_samples, length_samples)
-    t = segment.times() if absolute_time else np.arange(segment.n_samples) / wave.sample_rate_hz
-    probe = np.exp(-2j * np.pi * freq_hz * t)
-    return complex(np.mean(segment.samples * probe))
+    t0_s = segment.t0_s if absolute_time else 0.0
+    outer, inner = tone_factors([freq_hz], t0_s, wave.sample_rate_hz, segment.n_samples)
+    return complex(tone_block_sums(outer, inner, segment.samples).sum() / segment.n_samples)
+
+
+def tone_factors(
+    freqs_hz, t0_s: float, sample_rate_hz: float, n_samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block factors of the probes ``exp(-j w_k t_n)``, ``t_n = t0 + n/fs``.
+
+    The window is cut into blocks of ``L = max(1, N // PROBE_BLOCKS)``
+    samples, the last one partial when ``L`` does not divide ``N``. Block
+    ``b`` starts at ``t_b = t0 + b L / fs``, and
+    ``exp(-j w t_{bL+l}) = exp(-j w t_b) exp(-j w l / fs)``, so the m
+    probes take ``m (B + L)`` exponentials instead of ``m N``.
+
+    Returns:
+        ``(outer, inner)``: ``outer[k, b] = exp(-j w_k t_b)`` (m x B, B
+        blocks counting the partial one) and ``inner[k, l] =
+        exp(-j w_k l / fs)`` (m x L).
+    """
+    freqs = np.asarray(freqs_hz, dtype=np.float64).reshape(-1, 1)
+    length = max(1, n_samples // PROBE_BLOCKS)
+    n_blocks = -(-n_samples // length)
+    # b L / fs rounds as Waveform.times() rounds sample b L.
+    starts = t0_s + np.arange(n_blocks) * length / sample_rate_hz
+    outer = np.exp(-2j * np.pi * freqs * starts)
+    inner = np.exp(-2j * np.pi * freqs * (np.arange(length) / sample_rate_hz))
+    return outer, inner
+
+
+def tone_block_sums(
+    outer: np.ndarray, inner: np.ndarray, samples: np.ndarray
+) -> np.ndarray:
+    """``sums[k, b]``: the sum of ``samples * probe_k`` over block ``b``.
+
+    One ``inner @ y.reshape(B, L).T`` product, scaled per block by
+    ``outer`` (see :func:`tone_factors`); a trailing partial block reads
+    the first ``N mod L`` inner taps. A row's sum is that probe's
+    unnormalized DFT of the whole window, and a full block's sum over
+    ``L`` is its sub-window mean.
+    """
+    length = inner.shape[1]
+    n_full = samples.size // length
+    head = samples[: n_full * length].reshape(n_full, length)
+    sums = inner @ head.T
+    tail = samples.size - n_full * length
+    if tail:
+        sums = np.column_stack([sums, inner[:, :tail] @ samples[n_full * length :]])
+    return outer * sums
 
 
 def dirichlet_kernel(phi_rad, length: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from repro.channel.noise import thermal_noise_power_w
 from repro.channel.propagation import LosChannel
 from repro.core.counting import BinClass, CollisionCounter, CountEstimate
 from repro.dsp.peaks import quinn_offset
-from repro.dsp.spectrum import fft_spectrum
+from repro.dsp.spectrum import PROBE_BLOCKS, fft_spectrum
 from repro.errors import ConfigurationError
 from repro.obs import Obs
 from repro.phy.waveform import Waveform
@@ -152,10 +152,6 @@ class TestEstimateAccounting:
     def test_contribution_rules(self):
         estimate = CountEstimate(count=0)
         assert estimate.n_single == estimate.n_multiple == estimate.n_rejected == 0
-
-    def test_subwindow_minimum(self):
-        with pytest.raises(ConfigurationError):
-            CollisionCounter(n_subwindows=2)
 
     def test_accuracy_over_random_scenes(self):
         """Average accuracy within a few percent at moderate density."""
@@ -352,8 +348,9 @@ class TestWorkCounters:
         # Refinement itself builds no complex exponentials.
         assert work.counter("count.work", kind="exp_samples", stage="refine") == 0
         # Cancellation fit for the joint pass, then the final fit: one
-        # basis, one m x m Gram and one m x m solve each.
-        assert work.counter("count.work", kind="exp_samples", stage="fit") == 2 * m * 2048
+        # set of probe factors (8 block starts + 256 in-block taps per
+        # tone), one m x m Gram and one m x m solve each.
+        assert work.counter("count.work", kind="exp_samples", stage="fit") == 2 * m * (8 + 256)
         assert work.counter("count.work", kind="kernel_terms", stage="fit") == 2 * m * m
         assert work.counter("count.work", kind="solve", stage="fit") == 2
         assert work.counter("count.work", kind="lstsq", stage="fit") == 0
@@ -369,8 +366,8 @@ class TestWorkCounters:
         work = obs.metrics
         assert work.counter("count.work", kind="fft_points", stage="detect") == 3 * 2048
         assert work.counter("count.work", kind="fft_points", stage="refine") == 0
-        # One shared basis, Gram and leakage; one solve per capture.
-        assert work.counter("count.work", kind="exp_samples", stage="fit") == m * 2048
+        # One shared set of factors, Gram and leakage; one solve per capture.
+        assert work.counter("count.work", kind="exp_samples", stage="fit") == m * (8 + 256)
         assert work.counter("count.work", kind="kernel_terms", stage="fit") == m * m
         assert work.counter("count.work", kind="solve", stage="fit") == 3
         assert work.counter("count.work", kind="kernel_terms", stage="align") == m * m * 8
@@ -400,12 +397,20 @@ def _rel_err(got, want):
     return float(np.abs(np.asarray(got) - np.asarray(want)).max() / np.abs(want).max())
 
 
-def _einsum_aligned_values(counter, waves, freqs, per_capture):
+def _probes(factors, n):
+    """The m x N probe rows ``exp(-j w_k t)`` rebuilt from their block
+    factors: sample ``b L + l`` is ``outer[k, b] * inner[k, l]``."""
+    outer, inner = factors
+    return (outer[:, :, None] * inner[:, None, :]).reshape(len(outer), -1)[:, :n]
+
+
+def _einsum_aligned_values(waves, freqs, per_capture):
     """Reference: the sub-window leakage as an m^2 N ``einsum`` over the
     probe rows, as the counter computed it before the closed form."""
-    q = counter.n_subwindows
+    q = PROBE_BLOCKS
     chunks = []
-    for wave, (amplitudes, probes) in zip(waves, per_capture):
+    for wave, (amplitudes, _, factors) in zip(waves, per_capture):
+        probes = _probes(factors, wave.n_samples)
         length = wave.n_samples // q
         usable = length * q
         reshaped = probes[:, :usable].reshape(freqs.size, q, length)
@@ -435,7 +440,8 @@ class TestClosedFormToneAlgebra:
     def test_gram_matches_probe_products(self):
         counter = CollisionCounter()
         for freqs, (wave,) in self.scenes():
-            probes, gram = counter._tone_basis(wave, freqs)
+            factors, gram = counter._tone_basis(wave, freqs)
+            probes = _probes(factors, wave.n_samples)
             assert _rel_err(gram, probes @ probes.conj().T) < self.TOL
 
     @pytest.mark.skipif(
@@ -460,7 +466,7 @@ class TestClosedFormToneAlgebra:
         for freqs, waves in self.scenes(n=12, n_captures=2):
             per_capture = counter._fit_tones_burst(waves, freqs)
             got = counter._aligned_subwindow_values(waves, freqs, per_capture)
-            want = _einsum_aligned_values(counter, waves, freqs, per_capture)
+            want = _einsum_aligned_values(waves, freqs, per_capture)
             assert _rel_err(got, want) < self.TOL
 
     def test_residual_bins_match_fft_of_built_residual(self, monkeypatch):
@@ -480,7 +486,8 @@ class TestClosedFormToneAlgebra:
         for freqs, (wave,) in self.scenes():
             seen.clear()
             counter._joint_refine(wave, fft_spectrum(wave), freqs, bin_hz)
-            amplitudes, probes = counter._fit_tones(wave, freqs)
+            amplitudes, _, factors = counter._fit_tones(wave, freqs)
+            probes = _probes(factors, n)
             close = [
                 k for k in range(freqs.size)
                 if np.abs(np.delete(freqs, k) - freqs[k]).min() <= 6.0 * bin_hz
@@ -498,7 +505,8 @@ class TestClosedFormToneAlgebra:
     def test_fit_matches_lstsq_one_capture(self):
         counter = CollisionCounter()
         for freqs, (wave,) in self.scenes():
-            amplitudes, probes = counter._fit_tones(wave, freqs)
+            amplitudes, _, factors = counter._fit_tones(wave, freqs)
+            probes = _probes(factors, wave.n_samples)
             want, *_ = np.linalg.lstsq(probes.conj().T, wave.samples, rcond=None)
             assert _rel_err(amplitudes, want) < self.TOL
 
@@ -506,8 +514,9 @@ class TestClosedFormToneAlgebra:
         counter = CollisionCounter()
         for freqs, waves in self.scenes(n=12, n_captures=3):
             fits = counter._fit_tones_burst(waves, freqs)
-            assert all(probes is fits[0][1] for _, probes in fits)
-            for wave, (amplitudes, probes) in zip(waves, fits):
+            assert all(factors is fits[0][2] for _, _, factors in fits)
+            for wave, (amplitudes, _, factors) in zip(waves, fits):
+                probes = _probes(factors, wave.n_samples)
                 want, *_ = np.linalg.lstsq(probes.conj().T, wave.samples, rcond=None)
                 assert _rel_err(amplitudes, want) < self.TOL
 
@@ -522,7 +531,8 @@ class TestClosedFormToneAlgebra:
             freqs = np.sort(np.append(freqs, freqs[3]))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                amplitudes, probes = counter._fit_tones(wave, freqs)
+                amplitudes, _, factors = counter._fit_tones(wave, freqs)
+            probes = _probes(factors, wave.n_samples)
             want, *_ = np.linalg.lstsq(probes.conj().T, wave.samples, rcond=None)
             assert np.all(np.isfinite(amplitudes))
             assert _rel_err(amplitudes, want) < self.TOL

@@ -39,9 +39,13 @@ from tests.test_city_corridor import small_corridor
 #: moved from least squares on the N x m basis to the m x m normal
 #: equations with closed-form (Dirichlet-kernel) leakage: only ``cfo_hz``
 #: moved, on 36 of 439 rows, by at most 0.7 uHz (round-off in the
-#: joint refinement's cancellation); seed 41 held.
+#: joint refinement's cancellation); seed 41 held. Seed 17 re-pinned
+#: once more when every tone probe became block-factored (the fit's
+#: right-hand side is the row sums of the block sums): again only
+#: ``cfo_hz`` moved, on 35 of 439 rows, by at most 0.5 uHz (round-off in
+#: the joint refinement's cancellation fit); seed 41 held.
 GOLDEN_LEDGER_SHA256 = {
-    17: "993b45060ef92e98608af0459d873cf5b2844cc6f2004b1435825339afcd0c19",
+    17: "2e9d31ebe4eb616f44e118fae1ceb3a00e68ae7f9e8ceedae0954b01500c4d84",
     41: "7867fd3bd941215d202601dbb12c10b5c810932a2f95b297911bb88f12ac2158",
 }
 GOLDEN_FIELDS = ("t_s", "station", "kind", "cfo_hz", "tag_id", "from_station", "n_queries")

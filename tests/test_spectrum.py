@@ -13,7 +13,14 @@ from repro.dsp.peaks import (
     local_noise_floor,
     parabolic_offset,
 )
-from repro.dsp.spectrum import dirichlet_kernel, fft_spectrum, single_bin_dft
+from repro.dsp.spectrum import (
+    PROBE_BLOCKS,
+    dirichlet_kernel,
+    fft_spectrum,
+    single_bin_dft,
+    tone_block_sums,
+    tone_factors,
+)
 from repro.errors import SpectrumError
 from repro.phy.waveform import Waveform
 from repro.utils import db_to_amplitude
@@ -119,6 +126,111 @@ class TestDirichletKernel:
             got = dirichlet_kernel(np.array([[0.0, 2 * np.pi]]), 64)
         assert got.shape == (1, 2)
         assert got[0, 0] == 64.0
+
+
+def _materialized(outer, inner, n):
+    """Reference: the m x N probe rows rebuilt block by block from their
+    factors; block ``b`` covers samples ``b L .. min(N, (b + 1) L)``."""
+    length = inner.shape[1]
+    rows = np.empty((len(outer), n), dtype=complex)
+    for b in range(outer.shape[1]):
+        stop = min(n, (b + 1) * length)
+        rows[:, b * length : stop] = outer[:, b : b + 1] * inner[:, : stop - b * length]
+    return rows
+
+
+def _direct_probes(freqs, t0_s, n):
+    """Reference: ``exp(-j 2 pi f t)`` on the capture's own sample clock."""
+    t = t0_s + np.arange(n) / FS
+    return np.exp(-2j * np.pi * np.asarray(freqs)[:, None] * t[None, :])
+
+
+class TestToneFactors:
+    """``tone_factors`` splits every probe ``exp(-j 2 pi f t)`` into block
+    starts and in-block taps; ``tone_block_sums`` reads a capture with
+    them. Lengths cover whole blocks (2048, 64), a trailing partial block
+    (2047, 1001, 15) and fewer samples than blocks (5)."""
+
+    LENGTHS = (2048, 2047, 1001, 64, 15, 5)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("t0_s", [0.0, 1.5e-3, 0.5])
+    def test_rows_match_the_direct_probe(self, n, t0_s):
+        rng = np.random.default_rng(n)
+        freqs = rng.uniform(-1.2e6, 1.2e6, 16)
+        outer, inner = tone_factors(freqs, t0_s, FS, n)
+        length = max(1, n // PROBE_BLOCKS)
+        assert inner.shape == (16, length)
+        assert outer.shape == (16, -(-n // length))
+        # Both sides round w t to a few ulps of the largest phase
+        # (~8e-10 rad at a 0.5 s clock); a wrong block start, tap or
+        # sign is off by order one.
+        phase = 2.0 * np.pi * np.abs(freqs).max() * (t0_s + n / FS)
+        bound = 1e-12 + 4.0 * np.finfo(float).eps * phase
+        got = _materialized(outer, inner, n)
+        assert np.abs(got - _direct_probes(freqs, t0_s, n)).max() <= bound
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble"
+    )
+    def test_phase_error_on_a_long_clock_no_worse_than_direct(self):
+        """At an 89.9 s world clock both probes carry up to ~1e-7 rad of
+        phase rounding (about one ulp of ``w t``) against an
+        extended-precision product of the same tones; the factored one
+        carries no more than the direct one."""
+        rng = np.random.default_rng(5)
+        t0_s, n = 89.9, 2048
+        freqs = rng.uniform(2e3, 1.2e6, 12)
+        omega = (2.0 * np.pi * freqs).astype(np.longdouble)
+        t = np.longdouble(t0_s) + np.arange(n, dtype=np.longdouble) / np.longdouble(FS)
+        exact = np.exp(-1j * omega[:, None] * t[None, :])
+
+        def phase_error(rows):
+            return np.abs(np.angle(rows.astype(np.clongdouble) * exact.conj())).max()
+
+        factored = phase_error(_materialized(*tone_factors(freqs, t0_s, FS, n), n))
+        direct = phase_error(_direct_probes(freqs, t0_s, n))
+        assert 0.0 < factored <= direct < 2e-7
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_block_sums_match_brute_force(self, n):
+        rng = np.random.default_rng(n + 1)
+        freqs = rng.uniform(2e3, 1.2e6, 5)
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        outer, inner = tone_factors(freqs, 0.0, FS, n)
+        probes = _direct_probes(freqs, 0.0, n)
+        length = max(1, n // PROBE_BLOCKS)
+        want = np.stack(
+            [
+                (probes[:, s : s + length] * samples[s : s + length]).sum(axis=1)
+                for s in range(0, n, length)
+            ],
+            axis=1,
+        )
+        got = tone_block_sums(outer, inner, samples)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "n, t0_s, offset, length, absolute",
+        [
+            (2048, 0.0, 0, None, True),
+            (2047, 1.5e-3, 0, None, True),
+            (2048, 0.5, 300, 1001, True),
+            (2048, 0.5, 300, 1001, False),
+            (5, 0.25, 0, None, True),
+        ],
+    )
+    def test_single_bin_dft_is_the_mean_over_the_probe(self, n, t0_s, offset, length, absolute):
+        rng = np.random.default_rng(n + offset)
+        wave = Waveform(rng.normal(size=n) + 1j * rng.normal(size=n), FS, t0_s)
+        segment = wave.window(offset, n - offset if length is None else length)
+        start = segment.t0_s if absolute else 0.0
+        for freq in rng.uniform(2e3, 1.2e6, 5):
+            probe = _materialized(*tone_factors([freq], start, FS, segment.n_samples), segment.n_samples)
+            want = np.mean(segment.samples * probe[0])
+            got = single_bin_dft(wave, freq, offset, length, absolute_time=absolute)
+            assert abs(got - want) < 1e-12
 
 
 class TestFloorEstimation:
