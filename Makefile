@@ -9,7 +9,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check check-fast check-docs lint analyze test test-fast bench accuracy e2e
+.PHONY: check check-fast check-docs lint analyze test test-fast bench accuracy e2e ab
 
 check: lint analyze test
 
@@ -68,3 +68,14 @@ accuracy:
 # run.py pins one BLAS thread itself.
 e2e:
 	$(PYTHON) benchmarks/e2e/run.py --repeat 1
+
+# Alternating base/change pairs of one e2e workload at BENCHMARK.json's
+# run_seconds (`python -m tools.ab_pairs`): the base revision is exported
+# with `git archive` into a temporary directory, this checkout is the
+# change. make ab BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=<seed>]
+BASE ?= HEAD
+WORKLOAD ?= corridor_dense_10s
+PAIRS ?= 10
+ab:
+	$(PYTHON) -m tools.ab_pairs $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) \
+		$(if $(SEED),--seed $(SEED))

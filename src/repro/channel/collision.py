@@ -39,6 +39,7 @@ from .noise import add_awgn
 __all__ = [
     "TruthEntry",
     "ReceivedCollision",
+    "truth_entries",
     "synthesize_collision",
     "StaticCollisionSimulator",
 ]
@@ -122,6 +123,42 @@ class ReceivedCollision:
     def true_cfos_hz(self) -> np.ndarray:
         """Ground-truth CFOs of the colliding tags (ascending)."""
         return np.sort([entry.cfo_hz(self.lo_hz) for entry in self.truth])
+
+
+def truth_entries(
+    transponders: list[Transponder],
+    templates: list[TagResponse],
+    weights: np.ndarray,
+    phases: np.ndarray,
+    t0_s: float,
+    sample_rate_hz: float,
+) -> list[TruthEntry]:
+    """Ground truth of one query's m responses, built from its arrays.
+
+    ``weights`` is the (K, m) matrix the capture applied to the tags'
+    baseband rows and ``phases`` the m unit phasors of the responses'
+    oscillator phases. One ``np.angle`` gives every ``phase0_rad`` and
+    one (m, K) copy of the weights every entry's ``channels`` row.
+    """
+    angles = np.angle(phases)
+    channels = weights.T.copy()
+    return [
+        TruthEntry(
+            response=TagResponse(
+                transponder=transponder,
+                bits=template.bits,
+                baseband=template.baseband,
+                t0_s=t0_s,
+                sample_rate_hz=sample_rate_hz,
+                carrier_hz=template.carrier_hz,
+                phase0_rad=float(angle),
+            ),
+            channels=row,
+        )
+        for transponder, template, angle, row in zip(
+            transponders, templates, angles, channels
+        )
+    ]
 
 
 def synthesize_collision(
@@ -246,9 +283,6 @@ class StaticCollisionSimulator:
         self._n_samples = int(round(RESPONSE_DURATION_S * sample_rate_hz))
         tau = np.arange(self._n_samples) / sample_rate_hz
         self._signals = np.zeros((len(self.tags), self._n_samples), dtype=np.complex128)
-        self._gains = np.zeros(
-            (self.antenna_positions_m.shape[0], len(self.tags)), dtype=np.complex128
-        )
         self._templates: list[TagResponse] = []
         for i, tag in enumerate(self.tags):
             if tag.position_m is None:
@@ -257,8 +291,9 @@ class StaticCollisionSimulator:
             self._templates.append(template)
             cfo = template.cfo_hz(lo_hz)
             self._signals[i] = template.baseband * np.exp(2j * np.pi * cfo * tau)
-            for k, rx in enumerate(self.antenna_positions_m):
-                self._gains[k, i] = channel.coefficient(tag.position_m, rx) * tag.tx_amplitude
+        positions = np.array([tag.position_m for tag in self.tags]).reshape(-1, 3)
+        amplitudes = np.array([tag.tx_amplitude for tag in self.tags])
+        self._gains = channel.coefficients(positions, self.antenna_positions_m) * amplitudes
 
     @property
     def n_antennas(self) -> int:
@@ -279,19 +314,9 @@ class StaticCollisionSimulator:
             weights = np.zeros((self.n_antennas, 0), dtype=np.complex128)
             mixed = np.zeros((self.n_antennas, self._n_samples), dtype=np.complex128)
 
-        truth = []
-        for i, tag in enumerate(self.tags):
-            template = self._templates[i]
-            response = TagResponse(
-                transponder=tag,
-                bits=template.bits,
-                baseband=template.baseband,
-                t0_s=response_t0,
-                sample_rate_hz=self.sample_rate_hz,
-                carrier_hz=template.carrier_hz,
-                phase0_rad=float(np.angle(phases[i])),
-            )
-            truth.append(TruthEntry(response=response, channels=weights[:, i].copy()))
+        truth = truth_entries(
+            self.tags, self._templates, weights, phases, response_t0, self.sample_rate_hz
+        )
 
         waveforms = [
             Waveform(add_awgn(mixed[k], self.noise_power_w, rng), self.sample_rate_hz, response_t0)

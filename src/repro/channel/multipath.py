@@ -152,6 +152,11 @@ class MultipathChannel:
         return complex(sum(p.coefficient for p in self.resolve_paths(tx_m, rx_m)))
 
     def coefficients(self, tx_m: np.ndarray, rx_positions_m: np.ndarray) -> np.ndarray:
-        """Composite channel to each of (K, 3) receive positions."""
+        """Composite channels from one transmitter ``(3,)`` or many
+        ``(m, 3)`` to ``(K, 3)`` receive positions: ``(K,)`` or ``(K, m)``,
+        the shapes :meth:`LosChannel.coefficients` returns."""
+        tx = np.asarray(tx_m, dtype=np.float64)
         rx_positions_m = np.atleast_2d(np.asarray(rx_positions_m, dtype=np.float64))
-        return np.array([self.coefficient(tx_m, rx) for rx in rx_positions_m])
+        pairs = [[self.coefficient(t, rx) for t in np.atleast_2d(tx)] for rx in rx_positions_m]
+        h = np.array(pairs, dtype=np.complex128).reshape(len(rx_positions_m), -1)
+        return h.reshape(-1) if tx.ndim == 1 else h

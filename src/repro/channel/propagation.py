@@ -49,18 +49,27 @@ class LosChannel:
 
     def coefficient(self, tx_m: np.ndarray, rx_m: np.ndarray) -> complex:
         """Complex channel from a transmit point to a receive point."""
-        tx_m = np.asarray(tx_m, dtype=np.float64)
-        rx_m = np.asarray(rx_m, dtype=np.float64)
-        d = float(np.linalg.norm(rx_m - tx_m))
-        amp = self.gain * friis_amplitude(d, self.wavelength_m)
-        phase = -2.0 * np.pi * d / self.wavelength_m
-        return complex(amp * np.exp(1j * phase))
+        return complex(self.coefficients(tx_m, rx_m)[0])
 
     def coefficients(self, tx_m: np.ndarray, rx_positions_m: np.ndarray) -> np.ndarray:
-        """Vectorized coefficients from one tx to (K, 3) receive positions."""
-        rx_positions_m = np.atleast_2d(np.asarray(rx_positions_m, dtype=np.float64))
-        d = np.linalg.norm(rx_positions_m - np.asarray(tx_m, dtype=np.float64), axis=1)
-        if np.any(d <= 0):
+        """Channels from one transmitter ``(3,)`` or many ``(m, 3)`` to
+        ``(K, 3)`` receive positions: ``(K,)`` or ``(K, m)``.
+
+        Each element is computed as one pair alone would be: the path
+        length is a stacked ``1×3 @ 3×1`` product (the BLAS dot
+        ``np.linalg.norm`` takes), the amplitude ``gain * (λ / (4π d))``
+        and the phase ``-2π d / λ`` under ``np.exp(1j * phase)``. A
+        capture's whole (antennas × tags) gain matrix therefore comes
+        from one call and equals a per-pair loop bit for bit;
+        :meth:`coefficient` is the one-pair case.
+        """
+        tx = np.asarray(tx_m, dtype=np.float64)
+        rx = np.asarray(rx_positions_m, dtype=np.float64).reshape(-1, 3)
+        delta = rx[:, None, :] - tx.reshape(-1, 3)[None, :, :]
+        d = np.sqrt((delta[..., None, :] @ delta[..., :, None])[..., 0, 0])
+        if (d <= 0).any():
             raise ConfigurationError("receive position coincides with transmitter")
-        amp = self.gain * self.wavelength_m / (4.0 * np.pi * d)
-        return amp * np.exp(-2j * np.pi * d / self.wavelength_m)
+        amp = self.gain * (self.wavelength_m / (4.0 * np.pi * d))
+        phase = -2.0 * np.pi * d / self.wavelength_m
+        h = amp * np.exp(1j * phase)
+        return h.reshape(-1) if tx.ndim == 1 else h

@@ -237,8 +237,14 @@ class ReaderMac:
         )
 
     def next_opportunity(self, now_s: float, state: CsmaState) -> float:
-        """Earliest time >= now at which transmission becomes allowed."""
-        if self.can_transmit(now_s, state):
+        """Earliest time >= now at which transmission becomes allowed.
+
+        The search probes candidate times without counting them as
+        carrier-sense verdicts: ``mac.carrier_sense`` counts the
+        decisions a reader acts on (:meth:`can_transmit`), not the
+        probes of a search that follows one.
+        """
+        if self._can_transmit(now_s, state):
             return now_s
         busy = (
             state.busy_intervals
@@ -257,7 +263,7 @@ class ReaderMac:
         if ends:
             candidates.append(max(ends) + self.listen_s)  # always admissible
         for t in sorted(c for c in candidates if c > now_s):
-            if self.can_transmit(t, state):
+            if self._can_transmit(t, state):
                 return t
         return now_s  # unreachable when blocked; defensive
 

@@ -80,7 +80,13 @@ from ..events import EventScheduler
 from ..medium import AirLog
 from .cells import StationCell, carve_cells
 from .handoff import HANDOFF, OWN_HIT, PUSH, HandoffLedger
-from .moving import MovingCollisionSource, MovingTag, TagWaveformBank
+from .moving import (
+    MovingCollisionSource,
+    MovingTag,
+    TagWaveformBank,
+    in_range_mask,
+    positions_at,
+)
 from .pool import ResponsePool, TriggerWindow
 
 __all__ = ["CorridorStation", "CityCorridor", "CorridorResult", "IdentificationStat"]
@@ -785,20 +791,20 @@ class CityCorridor:
         """Tags that would hear this station's query at ``t_s``.
 
         Candidates come from the rosters of every cell within the pole's
-        radio reach (precomputed from the geometry), then range-gated on
-        actual trajectory positions at response time.
+        radio reach (precomputed from the geometry), then pass one range
+        gate (:func:`~repro.sim.city.moving.in_range_mask`) on their
+        trajectory positions at response time.
         """
         index = self._cell_index[station.cell.name]
         candidates: set[int] = set()
         for j in self._audible_cells[index]:
             candidates |= self._roster[j]
+        if not candidates:
+            return []
+        tags = [self.tags[i] for i in sorted(candidates)]
         response_t = t_s + QUERY_DURATION_S + TURNAROUND_S
-        pole = station.pole_position_m
-        return [
-            self.tags[i]
-            for i in sorted(candidates)
-            if self.tags[i].in_range(pole, response_t, READER_RANGE_M)
-        ]
+        near = in_range_mask(tags, station.pole_position_m, response_t, READER_RANGE_M)
+        return [tag for tag, keep in zip(tags, near) if keep]
 
     # -- station events ----------------------------------------------------------
 
@@ -881,12 +887,13 @@ class CityCorridor:
             return end
         response_start = t_query + QUERY_DURATION_S + TURNAROUND_S
         response_end = response_start + RESPONSE_DURATION_S
-        for tag in candidates:
+        xs_m = positions_at(candidates, response_start)[:, 0]
+        for tag, x_m in zip(candidates, xs_m):
             self.air.record_response(
                 f"tag{tag.tag_id}",
                 response_start,
                 triggered_by=station.name,
-                x_m=float(tag.position(response_start)[0]),
+                x_m=float(x_m),
             )
         now = t_query
         for tag in candidates:

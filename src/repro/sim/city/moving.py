@@ -22,12 +22,13 @@ The per-tag CFO-mixed baseband templates are precomputed once in a
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ...channel.collision import ReceivedCollision, TruthEntry
+from ...channel.collision import ReceivedCollision, TruthEntry, truth_entries
 from ...constants import (
     DEFAULT_SAMPLE_RATE_HZ,
     QUERY_DURATION_S,
@@ -43,7 +44,13 @@ from ...phy.waveform import Waveform
 from ...utils import as_rng
 from ..mobility import ConstantSpeedTrajectory
 
-__all__ = ["MovingTag", "TagWaveformBank", "MovingCollisionSource"]
+__all__ = [
+    "MovingTag",
+    "positions_at",
+    "in_range_mask",
+    "TagWaveformBank",
+    "MovingCollisionSource",
+]
 
 
 @dataclass
@@ -73,8 +80,42 @@ class MovingTag:
         return self.trajectory.t0_s + (x_m - float(self.trajectory.start_m[0])) / vx
 
     def in_range(self, pole_m: np.ndarray, t_s: float, range_m: float = READER_RANGE_M) -> bool:
-        """Whether the tag is within a pole's radio range at ``t_s``."""
-        return float(np.linalg.norm(self.position(t_s) - pole_m)) <= range_m
+        """Whether the tag is within a pole's radio range at ``t_s``: the
+        one-tag case of :func:`in_range_mask`."""
+        return bool(in_range_mask([self], pole_m, t_s, range_m)[0])
+
+
+def positions_at(tags: Sequence[MovingTag], t_s: float) -> np.ndarray:
+    """Every tag's trajectory position at one instant, ``(n, 3)``.
+
+    Row ``i`` is ``start + v * (t - t0)`` of tag ``i``'s trajectory,
+    element for element what :meth:`MovingTag.position` returns.
+    """
+    trajectories = [tag.trajectory for tag in tags]
+    starts = np.array([tr.start_m for tr in trajectories]).reshape(-1, 3)
+    velocities = np.array([tr.velocity_m_s for tr in trajectories]).reshape(-1, 3)
+    t0s = np.array([tr.t0_s for tr in trajectories], dtype=np.float64)
+    return starts + velocities * (t_s - t0s)[:, None]
+
+
+def in_range_mask(
+    tags: Sequence[MovingTag],
+    pole_m: np.ndarray,
+    t_s: float,
+    range_m: float = READER_RANGE_M,
+) -> np.ndarray:
+    """The range gate: which tags are within ``range_m`` of a pole at
+    ``t_s``, as an ``(n,)`` bool array.
+
+    One trigger window's responders are gated together: their positions
+    at one instant, then distances to the pole as stacked ``1×3 @ 3×1``
+    products (the BLAS dot ``np.linalg.norm`` takes), kept where
+    ``<= range_m``. Each verdict equals a per-tag
+    ``norm(position - pole) <= range_m`` bit for bit, so a tag exactly at
+    ``range_m`` is in range.
+    """
+    delta = positions_at(tags, t_s) - np.asarray(pole_m, dtype=np.float64)
+    return np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0]) <= range_m
 
 
 class TagWaveformBank:
@@ -222,44 +263,35 @@ class MovingCollisionSource:
     ) -> ReceivedCollision:
         """Superpose the tags' precomputed rows under per-query gains.
 
-        ``phases`` carries each response's oscillator phase; None draws
-        fresh ones (an own-query trigger) — after the gain rebuild, so
-        the rng draw order matches the original single-pole path exactly.
+        The window's responders are one unit: their positions at
+        ``response_t0`` come from one :func:`positions_at` call and the
+        whole (antennas × tags) gain matrix from one
+        ``channel.coefficients`` call, equal bit for bit to a per-tag,
+        per-antenna loop. Each transponder's ``position_m`` is left at its
+        response-time position. ``phases`` carries each response's
+        oscillator phase; None draws fresh ones (an own-query trigger) —
+        after the gain rebuild, so the rng draw order matches the
+        original single-pole path exactly.
         """
-        m = len(tags)
-        rows = []
-        gains = np.zeros((self.n_antennas, m), dtype=np.complex128)
-        templates = []
-        for i, tag in enumerate(tags):
-            mixed, template = self.bank.row(tag.transponder)
-            rows.append(mixed)
-            templates.append(template)
-            position = tag.position(response_t0)
-            tag.transponder.position_m = position
-            for a, rx in enumerate(self.antenna_positions_m):
-                gains[a, i] = (
-                    self.channel.coefficient(position, rx)
-                    * tag.transponder.tx_amplitude
-                )
+        transponders = [tag.transponder for tag in tags]
+        rows, templates = zip(*(self.bank.row(t) for t in transponders))
+        positions = positions_at(tags, response_t0)
+        for transponder, position in zip(transponders, positions):
+            transponder.position_m = position
+        amplitudes = np.array([t.tx_amplitude for t in transponders])
+        gains = self.channel.coefficients(positions, self.antenna_positions_m) * amplitudes
         if phases is None:
-            phases = np.exp(1j * self.rng.uniform(0.0, 2.0 * np.pi, size=m))
+            phases = np.exp(1j * self.rng.uniform(0.0, 2.0 * np.pi, size=len(tags)))
         weights = gains * phases[None, :]
         clean = weights @ np.asarray(rows)
-        truth = [
-            TruthEntry(
-                response=TagResponse(
-                    transponder=tag.transponder,
-                    bits=template.bits,
-                    baseband=template.baseband,
-                    t0_s=response_t0,
-                    sample_rate_hz=self.bank.sample_rate_hz,
-                    carrier_hz=template.carrier_hz,
-                    phase0_rad=float(np.angle(phases[i])),
-                ),
-                channels=weights[:, i].copy(),
-            )
-            for i, (tag, template) in enumerate(zip(tags, templates))
-        ]
+        truth = truth_entries(
+            transponders,
+            templates,
+            weights,
+            phases,
+            response_t0,
+            self.bank.sample_rate_hz,
+        )
         return self._package(clean, truth, response_t0, overheard_from, rng)
 
     def _package(

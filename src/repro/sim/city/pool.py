@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...errors import ConfigurationError
-from .moving import MovingTag
+from .moving import MovingTag, in_range_mask
 
 __all__ = ["TriggerWindow", "ResponsePool"]
 
@@ -83,11 +83,15 @@ class TriggerWindow:
         self, pole_m: np.ndarray, range_m: float
     ) -> list[tuple[MovingTag, float]]:
         """The (tag, phase) responders in radio range of a listening pole
-        at the window's response time."""
+        at the window's response time, through one range gate
+        (:func:`~repro.sim.city.moving.in_range_mask`)."""
+        if not self.tags:
+            return []
+        near = in_range_mask(self.tags, pole_m, self.start_s, range_m)
         return [
             (tag, phase)
-            for tag, phase in zip(self.tags, self.phases_rad)
-            if tag.in_range(pole_m, self.start_s, range_m)
+            for tag, phase, keep in zip(self.tags, self.phases_rad, near)
+            if keep
         ]
 
 
@@ -174,10 +178,9 @@ class ResponsePool:
                 # No phases to synthesize from — but an audible corrupted
                 # window still counts (the receiver buffered garbage and
                 # the caller's corruption accounting must see it).
-                if any(
-                    tag.in_range(pole_m, window.start_s, range_m)
-                    for tag in window.tags
-                ):
+                if window.tags and in_range_mask(
+                    window.tags, pole_m, window.start_s, range_m
+                ).any():
                     out.append((window, []))
                 else:
                     dropped["out_of_range"] += 1

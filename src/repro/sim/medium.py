@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import bisect
 import enum
+from collections import deque
 from dataclasses import dataclass, field
-
 
 from ..constants import QUERY_DURATION_S, RESPONSE_DURATION_S, TURNAROUND_S
 from ..core.mac import CsmaState, ReaderMac
@@ -41,6 +41,15 @@ __all__ = ["TxKind", "Transmission", "AirLog", "ReaderNode", "Medium"]
 #: Slack on the corruption sweep's lower bound, far above the rounding
 #: error of a recorded query span at any simulated time.
 _SWEEP_MARGIN_S = 1e-6
+
+
+def _any_reaches(xs_m: list, x_m: float, range_m: float) -> bool:
+    """Whether a listener at ``x_m`` hears any of a window's responders
+    (:meth:`Transmission.reaches` over the window's records)."""
+    for tx_x_m in xs_m:
+        if tx_x_m is None or abs(tx_x_m - x_m) <= range_m:
+            return True
+    return False
 
 
 class TxKind(enum.Enum):
@@ -100,6 +109,16 @@ class AirLog:
       recognizable; a reader hearing one also knows, from the protocol
       timing, when it will end and when its response slot opens).
     * :meth:`corrupted_responses` — every response some query stepped on.
+
+    ``transmissions`` keeps one record per transmission, one per
+    responding tag included, and every count and sweep reads it.
+    Carrier sensing reads a smaller view instead: one entry per query
+    and one per response window, since the responders one query
+    triggers share one interval (§3) and a listener hears the window
+    when it hears any of them. The view is built lazily from records the
+    last sense has not seen (a log nobody senses builds none) and
+    trimmed from the front as its entries die, so it holds only recent
+    traffic.
     """
 
     def __init__(self, sense_slack_s: float = 0.25, obs=None) -> None:
@@ -115,7 +134,11 @@ class AirLog:
         #: Longest recorded query, end minus start: bounds how far back
         #: the corruption sweep looks for a query overlapping a response.
         self._longest_query_s = 0.0
-        self._sense_cursor = 0
+        #: The sensing view: ``(start_s, end_s, kind, responder x_m
+        #: list, triggered_by)`` entries in record order, and how many
+        #: records it has folded in (see :meth:`heard_state`).
+        self._heard: deque[tuple] = deque()
+        self._heard_folded = 0
         # End-of-run sweeps over a *shared* log are repeated per caller
         # (every mesh corridor collects its own result); the log is
         # append-only, so one-slot caches keyed by record count make
@@ -250,25 +273,47 @@ class AirLog:
         (distant streets share the clock, not the ether); both default
         off. Transmissions ending more than ``horizon_s`` before
         ``now_s`` are dropped — they cannot affect a 120 µs listen
-        decision — and a cursor skips the long-dead prefix of the log
-        (records are appended in near time order), so sensing cost
-        tracks recent traffic instead of the whole run's history.
+        decision.
+
+        The scan reads the sensing view, not the records: consecutive
+        response records with equal start, end and ``triggered_by`` (one
+        query's responders) are one entry, heard when any responder's
+        ``x_m`` reaches the listener. Entries ending before
+        ``now_s - horizon_s - sense_slack_s`` leave the front of the view
+        (records are appended in near time order, so a later sense
+        never needs them), and sensing cost tracks recent traffic
+        instead of the whole run's history. The state equals a scan of
+        every record: duplicate intervals add nothing to a union.
         """
         floor = now_s - horizon_s
         prune_floor = floor - self.sense_slack_s
-        cursor = self._sense_cursor
+        heard = self._heard
         transmissions = self.transmissions
-        while (
-            cursor < len(transmissions)
-            and transmissions[cursor].end_s < prune_floor
-        ):
-            cursor += 1
-        self._sense_cursor = cursor
+        for tx in transmissions[self._heard_folded :]:
+            last = heard[-1] if heard else None
+            if (
+                tx.kind is TxKind.RESPONSE
+                and last is not None
+                and last[2] == "response"
+                and last[0] == tx.start_s
+                and last[1] == tx.end_s
+                and last[4] == tx.triggered_by
+            ):
+                last[3].append(tx.x_m)
+            else:
+                heard.append(
+                    (tx.start_s, tx.end_s, tx.kind.value, [tx.x_m], tx.triggered_by)
+                )
+        self._heard_folded = len(transmissions)
+        while heard and heard[0][1] < prune_floor:
+            heard.popleft()
+        everywhere = x_m is None or hear_range_m is None
         return CsmaState.from_heard(
             [
-                (tx.start_s, tx.end_s, tx.kind.value)
-                for tx in transmissions[cursor:]
-                if tx.end_s >= floor and tx.reaches(x_m, hear_range_m)
+                (start, end, kind)
+                for start, end, kind, responders_x_m, _ in heard
+                if end >= floor
+                and (everywhere or _any_reaches(responders_x_m, x_m, hear_range_m))
             ]
         )
 
@@ -381,11 +426,12 @@ class Medium:
     def _make_attempt(self, reader: ReaderNode):
         def attempt(scheduler: EventScheduler) -> None:
             now = scheduler.now_s
-            if reader.use_csma and not reader.mac.can_transmit(now, self.air.heard_state(now)):
+            state = self.air.heard_state(now) if reader.use_csma else None
+            if reader.use_csma and not reader.mac.can_transmit(now, state):
                 reader.queries_deferred += 1
                 if self.obs is not None:
                     self.obs.count("mac.deferral", station=reader.name)
-                retry = reader.mac.next_opportunity(now, self.air.heard_state(now))
+                retry = reader.mac.next_opportunity(now, state)
                 # Defer; small jitter avoids lock-step retries of two readers.
                 retry += float(self.rng.uniform(0.0, 20e-6))
                 scheduler.schedule(retry, self._make_attempt(reader), label=f"{reader.name}-retry")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.geometry import RoadSegment
-from repro.constants import READER_RANGE_M
+from repro.constants import QUERY_DURATION_S, READER_RANGE_M, TURNAROUND_S
 from repro.errors import ConfigurationError
 from repro.sim.city import (
     CityCorridor,
@@ -13,6 +13,7 @@ from repro.sim.city import (
     StationCell,
     carve_cells,
 )
+from repro.sim.city.moving import in_range_mask, positions_at
 from repro.sim.mobility import ConstantSpeedTrajectory
 from repro.sim.scenario import city_corridor_scene
 
@@ -119,6 +120,28 @@ class TestHandoffLedger:
         assert summary["tags_identified"] == 0
 
 
+def reference_in_range(tag, pole_m, t_s, range_m=READER_RANGE_M):
+    """The per-tag range check the array gate replaced."""
+    return float(np.linalg.norm(tag.position(t_s) - pole_m)) <= range_m
+
+
+def random_tags(scene, rng, n):
+    """``n`` tags on random straight trajectories through the street."""
+    return [
+        MovingTag(
+            scene.tags[0],
+            ConstantSpeedTrajectory(
+                start_m=np.array(
+                    [rng.uniform(-150.0, 50.0), rng.uniform(-7.0, 0.0), rng.uniform(0.5, 1.6)]
+                ),
+                velocity_m_s=np.array([rng.uniform(0.0, 20.0), 0.0, 0.0]),
+                t0_s=float(rng.uniform(0.0, 5.0)),
+            ),
+        )
+        for _ in range(n)
+    ]
+
+
 class TestMovingTag:
     def trajectory(self):
         return ConstantSpeedTrajectory(
@@ -139,6 +162,80 @@ class TestMovingTag:
         pole = np.array([0.0, 1.0, 4.0])
         assert tag.in_range(pole, 3.0)
         assert not tag.in_range(pole, 30.0)  # 280 m downstream by then
+
+    def test_positions_at_equal_per_tag_positions(self):
+        scene, _ = city_corridor_scene(n_poles=2, n_cars=1, rng=1)
+        rng = np.random.default_rng(3)
+        tags = random_tags(scene, rng, 50)
+        for t_s in rng.uniform(0.0, 10.0, 20):
+            expected = np.array([tag.position(t_s) for tag in tags])
+            assert np.array_equal(positions_at(tags, t_s), expected)
+        assert positions_at([], 1.0).shape == (0, 3)
+
+    def test_range_gate_equals_per_tag_check(self):
+        """One gate over a window's responders gives every tag the
+        verdict the per-tag check gave, in order."""
+        scene, _ = city_corridor_scene(n_poles=2, n_cars=1, rng=1)
+        rng = np.random.default_rng(11)
+        tags = random_tags(scene, rng, 300)
+        verdicts = set()
+        for _ in range(80):
+            chosen = [tags[i] for i in rng.choice(300, int(rng.integers(0, 40)), replace=False)]
+            pole = np.array([rng.uniform(-20.0, 20.0), 1.0, rng.uniform(3.0, 6.0)])
+            t_s = float(rng.uniform(0.0, 10.0))
+            range_m = float(rng.choice([READER_RANGE_M, rng.uniform(5.0, 60.0)]))
+            expected = [reference_in_range(tag, pole, t_s, range_m) for tag in chosen]
+            mask = in_range_mask(chosen, pole, t_s, range_m)
+            assert mask.dtype == bool and mask.tolist() == expected
+            assert [tag.in_range(pole, t_s, range_m) for tag in chosen] == expected
+            verdicts.update(expected)
+        assert verdicts == {True, False}
+
+    def test_tag_exactly_at_range_is_in_range(self):
+        scene, _ = city_corridor_scene(n_poles=2, n_cars=1, rng=1)
+        pole = np.array([0.0, 1.0, 4.0])
+        # At t = 2 s the tag sits at pole + (30, 40, 0): 50 m exactly.
+        tag = MovingTag(
+            scene.tags[0],
+            ConstantSpeedTrajectory(
+                start_m=np.array([10.0, 41.0, 4.0]),
+                velocity_m_s=np.array([10.0, 0.0, 0.0]),
+            ),
+        )
+        others = random_tags(scene, np.random.default_rng(5), 4)
+        for range_m, inside in ((50.0, True), (float(np.nextafter(50.0, 0.0)), False)):
+            assert reference_in_range(tag, pole, 2.0, range_m) is inside
+            assert tag.in_range(pole, 2.0, range_m) is inside
+            assert in_range_mask(others + [tag], pole, 2.0, range_m)[-1] == inside
+        # Any tag, with the range set to its own per-tag distance: the
+        # gate's distance must round exactly as the per-tag norm does.
+        for tag in random_tags(scene, np.random.default_rng(6), 200):
+            d_m = float(np.linalg.norm(tag.position(2.0) - pole))
+            below_m = float(np.nextafter(d_m, 0.0))
+            assert in_range_mask(others + [tag], pole, 2.0, d_m)[-1]
+            assert not in_range_mask(others + [tag], pole, 2.0, below_m)[-1]
+
+
+class TestRangeGateInTheCorridor:
+    def test_tags_near_gates_the_roster_like_per_tag_checks(self):
+        corridor = small_corridor(n_cars=8)
+        corridor.run(2.0)
+        heard = 0
+        for station in corridor.stations:
+            index = corridor._cell_index[station.cell.name]
+            roster = sorted(
+                set().union(*(corridor._roster[j] for j in corridor._audible_cells[index]))
+            )
+            for t_s in np.linspace(1.6, 2.4, 9):
+                response_t = t_s + QUERY_DURATION_S + TURNAROUND_S
+                expected = [
+                    corridor.tags[i]
+                    for i in roster
+                    if reference_in_range(corridor.tags[i], station.pole_position_m, response_t)
+                ]
+                assert corridor._tags_near(station, t_s) == expected
+                heard += len(expected)
+        assert heard > 0
 
 
 @pytest.mark.slow

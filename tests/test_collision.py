@@ -14,6 +14,7 @@ from repro.constants import (
 )
 from repro.errors import ConfigurationError
 from tests.conftest import make_tag
+from tests.test_propagation import reference_coefficient, same_bits
 
 
 @pytest.fixture
@@ -117,6 +118,36 @@ class TestStaticCollisionSimulator:
         t = np.arange(wave.n_samples) / wave.sample_rate_hz
         demod = wave.samples * np.exp(-2j * np.pi * 640e3 * t)
         assert demod.mean() == pytest.approx(collision.truth[0].channels[1] / 2.0, rel=1e-6)
+
+    def test_gains_and_truth_equal_the_per_tag_loop(self, array):
+        """One gain call and one truth build give what the per-tag,
+        per-antenna loop gave, bit for bit."""
+        rng = np.random.default_rng(17)
+        tags = [
+            make_tag(
+                float(rng.uniform(-400e3, 400e3)),
+                position_m=(rng.uniform(-30.0, 30.0), rng.uniform(-8.0, 0.0), 1.0),
+                seed=i,
+            )
+            for i in range(12)
+        ]
+        channel = LosChannel()
+        sim = StaticCollisionSimulator(tags, array.positions_m, channel, rng=3)
+        gains = np.array(
+            [
+                [reference_coefficient(channel, tag.position_m, rx) * tag.tx_amplitude for tag in tags]
+                for rx in array.positions_m
+            ]
+        )
+        assert same_bits(sim._gains, gains)
+        collision = sim.query(0.0, rng=8)
+        phases = np.exp(1j * np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, size=12))
+        weights = gains * phases[None, :]
+        assert len(collision.truth) == len(tags)
+        for i, (tag, entry) in enumerate(zip(tags, collision.truth)):
+            assert entry.response.transponder is tag
+            assert entry.response.phase0_rad == float(np.angle(phases[i]))
+            assert same_bits(entry.channels, weights[:, i])
 
     def test_rejects_positionless_tags(self, array):
         tag = make_tag(100e3)

@@ -303,6 +303,172 @@ class TestCorruptionSweep:
         assert self._brute_force(air, None) == [response]
 
 
+class RecordScan:
+    """The per-record carrier-sense scan the sensing view replaced,
+    reading the same log with its own dead-prefix cursor."""
+
+    def __init__(self, air: AirLog) -> None:
+        self.air = air
+        self.cursor = 0
+
+    def heard_state(self, now_s, horizon_s=10e-3, x_m=None, hear_range_m=None):
+        floor = now_s - horizon_s
+        prune_floor = floor - self.air.sense_slack_s
+        transmissions = self.air.transmissions
+        while (
+            self.cursor < len(transmissions)
+            and transmissions[self.cursor].end_s < prune_floor
+        ):
+            self.cursor += 1
+        return CsmaState.from_heard(
+            [
+                (tx.start_s, tx.end_s, tx.kind.value)
+                for tx in transmissions[self.cursor:]
+                if tx.end_s >= floor and tx.reaches(x_m, hear_range_m)
+            ]
+        )
+
+
+def same_state(a: CsmaState, b: CsmaState) -> bool:
+    return (
+        a.busy_intervals == b.busy_intervals
+        and a.response_energy_intervals() == b.response_energy_intervals()
+        and a.query_spans() == b.query_spans()
+    )
+
+
+class TestSensingView:
+    """``heard_state`` reads one entry per query and per response window;
+    it equals the per-record scan in everything the MAC reads."""
+
+    READERS_X_M = (0.0, 60.0, 130.0, 400.0)
+    HEAR_RANGE_M = 50.0
+
+    def _window(self, air, rng, name, x_m, t_s, n):
+        query = air.record_query(name, t_s, x_m=x_m)
+        start = query.end_s + TURNAROUND_S
+        for k in range(n):
+            # Responders spread +-70 m around the pole, so one window's
+            # responders straddle the hearing range of a neighbour.
+            air.record_response(
+                f"tag{k}", start, triggered_by=name,
+                x_m=x_m + float(rng.uniform(-70.0, 70.0)),
+            )
+
+    def _random_run(self, seed, duration_s, slack_s=0.02):
+        """A seeded random log sensed as it grows; yields ``(log, view
+        state, record-scan state)`` at each sense."""
+        rng = np.random.default_rng(seed)
+        air = AirLog(sense_slack_s=slack_s)
+        scan = RecordScan(air)
+        t = 0.0
+        newest = 0.0
+        while t < duration_s:
+            t += float(rng.exponential(0.4e-3))
+            i = int(rng.integers(len(self.READERS_X_M)))
+            name, x_m = f"r{i}", self.READERS_X_M[i]
+            action = rng.random()
+            if action < 0.45:
+                self._window(air, rng, name, x_m, t, int(rng.integers(0, 30)))
+            elif action < 0.6:
+                # A decode burst: its later queries are recorded ahead of
+                # the clock, one response record per burst capture.
+                for j in range(int(rng.integers(1, 5))):
+                    t_q = t + j * 1e-3
+                    air.record_query(name, t_q, x_m=x_m)
+                    air.record_response(
+                        f"{name}-burst", t_q + QUERY_DURATION_S + TURNAROUND_S,
+                        triggered_by=name, x_m=x_m,
+                    )
+            elif action < 0.7:
+                # Two readers' windows whose response records interleave:
+                # equal windows that are not consecutive stay apart.
+                other = (i + 1) % len(self.READERS_X_M)
+                starts = {}
+                for who in (i, other):
+                    q = air.record_query(f"r{who}", t, x_m=self.READERS_X_M[who])
+                    starts[who] = q.end_s + TURNAROUND_S
+                for k in range(int(rng.integers(2, 8))):
+                    for who in (i, other):
+                        air.record_response(
+                            f"tag{who}-{k}", starts[who], triggered_by=f"r{who}",
+                            x_m=self.READERS_X_M[who] + float(rng.uniform(-70.0, 70.0)),
+                        )
+            elif action < 0.75:
+                # Unplaced energy is heard everywhere.
+                air.record_response("stray", t, triggered_by=None, x_m=None)
+            kind = rng.random()
+            if kind < 0.5:
+                now = t
+            elif kind < 0.7:
+                now = t + float(rng.uniform(0.0, 4e-3))  # a burst senses ahead
+            elif kind < 0.95:
+                now = newest - float(rng.uniform(0.0, slack_s))  # within the slack
+            else:
+                now = newest - float(rng.uniform(slack_s, 5 * slack_s))  # beyond it
+            newest = max(newest, now)
+            listener = self.READERS_X_M[int(rng.integers(len(self.READERS_X_M)))]
+            gated = rng.random() < 0.7
+            x_kw = {"x_m": listener, "hear_range_m": self.HEAR_RANGE_M} if gated else {}
+            yield air, air.heard_state(now, **x_kw), scan.heard_state(now, **x_kw)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_the_record_scan_on_random_logs(self, seed):
+        senses = heard = 0
+        for _, view_state, scan_state in self._random_run(seed, 0.4):
+            assert same_state(view_state, scan_state)
+            senses += 1
+            heard += bool(view_state.busy_intervals)
+        assert senses > 500 and heard > senses // 2
+
+    def test_long_runs_trim_the_view(self):
+        """The view keeps recent entries only; the records all stay."""
+        sizes = []
+        for air, view_state, scan_state in self._random_run(4, 1.2):
+            assert same_state(view_state, scan_state)
+            sizes.append(len(air._heard))
+        assert len(air.transmissions) > 30 * max(sizes)
+
+    def test_one_entry_per_query_and_per_window(self):
+        air = AirLog()
+        a = air.record_query("A", 0.0, x_m=0.0)
+        b = air.record_query("B", 0.0, x_m=100.0)
+        start = a.end_s + TURNAROUND_S
+        for k in range(3):
+            air.record_response(f"a{k}", start, triggered_by="A", x_m=float(k))
+        air.record_response("b0", start, triggered_by="B", x_m=100.0)
+        # Window A again, after B's record: not consecutive, so apart.
+        air.record_response("a3", start, triggered_by="A", x_m=3.0)
+        air.record_response("a4", start, triggered_by="A", x_m=4.0)
+        state = air.heard_state(1e-3)
+        assert [entry[:3] for entry in air._heard] == [
+            (a.start_s, a.end_s, "query"),
+            (b.start_s, b.end_s, "query"),
+            (start, start + RESPONSE_DURATION_S, "response"),
+            (start, start + RESPONSE_DURATION_S, "response"),
+            (start, start + RESPONSE_DURATION_S, "response"),
+        ]
+        assert [len(entry[3]) for entry in list(air._heard)[2:]] == [3, 1, 2]
+        assert same_state(state, RecordScan(air).heard_state(1e-3))
+
+    def test_window_heard_when_any_responder_reaches(self):
+        air = AirLog()
+        start = 140e-6
+        for x_m in (-80.0, -60.0, 45.0):  # only the last is within 50 m
+            air.record_response("t", start, triggered_by="A", x_m=x_m)
+        state = air.heard_state(1e-3, x_m=0.0, hear_range_m=50.0)
+        assert state.busy_intervals == [(start, start + RESPONSE_DURATION_S)]
+        assert air.heard_state(1e-3, x_m=-200.0, hear_range_m=50.0).busy_intervals == []
+
+    def test_a_log_never_sensed_builds_no_view(self):
+        air = AirLog()
+        for k in range(100):
+            air.record_query("A", k * 1e-3)
+            air.record_response("t", k * 1e-3 + 140e-6, triggered_by="A")
+        assert len(air._heard) == 0 and air._heard_folded == 0
+        assert len(air.transmissions) == 200
+
+
 class TestMedium:
     def test_csma_avoids_query_response_corruption(self):
         """§9's claim: with the 120 us listen rule, no reader query ever

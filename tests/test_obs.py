@@ -289,6 +289,50 @@ class TestSpanTracer:
         assert "... 2 more event(s)" in tracer.timeline(max_rows=3)
 
 
+class TestCarrierSenseCounts:
+    def test_one_verdict_per_decision_not_per_probe(self):
+        """``mac.carrier_sense`` counts the decisions a reader acts on,
+        not the candidate times ``ReaderMac.next_opportunity`` probes:
+        every deferral is one ``defer``, and every query sent is one
+        ``allow`` unless it went out after a burst deferral."""
+        scene, trajectories = city_corridor_scene(
+            n_poles=8,
+            pole_spacing_m=25.0,
+            lane_ys_m=LANES,
+            n_cars=40,
+            entry="stream",
+            entry_window_s=2.0,
+            rng=2025,
+        )
+        obs = Obs()
+        corridor = CityCorridor.build(
+            scene,
+            trajectories,
+            lane_ys_m=LANES,
+            rng=3,
+            scheduling="event",
+            max_queries=32,
+            opportunistic="accept",
+            obs=obs,
+        )
+        result = corridor.run(3.0)
+        counters = obs.metrics.snapshot()["counters"]
+
+        def total(name, label):
+            return sum(
+                v for key, v in counters.items() if key.startswith(name + "{") and label in key
+            )
+
+        deferrals = obs.metrics.total("mac.deferral")
+        assert deferrals > 100
+        assert total("mac.carrier_sense", "outcome=defer") == deferrals
+        assert (
+            total("mac.carrier_sense", "outcome=allow")
+            + total("mac.deferral", "context=burst")
+            == result.queries_sent
+        )
+
+
 class TestReportValidation:
     def test_validate_trace_rejects_malformed(self):
         assert validate_trace([]) != []

@@ -26,6 +26,42 @@ class TestFriis:
         assert propagation_delay_s(299_792_458.0) == pytest.approx(1.0)
 
 
+def reference_coefficient(channel, tx_m, rx_m):
+    """The one-pair LoS arithmetic the vectorized kernel must reproduce:
+    the per-pair loop every gain used to come from."""
+    tx_m = np.asarray(tx_m, dtype=np.float64)
+    rx_m = np.asarray(rx_m, dtype=np.float64)
+    d = float(np.linalg.norm(rx_m - tx_m))
+    amp = channel.gain * friis_amplitude(d, channel.wavelength_m)
+    phase = -2.0 * np.pi * d / channel.wavelength_m
+    return complex(amp * np.exp(1j * phase))
+
+
+def same_bits(a, b):
+    """Equal with ``==`` and in the sign of every zero part."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    b = np.ascontiguousarray(b, dtype=np.complex128)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.view(np.float64)), np.signbit(b.view(np.float64)))
+    )
+
+
+def random_geometry(rng, m):
+    """``m`` tag positions along a street and a 3-antenna array on a pole."""
+    tags = np.column_stack(
+        [
+            rng.uniform(-60.0, 60.0, m),
+            rng.uniform(-8.0, 0.0, m),
+            rng.uniform(0.5, 1.6, m),
+        ]
+    )
+    pole = np.array([rng.uniform(-5.0, 5.0), 1.0, rng.uniform(4.0, 7.0)])
+    antennas = pole + rng.uniform(-0.2, 0.2, size=(3, 3))
+    return tags, antennas
+
+
 class TestLosChannel:
     def test_phase_encodes_path_length(self):
         channel = LosChannel()
@@ -44,7 +80,40 @@ class TestLosChannel:
         rx = np.array([[10.0, 1.0, 2.0], [5.0, -2.0, 1.0]])
         vec = channel.coefficients(np.zeros(3), rx)
         for k in range(2):
-            assert vec[k] == pytest.approx(channel.coefficient(np.zeros(3), rx[k]))
+            assert vec[k] == channel.coefficient(np.zeros(3), rx[k])
+
+    @pytest.mark.parametrize("gain", [1.0, 0.37])
+    def test_coefficients_equal_the_per_pair_loop(self, gain):
+        """One transmitter ``(3,)`` gives ``(K,)``, many ``(m, 3)`` give
+        ``(K, m)``; every element is the one-pair arithmetic bit for bit,
+        and ``coefficient`` is its one-pair case."""
+        channel = LosChannel(gain=gain)
+        rng = np.random.default_rng(2025)
+        pairs = 0
+        for _ in range(60):
+            tags, antennas = random_geometry(rng, int(rng.integers(1, 40)))
+            reference = np.array(
+                [[reference_coefficient(channel, t, rx) for t in tags] for rx in antennas]
+            )
+            many = channel.coefficients(tags, antennas)
+            assert many.shape == (len(antennas), len(tags))
+            assert same_bits(many, reference)
+            for i, tag in enumerate(tags):
+                assert same_bits(channel.coefficients(tag, antennas), reference[:, i])
+                assert same_bits(channel.coefficient(tag, antennas[0]), reference[0, i])
+            pairs += reference.size
+        assert pairs > 3000
+
+    def test_zero_distance_still_rejected(self):
+        channel = LosChannel()
+        point = np.array([1.0, 2.0, 3.0])
+        others = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        with pytest.raises(ConfigurationError):
+            channel.coefficient(point, point)
+        with pytest.raises(ConfigurationError):
+            channel.coefficients(point, others)
+        with pytest.raises(ConfigurationError):
+            channel.coefficients(others, others)
 
     def test_phase_difference_encodes_aoa(self):
         """The core of Eq 10: across a lambda/2 baseline, the channel
@@ -96,6 +165,19 @@ class TestMultipath:
         total = channel.coefficient(tx, rx)
         parts = sum(p.coefficient for p in channel.resolve_paths(tx, rx))
         assert total == pytest.approx(parts)
+
+    def test_coefficients_accept_one_or_many_transmitters(self):
+        channel = MultipathChannel(
+            paths=(GroundBounce(), PointScatterer(np.array([5.0, 5.0, 1.0])))
+        )
+        tags, antennas = random_geometry(np.random.default_rng(7), 6)
+        many = channel.coefficients(tags, antennas)
+        assert many.shape == (3, 6)
+        for i, tag in enumerate(tags):
+            one = channel.coefficients(tag, antennas)
+            assert one.shape == (3,)
+            for k, rx in enumerate(antennas):
+                assert many[k, i] == one[k] == channel.coefficient(tag, rx)
 
     def test_bad_scatterer_position(self):
         with pytest.raises(ConfigurationError):

@@ -29,7 +29,8 @@ from repro.sim.city import (
 from repro.sim.mobility import ConstantSpeedTrajectory
 from repro.sim.scenario import city_corridor_scene
 
-from tests.test_city_corridor import small_corridor
+from tests.test_city_corridor import random_tags, reference_in_range, small_corridor
+from tests.test_propagation import reference_coefficient, same_bits
 
 #: Ledger digests of the pre-pool corridor (captured before the pool
 #: landed): ``opportunistic="ignore"`` must keep reproducing them.
@@ -161,6 +162,86 @@ class TestOverhearPhysics:
             src_b.overhear([], 0.0)
 
 
+def reference_synthesize(source, tags, phases, response_t0):
+    """The per-tag loop ``MovingCollisionSource._synthesize`` replaced:
+    its clean (antennas x N) samples, truth phases and truth channels."""
+    m = len(tags)
+    rows = []
+    gains = np.zeros((source.n_antennas, m), dtype=np.complex128)
+    for i, tag in enumerate(tags):
+        mixed, _ = source.bank.row(tag.transponder)
+        rows.append(mixed)
+        position = tag.position(response_t0)
+        tag.transponder.position_m = position
+        for a, rx in enumerate(source.antenna_positions_m):
+            gains[a, i] = (
+                reference_coefficient(source.channel, position, rx)
+                * tag.transponder.tx_amplitude
+            )
+    if phases is None:
+        phases = np.exp(1j * source.rng.uniform(0.0, 2.0 * np.pi, size=m))
+    weights = gains * phases[None, :]
+    clean = weights @ np.asarray(rows)
+    return clean, [float(np.angle(p)) for p in phases], [weights[:, i].copy() for i in range(m)]
+
+
+class TestSynthesizeReference:
+    """One trigger window's responders are synthesized as one unit,
+    bit for bit the per-tag loop (kept above as the reference)."""
+
+    def sources(self, seed):
+        scene, _ = city_corridor_scene(n_poles=2, n_cars=30, entry="spread", rng=seed)
+        twins = []
+        for _ in range(2):
+            bank = TagWaveformBank(scene.lo_hz, scene.sample_rate_hz, rng=seed)
+            twins.append(
+                MovingCollisionSource(
+                    scene.arrays[0].positions_m, scene.channel, bank, rng=seed + 1
+                )
+            )
+        # One transponder per tag (the bank keys rows by tag id), each on
+        # a random trajectory through the street.
+        paths = random_tags(scene, np.random.default_rng(seed), len(scene.tags))
+        tags = [
+            MovingTag(transponder=tag, trajectory=path.trajectory)
+            for tag, path in zip(scene.tags, paths)
+        ]
+        return twins, tags
+
+    def check(self, collision, reference, tags):
+        clean, phases, channels = reference
+        assert same_bits(np.array([w.samples for w in collision.antennas]), clean)
+        assert len(collision.truth) == len(tags)
+        for entry, tag, phase, channel in zip(collision.truth, tags, phases, channels):
+            assert entry.response.transponder is tag.transponder
+            assert entry.response.phase0_rad == phase
+            assert same_bits(entry.channels, channel)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_own_queries_equal_the_per_tag_loop(self, seed):
+        (source, twin), tags = self.sources(seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            chosen = [tags[i] for i in sorted(rng.choice(len(tags), int(rng.integers(1, 30)), replace=False))]
+            t_query = float(rng.uniform(0.0, 5.0))
+            collision = source.query(chosen, t_query)
+            reference = reference_synthesize(twin, chosen, None, collision.t0_s)
+            self.check(collision, reference, chosen)
+            for tag in chosen:
+                assert np.array_equal(tag.transponder.position_m, tag.position(collision.t0_s))
+
+    def test_overheard_windows_equal_the_per_tag_loop(self):
+        (source, twin), tags = self.sources(5)
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            chosen = [tags[i] for i in sorted(rng.choice(len(tags), int(rng.integers(1, 30)), replace=False))]
+            phases_rad = rng.uniform(0.0, 2.0 * np.pi, len(chosen))
+            t0 = float(rng.uniform(0.0, 5.0))
+            collision = source.overhear(list(zip(chosen, phases_rad)), t0, origin="pole-1")
+            reference = reference_synthesize(twin, chosen, np.exp(1j * phases_rad), t0)
+            self.check(collision, reference, chosen)
+
+
 class TestResponsePool:
     def window(self, origin, end_s, corrupted=False, tags=(), phases=()):
         return TriggerWindow(
@@ -224,6 +305,36 @@ class TestResponsePool:
         assert len(harvested) == 1
         (window, audible), = harvested
         assert audible == [(tag, phase)]
+
+    def test_audible_tags_equal_per_tag_checks(self):
+        """A window's responders straddling a listener's range: one gate
+        keeps exactly the (tag, phase) pairs the per-tag check kept, and
+        a corrupted window is audible when any one responder is."""
+        scene, _ = city_corridor_scene(n_poles=2, n_cars=1, rng=1)
+        rng = np.random.default_rng(21)
+        tags = random_tags(scene, rng, 40)
+        phases = tuple(rng.uniform(0.0, 2.0 * np.pi, 40))
+        pool = ResponsePool()
+        window = pool.publish(self.window("pole-0", 2.0, tags=tags, phases=phases))
+        kept = set()
+        for x_m in np.linspace(-120.0, 60.0, 19):
+            pole = np.array([x_m, 1.0, 3.8])
+            expected = [
+                (tag, phase)
+                for tag, phase in zip(tags, phases)
+                if reference_in_range(tag, pole, window.start_s, 30.0)
+            ]
+            assert window.audible_tags(pole, 30.0) == expected
+            kept.add(0 < len(expected) < len(tags))
+            # The corrupted copy of the window: only its last responder
+            # decides whether the garbage was audible.
+            for subset in (tags, tags[-1:]):
+                garbage = ResponsePool()
+                garbage.publish(self.window("pole-0", 2.0, corrupted=True, tags=subset))
+                audible = any(reference_in_range(t, pole, window.start_s, 30.0) for t in subset)
+                harvested = garbage.harvest("pole-1", pole, 0.0, 3.0, [], 30.0)
+                assert len(harvested) == int(audible)
+        assert True in kept
 
     def test_corrupted_window_carries_no_phases(self):
         window = self.window("pole-0", 0.020, corrupted=True)
