@@ -18,8 +18,8 @@ Three experiments on the :class:`repro.sim.city.CityCorridor` engine:
 
 2. **Scheduling throughput** — the same world driven at a saturating
    cadence through both schedulers. The sequential-rounds baseline
-   (``ReaderNetwork.step`` semantics on a shared clock: stations take
-   strict turns, each turn serializing its burst) cannot fit every
+   (``scheduling="rounds"``: stations take strict turns on the shared
+   clock, each turn serializing its burst) cannot fit every
    station's turn inside the cadence; the event-driven scheduler can,
    because simultaneous queries are benign (§9 rule 1) and response
    slots may overlap — decoding collisions is the whole point. The gate:

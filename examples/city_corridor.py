@@ -9,7 +9,8 @@ decoded once is *handed off* down the corridor: when its CFO fingerprint
 shows up at the next pole, the identity-cache entry is forwarded instead
 of re-decoding — the HandoffLedger at the end shows how much decode air
 time that saved. A CarFinder service subscribes to the observation
-stream, exactly as in the round-based reader_network example.
+stream, as the parking and red-light services do in the lock-step
+reader_network example.
 
 Everything here is the promoted library surface — cells, handoff and
 moving-tag synthesis live in :mod:`repro.sim.city`

@@ -1,33 +1,35 @@
 #!/usr/bin/env python
-"""A reader *network* serving the §1 city services in one pipeline.
+"""A reader *network* serving the §1 city services on lock-step rounds.
 
-Two pole stations watch a two-lane corridor with curbside parking. Each
-:class:`ReaderNetwork` round counts the tags in range (§5), decodes any
-account id it has not seen before from the shared collision stream
-(§8/§12.4, batched across tags), localizes every spike with a single
-pole (AoA cone x known lanes), and fans the resulting observations into
-the parking-billing and find-my-car services. A second segment re-uses
-the same machinery for red-light enforcement with a moving car.
+Two poles watch a two-lane street with three parked cars.
+The street is a :class:`repro.sim.city.CityCorridor` run with
+``scheduling="rounds"``: every 120 s each pole in turn counts the tags in
+range (§5), resolves their spikes against its identity cache (or its
+neighbor's), decodes any account id nobody knows yet from the shared
+collision stream (§8/§12.4, batched across tags), localizes every spike
+from its own pole (AoA cone x known lanes, inside its coverage cell) and
+fans the observations into the parking-billing and find-my-car services.
+A parked car is a car at speed zero: its trajectory has zero velocity.
 
-Historical note: the hand-carved per-station coverage segments below
-are where the library's cell machinery came from — they have since been
-promoted to :class:`repro.sim.city.StationCell` / ``carve_cells``
-(first-class cells with neighbor links and per-cell localizers), and
-the per-pole identity caches shown here grew into the corridor's
-fingerprint-keyed cache *handoff* (:mod:`repro.sim.city.handoff`) and
-the mesh's city-wide :class:`repro.sim.city.IdentityDirectory`. This
-example keeps the minimal by-hand version to show the round-based
-pipeline itself; see ``examples/city_corridor.py`` and
-``examples/city_mesh.py`` for the promoted APIs.
+A second street runs red-light enforcement the same way: one pole at the
+stop line, rounds every 2 s, and a car at 6 m/s that crosses the line
+during the red phase between two rounds. The detector interpolates the
+crossing from the fixes on either side.
+
+The event-driven form of the same corridor (async CSMA cadences, moving
+traffic) is ``examples/city_corridor.py``; the corridor graph above it is
+``examples/city_mesh.py``.
 
 Run:  python examples/reader_network.py
 """
 
+from collections import Counter
+
 import numpy as np
 
-from repro.apps import CarFinder, ParkingBillingService, RedLightDetector, TagObservation
-from repro.channel.geometry import RoadSegment
-from repro.core import LaneProjectionLocalizer, ReaderNetwork, ReaderStation
+from repro.apps import CarFinder, ParkingBillingService, RedLightDetector
+from repro.sim.city import CityCorridor
+from repro.sim.mobility import ConstantSpeedTrajectory
 from repro.sim.scenario import corridor_scene
 from repro.sim.traffic import TrafficLight
 
@@ -35,49 +37,43 @@ LANES = (-1.75, -5.25)
 
 
 def parking_and_car_finder() -> None:
-    print("=== Corridor network: parking billing + find-my-car ===")
-    cars = [(-6.0, 0), (5.0, 1), (26.0, 0)]
+    print("=== Parked cars on a lock-step corridor: parking billing + find-my-car ===")
+    round_s = 120.0
     scene = corridor_scene(
         pole_xs_m=[0.0, 24.0],
         lane_ys_m=list(LANES),
-        cars=cars,
+        cars=[(-6.0, 0), (5.0, 1), (26.0, 0)],
         rng=21,
     )
-    network = ReaderNetwork(max_queries=32)
-    # Each pole owns a coverage cell: fixes outside it are left to the
-    # neighbor with better geometry (AoA error grows with range).
-    cells = ((scene.road.x_min_m, 12.0), (12.0, scene.road.x_max_m))
-    for index, (name, cell) in enumerate(zip(("pole-west", "pole-east"), cells)):
-        sim = scene.simulator(index, rng=50 + index)
-        cell_road = RoadSegment(
-            x_min_m=cell[0],
-            x_max_m=cell[1],
-            y_center_m=scene.road.y_center_m,
-            width_m=scene.road.width_m,
-        )
-        network.add_station(
-            ReaderStation(
-                name=name,
-                reader=scene.reader(index),
-                query_fn=sim.query,
-                localizer=LaneProjectionLocalizer(road=cell_road, lane_ys_m=LANES),
-            )
-        )
-
-    finder = network.subscribe(CarFinder())
+    parked = [
+        ConstantSpeedTrajectory(start_m=tag.position_m, velocity_m_s=np.zeros(3))
+        for tag in scene.tags
+    ]
+    # Each pole owns a coverage cell (cut at the midpoint between the
+    # poles): fixes outside it are left to the neighbor with better
+    # geometry, since AoA error grows with range.
+    corridor = CityCorridor.build(
+        scene, parked, LANES, rng=21, scheduling="rounds", query_interval_s=round_s
+    )
+    finder = corridor.subscribe(CarFinder())
     spots = {i: tag.position_m[:2] for i, tag in enumerate(scene.tags)}
-    parking = network.subscribe(
+    parking = corridor.subscribe(
         ParkingBillingService(spot_positions_m=spots, rate_per_hour=3.0)
     )
+    result = corridor.run(2.5 * round_s)
 
-    for round_index, t in enumerate((0.0, 120.0, 240.0)):
-        reports = network.step(t)
-        decoded = sum(len(r.decode_results) for r in reports)
-        observed = sum(len(r.observations) for r in reports)
+    for index in range(result.rounds // len(corridor.stations)):
+        t_s = index * round_s
+        observed = sum(
+            1 for o in corridor.observations if t_s <= o.timestamp_s < t_s + round_s
+        )
+        kinds = Counter(
+            r.kind for r in corridor.ledger.records if t_s <= r.t_s < t_s + round_s
+        )
+        sightings = ", ".join(f"{n} {kind}" for kind, n in sorted(kinds.items()))
         print(
-            f"round {round_index} (t={t:5.0f} s): "
-            f"{observed} observations, {decoded} fresh decodes "
-            f"({'identities cached' if decoded == 0 else 'decoding new tags'})"
+            f"round {index} (t={t_s:5.0f} s): {observed} observations; "
+            f"sightings: {sightings}"
         )
 
     print(f"occupied spots: {sorted(parking.occupancy())}")
@@ -85,13 +81,14 @@ def parking_and_car_finder() -> None:
         fix = finder.locate(tag.packet.tag_id)
         err = np.linalg.norm(fix.position_m - tag.position_m[:2])
         print(
-            f"  account {tag.packet.tag_id}: last seen at "
+            f"  account {tag.packet.tag_id}: last seen by {fix.station} at "
             f"({fix.position_m[0]:6.2f}, {fix.position_m[1]:6.2f}) m "
             f"[error {err * 100:.0f} cm]"
         )
 
-    # The east car drives away; its parking session times out and bills.
-    bills = parking.sweep(now_s=240.0 + 180.0)
+    # The cars drive away after the last round; their parking sessions
+    # time out and bill.
+    bills = parking.sweep(now_s=2.0 * round_s + 180.0)
     print(f"bills issued after sweep: {len(bills)}")
     for bill in bills:
         print(
@@ -101,66 +98,42 @@ def parking_and_car_finder() -> None:
 
 
 def red_light_via_network() -> None:
-    print("\n=== Single-pole red-light enforcement via the network ===")
+    print("\n=== Single-pole red-light enforcement on the same rounds ===")
     light = TrafficLight(green_s=30.0, yellow_s=3.0, red_s=27.0)
     stop_line_x = 8.0
-    detector = RedLightDetector(light=light, stop_line_x_m=stop_line_x)
-
-    # One car crossing the stop line during the red phase (t ~ 42 s,
-    # 6 m/s): the network localizes it from the stop-line pole alone.
-    speed = 6.0
-    times = (41.0, 43.0)
-    xs = [stop_line_x + speed * (t - 42.0) for t in times]
-
-    violations = 0
-    network = ReaderNetwork(max_queries=32)
-
-    def scene_at(x: float):
-        scene = corridor_scene(
-            pole_xs_m=[stop_line_x],
-            lane_ys_m=[LANES[0]],
-            cars=[(x, 0)],
-            rng=23,
-        )
-        return scene
-
-    scene0 = scene_at(xs[0])
-    car_packet = scene0.tags[0].packet
-    finder = network.subscribe(CarFinder())
-    station = network.add_station(
-        ReaderStation(
-            name="stop-line-pole",
-            reader=scene0.reader(0),
-            query_fn=scene0.simulator(0, rng=60).query,
-            localizer=LaneProjectionLocalizer(road=scene0.road, lane_ys_m=(LANES[0],)),
-        )
+    crossing_s = 43.0  # red phase, strictly between the 42 s and 44 s rounds
+    scene = corridor_scene(
+        pole_xs_m=[stop_line_x],
+        lane_ys_m=[LANES[0]],
+        cars=[(stop_line_x, 0)],
+        rng=23,
     )
+    car = ConstantSpeedTrajectory(
+        start_m=scene.tags[0].position_m,
+        velocity_m_s=np.array([6.0, 0.0, 0.0]),
+        t0_s=crossing_s,
+    )
+    corridor = CityCorridor.build(
+        scene, [car], (LANES[0],), rng=23, scheduling="rounds", query_interval_s=2.0
+    )
+    detector = corridor.subscribe(
+        RedLightDetector(light=light, stop_line_x_m=stop_line_x)
+    )
+    corridor.run(50.0)
 
-    for t, x in zip(times, xs):
-        scene = scene_at(x)
-        scene.tags[0].packet = car_packet
-        station.query_fn = scene.simulator(0, rng=60 + int(t)).query
-        network.step(t)
-        fix = finder.locate(car_packet.tag_id)
+    for obs in corridor.observations:
+        t_s = obs.timestamp_s
         print(
-            f"t = {t:4.1f} s ({light.phase(t)}): car at x = {fix.position_m[0]:6.2f} m "
-            f"(true {x:6.2f} m)"
+            f"t = {t_s:4.1f} s ({light.phase(t_s)}): car at x = "
+            f"{obs.position_m[0]:6.2f} m (true {car.position(t_s)[0]:6.2f} m)"
         )
-        ticket = detector.observe(
-            TagObservation(
-                tag_id=car_packet.tag_id,
-                position_m=fix.position_m,
-                timestamp_s=t,
-            )
+    for ticket in detector.violations:
+        print(
+            f"  -> TICKET: account {ticket.tag_id} crossed at "
+            f"t = {ticket.crossed_at_s:.2f} s ({ticket.phase}) doing "
+            f"{ticket.speed_m_s:.1f} m/s"
         )
-        if ticket:
-            violations += 1
-            print(
-                f"  -> TICKET: account {ticket.tag_id} crossed at "
-                f"t = {ticket.crossed_at_s:.2f} s ({ticket.phase}) doing "
-                f"{ticket.speed_m_s:.1f} m/s"
-            )
-    print(f"violations recorded: {violations} (expected: 1)")
+    print(f"violations recorded: {len(detector.violations)} (expected: 1)")
 
 
 def main() -> None:

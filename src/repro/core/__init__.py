@@ -7,7 +7,7 @@
 * :mod:`repro.core.speed` — speed estimation and §7 error bounds.
 * :mod:`repro.core.decoding` — coherent-combining ID decoder (§8).
 * :mod:`repro.core.reader` — the CaraokeReader facade.
-* :mod:`repro.core.network` — multi-reader batch processing (§12.5).
+* :mod:`repro.core.network` — per-pole identity cache and id resolution (§7, §12.5).
 * :mod:`repro.core.mac` — reader-side CSMA rules (§9).
 """
 
@@ -46,13 +46,7 @@ from .speed import (
 )
 from .decoding import CoherentDecoder, DecodeResult, DecodeSession, MultiTargetCombiner
 from .reader import CaraokeReader, ReaderReport
-from .network import (
-    IdentityCache,
-    ReaderNetwork,
-    ReaderStation,
-    StationReport,
-    resolve_cached_ids,
-)
+from .network import IdentityCache, resolve_cached_ids
 from .mac import CsmaState, ReaderMac
 
 __all__ = [
@@ -91,9 +85,6 @@ __all__ = [
     "CaraokeReader",
     "ReaderReport",
     "IdentityCache",
-    "ReaderNetwork",
-    "ReaderStation",
-    "StationReport",
     "resolve_cached_ids",
     "CsmaState",
     "ReaderMac",

@@ -35,7 +35,7 @@ Two execution paths implement the same math:
   algorithm, kept deliberately simple (it *is* §8 as written,
   single-antenna).
 * :class:`MultiTargetCombiner` — the production path used by
-  :class:`DecodeSession` and the :mod:`repro.core.network` batch layer.
+  :class:`DecodeSession` and the corridor's station rounds.
   It is **incremental** (per-(target, antenna) accumulator rows advance
   one capture at a time and never re-sum their prefix), attempts
   demodulation only at *new* capture counts, and is **batched** across

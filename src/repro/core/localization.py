@@ -339,8 +339,10 @@ class LaneProjectionLocalizer:
     survive per lane; road limits, the cone's half-space, and an optional
     hint (e.g. the car's previous fix) disambiguate.
 
-    This is what lets a :class:`~repro.core.network.ReaderNetwork` station
-    mint positioned observations from a *single* pole per approach.
+    This is what lets a corridor station (each
+    :class:`~repro.sim.city.StationCell` builds one over its own road
+    slice) mint positioned observations from a *single* pole per
+    approach.
 
     Attributes:
         road: the road segment the lanes belong to.

@@ -1,78 +1,30 @@
-"""A network of Caraoke readers feeding the city backend (§12.5).
+"""Per-pole identity resolution: CFO fingerprints to account ids (§7, §12.5).
 
-One reader observes one approach; a *city* deployment is many readers
-streaming measurements into shared services (§1: red-light enforcement,
-parking billing, find-my-car). This module is that batch layer:
+A tag's CFO is stable over minutes, so a reader that decoded an account
+id once can recognize the tag's spike later without spending decode air
+time again. This module holds that resolution step. The station round
+that uses it (count, resolve, decode, localize, fan out to the §1
+services) runs in :class:`~repro.sim.city.CityCorridor`.
 
-* :class:`ReaderStation` — one pole: a :class:`~repro.core.reader.CaraokeReader`,
-  the collision stream it listens to (``query_fn``), a localizer that turns
-  AoA into road positions, and an :class:`IdentityCache` so a tag decoded
-  once is not re-decoded every round (§7: tag CFOs are stable over minutes).
-* :class:`ReaderNetwork` — drives every station through measurement
-  rounds. Each round counts (§5), localizes (§6) and — for CFOs whose
-  account id is not yet known — opens a batched
-  :class:`~repro.core.decoding.DecodeSession` that identifies *all*
-  unknown tags from one shared capture stream (§12.4). The resulting
-  :class:`~repro.apps.services.TagObservation` records are fanned out to
-  every subscribed service.
-
-The network never reads simulation ground truth: stations consume
-collisions through ``query_fn`` exactly like a live radio front-end.
-
-The :class:`IdentityCache` defined here is the per-pole identity store
-the whole city stack builds on: the corridor engine forwards its
-entries between neighbor poles (pull handoff), the mesh pushes them
-ahead of predicted arrivals, and the city-wide
-:class:`~repro.sim.city.directory.IdentityDirectory` composes one as
-its bounded fingerprint index.
-
-Example::
-
-    network = ReaderNetwork()
-    network.add_station(ReaderStation("pole-1", reader, sim.query,
-                                      localizer=lane_localizer))
-    finder = network.subscribe(CarFinder())
-    network.step(timestamp_s=0.0)
-    finder.locate(account_id)
+* :class:`IdentityCache` — one pole's bounded CFO -> account-id table.
+  The corridor forwards its entries between neighbor poles (pull
+  handoff), the mesh pushes them ahead of predicted arrivals, and the
+  city-wide :class:`~repro.sim.city.directory.IdentityDirectory`
+  composes one as its fingerprint index.
+* :func:`resolve_cached_ids` — one round's spikes against a cache,
+  one-to-one.
+* :func:`decode_aoa` — an AoA minted from a decode's channel evidence,
+  for a spike the measurement pass gave none.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import CaraokeError
-from .decoding import DecodeResult, validate_combining, validate_opportunistic
-from .reader import ReaderReport
 
-__all__ = [
-    "FixHints",
-    "IdentityCache",
-    "ReaderStation",
-    "StationReport",
-    "ReaderNetwork",
-    "resolve_cached_ids",
-    "decode_aoa",
-]
-
-#: Last-fix hints older than this are neither used (a car returning
-#: hours later should be re-localized from its measurement alone, not
-#: pulled toward where it parked last time) nor kept (the table stays
-#: bounded by the recently active population, like the red-light
-#: detector's tracks).
-HINT_HORIZON_S = 300.0
-
-
-def _tag_observation():
-    # Deferred: repro.apps pulls in repro.sim, whose medium module needs
-    # repro.core (this package) for the MAC — importing apps here at
-    # module scope would close that cycle during package init.
-    from ..apps.services import TagObservation
-
-    return TagObservation
+__all__ = ["IdentityCache", "resolve_cached_ids", "decode_aoa"]
 
 
 @dataclass
@@ -95,9 +47,9 @@ class IdentityCache:
     Limitation: the fingerprint is not cryptographic. If tag A leaves
     and an unrelated tag B with a CFO within ``tolerance_hz`` of A's
     arrives before A's entry ages out, B's first sighting is attributed
-    to A. :meth:`ReaderNetwork.process_station` guards the in-round
-    version of this (two simultaneous spikes can never share one cached
-    id), but billing-grade pipelines should re-decode periodically.
+    to A. :func:`resolve_cached_ids` guards the in-round version of
+    this (two simultaneous spikes can never share one cached id), but
+    billing-grade pipelines should re-decode periodically.
 
     Attributes:
         tolerance_hz: maximum spike movement between sightings.
@@ -312,249 +264,3 @@ def decode_aoa(station, decode_results: dict | None, cfo: float):
         )
     except CaraokeError:
         return None
-
-
-class FixHints:
-    """The last-fix hint rule every station follows.
-
-    A station keeps each tag's latest fix in ``_last_fixes`` (tag id ->
-    ``(fix, time)``, oldest record first) and hints the tag's next
-    localization with it. Fixes older than :data:`HINT_HORIZON_S` are
-    neither used nor kept.
-    """
-
-    _last_fixes: OrderedDict[int, tuple[np.ndarray, float]]
-
-    def recall_fix(self, tag_id: int, now_s: float) -> np.ndarray | None:
-        """The tag's last fix, if recent enough to serve as a hint."""
-        entry = self._last_fixes.get(tag_id)
-        if entry is None or now_s - entry[1] > HINT_HORIZON_S:
-            return None
-        return entry[0]
-
-    def record_fix(self, tag_id: int, fix: np.ndarray, now_s: float) -> None:
-        """Remember a fix for hinting the tag's next localization."""
-        self._last_fixes[tag_id] = (np.asarray(fix, dtype=np.float64), now_s)
-        self._last_fixes.move_to_end(tag_id)
-
-    def prune_fixes(self, now_s: float) -> int:
-        """Forget fixes past the hint horizon; returns how many.
-
-        A station records its rounds in time order, so the stale fixes
-        are the oldest records: the scan stops at the first fresh one,
-        and costs what it forgets, not what it keeps.
-        """
-        forgotten = 0
-        while self._last_fixes:
-            _, seen_s = next(iter(self._last_fixes.values()))
-            if now_s - seen_s <= HINT_HORIZON_S:
-                break
-            self._last_fixes.popitem(last=False)
-            forgotten += 1
-        return forgotten
-
-
-@dataclass
-class ReaderStation(FixHints):
-    """One pole of the network: reader + collision stream + localizer.
-
-    Attributes:
-        name: stable identifier (used in reports and examples).
-        reader: the processing chain for this pole.
-        query_fn: ``query_fn(t_s) -> ReceivedCollision`` — the pole's
-            radio front-end (e.g. ``StaticCollisionSimulator.query``).
-        combining: decode policy — ``"mrc"`` (default: maximum-ratio
-            across every antenna) or ``"single"`` (one-antenna ablation).
-        opportunistic: overheard-capture policy for the station's decode
-            sessions — ``"accept"`` (default) combines captures donated
-            by a shared-medium layer (e.g. the city corridor's response
-            pool) as free evidence; ``"ignore"`` drops them (ablation).
-        localizer: object with ``locate(estimate, estimator, hint_xy=None)
-            -> (x, y)`` — typically a
-            :class:`~repro.core.localization.LaneProjectionLocalizer`;
-            None disables positioning (and therefore observations).
-        identities: per-station CFO -> account-id cache.
-
-    Last-fix hints follow :class:`FixHints`.
-    """
-
-    name: str
-    reader: object
-    query_fn: object
-    combining: str = "mrc"
-    opportunistic: str = "accept"
-    localizer: object | None = None
-    identities: IdentityCache = field(default_factory=IdentityCache)
-    _last_fixes: OrderedDict[int, tuple[np.ndarray, float]] = field(
-        default_factory=OrderedDict, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        validate_combining(self.combining)
-        validate_opportunistic(self.opportunistic)
-
-
-@dataclass
-class StationReport:
-    """Everything one station produced in one measurement round.
-
-    Attributes:
-        station: the station's name.
-        timestamp_s: round timestamp.
-        report: the count/AoA upload (§12.5).
-        decode_results: fresh decodes this round, keyed by CFO — empty
-            when every spike's id came from the identity cache.
-        observations: positioned, identified sightings handed to services.
-    """
-
-    station: str
-    timestamp_s: float
-    report: ReaderReport
-    decode_results: dict[float, DecodeResult] = field(default_factory=dict)
-    observations: list = field(default_factory=list)
-
-    @property
-    def n_tags(self) -> int:
-        return self.report.n_tags
-
-
-class ReaderNetwork:
-    """Batch-processes collision streams from many reader stations.
-
-    Attributes:
-        stations: the poles in the network.
-        services: subscribers receiving every
-            :class:`~repro.apps.services.TagObservation` (any object with
-            an ``observe(observation)`` method — the §1 services qualify).
-        max_queries: decode budget per identification burst.
-        decode: disable to run count/localize-only rounds (no air time
-            spent on repeated queries).
-    """
-
-    def __init__(self, max_queries: int = 64, decode: bool = True):
-        self.stations: list[ReaderStation] = []
-        self.services: list[object] = []
-        self.max_queries = int(max_queries)
-        self.decode = bool(decode)
-
-    def add_station(self, station: ReaderStation) -> ReaderStation:
-        """Register a station; returns it for chaining."""
-        self.stations.append(station)
-        return station
-
-    def subscribe(self, service: object) -> object:
-        """Fan observations into ``service.observe``; returns the service."""
-        self.services.append(service)
-        return service
-
-    # -- processing ---------------------------------------------------------------
-
-    def step(self, timestamp_s: float) -> list[StationReport]:
-        """Run one measurement round at every station and dispatch."""
-        reports = [
-            self.process_station(station, timestamp_s) for station in self.stations
-        ]
-        for report in reports:
-            self.dispatch(report.observations)
-        return reports
-
-    def run(self, timestamps_s: list[float]) -> list[StationReport]:
-        """Run a round per timestamp; returns all station reports."""
-        reports: list[StationReport] = []
-        for t in timestamps_s:
-            reports.extend(self.step(float(t)))
-        return reports
-
-    def process_station(
-        self, station: ReaderStation, timestamp_s: float
-    ) -> StationReport:
-        """One station, one round: count, identify, localize.
-
-        The counting capture doubles as the decode session's first
-        capture, so identification adds air time only beyond the
-        measurement query itself (§12.4).
-        """
-        collision = station.query_fn(timestamp_s)
-        station.prune_fixes(timestamp_s)
-        report = station.reader.observe(collision, timestamp_s=timestamp_s)
-        cfos = [float(c) for c in report.count.cfos_hz()]
-        ids, unknown = resolve_cached_ids(station.identities, cfos, now_s=timestamp_s)
-
-        decode_results: dict[float, DecodeResult] = {}
-        if unknown and self.decode:
-            session = station.reader.decode_session(
-                lambda t: station.query_fn(timestamp_s + t),
-                combining=station.combining,
-                opportunistic=station.opportunistic,
-            )
-            # Reuse the measurement capture as the first decode capture
-            # (the whole collision: MRC combines every antenna of it).
-            session.seed_capture(collision)
-            decode_results = session.decode_all(unknown, max_queries=self.max_queries)
-            for cfo, result in decode_results.items():
-                if result.success:
-                    ids[cfo] = result.packet.tag_id
-                    station.identities.store(cfo, result.packet.tag_id, now_s=timestamp_s)
-
-        observations = self._positioned(
-            station, report, ids, timestamp_s, decode_results
-        )
-        return StationReport(
-            station=station.name,
-            timestamp_s=timestamp_s,
-            report=report,
-            decode_results=decode_results,
-            observations=observations,
-        )
-
-    def dispatch(self, observations: list) -> None:
-        """Hand every observation to every subscribed service."""
-        for observation in observations:
-            for service in self.services:
-                service.observe(observation)
-
-    # -- internals ---------------------------------------------------------------
-
-    def _positioned(
-        self,
-        station: ReaderStation,
-        report: ReaderReport,
-        ids: dict[float, int],
-        timestamp_s: float,
-        decode_results: dict[float, DecodeResult] | None = None,
-    ) -> list:
-        """Pair identified CFOs with their AoA and project to the road."""
-        if station.localizer is None:
-            return []
-        observation_cls = _tag_observation()
-        estimates = {estimate.cfo_hz: estimate for estimate in report.aoas}
-        observations = []
-        for cfo, tag_id in sorted(ids.items()):
-            estimate = estimates.get(cfo)
-            if estimate is None:
-                estimate = decode_aoa(station, decode_results, cfo)
-            if estimate is None:
-                continue
-            # End-fire measurements are unusable (§6: d(alpha)/d(phase)
-            # blows up outside the 60-120 degree band); another station
-            # with better geometry will cover the tag instead.
-            if not estimate.in_usable_band():
-                continue
-            try:
-                fix = station.localizer.locate(
-                    estimate,
-                    station.reader.estimator,
-                    hint_xy=station.recall_fix(tag_id, timestamp_s),
-                )
-            except CaraokeError:
-                continue
-            station.record_fix(tag_id, fix, timestamp_s)
-            observations.append(
-                observation_cls(
-                    tag_id=tag_id,
-                    position_m=fix,
-                    timestamp_s=timestamp_s,
-                    station=station.name,
-                )
-            )
-        return observations

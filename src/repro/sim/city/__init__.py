@@ -4,9 +4,8 @@ The paper's end goal (§1, §9) is a *network* of cheap readers covering a
 city. This package is the discrete-event layer that turns the isolated
 per-pole machinery into that infrastructure:
 
-* :mod:`repro.sim.city.cells` — first-class :class:`StationCell`
-  coverage segments (promoted from the per-station road-slice pattern of
-  ``examples/reader_network.py``) with neighbor links.
+* :mod:`repro.sim.city.cells` — :class:`StationCell` coverage
+  segments, one road slice per pole, with neighbor links.
 * :mod:`repro.sim.city.handoff` — the :class:`HandoffLedger` audit of
   how each downstream sighting was resolved: own cache, neighbor cache
   handoff, or a full re-decode.

@@ -1,12 +1,11 @@
 """Station coverage cells: each pole owns a slice of the corridor.
 
-``examples/reader_network.py`` carved the road into per-station segments
-by hand so each pole only reports fixes where its AoA geometry is good
-(error grows toward end-fire, i.e. far along the road axis). This module
-promotes that pattern into the library: a :class:`StationCell` is a
-named, contiguous along-road interval; :func:`carve_cells` partitions a
-corridor between its poles at the midpoints, so every road point belongs
-to exactly one cell and each pole's cell is centred on it.
+Each pole only reports fixes where its AoA geometry is good (error
+grows toward end-fire, i.e. far along the road axis): a
+:class:`StationCell` is a named, contiguous along-road interval;
+:func:`carve_cells` partitions a corridor between its poles at the
+midpoints, so every road point belongs to exactly one cell and each
+pole's cell is centred on it.
 
 Cells are also the handoff topology: a tag leaving cell *k* enters cell
 *k+1*, so cell neighbor order is the order identity-cache entries flow

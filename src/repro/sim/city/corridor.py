@@ -73,7 +73,7 @@ from ...constants import (
 )
 from ...core.decoding import validate_combining, validate_opportunistic
 from ...core.mac import ReaderMac
-from ...core.network import FixHints, IdentityCache, decode_aoa, resolve_cached_ids
+from ...core.network import IdentityCache, decode_aoa, resolve_cached_ids
 from ...errors import CaraokeError, ConfigurationError
 from ...utils import as_rng
 from ..events import EventScheduler
@@ -105,17 +105,24 @@ DECODE_SNR_DB = 17.0
 CACHE_MAX_ENTRIES = 512
 CACHE_MAX_AGE_S = 600.0
 
+#: Last-fix hints older than this are neither used (a car returning
+#: hours later should be re-localized from its measurement alone, not
+#: pulled toward where it parked last time) nor kept (the table stays
+#: bounded by the recently active population, like the red-light
+#: detector's tracks).
+HINT_HORIZON_S = 300.0
+
 
 def _tag_observation():
-    # Deferred for the same reason as repro.core.network: repro.apps
-    # imports repro.sim at package init.
+    # Deferred: repro.apps imports repro.sim at package init, so a
+    # module-scope import here would close that cycle.
     from ...apps.services import TagObservation
 
     return TagObservation
 
 
 @dataclass
-class CorridorStation(FixHints):
+class CorridorStation:
     """One pole of the corridor: reader + front-end + cell + cache.
 
     Attributes:
@@ -137,8 +144,10 @@ class CorridorStation(FixHints):
             ``"ignore"`` (never harvest — bit-for-bit the pool-less
             corridor numerics, the ablation baseline).
 
-    Last-fix hints follow :class:`~repro.core.network.FixHints`, the
-    rule :class:`~repro.core.network.ReaderStation` follows too.
+    The station keeps each tag's latest fix in ``_last_fixes`` (tag id
+    -> ``(fix, time)``, oldest record first) and hints the tag's next
+    localization with it. Fixes older than :data:`HINT_HORIZON_S` are
+    neither used nor kept.
     """
 
     name: str
@@ -214,6 +223,34 @@ class CorridorStation(FixHints):
         """
         self.identities.store(float(cfo_hz), tag_id, now_s=now_s)
         self.pushed[tag_id] = (from_station, float(cfo_hz), float(now_s))
+
+    def recall_fix(self, tag_id: int, now_s: float) -> np.ndarray | None:
+        """The tag's last fix, if recent enough to serve as a hint."""
+        entry = self._last_fixes.get(tag_id)
+        if entry is None or now_s - entry[1] > HINT_HORIZON_S:
+            return None
+        return entry[0]
+
+    def record_fix(self, tag_id: int, fix: np.ndarray, now_s: float) -> None:
+        """Remember a fix for hinting the tag's next localization."""
+        self._last_fixes[tag_id] = (np.asarray(fix, dtype=np.float64), now_s)
+        self._last_fixes.move_to_end(tag_id)
+
+    def prune_fixes(self, now_s: float) -> int:
+        """Forget fixes past the hint horizon; returns how many.
+
+        A station records its rounds in time order, so the stale fixes
+        are the oldest records: the scan stops at the first fresh one,
+        and costs what it forgets, not what it keeps.
+        """
+        forgotten = 0
+        while self._last_fixes:
+            _, seen_s = next(iter(self._last_fixes.values()))
+            if now_s - seen_s <= HINT_HORIZON_S:
+                break
+            self._last_fixes.popitem(last=False)
+            forgotten += 1
+        return forgotten
 
 
 @dataclass(frozen=True)
@@ -366,9 +403,11 @@ class CityCorridor:
             anchored cadence through the §9 MAC on one discrete-event
             timeline; ``"rounds"`` is the lock-step sequential ablation
             (stations take strict turns, each turn serializing its
-            whole burst — the ``ReaderNetwork.step`` contract on a
-            shared clock), the baseline `bench_city_corridor` gates
-            event-driven throughput against.
+            whole burst), the baseline `bench_city_corridor` gates
+            event-driven throughput against. A rounds corridor of
+            parked cars (zero-velocity trajectories) is the batch
+            reader network of §12.5: one round per cadence tick at
+            every pole, observations fanned to the §1 services.
         use_csma: listen-before-talk on (False = blind ALOHA ablation:
             bursts interleave without sensing, and the §9 harmful case
             — queries stepping on responses — is measured instead of
@@ -494,19 +533,7 @@ class CityCorridor:
         # from the main stream — so an "accept" run and its "ignore"
         # ablation synthesize bit-identical own captures and differ only
         # through the evidence actually donated.
-        try:
-            self.overhear_rng = self.rng.spawn(1)[0]
-        except (AttributeError, TypeError, ValueError):  # numpy < 1.25
-            try:
-                # PCG64 (the default_rng bit generator) exposes its
-                # counter directly — derive without consuming a draw.
-                entropy = int(self.rng.bit_generator.state["state"]["state"])
-            except (KeyError, TypeError, ValueError):
-                # Any other bit generator: spend one draw from the main
-                # stream. Both policies pay it identically (it happens
-                # at construction), so accept/ignore stay aligned.
-                entropy = int(self.rng.integers(1 << 63))
-            self.overhear_rng = as_rng(entropy & ((1 << 63) - 1))
+        self.overhear_rng = self.rng.spawn(1)[0]
         self.ledger = HandoffLedger()
         self.services: list[object] = []
         self.observations: list = []
@@ -721,9 +748,10 @@ class CityCorridor:
 
         Each turn serializes the station's entire burst (measurement
         plus any decode queries) before the next station may transmit,
-        exactly the ``ReaderNetwork.step`` contract placed on a shared
-        time axis. Rounds start on the common cadence when the previous
-        round finished early, later otherwise.
+        so a round is every pole's measurement, resolution and decode
+        in pole order on one shared time axis. Rounds start on the
+        common cadence when the previous round finished early, later
+        otherwise.
         """
         pending = list(transitions)
         interval = min(s.query_interval_s for s in self.stations)

@@ -207,11 +207,12 @@ def corridor_scene(
 ) -> Scene:
     """A multi-lane road corridor watched by several reader poles.
 
-    The multi-reader, multi-lane deployment a
-    :class:`~repro.core.network.ReaderNetwork` drives: poles stand along
-    the +y curb at the given x positions, lanes run along x at the given
-    y offsets (negative = into the road as seen from the poles), and each
-    car is placed at an ``(x, lane index)`` pair.
+    A multi-reader, multi-lane snapshot: poles stand along the +y curb
+    at the given x positions, lanes run along x at the given y offsets
+    (negative = into the road as seen from the poles), and each car is
+    placed at an ``(x, lane index)`` pair. Give each car a
+    zero-velocity trajectory and :meth:`repro.sim.city.CityCorridor.build`
+    runs the scene as parked cars.
 
     Args:
         pole_xs_m: along-road x of each reader pole.

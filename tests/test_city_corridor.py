@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps import CarFinder, ParkingBillingService
 from repro.channel.geometry import RoadSegment
 from repro.constants import QUERY_DURATION_S, READER_RANGE_M, TURNAROUND_S
 from repro.errors import ConfigurationError
@@ -13,9 +14,10 @@ from repro.sim.city import (
     StationCell,
     carve_cells,
 )
+from repro.sim.city.handoff import DECODE, OWN_HIT
 from repro.sim.city.moving import in_range_mask, positions_at
 from repro.sim.mobility import ConstantSpeedTrajectory
-from repro.sim.scenario import city_corridor_scene
+from repro.sim.scenario import city_corridor_scene, corridor_scene
 
 LANES = (-1.75, -5.25)
 
@@ -238,6 +240,121 @@ class TestRangeGateInTheCorridor:
         assert heard > 0
 
 
+#: Cadence of the parked-car corridor: one lock-step round per pole.
+ROUND_S = 60.0
+
+
+def parked_corridor(cars, pole_xs=(0.0,), seed=21):
+    """Parked cars on a lock-step corridor: ``cars`` are ``(x, lane
+    index)`` pairs on zero-velocity trajectories, and every pole takes
+    one round per :data:`ROUND_S`. Run ``n`` rounds with
+    ``corridor.run((n - 0.5) * ROUND_S)``."""
+    scene = corridor_scene(
+        pole_xs_m=list(pole_xs), lane_ys_m=list(LANES), cars=cars, rng=seed
+    )
+    parked = [
+        ConstantSpeedTrajectory(start_m=tag.position_m, velocity_m_s=np.zeros(3))
+        for tag in scene.tags
+    ]
+    corridor = CityCorridor.build(
+        scene, parked, LANES, rng=seed, scheduling="rounds", query_interval_s=ROUND_S
+    )
+    return scene, corridor
+
+
+class TestParkedCarRounds:
+    """The §12.5 reader network as a rounds corridor of parked cars:
+    count, resolve against the identity caches, decode what nobody
+    knows, localize in the pole's cell and fan out to the services."""
+
+    def test_round_identifies_and_localizes(self):
+        scene, corridor = parked_corridor([(-6.0, 0), (5.0, 1)], seed=21)
+        finder = corridor.subscribe(CarFinder())
+        result = corridor.run(0.5 * ROUND_S)
+        assert result.rounds == 1
+        truth = {tag.packet.tag_id: tag for tag in scene.tags}
+        assert result.identified == len(truth)
+        assert {obs.tag_id for obs in corridor.observations} == set(truth)
+        for obs in corridor.observations:
+            truth_xy = truth[obs.tag_id].position_m[:2]
+            assert np.linalg.norm(obs.position_m - truth_xy) < 1.0
+        assert set(finder.known_tags()) == set(truth)
+
+    def test_identity_cache_skips_redecode(self):
+        cars = [(-4.0, 0), (4.0, 1)]
+        _, corridor = parked_corridor(cars, seed=12)
+        corridor.run(1.5 * ROUND_S)
+        station = corridor.stations[0]
+        assert len(station.identities) == len(cars)
+        records = corridor.ledger.records
+        # Resolved sightings only: a low-SNR phantom spike is deferred,
+        # not decoded, and names no account.
+        first = [r for r in records if r.t_s < ROUND_S and r.tag_id is not None]
+        second = [r for r in records if r.t_s >= ROUND_S]
+        assert [r.kind for r in first] == [DECODE] * len(cars)
+        # Cache hits: no decode air time in the second round.
+        assert [r.kind for r in second] == [OWN_HIT] * len(cars)
+        assert sum(r.n_queries for r in second) == 0
+        assert {r.tag_id for r in second} == {r.tag_id for r in first}
+        seen = {obs.tag_id for obs in corridor.observations if obs.timestamp_s >= ROUND_S}
+        assert seen == {r.tag_id for r in first}
+
+    def test_cached_id_claimed_by_at_most_one_spike_per_round(self):
+        """Two simultaneous spikes must never resolve to the same cached
+        account: the nearer one keeps it, the other gets decoded."""
+        scene, corridor = parked_corridor([(-6.0, 0), (5.0, 1)], seed=21)
+        cfos = sorted(tag.oscillator.carrier_hz - scene.lo_hz for tag in scene.tags)
+        # Poison the cache: one stale account whose tolerance swallows
+        # BOTH of this round's spikes.
+        identities = corridor.stations[0].identities
+        identities.tolerance_hz = 1e6
+        identities.store(cfos[0] + 1e3, 999)
+        corridor.run(0.5 * ROUND_S)
+        seen = {obs.tag_id for obs in corridor.observations}
+        assert len(seen) == 2  # never both mapped onto account 999
+        # The far spike was decoded to its true account.
+        truth_far = next(
+            tag.packet.tag_id
+            for tag in scene.tags
+            if abs(tag.oscillator.carrier_hz - scene.lo_hz - cfos[1]) < 1.0
+        )
+        assert truth_far in seen
+
+    def test_fanout_reaches_every_service(self):
+        scene, corridor = parked_corridor([(3.0, 0)], seed=13)
+        finder = corridor.subscribe(CarFinder())
+        x, y = scene.tags[0].position_m[:2]
+        parking = corridor.subscribe(
+            ParkingBillingService(spot_positions_m={5: np.array([x, y])})
+        )
+        corridor.run(0.5 * ROUND_S)
+        tag_id = scene.tags[0].packet.tag_id
+        assert finder.known_tags() == [tag_id]
+        assert parking.occupancy() == {5: [tag_id]}
+
+    def test_station_without_localizer_emits_no_observations(self):
+        _, corridor = parked_corridor([(4.0, 0)], seed=15)
+        station = corridor.stations[0]
+        station.localizer = None
+        finder = corridor.subscribe(CarFinder())
+        result = corridor.run(0.5 * ROUND_S)
+        assert corridor.observations == [] and result.n_observations == 0
+        assert finder.known_tags() == []
+        assert len(station.identities) == 1  # ids still cached
+
+    def test_multi_station_round(self):
+        scene, corridor = parked_corridor(
+            [(-6.0, 0), (18.0, 1)], pole_xs=(0.0, 14.0), seed=16
+        )
+        finder = corridor.subscribe(CarFinder())
+        result = corridor.run(0.5 * ROUND_S)
+        assert result.rounds == 2  # 2 stations x 1 round
+        # Each car is fixed by the pole whose cell holds it.
+        assert {obs.station for obs in corridor.observations} == {"pole-0", "pole-1"}
+        truth_ids = {tag.packet.tag_id for tag in scene.tags}
+        assert set(finder.known_tags()) == truth_ids
+
+
 @pytest.mark.slow
 class TestCityCorridorRun:
     def test_event_run_identifies_localizes_and_hands_off(self):
@@ -374,8 +491,6 @@ class TestCityCorridorRun:
         assert result.burst_corrupted_posthoc == len(stepped_on)
 
     def test_services_receive_provenanced_observations(self):
-        from repro.apps import CarFinder
-
         corridor = small_corridor(seed=17)
         finder = corridor.subscribe(CarFinder())
         corridor.run(5.0)
@@ -385,8 +500,7 @@ class TestCityCorridorRun:
 
 
 class TestFixHints:
-    """Corridor stations follow the one last-fix hint rule
-    (``repro.core.network.FixHints``): a fix older than
+    """A corridor station's last-fix hint rule: a fix older than
     ``HINT_HORIZON_S`` is neither used nor kept."""
 
     class SpyLocalizer:
@@ -416,7 +530,7 @@ class TestFixHints:
         return corridor, station
 
     def test_hint_past_the_horizon_is_neither_used_nor_kept(self):
-        from repro.core.network import HINT_HORIZON_S
+        from repro.sim.city.corridor import HINT_HORIZON_S
 
         assert HINT_HORIZON_S == 300.0
         corridor, station = self.emit(hint_age_s=301.0)

@@ -1,42 +1,27 @@
-"""Unit tests for repro.core.network (multi-reader batch processing)."""
+"""Unit tests for repro.core.network (the per-pole identity cache), the
+corridor scene and the single-pole lane localizer."""
 
 import numpy as np
 import pytest
 
-from repro.apps import CarFinder, ParkingBillingService
 from repro.core.localization import LaneProjectionLocalizer
-from repro.core.network import (
-    HINT_HORIZON_S,
-    IdentityCache,
-    ReaderNetwork,
-    ReaderStation,
-    StationReport,
-)
+from repro.core.network import IdentityCache
 from repro.sim.scenario import corridor_scene
 
 LANES = (-1.75, -5.25)
 
 
-def build_corridor(car_positions, pole_xs=(0.0,), seed=11):
-    """A corridor scene plus one ready-made station per pole."""
+def build_corridor(car_positions, seed=11):
+    """A one-pole corridor scene plus the pole's reader, lane localizer
+    and collision simulator."""
     scene = corridor_scene(
-        pole_xs_m=list(pole_xs),
+        pole_xs_m=[0.0],
         lane_ys_m=list(LANES),
         cars=car_positions,
         rng=seed,
     )
-    stations = []
-    for index, x in enumerate(pole_xs):
-        sim = scene.simulator(index, rng=100 + seed + index)
-        stations.append(
-            ReaderStation(
-                name=f"pole-{index}",
-                reader=scene.reader(index),
-                query_fn=sim.query,
-                localizer=LaneProjectionLocalizer(road=scene.road, lane_ys_m=LANES),
-            )
-        )
-    return scene, stations
+    localizer = LaneProjectionLocalizer(road=scene.road, lane_ys_m=LANES)
+    return scene, scene.reader(0), localizer, scene.simulator(0, rng=100 + seed)
 
 
 class TestIdentityCache:
@@ -131,136 +116,6 @@ class TestIdentityCache:
         assert cache.lookup(200e3) == 2
 
 
-class TestReaderNetwork:
-    def test_step_identifies_and_localizes(self):
-        cars = [(-6.0, 0), (5.0, 1)]
-        scene, stations = build_corridor(cars, seed=21)
-        network = ReaderNetwork()
-        network.add_station(stations[0])
-        finder = network.subscribe(CarFinder())
-
-        reports = network.step(0.0)
-        assert len(reports) == 1
-        report = reports[0]
-        assert isinstance(report, StationReport)
-        assert report.n_tags == len(cars)
-
-        truth_ids = {tag.packet.tag_id for tag in scene.tags}
-        seen_ids = {obs.tag_id for obs in report.observations}
-        assert seen_ids == truth_ids
-        by_id = {tag.packet.tag_id: tag for tag in scene.tags}
-        for obs in report.observations:
-            truth_xy = by_id[obs.tag_id].position_m[:2]
-            assert np.linalg.norm(obs.position_m - truth_xy) < 1.0
-        assert set(finder.known_tags()) == truth_ids
-
-    def test_identity_cache_skips_redecode(self):
-        cars = [(-4.0, 0), (4.0, 1)]
-        _, stations = build_corridor(cars, seed=12)
-        network = ReaderNetwork()
-        station = network.add_station(stations[0])
-
-        first = network.step(0.0)[0]
-        assert first.decode_results  # fresh ids had to be decoded
-        assert len(station.identities) == len(cars)
-
-        second = network.step(60.0)[0]
-        assert second.decode_results == {}  # cache hit: no decode air time
-        assert {o.tag_id for o in second.observations} == {
-            o.tag_id for o in first.observations
-        }
-
-    def test_cached_id_claimed_by_at_most_one_spike_per_round(self):
-        """Two simultaneous spikes must never resolve to the same cached
-        account: the nearer one keeps it, the other gets decoded."""
-        cars = [(-6.0, 0), (5.0, 1)]
-        scene, stations = build_corridor(cars, seed=21)
-        station = stations[0]
-        cfos = sorted(
-            tag.oscillator.carrier_hz - scene.lo_hz for tag in scene.tags
-        )
-        # Poison the cache: one stale account whose tolerance swallows
-        # BOTH of this round's spikes.
-        station.identities.tolerance_hz = 1e6
-        station.identities.store(cfos[0] + 1e3, 999)
-        network = ReaderNetwork()
-        network.add_station(station)
-        report = network.step(0.0)[0]
-        seen = {obs.tag_id for obs in report.observations}
-        assert len(seen) == 2  # never both mapped onto account 999
-        # The far spike was decoded to its true account.
-        truth_far = next(
-            tag.packet.tag_id
-            for tag in scene.tags
-            if abs(tag.oscillator.carrier_hz - scene.lo_hz - cfos[1]) < 1.0
-        )
-        assert truth_far in seen
-
-    def test_fanout_reaches_every_service(self):
-        cars = [(3.0, 0)]
-        scene, stations = build_corridor(cars, seed=13)
-        network = ReaderNetwork()
-        network.add_station(stations[0])
-        finder = network.subscribe(CarFinder())
-        x, y = scene.tags[0].position_m[:2]
-        parking = network.subscribe(
-            ParkingBillingService(spot_positions_m={5: np.array([x, y])})
-        )
-        network.step(0.0)
-        tag_id = scene.tags[0].packet.tag_id
-        assert finder.known_tags() == [tag_id]
-        assert parking.occupancy() == {5: [tag_id]}
-
-    def test_decode_disabled_reports_counts_only(self):
-        cars = [(-5.0, 0), (6.0, 1)]
-        _, stations = build_corridor(cars, seed=14)
-        network = ReaderNetwork(decode=False)
-        network.add_station(stations[0])
-        report = network.step(0.0)[0]
-        assert report.n_tags == len(cars)
-        assert report.decode_results == {}
-        assert report.observations == []  # no ids -> nothing dispatched
-
-    def test_station_without_localizer_emits_no_observations(self):
-        cars = [(4.0, 0)]
-        _, stations = build_corridor(cars, seed=15)
-        stations[0].localizer = None
-        network = ReaderNetwork()
-        network.add_station(stations[0])
-        report = network.step(0.0)[0]
-        assert report.observations == []
-        assert len(stations[0].identities) == 1  # ids still cached
-
-    def test_stale_fix_hints_expire_and_are_pruned(self):
-        cars = [(-6.0, 0), (5.0, 1)]
-        _, stations = build_corridor(cars, seed=21)
-        station = stations[0]
-        network = ReaderNetwork()
-        network.add_station(station)
-        network.step(0.0)
-        assert len(station._last_fixes) == 2
-        assert station.recall_fix(next(iter(station._last_fixes)), 1.0) is not None
-        # Past the horizon the hint is neither used nor retained.
-        tag_id = next(iter(station._last_fixes))
-        assert station.recall_fix(tag_id, HINT_HORIZON_S + 10.0) is None
-        network.step(HINT_HORIZON_S + 100.0)
-        alive = {seen for _, (_, seen) in station._last_fixes.items()}
-        assert alive == {HINT_HORIZON_S + 100.0}  # only fresh fixes kept
-
-    def test_multi_station_round(self):
-        cars = [(-6.0, 0), (18.0, 1)]
-        scene, stations = build_corridor(cars, pole_xs=(0.0, 14.0), seed=16)
-        network = ReaderNetwork()
-        for station in stations:
-            network.add_station(station)
-        finder = network.subscribe(CarFinder())
-        reports = network.run([0.0, 1.0])
-        assert len(reports) == 4  # 2 stations x 2 rounds
-        assert {r.station for r in reports} == {"pole-0", "pole-1"}
-        truth_ids = {tag.packet.tag_id for tag in scene.tags}
-        assert set(finder.known_tags()) == truth_ids
-
-
 class TestCorridorScene:
     def test_shapes(self):
         scene = corridor_scene(
@@ -293,11 +148,9 @@ class TestLaneProjectionLocalizer:
     def test_single_reader_fix_accuracy(self):
         """One pole + known lanes pins every car to ~decimeters."""
         cars = [(-8.0, 0), (0.0, 0), (6.0, 1), (12.0, 0)]
-        scene, stations = build_corridor(cars, seed=17)
-        station = stations[0]
-        estimator = station.reader.estimator
-        localizer = station.localizer
-        collision = station.query_fn(0.0)
+        scene, reader, localizer, sim = build_corridor(cars, seed=17)
+        estimator = reader.estimator
+        collision = sim.query(0.0)
         for tag in scene.tags:
             aoas = estimator.estimate_all(collision)
             estimate = min(
@@ -311,13 +164,12 @@ class TestLaneProjectionLocalizer:
 
     def test_hint_breaks_ties(self):
         cars = [(-8.0, 0)]
-        scene, stations = build_corridor(cars, seed=18)
-        station = stations[0]
-        estimator = station.reader.estimator
-        collision = station.query_fn(0.0)
+        scene, reader, localizer, sim = build_corridor(cars, seed=18)
+        estimator = reader.estimator
+        collision = sim.query(0.0)
         estimate = estimator.estimate_all(collision)[0]
         truth = scene.tags[0].position_m[:2]
-        fix = station.localizer.locate(estimate, estimator, hint_xy=truth)
+        fix = localizer.locate(estimate, estimator, hint_xy=truth)
         assert np.linalg.norm(fix - truth) < 0.5
 
     def test_near_endfire_phase_wrap_not_rejected(self):
@@ -335,9 +187,8 @@ class TestLaneProjectionLocalizer:
         from repro.channel.geometry import RoadSegment
 
         cars = [(0.0, 0)]
-        _, stations = build_corridor(cars, seed=21)
-        station = stations[0]
-        estimator = station.reader.estimator
+        _, reader, _, _ = build_corridor(cars, seed=21)
+        estimator = reader.estimator
         pairs = estimator.array.pairs()
         road = RoadSegment(x_min_m=-10.0, x_max_m=200.0, y_center_m=-1.75, width_m=3.5)
         localizer = LaneProjectionLocalizer(road=road, lane_ys_m=(-1.75,))
@@ -359,10 +210,9 @@ class TestLaneProjectionLocalizer:
         from repro.errors import GeometryError
 
         cars = [(0.0, 0)]
-        _, stations = build_corridor(cars, seed=19)
-        station = stations[0]
+        _, reader, localizer, _ = build_corridor(cars, seed=19)
         # An end-fire measurement points along the road axis, far outside
         # any lane segment near the pole.
         fake = AoAEstimate(cfo_hz=500e3, alphas_rad=(0.01, 0.01, 0.01), best_pair_index=0)
         with pytest.raises(GeometryError):
-            station.localizer.locate(fake, station.reader.estimator)
+            localizer.locate(fake, reader.estimator)
