@@ -160,3 +160,19 @@ class TriangleArray:
     def pair_indices(self) -> list[tuple[int, int]]:
         """Element index pairs matching :meth:`pairs` order."""
         return [(0, 1), (1, 2), (2, 0)]
+
+    @cached_property
+    def baselines(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(midpoints_m, unit_axes, spacings_m)``: the :meth:`pairs`
+        stacked once, read-only, one row per pair, for code that reads
+        every baseline of many spikes at a time. A unit axis is the
+        pair's axis normalized once more, as the lane scoring takes it."""
+        pairs = self._pairs
+        return tuple(
+            _read_only(np.array(values))
+            for values in (
+                [pair.midpoint_m for pair in pairs],
+                [unit(pair.axis) for pair in pairs],
+                [pair.spacing_m for pair in pairs],
+            )
+        )

@@ -53,6 +53,7 @@ Two per-spike tests are provided:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -489,9 +490,13 @@ class CollisionCounter:
             {} if dense_mode else self._phase_fingerprints(per_capture, mean_abs_amplitude)
         )
 
-        probes = (
-            _probe_rows(factors, waves[0].n_samples) if self.method == "shift" else None
-        )
+        if self.method == "coherence":
+            verdicts = self._coherence_verdicts(
+                aligned_values, floors_norm, len(waves), dense_mode
+            )
+            probes = None
+        else:
+            probes = _probe_rows(factors, waves[0].n_samples)
         observations = []
         for k in range(freqs.size):
             # A candidate whose jointly-fitted amplitude collapses was a
@@ -506,9 +511,7 @@ class CollisionCounter:
                     mean_abs_amplitude[k] / floors_norm[k], fingerprinted[k], 0.0, 0.0
                 )
             elif self.method == "coherence":
-                label, stats = self._classify_coherence(
-                    aligned_values[k], floors_norm[k], len(waves), dense_mode
-                )
+                label, stats = verdicts[k]
             else:
                 label, stats = self._classify_shift(waves[0], k, freqs, amplitudes, probes)
             observations.append(
@@ -742,61 +745,75 @@ class CollisionCounter:
 
     # -- classifiers -------------------------------------------------------------
 
-    @staticmethod
-    def _expected_single_coherence(gamma: float, n_windows: int) -> float:
-        """Coherence a lone tone shows at sub-window SNR ``gamma``.
-
-        With per-window noise of unit scale and tone amplitude gamma:
-        ``|mean| ~ sqrt(gamma^2 + 1/Q)`` and ``mean|.| ~ sqrt(gamma^2 + 1)``.
-        """
-        g2 = gamma * gamma
-        return float(np.sqrt((g2 + 1.0 / n_windows) / (g2 + 1.0)))
-
-    def _single_threshold(self, expected: float, gamma: float) -> float:
-        """Coherence above which a spike may be a lone tone.
-
-        The tolerance widens as the spike weakens (the coherence statistic
-        itself gets noisier) and never falls below ``min_slack`` (residual
-        imperfection of neighbour-tone cancellation), calibrated against
-        measured single-tone coherence scatter.
-        """
-        slack = self.slack_base + self.slack_gamma / max(gamma, 0.3)
-        slack = min(self.max_slack, max(self.min_slack, slack))
-        return expected * (1.0 - slack)
-
-    def _dispersion_threshold(self, gamma: float) -> float:
-        """Magnitude dispersion above which a spike holds several tags.
-
-        A lone tone's sub-window magnitudes are ``|A + n_q|`` with
-        ``std/mean ~ 1/(sqrt(2) gamma)``; co-binned tags *beat*, and the
-        beat shows in the magnitudes even when the composite phase stays
-        put (tones that start aligned rotate the magnitude, not the
-        phase — coherence alone is blind to them).
-        """
-        return self.dispersion_base + self.dispersion_gamma / max(gamma, 0.3)
-
-    def _classify_coherence(
+    def _coherence_verdicts(
         self,
         values: np.ndarray,
-        floor_norm: float,
+        floors_norm: np.ndarray,
         n_captures: int,
         dense_mode: bool,
-    ) -> tuple[BinClass, dict]:
+    ) -> list[tuple[BinClass, dict]]:
+        """Every spike's ``(label, stats)`` from its row of ``values``.
+
+        ``values`` is the (m, Q * n_captures) aligned sub-window matrix.
+        Its row reductions (the mean magnitude, the magnitudes' spread and
+        the mean value, each summed and divided as ``np.mean`` and
+        ``np.std`` reduce a single row, so every verdict is the one-spike
+        verdict bit for bit) give each spike:
+
+        * ``gamma``: mean sub-window magnitude over the per-window floor;
+        * ``coherence``: ``|mean| / mean|.|``, which a lone tone at
+          sub-window SNR gamma (per-window noise of unit scale) puts at
+          ``sqrt((gamma^2 + 1/W) / (gamma^2 + 1))`` over W windows
+          (``expected_single_coherence``);
+        * ``magnitude_dispersion``: std/mean of the magnitudes. A lone
+          tone's are ``|A + n_q|`` with ``std/mean ~ 1/(sqrt(2) gamma)``;
+          co-binned tags *beat*, and the beat shows in the magnitudes
+          even when the composite phase stays put (tones that start
+          aligned rotate the magnitude, not the phase — coherence alone
+          is blind to them).
+
+        A spike is SINGLE when its coherence clears the expected value
+        less a slack, which widens as the spike weakens (the statistic
+        gets noisier) and never falls below ``min_slack`` (residual
+        imperfection of neighbour-tone cancellation), and its dispersion
+        stays under ``dispersion_base + dispersion_gamma / gamma``;
+        otherwise MULTIPLE. In dense mode a spike below both reality
+        bounds is a floor fluke (REJECTED), and so is a silent row.
+        """
+        n_values = values.shape[1]
         mags = np.abs(values)
-        mean_mag = float(mags.mean())
-        sigma_q = max(floor_norm * np.sqrt(PROBE_BLOCKS), 1e-300)
-        gamma = mean_mag / sigma_q
-        if mean_mag == 0.0:
-            return BinClass.REJECTED, _stats(0.0, 0.0, 0.0, 0.0)
-        coherence = float(np.abs(values.mean()) / mean_mag)
-        dispersion = float(mags.std() / mean_mag)
-        expected = self._expected_single_coherence(gamma, PROBE_BLOCKS * n_captures)
-        stats = _stats(gamma, coherence, expected, dispersion)
-        if dense_mode and coherence < self.reality_coherence and gamma < self.reality_gamma:
-            return BinClass.REJECTED, stats
-        if coherence >= self._single_threshold(expected, gamma) and dispersion <= self._dispersion_threshold(gamma):
-            return BinClass.SINGLE, stats
-        return BinClass.MULTIPLE, stats
+        mean_mags = mags.sum(axis=1) / n_values
+        deviations = mags - mean_mags[:, None]
+        spreads = np.sqrt((deviations * deviations).sum(axis=1) / n_values)
+        centres = np.abs(values.sum(axis=1) / n_values)
+        sqrt_blocks = float(np.sqrt(PROBE_BLOCKS))
+        n_windows = PROBE_BLOCKS * n_captures
+        verdicts = []
+        for mean_mag, spread, centre, floor_norm in zip(
+            mean_mags.tolist(), spreads.tolist(), centres.tolist(), floors_norm.tolist()
+        ):
+            if mean_mag == 0.0:
+                verdicts.append((BinClass.REJECTED, _stats(0.0, 0.0, 0.0, 0.0)))
+                continue
+            gamma = mean_mag / max(floor_norm * sqrt_blocks, 1e-300)
+            coherence = centre / mean_mag
+            dispersion = spread / mean_mag
+            g2 = gamma * gamma
+            expected = math.sqrt((g2 + 1.0 / n_windows) / (g2 + 1.0))
+            stats = _stats(gamma, coherence, expected, dispersion)
+            weak = max(gamma, 0.3)
+            slack = self.slack_base + self.slack_gamma / weak
+            slack = min(self.max_slack, max(self.min_slack, slack))
+            if dense_mode and coherence < self.reality_coherence and gamma < self.reality_gamma:
+                label = BinClass.REJECTED
+            elif coherence >= expected * (1.0 - slack) and dispersion <= (
+                self.dispersion_base + self.dispersion_gamma / weak
+            ):
+                label = BinClass.SINGLE
+            else:
+                label = BinClass.MULTIPLE
+            verdicts.append((label, stats))
+        return verdicts
 
     def _classify_shift(
         self,

@@ -12,15 +12,16 @@ car (Fig 7, footnote 10).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..channel.antenna import AntennaPair, TriangleArray
 from ..channel.collision import ReceivedCollision
-from ..channel.geometry import RoadSegment, aoa_cone_conic, intersect_conics, unit
+from ..channel.geometry import RoadSegment, aoa_cone_conic, intersect_conics
 from ..constants import PAIR_USABLE_MAX_DEG, PAIR_USABLE_MIN_DEG, WAVELENGTH_M
-from ..dsp.spectrum import tone_block_sums, tone_factors
+from ..dsp.spectrum import tone_factors
 from ..errors import GeometryError, LocalizationError
 from ..utils import wrap_angle
 from .cfo import estimate_channel, extract_collision_peaks
@@ -68,6 +69,30 @@ def phase_from_aoa(
     return float(2.0 * np.pi * spacing_m / wavelength_m * np.cos(alpha_rad))
 
 
+def _spike_channels(waves, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """(S, A) Eq 5 channels of S probes at antennas sharing one time base.
+
+    Each (spike, antenna) block sum is the single-row product
+    :func:`~repro.dsp.spectrum.tone_block_sums` takes for one probe:
+    stacking the rows into one (S, L) product lets BLAS block them
+    differently, which moves the last bits. The block scaling, the
+    window sums and the Eq 5 factor then run over every readout at once.
+    """
+    n_samples = waves[0].n_samples
+    length = inner.shape[1]
+    n_full = n_samples // length
+    sums = np.empty((len(inner), len(waves), outer.shape[1]), dtype=np.complex128)
+    for a, wave in enumerate(waves):
+        head = wave.samples[: n_full * length].reshape(n_full, length).T
+        tail = wave.samples[n_full * length :]
+        for s in range(len(inner)):
+            row = inner[s : s + 1]
+            sums[s, a, :n_full] = row @ head
+            if tail.size:
+                sums[s, a, n_full:] = row[:, : tail.size] @ tail
+    return 2.0 * ((outer[:, None, :] * sums).sum(axis=-1) / n_samples)
+
+
 @dataclass
 class AoAEstimate:
     """Per-tag AoA measurement from one reader.
@@ -107,9 +132,9 @@ class AoAEstimator:
         wavelength_m: carrier wavelength.
         min_snr_db: spike detection threshold (forwarded to peak search).
         obs: nullable observability hook (see :mod:`repro.obs`): counts
-            each :meth:`estimate_for_cfo` readout by where its probe came
-            from (``aoa.readout{probe=basis|built}``). Never affects the
-            estimate.
+            one readout per spike :meth:`estimate_for_cfos` reads, by
+            where its probe came from (``aoa.readout{probe=basis|built}``).
+            Never affects the estimate.
     """
 
     array: TriangleArray
@@ -135,20 +160,7 @@ class AoAEstimator:
             raise LocalizationError(
                 f"triangle AoA needs 3 antenna channels, got {channels.size}"
             )
-        channels = channels[:3]
-        if np.any(np.abs(channels) == 0.0):
-            raise LocalizationError("zero channel estimate; no signal at the CFO")
-        alphas = []
-        for pair, (i, j) in zip(self.array.pairs(), self.array.pair_indices()):
-            delta_phi = float(np.angle(channels[j] / channels[i]))
-            alphas.append(aoa_from_phase(delta_phi, pair.spacing_m, self.wavelength_m))
-        best = int(np.argmin([abs(a - np.pi / 2.0) for a in alphas]))
-        return AoAEstimate(
-            cfo_hz=float(cfo_hz),
-            alphas_rad=tuple(alphas),
-            best_pair_index=best,
-            channels=channels,
-        )
+        return self._estimates([float(cfo_hz)], channels[None, :3])[0]
 
     def estimate_for_cfo(
         self,
@@ -156,20 +168,35 @@ class AoAEstimator:
         cfo_hz: float,
         probe: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> AoAEstimate:
-        """AoA of the tag whose spike sits at (or near) ``cfo_hz``.
+        """AoA of the tag whose spike sits at (or near) ``cfo_hz``: the
+        one-spike case of :meth:`estimate_for_cfos`."""
+        return self.estimate_for_cfos(collision, [cfo_hz], probe)[0]
 
-        Reads the channel at each antenna, then forms the phase difference
-        per pair. All three pairs are computed; the one nearest broadside
-        is selected, emulating the antenna switch of Fig 6.
+    def estimate_for_cfos(
+        self,
+        collision: ReceivedCollision,
+        cfos_hz,
+        probe: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> list[AoAEstimate]:
+        """AoA of every tag whose spike sits at (or near) one of ``cfos_hz``.
+
+        Reads each spike's channel at each antenna, then forms the phase
+        difference per pair. All three pairs are computed; the one
+        nearest broadside is selected, emulating the antenna switch of
+        Fig 6. The S x 3 pair ratios, angles and broadside picks are one
+        array pass, equal bit for bit to estimating each spike alone.
 
         Args:
-            probe: the factors ``(outer, inner)`` of ``exp(-j 2 pi cfo_hz
-                t)`` on the first antenna's time base, one row each
+            probe: the factors ``(outer, inner)`` of ``exp(-j 2 pi f t)``
+                on the first antenna's time base, one row per spike
                 (:func:`~repro.dsp.spectrum.tone_factors`), when the
-                caller already holds them (the counter's fit factors,
-                :attr:`~repro.core.counting.CountEstimate.basis`); built
-                here when omitted.
+                caller already holds them (rows of the counter's fit
+                factors, :attr:`~repro.core.counting.CountEstimate.basis`);
+                built here when omitted.
         """
+        cfos = [float(cfo) for cfo in cfos_hz]
+        if not cfos:
+            return []
         if collision.n_antennas < 3:
             raise LocalizationError(
                 f"triangle AoA needs 3 antenna captures, got {collision.n_antennas}"
@@ -184,38 +211,49 @@ class AoAEstimator:
         )
         if self.obs is not None:
             self.obs.count(
-                "aoa.readout", probe="basis" if shared and probe is not None else "built"
+                "aoa.readout",
+                len(cfos),
+                probe="basis" if shared and probe is not None else "built",
             )
         if shared:
-            # One time base: the three Eq 5 readouts share one probe's
-            # factors, the ones estimate_channel builds per antenna.
+            # One time base: the three Eq 5 readouts share each spike's
+            # probe factors, the ones estimate_channel builds per antenna.
             if probe is None:
                 probe = tone_factors(
-                    [cfo_hz], first.t0_s, first.sample_rate_hz, first.n_samples
+                    cfos, first.t0_s, first.sample_rate_hz, first.n_samples
                 )
-            channels = np.array(
-                [
-                    2.0 * complex(tone_block_sums(*probe, wave.samples).sum() / wave.n_samples)
-                    for wave in waves
-                ]
-            )
+            channels = _spike_channels(waves, *probe)
         else:
-            channels = np.array([estimate_channel(wave, cfo_hz) for wave in waves])
-        return self.estimate_from_channels(cfo_hz, channels)
+            channels = np.array(
+                [[estimate_channel(wave, cfo) for wave in waves] for cfo in cfos]
+            )
+        return self._estimates(cfos, channels)
 
-    def estimate_from_decode(self, result) -> AoAEstimate:
-        """AoA straight from a decode outcome — no extra spectral pass.
+    def _estimates(self, cfos_hz: list[float], channels: np.ndarray) -> list[AoAEstimate]:
+        """Eq 10 on every pair of every (S, 3) channel row at once.
 
-        The decoder already read every antenna's channel (Eq 5) for each
-        capture it combined; a
-        :attr:`~repro.core.decoding.DecodeResult.channels` vector carries
-        that evidence coherently summed across captures, so its phase
-        differences *are* the AoA measurement, averaged over the whole
-        decode burst (§8 meets §6: localization falls out of decoding).
+        Elementwise, this is :func:`aoa_from_phase` per pair (clamped) and
+        the broadside pick per spike, rounded as they round.
         """
-        if result.channels is None:
-            raise LocalizationError("decode result carries no channel estimates")
-        return self.estimate_from_channels(result.cfo_hz, result.channels)
+        if np.any(np.abs(channels) == 0.0):
+            raise LocalizationError("zero channel estimate; no signal at the CFO")
+        first, second = zip(*self.array.pair_indices())
+        spacings = self.array.baselines[2]
+        delta_phi = np.angle(channels[:, list(second)] / channels[:, list(first)])
+        cos_alpha = delta_phi * self.wavelength_m / (2.0 * np.pi * spacings)
+        alphas = np.arccos(np.clip(cos_alpha, -1.0, 1.0))
+        best = np.argmin(np.abs(alphas - np.pi / 2.0), axis=1)
+        return [
+            AoAEstimate(
+                cfo_hz=cfo,
+                alphas_rad=tuple(row),
+                best_pair_index=pick,
+                channels=spike_channels,
+            )
+            for cfo, row, pick, spike_channels in zip(
+                cfos_hz, alphas.tolist(), best.tolist(), channels
+            )
+        ]
 
     def estimate_all(
         self, collision: ReceivedCollision, cfos_hz: list[float] | None = None
@@ -229,7 +267,7 @@ class AoAEstimator:
         counting pass's accepted spikes) skips detection entirely.
         """
         if cfos_hz is not None:
-            return [self.estimate_for_cfo(collision, float(f)) for f in cfos_hz]
+            return self.estimate_for_cfos(collision, cfos_hz)
         peaks = extract_collision_peaks(collision, min_snr_db=self.min_snr_db)
         return [
             self.estimate_from_channels(p.cfo_hz, p.channels) for p in peaks
@@ -375,17 +413,8 @@ class LaneProjectionLocalizer:
         estimator: AoAEstimator,
         hint_xy: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Locate one tag from its AoA at this reader alone.
-
-        Args:
-            estimate: the tag's AoA measurement.
-            estimator: the estimator that produced it (provides the
-                physical pair geometry behind ``best_pair_index``).
-            hint_xy: optional prior (x, y); the candidate nearest the
-                hint wins. Without a hint, candidates are scored by
-                consistency with *all three* measured baselines (the
-                selected pair fixes a cone; the other two pairs vote
-                between its lane intersections).
+        """Locate one tag from its AoA at this reader alone: the one-spike
+        case of :meth:`locate_all`.
 
         Returns:
             (x, y) world coordinates on the road plane.
@@ -393,21 +422,124 @@ class LaneProjectionLocalizer:
         Raises:
             GeometryError: if the cone misses every lane on the road.
         """
-        pair = estimator.best_pair(estimate)
-        apex = pair.midpoint_m
-        axis = pair.axis
-        cos_a = float(np.cos(estimate.alpha_rad))
+        fix = self.locate_all([estimate], estimator, [hint_xy])[0]
+        if fix is None:
+            raise GeometryError(
+                f"AoA cone (alpha={estimate.alpha_deg:.1f} deg) intersects "
+                f"no lane of {self.lane_ys_m} on the road consistently "
+                f"with all baselines"
+            )
+        return fix
+
+    def locate_all(
+        self,
+        estimates: list[AoAEstimate],
+        estimator: AoAEstimator,
+        hints: list[np.ndarray | None] | None = None,
+    ) -> list[np.ndarray | None]:
+        """Locate several tags, each from its own AoA at this reader alone.
+
+        Each spike's lane roots are found as :meth:`locate` finds them;
+        then every root of every spike is scored in one array expression,
+        and each spike keeps its best, equal bit for bit to locating the
+        tags one at a time.
+
+        Args:
+            estimates: the tags' AoA measurements.
+            estimator: the estimator that produced them (provides the
+                physical pair geometry behind ``best_pair_index``).
+            hints: optional prior (x, y) per estimate, or None; the
+                candidate nearest its hint wins. Without a hint, candidates
+                are scored by consistency with *all three* measured
+                baselines (the selected pair fixes a cone; the other two
+                pairs vote between its lane intersections).
+
+        Returns:
+            Per estimate, its (x, y) world coordinates on the road plane,
+            or None when its cone misses every lane on the road (or a
+            candidate sits on a baseline's midpoint, which has no
+            direction to score).
+        """
+        n_spikes = len(estimates)
+        fixes: list[np.ndarray | None] = [None] * n_spikes
+        if not n_spikes:
+            return fixes
+        if hints is None:
+            hints = [None] * n_spikes
+        pairs = estimator.array.pairs()
         z = self.road.z_m + self.tag_height_m
-        candidates: list[np.ndarray] = []
+        cosines = np.cos([estimate.alphas_rad for estimate in estimates])
+        owners, xs, ys = [], [], []
+        for spike, (estimate, row) in enumerate(zip(estimates, cosines.tolist())):
+            best = estimate.best_pair_index
+            for x, y in self._lane_roots(pairs[best], row[best], z):
+                owners.append(spike)
+                xs.append(x)
+                ys.append(y)
+        if not owners:
+            return fixes
+        owner = np.array(owners)
+        points = np.column_stack([xs, ys])
+        gains = 2.0 * np.pi * estimator.array.baselines[2] / estimator.wavelength_m
+        errors, pointless = self._phase_errors_rad(
+            points, z, (gains * cosines)[owner], estimator
+        )
+        # A candidate on a baseline's midpoint fails its whole spike.
+        failed = np.zeros(n_spikes, dtype=bool)
+        failed[owner[pointless]] = True
+        scored = ~failed[owner]
+        # A real tag matches all three measured baselines to within phase
+        # noise; a ghost (wrong lane, or a tag outside this road segment
+        # whose cone happens to graze it) only matches the selected one.
+        ceiling = float(np.deg2rad(self.max_phase_error_deg))
+        kept = scored & (errors.max(axis=1) <= ceiling)
+        if self.obs is not None:
+            n_kept = int(np.count_nonzero(kept))
+            n_gated = int(np.count_nonzero(scored)) - n_kept
+            if n_kept:
+                self.obs.count("locate.candidates", n_kept, outcome="kept")
+            if n_gated:
+                self.obs.count("locate.candidates", n_gated, outcome="gated")
+        score = np.sum(errors**2, axis=1)
+        hinted = [hint is not None for hint in hints]
+        if any(hinted):
+            anchors = np.array(
+                [hint if hint is not None else (0.0, 0.0) for hint in hints],
+                dtype=np.float64,
+            )
+            delta = points - anchors[owner]
+            # Stacked 1x2 @ 2x1 products are the dot np.linalg.norm takes.
+            distance = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
+            score = np.where(np.array(hinted)[owner], distance, score)
+        score[~kept] = np.inf
+        # Each spike's first lowest score: a stable sort by spike, then score.
+        order = np.lexsort((score, owner))
+        firsts = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+        for index in firsts[kept[firsts]].tolist():
+            fixes[owners[index]] = points[index].copy()
+        return fixes
+
+    def _lane_roots(self, pair, cos_a: float, z: float) -> list[tuple[float, float]]:
+        """Where one cone meets the lanes on the road, lane by lane.
+
+        ``|(p - apex) . axis| = |p - apex| cos(alpha)`` with ``p = (x,
+        lane, z)`` becomes a quadratic in ``X = x - apex_x``; at most two
+        roots per lane survive the cone's nappe and the road limits.
+        """
+        apex_x, apex_y, apex_z = pair.midpoint_m.tolist()
+        axis_x, axis_y, axis_z = pair.axis.tolist()
+        # Squares by pow, which rounds apart from x * x now and then.
+        a = axis_x**2 - cos_a**2
+        dz = z - apex_z
+        margin = self.road_margin_m
+        x_lo, x_hi = self.road.x_min_m - margin, self.road.x_max_m + margin
+        y_lo, y_hi = self.road.y_min_m - margin, self.road.y_max_m + margin
+        found = []
         for lane_y in self.lane_ys_m:
-            dy = lane_y - apex[1]
-            dz = z - apex[2]
-            # |(p - apex) . axis| = |p - apex| cos(alpha) with p = (x, y, z)
-            # becomes a quadratic in X = x - apex_x.
-            c1 = axis[1] * dy + axis[2] * dz
+            dy = lane_y - apex_y
+            c1 = axis_y * dy + axis_z * dz
             c2 = dy * dy + dz * dz
-            a = axis[0] ** 2 - cos_a**2
-            b = 2.0 * axis[0] * c1
+            b = 2.0 * axis_x * c1
             c = c1 * c1 - c2 * cos_a**2
             if abs(a) < 1e-12:
                 if abs(b) < 1e-12:
@@ -417,78 +549,50 @@ class LaneProjectionLocalizer:
                 disc = b * b - 4.0 * a * c
                 if disc < 0:
                     continue
-                sq = float(np.sqrt(disc))
+                sq = math.sqrt(disc)
                 roots = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
             for x_rel in roots:
                 # The measured alpha fixes which nappe of the double cone.
-                along = axis[0] * x_rel + c1
-                if cos_a * along < -1e-9:
+                if cos_a * (axis_x * x_rel + c1) < -1e-9:
                     continue
-                point = np.array([apex[0] + x_rel, lane_y])
-                if self.road.contains(point, margin_m=self.road_margin_m):
-                    candidates.append(point)
-        # A real tag matches all three measured baselines to within phase
-        # noise; a ghost (wrong lane, or a tag outside this road segment
-        # whose cone happens to graze it) only matches the selected one.
-        ceiling = float(np.deg2rad(self.max_phase_error_deg))
-        points = np.array(candidates, dtype=np.float64).reshape(-1, 2)
-        errors = self._phase_errors_rad(points, z, estimate, estimator)
-        kept = errors.max(axis=1) <= ceiling
-        n_kept = int(np.count_nonzero(kept))
-        if self.obs is not None:
-            if n_kept:
-                self.obs.count("locate.candidates", n_kept, outcome="kept")
-            if n_kept < kept.size:
-                self.obs.count("locate.candidates", kept.size - n_kept, outcome="gated")
-        if not n_kept:
-            raise GeometryError(
-                f"AoA cone (alpha={estimate.alpha_deg:.1f} deg) intersects "
-                f"no lane of {self.lane_ys_m} on the road consistently "
-                f"with all baselines"
-            )
-        points, errors = points[kept], errors[kept]
-        if hint_xy is not None:
-            delta = points - np.asarray(hint_xy, dtype=np.float64)
-            # Stacked 1x2 @ 2x1 products are the dot np.linalg.norm takes.
-            score = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
-        else:
-            score = np.sum(errors**2, axis=1)
-        return points[int(np.argmin(score))].copy()
+                x = apex_x + x_rel
+                if x_lo <= x <= x_hi and y_lo <= lane_y <= y_hi:
+                    found.append((x, lane_y))
+        return found
 
     @staticmethod
     def _phase_errors_rad(
-        points: np.ndarray, z: float, estimate: AoAEstimate, estimator: AoAEstimator
-    ) -> np.ndarray:
+        points: np.ndarray, z: float, measured: np.ndarray, estimator: AoAEstimator
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(C, 3) wrapped phase error of each candidate on each baseline.
 
         The phase a tag at the candidate would produce on a baseline,
         ``phase_from_aoa`` of its true spatial angle, against the measured
-        one. One array expression over every candidate and baseline,
-        equal bit for bit to scoring them one at a time: the norms and
-        direction cosines are stacked ``1x3 @ 3x1`` products, the same
-        BLAS dot ``np.linalg.norm`` and ``np.dot`` of a 3-vector take (a
-        row sum or ``einsum`` rounds differently).
+        one (``measured``, one row per candidate). One array expression
+        over every candidate and baseline, equal bit for bit to scoring
+        them one at a time: the norms and direction cosines are stacked
+        ``1x3 @ 3x1`` products, the same BLAS dot ``np.linalg.norm`` and
+        ``np.dot`` of a 3-vector take (a row sum or ``einsum`` rounds
+        differently).
+
+        Returns:
+            ``(errors, pointless)``: the errors, and whether each candidate
+            sits on a baseline's midpoint (a zero direction; its errors
+            are meaningless).
         """
-        pairs = estimator.array.pairs()
-        wavelength_m = estimator.wavelength_m
+        midpoints, unit_axes, spacings = estimator.array.baselines
         tags = np.column_stack([points, np.full(len(points), z)])
-        directions = tags[:, None, :] - np.array([pair.midpoint_m for pair in pairs])
+        directions = tags[:, None, :] - midpoints
         norms = np.sqrt((directions[..., None, :] @ directions[..., :, None])[..., 0, 0])
-        if np.any(norms == 0.0):
-            raise GeometryError("cannot normalize the zero vector")
-        axes = np.array([unit(pair.axis) for pair in pairs])
+        pointless = np.any(norms == 0.0, axis=1)
+        if pointless.any():
+            norms[pointless] = 1.0
         cosines = (
-            (directions / norms[..., None])[..., None, :] @ axes[None, :, :, None]
+            (directions / norms[..., None])[..., None, :] @ unit_axes[None, :, :, None]
         )[..., 0, 0]
         true_alphas = np.arccos(np.clip(cosines, -1.0, 1.0))
-        gains = np.array([2.0 * np.pi * pair.spacing_m / wavelength_m for pair in pairs])
-        measured = np.array(
-            [
-                phase_from_aoa(alpha, pair.spacing_m, wavelength_m)
-                for alpha, pair in zip(estimate.alphas_rad, pairs)
-            ]
-        )
+        gains = 2.0 * np.pi * spacings / estimator.wavelength_m
         # Wrap each difference into (-pi, pi]: near end-fire the true
         # phase sits next to +-pi and noise can flip the measured sign —
         # a tiny physical error that would otherwise read ~2pi.
-        return np.abs(wrap_angle(measured - gains * np.cos(true_alphas)))
+        return np.abs(wrap_angle(measured - gains * np.cos(true_alphas))), pointless

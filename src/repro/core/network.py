@@ -13,8 +13,6 @@ services) runs in :class:`~repro.sim.city.CityCorridor`.
   composes one as its fingerprint index.
 * :func:`resolve_cached_ids` — one round's spikes against a cache,
   one-to-one.
-* :func:`decode_aoa` — an AoA minted from a decode's channel evidence,
-  for a spike the measurement pass gave none.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from ..errors import CaraokeError
-
-__all__ = ["IdentityCache", "resolve_cached_ids", "decode_aoa"]
+__all__ = ["IdentityCache", "resolve_cached_ids"]
 
 
 @dataclass
@@ -68,6 +64,9 @@ class IdentityCache:
     _sorted_cfos: list[float] = field(default_factory=list, repr=False)
     _sorted_ids: list[int] = field(default_factory=list, repr=False)
     _dirty: bool = field(default=False, repr=False)
+    #: At or before every last-seen time (the exact minimum after each
+    #: age scan): while it is within ``max_age_s`` nothing can be stale.
+    _seen_floor_s: float = field(default=float("inf"), repr=False, compare=False)
 
     def _reindex(self) -> None:
         if self._dirty or len(self._sorted_cfos) != len(self._cfos_by_id):
@@ -128,9 +127,10 @@ class IdentityCache:
         trails — can drop theirs in the same step and stay consistent.
         """
         self._cfos_by_id[tag_id] = float(cfo_hz)
-        self._last_seen_s[tag_id] = max(
-            float(now_s), self._last_seen_s.get(tag_id, float("-inf"))
-        )
+        seen_s = max(float(now_s), self._last_seen_s.get(tag_id, float("-inf")))
+        self._last_seen_s[tag_id] = seen_s
+        if seen_s < self._seen_floor_s:
+            self._seen_floor_s = seen_s
         self._dirty = True
         evicted: list[int] = []
         if self.max_entries is not None:
@@ -159,7 +159,7 @@ class IdentityCache:
     def prune_ids(self, now_s: float) -> list[int]:
         """Like :meth:`prune`, but returns *which* accounts aged out
         (sorted), for callers keeping per-account state alongside."""
-        if self.max_age_s is None:
+        if self.max_age_s is None or now_s - self._seen_floor_s <= self.max_age_s:
             return []
         stale = sorted(
             tag_id
@@ -168,6 +168,7 @@ class IdentityCache:
         )
         for tag_id in stale:
             self.evict(tag_id)
+        self._seen_floor_s = min(self._last_seen_s.values(), default=float("inf"))
         return stale
 
     def cached_cfo(self, tag_id: int) -> float | None:
@@ -242,25 +243,3 @@ def resolve_cached_ids(
         ids[spikes[index]] = tag_id
         cache.store(spikes[index], tag_id, now_s=0.0 if now_s is None else now_s)
     return ids, [spikes[i] for i in sorted(unresolved)]
-
-
-def decode_aoa(station, decode_results: dict | None, cfo: float):
-    """AoA minted from decode-time channel evidence, if any.
-
-    A CFO the measurement pass produced no AoA for (e.g. it was detected
-    only once decoding sharpened it) can still be localized: the decode
-    result's per-antenna channel evidence carries the Eq 10 phase
-    differences for free. Returns None when the evidence is missing,
-    single-antenna, or degenerate.
-    """
-    if not decode_results:
-        return None
-    result = decode_results.get(cfo)
-    if result is None or result.n_antennas < 3:
-        return None
-    try:
-        return station.reader.estimator.estimate_from_channels(
-            result.cfo_hz, result.channels
-        )
-    except CaraokeError:
-        return None

@@ -79,23 +79,28 @@ class CaraokeReader:
         """Count + localize in one pass, sharing the spike detection.
 
         The count's accepted spikes seed the AoA measurements, mirroring
-        the hardware pipeline (one sFFT pass feeds everything, §10): each
-        spike's rows of the counter's final fit factors
+        the hardware pipeline (one sFFT pass feeds everything, §10): the
+        accepted spikes' rows of the counter's final fit factors
         (:attr:`~repro.core.counting.CountEstimate.basis`) are the Eq 5
-        probe its AoA readout needs, so no exponential is built twice.
+        probes their AoA readout needs, so no exponential is built twice.
+        Every accepted spike is read; a corridor round reads only the
+        spikes it resolves.
         """
         estimate = self.count(collision)
         basis, estimate.basis = estimate.basis, None
         aoas = []
-        if collision.n_antennas >= 3:
-            accepted = sorted(
-                (o.cfo_hz, k)
-                for k, o in enumerate(estimate.observations)
-                if o.label is not BinClass.REJECTED
+        accepted = sorted(
+            (o.cfo_hz, k)
+            for k, o in enumerate(estimate.observations)
+            if o.label is not BinClass.REJECTED
+        )
+        if accepted and collision.n_antennas >= 3:
+            rows = [k for _, k in accepted]
+            aoas = self.estimator.estimate_for_cfos(
+                collision,
+                [cfo for cfo, _ in accepted],
+                probe=tuple(factor[rows] for factor in basis),
             )
-            for cfo, k in accepted:
-                probe = tuple(factor[k : k + 1] for factor in basis)
-                aoas.append(self.estimator.estimate_for_cfo(collision, cfo, probe=probe))
         return ReaderReport(
             timestamp_s=collision.t0_s if timestamp_s is None else timestamp_s,
             count=estimate,

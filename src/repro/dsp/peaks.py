@@ -65,19 +65,21 @@ def estimate_noise_floor(magnitudes: np.ndarray) -> float:
     return float(np.median(magnitudes) / np.sqrt(np.log(4.0)))
 
 
-def parabolic_offset(left: float, center: float, right: float) -> float:
+def parabolic_offset(left, center, right):
     """Sub-bin offset of a peak from three magnitude samples, in bins.
 
     Fits a parabola through (-1, left), (0, center), (1, right); the vertex
     abscissa refines the tone frequency to a fraction of a bin, which the
     decoder needs (a CFO error of half a bin rotates the target by pi over
-    the 512 us response and breaks coherent combining, §8).
+    the 512 us response and breaks coherent combining, §8). A flat triple
+    gives 0. Elementwise over arrays; a float for scalar samples.
     """
+    left, center, right = (np.asarray(v, dtype=np.float64) for v in (left, center, right))
     denom = left - 2.0 * center + right
-    if denom == 0.0:
-        return 0.0
-    offset = 0.5 * (left - right) / denom
-    return float(np.clip(offset, -0.5, 0.5))
+    flat = denom == 0.0
+    offset = 0.5 * (left - right) / np.where(flat, 1.0, denom)
+    offset = np.where(flat, 0.0, np.minimum(np.maximum(offset, -0.5), 0.5))
+    return float(offset) if offset.ndim == 0 else offset
 
 
 _QUINN_ROOT = np.sqrt(2.0 / 3.0)
@@ -261,7 +263,6 @@ def find_peaks_in_magnitudes(
     search_lo_hz: float,
     search_hi_hz: float,
     min_snr_db: float = 12.0,
-    min_separation_bins: int = 2,
     max_peaks: int | None = None,
     values: np.ndarray | None = None,
     floors: np.ndarray | None = None,
@@ -278,8 +279,6 @@ def find_peaks_in_magnitudes(
         bin_hz: FFT bin spacing.
         search_lo_hz / search_hi_hz: band to search (the 1.2 MHz CFO span).
         min_snr_db: required peak amplitude margin over the local floor.
-        min_separation_bins: greedy non-max suppression radius; adjacent
-            tags 2+ bins apart survive as distinct peaks.
         max_peaks: optional cap (strongest first).
         values: optional complex spectrum aligned with ``magnitudes``.
         floors: optional precomputed CFAR floor for the search band (from
@@ -302,40 +301,38 @@ def find_peaks_in_magnitudes(
             f"precomputed floors cover {floors.size} bins, band has {band.size}"
         )
 
-    # Local maxima above their local threshold, strongest first; the
-    # stable sort keeps equal magnitudes in ascending-bin order.
+    # Local maxima above their local threshold. No two are adjacent (a
+    # local maximum is above its right neighbour and at least its left
+    # one), so tags two bins apart stay distinct peaks with no suppression.
     bins = _peak_bins(band)
     bins = bins[band[bins] >= floors[bins] * db_to_amplitude(min_snr_db)]
-    candidates = bins[np.argsort(-band[bins], kind="stable")].tolist()
+    if max_peaks is not None:
+        # The strongest; the stable sort keeps equal magnitudes in
+        # ascending-bin order.
+        bins = np.sort(bins[np.argsort(-band[bins], kind="stable")][:max_peaks])
 
-    # Greedy non-maximum suppression.
-    kept: list[int] = []
-    for k in candidates:
-        if all(abs(k - other) >= min_separation_bins for other in kept):
-            kept.append(k)
-        if max_peaks is not None and len(kept) >= max_peaks:
-            break
-
-    peaks = []
-    for k in sorted(kept):
-        absolute = lo_bin + k
-        left = magnitudes[absolute - 1] if absolute > 0 else magnitudes[absolute]
-        right = (
-            magnitudes[absolute + 1]
-            if absolute < magnitudes.size - 1
-            else magnitudes[absolute]
+    absolute = lo_bin + bins
+    center = magnitudes[absolute]
+    offsets = parabolic_offset(
+        magnitudes[np.maximum(absolute - 1, 0)],
+        center,
+        magnitudes[np.minimum(absolute + 1, magnitudes.size - 1)],
+    )
+    return [
+        SpectralPeak(
+            bin_index=index,
+            freq_hz=freq_hz,
+            value=complex(values[index]) if values is not None else 0j,
+            magnitude=magnitude,
+            floor=floor,
         )
-        offset = parabolic_offset(left, magnitudes[absolute], right)
-        peaks.append(
-            SpectralPeak(
-                bin_index=absolute,
-                freq_hz=(absolute + offset) * bin_hz,
-                value=complex(values[absolute]) if values is not None else 0j,
-                magnitude=float(magnitudes[absolute]),
-                floor=float(floors[absolute - lo_bin]),
-            )
+        for index, freq_hz, magnitude, floor in zip(
+            absolute.tolist(),
+            ((absolute + offsets) * bin_hz).tolist(),
+            center.tolist(),
+            floors[bins].tolist(),
         )
-    return peaks
+    ]
 
 
 def find_spectral_peaks(
@@ -343,7 +340,6 @@ def find_spectral_peaks(
     search_lo_hz: float,
     search_hi_hz: float,
     min_snr_db: float = 12.0,
-    min_separation_bins: int = 2,
     max_peaks: int | None = None,
 ) -> list[SpectralPeak]:
     """Detect CFO spikes within a frequency band of one spectrum (Fig 4)."""
@@ -353,7 +349,6 @@ def find_spectral_peaks(
         search_lo_hz,
         search_hi_hz,
         min_snr_db=min_snr_db,
-        min_separation_bins=min_separation_bins,
         max_peaks=max_peaks,
         values=spectrum.values,
     )

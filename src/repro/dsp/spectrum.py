@@ -157,8 +157,8 @@ def single_bin_dft(
     channel readout (Eq 5), the AoA phase difference (§6), and the
     time-shift magnitude test (§5) need. The probe is the block-factored
     one (:func:`tone_factors`), summed with :func:`tone_block_sums` — the
-    readout :meth:`~repro.core.localization.AoAEstimator.estimate_for_cfo`
-    takes per antenna, so the two agree bit for bit.
+    product :meth:`~repro.core.localization.AoAEstimator.estimate_for_cfos`
+    takes per spike and antenna, so the two agree bit for bit.
 
     The normalization is ``1/n``, so a pure tone ``A*exp(j 2 pi f t)``
     returns ``A`` and the tag's OOK signal returns ``h/2`` (Eq 5): callers

@@ -71,10 +71,11 @@ from ...constants import (
     RESPONSE_DURATION_S,
     TURNAROUND_S,
 )
+from ...core.counting import BinClass
 from ...core.decoding import validate_combining, validate_opportunistic
 from ...core.mac import ReaderMac
-from ...core.network import IdentityCache, decode_aoa, resolve_cached_ids
-from ...errors import CaraokeError, ConfigurationError
+from ...core.network import IdentityCache, resolve_cached_ids
+from ...errors import ConfigurationError
 from ...utils import as_rng
 from ..events import EventScheduler
 from ..medium import AirLog
@@ -970,11 +971,9 @@ class CityCorridor:
         self._publish_window(
             station, t_query, response_start, candidates, collision.truth
         )
-        report = station.reader.observe(collision, timestamp_s=t_query)
-        cfos = [float(c) for c in report.count.cfos_hz()]
-        snr_by_cfo = {
-            float(o.cfo_hz): float(o.snr) for o in report.count.observations
-        }
+        count = station.reader.count(collision)
+        cfos = [float(c) for c in count.cfos_hz()]
+        snr_by_cfo = {float(o.cfo_hz): float(o.snr) for o in count.observations}
         ids, unknown = resolve_cached_ids(station.identities, cfos, now_s=t_query)
         # How each resolved cfo was won this round: (resolution kind,
         # decode queries spent) — provenance the city layer (directory,
@@ -1027,7 +1026,6 @@ class CityCorridor:
             still_unknown = unknown
 
         busy_end = response_end
-        decode_results: dict = {}
         if still_unknown:
             busy_end = self._decode_burst(
                 station,
@@ -1036,7 +1034,6 @@ class CityCorridor:
                 still_unknown,
                 snr_by_cfo,
                 ids,
-                decode_results,
                 seed=collision,
                 kinds=kinds,
             )
@@ -1051,7 +1048,7 @@ class CityCorridor:
                 spikes=len(cfos),
                 resolved=len(ids),
             )
-        self._emit_observations(station, report, ids, t_query, decode_results)
+        self._emit_observations(station, collision, count, ids, t_query)
         if self.on_sighting is not None:
             # Every id resolved this round (cache hits, pushes, pulls,
             # fresh decodes) is a sighting the city layer may act on —
@@ -1082,7 +1079,6 @@ class CityCorridor:
         targets: list[float],
         snr_by_cfo: dict[float, float],
         ids: dict[float, int],
-        decode_results: dict | None = None,
         seed=None,
         kinds: dict[float, tuple[str, int]] | None = None,
     ) -> float:
@@ -1170,8 +1166,6 @@ class CityCorridor:
             for collision in self._overhear(station, t_query):
                 session.donate_capture(collision)
         results = session.decode_all(worth_it, max_queries=self.max_queries)
-        if decode_results is not None:
-            decode_results.update(results)
         for cfo, result in results.items():
             if result.success:
                 tag_id = result.packet.tag_id
@@ -1362,32 +1356,64 @@ class CityCorridor:
     def _emit_observations(
         self,
         station: CorridorStation,
-        report,
+        collision,
+        count,
         ids: dict[float, int],
         t_query: float,
-        decode_results: dict | None = None,
     ) -> None:
+        """Localize the spikes the round resolved and fan out the fixes.
+
+        Only resolved spikes are read: their rows of the count's fit
+        factors feed one batched AoA readout, and the usable angles one
+        batched lane fix, each hinted by the tag's last fix.
+        """
         station.prune_fixes(t_query)
-        if station.localizer is None or not ids:
+        if station.localizer is None or not ids or collision.n_antennas < 3:
             return
+        rows = {
+            o.cfo_hz: k
+            for k, o in enumerate(count.observations)
+            if o.label is not BinClass.REJECTED
+        }
+        resolved = sorted(ids.items())
+        estimator = station.reader.estimator
+        estimates = estimator.estimate_for_cfos(
+            collision,
+            [cfo for cfo, _ in resolved],
+            probe=tuple(factor[[rows[cfo] for cfo, _ in resolved]] for factor in count.basis),
+        )
+        usable = [
+            (tag_id, estimate)
+            for (_, tag_id), estimate in zip(resolved, estimates)
+            if estimate.in_usable_band()
+        ]
+        # An account resolves at most one spike per round unless a decode
+        # names an account the round already holds: that later spike is
+        # hinted by the earlier spike's fix, so it is located on its own,
+        # once that fix is recorded.
+        firsts: dict[int, int] = {}
+        for index, (tag_id, _) in enumerate(usable):
+            firsts.setdefault(tag_id, index)
+        batch = sorted(firsts.values())
+        fixes = dict(
+            zip(
+                batch,
+                station.localizer.locate_all(
+                    [usable[i][1] for i in batch],
+                    estimator,
+                    [station.recall_fix(usable[i][0], t_query) for i in batch],
+                ),
+            )
+        )
         observation_cls = _tag_observation()
-        estimates = {estimate.cfo_hz: estimate for estimate in report.aoas}
-        for cfo, tag_id in sorted(ids.items()):
-            estimate = estimates.get(cfo)
-            if estimate is None:
-                # A spike the measurement pass produced no AoA for can
-                # still be positioned from the decode burst's channel
-                # evidence — localization falls out of decoding.
-                estimate = decode_aoa(station, decode_results, cfo)
-            if estimate is None or not estimate.in_usable_band():
-                continue
-            try:
-                fix = station.localizer.locate(
-                    estimate,
-                    station.reader.estimator,
-                    hint_xy=station.recall_fix(tag_id, t_query),
-                )
-            except CaraokeError:
+        for index, (tag_id, estimate) in enumerate(usable):
+            if index in fixes:
+                fix = fixes[index]
+            else:
+                fix = station.localizer.locate_all(
+                    [estimate], estimator, [station.recall_fix(tag_id, t_query)]
+                )[0]
+            if fix is None:
                 continue
             station.record_fix(tag_id, fix, t_query)
             observation = observation_cls(

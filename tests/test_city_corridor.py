@@ -504,19 +504,20 @@ class TestFixHints:
     ``HINT_HORIZON_S`` is neither used nor kept."""
 
     class SpyLocalizer:
-        """Records the hint each ``locate`` call gets; fixes every tag at
+        """Records the hint each spike's fix gets; fixes every tag at
         the origin."""
 
         def __init__(self):
             self.hints = []
 
-        def locate(self, estimate, estimator, hint_xy=None):
-            self.hints.append(None if hint_xy is None else tuple(hint_xy))
-            return np.array([0.0, -1.75])
+        def locate_all(self, estimates, estimator, hints):
+            self.hints.extend(None if hint is None else tuple(hint) for hint in hints)
+            return [np.array([0.0, -1.75]) for _ in estimates]
 
     def emit(self, hint_age_s, t_query=400.0, tag_id=7, cfo_hz=250e3):
         from types import SimpleNamespace
 
+        from repro.core.counting import BinClass
         from repro.core.localization import AoAEstimate
 
         corridor = small_corridor(seed=17)
@@ -525,8 +526,15 @@ class TestFixHints:
         station.record_fix(99, np.array([5.0, -5.25]), t_query - 400.0)
         station.record_fix(tag_id, np.array([12.0, -5.25]), t_query - hint_age_s)
         broadside = AoAEstimate(cfo_hz=cfo_hz, alphas_rad=(1.4, 1.6, 1.5), best_pair_index=2)
-        report = SimpleNamespace(aoas=[broadside])
-        corridor._emit_observations(station, report, {cfo_hz: tag_id}, t_query)
+        station.reader.estimator = SimpleNamespace(
+            estimate_for_cfos=lambda collision, cfos, probe: [broadside]
+        )
+        count = SimpleNamespace(
+            observations=[SimpleNamespace(cfo_hz=cfo_hz, label=BinClass.SINGLE)],
+            basis=(np.zeros((1, 8), complex), np.zeros((1, 256), complex)),
+        )
+        collision = SimpleNamespace(n_antennas=3)
+        corridor._emit_observations(station, collision, count, {cfo_hz: tag_id}, t_query)
         return corridor, station
 
     def test_hint_past_the_horizon_is_neither_used_nor_kept(self):
@@ -545,3 +553,149 @@ class TestFixHints:
         _, station = self.emit(hint_age_s=299.0)
         assert station.localizer.hints == [(12.0, -5.25)]
         assert list(station._last_fixes) == [7]  # tag 99's 400 s fix pruned
+
+
+class TestRoundFixes:
+    """A round reads AoA for its resolved spikes only, on their rows of
+    the count's fit factors, and locates them as one batch. Every
+    observation and recorded fix must equal the per-spike round's (each
+    resolved spike in CFO order, hinted by its tag's last fix at that
+    moment) bit for bit — including an account that resolves two spikes,
+    whose later spike is hinted by the earlier spike's fix."""
+
+    class SpyLocalizer:
+        def __init__(self, localizer):
+            self.localizer = localizer
+            self.calls = []
+
+        def locate_all(self, estimates, estimator, hints):
+            fixes = self.localizer.locate_all(estimates, estimator, hints)
+            self.calls.append((list(estimates), list(hints), fixes))
+            return fixes
+
+    @staticmethod
+    def _estimates(rng, station, n_spikes):
+        from repro.core.localization import AoAEstimate, aoa_from_phase, phase_from_aoa
+
+        pairs = station.reader.estimator.array.pairs()
+        pole_x = float(station.pole_position_m[0])
+        estimates = []
+        for k in range(n_spikes):
+            # Mostly cars in a lane near the pole; some far off the road.
+            y = rng.choice(LANES) + rng.normal(0.0, 0.2) if k % 5 else rng.uniform(-30.0, 20.0)
+            truth = np.array([pole_x + rng.uniform(-15.0, 15.0), y, 1.0])
+            phases = [phase_from_aoa(p.true_spatial_angle_rad(truth), p.spacing_m) for p in pairs]
+            alphas = tuple(
+                aoa_from_phase(ph + rng.normal(0.0, 0.05), p.spacing_m)
+                for ph, p in zip(phases, pairs)
+            )
+            best = int(np.argmin([abs(a - np.pi / 2.0) for a in alphas]))
+            estimates.append(AoAEstimate(cfo_hz=0.0, alphas_rad=alphas, best_pair_index=best))
+        return estimates
+
+    def _round(self, seed, t_query=50.0):
+        from types import SimpleNamespace
+
+        from repro.core.counting import BinClass
+        from tests.test_localization import _scalar_lane_locate
+
+        rng = np.random.default_rng(seed)
+        n_spikes = int(rng.integers(6, 16))
+        cfos = np.sort(rng.uniform(20e3, 1.2e6, n_spikes)).tolist()
+        tags = [100 + k for k in range(n_spikes)]
+        tags[-1] = tags[1]  # one account resolves two spikes
+        ids = {cfo: tag for cfo, tag in zip(cfos, tags) if rng.random() < 0.85 or tag == tags[1]}
+        corridor, reference = small_corridor(seed=17), small_corridor(seed=17)
+        station, ref_station = corridor.stations[1], reference.stations[1]
+        estimates = self._estimates(rng, station, n_spikes)
+        for cfo, estimate in zip(cfos, estimates):
+            estimate.cfo_hz = cfo
+        for tag in set(tags):
+            age_s = rng.choice([None, 10.0, 400.0])
+            if age_s is not None:
+                fix = np.array([rng.uniform(-10.0, 80.0), rng.choice(LANES)])
+                station.record_fix(tag, fix, t_query - age_s)
+                ref_station.record_fix(tag, fix, t_query - age_s)
+        # Observations in the counter's order, with rejected spikes and
+        # accepted but unresolved ones; basis row k holds k.
+        order = rng.permutation(n_spikes + 3)
+        observations = [None] * (n_spikes + 3)
+        for slot, k in enumerate(order):
+            rejected = k >= n_spikes
+            observations[slot] = SimpleNamespace(
+                cfo_hz=cfos[k - n_spikes] + 500.0 if rejected else cfos[k],
+                label=BinClass.REJECTED if rejected else BinClass.SINGLE,
+            )
+        basis = tuple(
+            np.repeat(np.arange(n_spikes + 3, dtype=complex)[:, None], width, axis=1)
+            for width in (8, 256)
+        )
+        count = SimpleNamespace(observations=observations, basis=basis)
+        real = station.reader.estimator
+        requests = []
+
+        def estimate_for_cfos(collision, spikes, probe):
+            requests.append((list(spikes), [row.real for row in probe[0][:, 0]]))
+            return [estimates[cfos.index(cfo)] for cfo in spikes]
+
+        station.reader.estimator = SimpleNamespace(
+            array=real.array,
+            wavelength_m=real.wavelength_m,
+            best_pair=real.best_pair,
+            estimate_for_cfos=estimate_for_cfos,
+        )
+        spy = self.SpyLocalizer(station.localizer)
+        station.localizer = spy
+        corridor._emit_observations(
+            station, SimpleNamespace(n_antennas=3), count, ids, t_query
+        )
+
+        # The reference: one spike at a time, in CFO order.
+        ref_station.prune_fixes(t_query)
+        want = []
+        for cfo, tag in sorted(ids.items()):
+            estimate = estimates[cfos.index(cfo)]
+            if not estimate.in_usable_band():
+                continue
+            hint = ref_station.recall_fix(tag, t_query)
+            try:
+                fix, _ = _scalar_lane_locate(ref_station.localizer, estimate, real, hint)
+            except GeometryError:
+                fix = None
+            if fix is None:
+                continue
+            ref_station.record_fix(tag, fix, t_query)
+            want.append((tag, fix.tobytes()))
+        got = [(o.tag_id, np.asarray(o.position_m).tobytes()) for o in corridor.observations]
+        assert got == want
+        assert all(o.timestamp_s == t_query and o.station == station.name for o in corridor.observations)
+        assert [
+            (tag, fix.tobytes(), seen) for tag, (fix, seen) in station._last_fixes.items()
+        ] == [(tag, fix.tobytes(), seen) for tag, (fix, seen) in ref_station._last_fixes.items()]
+        # Only the resolved spikes were read, each on its own basis row.
+        resolved = sorted(ids)
+        rows = {o.cfo_hz: slot for slot, o in enumerate(observations)}
+        assert requests == [(resolved, [float(rows[cfo]) for cfo in resolved])]
+        return spy, cfos
+
+    def test_round_equals_per_spike_round(self):
+        repeated = missed = hinted = 0
+        for seed in range(40):
+            spy, cfos = self._round(seed)
+            if not spy.calls:
+                continue
+            batch, hints, fixes = spy.calls[0]
+            hinted += sum(hint is not None for hint in hints)
+            missed += sum(fix is None for fix in fixes)
+            # The repeated account's spikes are cfos[1] and cfos[-1].
+            earlier = [fix for e, fix in zip(batch, fixes) if e.cfo_hz == cfos[1]]
+            if len(spy.calls) > 1:
+                # Its later spike is located on its own, hinted by the
+                # earlier spike's fix when that one got one.
+                assert len(spy.calls) == 2
+                (later,), (hint,), _ = spy.calls[1]
+                assert later.cfo_hz == cfos[-1]
+                if earlier and earlier[0] is not None:
+                    assert hint.tobytes() == earlier[0].tobytes()
+                    repeated += 1
+        assert repeated >= 20 and missed >= 40 and hinted >= 60

@@ -539,3 +539,125 @@ class TestClosedFormToneAlgebra:
             twins = np.flatnonzero(freqs == freqs[3])
             assert twins.size == 2
             assert abs(amplitudes[twins[0]] - amplitudes[twins[1]]) < 1e-9 * abs(amplitudes[twins[0]])
+
+
+def _reference_classify_coherence(counter, values, floor_norm, n_captures, dense_mode):
+    """Reference: one spike's coherence verdict from its own row, as the
+    counter classified spikes one at a time before the row reductions."""
+    mags = np.abs(values)
+    mean_mag = float(mags.mean())
+    sigma_q = max(floor_norm * np.sqrt(PROBE_BLOCKS), 1e-300)
+    gamma = mean_mag / sigma_q
+    if mean_mag == 0.0:
+        return BinClass.REJECTED, (0.0, 0.0, 0.0, 0.0)
+    coherence = float(np.abs(values.mean()) / mean_mag)
+    dispersion = float(mags.std() / mean_mag)
+    g2 = gamma * gamma
+    expected = float(np.sqrt((g2 + 1.0 / (PROBE_BLOCKS * n_captures)) / (g2 + 1.0)))
+    stats = (float(gamma), coherence, expected, dispersion)
+    if dense_mode and coherence < counter.reality_coherence and gamma < counter.reality_gamma:
+        return BinClass.REJECTED, stats
+    slack = counter.slack_base + counter.slack_gamma / max(gamma, 0.3)
+    slack = min(counter.max_slack, max(counter.min_slack, slack))
+    dispersion_ceiling = counter.dispersion_base + counter.dispersion_gamma / max(gamma, 0.3)
+    if coherence >= expected * (1.0 - slack) and dispersion <= dispersion_ceiling:
+        return BinClass.SINGLE, stats
+    return BinClass.MULTIPLE, stats
+
+
+def _verdict_bytes(label, stats) -> tuple:
+    """A verdict as comparable bytes (``==`` on floats would equate -0.0
+    and 0.0)."""
+    if isinstance(stats, dict):
+        stats = (
+            stats["gamma"],
+            stats["coherence"],
+            stats["expected_single_coherence"],
+            stats["magnitude_dispersion"],
+        )
+    return label, np.array(stats, dtype=np.float64).tobytes()
+
+
+class _PerSpikeCoherenceCounter(CollisionCounter):
+    """The counter with its verdicts taken one row at a time (the
+    reference), recording every aligned matrix it classifies."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.matrices = []
+
+    def _coherence_verdicts(self, values, floors_norm, n_captures, dense_mode):
+        self.matrices.append((values.shape, dense_mode))
+        verdicts = []
+        for row, floor in zip(values, floors_norm):
+            label, stats = _reference_classify_coherence(
+                self, row, floor, n_captures, dense_mode
+            )
+            verdicts.append((label, dict(zip(
+                ("gamma", "coherence", "expected_single_coherence", "magnitude_dispersion"),
+                stats,
+            ))))
+        return verdicts
+
+
+class TestCoherenceVerdictRows:
+    """Every spike's coherence verdict is a row reduction over the
+    (m, Q K) aligned sub-window matrix; each must equal the per-spike
+    classifier's label and statistics bit for bit."""
+
+    @staticmethod
+    def _matrix(rng, m, n_captures):
+        """Rows of every kind: lone tones (coherent), beating pairs,
+        floor flukes (incoherent, weak) and one silent row."""
+        n = PROBE_BLOCKS * n_captures
+        noise = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        kind = rng.integers(0, 3, m)
+        amplitude = rng.uniform(0.05, 6.0, m)[:, None]
+        phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (m, 1)))
+        beat = np.exp(1j * np.outer(rng.uniform(0.5, 3.0, m), np.arange(n)))
+        values = np.where(
+            (kind == 0)[:, None],
+            amplitude * phase + 0.3 * noise,
+            np.where((kind == 1)[:, None], amplitude * phase * (1 + beat), 0.4 * noise),
+        )
+        values[int(rng.integers(0, m))] = 0.0
+        floors = rng.uniform(0.02, 0.6, m)
+        return values, floors
+
+    def test_rows_equal_per_spike_classifier(self):
+        counter = CollisionCounter()
+        rng = np.random.default_rng(31)
+        labels = {True: set(), False: set()}
+        flukes = rows = 0
+        for trial in range(240):
+            m = int(rng.choice([1, 2, 3, 7, 8, 20, 41]))
+            n_captures = int(rng.integers(1, 4))
+            dense = bool(trial % 2)
+            values, floors = self._matrix(rng, m, n_captures)
+            got = counter._coherence_verdicts(values, floors, n_captures, dense)
+            assert len(got) == m
+            for row, floor, (label, stats) in zip(values, floors, got):
+                want = _reference_classify_coherence(counter, row, floor, n_captures, dense)
+                assert _verdict_bytes(label, stats) == _verdict_bytes(*want)
+                labels[dense].add(label)
+                flukes += dense and label is BinClass.REJECTED and want[1][0] > 0.0
+                rows += 1
+        assert labels[False] == labels[True] == set(BinClass)
+        assert flukes > 50 and rows > 2000
+
+    @pytest.mark.parametrize("n_tags, n_captures", [(3, 1), (5, 2), (6, 3), (30, 1), (30, 2)])
+    def test_count_equals_per_spike_classifier(self, n_tags, n_captures):
+        """Whole counts, sparse and dense, over one to three captures."""
+        rng = np.random.default_rng(n_tags + 10 * n_captures)
+        cfos = rng.uniform(20e3, 1.19e6, size=n_tags)
+        sim = build_simulator(cfos, seed=n_tags + n_captures)
+        reference = _PerSpikeCoherenceCounter()
+        counter = CollisionCounter()
+        for t_s in (0.0, 3e-3):
+            burst = [sim.query(t_s).antenna(0) for _ in range(n_captures)]
+            got = counter.count_multi(burst)
+            want = reference.count_multi(burst)
+            assert [str(o) for o in got.observations] == [str(o) for o in want.observations]
+            assert got.count == want.count and got.dense_mode == want.dense_mode
+        assert reference.matrices
+        assert {dense for _, dense in reference.matrices} == {n_tags >= 30}

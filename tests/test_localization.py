@@ -12,7 +12,9 @@ from repro.core.localization import (
     aoa_from_phase,
     phase_from_aoa,
 )
+from repro.channel.collision import ReceivedCollision
 from repro.core.cfo import estimate_channel
+from repro.dsp.spectrum import tone_block_sums, tone_factors
 from repro.errors import GeometryError, LocalizationError
 from repro.phy.waveform import Waveform
 from repro.sim.scenario import Scene, make_tags, parking_scene, two_pole_speed_scene
@@ -299,10 +301,14 @@ class TestLaneScoringArrayForm:
                 want, scored = _scalar_lane_locate(localizer, estimate, estimator, hint)
                 if scored:
                     # Every candidate's per-baseline errors, bit for bit.
-                    errors = localizer._phase_errors_rad(
+                    measured = [
+                        phase_from_aoa(alpha, pair.spacing_m)
+                        for alpha, pair in zip(estimate.alphas_rad, pairs)
+                    ]
+                    errors, _ = localizer._phase_errors_rad(
                         np.array([p for p, _ in scored]),
                         localizer.road.z_m + localizer.tag_height_m,
-                        estimate,
+                        np.array([measured]),
                         estimator,
                     )
                     assert errors.tobytes() == np.array([e for _, e in scored]).tobytes()
@@ -318,3 +324,275 @@ class TestLaneScoringArrayForm:
                 hinted += hint is not None
         assert fixes > 400 and ghosts > 1000 and hinted > 150 and wraps == 120
         assert localizer.obs.metrics.counter("locate.candidates", outcome="gated") == ghosts
+
+
+def _reference_estimate_for_cfo(estimator, collision, cfo_hz, probe=None):
+    """Reference: one spike's AoA, its three antennas read one at a time
+    and Eq 10 taken pair by pair, as the estimator read spikes before the
+    batched readout."""
+    waves = collision.antennas[:3]
+    first = waves[0]
+    shared = all(
+        (w.n_samples, w.sample_rate_hz, w.t0_s)
+        == (first.n_samples, first.sample_rate_hz, first.t0_s)
+        for w in waves[1:]
+    )
+    if shared:
+        if probe is None:
+            probe = tone_factors([cfo_hz], first.t0_s, first.sample_rate_hz, first.n_samples)
+        channels = np.array(
+            [
+                2.0 * complex(tone_block_sums(*probe, w.samples).sum() / w.n_samples)
+                for w in waves
+            ]
+        )
+    else:
+        channels = np.array([estimate_channel(w, cfo_hz) for w in waves])
+    alphas = []
+    for pair, (i, j) in zip(estimator.array.pairs(), estimator.array.pair_indices()):
+        delta_phi = float(np.angle(channels[j] / channels[i]))
+        alphas.append(aoa_from_phase(delta_phi, pair.spacing_m, estimator.wavelength_m))
+    best = int(np.argmin([abs(a - np.pi / 2.0) for a in alphas]))
+    return AoAEstimate(
+        cfo_hz=float(cfo_hz), alphas_rad=tuple(alphas), best_pair_index=best, channels=channels
+    )
+
+
+def _same_estimate(got, want) -> bool:
+    return (
+        got.cfo_hz == want.cfo_hz
+        and np.array(got.alphas_rad).tobytes() == np.array(want.alphas_rad).tobytes()
+        and got.best_pair_index == want.best_pair_index
+        and got.channels.tobytes() == want.channels.tobytes()
+    )
+
+
+class TestBatchedReadout:
+    """``estimate_for_cfos`` reads a round's spikes with one single-row
+    block-sum product per (spike, antenna) and takes Eq 10 over all of
+    them at once; each estimate must equal the per-spike reference on the
+    spike's own ``factor[k:k+1]`` rows bit for bit."""
+
+    @staticmethod
+    def _collision(rng, n_samples, t0_s=0.0, skew_s=0.0):
+        """Three antennas of random tones in noise (a trailing partial
+        probe block when 8 does not divide ``n_samples``)."""
+        freqs = rng.uniform(10e3, 1.2e6, int(rng.integers(1, 12)))
+        waves = []
+        for a in range(3):
+            t = t0_s + a * skew_s + np.arange(n_samples) / 4e6
+            amps = rng.normal(size=freqs.size) + 1j * rng.normal(size=freqs.size)
+            samples = (amps[:, None] * np.exp(2j * np.pi * freqs[:, None] * t)).sum(axis=0)
+            samples = samples + 0.5 * (rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples))
+            waves.append(Waveform(samples, 4e6, t0_s + a * skew_s))
+        return ReceivedCollision(antennas=waves, lo_hz=0.0), freqs
+
+    def test_equals_per_spike_reference_on_basis_rows(self):
+        from repro.obs import Obs
+
+        rng = np.random.default_rng(41)
+        estimator = AoAEstimator(
+            parking_scene(target_spots=[1], n_background_cars=0, rng=1)[0].arrays[0],
+            obs=Obs(),
+        )
+        spikes = 0
+        for trial in range(24):
+            n_samples = int(rng.choice([2048, 2051, 1000, 64]))
+            t0_s = float(rng.choice([0.0, 1.5e-3, 20.25]))
+            collision, freqs = self._collision(rng, n_samples, t0_s)
+            n_spikes = (0, 1, 25)[trial % 3]
+            cfos = np.concatenate([freqs, rng.uniform(10e3, 1.2e6, 30)])[:n_spikes]
+            basis = tone_factors(cfos, t0_s, 4e6, n_samples)
+            got = estimator.estimate_for_cfos(collision, cfos, probe=basis)
+            assert len(got) == n_spikes
+            for k, (cfo, estimate) in enumerate(zip(cfos, got)):
+                rows = tuple(factor[k : k + 1] for factor in basis)
+                want = _reference_estimate_for_cfo(estimator, collision, cfo, rows)
+                assert _same_estimate(estimate, want)
+                # A readout that builds its own probe reads the same.
+                assert _same_estimate(estimator.estimate_for_cfo(collision, cfo), want)
+            spikes += n_spikes
+        metrics = estimator.obs.metrics
+        assert metrics.counter("aoa.readout", probe="basis") == spikes == 8 * 26
+        assert metrics.counter("aoa.readout", probe="built") == spikes
+
+    def test_equals_per_spike_reference_without_shared_time_base(self):
+        rng = np.random.default_rng(43)
+        estimator = AoAEstimator(
+            parking_scene(target_spots=[1], n_background_cars=0, rng=1)[0].arrays[0]
+        )
+        collision, freqs = self._collision(rng, 2048, 0.5, skew_s=1e-6)
+        cfos = np.concatenate([freqs, rng.uniform(10e3, 1.2e6, 20)])
+        got = estimator.estimate_for_cfos(collision, cfos)
+        for cfo, estimate in zip(cfos, got):
+            assert _same_estimate(estimate, _reference_estimate_for_cfo(estimator, collision, cfo))
+
+    def test_counted_collision_spikes(self):
+        """A counted collision's accepted spikes on the counter's basis."""
+        from repro.core.counting import BinClass, CollisionCounter
+
+        scene, _, _ = parking_scene(target_spots=[1, 2, 3, 4, 5, 6], n_background_cars=6, rng=17)
+        estimator = AoAEstimator(scene.arrays[0])
+        sim = scene.simulator(0, rng=18)
+        counter = CollisionCounter()
+        for t_s in (0.0, 2.5e-3):
+            collision = sim.query(t_s)
+            count = counter.count(collision.antenna(0))
+            rows = [k for k, o in enumerate(count.observations) if o.label is not BinClass.REJECTED]
+            cfos = [count.observations[k].cfo_hz for k in rows]
+            assert len(cfos) >= 6
+            got = estimator.estimate_for_cfos(
+                collision, cfos, probe=tuple(factor[rows] for factor in count.basis)
+            )
+            for k, cfo, estimate in zip(rows, cfos, got):
+                probe = tuple(factor[k : k + 1] for factor in count.basis)
+                assert _same_estimate(
+                    estimate, _reference_estimate_for_cfo(estimator, collision, cfo, probe)
+                )
+
+    def test_estimate_from_channels_is_the_one_spike_case(self):
+        rng = np.random.default_rng(47)
+        estimator = AoAEstimator(
+            parking_scene(target_spots=[1], n_background_cars=0, rng=1)[0].arrays[0]
+        )
+        for _ in range(200):
+            channels = rng.normal(size=3) + 1j * rng.normal(size=3)
+            estimate = estimator.estimate_from_channels(1e5, channels)
+            assert estimate.channels.tobytes() == channels.tobytes()
+            collision = ReceivedCollision(
+                antennas=[Waveform(np.full(64, c), 4e6) for c in channels], lo_hz=0.0
+            )
+            want = _reference_estimate_for_cfo(estimator, collision, 0.0)
+            got = estimator.estimate_from_channels(0.0, want.channels)
+            assert _same_estimate(got, want)
+
+    def test_no_spikes_read_nothing(self):
+        from repro.obs import Obs
+
+        estimator = AoAEstimator(
+            parking_scene(target_spots=[1], n_background_cars=0, rng=1)[0].arrays[0],
+            obs=Obs(),
+        )
+        collision, _ = self._collision(np.random.default_rng(1), 2048)
+        assert estimator.estimate_for_cfos(collision, []) == []
+        assert estimator.obs.metrics.snapshot()["counters"] == {}
+
+
+def _reference_fix(localizer, estimate, estimator, hint_xy=None):
+    """The per-spike reference fix (None where the spike gets none) and
+    its candidates' gate outcomes (None where scoring raised)."""
+    try:
+        fix, scored = _scalar_lane_locate(localizer, estimate, estimator, hint_xy)
+    except GeometryError:  # a candidate on a baseline's midpoint
+        return None, None
+    ceiling = np.deg2rad(localizer.max_phase_error_deg)
+    return fix, [bool(errors.max() <= ceiling) for _, errors in scored]
+
+
+class TestLocateAll:
+    """``LaneProjectionLocalizer.locate_all`` scores every lane root of a
+    round in one array expression; each spike's fix (or lack of one)
+    must equal the per-spike reference bit for bit, with or without
+    hints, and a spike with no fix must not cost the others theirs."""
+
+    _station = TestLaneScoringArrayForm._station
+
+    @staticmethod
+    def _estimates(rng, estimator, n, spread_y=(-10.0, 0.0)):
+        pairs = estimator.array.pairs()
+        estimates, truths = [], []
+        for _ in range(n):
+            truth = np.array([rng.uniform(-60.0, 80.0), rng.uniform(*spread_y), 1.0])
+            phases = [phase_from_aoa(p.true_spatial_angle_rad(truth), p.spacing_m) for p in pairs]
+            noisy = [ph + rng.normal(0.0, rng.choice([0.02, 0.3])) for ph in phases]
+            alphas = tuple(aoa_from_phase(ph, p.spacing_m) for ph, p in zip(noisy, pairs))
+            best = int(rng.integers(0, 3))
+            estimates.append(AoAEstimate(cfo_hz=0.0, alphas_rad=alphas, best_pair_index=best))
+            truths.append(truth)
+        return estimates, truths
+
+    def _check_batch(self, localizer, estimator, estimates, hints):
+        from repro.obs import Obs
+
+        localizer.obs = Obs()
+        got = localizer.locate_all(estimates, estimator, hints)
+        assert len(got) == len(estimates)
+        kept = gated = 0
+        outcomes = []
+        for fix, estimate, hint in zip(got, estimates, hints):
+            want, gates = _reference_fix(localizer, estimate, estimator, hint)
+            if want is None:
+                assert fix is None
+            else:
+                assert fix.tobytes() == want.tobytes()
+            if gates is not None:
+                kept += sum(gates)
+                gated += len(gates) - sum(gates)
+            outcomes.append(want is not None)
+        metrics = localizer.obs.metrics
+        assert metrics.counter("locate.candidates", outcome="kept") == kept
+        assert metrics.counter("locate.candidates", outcome="gated") == gated
+        return outcomes
+
+    def test_batches_equal_per_spike_reference(self):
+        estimator, localizer = self._station()
+        rng = np.random.default_rng(53)
+        located = missed = mixed = 0
+        for trial in range(60):
+            n = (1, 2, 7, 24)[trial % 4]
+            estimates, truths = self._estimates(rng, estimator, n, spread_y=(-14.0, 4.0))
+            hints = [
+                None if rng.random() < 0.5 else truth[:2] + rng.normal(0.0, 3.0, 2)
+                for truth in truths
+            ]
+            if trial % 3 == 0:
+                hints = [None] * n
+            outcomes = self._check_batch(localizer, estimator, estimates, hints)
+            located += sum(outcomes)
+            missed += len(outcomes) - sum(outcomes)
+            mixed += 0 < sum(outcomes) < len(outcomes)
+        assert located > 120 and missed > 100 and mixed > 20
+        assert localizer.locate_all([], estimator, []) == []
+
+    def test_locate_is_the_one_spike_case(self):
+        estimator, localizer = self._station()
+        rng = np.random.default_rng(59)
+        estimates, _ = self._estimates(rng, estimator, 80, spread_y=(-14.0, 4.0))
+        raised = 0
+        for estimate in estimates:
+            want, _ = _reference_fix(localizer, estimate, estimator)
+            if want is None:
+                with pytest.raises(GeometryError):
+                    localizer.locate(estimate, estimator)
+                raised += 1
+            else:
+                assert localizer.locate(estimate, estimator).tobytes() == want.tobytes()
+        assert 0 < raised < len(estimates)
+
+    def test_zero_length_direction_fails_only_its_spike(self):
+        """A lane through a baseline's midpoint at the tag plane puts a
+        candidate on it: that spike gets no fix, the rest still do."""
+        from repro.channel.geometry import RoadSegment
+        from repro.core.localization import LaneProjectionLocalizer
+
+        estimator, _ = self._station()
+        midpoint = estimator.array.pairs()[1].midpoint_m
+        road = RoadSegment(x_min_m=-40.0, x_max_m=60.0, y_center_m=midpoint[1], width_m=14.0)
+        localizer = LaneProjectionLocalizer(
+            road=road,
+            lane_ys_m=(float(midpoint[1]) - 3.5, float(midpoint[1])),
+            tag_height_m=float(midpoint[2] - road.z_m),
+        )
+        rng = np.random.default_rng(61)
+        estimates, truths = self._estimates(
+            rng, estimator, 40, spread_y=(midpoint[1] - 6.0, midpoint[1] + 6.0)
+        )
+        for k, estimate in enumerate(estimates):
+            estimate.best_pair_index = 1 if k % 4 == 0 else 2 * (k % 2)
+        hints = [None if k % 2 else truth[:2] for k, truth in enumerate(truths)]
+        outcomes = self._check_batch(localizer, estimator, estimates, hints)
+        pointless = [
+            _reference_fix(localizer, e, estimator, h)[1] is None
+            for e, h in zip(estimates, hints)
+        ]
+        assert sum(pointless) >= 8 and sum(outcomes) > 10

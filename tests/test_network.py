@@ -116,6 +116,76 @@ class TestIdentityCache:
         assert cache.lookup(200e3) == 2
 
 
+class _ScanningCache(IdentityCache):
+    """Reference: every age check scans and sorts the whole last-seen
+    table, as the cache did before it kept a floor on its times."""
+
+    def prune_ids(self, now_s):
+        if self.max_age_s is None:
+            return []
+        stale = sorted(
+            tag_id
+            for tag_id, seen_s in self._last_seen_s.items()
+            if now_s - seen_s > self.max_age_s
+        )
+        for tag_id in stale:
+            self.evict(tag_id)
+        return stale
+
+
+class TestIdentityCacheAgeFloor:
+    """The cache skips its age scan while its last-seen floor is fresh;
+    every result and the whole cache state must match the scanning form
+    over random store / refresh / evict / prune / lookup sequences."""
+
+    @staticmethod
+    def _state(cache):
+        return (
+            dict(cache._cfos_by_id),
+            dict(cache._last_seen_s),
+            cache.ids(),
+            len(cache),
+        )
+
+    @pytest.mark.parametrize("max_entries", [None, 12])
+    def test_matches_scanning_form(self, max_entries):
+        rng = np.random.default_rng(71 if max_entries is None else 72)
+        aged = skipped = 0
+        for trial in range(30):
+            max_age_s = (None, 5.0, 60.0)[int(rng.integers(0, 3))] if trial % 5 else None
+            kwargs = dict(tolerance_hz=2000.0, max_entries=max_entries, max_age_s=max_age_s)
+            cache, reference = IdentityCache(**kwargs), _ScanningCache(**kwargs)
+            now_s = 0.0
+            for _ in range(300):
+                now_s += float(rng.choice([0.0, rng.exponential(1.0), rng.exponential(40.0)]))
+                op = int(rng.integers(0, 6))
+                tag_id = int(rng.integers(0, 30))
+                cfo = float(rng.uniform(0.0, 100e3))
+                if op == 0:  # store
+                    result = (cache.store(cfo, tag_id, now_s), reference.store(cfo, tag_id, now_s))
+                elif op == 1:  # refresh an entry, possibly with an older time
+                    seen_s = now_s - float(rng.choice([0.0, 10.0, 100.0]))
+                    result = (
+                        cache.store(cfo, tag_id, now_s=seen_s),
+                        reference.store(cfo, tag_id, now_s=seen_s),
+                    )
+                elif op == 2:
+                    result = (cache.evict(tag_id), reference.evict(tag_id))
+                elif op == 3:
+                    result = (cache.prune_ids(now_s), reference.prune_ids(now_s))
+                    aged += bool(result[1])
+                    skipped += max_age_s is not None and not result[1]
+                else:
+                    result = (
+                        cache.lookup(cfo, now_s=now_s),
+                        reference.lookup(cfo, now_s=now_s),
+                    )
+                assert result[0] == result[1]
+                assert self._state(cache) == self._state(reference)
+                assert all(cache._seen_floor_s <= seen for seen in cache._last_seen_s.values())
+        assert aged > 20 and skipped > 100
+
+
 class TestCorridorScene:
     def test_shapes(self):
         scene = corridor_scene(

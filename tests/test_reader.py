@@ -70,10 +70,14 @@ class TestCaraokeReader:
             assert 0.0 < aoa.alpha_deg < 180.0
 
     def test_observe_reads_aoa_with_the_fit_basis(self):
-        """``observe`` hands each accepted spike's fit-basis row to the AoA
-        readout; its estimates equal per-spike ``estimate_for_cfo`` calls
-        that build their own probe, and the report keeps no basis."""
+        """``observe`` hands the accepted spikes' fit-basis rows to one
+        batched AoA readout; its estimates equal the per-spike reference
+        on each spike's ``factor[k:k+1]`` rows and per-spike
+        ``estimate_for_cfo`` calls that build their own probe, and the
+        report keeps no basis."""
+        from repro.core.counting import BinClass
         from repro.obs import Obs
+        from tests.test_localization import _reference_estimate_for_cfo
 
         scene, _, _ = parking_scene(target_spots=[1, 2, 4, 6], n_background_cars=2, rng=21)
         reader = build_reader(scene)
@@ -82,14 +86,24 @@ class TestCaraokeReader:
         spikes = 0
         for t_s in (0.0, 2.5e-3, 37.5):
             collision = sim.query(t_s)
+            basis = reader.counter.count(collision.antenna(0)).basis
             report = reader.observe(collision)
             assert report.count.basis is None
             cfos = [float(c) for c in report.count.cfos_hz()]
             assert len(report.aoas) == len(cfos) > 0
-            for got, cfo in zip(report.aoas, cfos):
+            accepted = sorted(
+                (o.cfo_hz, k)
+                for k, o in enumerate(report.count.observations)
+                if o.label is not BinClass.REJECTED
+            )
+            for got, cfo, (_, k) in zip(report.aoas, cfos, accepted):
+                reference = _reference_estimate_for_cfo(
+                    reader.estimator, collision, cfo, tuple(f[k : k + 1] for f in basis)
+                )
                 want = reader.estimator.estimate_for_cfo(collision, cfo)
-                assert str(got) == str(want)
+                assert str(got) == str(want) == str(reference)
                 assert got.channels.tobytes() == want.channels.tobytes()
+                assert got.channels.tobytes() == reference.channels.tobytes()
             spikes += len(cfos)
         metrics = reader.estimator.obs.metrics
         assert metrics.counter("aoa.readout", probe="basis") == spikes
