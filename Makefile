@@ -56,8 +56,16 @@ bench:
 
 # The paper-figure accuracy gates at full scale, one BLAS thread: Fig 11,
 # the counting ablation, Fig 13 and Fig 15. Each prints its table and
-# writes it to benchmarks/results/bench_*.txt, so what a change does to
-# the figures is one diff of those four reports against the parent's.
+# rewrites its committed report in benchmarks/results/, and the target
+# fails, printing the diff, when any of the four differs from its
+# committed copy (or is not committed). A change that moves a figure
+# re-pins it by committing the new report and saying why in CHANGES.md.
+ACCURACY_REPORTS = \
+	benchmarks/results/bench_fig11_counting_accuracy.txt \
+	benchmarks/results/bench_ablation_counting.txt \
+	benchmarks/results/bench_fig13_parking_aoa.txt \
+	benchmarks/results/bench_fig15_speed_detection.txt
+
 accuracy:
 	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 REPRO_BENCH_SCALE=1.0 \
 	$(PYTHON) -m pytest \
@@ -65,6 +73,8 @@ accuracy:
 		benchmarks/bench_fig13_localization.py benchmarks/bench_fig15_speed.py \
 		-q -o python_files='bench_*.py' -o python_functions='bench_*' \
 		-p no:cacheprovider
+	git ls-files --error-unmatch $(ACCURACY_REPORTS) > /dev/null
+	git diff --exit-code -- $(ACCURACY_REPORTS)
 
 # End-to-end benchmark, report form: every workload's metrics from one
 # fresh process each, plus one traced run per workload for the layer

@@ -30,12 +30,19 @@ Two gates on the Fig 16 workload (10-tag collisions, ``max_queries=64``):
 import os
 import time
 
-from bench_helpers import population_simulator, timer, write_bench_json
+from bench_helpers import (
+    NOISE_W,
+    pole_array,
+    population_simulator,
+    timer,
+    write_bench_json,
+)
 from conftest import scaled
-from repro.channel.collision import StaticCollisionSimulator
 from repro.channel.propagation import LosChannel
+from repro.constants import DEFAULT_SAMPLE_RATE_HZ
 from repro.core.cfo import extract_cfo_peaks
 from repro.core.decoding import CoherentDecoder, DecodeSession
+from repro.sim.city.moving import ParkedSource
 
 MAX_QUERIES = 64
 N_TAGS = 10
@@ -119,7 +126,7 @@ def bench_decode_pipeline(benchmark, report):
         donation_rows = []
         for run in range(scenes):
             simulator = population_simulator(m=N_TAGS, seed=2700 + 31 * run)
-            decoder = CoherentDecoder(simulator.sample_rate_hz)
+            decoder = CoherentDecoder(DEFAULT_SAMPLE_RATE_HZ)
             with timer.phase("count"):
                 peaks = extract_cfo_peaks(
                     simulator.query(0.0).antenna(0), min_snr_db=15
@@ -190,11 +197,11 @@ def bench_decode_pipeline(benchmark, report):
             # *independent* of the own stream (re-using the same rng
             # would duplicate noise, and coherently duplicated noise
             # degrades the accumulator instead of sharpening it).
-            donor = StaticCollisionSimulator(
+            donor = ParkedSource(
                 simulator.tags,
-                simulator.antenna_positions_m,
+                pole_array().positions_m,
                 LosChannel(),
-                noise_power_w=simulator.noise_power_w,
+                noise_power_w=NOISE_W,
                 rng=8900 + 31 * run,
             )
             donations = [donor.query(i * 1e-3) for i in range(4)]

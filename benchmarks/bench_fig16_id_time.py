@@ -11,6 +11,7 @@ import numpy as np
 
 from bench_helpers import population_simulator
 from conftest import scaled
+from repro.constants import DEFAULT_SAMPLE_RATE_HZ
 from repro.core.cfo import extract_cfo_peaks
 from repro.core.decoding import CoherentDecoder, DecodeSession
 
@@ -26,7 +27,7 @@ def bench_fig16_identification_time(benchmark, report):
         for m in sizes:
             for run in range(experiments):
                 simulator = population_simulator(m=m, seed=1600 + 113 * m + run)
-                decoder = CoherentDecoder(simulator.sample_rate_hz)
+                decoder = CoherentDecoder(DEFAULT_SAMPLE_RATE_HZ)
                 session = DecodeSession(
                     query_fn=lambda t: simulator.query(t), decoder=decoder
                 )

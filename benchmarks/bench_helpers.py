@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.channel.antenna import TriangleArray
-from repro.channel.collision import StaticCollisionSimulator
 from repro.channel.noise import thermal_noise_power_w
 from repro.channel.propagation import LosChannel
 from repro.constants import DEFAULT_SAMPLE_RATE_HZ, EXPERIMENT_POLE_HEIGHT_M
@@ -27,6 +26,7 @@ from repro.datasets import empirical_carriers_hz
 from repro.phy.oscillator import Oscillator
 from repro.phy.packet import TransponderPacket
 from repro.phy.transponder import Transponder
+from repro.sim.city.moving import ParkedSource
 
 NOISE_W = thermal_noise_power_w(DEFAULT_SAMPLE_RATE_HZ)
 
@@ -157,11 +157,11 @@ def tags_from_population(m: int, rng: np.random.Generator, spread: str) -> list[
 
 def population_simulator(
     m: int, seed: int, spread: str = "lot"
-) -> StaticCollisionSimulator:
+) -> ParkedSource:
     """A collision simulator over ``m`` tags from the 155-tag population."""
     rng = np.random.default_rng(seed)
     tags = tags_from_population(m, rng, spread)
-    return StaticCollisionSimulator(
+    return ParkedSource(
         tags,
         pole_array().positions_m,
         LosChannel(),

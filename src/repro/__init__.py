@@ -10,11 +10,13 @@ Public API highlights
 ---------------------
 
 * :mod:`repro.phy` — transponders, packets, OOK/Manchester modulation.
-* :mod:`repro.channel` — propagation, antennas, collision synthesis.
+* :mod:`repro.channel` — propagation, antennas, noise, the collision record.
 * :mod:`repro.dsp` — spectra, peaks, sparse FFT, beamforming, SAR.
 * :mod:`repro.core` — the paper's algorithms: counting (§5),
   localization (§6), speed (§7), decoding (§8), reader MAC (§9).
-* :mod:`repro.sim` — event-driven streets: traffic, parking, mobility.
+* :mod:`repro.sim` — event-driven streets: traffic, parking, mobility,
+  scenes, and the city engine with the one collision synthesizer
+  (moving tags; a parked car is a car at speed zero).
 * :mod:`repro.hw` — ADC, power, solar and battery models (§10, §12.5).
 * :mod:`repro.baselines` — naive counting, traffic cameras, radar guns,
   band-pass decoding.

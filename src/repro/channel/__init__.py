@@ -4,7 +4,7 @@ Implements the wireless substrate the paper's testbed provided physically:
 line-of-sight channels from windshield tags to pole-mounted antennas
 (Eq 2), the 3-antenna equilateral triangle (Fig 6), the AoA cone / road
 plane geometry (Fig 7), weak outdoor multipath (Fig 14), thermal noise,
-and the superposition of simultaneous tag responses into a collision
+and the capture record of simultaneous tag responses, a collision
 (Eq 11).
 """
 
@@ -21,7 +21,7 @@ from .antenna import AntennaPair, TriangleArray
 from .propagation import LosChannel, friis_amplitude, propagation_delay_s
 from .multipath import GroundBounce, MultipathChannel, PointScatterer
 from .noise import NoiseModel, add_awgn, thermal_noise_power_w
-from .collision import ReceivedCollision, StaticCollisionSimulator, synthesize_collision
+from .collision import ReceivedCollision
 
 __all__ = [
     "Conic",
@@ -43,6 +43,4 @@ __all__ = [
     "add_awgn",
     "thermal_noise_power_w",
     "ReceivedCollision",
-    "StaticCollisionSimulator",
-    "synthesize_collision",
 ]

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsp.peaks import band_floors, find_peaks_in_magnitudes, quinn_offset
+from ..dsp.peaks import band_floors, detected_bins, find_peaks_in_magnitudes, quinn_offset
 from ..dsp.sfft import sparse_fft_peaks
 from ..dsp.spectrum import (
     PROBE_BLOCKS,
@@ -363,7 +363,7 @@ class CollisionCounter:
         spectra, avg_mag, floors = (
             shared if shared is not None else self._spectral_state(waves)
         )
-        peaks = find_peaks_in_magnitudes(
+        bins, _ = detected_bins(
             avg_mag,
             spectra[0].bin_hz,
             self.search_lo_hz,
@@ -371,7 +371,7 @@ class CollisionCounter:
             min_snr_db=self.probe_snr_db,
             floors=floors,
         )
-        return len(peaks)
+        return int(bins.size)
 
     def _sfft_probe_candidates(self, waves: list[Waveform]) -> int:
         """Band crowding via §10 sparse-FFT recovery on the first capture.

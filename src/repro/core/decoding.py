@@ -736,7 +736,7 @@ class DecodeSession:
     The paper notes that decoding all colliding tags costs no more air
     time than decoding one: the same collisions are recombined per target
     with different CFO/channel compensation. The session issues queries
-    through a callable (e.g. ``StaticCollisionSimulator.query``) and feeds
+    through a callable (e.g. ``ParkedSource.query``) and feeds
     the full :class:`~repro.channel.collision.ReceivedCollision` stream to
     a :class:`MultiTargetCombiner`, so:
 

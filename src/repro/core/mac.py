@@ -213,28 +213,45 @@ class ReaderMac:
         queries — otherwise the reader would invite its tags to respond
         straight into a transmission it already knows is coming.
         """
-        verdict = self._can_transmit(now_s, state)
+        verdict = self._clear(now_s, *self._deferred_to(state))
         if self.obs is not None:
             self.obs.count(
                 "mac.carrier_sense", outcome="allow" if verdict else "defer"
             )
         return verdict
 
-    def _can_transmit(self, now_s: float, state: CsmaState) -> bool:
+    def _deferred_to(self, state: CsmaState):
+        """What the policy defers to in ``state``: (busy intervals,
+        response windows, query spans).
+
+        The conservative reader defers to every kind of energy and to
+        nothing else: the busy union and two empty lists.
+        """
         if self.defer_to_queries:
-            return state.idle_since(now_s) >= self.listen_s
-        if state.response_idle_since(now_s) < self.listen_s:
+            return state.busy_intervals, [], []
+        return (
+            state.response_energy_intervals(),
+            state.response_windows(),
+            state.query_spans(),
+        )
+
+    def _clear(
+        self,
+        now_s: float,
+        busy: list[tuple[float, float]],
+        windows: list[tuple[float, float]],
+        spans: list[tuple[float, float]],
+    ) -> bool:
+        """Whether a query may begin at ``now_s`` against the three lists
+        of :meth:`_deferred_to`."""
+        if _idle_since(busy, now_s) < self.listen_s:
             return False
         tx_end = now_s + self.query_s
-        if any(
-            now_s < w_hi and w_lo < tx_end for w_lo, w_hi in state.response_windows()
-        ):
+        if any(now_s < w_hi and w_lo < tx_end for w_lo, w_hi in windows):
             return False
         slot_lo = tx_end + TURNAROUND_S
         slot_hi = slot_lo + RESPONSE_DURATION_S
-        return not any(
-            q_lo < slot_hi and slot_lo < q_hi for q_lo, q_hi in state.query_spans()
-        )
+        return not any(q_lo < slot_hi and slot_lo < q_hi for q_lo, q_hi in spans)
 
     def next_opportunity(self, now_s: float, state: CsmaState) -> float:
         """Earliest time >= now at which transmission becomes allowed.
@@ -242,17 +259,13 @@ class ReaderMac:
         The search probes candidate times without counting them as
         carrier-sense verdicts: ``mac.carrier_sense`` counts the
         decisions a reader acts on (:meth:`can_transmit`), not the
-        probes of a search that follows one.
+        probes of a search that follows one. The state does not change
+        during the search, so what the policy defers to is read from it
+        once and every probe checks against those lists.
         """
-        if self._can_transmit(now_s, state):
+        busy, windows, spans = self._deferred_to(state)
+        if self._clear(now_s, busy, windows, spans):
             return now_s
-        busy = (
-            state.busy_intervals
-            if self.defer_to_queries
-            else state.response_energy_intervals()
-        )
-        windows = [] if self.defer_to_queries else state.response_windows()
-        spans = [] if self.defer_to_queries else state.query_spans()
         candidates = [hi + self.listen_s for _, hi in busy]
         candidates += [w_hi for _, w_hi in windows]
         # A query interval blocking the response slot clears once the
@@ -263,7 +276,7 @@ class ReaderMac:
         if ends:
             candidates.append(max(ends) + self.listen_s)  # always admissible
         for t in sorted(c for c in candidates if c > now_s):
-            if self._can_transmit(t, state):
+            if self._clear(t, busy, windows, spans):
                 return t
         return now_s  # unreachable when blocked; defensive
 

@@ -120,7 +120,7 @@ class CaraokeReader:
 
         Args:
             query_fn: ``query_fn(t_s) -> ReceivedCollision`` — typically
-                ``StaticCollisionSimulator.query`` or a live radio.
+                ``ParkedSource.query`` or a live radio.
             combining: ``"mrc"`` (default: maximum-ratio across every
                 antenna) or ``"single"`` (one-antenna ablation baseline).
             opportunistic: ``"accept"`` (default: captures donated via

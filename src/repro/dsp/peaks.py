@@ -23,6 +23,7 @@ __all__ = [
     "band_floors",
     "parabolic_offset",
     "quinn_offset",
+    "detected_bins",
     "find_peaks_in_magnitudes",
     "find_spectral_peaks",
 ]
@@ -250,11 +251,51 @@ def band_floors(
     :func:`local_noise_floor` of the band. A caller that probes the
     *same* magnitudes at several thresholds (the §5 counter's density
     probe followed by its decision pass) computes the floor once here
-    and hands it back to :func:`find_peaks_in_magnitudes` via ``floors``.
+    and hands it back to :func:`detected_bins` or
+    :func:`find_peaks_in_magnitudes` via ``floors``.
     """
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
     lo_bin, hi_bin = _band_bounds(magnitudes.size, bin_hz, search_lo_hz, search_hi_hz)
     return _candidate_floors(magnitudes[lo_bin : hi_bin + 1])
+
+
+def detected_bins(
+    magnitudes: np.ndarray,
+    bin_hz: float,
+    search_lo_hz: float,
+    search_hi_hz: float,
+    min_snr_db: float,
+    floors: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The FFT bins where a spike clears its local floor, and those floors.
+
+    The detection core of :func:`find_peaks_in_magnitudes`, with its
+    arguments (``floors`` may be None): local maxima of the search band
+    at least ``min_snr_db`` above their CFAR floor. A caller that only needs how many spikes a
+    threshold admits (the §5 counter's density probe) takes the size of
+    the bins and builds no peak records.
+
+    Returns:
+        ``(bins, floors)``: ascending absolute bin indices, and the
+        floor each was detected against.
+    """
+    magnitudes = np.asarray(magnitudes, dtype=np.float64)
+    lo_bin, hi_bin = _band_bounds(magnitudes.size, bin_hz, search_lo_hz, search_hi_hz)
+
+    band = magnitudes[lo_bin : hi_bin + 1]
+    if floors is None:
+        floors = _candidate_floors(band)
+    elif floors.size != band.size:
+        raise SpectrumError(
+            f"precomputed floors cover {floors.size} bins, band has {band.size}"
+        )
+
+    # Local maxima above their local threshold. No two are adjacent (a
+    # local maximum is above its right neighbour and at least its left
+    # one), so tags two bins apart stay distinct peaks with no suppression.
+    bins = _peak_bins(band)
+    bins = bins[band[bins] >= floors[bins] * db_to_amplitude(min_snr_db)]
+    return lo_bin + bins, floors[bins]
 
 
 def find_peaks_in_magnitudes(
@@ -273,6 +314,7 @@ def find_peaks_in_magnitudes(
     also serves multi-query counting, where the detection statistic is the
     *average* magnitude spectrum over several captures (incoherent
     averaging suppresses the data-floor variance while tag spikes persist).
+    The bins come from :func:`detected_bins`.
 
     Args:
         magnitudes: magnitude per FFT bin (frequencies ``k * bin_hz``).
@@ -291,27 +333,15 @@ def find_peaks_in_magnitudes(
         Peaks sorted by ascending frequency.
     """
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    lo_bin, hi_bin = _band_bounds(magnitudes.size, bin_hz, search_lo_hz, search_hi_hz)
-
-    band = magnitudes[lo_bin : hi_bin + 1]
-    if floors is None:
-        floors = _candidate_floors(band)
-    elif floors.size != band.size:
-        raise SpectrumError(
-            f"precomputed floors cover {floors.size} bins, band has {band.size}"
-        )
-
-    # Local maxima above their local threshold. No two are adjacent (a
-    # local maximum is above its right neighbour and at least its left
-    # one), so tags two bins apart stay distinct peaks with no suppression.
-    bins = _peak_bins(band)
-    bins = bins[band[bins] >= floors[bins] * db_to_amplitude(min_snr_db)]
+    absolute, floors = detected_bins(
+        magnitudes, bin_hz, search_lo_hz, search_hi_hz, min_snr_db, floors
+    )
     if max_peaks is not None:
         # The strongest; the stable sort keeps equal magnitudes in
         # ascending-bin order.
-        bins = np.sort(bins[np.argsort(-band[bins], kind="stable")][:max_peaks])
+        strongest = np.sort(np.argsort(-magnitudes[absolute], kind="stable")[:max_peaks])
+        absolute, floors = absolute[strongest], floors[strongest]
 
-    absolute = lo_bin + bins
     center = magnitudes[absolute]
     offsets = parabolic_offset(
         magnitudes[np.maximum(absolute - 1, 0)],
@@ -330,7 +360,7 @@ def find_peaks_in_magnitudes(
             absolute.tolist(),
             ((absolute + offsets) * bin_hz).tolist(),
             center.tolist(),
-            floors[bins].tolist(),
+            floors.tolist(),
         )
     ]
 

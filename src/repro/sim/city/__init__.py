@@ -10,7 +10,9 @@ per-pole machinery into that infrastructure:
   how each downstream sighting was resolved: own cache, neighbor cache
   handoff, or a full re-decode.
 * :mod:`repro.sim.city.moving` — moving tags: trajectory-driven
-  transponders whose channel geometry is re-sampled per query.
+  transponders whose channel geometry is re-sampled per query; the
+  one collision synthesizer, parked scenes included (tags at speed
+  zero).
 * :mod:`repro.sim.city.pool` — the shared :class:`ResponsePool` of
   trigger windows: a tag answering one pole's query is audible at every
   pole in range, so neighbors harvest the window as free decode
@@ -47,7 +49,7 @@ from .backhaul import (
 )
 from .cells import StationCell, carve_cells
 from .handoff import HandoffLedger, PushRecord, SightingRecord
-from .moving import MovingCollisionSource, MovingTag, TagWaveformBank
+from .moving import MovingCollisionSource, MovingTag, ParkedSource, TagWaveformBank
 from .pool import ResponsePool, TriggerWindow
 from .corridor import CityCorridor, CorridorResult, CorridorStation
 from .directory import IdentityDirectory, SightingFix
@@ -68,6 +70,7 @@ __all__ = [
     "SightingRecord",
     "MovingTag",
     "MovingCollisionSource",
+    "ParkedSource",
     "TagWaveformBank",
     "ResponsePool",
     "TriggerWindow",

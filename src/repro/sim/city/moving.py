@@ -1,7 +1,7 @@
-"""Moving tags: collision synthesis with per-query channel geometry.
+"""Moving tags: the one collision synthesizer, with per-query geometry.
 
-:class:`~repro.channel.collision.StaticCollisionSimulator` freezes the
-scene per burst; a corridor's scene *moves*. :class:`MovingTag` pairs a
+Every capture in the library is built here, parked scenes included: a
+parked car is a car at speed zero. :class:`MovingTag` pairs a
 transponder with a :class:`~repro.sim.mobility.ConstantSpeedTrajectory`,
 and :class:`MovingCollisionSource` synthesizes one pole's capture with
 every tag at its position *at response time* — the channel (Friis
@@ -9,7 +9,9 @@ amplitude + path phase) is re-sampled per query, so coherent combining
 across a decode burst sees exactly the channel drift a moving car
 produces (§12.3: a 15 m/s car moves ~15 mm per 1 ms query period, about
 λ/20 of path phase per capture — which is why per-capture channel
-readout, Eq 5, survives mobility).
+readout, Eq 5, survives mobility). :class:`ParkedSource` is the
+front end for a static scene (§12.2, §12.4): its tags ride
+zero-velocity trajectories.
 
 Doppler itself is not modeled: at 915 MHz and city speeds it is ≤ ~50 Hz,
 far below the 1.95 kHz FFT resolution that separates tags (§5), so it
@@ -50,6 +52,7 @@ __all__ = [
     "in_range_mask",
     "TagWaveformBank",
     "MovingCollisionSource",
+    "ParkedSource",
 ]
 
 
@@ -160,8 +163,7 @@ class MovingCollisionSource:
 
     Each :meth:`query` places every participating tag at its trajectory
     position at response time, rebuilds the per-antenna channel gains,
-    and superposes the precomputed baseband rows — the moving-scene
-    equivalent of ``StaticCollisionSimulator.query``.
+    and superposes the precomputed baseband rows.
     """
 
     def __init__(
@@ -317,3 +319,51 @@ class MovingCollisionSource:
             truth=truth,
             overheard_from=overheard_from,
         )
+
+
+class ParkedSource:
+    """One reader's front end over a static scene (§12.2, §12.4).
+
+    A parked car is a car at speed zero: each tag rides a zero-velocity
+    trajectory from the position it had when the source was built (the
+    roster is frozen; a later move of a transponder is not seen), and
+    :meth:`query` is :meth:`MovingCollisionSource.query` over that
+    roster, which leaves each transponder's ``position_m`` at the
+    position it was heard from. Every tag's waveform row is drawn at
+    construction, in roster order, from the Generator the source then
+    draws each query's response phases and noise from — so a seed fixes
+    the templates, then per query the phases, then the noise.
+
+    The bank keys rows by account id, so a roster that repeats one is
+    rejected: the two tags would share one waveform.
+    """
+
+    def __init__(
+        self,
+        tags: list[Transponder],
+        antenna_positions_m: np.ndarray,
+        channel,
+        lo_hz: float = READER_LO_HZ,
+        sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
+        noise_power_w: float = 0.0,
+        rng=None,
+    ):
+        self.tags = list(tags)
+        if len({tag.tag_id for tag in self.tags}) < len(self.tags):
+            raise ConfigurationError("a parked roster repeats an account id")
+        rng = as_rng(rng)
+        bank = TagWaveformBank(lo_hz, sample_rate_hz, rng)
+        self.source = MovingCollisionSource(
+            antenna_positions_m, channel, bank, noise_power_w, rng
+        )
+        self._roster: list[MovingTag] = []
+        for tag in self.tags:
+            if tag.position_m is None:
+                raise ConfigurationError(f"transponder {tag.tag_id} has no position")
+            bank.row(tag)
+            parked = ConstantSpeedTrajectory(np.array(tag.position_m), np.zeros(3))
+            self._roster.append(MovingTag(tag, parked))
+
+    def query(self, query_start_s: float = 0.0) -> ReceivedCollision:
+        """Issue one query; all tags respond with fresh random phases."""
+        return self.source.query(self._roster, query_start_s)

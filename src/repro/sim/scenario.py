@@ -1,11 +1,12 @@
 """Scene builders: deployable worlds for examples, tests and benchmarks.
 
 A :class:`Scene` bundles tags, road geometry, reader arrays and the
-channel into one object that can mint :class:`StaticCollisionSimulator`
-instances per reader. The builders mirror the paper's deployments
-(Fig 10): curbside parking under a pole (§12.2), two pole stations for
-speed runs (§12.3), and a queue of cars at a signalized intersection
-(Fig 12).
+channel into one object that can mint a repeated-query front end per
+reader: the scene's tags parked on the one collision synthesizer
+(:class:`~repro.sim.city.moving.ParkedSource`). The builders mirror
+the paper's deployments (Fig 10): curbside parking under a pole
+(§12.2), two pole stations for speed runs (§12.3), and a queue of cars
+at a signalized intersection (Fig 12).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..channel.antenna import TriangleArray
-from ..channel.collision import StaticCollisionSimulator
 from ..channel.geometry import RoadSegment
 from ..channel.propagation import LosChannel
 from ..channel.noise import NoiseModel
@@ -88,11 +88,15 @@ class Scene:
         default_factory=lambda: NoiseModel().power_w(DEFAULT_SAMPLE_RATE_HZ)
     )
 
-    def simulator(self, array_index: int = 0, rng=None) -> StaticCollisionSimulator:
-        """A repeated-query simulator as seen from one reader."""
+    def simulator(self, array_index: int = 0, rng=None):
+        """A repeated-query :class:`~repro.sim.city.moving.ParkedSource`
+        as seen from one reader."""
+        # Imported here: repro.sim.city.mesh imports this module at load.
+        from .city.moving import ParkedSource
+
         if not 0 <= array_index < len(self.arrays):
             raise ConfigurationError(f"no array {array_index}")
-        return StaticCollisionSimulator(
+        return ParkedSource(
             tags=self.tags,
             antenna_positions_m=self.arrays[array_index].positions_m,
             channel=self.channel,

@@ -8,12 +8,12 @@ from repro.baselines.camera import CameraConditions, CameraCounter
 from repro.baselines.naive_counter import NaiveCounter
 from repro.baselines.radar import RadarGun
 from repro.channel.antenna import TriangleArray
-from repro.channel.collision import StaticCollisionSimulator
 from repro.channel.noise import thermal_noise_power_w
 from repro.channel.propagation import LosChannel
 from repro.constants import FFT_RESOLUTION_HZ
 from repro.core.decoding import CoherentDecoder
 from repro.errors import ConfigurationError
+from repro.sim.city.moving import ParkedSource
 from tests.conftest import make_tag
 
 
@@ -21,7 +21,7 @@ class TestNaiveCounter:
     def test_counts_separated_tags(self):
         tags = [make_tag(c, position_m=(3.0 * i + 2, -8.0, 1.0), seed=i) for i, c in enumerate((200e3, 600e3, 1000e3))]
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        sim = StaticCollisionSimulator(
+        sim = ParkedSource(
             tags, array.positions_m, LosChannel(), noise_power_w=thermal_noise_power_w(4e6), rng=1
         )
         assert NaiveCounter().count(sim.query(0.0).antenna(0)) == 3
@@ -30,7 +30,7 @@ class TestNaiveCounter:
         """The failure Caraoke's §5 upgrade fixes."""
         tags = [make_tag(c, position_m=(3.0 * i + 2, -8.0, 1.0), seed=i) for i, c in enumerate((500_000.0, 500_700.0))]
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        sim = StaticCollisionSimulator(
+        sim = ParkedSource(
             tags, array.positions_m, LosChannel(), noise_power_w=thermal_noise_power_w(4e6), rng=2
         )
         assert NaiveCounter().count(sim.query(0.0).antenna(0)) == 1
@@ -111,7 +111,7 @@ class TestBandpassDecoder:
     def lone_tag_capture(self):
         tag = make_tag(500e3, position_m=(8.0, -6.0, 1.0), seed=3)
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        sim = StaticCollisionSimulator(
+        sim = ParkedSource(
             [tag], array.positions_m, LosChannel(), noise_power_w=thermal_noise_power_w(4e6), rng=4
         )
         return sim.query(0.0).antenna(0), tag

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.channel.antenna import TriangleArray
-from repro.channel.collision import StaticCollisionSimulator
 from repro.channel.propagation import LosChannel
 from repro.core.cfo import estimate_channel, extract_cfo_peaks, refine_frequency
 from repro.errors import SpectrumError
 from repro.phy.waveform import Waveform
+from repro.sim.city.moving import ParkedSource
 from tests.conftest import make_tag
 
 FS = 4e6
@@ -58,7 +58,7 @@ class TestEstimateChannel:
         true channel ratio (random tag phase cancels)."""
         tag = make_tag(350e3, position_m=(12.0, -6.0, 1.0), seed=5)
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        sim = StaticCollisionSimulator([tag], array.positions_m, LosChannel(), rng=1)
+        sim = ParkedSource([tag], array.positions_m, LosChannel(), rng=1)
         collision = sim.query(0.0)
         h0 = estimate_channel(collision.antenna(0), 350e3)
         h1 = estimate_channel(collision.antenna(1), 350e3)
@@ -71,19 +71,19 @@ class TestExtractCfoPeaks:
         cfos = [150e3, 390e3, 610e3, 840e3, 1080e3]
         tags = [make_tag(c, position_m=(3.0 + 3 * i, -6.0, 1.0), seed=i) for i, c in enumerate(cfos)]
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        sim = StaticCollisionSimulator(tags, array.positions_m, LosChannel(), noise_power_w=1e-13, rng=2)
+        sim = ParkedSource(tags, array.positions_m, LosChannel(), noise_power_w=1e-13, rng=2)
         peaks = extract_cfo_peaks(sim.query(0.0).antenna(0), min_snr_db=15)
         assert len(peaks) == 5
         for peak, cfo in zip(peaks, cfos):
             assert peak.cfo_hz == pytest.approx(cfo, abs=300.0)
 
     def test_channels_match_truth(self):
-        """Magnitude matches truth exactly; the fast simulator's relative
+        """Magnitude matches truth exactly; the synthesizer's relative
         time base adds one constant phase per tag, so phases are compared
         through the antenna *ratio* (which every algorithm uses)."""
         tag = make_tag(777e3, seed=7)
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        sim = StaticCollisionSimulator([tag], array.positions_m, LosChannel(), rng=3)
+        sim = ParkedSource([tag], array.positions_m, LosChannel(), rng=3)
         collision = sim.query(0.0)
         peaks = extract_cfo_peaks(collision.antenna(0), min_snr_db=15)
         assert len(peaks) == 1
@@ -98,7 +98,7 @@ class TestExtractCfoPeaks:
     def test_sorted_by_frequency(self):
         tags = [make_tag(c, seed=i) for i, c in enumerate((900e3, 100e3))]
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        sim = StaticCollisionSimulator(tags, array.positions_m, LosChannel(), rng=4)
+        sim = ParkedSource(tags, array.positions_m, LosChannel(), rng=4)
         peaks = extract_cfo_peaks(sim.query(0.0).antenna(0), min_snr_db=15)
         cfos = [p.cfo_hz for p in peaks]
         assert cfos == sorted(cfos)
@@ -106,6 +106,6 @@ class TestExtractCfoPeaks:
     def test_refine_can_be_disabled(self):
         tag = make_tag(502e3, seed=8)
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        sim = StaticCollisionSimulator([tag], array.positions_m, LosChannel(), rng=5)
+        sim = ParkedSource([tag], array.positions_m, LosChannel(), rng=5)
         peaks = extract_cfo_peaks(sim.query(0.0).antenna(0), min_snr_db=15, refine=False)
         assert len(peaks) == 1

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from repro.channel.antenna import TriangleArray
-from repro.channel.collision import StaticCollisionSimulator
 from repro.channel.noise import thermal_noise_power_w
 from repro.channel.propagation import LosChannel
 from repro.core.counting import BinClass, CollisionCounter, CountEstimate
-from repro.dsp.peaks import quinn_offset
+from repro.dsp.peaks import find_peaks_in_magnitudes, quinn_offset
 from repro.dsp.spectrum import PROBE_BLOCKS, fft_spectrum
 from repro.errors import ConfigurationError
 from repro.obs import Obs
 from repro.phy.waveform import Waveform
+from repro.sim.city.moving import ParkedSource
 from tests.conftest import make_tag
 
 FS = 4e6
@@ -31,7 +31,7 @@ def build_simulator(cfos, seed=0, positions=None):
             pos = (rng.uniform(-8, 8), rng.uniform(-11, -7), 1.0)
         tags.append(make_tag(cfo, position_m=pos, seed=100 + i))
     array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-    return StaticCollisionSimulator(
+    return ParkedSource(
         tags, array.positions_m, LosChannel(), noise_power_w=NOISE_W, rng=seed
     )
 
@@ -243,6 +243,30 @@ class TestBatchedToneFit:
             assert [str(o) for o in shared.observations] == [
                 str(o) for o in recomputed.observations
             ]
+
+
+class TestDensityProbe:
+    """The dense probe counts the bins a permissive threshold admits and
+    builds no peak records: its count is the peak count."""
+
+    @pytest.mark.parametrize("n_tags, seed", [(3, 11), (14, 12), (40, 13)])
+    def test_probe_count_equals_the_peak_count(self, n_tags, seed):
+        rng = np.random.default_rng(seed)
+        sim = build_simulator(rng.uniform(20e3, 1.19e6, size=n_tags), seed=seed)
+        counter = CollisionCounter()
+        for n_captures in (1, 3):
+            waves = [sim.query(1e-3 * k).antenna(0) for k in range(n_captures)]
+            spectra, avg_mag, floors = counter._spectral_state(waves)
+            peaks = find_peaks_in_magnitudes(
+                avg_mag,
+                spectra[0].bin_hz,
+                counter.search_lo_hz,
+                counter.search_hi_hz,
+                min_snr_db=counter.probe_snr_db,
+            )
+            assert counter._probe_candidates(waves) == len(peaks)
+            shared = (spectra, avg_mag, floors)
+            assert counter._probe_candidates(waves, shared) == len(peaks)
 
 
 class TestThreeBinEstimator:

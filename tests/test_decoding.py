@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.channel.antenna import TriangleArray
-from repro.channel.collision import StaticCollisionSimulator
 from repro.channel.noise import thermal_noise_power_w
 from repro.channel.propagation import LosChannel
 from repro.core.cfo import extract_cfo_peaks
 from repro.core.decoding import CoherentDecoder, DecodeSession, MultiTargetCombiner
 from repro.errors import DecodingError
 from repro.phy.waveform import Waveform
+from repro.sim.city.moving import ParkedSource
 from tests.conftest import make_tag
 
 FS = 4e6
@@ -24,7 +24,7 @@ def build_sim(cfos, seed=0, positions=None):
         pos = positions[i] if positions else (rng.uniform(-8, 8), rng.uniform(-11, -7), 1.0)
         tags.append(make_tag(cfo, position_m=pos, seed=50 + i))
     array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-    sim = StaticCollisionSimulator(
+    sim = ParkedSource(
         tags, array.positions_m, LosChannel(), noise_power_w=NOISE_W, rng=seed
     )
     return sim, tags
@@ -322,7 +322,7 @@ class TestMultiAntennaChannels:
 
         tag = make_tag(500e3, position_m=(2.0, -9.0, 1.0), seed=70)
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        return StaticCollisionSimulator(
+        return ParkedSource(
             [tag],
             array.positions_m,
             LosChannel(),
@@ -405,7 +405,7 @@ class TestMultiAntennaChannels:
         queries = {}
         for policy in ("single", "mrc"):
             sim, _ = build_sim(cfos, seed=5)
-            sim.noise_power_w = thermal_noise_power_w(FS) * 30_000
+            sim.source.noise_power_w = thermal_noise_power_w(FS) * 30_000
             session = DecodeSession(
                 query_fn=lambda t: sim.query(t),
                 decoder=CoherentDecoder(FS),
@@ -422,7 +422,7 @@ class TestMultiAntennaChannels:
         not crash — the combiner grows antenna rows per capture."""
         cfos = [300e3, 800e3]
         sim, tags = build_sim(cfos, seed=5)
-        sim.noise_power_w = thermal_noise_power_w(FS) * 30_000
+        sim.source.noise_power_w = thermal_noise_power_w(FS) * 30_000
         session = DecodeSession(query_fn=lambda t: sim.query(t), decoder=CoherentDecoder(FS))
         session.seed_capture(sim.query(0.0).antenna(0))
         results = session.decode_all(cfos, max_queries=64)

@@ -177,6 +177,83 @@ class TestDeferToQueriesPolicies:
             assert mac.can_transmit(t, state)
 
 
+def per_probe_can_transmit(mac: ReaderMac, now_s, state: CsmaState) -> bool:
+    """The per-probe carrier sense: every call reads the state afresh."""
+    if mac.defer_to_queries:
+        return state.idle_since(now_s) >= mac.listen_s
+    if state.response_idle_since(now_s) < mac.listen_s:
+        return False
+    tx_end = now_s + mac.query_s
+    if any(
+        now_s < w_hi and w_lo < tx_end for w_lo, w_hi in state.response_windows()
+    ):
+        return False
+    slot_lo = tx_end + TURNAROUND_S
+    slot_hi = slot_lo + RESPONSE_DURATION_S
+    return not any(
+        q_lo < slot_hi and slot_lo < q_hi for q_lo, q_hi in state.query_spans()
+    )
+
+
+def per_probe_next_opportunity(mac: ReaderMac, now_s, state: CsmaState) -> float:
+    """The search that probed every candidate through the per-probe sense."""
+    if per_probe_can_transmit(mac, now_s, state):
+        return now_s
+    busy = (
+        state.busy_intervals
+        if mac.defer_to_queries
+        else state.response_energy_intervals()
+    )
+    windows = [] if mac.defer_to_queries else state.response_windows()
+    spans = [] if mac.defer_to_queries else state.query_spans()
+    candidates = [hi + mac.listen_s for _, hi in busy]
+    candidates += [w_hi for _, w_hi in windows]
+    candidates += [q_hi - mac.query_s - TURNAROUND_S for _, q_hi in spans]
+    ends = [hi for _, hi in busy] + [w_hi for _, w_hi in windows]
+    ends += [q_hi + mac.listen_s for _, q_hi in spans]
+    if ends:
+        candidates.append(max(ends) + mac.listen_s)
+    for t in sorted(c for c in candidates if c > now_s):
+        if per_probe_can_transmit(mac, t, state):
+            return t
+    return now_s
+
+
+class TestSenseOncePerSearch:
+    """The search reads what the policy defers to once; every verdict and
+    every search result equals the per-probe sense, for both policies."""
+
+    @staticmethod
+    def random_state(rng) -> CsmaState:
+        heard = []
+        for _ in range(int(rng.integers(0, 30))):
+            start = float(rng.uniform(0.0, 5e-3))
+            kind = str(rng.choice(["query", "response", "unknown"]))
+            span_s = {
+                "query": QUERY_DURATION_S,
+                "response": RESPONSE_DURATION_S,
+                "unknown": float(rng.uniform(1e-6, 300e-6)),
+            }[kind]
+            heard.append((start, start + span_s, kind))
+        return CsmaState.from_heard(heard)
+
+    @pytest.mark.parametrize("defer", [False, True])
+    def test_equals_the_per_probe_sense_on_random_states(self, defer):
+        rng = np.random.default_rng(31 + defer)
+        mac = ReaderMac(defer_to_queries=defer)
+        for _ in range(200):
+            state = self.random_state(rng)
+            edges = [hi + mac.listen_s for _, hi in state.busy_intervals]
+            edges += [w_hi for _, w_hi in state.response_windows()]
+            for now_s in list(rng.uniform(0.0, 6e-3, 8)) + edges:
+                assert mac.can_transmit(now_s, state) == per_probe_can_transmit(
+                    mac, now_s, state
+                )
+                assert mac.next_opportunity(now_s, state) == per_probe_next_opportunity(
+                    mac, now_s, state
+                )
+
+
 class TestAirLog:
     def test_heard_state_classifies_kinds(self):
         air = AirLog()

@@ -140,7 +140,7 @@ class TestDecodeSessionProperties:
         equals queries-issued x period, and the reader's per-measurement
         report stays within its §12.5 payload budget."""
         from repro.channel.antenna import TriangleArray
-        from repro.channel.collision import StaticCollisionSimulator
+        from repro.sim.city.moving import ParkedSource
         from repro.channel.noise import thermal_noise_power_w
         from repro.channel.propagation import LosChannel
         from repro.core.decoding import CoherentDecoder, DecodeSession
@@ -155,7 +155,7 @@ class TestDecodeSessionProperties:
             for i, cfo in enumerate(cfos)
         ]
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        sim = StaticCollisionSimulator(
+        sim = ParkedSource(
             tags,
             array.positions_m,
             LosChannel(),

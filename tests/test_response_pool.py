@@ -364,7 +364,7 @@ class TestResponsePool:
 class TestDecodeSessionDonations:
     def sessions(self, seed=9):
         from repro.channel.antenna import TriangleArray
-        from repro.channel.collision import StaticCollisionSimulator
+        from repro.sim.city.moving import ParkedSource
         from repro.channel.noise import thermal_noise_power_w
         from repro.channel.propagation import LosChannel
         from tests.conftest import make_tag
@@ -379,7 +379,7 @@ class TestDecodeSessionDonations:
         noise = 40 * thermal_noise_power_w(fs)
 
         def sim(rng_seed):
-            return StaticCollisionSimulator(
+            return ParkedSource(
                 tags, array.positions_m, LosChannel(), noise_power_w=noise, rng=rng_seed
             )
 
@@ -426,7 +426,7 @@ class TestDecodeSessionDonations:
     def test_probe_rejects_target_absent_captures(self):
         fs, tags, sim = self.sessions()
         from repro.channel.antenna import TriangleArray
-        from repro.channel.collision import StaticCollisionSimulator
+        from repro.sim.city.moving import ParkedSource
         from repro.channel.noise import thermal_noise_power_w
         from repro.channel.propagation import LosChannel
         from tests.conftest import make_tag
@@ -436,7 +436,7 @@ class TestDecodeSessionDonations:
             make_tag(150e3, position_m=(3.0, -6.0, 1.0), seed=77),
         ]
         array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        donor = StaticCollisionSimulator(
+        donor = ParkedSource(
             other,
             array.positions_m,
             LosChannel(),

@@ -7,6 +7,7 @@ from repro.constants import CFO_BIN_COUNT, FFT_RESOLUTION_HZ, READER_LO_HZ
 from repro.dsp.peaks import (
     SpectralPeak,
     band_floors,
+    detected_bins,
     estimate_noise_floor,
     find_peaks_in_magnitudes,
     find_spectral_peaks,
@@ -472,3 +473,22 @@ class TestFloorBitExact:
                     assert find_peaks_in_magnitudes(
                         mags, 1.0, lo_hz, hi_hz, floors=shared, **kwargs
                     ) == expected
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_detected_bins_are_the_peak_records_bins(self, ties):
+        """The detection core returns exactly the bins and floors the
+        peak records carry, so its size is the peak count."""
+        rng = np.random.default_rng(41 + ties)
+        for trial in range(40):
+            size = int(rng.integers(8, 700))
+            mags = _random_magnitudes(rng, size, ties)
+            lo_hz = float(rng.uniform(0.0, size / 3))
+            hi_hz = float(rng.uniform(lo_hz + 2.0, size + 5.0))
+            shared = band_floors(mags, 1.0, lo_hz, hi_hz)
+            for snr_db in (3.0, 10.0, 13.0):
+                peaks = find_peaks_in_magnitudes(mags, 1.0, lo_hz, hi_hz, snr_db)
+                for floors in (None, shared):
+                    bins, kept = detected_bins(mags, 1.0, lo_hz, hi_hz, snr_db, floors)
+                    assert bins.size == len(peaks)
+                    assert bins.tolist() == [p.bin_index for p in peaks]
+                    assert kept.tolist() == [p.floor for p in peaks]
