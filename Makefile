@@ -17,13 +17,24 @@ check-fast: lint analyze test-fast
 
 # Docs tier: intra-repo links must resolve and every example must run
 # end to end (the city mesh shortened via REPRO_MESH_DURATION_S), so an
-# example still importing a removed name fails here.
+# example still importing a removed name fails here. Each example's
+# stdout is written to examples/expected/<name>.txt, and the target
+# fails, printing the diff, when any output differs from its committed
+# copy (or is not committed) — the way `make accuracy` checks its
+# reports. A change that moves an example's output commits the new file
+# and says why in CHANGES.md.
+EXAMPLE_OUTPUTS = $(patsubst examples/%.py,examples/expected/%.txt,$(wildcard examples/*.py))
+
 check-docs:
 	$(PYTHON) tools/check_links.py
+	@mkdir -p examples/expected
 	@for example in examples/*.py; do \
 		echo "$$example"; \
-		REPRO_MESH_DURATION_S=12 $(PYTHON) $$example > /dev/null || exit 1; \
+		REPRO_MESH_DURATION_S=12 $(PYTHON) $$example \
+			> examples/expected/$$(basename $$example .py).txt || exit 1; \
 	done
+	git ls-files --error-unmatch $(EXAMPLE_OUTPUTS) > /dev/null
+	git diff --exit-code -- $(EXAMPLE_OUTPUTS)
 
 # `make analyze` already runs the unused-import rule, so a machine
 # without ruff loses nothing by skipping this step.

@@ -65,7 +65,7 @@ def bench_ablation_counting(benchmark, report):
         "caraoke-1-capture",
         "caraoke-street",
     )
-    report(f"§5 counting ablations — accuracy %% ({runs} runs/cell, lot regime unless noted)")
+    report(f"§5 counting ablations — accuracy % ({runs} runs/cell, lot regime unless noted)")
     header = f"{'variant':<20}" + "".join(f"{f'm={m}':>9}" for m in sizes)
     report(header)
     for variant in variants:

@@ -18,9 +18,9 @@ Run:  python examples/city_mesh.py    (about ten seconds of compute;
       set REPRO_MESH_DURATION_S to shorten/lengthen the simulation)
 
 ``--workers N`` (N >= 2) spreads the city over N forked worker
-processes (`repro.sim.city.parallel.run_sharded`): interference-closed
-edge groups rendezvousing at sync barriers for directory replay and
-push delivery. ``--workers 1``, the default, runs ``CityMesh.run`` —
+processes (`repro.sim.city.parallel.run_sharded`): one shard per
+corridor edge, the shards rendezvousing at sync barriers for directory
+replay and push delivery. ``--workers 1``, the default, runs ``CityMesh.run`` —
 the same engine in-process. Any N prints the same numbers for the same
 seed. See docs/PERFORMANCE.md.
 

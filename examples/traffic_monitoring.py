@@ -71,7 +71,7 @@ def main() -> None:
     print()
     print("camera baseline (night, wind, occlusion):")
     print(f"  mean |error| = {np.mean(errors) * 100:.1f}% "
-          f"(the paper cites a few %% up to 26%% for video detection)")
+          f"(the paper cites a few % up to 26% for video detection)")
     print("  Caraoke counts transponders directly and is immune to all of this;")
     print("  its counting error is set by CFO bin collisions (see Fig 11 bench).")
 

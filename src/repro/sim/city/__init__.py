@@ -54,7 +54,7 @@ from .pool import ResponsePool, TriggerWindow
 from .corridor import CityCorridor, CorridorResult, CorridorStation
 from .directory import IdentityDirectory, SightingFix
 from .mesh import CityMesh, MeshEdge, MeshNode, MeshResult, downtown_grid
-from .parallel import interference_groups, run_sharded
+from .parallel import run_sharded
 
 __all__ = [
     "BackhaulConfig",
@@ -84,6 +84,5 @@ __all__ = [
     "MeshNode",
     "MeshResult",
     "downtown_grid",
-    "interference_groups",
     "run_sharded",
 ]

@@ -43,7 +43,7 @@ which drives directory aging and billing watermarks; the emission time
 rides along so dedup windows and speed estimates stay anchored to when
 the car actually crossed.
 
-``python -m repro.sim.city.backhaul --smoke`` runs all three policies
+``python -m repro.sim.city --smoke backhaul`` runs all three policies
 plus one fault plan on a small grid and checks lossless convergence
 after the final flush, repeat-seed determinism, and that ``mesh.run``
 equals a forked two-worker run under ``scheduled`` (the fast CI tier
@@ -744,98 +744,3 @@ class BackhaulPlane:
         if self.config.fault_plan is not None:
             out["faults"] = self.config.fault_plan.summary()
         return out
-
-
-# -- CI smoke ----------------------------------------------------------------
-
-
-def _smoke(seed: int, duration_s: float) -> int:  # pragma: no cover
-    """Fast-tier check: all three policies + one fault plan on a small
-    grid — lossless convergence, repeat-seed determinism, and
-    ``mesh.run`` equal to a forked two-worker run."""
-    import json
-
-    from .mesh import downtown_grid
-    from .parallel import run_sharded
-
-    failures: list[str] = []
-
-    def build(backhaul):
-        return downtown_grid(2, 2, rng=seed, rate_per_s=0.5, backhaul=backhaul)
-
-    def canon(result) -> str:
-        return json.dumps(result.summary(), sort_keys=True)
-
-    def scheduled_cfg():
-        return BackhaulConfig(policy="scheduled", sync_period_s=1.0)
-
-    delivered = {}
-    for label, make_cfg in (
-        ("scheduled", scheduled_cfg),
-        ("mule", lambda: BackhaulConfig(policy="mule")),
-    ):
-        mesh = build(make_cfg())
-        result = mesh.run(duration_s)
-        plane = mesh._plane
-        try:
-            plane.check_consistent()
-        except ConfigurationError as exc:
-            failures.append(f"{label}: {exc}")
-        policy = result.backhaul["policy"]
-        if policy != label:
-            failures.append(f"{label}: the summary reports {policy!r}")
-        delivered[label] = plane.items_delivered
-        if label == "scheduled":
-            forked = run_sharded(build(make_cfg()), duration_s, workers=2)
-            if canon(forked) != canon(result):
-                failures.append("scheduled: mesh.run differs from 2 forked workers")
-
-    def fault_cfg():
-        return BackhaulConfig(
-            policy="scheduled",
-            sync_period_s=1.0,
-            fault_plan=FaultPlan.seeded(
-                seed + 1,
-                duration_s=duration_s,
-                n_outages=2,
-                outage_s=1.5,
-                drop_p=0.2,
-                max_delay_s=0.5,
-            ),
-        )
-
-    snapshots = []
-    for _ in range(2):
-        mesh = build(fault_cfg())
-        result = mesh.run(duration_s)
-        try:
-            mesh._plane.check_consistent()
-        except ConfigurationError as exc:
-            failures.append(f"faulted: {exc}")
-        snapshots.append(canon(result))
-    if snapshots[0] != snapshots[1]:
-        failures.append("fault-plan run is not repeat-seed deterministic")
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        "ok: backhaul smoke — "
-        f"scheduled delivered {delivered['scheduled']} items (mesh.run == "
-        f"2 forked workers), mule {delivered['mule']}; faulted run deterministic"
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import argparse
-
-    parser = argparse.ArgumentParser(description="backhaul plane smoke test")
-    parser.add_argument("--smoke", action="store_true", help="run the CI smoke")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--duration", type=float, default=6.0)
-    args = parser.parse_args()
-    if args.smoke:
-        raise SystemExit(_smoke(args.seed, args.duration))
-    parser.error("nothing to do (pass --smoke)")

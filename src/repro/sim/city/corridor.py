@@ -86,7 +86,6 @@ from .moving import (
     MovingTag,
     TagWaveformBank,
     in_range_mask,
-    positions_at,
 )
 from .pool import ResponsePool, TriggerWindow
 
@@ -430,13 +429,10 @@ class CityCorridor:
             :meth:`build`) — pass it there; the corridor itself only
             stores it for reports.
         air / pool / ledger: the corridor's own air log, response pool
-            and handoff ledger. A mesh shard replaces them with the ones
-            its interference group shares before the run.
-        interference_range_m: along-city distance beyond which
-            transmitters are inaudible (carrier sensing, corruption and
-            post-hoc re-checks all gate on it). None — the default, and
-            the right setting for one street — means everything on the
-            shared log is heard everywhere.
+            and handoff ledger. They only ever hold this corridor's
+            stations' traffic and sightings: everything on the air log
+            is heard by every station, as on one street, and a mesh runs
+            each corridor edge as its own shard on these three.
         on_sighting: ``hook(corridor, station, tag_id, cfo_hz, t_s,
             x_m, localized, kind, n_queries)`` called for every resolved
             sighting (own/push/handoff hits and fresh decodes); ``x_m``
@@ -478,7 +474,6 @@ class CityCorridor:
         opportunistic: str | None = None,
         max_queries: int = 32,
         name: str = "",
-        interference_range_m: float | None = None,
         on_sighting=None,
         obs=None,
     ):
@@ -499,9 +494,6 @@ class CityCorridor:
             for station in self.stations:
                 station.opportunistic = opportunistic
         self.max_queries = int(max_queries)
-        self.interference_range_m = (
-            None if interference_range_m is None else float(interference_range_m)
-        )
         self.on_sighting = on_sighting
         self.obs = obs
         # Per-station labeled views share the hook's registry/tracer, so
@@ -571,9 +563,6 @@ class CityCorridor:
         # station's geometry and donated; _result re-checks them against
         # the final log.
         self._overheard_log: list[tuple[str, str, float, float, float, bool]] = []
-        self._station_x = {
-            s.name: float(s.pole_position_m[0]) for s in self.stations
-        }
         self._ran = False
         self._primed = False
 
@@ -676,14 +665,14 @@ class CityCorridor:
     def prime(self, scheduler: EventScheduler, duration_s: float) -> None:
         """Plant this corridor's events on an external scheduler.
 
-        The mesh path: several corridors share one
-        :class:`~repro.sim.events.EventScheduler` (and one air log), so
-        instead of :meth:`run` owning the loop, each corridor *primes*
-        the shared scheduler — cell transitions for the tags it already
-        holds, plus every station's first cadence attempt — and the
-        caller drives ``scheduler.run_until`` once for the whole city,
-        then collects per-corridor results via :meth:`finish`. Cars may
-        keep arriving after priming through :meth:`admit`.
+        The mesh path: a mesh shard owns the
+        :class:`~repro.sim.events.EventScheduler` and advances it one
+        sync quantum at a time, so instead of :meth:`run` owning the
+        loop, the corridor *primes* that scheduler — cell transitions
+        for the tags it already holds, plus every station's first
+        cadence attempt — and the caller drives ``scheduler.run_until``,
+        then collects the result via :meth:`finish`. Cars may keep
+        arriving after priming through :meth:`admit`.
         """
         if self.scheduling != "event":
             raise ConfigurationError("prime() requires scheduling='event'")
@@ -739,7 +728,7 @@ class CityCorridor:
         return tag_index
 
     def finish(self) -> CorridorResult:
-        """Collect this corridor's result after the shared run ended."""
+        """Collect this corridor's result after the primed run ended."""
         if not self._ran:
             raise ConfigurationError("finish() before run()/prime()")
         return self._result(self._end_s)
@@ -845,11 +834,7 @@ class CityCorridor:
         def attempt(scheduler: EventScheduler) -> None:
             now = scheduler.now_s
             if self.use_csma:
-                state = self.air.heard_state(
-                    now,
-                    x_m=self._station_x[station.name],
-                    hear_range_m=self.interference_range_m,
-                )
+                state = self.air.heard_state(now)
                 if not station.mac.can_transmit(now, state):
                     station.queries_deferred += 1
                     sobs = self._station_obs[station.name]
@@ -900,9 +885,7 @@ class CityCorridor:
         sobs = self._station_obs[station.name]
         if sobs is not None:
             sobs.count("corridor.query", kind="measurement")
-        self.air.record_query(
-            station.name, t_query, x_m=self._station_x[station.name]
-        )
+        self.air.record_query(station.name, t_query)
         self._note_own_window(station, t_query)
         candidates = self._tags_near(station, t_query)
         if not candidates:
@@ -916,13 +899,9 @@ class CityCorridor:
             return end
         response_start = t_query + QUERY_DURATION_S + TURNAROUND_S
         response_end = response_start + RESPONSE_DURATION_S
-        xs_m = positions_at(candidates, response_start)[:, 0]
-        for tag, x_m in zip(candidates, xs_m):
+        for tag in candidates:
             self.air.record_response(
-                f"tag{tag.tag_id}",
-                response_start,
-                triggered_by=station.name,
-                x_m=float(x_m),
+                f"tag{tag.tag_id}", response_start, triggered_by=station.name
             )
         now = t_query
         for tag in candidates:
@@ -953,8 +932,6 @@ class CityCorridor:
             response_end,
             exclude_source=station.name,
             exclude_start_s=t_query,
-            x_m=self._station_x[station.name],
-            hear_range_m=self.interference_range_m,
         )
         sobs = self._station_obs[station.name]
         if corrupted:
@@ -1098,11 +1075,8 @@ class CityCorridor:
         def decode_query(t_rel: float):
             t_requested = t_query + float(t_rel)
             t_actual = max(t_requested, state["cursor"])
-            station_x = self._station_x[station.name]
             if self.use_csma:
-                heard = self.air.heard_state(
-                    t_actual, x_m=station_x, hear_range_m=self.interference_range_m
-                )
+                heard = self.air.heard_state(t_actual)
                 if not station.mac.can_transmit(t_actual, heard):
                     station.queries_deferred += 1
                     if sobs is not None:
@@ -1111,25 +1085,20 @@ class CityCorridor:
             station.queries_sent += 1
             if sobs is not None:
                 sobs.count("corridor.query", kind="decode")
-            self.air.record_query(station.name, t_actual, x_m=station_x)
+            self.air.record_query(station.name, t_actual)
             self._note_own_window(station, t_actual)
             subset = self._tags_near(station, t_actual)
             start = t_actual + QUERY_DURATION_S + TURNAROUND_S
             corrupted = False
             if subset:
                 response = self.air.record_response(
-                    f"{station.name}-burst",
-                    start,
-                    triggered_by=station.name,
-                    x_m=station_x,
+                    f"{station.name}-burst", start, triggered_by=station.name
                 )
                 corrupted = self.air.any_query_overlapping(
                     response.start_s,
                     response.end_s,
                     exclude_source=station.name,
                     exclude_start_s=t_actual,
-                    x_m=station_x,
-                    hear_range_m=self.interference_range_m,
                 )
                 # The synthesis-time verdict only sees transmissions
                 # recorded so far; _result re-checks this capture against
@@ -1322,8 +1291,6 @@ class CityCorridor:
                 window.end_s,
                 exclude_source=window.origin,
                 exclude_start_s=window.t_query_s,
-                x_m=self._station_x[station.name],
-                hear_range_m=self.interference_range_m,
             )
             self._overheard_log.append(
                 (
@@ -1445,18 +1412,12 @@ class CityCorridor:
         starts = [q.start_s for q in queries]
 
         def stepped_on(
-            start_s: float,
-            end_s: float,
-            own_source: str,
-            own_start_s: float,
-            receiver_x_m: float,
+            start_s: float, end_s: float, own_source: str, own_start_s: float
         ) -> bool:
             lo = bisect.bisect_left(starts, start_s - QUERY_DURATION_S)
             hi = bisect.bisect_left(starts, end_s)
             for query in queries[lo:hi]:
                 if query.source == own_source and query.start_s == own_start_s:
-                    continue
-                if not query.reaches(receiver_x_m, self.interference_range_m):
                     continue
                 if query.start_s < end_s and query.end_s > start_s:
                     return True
@@ -1465,13 +1426,12 @@ class CityCorridor:
         burst = sum(
             1
             for source, t_query, start_s, end_s, _ in self._burst_log
-            if stepped_on(start_s, end_s, source, t_query, self._station_x[source])
+            if stepped_on(start_s, end_s, source, t_query)
         )
         overheard = sum(
             1
-            for station, origin, t_query, start_s, end_s, corrupted in self._overheard_log
-            if not corrupted
-            and stepped_on(start_s, end_s, origin, t_query, self._station_x[station])
+            for _, origin, t_query, start_s, end_s, corrupted in self._overheard_log
+            if not corrupted and stepped_on(start_s, end_s, origin, t_query)
         )
         return burst, overheard
 
@@ -1490,17 +1450,6 @@ class CityCorridor:
         ]
         burst_posthoc, overheard_posthoc = self._recheck_captures_posthoc()
         policies = sorted({s.opportunistic for s in self.stations})
-        # On a shared (mesh) air log / pool, count only what this
-        # corridor's own stations triggered; every response carries
-        # trigger provenance, so the filter is exact (and a no-op for a
-        # private log — every record is ours).
-        own = set(self._station_x)
-        responses = [r for r in self.air.responses() if r.triggered_by in own]
-        corrupted_responses = [
-            r
-            for r in self.air.corrupted_responses(self.interference_range_m)
-            if r.triggered_by in own
-        ]
         return CorridorResult(
             scheduling=self.scheduling,
             duration_s=duration_s,
@@ -1509,8 +1458,8 @@ class CityCorridor:
             rounds=sum(s.rounds for s in self.stations),
             empty_rounds=sum(s.empty_rounds for s in self.stations),
             corrupted_rounds=sum(s.corrupted_rounds for s in self.stations),
-            responses=len(responses),
-            corrupted_responses=len(corrupted_responses),
+            responses=len(self.air.responses()),
+            corrupted_responses=len(self.air.corrupted_responses()),
             n_observations=len(self.observations),
             ledger=self.ledger,
             identifications=identifications,
@@ -1521,7 +1470,7 @@ class CityCorridor:
             ),
             burst_corrupted_posthoc=burst_posthoc,
             opportunistic=policies[0] if len(policies) == 1 else "mixed",
-            overheard_windows=sum(1 for w in self.pool.windows if w.origin in own),
+            overheard_windows=len(self.pool),
             overheard_harvested=len(self._overheard_log),
             overheard_corrupted_at_harvest=sum(
                 1 for entry in self._overheard_log if entry[5]

@@ -22,13 +22,13 @@ resolved one of five ways:
 
 The :class:`HandoffLedger` classifies decode records into
 ``decode``/``redecode`` itself (it knows which ids the deployment has
-seen where — one shared ledger spans every corridor of a mesh), tallies
-cell entry/exit events, records every predictive push *sent* (and every
-push that expired unconsumed — a mis-push, e.g. the car turned
-off-route), and reports the headline number: of the downstream
-first-sightings (a tag arriving at a pole that some other pole already
-identified), what fraction was resolved by a forwarded or pushed cache
-entry instead of burning a re-decode.
+seen where — a mesh merges its edges' ledgers into one that spans
+every corridor), tallies cell entry/exit events, records every
+predictive push *sent* (and every push that expired unconsumed — a
+mis-push, e.g. the car turned off-route), and reports the headline
+number: of the downstream first-sightings (a tag arriving at a pole
+that some other pole already identified), what fraction was resolved
+by a forwarded or pushed cache entry instead of burning a re-decode.
 """
 
 from __future__ import annotations

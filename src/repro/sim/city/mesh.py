@@ -7,14 +7,14 @@ same backend. :class:`CityMesh` is that layer:
 
 * **One engine** — :meth:`CityMesh.run` is the sharded engine of
   :mod:`repro.sim.city.parallel` run in-process with one worker.
-  Corridor frames are laid out along a global city axis far enough
-  apart that carrier sensing, corruption and overhearing — all gated by
-  ``interference_range_m`` — behave exactly as on one street *within*
-  an edge and not at all *across* edges (distant streets share the
-  clock, not the ether), so each interference-closed group of edges
-  runs on its own scheduler, air log and response pool, and the groups
-  rendezvous every sync quantum for directory replay and push delivery.
-  The same seed gives the same bytes at any worker count.
+  Corridor frames are laid out along a global city axis: every edge fits
+  inside ``interference_range_m`` (its poles share one street's ether)
+  and frames sit more than that range plus radio slack apart (distant
+  streets share the clock, not the ether). Both bounds are validated, so
+  each edge is one shard on its own scheduler and its corridor's own air
+  log, response pool and ledger, and the shards rendezvous every sync
+  quantum for directory replay and push delivery. The same seed gives
+  the same bytes at any worker count.
 * **Routed traffic** — cars are injected by
   :class:`~repro.sim.traffic.PoissonArrivals` at an entry edge, follow
   a route of edges, and dwell at each intersection according to its
@@ -25,10 +25,11 @@ same backend. :class:`CityMesh` is that layer:
   the edge's corridor mid-run.
 * **City-wide identity** — every resolved sighting is reported to the
   :class:`~repro.sim.city.directory.IdentityDirectory`, the bounded,
-  aging fingerprint service above the per-pole caches; one shared
-  :class:`~repro.sim.city.handoff.HandoffLedger` audits every sighting
-  across the whole mesh (so a re-decode is recognized as waste even
-  when the first decode happened two corridors away).
+  aging fingerprint service above the per-pole caches; the edges'
+  ledgers merge into one mesh-wide
+  :class:`~repro.sim.city.handoff.HandoffLedger` that audits every
+  sighting (so a re-decode is recognized as waste even when the first
+  decode happened two corridors away).
 * **Predictive push handoff** — under ``handoff="push"`` (the
   default), a pole whose sighting completes a §7 cross-pole speed
   estimate (:class:`~repro.core.speed.CrossPoleSpeedTracker`, fed
@@ -115,8 +116,8 @@ class MeshEdge:
         src / dst: intersection names this edge runs from/to; None marks
             a mesh boundary (cars appear at ``src=None`` edges via
             traffic sources and vanish after a ``dst=None`` exit).
-        corridor: the edge's :class:`CityCorridor`; the run wires it
-            onto its shard's scheduler, air log, pool and ledger.
+        corridor: the edge's :class:`CityCorridor`; the run drives it
+            as one shard, on its own air log, pool and ledger.
         scene: the edge's deployment (global-frame coordinates).
     """
 
@@ -168,8 +169,8 @@ class MeshResult:
     """Everything one :meth:`CityMesh.run` produced.
 
     Per-edge numbers live in ``edges`` (each a
-    :class:`~repro.sim.city.corridor.CorridorResult`, already filtered
-    to that edge's own traffic); ``ledger`` is the *shared* mesh-wide
+    :class:`~repro.sim.city.corridor.CorridorResult` of that edge's own
+    air log and pool); ``ledger`` is the *shared* mesh-wide
     audit (every edge result references the same object). The
     cross-corridor fields measure the mesh's reason to exist: of the
     first sightings of a tag in a corridor it entered from another
@@ -185,9 +186,10 @@ class MeshResult:
 
     How the engine was shaped rides alongside and stays out of
     :meth:`summary` (which is identical at any worker count):
-    ``workers``, ``sync_quantum_s``, the interference partition
-    ``groups`` and ``events_processed`` per group (a deterministic work
-    proxy the benches scale by).
+    ``workers``, ``sync_quantum_s``, the shards ``groups`` (one
+    1-tuple of its edge name per edge, in sorted name order) and
+    ``events_processed`` per edge (a deterministic work proxy the
+    benches scale by).
     """
 
     duration_s: float
@@ -273,11 +275,13 @@ class CityMesh:
             active under both policies — push rides on top of it.
         directory: the city-wide identity service (a default-bounded
             :class:`IdentityDirectory`).
-        interference_range_m: along-city distance beyond which
+        interference_range_m: the layout bound that keeps each edge
+            its own ether: the along-city distance beyond which
             transmitters are inaudible. Every edge must fit inside it
-            (so one street keeps single-street semantics) and the
-            frame gap must exceed it (so streets never interfere);
-            both are validated.
+            (so all of a street's poles hear each other) and the frame
+            gap must exceed it plus twice the reader range (so no two
+            streets hear each other); both are validated here, and they
+            are why the engine can run every edge on its own air log.
         frame_gap_m: spacing between consecutive edge frames on the
             global axis.
         backhaul: how pole↔directory traffic travels (see
@@ -373,8 +377,7 @@ class CityMesh:
 
         The edge's scene is laid out at the next free slot on the
         global city axis and its corridor is built with the corridor
-        defaults (the run rewires it onto its shard's air log, response
-        pool and ledger).
+        defaults (the run drives it as one shard).
         """
         if name in self.edges:
             raise ConfigurationError(f"duplicate edge {name!r}")
@@ -407,7 +410,6 @@ class CityMesh:
             rng=self.rng,
             name=name,
             scheduling="event",
-            interference_range_m=self.interference_range_m,
             obs=self.obs,
         )
         edge = MeshEdge(name=name, src=src, dst=dst, corridor=corridor, scene=scene)

@@ -1,4 +1,4 @@
-"""The mesh engine: interference-closed edge groups on sync quanta.
+"""The mesh engine: one shard per corridor edge, on sync quanta.
 
 :meth:`CityMesh.run <repro.sim.city.mesh.CityMesh.run>` and
 :func:`run_sharded` are one engine — ``mesh.run(d)`` is
@@ -6,13 +6,13 @@
 city over worker processes because of two structural facts the mesh
 guarantees:
 
-* **The ether partitions.** Mesh layout enforces
-  ``frame_gap_m > interference_range_m + 2 * READER_RANGE_M``, so
-  carrier sensing, corruption and overhearing — all gated by
-  along-city distance — can never couple two edges.
-  :func:`interference_groups` recovers the partition from the scene
-  geometry (it does not assume it): edges whose frames come within
-  radio reach of each other land in one group and must share a shard.
+* **Every edge is its own ether.** :class:`~repro.sim.city.mesh.CityMesh`
+  validates its layout: an edge spans at most the mesh's interference
+  range, and edge frames sit farther apart than that range plus twice
+  the reader range, so no query, response or overheard window on one
+  edge reaches another. A shard is therefore one edge, run on its
+  corridor's own air log, response pool and ledger; shards are built
+  in sorted edge order.
 * **Car motion is radio-free.** A routed car's every entry/exit time
   depends only on its draw (route, speed, lane), the intersection
   signals, and the release headway — never on what the readers decoded.
@@ -26,7 +26,7 @@ aging — eviction couples tags globally) and the predictive push handoff
 the coordinator at **rendezvous barriers**: simulation advances in
 fixed sync quanta; at each barrier every shard surrenders the sightings
 of its quantum (and, when services are subscribed, the observations),
-and the coordinator replays them in canonical order — ``(t_s, group,
+and the coordinator replays them in canonical order — ``(t_s, edge,
 arrival index)`` — over the backhaul plane into the one directory, the
 sighting taps and the push predictor, and into ``mesh.services``. The
 resulting push intents reach their target shards at the start of the
@@ -37,7 +37,7 @@ still planted ahead of arrival).
 
 **The determinism contract** (see ``docs/PERFORMANCE.md``): the same
 seed gives the same bytes at any worker count, forked or in-process.
-Every run executes the identical per-group protocol (per-edge RNG
+Every run executes the identical per-shard protocol (per-edge RNG
 streams seeded from ``mesh.rng`` in sorted edge order, identical
 quanta, identical barrier replay), so ``mesh.run``, ``workers=2`` and
 ``workers=8`` produce bit-for-bit the same merged ledger, directory,
@@ -48,7 +48,7 @@ all shards are replayed into one fresh
 :class:`~repro.sim.city.handoff.HandoffLedger` in global time order so
 ``decode`` vs ``redecode`` is re-classified with *city-wide* knowledge
 (a shard alone cannot know a tag was first decoded two corridors away);
-per-group metrics registries merge in sorted group order.
+per-shard metrics registries merge in sorted edge order.
 
 Observability: in-process shards record straight into ``mesh.obs``,
 sim-time trace spans included, so every station's rounds land on its
@@ -60,22 +60,19 @@ This module is the **only** place in ``src/`` allowed to import
 ``multiprocessing`` (the ``parallel-policy`` analyzer enforces it).
 Workers are forked, so shard objects cross by memory inheritance and
 only plain data (sighting tuples, observations, push intents) and the
-final per-group payloads travel the pipes.
+final per-shard payloads travel the pipes.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from ...constants import READER_RANGE_M
 from ...errors import ConfigurationError
 from ..events import EventScheduler
-from ..medium import AirLog
 from ..mobility import ConstantSpeedTrajectory
 from .handoff import (
     DECODE,
@@ -89,9 +86,8 @@ from .handoff import (
 )
 from .mesh import CityMesh, MeshResult
 from .moving import MovingTag
-from .pool import ResponsePool
 
-__all__ = ["interference_groups", "run_sharded"]
+__all__ = ["run_sharded"]
 
 #: Default rendezvous quantum: directory replay and push delivery happen
 #: at this cadence. Well below the seconds a car needs between poles
@@ -99,47 +95,6 @@ __all__ = ["interference_groups", "run_sharded"]
 #: entry ahead of arrival; identical for every worker count by
 #: construction, so it never breaks invariance — only push timing.
 DEFAULT_SYNC_QUANTUM_S = 0.25
-
-
-# -- partitioning ----------------------------------------------------------
-
-
-def interference_groups(mesh: CityMesh) -> list[list[str]]:
-    """Partition edges into interference-closed groups, from geometry.
-
-    Two edges couple when their road frames come within
-    ``interference_range_m`` plus radio slack (``2 * READER_RANGE_M``,
-    the same margin the mesh layout validator uses) of each other on
-    the global city axis; groups are the connected components. With
-    the standard mesh layout every group is a singleton — but the
-    partition is *derived*, so a future layout that packs frames
-    closer degrades to fewer, larger shards instead of silently
-    wrong radio semantics.
-
-    Returns groups as lists of edge names (mesh insertion order within
-    a group), sorted by each group's first edge name.
-    """
-    names = list(mesh.edges)
-    spans = [
-        (mesh.edges[name].entry_x_m, mesh.edges[name].exit_x_m) for name in names
-    ]
-    reach = mesh.interference_range_m + 2.0 * READER_RANGE_M
-    parent = list(range(len(names)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_x = sorted(range(len(names)), key=lambda i: spans[i][0])
-    for a, b in zip(by_x, by_x[1:]):
-        if spans[b][0] - spans[a][1] <= reach:
-            parent[find(a)] = find(b)
-    components: dict[int, list[str]] = {}
-    for i, name in enumerate(names):
-        components.setdefault(find(i), []).append(name)
-    return sorted(components.values(), key=lambda group: group[0])
 
 
 # -- the itinerary (coordinator-side car motion) ---------------------------
@@ -224,21 +179,18 @@ def _plan_itinerary(
 
 
 class _ShardGroup:
-    """One interference-closed group: own scheduler, ether, and ledger.
+    """One corridor edge: its own scheduler, ether and ledger.
 
     Built by the coordinator *before* forking, so workers inherit the
-    fully-wired shard by memory. Rewires every member corridor off the
-    mesh's shared services onto shard-local ones:
+    fully-wired shard by memory. The edge's corridor keeps its own
+    air log, response pool and handoff ledger (the ledger is
+    re-classified city-wide at merge); the shard rewires only:
 
-    * fresh :class:`AirLog` / :class:`ResponsePool` (radio locality is
-      guaranteed by the partition, so local logs are semantically
-      identical to slices of one shared log);
-    * a fresh :class:`HandoffLedger` (globally re-classified at merge);
     * a per-edge RNG stream (one ``Generator`` shared by the corridor,
       its waveform bank and every station source);
     * the obs hook the run hands it (``mesh.obs`` in-process, a minted
-      per-shard hook or None when forked), rewired into every station's
-      MAC and §5 counter;
+      per-shard hook or None when forked), rewired into the air log,
+      the pool, and every station's MAC and §5 counter;
     * an ``on_sighting`` hook, and a stand-in for ``mesh.services`` when
       any are subscribed, that *buffer* into the outbox instead of
       reporting — the directory and the services live with the
@@ -246,60 +198,45 @@ class _ShardGroup:
     """
 
     def __init__(
-        self,
-        mesh: CityMesh,
-        edge_names: list[str],
-        edge_seeds: dict[str, int],
-        duration_s: float,
-        obs=None,
+        self, mesh: CityMesh, edge, seed: int, duration_s: float, obs=None
     ) -> None:
-        self.key = edge_names[0]
-        self.edge_names = list(edge_names)
-        self.interference_range_m = mesh.interference_range_m
+        self.key = edge.name
+        self.edge = edge
         self.obs = obs
-        self._edges = [mesh.edges[name] for name in edge_names]
-        # Every edge corridor sized its own air log's sensing slack (and
-        # the matching pool scan-back) for its decode burst; the shared
-        # ones must cover the widest.
-        slack_s = max(edge.corridor.air.sense_slack_s for edge in self._edges)
-        self.ledger = HandoffLedger()
-        self.air = AirLog(sense_slack_s=slack_s, obs=self.obs)
-        self.pool = ResponsePool(slack_s=slack_s, obs=self.obs)
-        self.scheduler = EventScheduler(obs=self.obs)
+        corridor = edge.corridor
+        self.ledger = corridor.ledger
+        self.scheduler = EventScheduler(obs=obs)
         self.outbox: list[tuple] = []
-        self._stations: dict[str, object] = {}
-        for edge in self._edges:
-            corridor = edge.corridor
-            rng = np.random.default_rng(edge_seeds[edge.name])
-            corridor.rng = rng
-            corridor.air = self.air
-            corridor.pool = self.pool
-            corridor.ledger = self.ledger
-            corridor.obs = self.obs
-            corridor._station_obs = {
-                s.name: None if self.obs is None else self.obs.labeled(station=s.name)
-                for s in corridor.stations
-            }
-            corridor.on_sighting = self._buffer_sighting
-            corridor.services = [self] if mesh.services else []
-            for station in corridor.stations:
-                station.source.rng = rng
-                station.source.bank.rng = rng
-                for part in station.observed_parts():
-                    part.obs = corridor._station_obs[station.name]
-                self._stations[station.name] = station
-            corridor.prime(self.scheduler, duration_s)
+        self._stations = {station.name: station for station in corridor.stations}
+        rng = np.random.default_rng(seed)
+        corridor.rng = rng
+        corridor.air.obs = obs
+        corridor.pool.obs = obs
+        corridor.obs = obs
+        corridor._station_obs = {
+            name: None if obs is None else obs.labeled(station=name)
+            for name in self._stations
+        }
+        corridor.on_sighting = self._buffer_sighting
+        corridor.services = [self] if mesh.services else []
+        for station in corridor.stations:
+            station.source.rng = rng
+            station.source.bank.rng = rng
+            for part in station.observed_parts():
+                part.obs = corridor._station_obs[station.name]
+        corridor.prime(self.scheduler, duration_s)
 
-    def schedule_admissions(self, admissions: dict[str, list[_Admission]]) -> None:
-        for edge in self._edges:
-            for adm in admissions[edge.name]:
-                self.scheduler.schedule(
-                    adm.t_s,
-                    self._make_entry(edge, adm),
-                    label=f"car{adm.transponder.tag_id}-enter",
-                )
+    def schedule_admissions(self, admissions: list[_Admission]) -> None:
+        for adm in admissions:
+            self.scheduler.schedule(
+                adm.t_s,
+                self._make_entry(adm),
+                label=f"car{adm.transponder.tag_id}-enter",
+            )
 
-    def _make_entry(self, edge, adm: _Admission):
+    def _make_entry(self, adm: _Admission):
+        edge = self.edge
+
         def enter(scheduler: EventScheduler) -> None:
             trajectory = ConstantSpeedTrajectory(
                 start_m=np.array([edge.entry_x_m, adm.lane_y_m, 1.0]),
@@ -313,7 +250,7 @@ class _ShardGroup:
 
     def _post(self, t_s: float, item) -> None:
         # (t_s, arrival index, item): the index is the canonical
-        # within-group tie-breaker the coordinator sorts replays by.
+        # within-shard tie-breaker the coordinator sorts replays by.
         self.outbox.append((float(t_s), len(self.outbox), item))
 
     def _buffer_sighting(
@@ -378,17 +315,11 @@ class _ShardGroup:
         """Everything the coordinator's merge needs, pickle-friendly."""
         return {
             "key": self.key,
-            "edges": {e.name: e.corridor.finish() for e in self._edges},
+            "result": self.edge.corridor.finish(),
             "ledger": self.ledger,
             "pushed": {
-                station.name: dict(station.pushed)
-                for edge in self._edges
-                for station in edge.corridor.stations
+                name: dict(station.pushed) for name, station in self._stations.items()
             },
-            "responses": len(self.air.responses()),
-            "corrupted": len(
-                self.air.corrupted_responses(self.interference_range_m)
-            ),
             "metrics": None if self.obs is None else self.obs.metrics,
             "events_processed": self.scheduler.processed,
         }
@@ -535,7 +466,7 @@ def run_sharded(
     in_process: bool = False,
     shard_obs_factory=None,
 ) -> MeshResult:
-    """Run a built (un-run) mesh via interference-closed shard groups.
+    """Run a built (un-run) mesh, one shard per corridor edge.
 
     :meth:`CityMesh.run` is this call with ``workers=1,
     in_process=True``; every worker count gives the same bytes (see the
@@ -545,24 +476,24 @@ def run_sharded(
     Args:
         mesh: a fully built :class:`CityMesh` that has not run.
         duration_s: simulated seconds.
-        workers: forked worker processes; groups are dealt round-robin.
-            Capped at the number of groups.
+        workers: forked worker processes; shards are dealt round-robin
+            in sorted edge order. Capped at the number of edges.
         sync_quantum_s: rendezvous cadence for directory replay and
             push delivery. Must be identical across runs being
             compared; changing it changes push timing (not safety).
-        in_process: host every group in the coordinator process —
+        in_process: host every shard in the coordinator process —
             same protocol, same results, no fork (what
             :meth:`CityMesh.run` does; also platforms without
             ``fork``). Shards record straight into ``mesh.obs``, trace
             spans included.
         shard_obs_factory: zero-arg callable minting one fresh obs hook
-            per shard group of a *forked* run (e.g. ``Obs``). Library
+            per shard of a *forked* run (e.g. ``Obs``). Library
             code may not construct hooks itself (the obs-policy
             contract), so forked per-shard instrumentation is opt-in:
             without a factory forked shards run unobserved and only
             coordinator-side series (directory, car counts, backhaul)
             land in ``mesh.obs``. With one, shard registries merge into
-            ``mesh.obs.metrics`` after the run, in sorted group order.
+            ``mesh.obs.metrics`` after the run, in sorted edge order.
             Ignored in-process and when ``mesh.obs`` is None.
     """
     if mesh._ran:
@@ -594,11 +525,11 @@ def run_sharded(
         return shard_obs_factory()
 
     groups = [
-        _ShardGroup(mesh, edge_names, edge_seeds, duration_s, obs=shard_obs())
-        for edge_names in interference_groups(mesh)
+        _ShardGroup(mesh, mesh.edges[name], seed, duration_s, obs=shard_obs())
+        for name, seed in edge_seeds.items()
     ]
     for group in groups:
-        group.schedule_admissions(admissions)
+        group.schedule_admissions(admissions[group.key])
     station_group = {
         name: group.key for group in groups for name in group._stations
     }
@@ -608,7 +539,7 @@ def run_sharded(
         hosts = [_LocalHost(groups)]
     else:
         ctx = multiprocessing.get_context("fork")
-        # workers is capped at len(groups), so every host gets >= 1 group.
+        # workers is capped at len(groups), so every host gets >= 1 shard.
         hosts = []
         for w in range(workers):
             dealt = [g for i, g in enumerate(groups) if i % workers == w]
@@ -635,7 +566,7 @@ def run_sharded(
         the backhaul plane (directory, taps, push decisions),
         observations into ``mesh.services``; then advance the plane's
         links to the quantum boundary. Returns the pushes that reached
-        their poles, by target group."""
+        their poles, by target shard."""
         reports.sort(key=lambda r: (r[1], r[0], r[2]))
         for _, t_s, _, item in reports:
             if isinstance(item, tuple):
@@ -688,10 +619,10 @@ def _merge(
     sync_quantum_s: float,
     groups: list[_ShardGroup],
 ) -> MeshResult:
-    """Rebuild the mesh-wide result from per-group payloads, canonically.
+    """Rebuild the mesh-wide result from per-edge payloads, canonically.
 
     The merged ledger is a *replay*, not a concatenation: sighting
-    records stream in global ``(t_s, group, local index)`` order through
+    records stream in global ``(t_s, edge, local index)`` order through
     a fresh ledger so decode/redecode classification sees city-wide
     knowledge. The push-miss sweep then records every pushed entry no
     sighting consumed (edge order, station order, sorted tag ids): the
@@ -757,11 +688,8 @@ def _merge(
         getattr(merged, attr).extend(sorted(rows))
 
     # The speculative-push sweep.
-    group_of_edge = {
-        name: group.key for group in groups for name in group.edge_names
-    }
     for edge_name, edge in mesh.edges.items():
-        pushed = payloads[group_of_edge[edge_name]]["pushed"]
+        pushed = payloads[edge_name]["pushed"]
         for station in edge.corridor.stations:
             leftovers = pushed.get(station.name, {})
             for tag_id in sorted(leftovers):
@@ -772,7 +700,7 @@ def _merge(
 
     edges = {}
     for edge_name in mesh.edges:
-        result = payloads[group_of_edge[edge_name]]["edges"][edge_name]
+        result = payloads[edge_name]["result"]
         result.ledger = merged
         edges[edge_name] = result
 
@@ -799,13 +727,11 @@ def _merge(
         cars_injected=mesh.cars_injected,
         cars_transferred=mesh.cars_transferred,
         cars_departed=mesh.cars_departed,
-        responses=sum(payloads[key]["responses"] for key in ordered_keys),
-        corrupted_responses=sum(
-            payloads[key]["corrupted"] for key in ordered_keys
-        ),
+        responses=sum(r.responses for r in edges.values()),
+        corrupted_responses=sum(r.corrupted_responses for r in edges.values()),
         workers=workers,
         sync_quantum_s=sync_quantum_s,
-        groups=tuple(tuple(group.edge_names) for group in groups),
+        groups=tuple((group.key,) for group in groups),
         events_processed={
             key: payloads[key]["events_processed"] for key in ordered_keys
         },
@@ -813,46 +739,3 @@ def _merge(
     mesh.ledger = merged
     mesh.cross_corridor_stats(result, station_edge)
     return result
-
-
-# -- CI smoke --------------------------------------------------------------
-
-
-def _smoke(workers: int, duration_s: float) -> int:  # pragma: no cover
-    """Tiny invariance check for CI: ``mesh.run`` vs N forked workers."""
-    from .mesh import downtown_grid
-
-    def build():
-        return downtown_grid(2, 2, rng=7, rate_per_s=0.5)
-
-    summaries = [
-        build().run(duration_s).summary(),
-        run_sharded(build(), duration_s, workers=workers).summary(),
-    ]
-    # Compare as canonical JSON text: short runs legitimately carry NaN
-    # means (no cross-corridor entries yet), and NaN != NaN would fail a
-    # plain dict comparison even on identical results.
-    canon = [json.dumps(s, sort_keys=True) for s in summaries]
-    if canon[0] != canon[-1]:
-        print(f"FAIL: mesh.run differs from {workers} forked workers")
-        return 1
-    ledger = summaries[0]["handoff_ledger"]
-    print(
-        f"ok: mesh.run == {workers} forked workers "
-        f"(sightings={ledger['sightings']}, pushes={ledger['pushes_sent']}, "
-        f"cars={summaries[0]['cars_injected']})"
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import argparse
-
-    parser = argparse.ArgumentParser(description="sharded mesh smoke test")
-    parser.add_argument("--smoke", action="store_true", help="run the CI smoke")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--duration", type=float, default=12.0)
-    args = parser.parse_args()
-    if args.smoke:
-        raise SystemExit(_smoke(args.workers, args.duration))
-    parser.error("nothing to do (pass --smoke)")

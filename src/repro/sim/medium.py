@@ -18,6 +18,11 @@ abstract reader population over one ``AirLog`` for the §9 benchmark; the
 city corridor engine (:mod:`repro.sim.city`) drives *real* reader
 stations over another.
 
+One log is one ether: every transmission on it is heard by every reader
+on it, as on one street. A city keeps distant streets apart by giving
+each its own log (the mesh runs every corridor edge on its own), not by
+placing transmissions along an axis.
+
 Readers run the :class:`~repro.core.mac.ReaderMac` policy against what
 they can hear. The benchmark compares corrupted-response rates with CSMA
 on versus off (ALOHA-style blind querying).
@@ -43,15 +48,6 @@ __all__ = ["TxKind", "Transmission", "AirLog", "ReaderNode", "Medium"]
 _SWEEP_MARGIN_S = 1e-6
 
 
-def _any_reaches(xs_m: list, x_m: float, range_m: float) -> bool:
-    """Whether a listener at ``x_m`` hears any of a window's responders
-    (:meth:`Transmission.reaches` over the window's records)."""
-    for tx_x_m in xs_m:
-        if tx_x_m is None or abs(tx_x_m - x_m) <= range_m:
-            return True
-    return False
-
-
 class TxKind(enum.Enum):
     QUERY = "query"
     RESPONSE = "response"
@@ -66,13 +62,6 @@ class Transmission:
     *every* reader in range — the shared-medium bookkeeping (e.g. the
     city corridor's cross-pole response pool) uses this field to tie
     overheard captures back to the transmission that explains them.
-
-    ``x_m`` is the transmitter's along-city coordinate, when the caller
-    models a deployment larger than one street: a city mesh shares one
-    time axis across corridors that are physically far apart, and a
-    query on one street neither carrier-senses nor corrupts anything on
-    another. None (the default) means "audible everywhere" — the
-    single-street behavior every pre-mesh caller gets unchanged.
     """
 
     kind: TxKind
@@ -80,22 +69,9 @@ class Transmission:
     start_s: float
     end_s: float
     triggered_by: str | None = None
-    x_m: float | None = None
 
     def overlaps(self, other: "Transmission") -> bool:
         return self.start_s < other.end_s and other.start_s < self.end_s
-
-    def reaches(self, x_m: float | None, range_m: float | None) -> bool:
-        """Whether a listener at ``x_m`` hears this transmission.
-
-        Distance gating only applies when all three of the
-        transmission's coordinate, the listener's coordinate and the
-        range are known — any None falls back to "hears everything",
-        the single-street model.
-        """
-        if range_m is None or x_m is None or self.x_m is None:
-            return True
-        return abs(self.x_m - x_m) <= range_m
 
 
 class AirLog:
@@ -114,11 +90,10 @@ class AirLog:
     responding tag included, and every count and sweep reads it.
     Carrier sensing reads a smaller view instead: one entry per query
     and one per response window, since the responders one query
-    triggers share one interval (§3) and a listener hears the window
-    when it hears any of them. The view is built lazily from records the
-    last sense has not seen (a log nobody senses builds none) and
-    trimmed from the front as its entries die, so it holds only recent
-    traffic.
+    triggers share one interval (§3). The view is built lazily from
+    records the last sense has not seen (a log nobody senses builds
+    none) and trimmed from the front as its entries die, so it holds
+    only recent traffic.
     """
 
     def __init__(self, sense_slack_s: float = 0.25, obs=None) -> None:
@@ -134,18 +109,17 @@ class AirLog:
         #: Longest recorded query, end minus start: bounds how far back
         #: the corruption sweep looks for a query overlapping a response.
         self._longest_query_s = 0.0
-        #: The sensing view: ``(start_s, end_s, kind, responder x_m
-        #: list, triggered_by)`` entries in record order, and how many
-        #: records it has folded in (see :meth:`heard_state`).
+        #: The sensing view: ``(start_s, end_s, kind, triggered_by)``
+        #: entries in record order, and how many records it has folded
+        #: in (see :meth:`heard_state`).
         self._heard: deque[tuple] = deque()
         self._heard_folded = 0
-        # End-of-run sweeps over a *shared* log are repeated per caller
-        # (every mesh corridor collects its own result); the log is
-        # append-only, so one-slot caches keyed by record count make
+        # End-of-run sweeps may be repeated by several callers; the log
+        # is append-only, so one-slot caches keyed by record count make
         # the repeats O(1) instead of re-sorting/re-scanning the whole
-        # city's history each time.
+        # history each time.
         self._sorted_queries_cache: tuple[int, list[Transmission]] | None = None
-        self._corrupted_cache: tuple[tuple[int, float | None], list[Transmission]] | None = None
+        self._corrupted_cache: tuple[int, list[Transmission]] | None = None
         #: Nullable observability hook (see :mod:`repro.obs`): counts
         #: every recorded transmission by kind and source.
         self.obs = obs
@@ -160,33 +134,20 @@ class AirLog:
             self.obs.count(f"air.{tx.kind.value}", source=tx.source)
         return tx
 
-    def record_query(
-        self, source: str, start_s: float, x_m: float | None = None
-    ) -> Transmission:
-        """Record a standard 20 µs query starting at ``start_s``.
-
-        ``x_m`` optionally places the transmitter along the city axis
-        (see :class:`Transmission`); omit it for single-street worlds.
-        """
+    def record_query(self, source: str, start_s: float) -> Transmission:
+        """Record a standard 20 µs query starting at ``start_s``."""
         return self.record(
-            Transmission(
-                TxKind.QUERY, source, start_s, start_s + QUERY_DURATION_S, x_m=x_m
-            )
+            Transmission(TxKind.QUERY, source, start_s, start_s + QUERY_DURATION_S)
         )
 
     def record_response(
-        self,
-        source: str,
-        start_s: float,
-        triggered_by: str | None = None,
-        x_m: float | None = None,
+        self, source: str, start_s: float, triggered_by: str | None = None
     ) -> Transmission:
         """Record a standard 512 µs tag response starting at ``start_s``.
 
         ``triggered_by`` names the reader whose query opened the window,
         so overheard-capture bookkeeping can find the on-air record that
-        backs each synthesized capture. ``x_m`` optionally places the
-        responding tag along the city axis.
+        backs each synthesized capture.
         """
         return self.record(
             Transmission(
@@ -195,7 +156,6 @@ class AirLog:
                 start_s,
                 start_s + RESPONSE_DURATION_S,
                 triggered_by=triggered_by,
-                x_m=x_m,
             )
         )
 
@@ -218,18 +178,14 @@ class AirLog:
         end_s: float,
         exclude_source: str | None = None,
         exclude_start_s: float | None = None,
-        x_m: float | None = None,
-        hear_range_m: float | None = None,
     ) -> bool:
         """Whether any recorded query steps on the interval.
 
         ``exclude_source``/``exclude_start_s`` skip one transmission (a
-        caller's own query). ``x_m``/``hear_range_m`` restrict the check
-        to queries a receiver at that along-city coordinate could hear
-        (a mesh question; both default off). Queries are recorded in
-        near time order, so the scan walks back from the newest record
-        and stops once it is ``sense_slack_s`` past any possible overlap
-        — O(recent traffic), not O(run history).
+        caller's own query). Queries are recorded in near time order, so
+        the scan walks back from the newest record and stops once it is
+        ``sense_slack_s`` past any possible overlap — O(recent traffic),
+        not O(run history).
         """
         for query in reversed(self._queries):
             if query.end_s < start_s - self.sense_slack_s:
@@ -238,8 +194,6 @@ class AirLog:
                 # can still reach the interval.
                 break
             if query.start_s >= end_s or query.end_s <= start_s:
-                continue
-            if not query.reaches(x_m, hear_range_m):
                 continue
             if (
                 exclude_source is not None
@@ -253,13 +207,7 @@ class AirLog:
     def responses(self) -> list[Transmission]:
         return [t for t in self.transmissions if t.kind is TxKind.RESPONSE]
 
-    def heard_state(
-        self,
-        now_s: float,
-        horizon_s: float = 10e-3,
-        x_m: float | None = None,
-        hear_range_m: float | None = None,
-    ) -> CsmaState:
+    def heard_state(self, now_s: float, horizon_s: float = 10e-3) -> CsmaState:
         """What a reader carrier-sensing at ``now_s`` knows about the air.
 
         A started transmission contributes its full interval (the
@@ -268,17 +216,12 @@ class AirLog:
         start still lies in the future are *announced*: a decode burst's
         remaining 1 ms-cadence queries (§12.4) are predictable from its
         first, and the MAC keeps its own response slot clear of them.
-        ``x_m``/``hear_range_m`` place the listener along the city axis:
-        transmissions farther than the hearing range contribute nothing
-        (distant streets share the clock, not the ether); both default
-        off. Transmissions ending more than ``horizon_s`` before
-        ``now_s`` are dropped — they cannot affect a 120 µs listen
-        decision.
+        Transmissions ending more than ``horizon_s`` before ``now_s``
+        are dropped — they cannot affect a 120 µs listen decision.
 
         The scan reads the sensing view, not the records: consecutive
         response records with equal start, end and ``triggered_by`` (one
-        query's responders) are one entry, heard when any responder's
-        ``x_m`` reaches the listener. Entries ending before
+        query's responders) are one entry. Entries ending before
         ``now_s - horizon_s - sense_slack_s`` leave the front of the view
         (records are appended in near time order, so a later sense
         never needs them), and sensing cost tracks recent traffic
@@ -290,46 +233,28 @@ class AirLog:
         heard = self._heard
         transmissions = self.transmissions
         for tx in transmissions[self._heard_folded :]:
-            last = heard[-1] if heard else None
             if (
                 tx.kind is TxKind.RESPONSE
-                and last is not None
-                and last[2] == "response"
-                and last[0] == tx.start_s
-                and last[1] == tx.end_s
-                and last[4] == tx.triggered_by
+                and heard
+                and heard[-1] == (tx.start_s, tx.end_s, "response", tx.triggered_by)
             ):
-                last[3].append(tx.x_m)
-            else:
-                heard.append(
-                    (tx.start_s, tx.end_s, tx.kind.value, [tx.x_m], tx.triggered_by)
-                )
+                continue
+            heard.append((tx.start_s, tx.end_s, tx.kind.value, tx.triggered_by))
         self._heard_folded = len(transmissions)
         while heard and heard[0][1] < prune_floor:
             heard.popleft()
-        everywhere = x_m is None or hear_range_m is None
         return CsmaState.from_heard(
-            [
-                (start, end, kind)
-                for start, end, kind, responders_x_m, _ in heard
-                if end >= floor
-                and (everywhere or _any_reaches(responders_x_m, x_m, hear_range_m))
-            ]
+            [(start, end, kind) for start, end, kind, _ in heard if end >= floor]
         )
 
-    def corrupted_responses(
-        self, interference_range_m: float | None = None
-    ) -> list[Transmission]:
+    def corrupted_responses(self) -> list[Transmission]:
         """Responses overlapped by some reader's query transmission.
 
-        ``interference_range_m`` gates corruption by along-city distance
-        between the query and the response (mesh worlds; positions or
-        range missing fall back to "everything interferes"). The sweep
-        is cached until the next record, so per-corridor result
-        collection over one shared mesh log pays for it once (callers
-        must not mutate the returned list).
+        The sweep is cached until the next record, so repeated result
+        collection pays for it once (callers must not mutate the
+        returned list).
         """
-        key = (len(self.transmissions), interference_range_m)
+        key = len(self.transmissions)
         cache = self._corrupted_cache
         if cache is not None and cache[0] == key:
             return cache[1]
@@ -342,10 +267,7 @@ class AirLog:
             # than the longest query before it starts, can overlap.
             lo = bisect.bisect_left(starts, response.start_s - reach_s)
             hi = bisect.bisect_left(starts, response.end_s)
-            if any(
-                q.overlaps(response) and q.reaches(response.x_m, interference_range_m)
-                for q in queries[lo:hi]
-            ):
+            if any(q.overlaps(response) for q in queries[lo:hi]):
                 corrupted.append(response)
         self._corrupted_cache = (key, corrupted)
         return corrupted

@@ -9,7 +9,7 @@ The contract under test (see ``src/repro/sim/city/parallel.py``):
   subscribed services all agree;
 * a shard worker that dies fails the run loudly, naming its groups and
   the quantum being advanced;
-* the interference partition is derived from geometry, not assumed.
+* every edge is one shard, built in sorted edge name order.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ import pytest
 from repro.apps import CarFinder
 from repro.errors import ConfigurationError
 from repro.obs import Obs
-from repro.sim.city import (
-    BackhaulConfig,
-    downtown_grid,
-    interference_groups,
-    run_sharded,
-)
+from repro.sim.city import BackhaulConfig, CityMesh, downtown_grid, run_sharded
 from repro.sim.city.parallel import _quantum_boundaries, _ShardGroup
 
 from tests.test_city_mesh import chain_mesh
@@ -50,33 +45,15 @@ def summary_json(result) -> str:
     return json.dumps(result.summary(), sort_keys=True)
 
 
-class TestInterferenceGroups:
-    def test_standard_layout_is_all_singletons(self):
-        mesh = downtown_grid(2, 3, rng=0)
-        groups = interference_groups(mesh)
-        assert groups == [[name] for name in sorted(mesh.edges)]
-
-    def test_groups_cover_every_edge_exactly_once(self):
-        mesh = chain_mesh("push", seed=3)
-        groups = interference_groups(mesh)
-        flat = [name for group in groups for name in group]
-        assert sorted(flat) == sorted(mesh.edges)
-
-    def test_overlapping_frames_merge_into_one_group(self):
-        # The real mesh validator forbids this layout; feed the
-        # partition a geometry stub to exercise the coupled path.
-        def fake_edge(x0, x1):
-            return SimpleNamespace(entry_x_m=x0, exit_x_m=x1)
-
-        mesh = SimpleNamespace(
-            edges={
-                "a": fake_edge(0.0, 100.0),
-                "b": fake_edge(150.0, 250.0),  # 50 m gap: couples with a
-                "c": fake_edge(5000.0, 5100.0),  # far: own group
-            },
-            interference_range_m=500.0,
-        )
-        assert interference_groups(mesh) == [["a", "b"], ["c"]]
+class TestOneShardPerEdge:
+    def test_shards_are_the_edges_in_sorted_name_order(self):
+        mesh = CityMesh(rng=0)
+        for name in ("north", "east", "south", "west"):
+            mesh.add_edge(name)
+        result = run_sharded(mesh, 0.5, workers=1, in_process=True)
+        assert result.groups == (("east",), ("north",), ("south",), ("west",))
+        assert list(result.edges) == ["north", "east", "south", "west"]
+        assert set(result.events_processed) == set(mesh.edges)
 
 
 class TestQuantumBoundaries:
@@ -275,7 +252,7 @@ class TestLoudWorkers:
         it and surface the loud error."""
         advance = _ShardGroup.advance
         mesh = downtown_grid(1, 2, rng=3)
-        doomed = interference_groups(mesh)[-1][0]
+        doomed = sorted(mesh.edges)[-1]
 
         def dying_advance(self, t_s, intents):
             if self.key == doomed and t_s > 1.0:

@@ -287,54 +287,17 @@ class TestAirLog:
         state = air.heard_state(1.0, horizon_s=10e-3)
         assert state.busy_intervals == []
 
-    def test_distance_gates_sensing_and_corruption(self):
-        """Mesh worlds: a far-away street's query is neither carrier-
-        sensed nor able to corrupt a response; placing it near restores
-        the single-street behavior; positions or range missing mean
-        'audible everywhere' (the pre-mesh default, unchanged)."""
-        air = AirLog()
-        air.record_query("far", 100e-6, x_m=2000.0)
-        response = air.record_response("tag0", 0.0, x_m=0.0)
-        # A listener at x=0 with a 500 m hearing range hears the nearby
-        # response but not the distant query.
-        state = air.heard_state(1e-3, x_m=0.0, hear_range_m=500.0)
-        assert state.query_spans() == []
-        assert state.response_energy_intervals() == [(0.0, RESPONSE_DURATION_S)]
-        assert not air.any_query_overlapping(
-            response.start_s, response.end_s, x_m=0.0, hear_range_m=500.0
-        )
-        assert air.corrupted_responses(interference_range_m=500.0) == []
-        # The same query placed nearby is heard and corrupts.
-        near = air.record_query("near", 150e-6, x_m=100.0)
-        assert air.any_query_overlapping(
-            response.start_s, response.end_s, x_m=0.0, hear_range_m=500.0
-        )
-        assert air.corrupted_responses(interference_range_m=500.0) == [response]
-        # Without a range (or without positions), everything interferes.
-        assert air.corrupted_responses() == [response]
-        legacy = AirLog()
-        legacy_response = legacy.record_response("tag0", 0.0)
-        legacy.record_query("B", 100e-6)
-        assert legacy.corrupted_responses(interference_range_m=1.0) == [
-            legacy_response
-        ]
-        assert near.reaches(0.0, 500.0)
-
 
 class TestCorruptionSweep:
     """The bounded sweep equals the brute-force check of every response
     against every query."""
 
     @staticmethod
-    def _brute_force(air: AirLog, interference_range_m):
+    def _brute_force(air: AirLog):
         return [
             response
             for response in air.responses()
-            if any(
-                query.overlaps(response)
-                and query.reaches(response.x_m, interference_range_m)
-                for query in air.queries()
-            )
+            if any(query.overlaps(response) for query in air.queries())
         ]
 
     @staticmethod
@@ -343,29 +306,22 @@ class TestCorruptionSweep:
         horizon_s = 0.05
         for _ in range(int(rng.integers(20, 200))):
             start = float(rng.uniform(0.0, horizon_s))
-            x_m = None if rng.random() < 0.2 else float(rng.uniform(0.0, 1500.0))
             if rng.random() < 0.5:
-                air.record_query(f"r{rng.integers(4)}", start, x_m=x_m)
+                air.record_query(f"r{rng.integers(4)}", start)
             else:
-                air.record_response(f"t{rng.integers(50)}", start, x_m=x_m)
+                air.record_response(f"t{rng.integers(50)}", start)
         # Queries longer than the standard 20 us, recorded directly: the
         # sweep's lower bound must widen to the longest one.
         for span_s in rng.uniform(QUERY_DURATION_S, 40 * QUERY_DURATION_S, 3):
             start = float(rng.uniform(0.0, horizon_s))
-            air.record(
-                Transmission(TxKind.QUERY, "long", start, start + float(span_s),
-                             x_m=float(rng.uniform(0.0, 1500.0)))
-            )
+            air.record(Transmission(TxKind.QUERY, "long", start, start + float(span_s)))
         return air
 
     def test_equals_brute_force_on_random_logs(self):
         rng = np.random.default_rng(9)
         for _ in range(60):
             air = self._random_log(rng)
-            for interference_range_m in (None, 100.0, 600.0):
-                assert air.corrupted_responses(interference_range_m) == (
-                    self._brute_force(air, interference_range_m)
-                )
+            assert air.corrupted_responses() == self._brute_force(air)
 
     def test_long_query_reaches_back(self):
         """A response that starts long after a long query began, but
@@ -377,7 +333,7 @@ class TestCorruptionSweep:
         assert air.corrupted_responses() == []
         air.record(Transmission(TxKind.QUERY, "long", 0.19, 0.2 + 1e-6))
         assert air.corrupted_responses() == [response]
-        assert self._brute_force(air, None) == [response]
+        assert self._brute_force(air) == [response]
 
 
 class RecordScan:
@@ -388,7 +344,7 @@ class RecordScan:
         self.air = air
         self.cursor = 0
 
-    def heard_state(self, now_s, horizon_s=10e-3, x_m=None, hear_range_m=None):
+    def heard_state(self, now_s, horizon_s=10e-3):
         floor = now_s - horizon_s
         prune_floor = floor - self.air.sense_slack_s
         transmissions = self.air.transmissions
@@ -401,7 +357,7 @@ class RecordScan:
             [
                 (tx.start_s, tx.end_s, tx.kind.value)
                 for tx in transmissions[self.cursor:]
-                if tx.end_s >= floor and tx.reaches(x_m, hear_range_m)
+                if tx.end_s >= floor
             ]
         )
 
@@ -418,19 +374,13 @@ class TestSensingView:
     """``heard_state`` reads one entry per query and per response window;
     it equals the per-record scan in everything the MAC reads."""
 
-    READERS_X_M = (0.0, 60.0, 130.0, 400.0)
-    HEAR_RANGE_M = 50.0
+    N_READERS = 4
 
-    def _window(self, air, rng, name, x_m, t_s, n):
-        query = air.record_query(name, t_s, x_m=x_m)
+    def _window(self, air, name, t_s, n):
+        query = air.record_query(name, t_s)
         start = query.end_s + TURNAROUND_S
         for k in range(n):
-            # Responders spread +-70 m around the pole, so one window's
-            # responders straddle the hearing range of a neighbour.
-            air.record_response(
-                f"tag{k}", start, triggered_by=name,
-                x_m=x_m + float(rng.uniform(-70.0, 70.0)),
-            )
+            air.record_response(f"tag{k}", start, triggered_by=name)
 
     def _random_run(self, seed, duration_s, slack_s=0.02):
         """A seeded random log sensed as it grows; yields ``(log, view
@@ -442,38 +392,37 @@ class TestSensingView:
         newest = 0.0
         while t < duration_s:
             t += float(rng.exponential(0.4e-3))
-            i = int(rng.integers(len(self.READERS_X_M)))
-            name, x_m = f"r{i}", self.READERS_X_M[i]
+            i = int(rng.integers(self.N_READERS))
+            name = f"r{i}"
             action = rng.random()
             if action < 0.45:
-                self._window(air, rng, name, x_m, t, int(rng.integers(0, 30)))
+                self._window(air, name, t, int(rng.integers(0, 30)))
             elif action < 0.6:
                 # A decode burst: its later queries are recorded ahead of
                 # the clock, one response record per burst capture.
                 for j in range(int(rng.integers(1, 5))):
                     t_q = t + j * 1e-3
-                    air.record_query(name, t_q, x_m=x_m)
+                    air.record_query(name, t_q)
                     air.record_response(
                         f"{name}-burst", t_q + QUERY_DURATION_S + TURNAROUND_S,
-                        triggered_by=name, x_m=x_m,
+                        triggered_by=name,
                     )
             elif action < 0.7:
                 # Two readers' windows whose response records interleave:
                 # equal windows that are not consecutive stay apart.
-                other = (i + 1) % len(self.READERS_X_M)
+                other = (i + 1) % self.N_READERS
                 starts = {}
                 for who in (i, other):
-                    q = air.record_query(f"r{who}", t, x_m=self.READERS_X_M[who])
+                    q = air.record_query(f"r{who}", t)
                     starts[who] = q.end_s + TURNAROUND_S
                 for k in range(int(rng.integers(2, 8))):
                     for who in (i, other):
                         air.record_response(
-                            f"tag{who}-{k}", starts[who], triggered_by=f"r{who}",
-                            x_m=self.READERS_X_M[who] + float(rng.uniform(-70.0, 70.0)),
+                            f"tag{who}-{k}", starts[who], triggered_by=f"r{who}"
                         )
             elif action < 0.75:
-                # Unplaced energy is heard everywhere.
-                air.record_response("stray", t, triggered_by=None, x_m=None)
+                # Energy no query of the log explains.
+                air.record_response("stray", t, triggered_by=None)
             kind = rng.random()
             if kind < 0.5:
                 now = t
@@ -484,10 +433,7 @@ class TestSensingView:
             else:
                 now = newest - float(rng.uniform(slack_s, 5 * slack_s))  # beyond it
             newest = max(newest, now)
-            listener = self.READERS_X_M[int(rng.integers(len(self.READERS_X_M)))]
-            gated = rng.random() < 0.7
-            x_kw = {"x_m": listener, "hear_range_m": self.HEAR_RANGE_M} if gated else {}
-            yield air, air.heard_state(now, **x_kw), scan.heard_state(now, **x_kw)
+            yield air, air.heard_state(now), scan.heard_state(now)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_equals_the_record_scan_on_random_logs(self, seed):
@@ -508,15 +454,15 @@ class TestSensingView:
 
     def test_one_entry_per_query_and_per_window(self):
         air = AirLog()
-        a = air.record_query("A", 0.0, x_m=0.0)
-        b = air.record_query("B", 0.0, x_m=100.0)
+        a = air.record_query("A", 0.0)
+        b = air.record_query("B", 0.0)
         start = a.end_s + TURNAROUND_S
         for k in range(3):
-            air.record_response(f"a{k}", start, triggered_by="A", x_m=float(k))
-        air.record_response("b0", start, triggered_by="B", x_m=100.0)
+            air.record_response(f"a{k}", start, triggered_by="A")
+        air.record_response("b0", start, triggered_by="B")
         # Window A again, after B's record: not consecutive, so apart.
-        air.record_response("a3", start, triggered_by="A", x_m=3.0)
-        air.record_response("a4", start, triggered_by="A", x_m=4.0)
+        air.record_response("a3", start, triggered_by="A")
+        air.record_response("a4", start, triggered_by="A")
         state = air.heard_state(1e-3)
         assert [entry[:3] for entry in air._heard] == [
             (a.start_s, a.end_s, "query"),
@@ -525,17 +471,8 @@ class TestSensingView:
             (start, start + RESPONSE_DURATION_S, "response"),
             (start, start + RESPONSE_DURATION_S, "response"),
         ]
-        assert [len(entry[3]) for entry in list(air._heard)[2:]] == [3, 1, 2]
+        assert [entry[3] for entry in list(air._heard)[2:]] == ["A", "B", "A"]
         assert same_state(state, RecordScan(air).heard_state(1e-3))
-
-    def test_window_heard_when_any_responder_reaches(self):
-        air = AirLog()
-        start = 140e-6
-        for x_m in (-80.0, -60.0, 45.0):  # only the last is within 50 m
-            air.record_response("t", start, triggered_by="A", x_m=x_m)
-        state = air.heard_state(1e-3, x_m=0.0, hear_range_m=50.0)
-        assert state.busy_intervals == [(start, start + RESPONSE_DURATION_S)]
-        assert air.heard_state(1e-3, x_m=-200.0, hear_range_m=50.0).busy_intervals == []
 
     def test_a_log_never_sensed_builds_no_view(self):
         air = AirLog()

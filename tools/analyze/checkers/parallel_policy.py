@@ -1,8 +1,8 @@
 """``parallel-policy``: process parallelism stays in the sharding engine.
 
 The library's determinism story depends on exactly one concurrency
-model: ``repro.sim.city.parallel`` forks interference-closed shard
-groups and merges their results canonically (worker-count invariance is
+model: ``repro.sim.city.parallel`` forks one shard per corridor edge
+and merges their results canonically (worker-count invariance is
 tested bit-for-bit). A second, ad-hoc pool elsewhere in ``src/`` —
 a ``multiprocessing.Pool`` inside a DSP routine, a thread executor in a
 simulator — would interleave RNG draws and float reductions in
