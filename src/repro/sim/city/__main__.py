@@ -1,8 +1,8 @@
 """CI smokes for the city engine: ``python -m repro.sim.city --smoke NAME``.
 
-* ``--smoke mesh [--workers N] [--duration S]`` — ``mesh.run`` (the
-  engine in-process, one worker) must give the same summary bytes as
-  ``run_sharded`` over N forked workers on a small downtown grid.
+* ``--smoke mesh [--duration S]`` — ``mesh.run`` (the engine
+  in-process, one worker) must give the same summary bytes as
+  ``run_sharded`` over two forked workers on a small downtown grid.
 * ``--smoke backhaul [--duration S]`` — all three backhaul policies plus
   one fault plan on a small grid: lossless convergence after the final
   flush, repeat-seed determinism, and ``mesh.run`` equal to a forked
@@ -24,6 +24,9 @@ from .backhaul import BackhaulConfig, FaultPlan
 from .mesh import downtown_grid
 from .parallel import run_sharded
 
+#: The seed of the small downtown grid both smokes build.
+SEED = 7
+
 #: Simulated seconds per smoke when ``--duration`` is not given.
 DEFAULT_DURATION_S = {"mesh": 12.0, "backhaul": 6.0}
 
@@ -35,33 +38,33 @@ def canon(result) -> str:
     return json.dumps(result.summary(), sort_keys=True)
 
 
-def mesh_smoke(seed: int, workers: int, duration_s: float) -> int:
-    """``mesh.run`` vs N forked workers."""
+def mesh_smoke(duration_s: float) -> int:
+    """``mesh.run`` vs two forked workers."""
 
     def build():
-        return downtown_grid(2, 2, rng=seed, rate_per_s=0.5)
+        return downtown_grid(2, 2, rng=SEED, rate_per_s=0.5)
 
     local = build().run(duration_s)
-    forked = run_sharded(build(), duration_s, workers=workers)
+    forked = run_sharded(build(), duration_s, workers=2)
     if canon(local) != canon(forked):
-        print(f"FAIL: mesh.run differs from {workers} forked workers")
+        print("FAIL: mesh.run differs from 2 forked workers")
         return 1
     summary = local.summary()
     ledger = summary["handoff_ledger"]
     print(
-        f"ok: mesh.run == {workers} forked workers "
+        "ok: mesh.run == 2 forked workers "
         f"(sightings={ledger['sightings']}, pushes={ledger['pushes_sent']}, "
         f"cars={summary['cars_injected']})"
     )
     return 0
 
 
-def backhaul_smoke(seed: int, duration_s: float) -> int:
+def backhaul_smoke(duration_s: float) -> int:
     """All three policies + one fault plan on a small grid."""
     failures: list[str] = []
 
     def build(backhaul):
-        return downtown_grid(2, 2, rng=seed, rate_per_s=0.5, backhaul=backhaul)
+        return downtown_grid(2, 2, rng=SEED, rate_per_s=0.5, backhaul=backhaul)
 
     def scheduled_cfg():
         return BackhaulConfig(policy="scheduled", sync_period_s=1.0)
@@ -92,7 +95,7 @@ def backhaul_smoke(seed: int, duration_s: float) -> int:
             policy="scheduled",
             sync_period_s=1.0,
             fault_plan=FaultPlan.seeded(
-                seed + 1,
+                SEED + 1,
                 duration_s=duration_s,
                 n_outages=2,
                 outage_s=1.5,
@@ -130,8 +133,6 @@ if __name__ == "__main__":
     parser.add_argument(
         "--smoke", choices=sorted(DEFAULT_DURATION_S), help="run one CI smoke"
     )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=2, help="mesh smoke only")
     parser.add_argument("--duration", type=float, default=None)
     args = parser.parse_args()
     if args.smoke is None:
@@ -140,5 +141,5 @@ if __name__ == "__main__":
     if duration_s is None:
         duration_s = DEFAULT_DURATION_S[args.smoke]
     if args.smoke == "mesh":
-        raise SystemExit(mesh_smoke(args.seed, args.workers, duration_s))
-    raise SystemExit(backhaul_smoke(args.seed, duration_s))
+        raise SystemExit(mesh_smoke(duration_s))
+    raise SystemExit(backhaul_smoke(duration_s))

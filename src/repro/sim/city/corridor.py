@@ -561,7 +561,8 @@ class CityCorridor:
         # query start, window start, window end, corrupted as judged at
         # harvest time). Clean entries were synthesized over the
         # station's geometry and donated; _result re-checks them against
-        # the final log.
+        # the final log. The harvesting station is kept as provenance:
+        # no window it harvests may overlap its own capture slots.
         self._overheard_log: list[tuple[str, str, float, float, float, bool]] = []
         self._ran = False
         self._primed = False

@@ -530,8 +530,11 @@ def run_sharded(
     ]
     for group in groups:
         group.schedule_admissions(admissions[group.key])
-    station_group = {
-        name: group.key for group in groups for name in group._stations
+    # One shard per edge, so a station's shard key is its edge's name.
+    station_edge = {
+        station.name: edge.name
+        for edge in mesh.edges.values()
+        for station in edge.corridor.stations
     }
 
     workers = min(int(workers), len(groups))
@@ -554,7 +557,7 @@ def run_sharded(
 
     def queue_push(intent: tuple, now_s: float) -> None:
         target_name, from_station, tag_id, cfo_hz, _t_emit, eta_s = intent
-        push_sink.setdefault(station_group[target_name], []).append(
+        push_sink.setdefault(station_edge[target_name], []).append(
             (float(now_s), target_name, from_station, tag_id, cfo_hz, eta_s)
         )
 
@@ -608,7 +611,9 @@ def run_sharded(
         for host in hosts:
             host.close()
 
-    return _merge(mesh, payloads, duration_s, workers, sync_quantum_s, groups)
+    return _merge(
+        mesh, payloads, duration_s, workers, sync_quantum_s, groups, station_edge
+    )
 
 
 def _merge(
@@ -618,6 +623,7 @@ def _merge(
     workers: int,
     sync_quantum_s: float,
     groups: list[_ShardGroup],
+    station_edge: dict[str, str],
 ) -> MeshResult:
     """Rebuild the mesh-wide result from per-edge payloads, canonically.
 
@@ -711,11 +717,6 @@ def _merge(
             if metrics is not None and metrics is not mesh.obs.metrics:
                 mesh.obs.metrics.merge(metrics)
 
-    station_edge = {
-        station.name: edge.name
-        for edge in mesh.edges.values()
-        for station in edge.corridor.stations
-    }
     result = MeshResult(
         duration_s=duration_s,
         handoff=mesh.handoff,
