@@ -207,7 +207,7 @@ def bench_city_mesh(benchmark, report):
 
     report(
         f"\nDowntown grid — {GRID_ROWS}x{GRID_COLS} = {len(grid.edges)} "
-        f"corridors, {len(grid.groups)} interference-closed groups, "
+        f"corridors, {len(grid.groups)} shards (one per edge), "
         f"{grid_duration_s:.0f} s sim, {grid.queries_sent} queries, "
         f"{sum(grid.events_processed.values())} scheduler events"
     )

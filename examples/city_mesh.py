@@ -43,6 +43,7 @@ import os
 from repro.apps import CarFinder
 from repro.obs import Obs
 from repro.sim.city import CityMesh, downtown_grid, run_sharded
+from repro.sim.city.parallel import SYNC_QUANTUM_S
 from repro.sim.traffic import TrafficLight
 
 
@@ -171,9 +172,9 @@ def main() -> None:
     print(f"directory: {result.directory}")
     events = sum(result.events_processed.values())
     print(
-        f"shards: {len(result.groups)} interference-closed groups across "
+        f"{len(result.groups)} shards (one per edge) across "
         f"{result.workers} workers, {events} scheduler events, "
-        f"sync quantum {result.sync_quantum_s * 1e3:.0f} ms"
+        f"sync quantum {SYNC_QUANTUM_S * 1e3:.0f} ms"
     )
 
     if finder is not None:

@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dsp.peaks import band_floors, detected_bins, find_peaks_in_magnitudes, quinn_offset
-from ..dsp.sfft import sparse_fft_peaks
 from ..dsp.spectrum import (
     PROBE_BLOCKS,
     Spectrum,
@@ -70,14 +69,9 @@ from ..dsp.spectrum import (
 )
 from ..errors import ConfigurationError
 from ..phy.waveform import Waveform
-from ..utils import as_rng
 from .cfo import DEFAULT_SEARCH_HI_HZ, DEFAULT_SEARCH_LO_HZ
 
 __all__ = ["BinClass", "BinObservation", "CountEstimate", "CollisionCounter"]
-
-# In-band sFFT tones weaker than this fraction of the strongest one are
-# treated as data sidelobes, not carriers (see _sfft_probe_candidates).
-_SFFT_STRONG_RATIO = 0.3
 
 # Two tones whose Gram coherence |G_jk| / N is within this of 1 (closer
 # than ~2.5e-5 bin) are one tone to working precision: the fit drops the
@@ -209,27 +203,12 @@ class CollisionCounter:
         shift_samples: window offsets for the "shift" method.
         shift_tolerance: noise-independent floor of the shift test's
             relative-magnitude-change threshold.
-        probe: how the density probe counts band crowding —
-            ``"dense"`` (default: CFAR peak detection on the averaged
-            magnitude spectrum at ``probe_snr_db``, the bit-exact
-            baseline) or ``"sfft"`` (the paper's §10 sparse-FFT
-            recovery on the first capture: aliasing bucketization +
-            phase-offset location, sub-linear in the capture length).
-            The probe only picks the regime (sparse vs dense detection
-            threshold); the decision pass itself is identical under
-            both, so the two probes disagree only when their candidate
-            counts straddle ``dense_trigger``.
-        sfft_max_tones / sfft_seed: the sparse probe's recovery budget
-            and its dedicated shift-randomness seed (a fresh seeded
-            stream per probe call keeps ``count_multi`` deterministic
-            and stateless).
         obs: nullable observability hook (see :mod:`repro.obs`): counts
             passes by regime (``count.pass``), spike verdicts by label
             (``count.spike``) and the pass's work (``count.work``):
             complex-exponential samples, FFT points, closed-form kernel
             terms and m x m solves, labelled by ``kind`` and by ``stage``
-            (detect, refine, fit, align). The sparse probe's own recovery
-            work is not counted. Never affects the estimate.
+            (detect, refine, fit, align). Never affects the estimate.
     """
 
     min_snr_db: float = 15.0
@@ -240,7 +219,6 @@ class CollisionCounter:
     min_multi_snr_db: float = 7.5
     fingerprint_corr: float = 0.85
     fingerprint_parent_ratio: float = 3.0
-    fingerprint_max_gamma: float = 8.0
     method: str = "coherence"
     slack_base: float = 0.03
     slack_gamma: float = 0.30
@@ -256,16 +234,11 @@ class CollisionCounter:
     shift_tolerance: float = 0.18
     search_lo_hz: float = DEFAULT_SEARCH_LO_HZ
     search_hi_hz: float = DEFAULT_SEARCH_HI_HZ
-    probe: str = "dense"
-    sfft_max_tones: int = 24
-    sfft_seed: int = 2015
     obs: object = None
 
     def __post_init__(self) -> None:
         if self.method not in ("coherence", "shift"):
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.probe not in ("dense", "sfft"):
-            raise ConfigurationError(f"unknown probe {self.probe!r}")
         if self.dense_snr_db > self.min_snr_db:
             raise ConfigurationError("dense threshold must not exceed the sparse one")
 
@@ -358,8 +331,6 @@ class CollisionCounter:
 
     def _probe_candidates(self, waves: list[Waveform], shared=None) -> int:
         """Candidate spike count at the permissive probe threshold."""
-        if self.probe == "sfft":
-            return self._sfft_probe_candidates(waves)
         spectra, avg_mag, floors = (
             shared if shared is not None else self._spectral_state(waves)
         )
@@ -372,56 +343,6 @@ class CollisionCounter:
             floors=floors,
         )
         return int(bins.size)
-
-    def _sfft_probe_candidates(self, waves: list[Waveform]) -> int:
-        """Band crowding via §10 sparse-FFT recovery on the first capture.
-
-        The probe only has to rank the scene against ``dense_trigger``,
-        so it runs the exactly-sparse recovery with a bounded tone
-        budget and counts how many recovered tones land inside the CFO
-        search band. Shift randomness comes from a stream seeded fresh
-        per call (``sfft_seed``): deterministic, and no draw ever leaks
-        into the burst's main rng stream.
-        """
-        wave = waves[0]
-        n = wave.n_samples
-        n_buckets = 8
-        while n_buckets < 8 * self.sfft_max_tones:
-            n_buckets *= 2
-        n_buckets = min(n_buckets, n)
-        usable = (n // n_buckets) * n_buckets
-        if usable == 0:
-            return 0
-        tones = sparse_fft_peaks(
-            wave.samples[:usable],
-            max_tones=self.sfft_max_tones,
-            n_buckets=n_buckets,
-            rng=as_rng(self.sfft_seed),
-            # A density probe only ranks the scene against dense_trigger:
-            # no full-FFT widening fallback, and a raised bucket floor
-            # (tones this weak cannot clear _SFFT_STRONG_RATIO anyway)
-            # keeps the candidate set — and so the verification cost —
-            # proportional to the real carrier population.
-            widen=False,
-            magnitude_floor_ratio=0.15,
-            probe_samples=None,
-        )
-        in_band = []
-        for tone in tones:
-            freq_hz = tone.freq_hz(wave.sample_rate_hz, usable)
-            if freq_hz > wave.sample_rate_hz / 2.0:
-                freq_hz -= wave.sample_rate_hz
-            if self.search_lo_hz <= freq_hz <= self.search_hi_hz:
-                in_band.append(abs(tone.amplitude))
-        if not in_band:
-            return 0
-        # Each tag's OOK data spectrum puts sinc sidelobes around its
-        # carrier; the recovered tone list includes the strongest of
-        # them. Carriers are mutually comparable while sidelobes sit
-        # well below, so only tones within _SFFT_STRONG_RATIO of the
-        # strongest in-band tone count toward the density estimate.
-        top = max(in_band)
-        return sum(1 for a in in_band if a >= _SFFT_STRONG_RATIO * top)
 
     # -- one detection/classification pass ----------------------------------------
 

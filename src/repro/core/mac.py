@@ -18,15 +18,12 @@ to randomize away).
 
 Energy a reader hears can be *classified*: a query is a bare sinewave, a
 tag response is OOK-modulated. :class:`CsmaState` therefore records what
-kind each busy interval was, and :class:`ReaderMac` exploits it under the
-default §9 policy (``defer_to_queries=False``): another reader's query in
-flight does not block transmission — only response energy and the
-response *window* each heard query opens do. A query heard ending at
-``e`` implies any triggered responses occupy exactly
+kind each busy interval was, and :class:`ReaderMac` exploits it: another
+reader's query in flight does not block transmission — only response
+energy and the response *window* each heard query opens do. A query
+heard ending at ``e`` implies any triggered responses occupy exactly
 ``[e + turnaround, e + turnaround + response]``; the reader's own query
-must not overlap that window. Setting ``defer_to_queries=True`` models
-the conservative reader that treats all energy alike (the ablation
-baseline): it simply waits for 120 µs of total silence.
+must not overlap that window.
 """
 
 from __future__ import annotations
@@ -71,10 +68,9 @@ class CsmaState:
     """What a reader has heard: merged busy intervals on the medium.
 
     ``busy_intervals`` is the merged union of *all* energy, regardless of
-    kind (the conservative picture). Intervals added with
-    ``kind="query"`` are additionally remembered individually, so the
-    aggressive §9 policy can subtract them from the carrier sense and
-    honor only the response windows they open.
+    kind. Intervals added with ``kind="query"`` are additionally
+    remembered individually, so the §9 policy can subtract them from the
+    carrier sense and honor only the response windows they open.
     """
 
     busy_intervals: list[tuple[float, float]] = field(default_factory=list)
@@ -180,32 +176,21 @@ class CsmaState:
 
 @dataclass
 class ReaderMac:
-    """The §9 CSMA policy: listen 120 µs, then transmit.
+    """The §9 CSMA policy: listen ``CSMA_LISTEN_S`` (120 µs, query plus
+    turnaround), then transmit; heard query energy alone never blocks.
 
     Attributes:
-        listen_s: required continuous idle time (query + turnaround).
-        query_s: duration of the query this reader would transmit.
-        defer_to_queries: if False (the default, per §9), energy
-            identified as *another reader's query* does not block
-            transmission — query collisions are benign, so the reader
-            only defers to response energy and to the response windows
-            heard queries open. Enabling it models a conservative reader
-            (every kind of energy restarts the 120 µs listen window) for
-            the ablation benchmark.
         obs: nullable observability hook (see :mod:`repro.obs`):
             counts carrier-sense verdicts by outcome. Verdict counts are
             a function of sim time and seeded state only.
     """
 
-    listen_s: float = CSMA_LISTEN_S
-    query_s: float = QUERY_DURATION_S
-    defer_to_queries: bool = False
     obs: object = None
 
     def can_transmit(self, now_s: float, state: CsmaState) -> bool:
         """Whether a reader may begin its query at ``now_s``.
 
-        The default §9 policy requires three things: 120 µs with no
+        The §9 policy requires three things: 120 µs with no
         response-or-unknown energy; the query itself clear of every
         response window heard queries have opened (rule 2 — the harmful
         case); and the *own* response slot the query triggers clear of
@@ -220,15 +205,10 @@ class ReaderMac:
             )
         return verdict
 
-    def _deferred_to(self, state: CsmaState):
-        """What the policy defers to in ``state``: (busy intervals,
-        response windows, query spans).
-
-        The conservative reader defers to every kind of energy and to
-        nothing else: the busy union and two empty lists.
-        """
-        if self.defer_to_queries:
-            return state.busy_intervals, [], []
+    @staticmethod
+    def _deferred_to(state: CsmaState):
+        """What the policy defers to in ``state``: (response energy,
+        response windows, query spans)."""
         return (
             state.response_energy_intervals(),
             state.response_windows(),
@@ -244,9 +224,9 @@ class ReaderMac:
     ) -> bool:
         """Whether a query may begin at ``now_s`` against the three lists
         of :meth:`_deferred_to`."""
-        if _idle_since(busy, now_s) < self.listen_s:
+        if _idle_since(busy, now_s) < CSMA_LISTEN_S:
             return False
-        tx_end = now_s + self.query_s
+        tx_end = now_s + QUERY_DURATION_S
         if any(now_s < w_hi and w_lo < tx_end for w_lo, w_hi in windows):
             return False
         slot_lo = tx_end + TURNAROUND_S
@@ -266,15 +246,15 @@ class ReaderMac:
         busy, windows, spans = self._deferred_to(state)
         if self._clear(now_s, busy, windows, spans):
             return now_s
-        candidates = [hi + self.listen_s for _, hi in busy]
+        candidates = [hi + CSMA_LISTEN_S for _, hi in busy]
         candidates += [w_hi for _, w_hi in windows]
         # A query interval blocking the response slot clears once the
         # slot start passes the interval end: query + turnaround earlier.
-        candidates += [q_hi - self.query_s - TURNAROUND_S for _, q_hi in spans]
+        candidates += [q_hi - QUERY_DURATION_S - TURNAROUND_S for _, q_hi in spans]
         ends = [hi for _, hi in busy] + [w_hi for _, w_hi in windows]
-        ends += [q_hi + self.listen_s for _, q_hi in spans]
+        ends += [q_hi + CSMA_LISTEN_S for _, q_hi in spans]
         if ends:
-            candidates.append(max(ends) + self.listen_s)  # always admissible
+            candidates.append(max(ends) + CSMA_LISTEN_S)  # always admissible
         for t in sorted(c for c in candidates if c > now_s):
             if self._clear(t, busy, windows, spans):
                 return t
@@ -290,11 +270,11 @@ class ReaderMac:
         windows off it, and harvesting stations use it to keep overheard
         windows clear of their own capture slots.
         """
-        start = t_query_s + self.query_s + TURNAROUND_S
+        start = t_query_s + QUERY_DURATION_S + TURNAROUND_S
         return (start, start + RESPONSE_DURATION_S)
 
     def guaranteed_safe(self, idle_observed_s: float) -> bool:
         """§9's argument, as a predicate: after ``query + turnaround`` of
         silence no tag response can start, because any response needs a
         query to have ended within the last turnaround window."""
-        return idle_observed_s >= self.listen_s
+        return idle_observed_s >= CSMA_LISTEN_S

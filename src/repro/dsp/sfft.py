@@ -33,6 +33,13 @@ from ..utils import as_rng
 
 __all__ = ["SparseTone", "sparse_fft_peaks"]
 
+#: Independent random-offset bucketizations each call votes across.
+_N_SHIFTS = 3
+
+#: Buckets (and vote clusters) weaker than this fraction of the strongest
+#: one are treated as empty.
+_MAGNITUDE_FLOOR_RATIO = 0.05
+
 
 @dataclass(frozen=True)
 class SparseTone:
@@ -105,33 +112,20 @@ def sparse_fft_peaks(
     x: np.ndarray,
     max_tones: int,
     n_buckets: int | None = None,
-    n_shifts: int = 3,
-    magnitude_floor_ratio: float = 0.05,
     rng=None,
-    widen: bool = True,
-    probe_samples: int | None = None,
 ) -> list[SparseTone]:
     """Recover the dominant tones of a frequency-sparse signal.
+
+    When fewer than ``max_tones`` tones survive, the call retries with
+    doubled bucket counts (guaranteed recovery, up to a full FFT at
+    B == N).
 
     Args:
         x: complex time signal of length N (N divisible by the bucket count).
         max_tones: recover at most this many tones.
         n_buckets: bucket count B; defaults to the smallest power of two
             >= 8 * max_tones (keeps the per-bucket collision probability low).
-        n_shifts: independent random-offset bucketizations to vote across.
-        magnitude_floor_ratio: buckets weaker than this fraction of the
-            strongest bucket are treated as empty.
         rng: seedable randomness for the shift choices.
-        widen: when fewer than ``max_tones`` tones survive, retry with
-            doubled bucket counts (guaranteed recovery, up to a full FFT
-            at B == N). Callers that only need the dominant tones of a
-            scene *sparser* than ``max_tones`` — e.g. a density probe —
-            pass ``False`` to keep the call strictly sub-linear.
-        probe_samples: sample budget of the parabolic *refinement*
-            probes (default 4096, i.e. the whole capture for N <= 4096).
-            Smaller budgets keep the refinement sub-linear; the final
-            amplitude estimate — which downstream ranking leans on —
-            always probes at the full default budget.
 
     Returns:
         Recovered tones sorted by descending magnitude.
@@ -163,7 +157,7 @@ def sparse_fft_peaks(
     # per-bucket SNR).
     strides = []
     candidate = min(stride, max(n // (2 * n_buckets), 2))
-    while len(strides) < max(n_shifts, 1) and candidate >= 2:
+    while len(strides) < _N_SHIFTS and candidate >= 2:
         strides.append(candidate)
         candidate -= 1
     votes: list[tuple[float, complex]] = []
@@ -178,7 +172,7 @@ def sparse_fft_peaks(
         base = int(rng.integers(0, max(min(pass_stride, headroom - tau_max), 1)))
         z0 = _bucketize(x, pass_stride, n_buckets, base)
         mags = np.abs(z0)
-        floor = magnitude_floor_ratio * float(mags.max()) if mags.max() > 0 else 0.0
+        floor = _MAGNITUDE_FLOOR_RATIO * float(mags.max()) if mags.max() > 0 else 0.0
         occupied = np.flatnonzero(mags > floor)
         # Strongest buckets first; cap the work at a few times max_tones.
         occupied = occupied[np.argsort(-mags[occupied])][: 4 * max_tones]
@@ -265,12 +259,7 @@ def sparse_fft_peaks(
     # at empty spectrum). All candidates refine in lockstep: one
     # (3, C, n_sub) probe tensor per parabolic round instead of a
     # Python loop of single probes.
-    refine_indices = _probe_indices(n, rng, n_sub=probe_samples or 4096)
-    indices = (
-        refine_indices
-        if probe_samples is None
-        else _probe_indices(n, rng, n_sub=4096)
-    )
+    indices = _probe_indices(n, rng)
     tones: list[SparseTone] = []
     cand = clusters[: 4 * max_tones]
     if cand:
@@ -278,18 +267,17 @@ def sparse_fft_peaks(
         # probing them would dominate the verification cost (and they
         # could not survive the relative-magnitude filter below anyway).
         top_coarse = max(abs(c[1]) for c in cand)
-        cand = [c for c in cand if abs(c[1]) >= magnitude_floor_ratio * top_coarse]
+        cand = [c for c in cand if abs(c[1]) >= _MAGNITUDE_FLOOR_RATIO * top_coarse]
     if cand:
         ks = np.array([float(c[0]) % n for c in cand])
         coarse_amp = np.array([complex(c[1]) for c in cand])
         vote_counts = np.array([int(c[2]) for c in cand])
-        xr = x[refine_indices]
         xi = x[indices]
         span = 0.5
         for _ in range(2):
             kk = ks[None, :, None] + np.array([-span, 0.0, span])[:, None, None]
-            probes = np.exp(-2j * np.pi * kk * refine_indices[None, None, :] / n)
-            mags = np.abs(np.mean(xr[None, None, :] * probes, axis=2))
+            probes = np.exp(-2j * np.pi * kk * indices[None, None, :] / n)
+            mags = np.abs(np.mean(xi[None, None, :] * probes, axis=2))
             denom = mags[0] - 2.0 * mags[1] + mags[2]
             moved = denom != 0.0
             offset = np.zeros(ks.size)
@@ -325,15 +313,9 @@ def sparse_fft_peaks(
     # Fallback: if bucket collisions swallowed tones, retry with more
     # buckets (collision probability shrinks as 1/B; at B == N this is a
     # full FFT, so termination is guaranteed).
-    if widen and len(deduped) < max_tones and n_buckets < n:
+    if len(deduped) < max_tones and n_buckets < n:
         wider = sparse_fft_peaks(
-            x,
-            max_tones=max_tones,
-            n_buckets=min(2 * n_buckets, n),
-            n_shifts=n_shifts,
-            magnitude_floor_ratio=magnitude_floor_ratio,
-            rng=rng,
-            probe_samples=probe_samples,
+            x, max_tones=max_tones, n_buckets=min(2 * n_buckets, n), rng=rng
         )
         for tone in wider:
             if all(

@@ -39,25 +39,28 @@
   ablation). Windows overlapping the harvester's own capture slots are
   skipped (the receiver was busy, and coincident triggers already merge
   into its own capture), and windows a query stepped on are dropped at
-  harvest with the same post-hoc exact-accounting treatment as burst
-  captures. Not modeled: partial-overlap mixing into an own capture and
+  harvest. Not modeled: partial-overlap mixing into an own capture and
   capture-effect suppression between overheard responses.
 
 Causality note: a station's decode burst is executed synchronously at
 its processing event, recording its (future) query transmissions into
 the air log; later events observe and defer to them. Measurement rounds
 are processed at response *end* (so every query that could have stepped
-on the response is already on the log); decode captures check corruption
-against the log as synthesized, which under-counts only the no-CSMA
-ablation where bursts interleave blindly. Accounting is exact either
-way: every burst capture is re-checked post-hoc against the final log
-(:attr:`CorridorResult.burst_corrupted_posthoc`), and end-of-run totals
-from :meth:`AirLog.corrupted_responses` cover the response side.
+on the response is already on the log); decode captures and harvested
+windows check corruption against the log as known when they are
+synthesized. Under the §9 MAC no query recorded later lands on a window
+judged clean earlier: an event-mode query senses the log first,
+announced burst queries included, every burst query does, and a rounds
+turn is exclusive. The end-of-run audit checks that invariant: it reads
+every burst capture's and donated window's verdict off the final log's
+one corruption sweep (:meth:`AirLog.corrupted_responses`), so
+:attr:`CorridorResult.burst_corruption_undercount` and
+:attr:`CorridorResult.overheard_corrupted_posthoc` stay at zero unless
+it broke.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -298,10 +301,11 @@ class CorridorResult:
     #: Decode-burst captures that carried responses, and how many of them
     #: were stepped on by another reader's query: as judged when the
     #: capture was synthesized (only transmissions known by then) versus
-    #: re-checked post-hoc against the final air log. The synthesis-time
-    #: count under-counts exactly when bursts interleave blindly (the
-    #: no-CSMA / ``defer_to_queries=False`` ablation); the post-hoc count
-    #: is exact.
+    #: as the final air log's corruption sweep judges them. The post-hoc
+    #: count is the CSMA invariant audit: the §9 MAC keeps every
+    #: later-recorded query off earlier captures, so the two counts agree
+    #: (the e2e corridor workload and ``bench_city_corridor`` check the
+    #: difference at zero).
     burst_captures: int = 0
     burst_corrupted_at_synthesis: int = 0
     burst_corrupted_posthoc: int = 0
@@ -312,10 +316,11 @@ class CorridorResult:
     #: radio range, clear of its own capture slots); of those, windows
     #: judged corrupted against the air log as known at harvest time were
     #: skipped and the rest were donated to decode sessions. The post-hoc
-    #: count re-checks every *donated* window against the final log —
-    #: nonzero means a later-recorded query stepped on evidence a
-    #: combiner already consumed (only possible when bursts interleave
-    #: blindly, i.e. the no-CSMA ablation).
+    #: count reads every *donated* window's verdict off the final log's
+    #: corruption sweep — nonzero means a later-recorded query stepped on
+    #: evidence a combiner already consumed, which CSMA rules out (the
+    #: e2e corridor workload and ``bench_city_corridor`` check it at
+    #: zero).
     opportunistic: str = "accept"
     overheard_windows: int = 0
     overheard_harvested: int = 0
@@ -408,14 +413,6 @@ class CityCorridor:
             parked cars (zero-velocity trajectories) is the batch
             reader network of §12.5: one round per cadence tick at
             every pole, observations fanned to the §1 services.
-        use_csma: listen-before-talk on (False = blind ALOHA ablation:
-            bursts interleave without sensing, and the §9 harmful case
-            — queries stepping on responses — is measured instead of
-            avoided).
-        handoff: consult neighbor caches before re-decoding (False =
-            every downstream sighting burns a re-decode; the waste the
-            :class:`~repro.sim.city.handoff.HandoffLedger` exists to
-            measure).
         opportunistic: when given, overrides every station's
             overheard-response policy — ``"accept"`` harvests other
             poles' trigger windows from the shared :class:`ResponsePool`
@@ -469,8 +466,6 @@ class CityCorridor:
         *,
         rng=None,
         scheduling: str = "event",
-        use_csma: bool = True,
-        handoff: bool = True,
         opportunistic: str | None = None,
         max_queries: int = 32,
         name: str = "",
@@ -487,8 +482,6 @@ class CityCorridor:
         self.tags = list(tags)
         self.rng = as_rng(rng)
         self.scheduling = scheduling
-        self.use_csma = bool(use_csma)
-        self.handoff = bool(handoff)
         if opportunistic is not None:
             validate_opportunistic(opportunistic)
             for station in self.stations:
@@ -552,15 +545,15 @@ class CityCorridor:
         self._first_seen: dict[int, float] = {}
         #: tag id -> (identified at, own decode queries, overheard used).
         self._identified: dict[int, tuple[float, int, int]] = {}
-        # Every decode-burst capture that carried responses, for exact
-        # post-hoc corruption accounting against the *final* air log:
-        # (station, query start, response start, response end, corrupted
-        # as judged at synthesis time).
+        # Every decode-burst capture that carried responses, for the
+        # end-of-run audit against the *final* air log: (station, query
+        # start, response start, response end, corrupted as judged at
+        # synthesis time).
         self._burst_log: list[tuple[str, float, float, float, bool]] = []
         # Every harvested overheard window: (station, origin, trigger
         # query start, window start, window end, corrupted as judged at
         # harvest time). Clean entries were synthesized over the
-        # station's geometry and donated; _result re-checks them against
+        # station's geometry and donated; _result audits them against
         # the final log. The harvesting station is kept as provenance:
         # no window it harvests may overlap its own capture slots.
         self._overheard_log: list[tuple[str, str, float, float, float, bool]] = []
@@ -834,19 +827,16 @@ class CityCorridor:
 
         def attempt(scheduler: EventScheduler) -> None:
             now = scheduler.now_s
-            if self.use_csma:
-                state = self.air.heard_state(now)
-                if not station.mac.can_transmit(now, state):
-                    station.queries_deferred += 1
-                    sobs = self._station_obs[station.name]
-                    if sobs is not None:
-                        sobs.count("mac.deferral", context="cadence")
-                    retry = station.mac.next_opportunity(now, state)
-                    retry += float(self.rng.uniform(0.0, 20e-6))
-                    scheduler.schedule(
-                        retry, attempt, label=f"{station.name}-retry"
-                    )
-                    return
+            state = self.air.heard_state(now)
+            if not station.mac.can_transmit(now, state):
+                station.queries_deferred += 1
+                sobs = self._station_obs[station.name]
+                if sobs is not None:
+                    sobs.count("mac.deferral", context="cadence")
+                retry = station.mac.next_opportunity(now, state)
+                retry += float(self.rng.uniform(0.0, 20e-6))
+                scheduler.schedule(retry, attempt, label=f"{station.name}-retry")
+                return
             self._transmit(
                 station, now, sequential=False, scheduler=scheduler, anchor=anchor
             )
@@ -978,30 +968,27 @@ class CityCorridor:
         # Neighbor handoff: a fingerprint the local cache misses may be
         # sitting one pole upstream — forward it instead of re-decoding.
         still_unknown: list[float] = []
-        if self.handoff:
-            claimed = set(ids.values())
-            for cfo in unknown:
-                donor_id, donor = None, None
-                for neighbor in station.neighbors():
-                    tag_id = neighbor.identities.lookup(cfo, now_s=t_query)
-                    if tag_id is not None and tag_id not in claimed:
-                        donor_id, donor = tag_id, neighbor
-                        break
-                if donor_id is None:
-                    still_unknown.append(cfo)
-                    continue
-                station.identities.store(cfo, donor_id, now_s=t_query)
-                ids[cfo] = donor_id
-                kinds[cfo] = (HANDOFF, 0)
-                claimed.add(donor_id)
-                self._push_note_superseded(station, donor_id)
-                self.ledger.record_handoff(
-                    station.name, donor.name, donor_id, t_query, cfo
-                )
-                if sobs is not None:
-                    sobs.count("corridor.resolution", kind="handoff")
-        else:
-            still_unknown = unknown
+        claimed = set(ids.values())
+        for cfo in unknown:
+            donor_id, donor = None, None
+            for neighbor in station.neighbors():
+                tag_id = neighbor.identities.lookup(cfo, now_s=t_query)
+                if tag_id is not None and tag_id not in claimed:
+                    donor_id, donor = tag_id, neighbor
+                    break
+            if donor_id is None:
+                still_unknown.append(cfo)
+                continue
+            station.identities.store(cfo, donor_id, now_s=t_query)
+            ids[cfo] = donor_id
+            kinds[cfo] = (HANDOFF, 0)
+            claimed.add(donor_id)
+            self._push_note_superseded(station, donor_id)
+            self.ledger.record_handoff(
+                station.name, donor.name, donor_id, t_query, cfo
+            )
+            if sobs is not None:
+                sobs.count("corridor.resolution", kind="handoff")
 
         busy_end = response_end
         if still_unknown:
@@ -1076,13 +1063,12 @@ class CityCorridor:
         def decode_query(t_rel: float):
             t_requested = t_query + float(t_rel)
             t_actual = max(t_requested, state["cursor"])
-            if self.use_csma:
-                heard = self.air.heard_state(t_actual)
-                if not station.mac.can_transmit(t_actual, heard):
-                    station.queries_deferred += 1
-                    if sobs is not None:
-                        sobs.count("mac.deferral", context="burst")
-                    t_actual = station.mac.next_opportunity(t_actual, heard)
+            heard = self.air.heard_state(t_actual)
+            if not station.mac.can_transmit(t_actual, heard):
+                station.queries_deferred += 1
+                if sobs is not None:
+                    sobs.count("mac.deferral", context="burst")
+                t_actual = station.mac.next_opportunity(t_actual, heard)
             station.queries_sent += 1
             if sobs is not None:
                 sobs.count("corridor.query", kind="decode")
@@ -1102,8 +1088,8 @@ class CityCorridor:
                     exclude_start_s=t_actual,
                 )
                 # The synthesis-time verdict only sees transmissions
-                # recorded so far; _result re-checks this capture against
-                # the final log for exact corruption accounting.
+                # recorded so far; _result audits this capture against
+                # the final log.
                 self._burst_log.append(
                     (station.name, t_actual, response.start_s, response.end_s, corrupted)
                 )
@@ -1270,7 +1256,7 @@ class CityCorridor:
         channel/noise. Each harvested window's corruption verdict against
         the air log as known *now* is recorded; corrupted windows are
         dropped (their content is query-energy garbage), and `_result`
-        re-checks the donated ones against the final log.
+        audits the donated ones against the final log.
         """
         lo = max(station.last_harvest_s, now_s - OVERHEARD_HORIZON_S)
         station.last_harvest_s = now_s
@@ -1398,41 +1384,33 @@ class CityCorridor:
     # -- results -----------------------------------------------------------------
 
     def _recheck_captures_posthoc(self) -> tuple[int, int]:
-        """Exact corrupted-capture counts against the *final* air log.
+        """The CSMA invariant audit: ``(burst, overheard)`` counts of
+        captures stepped on, against the *final* air log.
 
-        A capture's synthesis-time (or harvest-time) corruption check
-        only sees transmissions recorded before it — a later event's (or
-        a blindly interleaving burst's) query that lands on the same
-        response window is invisible to it. With the run over, every
-        transmission is on the log, so each recorded burst capture and
-        each *donated* overheard window is re-checked here; one binary
-        search per capture bounds the scan to the queries that could
-        overlap its window. Returns ``(burst, overheard)`` counts.
+        A synthesis- or harvest-time check only sees transmissions
+        recorded before it; the log's one corruption sweep
+        (:meth:`AirLog.corrupted_responses`) sees them all. Every burst
+        capture and donated overheard window put a response on the log,
+        triggered by its querying reader at the window's start, so a
+        capture was stepped on exactly when its ``(triggered_by,
+        start_s)`` is among the swept responses. Under the §9 MAC the
+        burst count equals the synthesis-time verdicts and no donated
+        window was stepped on (the e2e corridor workload and
+        ``bench_city_corridor`` check both).
         """
-        queries = self.air.sorted_queries()
-        starts = [q.start_s for q in queries]
-
-        def stepped_on(
-            start_s: float, end_s: float, own_source: str, own_start_s: float
-        ) -> bool:
-            lo = bisect.bisect_left(starts, start_s - QUERY_DURATION_S)
-            hi = bisect.bisect_left(starts, end_s)
-            for query in queries[lo:hi]:
-                if query.source == own_source and query.start_s == own_start_s:
-                    continue
-                if query.start_s < end_s and query.end_s > start_s:
-                    return True
-            return False
-
+        stepped_on = {
+            (response.triggered_by, response.start_s)
+            for response in self.air.corrupted_responses()
+        }
         burst = sum(
             1
-            for source, t_query, start_s, end_s, _ in self._burst_log
-            if stepped_on(start_s, end_s, source, t_query)
+            for source, _, start_s, _, _ in self._burst_log
+            if (source, start_s) in stepped_on
         )
         overheard = sum(
             1
-            for _, origin, t_query, start_s, end_s, corrupted in self._overheard_log
-            if not corrupted and stepped_on(start_s, end_s, origin, t_query)
+            for _, origin, _, start_s, _, corrupted in self._overheard_log
+            if not corrupted and (origin, start_s) in stepped_on
         )
         return burst, overheard
 

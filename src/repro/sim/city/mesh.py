@@ -186,10 +186,9 @@ class MeshResult:
 
     How the engine was shaped rides alongside and stays out of
     :meth:`summary` (which is identical at any worker count):
-    ``workers``, ``sync_quantum_s``, the shards ``groups`` (one
-    1-tuple of its edge name per edge, in sorted name order) and
-    ``events_processed`` per edge (a deterministic work proxy the
-    benches scale by).
+    ``workers``, the shards ``groups`` (one 1-tuple of its edge name
+    per edge, in sorted name order) and ``events_processed`` per edge
+    (a deterministic work proxy the benches scale by).
     """
 
     duration_s: float
@@ -205,7 +204,6 @@ class MeshResult:
     responses: int
     corrupted_responses: int
     workers: int
-    sync_quantum_s: float
     groups: tuple
     events_processed: dict
     cross_entries: int = 0

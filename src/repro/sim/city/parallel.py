@@ -89,12 +89,12 @@ from .moving import MovingTag
 
 __all__ = ["run_sharded"]
 
-#: Default rendezvous quantum: directory replay and push delivery happen
-#: at this cadence. Well below the seconds a car needs between poles
-#: (~40 m at city speeds), so a one-quantum push delay still plants the
-#: entry ahead of arrival; identical for every worker count by
-#: construction, so it never breaks invariance — only push timing.
-DEFAULT_SYNC_QUANTUM_S = 0.25
+#: Rendezvous quantum: directory replay and push delivery happen at this
+#: cadence. Well below the seconds a car needs between poles (~40 m at
+#: city speeds), so a one-quantum push delay still plants the entry
+#: ahead of arrival; identical for every worker count by construction,
+#: so it never breaks invariance — only push timing.
+SYNC_QUANTUM_S = 0.25
 
 
 # -- the itinerary (coordinator-side car motion) ---------------------------
@@ -462,7 +462,6 @@ def run_sharded(
     duration_s: float,
     *,
     workers: int = 2,
-    sync_quantum_s: float = DEFAULT_SYNC_QUANTUM_S,
     in_process: bool = False,
     shard_obs_factory=None,
 ) -> MeshResult:
@@ -478,9 +477,6 @@ def run_sharded(
         duration_s: simulated seconds.
         workers: forked worker processes; shards are dealt round-robin
             in sorted edge order. Capped at the number of edges.
-        sync_quantum_s: rendezvous cadence for directory replay and
-            push delivery. Must be identical across runs being
-            compared; changing it changes push timing (not safety).
         in_process: host every shard in the coordinator process —
             same protocol, same results, no fork (what
             :meth:`CityMesh.run` does; also platforms without
@@ -502,8 +498,6 @@ def run_sharded(
         raise ConfigurationError("a mesh needs at least one edge")
     if workers < 1:
         raise ConfigurationError("need at least one worker")
-    if sync_quantum_s <= 0:
-        raise ConfigurationError("the sync quantum must be positive")
     duration_s = float(duration_s)
     mesh._ran = True
     mesh._predicted_next = mesh._turn_policy()
@@ -584,7 +578,7 @@ def run_sharded(
 
     try:
         intents_by_group: dict[str, list[tuple]] = {}
-        for t_s in _quantum_boundaries(duration_s, sync_quantum_s):
+        for t_s in _quantum_boundaries(duration_s, SYNC_QUANTUM_S):
             for host in hosts:
                 host.send(("advance", t_s, intents_by_group))
             reports = []
@@ -611,9 +605,7 @@ def run_sharded(
         for host in hosts:
             host.close()
 
-    return _merge(
-        mesh, payloads, duration_s, workers, sync_quantum_s, groups, station_edge
-    )
+    return _merge(mesh, payloads, duration_s, workers, groups, station_edge)
 
 
 def _merge(
@@ -621,7 +613,6 @@ def _merge(
     payloads: dict[str, dict],
     duration_s: float,
     workers: int,
-    sync_quantum_s: float,
     groups: list[_ShardGroup],
     station_edge: dict[str, str],
 ) -> MeshResult:
@@ -731,7 +722,6 @@ def _merge(
         responses=sum(r.responses for r in edges.values()),
         corrupted_responses=sum(r.corrupted_responses for r in edges.values()),
         workers=workers,
-        sync_quantum_s=sync_quantum_s,
         groups=tuple((group.key,) for group in groups),
         events_processed={
             key: payloads[key]["events_processed"] for key in ordered_keys

@@ -114,11 +114,10 @@ class AirLog:
         #: in (see :meth:`heard_state`).
         self._heard: deque[tuple] = deque()
         self._heard_folded = 0
-        # End-of-run sweeps may be repeated by several callers; the log
-        # is append-only, so one-slot caches keyed by record count make
+        # The end-of-run sweep may be repeated by several callers; the log
+        # is append-only, so a one-slot cache keyed by record count makes
         # the repeats O(1) instead of re-sorting/re-scanning the whole
         # history each time.
-        self._sorted_queries_cache: tuple[int, list[Transmission]] | None = None
         self._corrupted_cache: tuple[int, list[Transmission]] | None = None
         #: Nullable observability hook (see :mod:`repro.obs`): counts
         #: every recorded transmission by kind and source.
@@ -161,16 +160,6 @@ class AirLog:
 
     def queries(self) -> list[Transmission]:
         return list(self._queries)
-
-    def sorted_queries(self) -> list[Transmission]:
-        """Every query in start-time order (cached until the next
-        record — callers must not mutate the returned list)."""
-        cache = self._sorted_queries_cache
-        if cache is None or cache[0] != len(self._queries):
-            ordered = sorted(self._queries, key=lambda q: q.start_s)
-            self._sorted_queries_cache = (len(self._queries), ordered)
-            return ordered
-        return cache[1]
 
     def any_query_overlapping(
         self,
@@ -258,7 +247,7 @@ class AirLog:
         cache = self._corrupted_cache
         if cache is not None and cache[0] == key:
             return cache[1]
-        queries = self.sorted_queries()
+        queries = sorted(self._queries, key=lambda q: q.start_s)
         starts = [q.start_s for q in queries]
         reach_s = self._longest_query_s + _SWEEP_MARGIN_S
         corrupted = []

@@ -181,10 +181,6 @@ class TestGuards:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             run_sharded(downtown_grid(1, 1, rng=0), 0.5, workers=0)
-        with pytest.raises(ConfigurationError):
-            run_sharded(
-                downtown_grid(1, 1, rng=0), 0.5, workers=1, sync_quantum_s=0.0
-            )
 
 
 class TestOneContract:

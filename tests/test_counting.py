@@ -164,49 +164,6 @@ class TestEstimateAccounting:
         assert np.mean(counts) == pytest.approx(10.0, abs=1.0)
 
 
-class TestSfftProbeParity:
-    """The sparse-probe ablation must be a pure regime-picker swap.
-
-    ``probe="sfft"`` replaces only the density probe's candidate scan
-    (sub-linear bucketized recovery instead of the dense spectrum
-    sweep); refinement, classification and the joint tone fit run the
-    identical full-precision code after it — so on the paper's Fig-5
-    style workloads the two probes must agree on the count, the CFOs,
-    and the dense-regime flag.
-    """
-
-    @pytest.mark.parametrize("seed", [5, 6])
-    @pytest.mark.parametrize("m", [2, 10])
-    def test_sparse_scenes_bit_equal(self, m, seed):
-        rng = np.random.default_rng(seed)
-        cfos = rng.uniform(20e3, 1.19e6, size=m)
-        capture = build_simulator(cfos, seed=seed).query(0.0).antenna(0)
-        dense = CollisionCounter(probe="dense").count(capture)
-        sfft = CollisionCounter(probe="sfft").count(capture)
-        assert sfft.count == dense.count
-        assert sfft.dense_mode == dense.dense_mode
-        assert np.array_equal(sfft.cfos_hz(), dense.cfos_hz())
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_dense_scene_bit_equal(self, seed):
-        """35 tags crowd the band past the dense trigger: both probes
-        must hand the same regime decision to the same dense-detection
-        pass."""
-        rng = np.random.default_rng(seed + 7)
-        cfos = rng.uniform(20e3, 1.19e6, size=35)
-        capture = build_simulator(cfos, seed=seed).query(0.0).antenna(0)
-        dense = CollisionCounter(probe="dense").count(capture)
-        sfft = CollisionCounter(probe="sfft").count(capture)
-        assert sfft.dense_mode == dense.dense_mode
-        assert sfft.count == dense.count
-        assert np.array_equal(sfft.cfos_hz(), dense.cfos_hz())
-
-    def test_unknown_probe_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CollisionCounter(probe="fancy")
-
-
 class TestBatchedToneFit:
     def test_burst_stacked_fit_bit_exact(self):
         """``count_multi`` solves the per-burst joint tone fit as one

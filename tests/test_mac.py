@@ -55,7 +55,6 @@ class TestCsmaState:
         state.add_busy(1.0, 2.0)
         assert state.idle_since(2.0) == 0.0
         assert not ReaderMac().can_transmit(2.0, state)
-        assert not ReaderMac(defer_to_queries=True).can_transmit(2.0, state)
 
     def test_abutting_intervals_merge(self):
         """Back-to-back energy is one continuous busy stretch."""
@@ -89,7 +88,7 @@ class TestCsmaState:
 class TestReaderMac:
     def test_listen_window_is_120us(self):
         assert CSMA_LISTEN_S == pytest.approx(120e-6)
-        assert ReaderMac().listen_s == pytest.approx(QUERY_DURATION_S + TURNAROUND_S)
+        assert CSMA_LISTEN_S == pytest.approx(QUERY_DURATION_S + TURNAROUND_S)
 
     def test_transmit_allowed_on_silent_medium(self):
         assert ReaderMac().can_transmit(0.0, CsmaState())
@@ -121,8 +120,9 @@ class TestReaderMac:
 
 
 class TestDeferToQueriesPolicies:
-    """The §9 refinement: classified query energy is benign, and the
-    ``defer_to_queries=True`` ablation treats it like any other energy."""
+    """The §9 refinement: classified query energy is benign; response
+    energy, unclassified energy and the response windows heard queries
+    open are not."""
 
     def query_just_ended(self, end_s=1.0):
         state = CsmaState()
@@ -135,12 +135,6 @@ class TestDeferToQueriesPolicies:
         query's response slot opens."""
         state = self.query_just_ended(1.0)
         assert ReaderMac().can_transmit(1.0 + 10e-6, state)
-
-    def test_ablation_policy_defers_to_query_energy(self):
-        state = self.query_just_ended(1.0)
-        mac = ReaderMac(defer_to_queries=True)
-        assert not mac.can_transmit(1.0 + 10e-6, state)
-        assert mac.can_transmit(1.0 + CSMA_LISTEN_S + 1e-9, state)
 
     def test_default_policy_honors_response_window(self):
         """The query may not land inside the response slot a heard query
@@ -162,28 +156,29 @@ class TestDeferToQueriesPolicies:
         assert mac.can_transmit(t, state)
 
     def test_both_policies_defer_to_unclassified_energy(self):
-        state = CsmaState()
-        state.add_busy(1.0 - 50e-6, 1.0)  # unknown kind
-        assert not ReaderMac().can_transmit(1.0 + 50e-6, state)
-        assert not ReaderMac(defer_to_queries=True).can_transmit(1.0 + 50e-6, state)
+        """Unclassified energy blocks the listen window as response
+        energy does: the §9 rule covers anything a reader cannot rule
+        out."""
+        for kind in ("unknown", "response"):
+            state = CsmaState()
+            state.add_busy(1.0 - 50e-6, 1.0, kind=kind)
+            assert not ReaderMac().can_transmit(1.0 + 50e-6, state)
+            assert ReaderMac().can_transmit(1.0 + CSMA_LISTEN_S + 1e-9, state)
 
     def test_next_opportunity_agrees_with_can_transmit(self):
-        for defer in (False, True):
-            state = CsmaState()
-            state.add_busy(0.0, 1e-3)
-            state.add_busy(2e-3, 2.02e-3, kind="query")
-            mac = ReaderMac(defer_to_queries=defer)
-            t = mac.next_opportunity(1e-3, state)
-            assert mac.can_transmit(t, state)
+        state = CsmaState()
+        state.add_busy(0.0, 1e-3)
+        state.add_busy(2e-3, 2.02e-3, kind="query")
+        mac = ReaderMac()
+        t = mac.next_opportunity(1e-3, state)
+        assert mac.can_transmit(t, state)
 
 
-def per_probe_can_transmit(mac: ReaderMac, now_s, state: CsmaState) -> bool:
+def per_probe_can_transmit(now_s, state: CsmaState) -> bool:
     """The per-probe carrier sense: every call reads the state afresh."""
-    if mac.defer_to_queries:
-        return state.idle_since(now_s) >= mac.listen_s
-    if state.response_idle_since(now_s) < mac.listen_s:
+    if state.response_idle_since(now_s) < CSMA_LISTEN_S:
         return False
-    tx_end = now_s + mac.query_s
+    tx_end = now_s + QUERY_DURATION_S
     if any(
         now_s < w_hi and w_lo < tx_end for w_lo, w_hi in state.response_windows()
     ):
@@ -195,36 +190,34 @@ def per_probe_can_transmit(mac: ReaderMac, now_s, state: CsmaState) -> bool:
     )
 
 
-def per_probe_next_opportunity(mac: ReaderMac, now_s, state: CsmaState) -> float:
+def per_probe_next_opportunity(now_s, state: CsmaState) -> float:
     """The search that probed every candidate through the per-probe sense."""
-    if per_probe_can_transmit(mac, now_s, state):
+    if per_probe_can_transmit(now_s, state):
         return now_s
-    busy = (
-        state.busy_intervals
-        if mac.defer_to_queries
-        else state.response_energy_intervals()
-    )
-    windows = [] if mac.defer_to_queries else state.response_windows()
-    spans = [] if mac.defer_to_queries else state.query_spans()
-    candidates = [hi + mac.listen_s for _, hi in busy]
+    busy = state.response_energy_intervals()
+    windows = state.response_windows()
+    spans = state.query_spans()
+    candidates = [hi + CSMA_LISTEN_S for _, hi in busy]
     candidates += [w_hi for _, w_hi in windows]
-    candidates += [q_hi - mac.query_s - TURNAROUND_S for _, q_hi in spans]
+    candidates += [q_hi - QUERY_DURATION_S - TURNAROUND_S for _, q_hi in spans]
     ends = [hi for _, hi in busy] + [w_hi for _, w_hi in windows]
-    ends += [q_hi + mac.listen_s for _, q_hi in spans]
+    ends += [q_hi + CSMA_LISTEN_S for _, q_hi in spans]
     if ends:
-        candidates.append(max(ends) + mac.listen_s)
+        candidates.append(max(ends) + CSMA_LISTEN_S)
     for t in sorted(c for c in candidates if c > now_s):
-        if per_probe_can_transmit(mac, t, state):
+        if per_probe_can_transmit(t, state):
             return t
     return now_s
 
 
 class TestSenseOncePerSearch:
     """The search reads what the policy defers to once; every verdict and
-    every search result equals the per-probe sense, for both policies."""
+    every search result equals the per-probe sense, on states built in
+    one pass (``CsmaState.from_heard``, what the air log does) and one
+    ``add_busy`` call at a time."""
 
     @staticmethod
-    def random_state(rng) -> CsmaState:
+    def random_state(rng, incremental: bool) -> CsmaState:
         heard = []
         for _ in range(int(rng.integers(0, 30))):
             start = float(rng.uniform(0.0, 5e-3))
@@ -235,22 +228,27 @@ class TestSenseOncePerSearch:
                 "unknown": float(rng.uniform(1e-6, 300e-6)),
             }[kind]
             heard.append((start, start + span_s, kind))
-        return CsmaState.from_heard(heard)
+        if not incremental:
+            return CsmaState.from_heard(heard)
+        state = CsmaState()
+        for start, end, kind in heard:
+            state.add_busy(start, end, kind=kind)
+        return state
 
-    @pytest.mark.parametrize("defer", [False, True])
-    def test_equals_the_per_probe_sense_on_random_states(self, defer):
-        rng = np.random.default_rng(31 + defer)
-        mac = ReaderMac(defer_to_queries=defer)
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_equals_the_per_probe_sense_on_random_states(self, incremental):
+        rng = np.random.default_rng(31 + incremental)
+        mac = ReaderMac()
         for _ in range(200):
-            state = self.random_state(rng)
-            edges = [hi + mac.listen_s for _, hi in state.busy_intervals]
+            state = self.random_state(rng, incremental)
+            edges = [hi + CSMA_LISTEN_S for _, hi in state.busy_intervals]
             edges += [w_hi for _, w_hi in state.response_windows()]
             for now_s in list(rng.uniform(0.0, 6e-3, 8)) + edges:
                 assert mac.can_transmit(now_s, state) == per_probe_can_transmit(
-                    mac, now_s, state
+                    now_s, state
                 )
                 assert mac.next_opportunity(now_s, state) == per_probe_next_opportunity(
-                    mac, now_s, state
+                    now_s, state
                 )
 
 

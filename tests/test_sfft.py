@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.dsp import sfft
 from repro.dsp.sfft import _bucketize, sparse_fft_peaks
 from repro.errors import ConfigurationError, SpectrumError
+from tests.test_counting import build_simulator
 
 
 def make_sparse_signal(n, tones, rng=None):
@@ -57,6 +59,37 @@ class TestExactlySparse:
         for tone in tones:
             k = int(round(tone.freq_bin))
             assert abs(tone.amplitude) == pytest.approx(abs(full[k]), rel=0.05)
+
+    def test_five_tag_collision(self):
+        """§10 on a real collision: the five tags' CFO spikes sit on the
+        wideband OOK data floor, and the sparse recovery still finds at
+        least four of them within one FFT bin."""
+        rng = np.random.default_rng(3)
+        cfos = rng.uniform(20e3, 1.19e6, size=5)
+        wave = build_simulator(cfos, seed=3).query(0.0).antenna(0)
+        tones = sparse_fft_peaks(wave.samples, max_tones=5, rng=0)
+        found = np.array([t.freq_hz(wave.sample_rate_hz, wave.n_samples) for t in tones])
+        bin_hz = wave.sample_rate_hz / wave.n_samples
+        matched = sum(1 for cfo in cfos if np.min(np.abs(found - cfo)) < bin_hz)
+        assert matched >= 4
+
+    def test_widening_recovers_tones_the_first_buckets_lose(self, monkeypatch):
+        """Eight tones folded onto eight buckets collide, so the first
+        bucketization returns fewer than ``max_tones`` tones; the
+        fallback doubles the bucket count until every tone is back."""
+        bins = [53, 102, 171, 560, 637, 1043, 1295, 1722]
+        x = make_sparse_signal(2048, [(b, 1.0) for b in bins])
+        widened = []
+
+        def spy(x, max_tones, n_buckets=None, rng=None):
+            widened.append(n_buckets)
+            return sparse_fft_peaks(x, max_tones, n_buckets=n_buckets, rng=rng)
+
+        monkeypatch.setattr(sfft, "sparse_fft_peaks", spy)
+        tones = sparse_fft_peaks(x, max_tones=8, n_buckets=8, rng=0)
+        assert widened[:1] == [16]
+        found = sorted(t.freq_bin for t in tones)
+        assert found == pytest.approx(bins, abs=0.5)
 
     def test_freq_hz_conversion(self):
         x = make_sparse_signal(2048, [(512, 1.0)])
