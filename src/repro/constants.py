@@ -140,6 +140,11 @@ ANALYSIS_POLE_HEIGHT_M = 13.0 * METERS_PER_FOOT
 #: Standard lane width [m] (§7 footnote 11: typically 12 feet).
 LANE_WIDTH_M = 12.0 * METERS_PER_FOOT
 
+#: Height of a windshield-mounted transponder above the road [m] [sim].
+#: Scene builders place every tag this high, and localization intersects
+#: the AoA cone with the transponder plane (§6 footnote 14).
+TAG_HEIGHT_M = 1.0
+
 #: Light-pole separation used in the §7 speed analysis [m] (~360 feet).
 SPEED_BASELINE_M = 360.0 * METERS_PER_FOOT
 

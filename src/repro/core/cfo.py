@@ -33,7 +33,7 @@ __all__ = [
     "extract_collision_peaks",
 ]
 
-#: Default search band: the 1.2 MHz CFO span plus a small margin.
+#: The CFO search band: the 1.2 MHz CFO span plus a small margin.
 DEFAULT_SEARCH_LO_HZ = 2e3
 DEFAULT_SEARCH_HI_HZ = CFO_SPAN_HZ + 50e3
 
@@ -138,8 +138,6 @@ class CollisionPeak:
 
 def extract_collision_peaks(
     collision,
-    search_lo_hz: float = DEFAULT_SEARCH_LO_HZ,
-    search_hi_hz: float = DEFAULT_SEARCH_HI_HZ,
     min_snr_db: float = 10.0,
     max_peaks: int | None = None,
     refine: bool = True,
@@ -154,7 +152,6 @@ def extract_collision_peaks(
 
     Args:
         collision: a :class:`~repro.channel.collision.ReceivedCollision`.
-        search_lo_hz / search_hi_hz: CFO band to search.
         min_snr_db: detection threshold over the local (CFAR) floor.
         max_peaks: optional cap on returned peaks (strongest kept).
         refine: skip sub-bin refinement when only occupancy matters.
@@ -169,8 +166,8 @@ def extract_collision_peaks(
     raw = find_peaks_in_magnitudes(
         avg_mag,
         spectra[0].bin_hz,
-        search_lo_hz,
-        search_hi_hz,
+        DEFAULT_SEARCH_LO_HZ,
+        DEFAULT_SEARCH_HI_HZ,
         min_snr_db=min_snr_db,
         max_peaks=max_peaks,
     )
@@ -200,8 +197,6 @@ def extract_collision_peaks(
 
 def extract_cfo_peaks(
     wave: Waveform,
-    search_lo_hz: float = DEFAULT_SEARCH_LO_HZ,
-    search_hi_hz: float = DEFAULT_SEARCH_HI_HZ,
     min_snr_db: float = 10.0,
     max_peaks: int | None = None,
     refine: bool = True,
@@ -210,7 +205,6 @@ def extract_cfo_peaks(
 
     Args:
         wave: one antenna's collision capture.
-        search_lo_hz / search_hi_hz: CFO band to search.
         min_snr_db: detection threshold over the local (CFAR) floor.
         max_peaks: optional cap on returned peaks (strongest kept).
         refine: skip sub-bin refinement when only occupancy matters.
@@ -220,7 +214,11 @@ def extract_cfo_peaks(
     """
     spectrum = fft_spectrum(wave)
     raw = find_spectral_peaks(
-        spectrum, search_lo_hz, search_hi_hz, min_snr_db=min_snr_db, max_peaks=max_peaks
+        spectrum,
+        DEFAULT_SEARCH_LO_HZ,
+        DEFAULT_SEARCH_HI_HZ,
+        min_snr_db=min_snr_db,
+        max_peaks=max_peaks,
     )
     peaks = []
     for peak in raw:

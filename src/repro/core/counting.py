@@ -79,6 +79,64 @@ __all__ = ["BinClass", "BinObservation", "CountEstimate", "CollisionCounter"]
 # the minimum-norm amplitudes (see CollisionCounter._solve_tones).
 _GRAM_RCOND = 1e-9
 
+# Detection thresholds over the local (CFAR) floor. The sparse pass
+# detects at _MIN_SNR_DB (13 dB holds the false-alarm rate of a
+# ~615-bin Rayleigh search to a few percent per collision, and the
+# structured low-density data floor demands no less). A probe at
+# _PROBE_SNR_DB measures band crowding; at _DENSE_TRIGGER candidates or
+# more the scene is dense, and the decision pass runs at _DENSE_SNR_DB
+# with the coherence-reality filter on: in dense collisions the floor is
+# Gaussian (CLT over many chip streams), so the filter is reliable, and
+# the weak tags it recovers dominate the error budget. Averaging K
+# captures lowers the dense threshold by _MULTI_CAPTURE_RELIEF_DB per
+# doubling (the floor's tail tightens), floored at _MIN_MULTI_SNR_DB.
+# Order: _MIN_MULTI_SNR_DB <= _DENSE_SNR_DB <= _MIN_SNR_DB.
+_MIN_SNR_DB = 15.0
+_DENSE_SNR_DB = 10.0
+_PROBE_SNR_DB = 13.0
+_DENSE_TRIGGER = 16
+_MULTI_CAPTURE_RELIEF_DB = 1.5
+_MIN_MULTI_SNR_DB = 7.5
+
+# A sparse-regime candidate whose per-capture phase trajectory
+# correlates at _FINGERPRINT_CORR or more with one of a candidate
+# _FINGERPRINT_PARENT_RATIO times stronger is that tag's data artifact
+# (see CollisionCounter._phase_fingerprints).
+_FINGERPRINT_CORR = 0.85
+_FINGERPRINT_PARENT_RATIO = 3.0
+
+# The coherence test: a spike is single when its coherence clears the
+# lone-tone value C_expected(gamma) less a slack of
+# _SLACK_BASE + _SLACK_GAMMA / gamma, held within
+# [_MIN_SLACK, _MAX_SLACK], and its magnitude dispersion (a lone tone's
+# is ~1/(sqrt(2) gamma)) stays under _DISPERSION_BASE +
+# _DISPERSION_GAMMA / gamma: co-binned tags whose phases start aligned
+# beat in magnitude while keeping the composite phase, which coherence
+# alone cannot see.
+_SLACK_BASE = 0.03
+_SLACK_GAMMA = 0.30
+_MIN_SLACK = 0.055
+_MAX_SLACK = 0.35
+_DISPERSION_BASE = 0.04
+_DISPERSION_GAMMA = 2.2
+
+# Candidates whose jointly fitted amplitude is under _ACCEPT_GAMMA times
+# the local floor are artifacts (sidelobe skirts of strong tones,
+# data-floor flukes). In dense mode a spike below both
+# _REALITY_COHERENCE and _REALITY_GAMMA is a floor fluke, not a tag.
+_ACCEPT_GAMMA = 2.5
+_REALITY_COHERENCE = 0.75
+_REALITY_GAMMA = 2.3
+
+# Candidates refined to within this many bins of each other are merged
+# before fitting (keeps the basis conditioned).
+_MERGE_BINS = 1.2
+
+# The "shift" method's window offsets, and the noise-independent floor
+# of its relative-magnitude-change threshold.
+_SHIFT_SAMPLES = (128, 320, 512)
+_SHIFT_TOLERANCE = 0.18
+
 
 class BinClass(enum.Enum):
     """Classification of one detected spectral spike."""
@@ -167,42 +225,11 @@ class CountEstimate:
 class CollisionCounter:
     """The §5 estimator.
 
+    Its thresholds and test bounds are the module's constants; the CFO
+    band it searches is :mod:`repro.core.cfo`'s.
+
     Attributes:
-        min_snr_db: sparse-regime spike detection threshold over the local
-            (CFAR) floor for a single capture. 13 dB holds the false-alarm
-            rate of a ~615-bin Rayleigh search to a few percent per
-            collision, and the structured low-density data floor demands
-            no less.
-        dense_snr_db / probe_snr_db / dense_trigger: a cheap probe
-            detection at ``probe_snr_db`` measures band crowding; at or
-            above ``dense_trigger`` candidates the scene is dense and the
-            real pass runs at ``dense_snr_db`` with the coherence-reality
-            filter enabled — in dense collisions the floor is Gaussian
-            (CLT over many chip streams) so the filter is reliable, and
-            the weak tags it recovers dominate the error budget.
-        multi_capture_relief_db: detection thresholds drop by this much
-            per doubling of averaged captures (incoherent averaging
-            tightens the floor tail), floored at ``min_multi_snr_db``.
         method: "coherence" (default) or "shift" (the paper's literal test).
-        slack_base / slack_gamma / min_slack: the single/multiple coherence
-            threshold is ``C_expected(gamma)`` minus a slack that widens
-            for noisy spikes and never shrinks below ``min_slack``.
-        dispersion_base / dispersion_gamma: the companion magnitude test —
-            a lone tone disperses ~``1/(sqrt(2) gamma)``; beyond
-            ``dispersion_base + dispersion_gamma / gamma`` the spike is
-            beating (two tags whose phases start aligned modulate the
-            magnitude while keeping the composite phase — invisible to
-            coherence alone).
-        accept_gamma: candidates whose jointly-fitted amplitude is below
-            this multiple of the local floor are rejected as artifacts
-            (sidelobe skirts of strong tones, data-floor flukes).
-        reality_coherence / reality_gamma: dense-mode-only rejection: a
-            spike below both is a floor fluke, not a tag.
-        merge_bins: candidates refined to within this many bins of each
-            other are merged before fitting (keeps the basis conditioned).
-        shift_samples: window offsets for the "shift" method.
-        shift_tolerance: noise-independent floor of the shift test's
-            relative-magnitude-change threshold.
         obs: nullable observability hook (see :mod:`repro.obs`): counts
             passes by regime (``count.pass``), spike verdicts by label
             (``count.spike``) and the pass's work (``count.work``):
@@ -211,36 +238,12 @@ class CollisionCounter:
             (detect, refine, fit, align). Never affects the estimate.
     """
 
-    min_snr_db: float = 15.0
-    dense_snr_db: float = 10.0
-    probe_snr_db: float = 13.0
-    dense_trigger: int = 16
-    multi_capture_relief_db: float = 1.5
-    min_multi_snr_db: float = 7.5
-    fingerprint_corr: float = 0.85
-    fingerprint_parent_ratio: float = 3.0
     method: str = "coherence"
-    slack_base: float = 0.03
-    slack_gamma: float = 0.30
-    min_slack: float = 0.055
-    max_slack: float = 0.35
-    dispersion_base: float = 0.04
-    dispersion_gamma: float = 2.2
-    accept_gamma: float = 2.5
-    reality_coherence: float = 0.75
-    reality_gamma: float = 2.3
-    merge_bins: float = 1.2
-    shift_samples: tuple[int, ...] = (128, 320, 512)
-    shift_tolerance: float = 0.18
-    search_lo_hz: float = DEFAULT_SEARCH_LO_HZ
-    search_hi_hz: float = DEFAULT_SEARCH_HI_HZ
     obs: object = None
 
     def __post_init__(self) -> None:
         if self.method not in ("coherence", "shift"):
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.dense_snr_db > self.min_snr_db:
-            raise ConfigurationError("dense threshold must not exceed the sparse one")
 
     def _work(self, kind: str, stage: str, n: int) -> None:
         if self.obs is not None:
@@ -293,8 +296,8 @@ class CollisionCounter:
         # repeats identically (same bits every response). The sparse-regime
         # floor is dominated by the latter, so relief applies only to the
         # dense pass, where cross terms dominate.
-        relief = self.multi_capture_relief_db * np.log2(len(waves))
-        dense_thr = max(self.min_multi_snr_db, self.dense_snr_db - relief)
+        relief = _MULTI_CAPTURE_RELIEF_DB * np.log2(len(waves))
+        dense_thr = max(_MIN_MULTI_SNR_DB, _DENSE_SNR_DB - relief)
         # The probe and the decision pass scan the same burst: spectra,
         # averaged magnitudes and the CFAR floor depend only on the
         # captures, so they are computed once and shared (the per-round
@@ -303,12 +306,12 @@ class CollisionCounter:
         # Regime probe: the raw candidate count at a permissive threshold
         # cleanly separates sparse scenes (few tags + structured-floor
         # flukes) from dense ones (many tags, Gaussianized floor).
-        dense = self._probe_candidates(waves, shared) >= self.dense_trigger
+        dense = self._probe_candidates(waves, shared) >= _DENSE_TRIGGER
         if self.obs is not None:
             self.obs.count("count.pass", regime="dense" if dense else "sparse")
         return self._count_pass(
             waves,
-            dense_thr if dense else self.min_snr_db,
+            dense_thr if dense else _MIN_SNR_DB,
             dense_mode=dense,
             shared=shared,
             stacked_fit=stacked_fit,
@@ -325,7 +328,7 @@ class CollisionCounter:
         self._work("fft_points", "detect", sum(s.n_bins for s in spectra))
         avg_mag = np.mean([s.magnitude() for s in spectra], axis=0)
         floors = band_floors(
-            avg_mag, spectra[0].bin_hz, self.search_lo_hz, self.search_hi_hz
+            avg_mag, spectra[0].bin_hz, DEFAULT_SEARCH_LO_HZ, DEFAULT_SEARCH_HI_HZ
         )
         return spectra, avg_mag, floors
 
@@ -337,9 +340,9 @@ class CollisionCounter:
         bins, _ = detected_bins(
             avg_mag,
             spectra[0].bin_hz,
-            self.search_lo_hz,
-            self.search_hi_hz,
-            min_snr_db=self.probe_snr_db,
+            DEFAULT_SEARCH_LO_HZ,
+            DEFAULT_SEARCH_HI_HZ,
+            min_snr_db=_PROBE_SNR_DB,
             floors=floors,
         )
         return int(bins.size)
@@ -361,8 +364,8 @@ class CollisionCounter:
         raw_peaks = find_peaks_in_magnitudes(
             avg_mag,
             bin_hz,
-            self.search_lo_hz,
-            self.search_hi_hz,
+            DEFAULT_SEARCH_LO_HZ,
+            DEFAULT_SEARCH_HI_HZ,
             min_snr_db=snr_db,
             floors=floors,
         )
@@ -423,7 +426,7 @@ class CollisionCounter:
             # A candidate whose jointly-fitted amplitude collapses was a
             # sidelobe / floor artifact: its spectrum energy is already
             # explained by the other tones. Reject it before classifying.
-            if mean_abs_amplitude[k] < self.accept_gamma * floors_norm[k]:
+            if mean_abs_amplitude[k] < _ACCEPT_GAMMA * floors_norm[k]:
                 label = BinClass.REJECTED
                 stats = _stats(mean_abs_amplitude[k] / floors_norm[k], 0.0, 0.0, 0.0)
             elif k in fingerprinted:
@@ -469,7 +472,7 @@ class CollisionCounter:
         trajectory tracks the parent tag's trajectory. A real tag's
         trajectory is independent of every other tag's. With K >= 3
         captures, a weak candidate whose trajectory correlates strongly
-        with a candidate ``fingerprint_parent_ratio`` times stronger is
+        with a candidate ``_FINGERPRINT_PARENT_RATIO`` times stronger is
         rejected. Returns {candidate index: correlation}.
         """
         k_captures = len(per_capture)
@@ -487,10 +490,10 @@ class CollisionCounter:
             for c in range(m):
                 if c == k:
                     continue
-                if mean_abs_amplitude[c] < self.fingerprint_parent_ratio * mean_abs_amplitude[k]:
+                if mean_abs_amplitude[c] < _FINGERPRINT_PARENT_RATIO * mean_abs_amplitude[k]:
                     continue
                 corr = float(np.abs(np.mean(phasors[:, k] * phasors[:, c].conj())))
-                if corr >= self.fingerprint_corr:
+                if corr >= _FINGERPRINT_CORR:
                     rejected[k] = corr
                     break
         return rejected
@@ -539,11 +542,11 @@ class CollisionCounter:
 
         Refinement can walk two adjacent local maxima onto the same tone;
         fitting both would make the least-squares basis singular. Keep the
-        higher-SNR member of any group closer than ``merge_bins`` bins.
+        higher-SNR member of any group closer than ``_MERGE_BINS`` bins.
         """
         kept: list[tuple[float, float, float]] = []
         for freq, snr, floor in sorted(refined, key=lambda r: -r[1]):
-            if all(abs(freq - other[0]) > self.merge_bins * resolution_hz for other in kept):
+            if all(abs(freq - other[0]) > _MERGE_BINS * resolution_hz for other in kept):
                 kept.append((freq, snr, floor))
         return sorted(kept)
 
@@ -573,7 +576,7 @@ class CollisionCounter:
     def _solve_tones(self, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Tone amplitudes from the m x m normal equations ``gram a = rhs``.
 
-        Candidates are merged when closer than ``merge_bins``, so the
+        Candidates are merged when closer than ``_MERGE_BINS``, so the
         Gram of resolved tones is well conditioned and ``np.linalg.solve``
         gives what least squares on the N x m basis gives. Joint
         refinement can still pull two tones onto one frequency, which
@@ -695,9 +698,9 @@ class CollisionCounter:
 
         A spike is SINGLE when its coherence clears the expected value
         less a slack, which widens as the spike weakens (the statistic
-        gets noisier) and never falls below ``min_slack`` (residual
+        gets noisier) and never falls below ``_MIN_SLACK`` (residual
         imperfection of neighbour-tone cancellation), and its dispersion
-        stays under ``dispersion_base + dispersion_gamma / gamma``;
+        stays under ``_DISPERSION_BASE + _DISPERSION_GAMMA / gamma``;
         otherwise MULTIPLE. In dense mode a spike below both reality
         bounds is a floor fluke (REJECTED), and so is a silent row.
         """
@@ -723,12 +726,12 @@ class CollisionCounter:
             expected = math.sqrt((g2 + 1.0 / n_windows) / (g2 + 1.0))
             stats = _stats(gamma, coherence, expected, dispersion)
             weak = max(gamma, 0.3)
-            slack = self.slack_base + self.slack_gamma / weak
-            slack = min(self.max_slack, max(self.min_slack, slack))
-            if dense_mode and coherence < self.reality_coherence and gamma < self.reality_gamma:
+            slack = _SLACK_BASE + _SLACK_GAMMA / weak
+            slack = min(_MAX_SLACK, max(_MIN_SLACK, slack))
+            if dense_mode and coherence < _REALITY_COHERENCE and gamma < _REALITY_GAMMA:
                 label = BinClass.REJECTED
             elif coherence >= expected * (1.0 - slack) and dispersion <= (
-                self.dispersion_base + self.dispersion_gamma / weak
+                _DISPERSION_BASE + _DISPERSION_GAMMA / weak
             ):
                 label = BinClass.SINGLE
             else:
@@ -745,7 +748,7 @@ class CollisionCounter:
         probes: np.ndarray,
     ) -> tuple[BinClass, dict]:
         """The paper's Eq 8 test (with neighbour-tone cancellation)."""
-        max_shift = max(self.shift_samples)
+        max_shift = max(_SHIFT_SAMPLES)
         window = wave.n_samples - max_shift
         if window <= 0:
             raise ConfigurationError("waveform shorter than the largest shift")
@@ -767,10 +770,10 @@ class CollisionCounter:
         if reference == 0.0:
             return BinClass.REJECTED, _stats(0.0, 0.0, 0.0, 0.0)
         worst = 0.0
-        for shift in self.shift_samples:
+        for shift in _SHIFT_SAMPLES:
             shifted = cancelled_window_mag(shift)
             worst = max(worst, abs(shifted - reference) / reference)
-        if worst <= self.shift_tolerance:
+        if worst <= _SHIFT_TOLERANCE:
             return BinClass.SINGLE, _stats(np.nan, 1.0, 1.0, worst)
         return BinClass.MULTIPLE, _stats(np.nan, 0.0, 1.0, worst)
 

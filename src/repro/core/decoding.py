@@ -44,7 +44,10 @@ Two execution paths implement the same math:
   one broadcast pass.  Its ``combining`` policy selects ``"mrc"``
   (default: all antennas, maximum-ratio) or ``"single"`` (one antenna —
   the pre-multi-antenna numerics, kept bit-for-bit as the ablation
-  baseline).
+  baseline).  A :class:`DecodeSession` also folds in captures donated
+  to it — windows overheard from other readers — as free evidence;
+  which windows to harvest is the caller's choice (one policy per city
+  corridor).
 
 A key algebraic identity makes the batched path cheap.  The compensated
 capture is ``r_j(t) exp(-j 2 pi f t) / h_j`` with absolute time
@@ -76,9 +79,6 @@ __all__ = ["DecodeResult", "CoherentDecoder", "MultiTargetCombiner", "DecodeSess
 #: Valid cross-antenna combining policies.
 COMBINING_POLICIES = ("mrc", "single")
 
-#: Valid overheard-capture policies.
-OPPORTUNISTIC_POLICIES = ("accept", "ignore")
-
 #: A donated capture is combined for a target only when the target's
 #: spike power at the capture exceeds this multiple of the per-bin
 #: noise-plus-interference floor (~10.8 dB). An overheard window need
@@ -102,18 +102,6 @@ def validate_combining(combining: str) -> str:
     return combining
 
 
-def validate_opportunistic(opportunistic: str) -> str:
-    """Validate an opportunistic overheard-capture policy: ``"accept"``
-    (combine donated windows as free evidence) or ``"ignore"`` (ablation
-    baseline, drops them bit-for-bit)."""
-    if opportunistic not in OPPORTUNISTIC_POLICIES:
-        raise ConfigurationError(
-            f"unknown opportunistic policy {opportunistic!r}; "
-            f"options: {OPPORTUNISTIC_POLICIES}"
-        )
-    return opportunistic
-
-
 @dataclass
 class DecodeResult:
     """Outcome of decoding one target tag.
@@ -122,7 +110,8 @@ class DecodeResult:
         packet: the recovered packet, or None if the budget ran out.
         n_queries: collisions combined before the CRC passed.
         cfo_hz: the refined CFO used for compensation.
-        identification_time_s: queries x query period — the Fig 16 metric.
+        identification_time_s: queries x :data:`~repro.constants.QUERY_PERIOD_S`
+            — the Fig 16 metric.
         channels: per-antenna channel evidence accumulated while decoding
             (None before any capture was combined).  Entry ``a`` is
             ``sum_j q_{j,a} conj(q_{j,0})`` over the combined captures —
@@ -141,7 +130,6 @@ class DecodeResult:
     packet: TransponderPacket | None
     n_queries: int
     cfo_hz: float
-    query_period_s: float = QUERY_PERIOD_S
     channels: np.ndarray | None = None
     n_overheard: int = 0
 
@@ -156,7 +144,7 @@ class DecodeResult:
 
     @property
     def identification_time_s(self) -> float:
-        return self.n_queries * self.query_period_s
+        return self.n_queries * QUERY_PERIOD_S
 
     @property
     def identification_time_ms(self) -> float:
@@ -166,9 +154,8 @@ class DecodeResult:
 class CoherentDecoder:
     """Combines repeated collision captures to decode one tag (§8)."""
 
-    def __init__(self, sample_rate_hz: float, query_period_s: float = QUERY_PERIOD_S):
+    def __init__(self, sample_rate_hz: float):
         self.sample_rate_hz = sample_rate_hz
-        self.query_period_s = query_period_s
         self._modulator = OokModulator(sample_rate_hz=sample_rate_hz)
 
     def decode(self, captures: list[Waveform], target_cfo_hz: float) -> DecodeResult:
@@ -198,42 +185,8 @@ class CoherentDecoder:
             accumulator += self._compensated(capture, cfo)
             packet = self._try_demodulate(accumulator)
             if packet is not None:
-                return DecodeResult(
-                    packet=packet, n_queries=j, cfo_hz=cfo, query_period_s=self.query_period_s
-                )
-        return DecodeResult(
-            packet=None, n_queries=len(captures), cfo_hz=cfo, query_period_s=self.query_period_s
-        )
-
-    def decode_many(
-        self,
-        captures: list[Waveform],
-        target_cfos_hz: list[float],
-        min_queries: int = 1,
-    ) -> dict[float, DecodeResult]:
-        """Decode many targets from one shared capture list, batched.
-
-        The vectorized counterpart of calling :meth:`decode` once per
-        target: one :class:`MultiTargetCombiner` recombines the same
-        captures for every target, so each capture is read once and each
-        target's compensation is a broadcast, not a Python loop.  The
-        captures are single-antenna waveforms, so the combiner runs the
-        ``"single"`` policy and reproduces :meth:`decode` exactly.
-
-        Returns:
-            ``{requested cfo: DecodeResult}`` — same per-target outcomes
-            (packets and query counts) as the reference path.
-        """
-        if not captures:
-            raise DecodingError("no captures supplied")
-        combiner = MultiTargetCombiner(self, captures[0].n_samples, combining="single")
-        keys = combiner.add_targets(
-            [self.refine_cfo(captures[0], cfo) for cfo in target_cfos_hz]
-        )
-        combiner.advance(keys, captures, len(captures), min_queries=min_queries)
-        return {
-            cfo: combiner.result(key) for cfo, key in zip(target_cfos_hz, keys)
-        }
+                return DecodeResult(packet=packet, n_queries=j, cfo_hz=cfo)
+        return DecodeResult(packet=None, n_queries=len(captures), cfo_hz=cfo)
 
     def refine_cfo(self, capture: Waveform, cfo_hz: float) -> float:
         """Sub-bin refine a spike frequency on one capture (§3)."""
@@ -424,18 +377,11 @@ class MultiTargetCombiner:
             packet=None,
             n_queries=n,
             cfo_hz=float(self.cfos_hz[key]),
-            query_period_s=self.decoder.query_period_s,
             channels=self.accumulated_channels(key),
             n_overheard=int(self.n_extra[key]),
         )
 
-    def advance(
-        self,
-        keys: list[int],
-        captures: list,
-        upto: int,
-        min_queries: int = 1,
-    ) -> None:
+    def advance(self, keys: list[int], captures: list, upto: int) -> None:
         """Advance targets through ``captures[:upto]``, incrementally.
 
         ``captures`` holds :class:`~repro.channel.collision.ReceivedCollision`
@@ -465,12 +411,10 @@ class MultiTargetCombiner:
             if cohort.size:
                 self._combine(cohort, captures[j])
                 self.n_combined[cohort] += 1
-                count = j + 1
-                if count >= min_queries:
-                    self._attempt(cohort)
-                    pending = [k for k in pending if self._results[k] is None]
-                    if not pending:
-                        return
+                self._attempt(cohort)
+                pending = [k for k in pending if self._results[k] is None]
+                if not pending:
+                    return
 
     def advance_extra(self, keys: list[int], capture) -> list[int]:
         """Fold one *donated* capture into targets' rows as free evidence.
@@ -723,7 +667,6 @@ class MultiTargetCombiner:
                     packet=packet,
                     n_queries=int(self.n_combined[k]),
                     cfo_hz=float(self.cfos_hz[k]),
-                    query_period_s=self.decoder.query_period_s,
                     channels=self.accumulated_channels(k),
                     n_overheard=int(self.n_extra[k]),
                 )
@@ -754,28 +697,27 @@ class DecodeSession:
     has passed its CRC, later calls return that result even if asked with
     a smaller ``max_queries``.
 
+    *Donated* captures offered via :meth:`donate_capture` (responses
+    overheard from another reader's trigger window) are combined for
+    every pending target whose spike the capture detectably contains —
+    free evidence, excluded from ``n_queries``/air time. Whether to
+    harvest and donate them is the caller's policy (the city corridor's
+    ``opportunistic``); a session never donated to decodes from its own
+    queries alone.
+
     Attributes:
         query_fn: ``query_fn(t_s) -> ReceivedCollision``.
         decoder: the coherent decoder to use.
         combining: ``"mrc"`` or ``"single"``.
-        opportunistic: what to do with *donated* captures offered via
-            :meth:`donate_capture` (responses overheard from another
-            reader's trigger window). ``"accept"`` (default) combines
-            each donation for every pending target whose spike the
-            capture detectably contains — free evidence, excluded from
-            ``n_queries``/air time; ``"ignore"`` drops donations at the
-            door, reproducing the donation-free numerics bit-for-bit
-            (the ablation baseline).
         obs: nullable observability hook (see :mod:`repro.obs`): counts
-            queries issued, seeded captures, and the CFAR probe's
-            accept/reject verdicts on donated windows. Never affects
-            decode results.
+            queries issued, seeded captures, donations held, and the
+            CFAR probe's accept/reject verdicts on donated windows.
+            Never affects decode results.
     """
 
     query_fn: object
     decoder: CoherentDecoder
     combining: str = "mrc"
-    opportunistic: str = "accept"
     captures: list = field(default_factory=list)
     _next_query_s: float = 0.0
     _combiner: MultiTargetCombiner | None = field(default=None, repr=False)
@@ -785,12 +727,11 @@ class DecodeSession:
 
     def __post_init__(self) -> None:
         validate_combining(self.combining)
-        validate_opportunistic(self.opportunistic)
 
     def _ensure_captures(self, n: int) -> None:
         while len(self.captures) < n:
             collision = self.query_fn(self._next_query_s)
-            self._next_query_s += self.decoder.query_period_s
+            self._next_query_s += QUERY_PERIOD_S
             self.captures.append(collision)
             if self.obs is not None:
                 self.obs.count("decode.capture", kind="query")
@@ -860,35 +801,28 @@ class DecodeSession:
         :class:`Waveform` treated as a one-antenna capture.
         """
         self.captures.append(capture)
-        self._next_query_s += self.decoder.query_period_s
+        self._next_query_s += QUERY_PERIOD_S
         if self.obs is not None:
             self.obs.count("decode.capture", kind="seeded")
 
-    def donate_capture(self, capture) -> bool:
+    def donate_capture(self, capture) -> None:
         """Offer an *overheard* capture as free evidence (no air time).
 
         A capture of another reader's trigger window (e.g. synthesized
         by the city corridor's response pool) may contain this session's
         targets — their responses are the same physical transmissions,
-        just received over this pole's geometry. Under
-        ``opportunistic="accept"`` the donation is held and, on the next
-        decode run, combined for every still-pending target whose spike
-        it detectably contains (see :data:`OVERHEARD_PROBE_THRESHOLD`);
-        under ``"ignore"`` it is dropped immediately. Donated captures
-        never join :attr:`captures` — air-time accounting
+        just received over this pole's geometry. The donation is held
+        and, on the next decode run, combined for every still-pending
+        target whose spike it detectably contains (see
+        :data:`OVERHEARD_PROBE_THRESHOLD`). Donated captures never join
+        :attr:`captures` — air-time accounting
         (:attr:`total_air_time_s`, ``DecodeResult.n_queries``) stays
         own-queries-only; their use is visible in
-        ``DecodeResult.n_overheard``. Returns whether the donation was
-        kept.
+        ``DecodeResult.n_overheard``.
         """
-        if self.opportunistic != "accept":
-            if self.obs is not None:
-                self.obs.count("decode.donation", outcome="ignored")
-            return False
         self._donations.append(capture)
         if self.obs is not None:
             self.obs.count("decode.donation", outcome="held")
-        return True
 
     #: Half-width (in FFT bins) of the probe's local floor window, and
     #: how many center bins are excluded as the spike's own energy.
@@ -994,4 +928,4 @@ class DecodeSession:
     @property
     def total_air_time_s(self) -> float:
         """Air time consumed so far (queries issued x period)."""
-        return len(self.captures) * self.decoder.query_period_s
+        return len(self.captures) * QUERY_PERIOD_S

@@ -20,7 +20,7 @@ import numpy as np
 from ..channel.antenna import AntennaPair, TriangleArray
 from ..channel.collision import ReceivedCollision
 from ..channel.geometry import RoadSegment, aoa_cone_conic, intersect_conics
-from ..constants import PAIR_USABLE_MAX_DEG, PAIR_USABLE_MIN_DEG, WAVELENGTH_M
+from ..constants import PAIR_USABLE_MAX_DEG, PAIR_USABLE_MIN_DEG, TAG_HEIGHT_M, WAVELENGTH_M
 from ..dsp.spectrum import tone_factors
 from ..errors import GeometryError, LocalizationError
 from ..utils import wrap_angle
@@ -35,6 +35,22 @@ __all__ = [
     "TwoReaderLocalizer",
     "LaneProjectionLocalizer",
 ]
+
+#: Spike detection threshold over the local (CFAR) floor when
+#: :meth:`AoAEstimator.estimate_all` finds a collision's spikes itself.
+_PEAK_SNR_DB = 15.0
+
+#: How far outside the road edge a fix may fall and still count as on
+#: the road (footnote 10: candidates beyond it are "on the sidewalk").
+_ROAD_MARGIN_M = 1.5
+
+#: A lane candidate's per-baseline tolerance between the phase it would
+#: produce and the measured one. Phase noise is roughly uniform across
+#: pairs (unlike angle noise, which blows up toward end-fire), so the
+#: gate is applied in phase space: a candidate past it on any baseline is
+#: a ghost (e.g. a tag that is really outside this reader's road segment)
+#: and is rejected rather than reported.
+_MAX_PHASE_ERROR_DEG = 15.0
 
 
 def aoa_from_phase(
@@ -125,12 +141,11 @@ class AoAEstimate:
 
 @dataclass
 class AoAEstimator:
-    """Measures spatial angles for every tag in a collision (§6).
+    """Measures spatial angles for every tag in a collision (§6), at the
+    carrier wavelength :data:`~repro.constants.WAVELENGTH_M`.
 
     Attributes:
         array: the reader's antenna triangle.
-        wavelength_m: carrier wavelength.
-        min_snr_db: spike detection threshold (forwarded to peak search).
         obs: nullable observability hook (see :mod:`repro.obs`): counts
             one readout per spike :meth:`estimate_for_cfos` reads, by
             where its probe came from (``aoa.readout{probe=basis|built}``).
@@ -138,8 +153,6 @@ class AoAEstimator:
     """
 
     array: TriangleArray
-    wavelength_m: float = WAVELENGTH_M
-    min_snr_db: float = 15.0
     obs: object = None
 
     def estimate_from_channels(
@@ -240,7 +253,7 @@ class AoAEstimator:
         first, second = zip(*self.array.pair_indices())
         spacings = self.array.baselines[2]
         delta_phi = np.angle(channels[:, list(second)] / channels[:, list(first)])
-        cos_alpha = delta_phi * self.wavelength_m / (2.0 * np.pi * spacings)
+        cos_alpha = delta_phi * WAVELENGTH_M / (2.0 * np.pi * spacings)
         alphas = np.arccos(np.clip(cos_alpha, -1.0, 1.0))
         best = np.argmin(np.abs(alphas - np.pi / 2.0), axis=1)
         return [
@@ -255,20 +268,15 @@ class AoAEstimator:
             )
         ]
 
-    def estimate_all(
-        self, collision: ReceivedCollision, cfos_hz: list[float] | None = None
-    ) -> list[AoAEstimate]:
+    def estimate_all(self, collision: ReceivedCollision) -> list[AoAEstimate]:
         """Measure each tag's AoA via the shared collision readout.
 
         Spikes are detected on the average magnitude spectrum across
         every antenna (no element is privileged) and each spike's channel
         is read per antenna at one refined frequency — the same Eq 5 pass
-        the rest of the chain uses.  Passing ``cfos_hz`` (e.g. the
-        counting pass's accepted spikes) skips detection entirely.
+        the rest of the chain uses.
         """
-        if cfos_hz is not None:
-            return self.estimate_for_cfos(collision, cfos_hz)
-        peaks = extract_collision_peaks(collision, min_snr_db=self.min_snr_db)
+        peaks = extract_collision_peaks(collision, min_snr_db=_PEAK_SNR_DB)
         return [
             self.estimate_from_channels(p.cfo_hz, p.channels) for p in peaks
         ]
@@ -301,17 +309,14 @@ class TwoReaderLocalizer:
     §6: one AoA confines the car to a conic on the road plane; a second
     reader (typically across the street) adds another; their intersection
     points are computed numerically and candidates off the pavement are
-    rejected (they are "on the sidewalk", footnote 10).
+    rejected (they are "on the sidewalk", footnote 10). The AoA cones are
+    intersected with the *transponder* plane, :data:`~repro.constants.TAG_HEIGHT_M`
+    above the road (footnote 14: pole, antennas and tag are treated as
+    coplanar geometry), then the (x, y) is reported on the road.
     """
 
     first: ReaderGeometry
     second: ReaderGeometry
-    road_margin_m: float = 1.5
-    #: Height of the windshield-mounted transponder above the road. The
-    #: AoA cone is intersected with the *transponder* plane (footnote 14:
-    #: pole, antennas and tag are treated as coplanar geometry), then the
-    #: (x, y) is reported on the road.
-    tag_height_m: float = 1.0
 
     def locate(
         self,
@@ -338,16 +343,16 @@ class TwoReaderLocalizer:
         road = self.first.road
         pair_a = estimator_a.best_pair(estimate_a)
         pair_b = estimator_b.best_pair(estimate_b)
-        plane_z = road.z_m + self.tag_height_m
+        plane_z = road.z_m + TAG_HEIGHT_M
         conic_a = aoa_cone_conic(
             pair_a.midpoint_m, pair_a.axis, estimate_a.alpha_rad, plane_z
         )
         conic_b = aoa_cone_conic(
             pair_b.midpoint_m, pair_b.axis, estimate_b.alpha_rad, plane_z
         )
-        x_range = (road.x_min_m - self.road_margin_m, road.x_max_m + self.road_margin_m)
+        x_range = (road.x_min_m - _ROAD_MARGIN_M, road.x_max_m + _ROAD_MARGIN_M)
         points = intersect_conics(conic_a, conic_b, x_range)
-        on_road = [p for p in points if road.contains(p, margin_m=self.road_margin_m)]
+        on_road = [p for p in points if road.contains(p, margin_m=_ROAD_MARGIN_M)]
         if not on_road:
             raise GeometryError(
                 f"no conic intersection on the road (found {len(points)} points total)"
@@ -372,9 +377,11 @@ class LaneProjectionLocalizer:
     (:class:`TwoReaderLocalizer`, Fig 7). On an instrumented road the
     unknown is effectively one-dimensional, though: cars sit in known
     lanes (or marked parking spots), so intersecting the cone with each
-    lane line ``y = lane, z = tag height`` reduces localization to a
+    lane line ``y = lane, z = tag height`` (the road's plus
+    :data:`~repro.constants.TAG_HEIGHT_M`) reduces localization to a
     quadratic in the along-road coordinate x. At most two candidates
-    survive per lane; road limits, the cone's half-space, and an optional
+    survive per lane; road limits, the cone's half-space, the phase gate
+    (:data:`_MAX_PHASE_ERROR_DEG` on every baseline) and an optional
     hint (e.g. the car's previous fix) disambiguate.
 
     This is what lets a corridor station (each
@@ -385,15 +392,6 @@ class LaneProjectionLocalizer:
     Attributes:
         road: the road segment the lanes belong to.
         lane_ys_m: cross-road coordinates of the lane centers to try.
-        tag_height_m: windshield transponder height above the road.
-        road_margin_m: tolerance outside the road edge (footnote 10).
-        max_phase_error_deg: per-baseline tolerance between the phase a
-            candidate would produce and the measured one. Phase noise is
-            roughly uniform across pairs (unlike angle noise, which blows
-            up toward end-fire), so the gate is applied in phase space: a
-            candidate exceeding it on any baseline is a ghost (e.g. a tag
-            that is really outside this reader's road segment) and is
-            rejected rather than reported.
         obs: nullable observability hook (see :mod:`repro.obs`): counts
             the lane candidates :meth:`locate` scores, by whether the
             phase gate kept them (``locate.candidates{outcome=kept|gated}``).
@@ -402,9 +400,6 @@ class LaneProjectionLocalizer:
 
     road: RoadSegment
     lane_ys_m: tuple[float, ...]
-    tag_height_m: float = 1.0
-    road_margin_m: float = 1.5
-    max_phase_error_deg: float = 15.0
     obs: object = None
 
     def locate(
@@ -467,7 +462,7 @@ class LaneProjectionLocalizer:
         if hints is None:
             hints = [None] * n_spikes
         pairs = estimator.array.pairs()
-        z = self.road.z_m + self.tag_height_m
+        z = self.road.z_m + TAG_HEIGHT_M
         cosines = np.cos([estimate.alphas_rad for estimate in estimates])
         owners, xs, ys = [], [], []
         for spike, (estimate, row) in enumerate(zip(estimates, cosines.tolist())):
@@ -480,7 +475,7 @@ class LaneProjectionLocalizer:
             return fixes
         owner = np.array(owners)
         points = np.column_stack([xs, ys])
-        gains = 2.0 * np.pi * estimator.array.baselines[2] / estimator.wavelength_m
+        gains = 2.0 * np.pi * estimator.array.baselines[2] / WAVELENGTH_M
         errors, pointless = self._phase_errors_rad(
             points, z, (gains * cosines)[owner], estimator
         )
@@ -491,7 +486,7 @@ class LaneProjectionLocalizer:
         # A real tag matches all three measured baselines to within phase
         # noise; a ghost (wrong lane, or a tag outside this road segment
         # whose cone happens to graze it) only matches the selected one.
-        ceiling = float(np.deg2rad(self.max_phase_error_deg))
+        ceiling = float(np.deg2rad(_MAX_PHASE_ERROR_DEG))
         kept = scored & (errors.max(axis=1) <= ceiling)
         if self.obs is not None:
             n_kept = int(np.count_nonzero(kept))
@@ -531,7 +526,7 @@ class LaneProjectionLocalizer:
         # Squares by pow, which rounds apart from x * x now and then.
         a = axis_x**2 - cos_a**2
         dz = z - apex_z
-        margin = self.road_margin_m
+        margin = _ROAD_MARGIN_M
         x_lo, x_hi = self.road.x_min_m - margin, self.road.x_max_m + margin
         y_lo, y_hi = self.road.y_min_m - margin, self.road.y_max_m + margin
         found = []
@@ -591,7 +586,7 @@ class LaneProjectionLocalizer:
             (directions / norms[..., None])[..., None, :] @ unit_axes[None, :, :, None]
         )[..., 0, 0]
         true_alphas = np.arccos(np.clip(cosines, -1.0, 1.0))
-        gains = 2.0 * np.pi * spacings / estimator.wavelength_m
+        gains = 2.0 * np.pi * spacings / WAVELENGTH_M
         # Wrap each difference into (-pi, pi]: near end-fire the true
         # phase sits next to +-pi and noise can flip the measured sign —
         # a tiny physical error that would otherwise read ~2pi.

@@ -36,7 +36,6 @@ from ..constants import (
     RESPONSE_DURATION_S,
     TURNAROUND_S,
 )
-from ..errors import ConfigurationError
 
 __all__ = ["CsmaState", "ReaderMac"]
 
@@ -68,7 +67,7 @@ class CsmaState:
     """What a reader has heard: merged busy intervals on the medium.
 
     ``busy_intervals`` is the merged union of *all* energy, regardless of
-    kind. Intervals added with ``kind="query"`` are additionally
+    kind. Intervals heard with ``kind="query"`` are additionally
     remembered individually, so the §9 policy can subtract them from the
     carrier sense and honor only the response windows they open.
     """
@@ -80,11 +79,14 @@ class CsmaState:
     def from_heard(
         cls, intervals: list[tuple[float, float, str]]
     ) -> "CsmaState":
-        """Build a state from many heard intervals in one pass.
+        """Build a state from heard ``(start, end, kind)`` intervals.
 
-        Equivalent to repeated :meth:`add_busy` calls but merges once
-        (O(n log n) instead of O(n^2)) — carrier sensing rebuilds the
-        state per query, so bulk construction is the hot path.
+        ``kind`` is ``"query"`` for energy classified as another reader's
+        query sinewave and ``"response"`` or ``"unknown"`` otherwise;
+        unknown energy is treated like a response (the §9 blanket rule
+        applies to anything a reader cannot rule out). The intervals are
+        merged once, in O(n log n): carrier sensing rebuilds the state
+        per query.
         """
         state = cls()
         state._query_spans = [
@@ -92,33 +94,6 @@ class CsmaState:
         ]
         state.busy_intervals = _merge([(start, end) for start, end, _ in intervals])
         return state
-
-    def add_busy(self, start_s: float, end_s: float, kind: str = "unknown") -> None:
-        """Record a heard transmission, merging overlaps.
-
-        Args:
-            start_s / end_s: the transmission interval.
-            kind: ``"query"`` if the energy was classified as another
-                reader's query sinewave; ``"response"`` or ``"unknown"``
-                otherwise. Unknown energy is treated like a response
-                (the §9 blanket rule applies to anything a reader cannot
-                rule out).
-        """
-        if end_s <= start_s:
-            raise ConfigurationError(f"empty interval [{start_s}, {end_s}]")
-        if kind not in ("query", "response", "unknown"):
-            raise ConfigurationError(f"unknown transmission kind {kind!r}")
-        if kind == "query":
-            self._query_spans.append((start_s, end_s))
-        self.busy_intervals = _merge(self.busy_intervals + [(start_s, end_s)])
-
-    def idle_since(self, t_s: float) -> float:
-        """How long the medium has been continuously idle at time ``t_s``.
-
-        Counts energy of every kind. Returns +inf if nothing was ever
-        heard before ``t_s``.
-        """
-        return _idle_since(self.busy_intervals, t_s)
 
     def response_energy_intervals(self) -> list[tuple[float, float]]:
         """Busy intervals after subtracting energy classified as queries.
@@ -142,10 +117,6 @@ class CsmaState:
                 out.append((cursor, hi))
         return out
 
-    def response_idle_since(self, t_s: float) -> float:
-        """Continuous idle time at ``t_s`` counting only non-query energy."""
-        return _idle_since(self.response_energy_intervals(), t_s)
-
     def query_spans(self) -> list[tuple[float, float]]:
         """The individual intervals classified as queries, as heard.
 
@@ -156,11 +127,7 @@ class CsmaState:
         """
         return list(self._query_spans)
 
-    def response_windows(
-        self,
-        turnaround_s: float = TURNAROUND_S,
-        response_s: float = RESPONSE_DURATION_S,
-    ) -> list[tuple[float, float]]:
+    def response_windows(self) -> list[tuple[float, float]]:
         """The response slot each heard query opens (§3 timing).
 
         Every query ending at ``e`` triggers any in-range tags to respond
@@ -169,7 +136,7 @@ class CsmaState:
         response energy arrives.
         """
         return [
-            (hi + turnaround_s, hi + turnaround_s + response_s)
+            (hi + TURNAROUND_S, hi + TURNAROUND_S + RESPONSE_DURATION_S)
             for _, hi in self._query_spans
         ]
 
@@ -272,9 +239,3 @@ class ReaderMac:
         """
         start = t_query_s + QUERY_DURATION_S + TURNAROUND_S
         return (start, start + RESPONSE_DURATION_S)
-
-    def guaranteed_safe(self, idle_observed_s: float) -> bool:
-        """§9's argument, as a predicate: after ``query + turnaround`` of
-        silence no tag response can start, because any response needs a
-        query to have ended within the last turnaround window."""
-        return idle_observed_s >= CSMA_LISTEN_S

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..channel.collision import ReceivedCollision
-from ..constants import QUERY_PERIOD_S
 from .counting import BinClass, CollisionCounter, CountEstimate
 from .decoding import CoherentDecoder, DecodeResult, DecodeSession
 from .localization import AoAEstimate, AoAEstimator, ReaderGeometry
@@ -50,30 +49,24 @@ class CaraokeReader:
 
     Attributes:
         geometry: antenna array and the road it watches.
-        counter: the counting engine (§5).
-        estimator: the AoA engine (§6); built from the geometry if omitted.
         sample_rate_hz: ADC rate of the captures this reader processes.
+        counter: the counting engine (§5), built here.
+        estimator: the AoA engine (§6), built here from the geometry.
     """
 
     geometry: ReaderGeometry
     sample_rate_hz: float
-    counter: CollisionCounter = field(default_factory=CollisionCounter)
-    estimator: AoAEstimator | None = None
-    query_period_s: float = QUERY_PERIOD_S
+    counter: CollisionCounter = field(init=False, default_factory=CollisionCounter)
+    estimator: AoAEstimator = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.estimator is None:
-            self.estimator = AoAEstimator(self.geometry.array)
+        self.estimator = AoAEstimator(self.geometry.array)
 
     # -- per-collision processing -----------------------------------------------
 
     def count(self, collision: ReceivedCollision) -> CountEstimate:
         """§5: how many tags are in this collision."""
         return self.counter.count(collision.antenna(0))
-
-    def aoas(self, collision: ReceivedCollision) -> list[AoAEstimate]:
-        """§6: spatial angle of every detected tag."""
-        return self.estimator.estimate_all(collision)
 
     def observe(self, collision: ReceivedCollision, timestamp_s: float | None = None) -> ReaderReport:
         """Count + localize in one pass, sharing the spike detection.
@@ -113,7 +106,6 @@ class CaraokeReader:
         self,
         query_fn,
         combining: str = "mrc",
-        opportunistic: str = "accept",
         obs=None,
     ) -> DecodeSession:
         """Open a repeated-query decode session (§8).
@@ -123,19 +115,13 @@ class CaraokeReader:
                 ``ParkedSource.query`` or a live radio.
             combining: ``"mrc"`` (default: maximum-ratio across every
                 antenna) or ``"single"`` (one-antenna ablation baseline).
-            opportunistic: ``"accept"`` (default: captures donated via
-                ``DecodeSession.donate_capture`` — windows overheard from
-                other readers — are combined as free evidence) or
-                ``"ignore"`` (donations dropped; the ablation baseline).
             obs: nullable observability hook (see :mod:`repro.obs`),
                 threaded into the session and its combiner.
         """
-        decoder = CoherentDecoder(self.sample_rate_hz, self.query_period_s)
         return DecodeSession(
             query_fn=query_fn,
-            decoder=decoder,
+            decoder=CoherentDecoder(self.sample_rate_hz),
             combining=combining,
-            opportunistic=opportunistic,
             obs=obs,
         )
 

@@ -16,7 +16,7 @@ per-pole machinery into that infrastructure:
 * :mod:`repro.sim.city.pool` — the shared :class:`ResponsePool` of
   trigger windows: a tag answering one pole's query is audible at every
   pole in range, so neighbors harvest the window as free decode
-  evidence (the ``opportunistic="accept"`` policy).
+  evidence (the corridor's ``opportunistic="accept"`` policy).
 * :mod:`repro.sim.city.corridor` — :class:`CityCorridor`, the engine:
   every station runs its own query cadence through the §9
   :class:`~repro.core.mac.ReaderMac` policy on one shared

@@ -69,16 +69,14 @@ class StationCell:
             z_m=self.road.z_m,
         )
 
-    def localizer(self, **kwargs) -> LaneProjectionLocalizer:
+    def localizer(self) -> LaneProjectionLocalizer:
         """A single-pole localizer confined to this cell's segment.
 
         Fixes outside the cell are rejected by the segment bounds and
         left to the neighbor with better geometry — exactly the division
         of labor the example encoded by hand.
         """
-        return LaneProjectionLocalizer(
-            road=self.segment(), lane_ys_m=tuple(self.lane_ys_m), **kwargs
-        )
+        return LaneProjectionLocalizer(road=self.segment(), lane_ys_m=tuple(self.lane_ys_m))
 
 
 def carve_cells(

@@ -33,9 +33,9 @@
   delay/attenuation/array geometry and receiver noise) and donates them
   to its :class:`~repro.core.decoding.DecodeSession`, which combines
   each for the targets whose spike it detectably contains — free
-  evidence, excluded from own-air-time accounting. The per-station
-  ``opportunistic="accept"|"ignore"`` policy gates harvesting;
-  ``"ignore"`` reproduces the pool-less corridor bit for bit (the
+  evidence, excluded from own-air-time accounting. The corridor's one
+  ``opportunistic="accept"|"ignore"`` policy gates harvesting at every
+  pole; ``"ignore"`` reproduces the pool-less corridor bit for bit (the
   ablation). Windows overlapping the harvester's own capture slots are
   skipped (the receiver was busy, and coincident triggers already merge
   into its own capture), and windows a query stepped on are dropped at
@@ -75,7 +75,6 @@ from ...constants import (
     TURNAROUND_S,
 )
 from ...core.counting import BinClass
-from ...core.decoding import validate_combining, validate_opportunistic
 from ...core.mac import ReaderMac
 from ...core.network import IdentityCache, resolve_cached_ids
 from ...errors import ConfigurationError
@@ -93,6 +92,9 @@ from .moving import (
 from .pool import ResponsePool, TriggerWindow
 
 __all__ = ["CorridorStation", "CityCorridor", "CorridorResult", "IdentificationStat"]
+
+#: Valid overheard-response policies (see :class:`CityCorridor`).
+OPPORTUNISTIC_POLICIES = ("accept", "ignore")
 
 #: How long a station's receiver buffers overheard windows between
 #: decode bursts; windows older than this at harvest time are lost, not
@@ -116,6 +118,18 @@ CACHE_MAX_AGE_S = 600.0
 HINT_HORIZON_S = 300.0
 
 
+def validate_opportunistic(opportunistic: str) -> str:
+    """Validate an ``opportunistic`` overheard-response policy:
+    ``"accept"`` (harvest other poles' windows as free decode evidence)
+    or ``"ignore"`` (ablation baseline, never harvests)."""
+    if opportunistic not in OPPORTUNISTIC_POLICIES:
+        raise ConfigurationError(
+            f"unknown opportunistic policy {opportunistic!r}; "
+            f"options: {OPPORTUNISTIC_POLICIES}"
+        )
+    return opportunistic
+
+
 def _tag_observation():
     # Deferred: repro.apps imports repro.sim at package init, so a
     # module-scope import here would close that cycle.
@@ -137,15 +151,10 @@ class CorridorStation:
         identities: the pole's CFO -> account-id cache.
         mac: the §9 listen-before-talk policy.
         query_interval_s / jitter_s: measurement cadence.
-        combining: decode policy — ``"mrc"`` (default: maximum-ratio
-            across every antenna) or ``"single"`` (one-antenna ablation).
-        opportunistic: overheard-response policy — ``"accept"``
-            (default: windows other poles' queries triggered are
-            harvested from the corridor's shared
-            :class:`~repro.sim.city.pool.ResponsePool` and donated to
-            this station's decode sessions as free evidence) or
-            ``"ignore"`` (never harvest — bit-for-bit the pool-less
-            corridor numerics, the ablation baseline).
+
+    A station decodes with maximum-ratio combining across every antenna
+    and harvests overheard windows when its corridor's ``opportunistic``
+    policy says so.
 
     The station keeps each tag's latest fix in ``_last_fixes`` (tag id
     -> ``(fix, time)``, oldest record first) and hints the tag's next
@@ -162,8 +171,6 @@ class CorridorStation:
     mac: ReaderMac = field(default_factory=ReaderMac)
     query_interval_s: float = 80e-3
     jitter_s: float = 5e-3
-    combining: str = "mrc"
-    opportunistic: str = "accept"
     upstream: "CorridorStation | None" = field(default=None, repr=False)
     downstream: "CorridorStation | None" = field(default=None, repr=False)
     #: Predictively pushed cache entries not yet consumed by a sighting:
@@ -190,10 +197,6 @@ class CorridorStation:
     _last_fixes: OrderedDict[int, tuple[np.ndarray, float]] = field(
         default_factory=OrderedDict, repr=False
     )
-
-    def __post_init__(self) -> None:
-        validate_combining(self.combining)
-        validate_opportunistic(self.opportunistic)
 
     @property
     def pole_position_m(self) -> np.ndarray:
@@ -281,8 +284,8 @@ class CorridorResult:
 
     ``scheduling`` echoes the run's MAC mode — ``"event"`` (§9
     event-driven CSMA) or ``"rounds"`` (fixed round-robin baseline).
-    ``opportunistic`` echoes the stations' harvest policy — ``"accept"``,
-    ``"ignore"``, or ``"mixed"`` when stations disagree.
+    ``opportunistic`` echoes the corridor's harvest policy —
+    ``"accept"`` or ``"ignore"``.
     """
 
     scheduling: str
@@ -310,12 +313,12 @@ class CorridorResult:
     burst_corrupted_at_synthesis: int = 0
     burst_corrupted_posthoc: int = 0
     #: Cross-pole response-pool accounting. ``opportunistic`` is the
-    #: stations' harvest policy ("mixed" when they disagree). Published
-    #: windows are every query that triggered responses; harvested ones
-    #: passed a station's filters (another pole's trigger, inside its
-    #: radio range, clear of its own capture slots); of those, windows
-    #: judged corrupted against the air log as known at harvest time were
-    #: skipped and the rest were donated to decode sessions. The post-hoc
+    #: corridor's harvest policy. Published windows are every query that
+    #: triggered responses; harvested ones passed a station's filters
+    #: (another pole's trigger, inside its radio range, clear of its own
+    #: capture slots); of those, windows judged corrupted against the air
+    #: log as known at harvest time were skipped and the rest were
+    #: donated to decode sessions. The post-hoc
     #: count reads every *donated* window's verdict off the final log's
     #: corruption sweep — nonzero means a later-recorded query stepped on
     #: evidence a combiner already consumed, which CSMA rules out (the
@@ -413,12 +416,12 @@ class CityCorridor:
             parked cars (zero-velocity trajectories) is the batch
             reader network of §12.5: one round per cadence tick at
             every pole, observations fanned to the §1 services.
-        opportunistic: when given, overrides every station's
-            overheard-response policy — ``"accept"`` harvests other
-            poles' trigger windows from the shared :class:`ResponsePool`
-            as free decode evidence, ``"ignore"`` never does (bit-for-bit
-            the pool-less numerics, the ablation). None leaves each
-            station's own setting.
+        opportunistic: the overheard-response policy of every station —
+            ``"accept"`` (default) harvests other poles' trigger windows
+            from the shared :class:`ResponsePool` and donates them to the
+            harvesting station's decode sessions as free evidence;
+            ``"ignore"`` never harvests (bit-for-bit the pool-less
+            numerics, the ablation).
         max_queries: decode budget per identification burst.
         name: corridor label. When set, it scopes this corridor inside a
             larger deployment (a :class:`~repro.sim.city.mesh.CityMesh`
@@ -466,7 +469,7 @@ class CityCorridor:
         *,
         rng=None,
         scheduling: str = "event",
-        opportunistic: str | None = None,
+        opportunistic: str = "accept",
         max_queries: int = 32,
         name: str = "",
         on_sighting=None,
@@ -482,10 +485,7 @@ class CityCorridor:
         self.tags = list(tags)
         self.rng = as_rng(rng)
         self.scheduling = scheduling
-        if opportunistic is not None:
-            validate_opportunistic(opportunistic)
-            for station in self.stations:
-                station.opportunistic = opportunistic
+        self.opportunistic = validate_opportunistic(opportunistic)
         self.max_queries = int(max_queries)
         self.on_sighting = on_sighting
         self.obs = obs
@@ -546,17 +546,17 @@ class CityCorridor:
         #: tag id -> (identified at, own decode queries, overheard used).
         self._identified: dict[int, tuple[float, int, int]] = {}
         # Every decode-burst capture that carried responses, for the
-        # end-of-run audit against the *final* air log: (station, query
-        # start, response start, response end, corrupted as judged at
-        # synthesis time).
-        self._burst_log: list[tuple[str, float, float, float, bool]] = []
-        # Every harvested overheard window: (station, origin, trigger
-        # query start, window start, window end, corrupted as judged at
-        # harvest time). Clean entries were synthesized over the
-        # station's geometry and donated; _result audits them against
-        # the final log. The harvesting station is kept as provenance:
-        # no window it harvests may overlap its own capture slots.
-        self._overheard_log: list[tuple[str, str, float, float, float, bool]] = []
+        # end-of-run audit against the *final* air log: (station,
+        # response start, response end, corrupted as judged at synthesis
+        # time).
+        self._burst_log: list[tuple[str, float, float, bool]] = []
+        # Every harvested overheard window: (station, origin, window
+        # start, window end, corrupted as judged at harvest time). Clean
+        # entries were synthesized over the station's geometry and
+        # donated; _result audits them against the final log. The
+        # harvesting station is kept as provenance: no window it
+        # harvests may overlap its own capture slots.
+        self._overheard_log: list[tuple[str, str, float, float, bool]] = []
         self._ran = False
         self._primed = False
 
@@ -1091,7 +1091,7 @@ class CityCorridor:
                 # recorded so far; _result audits this capture against
                 # the final log.
                 self._burst_log.append(
-                    (station.name, t_actual, response.start_s, response.end_s, corrupted)
+                    (station.name, response.start_s, response.end_s, corrupted)
                 )
             state["cursor"] = t_actual + QUERY_PERIOD_S
             state["busy_end"] = start + RESPONSE_DURATION_S
@@ -1103,18 +1103,13 @@ class CityCorridor:
                 )
             return collision
 
-        session = station.reader.decode_session(
-            decode_query,
-            combining=station.combining,
-            opportunistic=station.opportunistic,
-            obs=sobs,
-        )
+        session = station.reader.decode_session(decode_query, obs=sobs)
         if seed is not None:
             # The measurement capture doubles as the burst's first decode
             # capture, so identification adds air time only beyond the
             # measurement query itself (§12.4).
             session.seed_capture(seed)
-        if station.opportunistic == "accept":
+        if self.opportunistic == "accept":
             # Windows other poles triggered since the last burst are free
             # evidence: re-synthesized over this pole's geometry and
             # donated — the session combines each for the targets whose
@@ -1193,9 +1188,10 @@ class CityCorridor:
 
         Harvesting needs recent own windows for the overlap exclusion;
         windows far past the receiver-buffer horizon can never matter
-        again, so the list is trimmed as it grows — including for
-        ``"ignore"`` stations, which never harvest (and would otherwise
-        accumulate one entry per query for the whole run).
+        again, so the list is trimmed as it grows — including under
+        ``opportunistic="ignore"``, where no station harvests (and each
+        would otherwise accumulate one entry per query for the whole
+        run).
         """
         window = station.mac.response_window(t_query_s)
         station._own_windows.append(window)
@@ -1280,14 +1276,7 @@ class CityCorridor:
                 exclude_start_s=window.t_query_s,
             )
             self._overheard_log.append(
-                (
-                    station.name,
-                    window.origin,
-                    window.t_query_s,
-                    window.start_s,
-                    window.end_s,
-                    corrupted,
-                )
+                (station.name, window.origin, window.start_s, window.end_s, corrupted)
             )
             sobs = self._station_obs[station.name]
             if corrupted:
@@ -1404,12 +1393,12 @@ class CityCorridor:
         }
         burst = sum(
             1
-            for source, _, start_s, _, _ in self._burst_log
+            for source, start_s, _, _ in self._burst_log
             if (source, start_s) in stepped_on
         )
         overheard = sum(
             1
-            for _, origin, _, start_s, _, corrupted in self._overheard_log
+            for _, origin, start_s, _, corrupted in self._overheard_log
             if not corrupted and (origin, start_s) in stepped_on
         )
         return burst, overheard
@@ -1428,7 +1417,6 @@ class CityCorridor:
             )
         ]
         burst_posthoc, overheard_posthoc = self._recheck_captures_posthoc()
-        policies = sorted({s.opportunistic for s in self.stations})
         return CorridorResult(
             scheduling=self.scheduling,
             duration_s=duration_s,
@@ -1445,14 +1433,14 @@ class CityCorridor:
             tags_seen=len(self._first_seen),
             burst_captures=len(self._burst_log),
             burst_corrupted_at_synthesis=sum(
-                1 for entry in self._burst_log if entry[4]
+                1 for entry in self._burst_log if entry[3]
             ),
             burst_corrupted_posthoc=burst_posthoc,
-            opportunistic=policies[0] if len(policies) == 1 else "mixed",
+            opportunistic=self.opportunistic,
             overheard_windows=len(self.pool),
             overheard_harvested=len(self._overheard_log),
             overheard_corrupted_at_harvest=sum(
-                1 for entry in self._overheard_log if entry[5]
+                1 for entry in self._overheard_log if entry[4]
             ),
             overheard_donated=sum(s.overheard_donated for s in self.stations),
             overheard_corrupted_posthoc=overheard_posthoc,

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...constants import READER_RANGE_M
+from ...constants import READER_RANGE_M, TAG_HEIGHT_M
 from ...errors import ConfigurationError
 from ...utils import as_rng
 from ..scenario import city_corridor_scene, make_tags
@@ -584,7 +584,7 @@ class CityMesh:
         if not plan:
             return []
         positions = [
-            [self._edge(route[0]).entry_x_m, lane_y, 1.0]
+            [self._edge(route[0]).entry_x_m, lane_y, TAG_HEIGHT_M]
             for route, _, _, lane_y in plan
         ]
         transponders = make_tags(np.array(positions), rng=self.rng)

@@ -71,6 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...constants import TAG_HEIGHT_M
 from ...errors import ConfigurationError
 from ..events import EventScheduler
 from ..mobility import ConstantSpeedTrajectory
@@ -239,7 +240,7 @@ class _ShardGroup:
 
         def enter(scheduler: EventScheduler) -> None:
             trajectory = ConstantSpeedTrajectory(
-                start_m=np.array([edge.entry_x_m, adm.lane_y_m, 1.0]),
+                start_m=np.array([edge.entry_x_m, adm.lane_y_m, TAG_HEIGHT_M]),
                 velocity_m_s=np.array([adm.speed_m_s, 0.0, 0.0]),
                 t0_s=scheduler.now_s,
             )

@@ -17,8 +17,9 @@ windows they could physically have buffered (recent, not their own, not
 overlapping their own capture slots, with at least one responder in
 radio range) and re-synthesize them over their own geometry via
 :meth:`~repro.sim.city.moving.MovingCollisionSource.overhear` — free
-decode evidence that a :class:`~repro.core.decoding.DecodeSession`
-combines under its ``opportunistic="accept"`` policy.
+decode evidence donated to a
+:class:`~repro.core.decoding.DecodeSession`. Stations harvest only
+under their corridor's ``opportunistic="accept"`` policy.
 
 What the pool does *not* model: partial-overlap mixing (a window that
 overlaps the harvesting pole's own capture slot is skipped outright —

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..constants import TAG_HEIGHT_M
 from ..errors import ConfigurationError
 
 __all__ = ["ParkingSpot", "ParkingStreet"]
@@ -34,10 +35,11 @@ class ParkingSpot:
     index: int
     center_m: np.ndarray
 
-    def transponder_position(self, windshield_height_m: float = 1.0) -> np.ndarray:
-        """Where a parked car's windshield tag sits."""
+    def transponder_position(self) -> np.ndarray:
+        """Where a parked car's windshield tag sits: ``TAG_HEIGHT_M``
+        above the spot center."""
         position = np.asarray(self.center_m, dtype=np.float64).copy()
-        position[2] += windshield_height_m
+        position[2] += TAG_HEIGHT_M
         return position
 
 

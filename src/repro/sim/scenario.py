@@ -25,6 +25,7 @@ from ..constants import (
     LANE_WIDTH_M,
     READER_LO_HZ,
     SPEED_EXPERIMENT_BASELINE_M,
+    TAG_HEIGHT_M,
 )
 from ..datasets import empirical_cfo_dataset
 from ..errors import ConfigurationError
@@ -244,7 +245,7 @@ def corridor_scene(
             )
         if not 0 <= int(lane_index) < len(lane_ys_m):
             raise ConfigurationError(f"no lane {lane_index}")
-        positions.append([float(x), float(lane_ys_m[int(lane_index)]), 1.0])
+        positions.append([float(x), float(lane_ys_m[int(lane_index)]), TAG_HEIGHT_M])
     tags = (
         make_tags(np.array(positions), cfo_model=cfo_model, rng=rng)
         if positions
@@ -334,7 +335,7 @@ def city_corridor_scene(
         else:
             entry_s = 0.0
             start_x = float(rng.uniform(x_min, x_max))
-        start = np.array([start_x, lane_y, 1.0])
+        start = np.array([start_x, lane_y, TAG_HEIGHT_M])
         positions.append(start)
         trajectories.append(
             ConstantSpeedTrajectory(
@@ -378,7 +379,7 @@ def intersection_scene(
         raise ConfigurationError("queue length must be non-negative")
     positions = np.array(
         [
-            [stop_line_x_m + k * car_spacing_m + rng.uniform(-1.0, 1.0), lane_y_m, 1.0]
+            [stop_line_x_m + k * car_spacing_m + rng.uniform(-1.0, 1.0), lane_y_m, TAG_HEIGHT_M]
             for k in range(queue_length)
         ]
     ).reshape(queue_length, 3)

@@ -641,7 +641,6 @@ class TestRoundFixes:
 
         station.reader.estimator = SimpleNamespace(
             array=real.array,
-            wavelength_m=real.wavelength_m,
             best_pair=real.best_pair,
             estimate_for_cfos=estimate_for_cfos,
         )

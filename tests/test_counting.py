@@ -8,6 +8,8 @@ import pytest
 from repro.channel.antenna import TriangleArray
 from repro.channel.noise import thermal_noise_power_w
 from repro.channel.propagation import LosChannel
+from repro.core import counting
+from repro.core.cfo import DEFAULT_SEARCH_HI_HZ, DEFAULT_SEARCH_LO_HZ
 from repro.core.counting import BinClass, CollisionCounter, CountEstimate
 from repro.dsp.peaks import find_peaks_in_magnitudes, quinn_offset
 from repro.dsp.spectrum import PROBE_BLOCKS, fft_spectrum
@@ -124,8 +126,10 @@ class TestRegimes:
         assert not estimate.dense_mode
 
     def test_dense_threshold_order_validated(self):
-        with pytest.raises(ConfigurationError):
-            CollisionCounter(min_snr_db=10.0, dense_snr_db=12.0)
+        """The dense pass never detects above the sparse threshold, and
+        multi-capture relief never floors above the dense one."""
+        assert counting._DENSE_SNR_DB <= counting._MIN_SNR_DB
+        assert counting._MIN_MULTI_SNR_DB <= counting._DENSE_SNR_DB
 
 
 class TestShiftMethod:
@@ -217,9 +221,9 @@ class TestDensityProbe:
             peaks = find_peaks_in_magnitudes(
                 avg_mag,
                 spectra[0].bin_hz,
-                counter.search_lo_hz,
-                counter.search_hi_hz,
-                min_snr_db=counter.probe_snr_db,
+                DEFAULT_SEARCH_LO_HZ,
+                DEFAULT_SEARCH_HI_HZ,
+                min_snr_db=counting._PROBE_SNR_DB,
             )
             assert counter._probe_candidates(waves) == len(peaks)
             shared = (spectra, avg_mag, floors)
@@ -522,7 +526,7 @@ class TestClosedFormToneAlgebra:
             assert abs(amplitudes[twins[0]] - amplitudes[twins[1]]) < 1e-9 * abs(amplitudes[twins[0]])
 
 
-def _reference_classify_coherence(counter, values, floor_norm, n_captures, dense_mode):
+def _reference_classify_coherence(values, floor_norm, n_captures, dense_mode):
     """Reference: one spike's coherence verdict from its own row, as the
     counter classified spikes one at a time before the row reductions."""
     mags = np.abs(values)
@@ -536,11 +540,15 @@ def _reference_classify_coherence(counter, values, floor_norm, n_captures, dense
     g2 = gamma * gamma
     expected = float(np.sqrt((g2 + 1.0 / (PROBE_BLOCKS * n_captures)) / (g2 + 1.0)))
     stats = (float(gamma), coherence, expected, dispersion)
-    if dense_mode and coherence < counter.reality_coherence and gamma < counter.reality_gamma:
+    if (
+        dense_mode
+        and coherence < counting._REALITY_COHERENCE
+        and gamma < counting._REALITY_GAMMA
+    ):
         return BinClass.REJECTED, stats
-    slack = counter.slack_base + counter.slack_gamma / max(gamma, 0.3)
-    slack = min(counter.max_slack, max(counter.min_slack, slack))
-    dispersion_ceiling = counter.dispersion_base + counter.dispersion_gamma / max(gamma, 0.3)
+    slack = counting._SLACK_BASE + counting._SLACK_GAMMA / max(gamma, 0.3)
+    slack = min(counting._MAX_SLACK, max(counting._MIN_SLACK, slack))
+    dispersion_ceiling = counting._DISPERSION_BASE + counting._DISPERSION_GAMMA / max(gamma, 0.3)
     if coherence >= expected * (1.0 - slack) and dispersion <= dispersion_ceiling:
         return BinClass.SINGLE, stats
     return BinClass.MULTIPLE, stats
@@ -571,9 +579,7 @@ class _PerSpikeCoherenceCounter(CollisionCounter):
         self.matrices.append((values.shape, dense_mode))
         verdicts = []
         for row, floor in zip(values, floors_norm):
-            label, stats = _reference_classify_coherence(
-                self, row, floor, n_captures, dense_mode
-            )
+            label, stats = _reference_classify_coherence(row, floor, n_captures, dense_mode)
             verdicts.append((label, dict(zip(
                 ("gamma", "coherence", "expected_single_coherence", "magnitude_dispersion"),
                 stats,
@@ -618,7 +624,7 @@ class TestCoherenceVerdictRows:
             got = counter._coherence_verdicts(values, floors, n_captures, dense)
             assert len(got) == m
             for row, floor, (label, stats) in zip(values, floors, got):
-                want = _reference_classify_coherence(counter, row, floor, n_captures, dense)
+                want = _reference_classify_coherence(row, floor, n_captures, dense)
                 assert _verdict_bytes(label, stats) == _verdict_bytes(*want)
                 labels[dense].add(label)
                 flukes += dense and label is BinClass.REJECTED and want[1][0] > 0.0

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.constants import WAVELENGTH_M
+from repro.constants import TAG_HEIGHT_M, WAVELENGTH_M
 from repro.core.localization import (
+    _MAX_PHASE_ERROR_DEG,
+    _ROAD_MARGIN_M,
     AoAEstimate,
     AoAEstimator,
     ReaderGeometry,
@@ -199,7 +201,7 @@ def _scalar_lane_locate(localizer, estimate, estimator, hint_xy=None):
     apex = pair.midpoint_m
     axis = pair.axis
     cos_a = float(np.cos(estimate.alpha_rad))
-    z = localizer.road.z_m + localizer.tag_height_m
+    z = localizer.road.z_m + TAG_HEIGHT_M
     candidates = []
     for lane_y in localizer.lane_ys_m:
         dy = lane_y - apex[1]
@@ -224,10 +226,10 @@ def _scalar_lane_locate(localizer, estimate, estimator, hint_xy=None):
             if cos_a * along < -1e-9:
                 continue
             point = np.array([apex[0] + x_rel, lane_y])
-            if localizer.road.contains(point, margin_m=localizer.road_margin_m):
+            if localizer.road.contains(point, margin_m=_ROAD_MARGIN_M):
                 candidates.append(point)
     pairs = estimator.array.pairs()
-    wl = estimator.wavelength_m
+    wl = WAVELENGTH_M
 
     def phase_errors_rad(point_xy):
         p = np.array([point_xy[0], point_xy[1], z])
@@ -249,7 +251,7 @@ def _scalar_lane_locate(localizer, estimate, estimator, hint_xy=None):
             ]
         )
 
-    ceiling = float(np.deg2rad(localizer.max_phase_error_deg))
+    ceiling = float(np.deg2rad(_MAX_PHASE_ERROR_DEG))
     scored = [(p, phase_errors_rad(p)) for p in candidates]
     all_scored = list(scored)
     scored = [(p, errors) for p, errors in scored if errors.max() <= ceiling]
@@ -307,12 +309,12 @@ class TestLaneScoringArrayForm:
                     ]
                     errors, _ = localizer._phase_errors_rad(
                         np.array([p for p, _ in scored]),
-                        localizer.road.z_m + localizer.tag_height_m,
+                        localizer.road.z_m + TAG_HEIGHT_M,
                         np.array([measured]),
                         estimator,
                     )
                     assert errors.tobytes() == np.array([e for _, e in scored]).tobytes()
-                ceiling = np.deg2rad(localizer.max_phase_error_deg)
+                ceiling = np.deg2rad(_MAX_PHASE_ERROR_DEG)
                 ghosts += sum(1 for _, e in scored if e.max() > ceiling)
                 if want is None:
                     with pytest.raises(GeometryError):
@@ -351,7 +353,7 @@ def _reference_estimate_for_cfo(estimator, collision, cfo_hz, probe=None):
     alphas = []
     for pair, (i, j) in zip(estimator.array.pairs(), estimator.array.pair_indices()):
         delta_phi = float(np.angle(channels[j] / channels[i]))
-        alphas.append(aoa_from_phase(delta_phi, pair.spacing_m, estimator.wavelength_m))
+        alphas.append(aoa_from_phase(delta_phi, pair.spacing_m, WAVELENGTH_M))
     best = int(np.argmin([abs(a - np.pi / 2.0) for a in alphas]))
     return AoAEstimate(
         cfo_hz=float(cfo_hz), alphas_rad=tuple(alphas), best_pair_index=best, channels=channels
@@ -485,7 +487,7 @@ def _reference_fix(localizer, estimate, estimator, hint_xy=None):
         fix, scored = _scalar_lane_locate(localizer, estimate, estimator, hint_xy)
     except GeometryError:  # a candidate on a baseline's midpoint
         return None, None
-    ceiling = np.deg2rad(localizer.max_phase_error_deg)
+    ceiling = np.deg2rad(_MAX_PHASE_ERROR_DEG)
     return fix, [bool(errors.max() <= ceiling) for _, errors in scored]
 
 
@@ -571,17 +573,24 @@ class TestLocateAll:
 
     def test_zero_length_direction_fails_only_its_spike(self):
         """A lane through a baseline's midpoint at the tag plane puts a
-        candidate on it: that spike gets no fix, the rest still do."""
+        candidate on it: that spike gets no fix, the rest still do. The
+        road sits ``TAG_HEIGHT_M`` below the midpoint, so the tag plane
+        runs through it."""
         from repro.channel.geometry import RoadSegment
         from repro.core.localization import LaneProjectionLocalizer
 
         estimator, _ = self._station()
         midpoint = estimator.array.pairs()[1].midpoint_m
-        road = RoadSegment(x_min_m=-40.0, x_max_m=60.0, y_center_m=midpoint[1], width_m=14.0)
+        road = RoadSegment(
+            x_min_m=-40.0,
+            x_max_m=60.0,
+            y_center_m=midpoint[1],
+            width_m=14.0,
+            z_m=float(midpoint[2]) - TAG_HEIGHT_M,
+        )
+        assert road.z_m + TAG_HEIGHT_M == midpoint[2]
         localizer = LaneProjectionLocalizer(
-            road=road,
-            lane_ys_m=(float(midpoint[1]) - 3.5, float(midpoint[1])),
-            tag_height_m=float(midpoint[2] - road.z_m),
+            road=road, lane_ys_m=(float(midpoint[1]) - 3.5, float(midpoint[1]))
         )
         rng = np.random.default_rng(61)
         estimates, truths = self._estimates(

@@ -9,77 +9,63 @@ from repro.constants import (
     RESPONSE_DURATION_S,
     TURNAROUND_S,
 )
-from repro.core.mac import CsmaState, ReaderMac
-from repro.errors import ConfigurationError
+from repro.core.mac import CsmaState, ReaderMac, _idle_since
 from repro.sim.medium import AirLog, Medium, ReaderNode, Transmission, TxKind
+
+
+def heard(*intervals) -> CsmaState:
+    """A sensed state from ``(start, end)`` or ``(start, end, kind)``
+    intervals; energy without a kind is unclassified."""
+    return CsmaState.from_heard(
+        [interval if len(interval) == 3 else (*interval, "unknown") for interval in intervals]
+    )
 
 
 class TestCsmaState:
     def test_idle_forever_when_silent(self):
-        assert CsmaState().idle_since(5.0) == float("inf")
+        assert _idle_since(CsmaState().busy_intervals, 5.0) == float("inf")
 
     def test_busy_interval_blocks(self):
-        state = CsmaState()
-        state.add_busy(1.0, 2.0)
-        assert state.idle_since(1.5) == 0.0
+        state = heard((1.0, 2.0))
+        assert _idle_since(state.busy_intervals, 1.5) == 0.0
 
     def test_idle_after_interval(self):
-        state = CsmaState()
-        state.add_busy(1.0, 2.0)
-        assert state.idle_since(2.5) == pytest.approx(0.5)
+        state = heard((1.0, 2.0))
+        assert _idle_since(state.busy_intervals, 2.5) == pytest.approx(0.5)
 
     def test_intervals_merge(self):
-        state = CsmaState()
-        state.add_busy(1.0, 2.0)
-        state.add_busy(1.5, 3.0)
+        state = heard((1.0, 2.0), (1.5, 3.0))
         assert state.busy_intervals == [(1.0, 3.0)]
 
     def test_disjoint_intervals_kept(self):
-        state = CsmaState()
-        state.add_busy(1.0, 2.0)
-        state.add_busy(5.0, 6.0)
+        state = heard((1.0, 2.0), (5.0, 6.0))
         assert len(state.busy_intervals) == 2
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CsmaState().add_busy(2.0, 2.0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CsmaState().add_busy(1.0, 2.0, kind="chirp")
 
     def test_interval_ending_exactly_at_t_is_zero_idle(self):
         """A transmission ending exactly at ``t_s`` means the medium has
         been idle for zero time — the listen window starts over."""
-        state = CsmaState()
-        state.add_busy(1.0, 2.0)
-        assert state.idle_since(2.0) == 0.0
+        state = heard((1.0, 2.0))
+        assert _idle_since(state.busy_intervals, 2.0) == 0.0
         assert not ReaderMac().can_transmit(2.0, state)
 
     def test_abutting_intervals_merge(self):
         """Back-to-back energy is one continuous busy stretch."""
-        state = CsmaState()
-        state.add_busy(1.0, 2.0)
-        state.add_busy(2.0, 3.0)
+        state = heard((1.0, 2.0), (2.0, 3.0))
         assert state.busy_intervals == [(1.0, 3.0)]
-        assert state.idle_since(3.0) == 0.0
-        assert state.idle_since(3.5) == pytest.approx(0.5)
+        assert _idle_since(state.busy_intervals, 3.0) == 0.0
+        assert _idle_since(state.busy_intervals, 3.5) == pytest.approx(0.5)
 
     def test_response_energy_subtracts_query_spans(self):
-        state = CsmaState()
-        state.add_busy(1.0, 4.0)  # unknown energy
-        state.add_busy(2.0, 3.0, kind="query")
+        state = heard((1.0, 4.0), (2.0, 3.0, "query"))  # query inside unknown energy
         assert state.response_energy_intervals() == [(1.0, 2.0), (3.0, 4.0)]
 
     def test_pure_query_energy_leaves_no_response_energy(self):
-        state = CsmaState()
-        state.add_busy(1.0, 2.0, kind="query")
+        state = heard((1.0, 2.0, "query"))
         assert state.response_energy_intervals() == []
-        assert state.response_idle_since(5.0) == float("inf")
+        assert _idle_since(state.response_energy_intervals(), 5.0) == float("inf")
 
     def test_response_windows_follow_each_query(self):
-        state = CsmaState()
-        state.add_busy(0.0, 20e-6, kind="query")
+        state = heard((0.0, 20e-6, "query"))
         (window,) = state.response_windows()
         assert window[0] == pytest.approx(20e-6 + TURNAROUND_S)
         assert window[1] == pytest.approx(20e-6 + TURNAROUND_S + RESPONSE_DURATION_S)
@@ -94,29 +80,21 @@ class TestReaderMac:
         assert ReaderMac().can_transmit(0.0, CsmaState())
 
     def test_blocked_right_after_activity(self):
-        state = CsmaState()
-        state.add_busy(0.0, 1e-3)
+        state = heard((0.0, 1e-3))
         mac = ReaderMac()
         assert not mac.can_transmit(1e-3 + 50e-6, state)
 
     def test_allowed_after_full_listen(self):
-        state = CsmaState()
-        state.add_busy(0.0, 1e-3)
+        state = heard((0.0, 1e-3))
         mac = ReaderMac()
         assert mac.can_transmit(1e-3 + 121e-6, state)
 
     def test_next_opportunity(self):
-        state = CsmaState()
-        state.add_busy(0.0, 1e-3)
+        state = heard((0.0, 1e-3))
         mac = ReaderMac()
         t = mac.next_opportunity(1e-3, state)
         assert t == pytest.approx(1e-3 + CSMA_LISTEN_S)
         assert mac.can_transmit(t, state)
-
-    def test_guaranteed_safe_predicate(self):
-        mac = ReaderMac()
-        assert mac.guaranteed_safe(130e-6)
-        assert not mac.guaranteed_safe(100e-6)
 
 
 class TestDeferToQueriesPolicies:
@@ -125,9 +103,7 @@ class TestDeferToQueriesPolicies:
     open are not."""
 
     def query_just_ended(self, end_s=1.0):
-        state = CsmaState()
-        state.add_busy(end_s - QUERY_DURATION_S, end_s, kind="query")
-        return state
+        return heard((end_s - QUERY_DURATION_S, end_s, "query"))
 
     def test_default_policy_ignores_query_energy(self):
         """Right after another reader's query ends, a §9 reader may
@@ -146,9 +122,8 @@ class TestDeferToQueriesPolicies:
     def test_default_policy_keeps_own_slot_clear_of_announced_queries(self):
         """A reader never invites responses into a query it already
         knows is coming (an announced burst query)."""
-        state = CsmaState()
         now = 1.0
-        state.add_busy(now + 300e-6, now + 320e-6, kind="query")  # announced
+        state = heard((now + 300e-6, now + 320e-6, "query"))  # announced
         mac = ReaderMac()
         assert not mac.can_transmit(now, state)  # slot would cover it
         t = mac.next_opportunity(now, state)
@@ -160,15 +135,12 @@ class TestDeferToQueriesPolicies:
         energy does: the §9 rule covers anything a reader cannot rule
         out."""
         for kind in ("unknown", "response"):
-            state = CsmaState()
-            state.add_busy(1.0 - 50e-6, 1.0, kind=kind)
+            state = heard((1.0 - 50e-6, 1.0, kind))
             assert not ReaderMac().can_transmit(1.0 + 50e-6, state)
             assert ReaderMac().can_transmit(1.0 + CSMA_LISTEN_S + 1e-9, state)
 
     def test_next_opportunity_agrees_with_can_transmit(self):
-        state = CsmaState()
-        state.add_busy(0.0, 1e-3)
-        state.add_busy(2e-3, 2.02e-3, kind="query")
+        state = heard((0.0, 1e-3), (2e-3, 2.02e-3, "query"))
         mac = ReaderMac()
         t = mac.next_opportunity(1e-3, state)
         assert mac.can_transmit(t, state)
@@ -176,7 +148,7 @@ class TestDeferToQueriesPolicies:
 
 def per_probe_can_transmit(now_s, state: CsmaState) -> bool:
     """The per-probe carrier sense: every call reads the state afresh."""
-    if state.response_idle_since(now_s) < CSMA_LISTEN_S:
+    if _idle_since(state.response_energy_intervals(), now_s) < CSMA_LISTEN_S:
         return False
     tx_end = now_s + QUERY_DURATION_S
     if any(
@@ -212,13 +184,12 @@ def per_probe_next_opportunity(now_s, state: CsmaState) -> float:
 
 class TestSenseOncePerSearch:
     """The search reads what the policy defers to once; every verdict and
-    every search result equals the per-probe sense, on states built in
-    one pass (``CsmaState.from_heard``, what the air log does) and one
-    ``add_busy`` call at a time."""
+    every search result equals the per-probe sense, on states built the
+    way the air log builds them (``CsmaState.from_heard``)."""
 
     @staticmethod
-    def random_state(rng, incremental: bool) -> CsmaState:
-        heard = []
+    def random_state(rng) -> CsmaState:
+        intervals = []
         for _ in range(int(rng.integers(0, 30))):
             start = float(rng.uniform(0.0, 5e-3))
             kind = str(rng.choice(["query", "response", "unknown"]))
@@ -227,20 +198,15 @@ class TestSenseOncePerSearch:
                 "response": RESPONSE_DURATION_S,
                 "unknown": float(rng.uniform(1e-6, 300e-6)),
             }[kind]
-            heard.append((start, start + span_s, kind))
-        if not incremental:
-            return CsmaState.from_heard(heard)
-        state = CsmaState()
-        for start, end, kind in heard:
-            state.add_busy(start, end, kind=kind)
-        return state
+            intervals.append((start, start + span_s, kind))
+        return CsmaState.from_heard(intervals)
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_equals_the_per_probe_sense_on_random_states(self, incremental):
-        rng = np.random.default_rng(31 + incremental)
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_equals_the_per_probe_sense_on_random_states(self, seed):
+        rng = np.random.default_rng(seed)
         mac = ReaderMac()
         for _ in range(200):
-            state = self.random_state(rng, incremental)
+            state = self.random_state(rng)
             edges = [hi + CSMA_LISTEN_S for _, hi in state.busy_intervals]
             edges += [w_hi for _, w_hi in state.response_windows()]
             for now_s in list(rng.uniform(0.0, 6e-3, 8)) + edges:
@@ -271,7 +237,7 @@ class TestAirLog:
         state = air.heard_state(1e-3)
         assert state.query_spans() == [(5e-3, 5e-3 + QUERY_DURATION_S)]
         # ... but future energy does not reset the idle clock.
-        assert state.idle_since(1e-3) == float("inf")
+        assert _idle_since(state.busy_intervals, 1e-3) == float("inf")
 
     def test_corruption_accounting(self):
         air = AirLog()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.channel.geometry import aoa_cone_conic, spatial_angle_rad
-from repro.constants import WAVELENGTH_M
+from repro.constants import QUERY_PERIOD_S, WAVELENGTH_M
 from repro.core.localization import aoa_from_phase, phase_from_aoa
 from repro.core.theory import p_no_miss_exact, p_no_miss_naive, p_no_miss_paper_bound
 from repro.dsp.spectrum import single_bin_dft
@@ -171,7 +171,7 @@ class TestDecodeSessionProperties:
             air = session.total_air_time_s
             assert air >= previous_air  # monotone: captures are never dropped
             assert air == pytest.approx(
-                len(session.captures) * decoder.query_period_s
+                len(session.captures) * QUERY_PERIOD_S
             )
             previous_air = air
         # The queries the session spent decoding do not inflate the
@@ -214,9 +214,9 @@ class TestSharedAirProperties:
         # transmissions with matching provenance and extent.
         for window in corridor.pool.windows:
             assert (window.origin, window.start_s, window.end_s) in on_air
-        for station, _, start_s, end_s, _ in corridor._burst_log:
+        for station, start_s, end_s, _ in corridor._burst_log:
             assert (station, start_s, end_s) in on_air
-        for _, origin, _, start_s, end_s, _ in corridor._overheard_log:
+        for _, origin, start_s, end_s, _ in corridor._overheard_log:
             assert (origin, start_s, end_s) in on_air
 
         # Under CSMA the street stays clean, so the pool's harvest-time
