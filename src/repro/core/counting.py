@@ -55,10 +55,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ..dsp.peaks import band_floors, detected_bins, find_peaks_in_magnitudes, quinn_offset
+from ..dsp.peaks import BandScan, quinn_offset
 from ..dsp.spectrum import (
     PROBE_BLOCKS,
     Spectrum,
@@ -132,10 +133,34 @@ _REALITY_GAMMA = 2.3
 # before fitting (keeps the basis conditioned).
 _MERGE_BINS = 1.2
 
+# A spike's bins k-1, k, k+1, which its sub-bin frequency is read from.
+_TAPS = np.array([-1, 0, 1])
+
 # The "shift" method's window offsets, and the noise-independent floor
 # of its relative-magnitude-change threshold.
 _SHIFT_SAMPLES = (128, 320, 512)
 _SHIFT_TOLERANCE = 0.18
+
+
+class _ToneBasis(NamedTuple):
+    """The tone model of one fit on one capture time base
+    (:meth:`CollisionCounter._tone_basis`).
+
+    Attributes:
+        factors: ``(outer, inner)``, the probes' block factors.
+        gram: the m x m Gram of the probes over the capture.
+        d_omega: ``w_j - w_k`` for every tone pair.
+        block_kernel: ``D(-(w_j - w_k)/fs, L)`` over one probe block, or
+            None for a fit that reads no sub-windows.
+        t0_s / sample_rate_hz: the time base.
+    """
+
+    factors: tuple[np.ndarray, np.ndarray]
+    gram: np.ndarray
+    d_omega: np.ndarray
+    block_kernel: np.ndarray
+    t0_s: float
+    sample_rate_hz: float
 
 
 class BinClass(enum.Enum):
@@ -233,9 +258,10 @@ class CollisionCounter:
         obs: nullable observability hook (see :mod:`repro.obs`): counts
             passes by regime (``count.pass``), spike verdicts by label
             (``count.spike``) and the pass's work (``count.work``):
-            complex-exponential samples, FFT points, closed-form kernel
-            terms and m x m solves, labelled by ``kind`` and by ``stage``
-            (detect, refine, fit, align). Never affects the estimate.
+            complex-exponential samples, FFT points, CFAR floors
+            computed, closed-form kernel terms and m x m solves, labelled
+            by ``kind`` and by ``stage`` (detect, refine, fit, align).
+            Never affects the estimate.
     """
 
     method: str = "coherence"
@@ -273,11 +299,11 @@ class CollisionCounter:
         """:meth:`count_multi`, with its two private oracles.
 
         ``share_spectra=False`` recomputes the spectra, averaged
-        magnitudes and CFAR floors for the probe and again for the
-        decision pass; ``stacked_fit=False`` fits every capture's tones
-        on its own basis. Both reproduce the default estimate
-        bit-for-bit; the tests and the corridor bench's counting gates
-        compare against them.
+        magnitudes and band scan for the probe and again for the decision
+        pass, each scan computing the CFAR floor at every local maximum;
+        ``stacked_fit=False`` fits every capture's tones on its own basis.
+        Both reproduce the default estimate bit-for-bit; the tests and the
+        corridor bench's counting gates compare against them.
         """
         if not waves:
             raise ConfigurationError("need at least one capture")
@@ -299,114 +325,111 @@ class CollisionCounter:
         relief = _MULTI_CAPTURE_RELIEF_DB * np.log2(len(waves))
         dense_thr = max(_MIN_MULTI_SNR_DB, _DENSE_SNR_DB - relief)
         # The probe and the decision pass scan the same burst: spectra,
-        # averaged magnitudes and the CFAR floor depend only on the
-        # captures, so they are computed once and shared (the per-round
+        # averaged magnitudes and the band's local maxima depend only on
+        # the captures, so they are found once and shared, and each pass
+        # adds only the CFAR floors its threshold can need (the per-round
         # hot path of the city event engine runs through here).
-        shared = self._spectral_state(waves) if share_spectra else None
+        state = self._spectral_state(waves, screened=share_spectra)
         # Regime probe: the raw candidate count at a permissive threshold
         # cleanly separates sparse scenes (few tags + structured-floor
         # flukes) from dense ones (many tags, Gaussianized floor).
-        dense = self._probe_candidates(waves, shared) >= _DENSE_TRIGGER
+        dense = self._probe_candidates(waves, state) >= _DENSE_TRIGGER
         if self.obs is not None:
             self.obs.count("count.pass", regime="dense" if dense else "sparse")
+        if not share_spectra:
+            self._work("floor_bins", "detect", state[2].n_floors)
+            state = self._spectral_state(waves, screened=False)
         return self._count_pass(
-            waves,
-            dense_thr if dense else _MIN_SNR_DB,
-            dense_mode=dense,
-            shared=shared,
-            stacked_fit=stacked_fit,
+            waves, state, dense_thr if dense else _MIN_SNR_DB, dense, stacked_fit
         )
 
-    def _spectral_state(self, waves: list[Waveform]):
-        """(spectra, averaged magnitudes, band CFAR floors) of one burst.
+    def _spectral_state(self, waves: list[Waveform], screened: bool = True):
+        """(spectra, averaged magnitudes, band scan) of one burst.
 
-        The floors are computed only at the band's local maxima (see
-        :func:`~repro.dsp.peaks.band_floors`): those are the only bins
-        either detection pass compares against a threshold.
+        The scan (:class:`~repro.dsp.peaks.BandScan`) holds the band's
+        local maxima, the only bins either detection pass compares
+        against a threshold, and computes a maximum's CFAR floor only
+        when a pass's threshold can need it (``screened=False``: every
+        maximum's, up front).
         """
         spectra = [fft_spectrum(w) for w in waves]
         self._work("fft_points", "detect", sum(s.n_bins for s in spectra))
-        avg_mag = np.mean([s.magnitude() for s in spectra], axis=0)
-        floors = band_floors(
-            avg_mag, spectra[0].bin_hz, DEFAULT_SEARCH_LO_HZ, DEFAULT_SEARCH_HI_HZ
-        )
-        return spectra, avg_mag, floors
-
-    def _probe_candidates(self, waves: list[Waveform], shared=None) -> int:
-        """Candidate spike count at the permissive probe threshold."""
-        spectra, avg_mag, floors = (
-            shared if shared is not None else self._spectral_state(waves)
-        )
-        bins, _ = detected_bins(
+        if len(spectra) == 1:
+            avg_mag = spectra[0].magnitude()
+        else:
+            avg_mag = np.mean([s.magnitude() for s in spectra], axis=0)
+        scan = BandScan(
             avg_mag,
             spectra[0].bin_hz,
             DEFAULT_SEARCH_LO_HZ,
             DEFAULT_SEARCH_HI_HZ,
-            min_snr_db=_PROBE_SNR_DB,
-            floors=floors,
+            screened=screened,
         )
-        return int(bins.size)
+        return spectra, avg_mag, scan
+
+    def _probe_candidates(self, waves: list[Waveform], shared=None) -> int:
+        """Candidate spike count at the permissive probe threshold."""
+        scan = (shared if shared is not None else self._spectral_state(waves))[2]
+        return int(scan.detect(_PROBE_SNR_DB).size)
 
     # -- one detection/classification pass ----------------------------------------
 
     def _count_pass(
         self,
         waves: list[Waveform],
+        state: tuple,
         snr_db: float,
         dense_mode: bool,
-        shared=None,
         stacked_fit: bool = True,
     ) -> CountEstimate:
-        spectra, avg_mag, floors = (
-            shared if shared is not None else self._spectral_state(waves)
-        )
-        bin_hz = spectra[0].bin_hz
-        raw_peaks = find_peaks_in_magnitudes(
-            avg_mag,
-            bin_hz,
-            DEFAULT_SEARCH_LO_HZ,
-            DEFAULT_SEARCH_HI_HZ,
-            min_snr_db=snr_db,
-            floors=floors,
-        )
-        if not raw_peaks:
+        spectra, _, scan = state
+        hits = scan.detect(snr_db)
+        self._work("floor_bins", "detect", scan.n_floors)
+        n_captures = len(waves)
+        if not hits.size:
             return CountEstimate(
-                count=0, observations=[], dense_mode=dense_mode, n_captures=len(waves)
+                count=0, observations=[], dense_mode=dense_mode, n_captures=n_captures
             )
 
         # Every capture's FFT already brackets each spike: read its
         # sub-bin frequency off bins k-1, k, k+1 of the spectra in hand.
-        n_bins = spectra[0].n_bins
-        bins = np.array([p.bin_index for p in raw_peaks])
-        taps = (bins[:, None] + np.array([-1, 0, 1])) % n_bins
-        values = np.stack([s.values[taps] for s in spectra], axis=-1)  # (P, 3, K)
-        offsets = quinn_offset(values[:, 0], values[:, 1], values[:, 2])
-        refined_freqs = (bins + offsets) * bin_hz
-        refined = [
-            (float(freq), p.snr, p.floor)
-            for freq, p in zip(refined_freqs, raw_peaks)
-        ]
-        refined = self._merge_candidates(refined, bin_hz)
-        freqs = np.array([r[0] for r in refined])
-        snrs = np.array([r[1] for r in refined])
+        first = spectra[0]
+        bin_hz = first.bin_hz
+        bins = scan.bins[hits]
+        taps = (bins[:, None] + _TAPS) % first.n_bins
+        if len(spectra) == 1:
+            values = first.values[taps][..., None]  # (P, 3, 1)
+        else:
+            values = np.stack([s.values[taps] for s in spectra], axis=-1)  # (P, 3, K)
+        freqs = (bins + quinn_offset(values[:, 0], values[:, 1], values[:, 2])) * bin_hz
+        snrs = scan.snrs(hits)
+        keep = _merge_candidates(freqs, snrs, bin_hz)
+        freqs, snrs = freqs[keep], snrs[keep]
         # Normalized local floors: detection floor is in raw-FFT units over
         # n_input samples; single-frequency probes below are 1/n normalized.
-        floors_norm = np.array([r[2] for r in refined]) / spectra[0].n_input
+        floors_norm = scan.floors[hits[keep]] / first.n_input
 
         # Joint refinement: a close neighbour's skirt biases the initial
         # per-peak frequency estimate by hundreds of Hz, which then leaks
         # a beating residue through the cancellation. Re-refining each
         # tone on the neighbour-cancelled residual removes the bias.
-        freqs = self._joint_refine(waves[0], spectra[0], freqs, bin_hz)
+        freqs = self._joint_refine(waves[0], first, freqs, bin_hz)
 
         per_capture = self._fit_tones_burst(waves, freqs, stacked=stacked_fit)
         # Sub-window values per capture, other tones cancelled, phases
         # aligned on each capture's own fitted amplitude.
-        aligned_values = self._aligned_subwindow_values(waves, freqs, per_capture)
-        amplitudes, _, factors = per_capture[0]
-        mean_abs_amplitude = np.mean(
-            [np.abs(amps) for amps, _, _ in per_capture], axis=0
-        )
+        aligned_values = self._aligned_subwindow_values(per_capture)
+        amplitudes, _, basis = per_capture[0]
+        if n_captures == 1:
+            mean_abs_amplitude = np.abs(amplitudes)
+        else:
+            mean_abs_amplitude = np.mean(
+                [np.abs(amps) for amps, _, _ in per_capture], axis=0
+            )
+        # A candidate whose jointly-fitted amplitude collapses was a
+        # sidelobe / floor artifact: its spectrum energy is already
+        # explained by the other tones. Reject it before classifying.
+        collapsed = (mean_abs_amplitude < _ACCEPT_GAMMA * floors_norm).tolist()
         # Fingerprinting is a sparse-regime tool: dense collisions have a
         # Gaussianized floor (the reality filter handles it) and many
         # candidates, which would inflate random-correlation rejections.
@@ -416,17 +439,15 @@ class CollisionCounter:
 
         if self.method == "coherence":
             verdicts = self._coherence_verdicts(
-                aligned_values, floors_norm, len(waves), dense_mode
+                aligned_values, floors_norm, n_captures, dense_mode
             )
-            probes = None
         else:
-            probes = _probe_rows(factors, waves[0].n_samples)
+            probes = _probe_rows(basis.factors, waves[0].n_samples)
         observations = []
-        for k in range(freqs.size):
-            # A candidate whose jointly-fitted amplitude collapses was a
-            # sidelobe / floor artifact: its spectrum energy is already
-            # explained by the other tones. Reject it before classifying.
-            if mean_abs_amplitude[k] < _ACCEPT_GAMMA * floors_norm[k]:
+        for k, (freq, amplitude, snr) in enumerate(
+            zip(freqs.tolist(), amplitudes.tolist(), snrs.tolist())
+        ):
+            if collapsed[k]:
                 label = BinClass.REJECTED
                 stats = _stats(mean_abs_amplitude[k] / floors_norm[k], 0.0, 0.0, 0.0)
             elif k in fingerprinted:
@@ -439,24 +460,17 @@ class CollisionCounter:
             else:
                 label, stats = self._classify_shift(waves[0], k, freqs, amplitudes, probes)
             observations.append(
-                BinObservation(
-                    cfo_hz=float(freqs[k]),
-                    amplitude=complex(amplitudes[k]),
-                    snr=float(snrs[k]),
-                    label=label,
-                    **stats,
-                )
+                BinObservation(cfo_hz=freq, amplitude=amplitude, snr=snr, label=label, **stats)
             )
-        count = sum(o.contributes for o in observations)
         if self.obs is not None:
             for obs_record in observations:
                 self.obs.count("count.spike", label=obs_record.label.value)
         return CountEstimate(
-            count=count,
+            count=sum(o.contributes for o in observations),
             observations=observations,
             dense_mode=dense_mode,
-            n_captures=len(waves),
-            basis=factors,
+            n_captures=n_captures,
+            basis=basis.factors,
         )
 
     def _phase_fingerprints(
@@ -501,7 +515,7 @@ class CollisionCounter:
     def _joint_refine(
         self, wave: Waveform, spectrum: Spectrum, freqs: np.ndarray, bin_hz: float
     ) -> np.ndarray:
-        """One pass of neighbour-cancelled refinement.
+        """One pass of neighbour-cancelled refinement of ascending ``freqs``.
 
         Every tone with a close neighbour re-reads bins c-1, c, c+1 of
         the capture's spectrum with the other fitted tones taken out:
@@ -509,16 +523,18 @@ class CollisionCounter:
         bin ``c`` (:func:`~repro.dsp.spectrum.dirichlet_kernel`), so the
         cancelled residual is never built or transformed.
         """
-        if freqs.size < 2:
-            return freqs
         # Only peaks with a close neighbour re-refine, so well-separated
-        # scenes (most occupied rounds) skip the tone fit entirely.
-        gaps = np.abs(freqs[:, None] - freqs[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        close = np.flatnonzero(gaps.min(axis=1) <= 6.0 * bin_hz)
-        if close.size == 0:
+        # scenes (most occupied rounds) skip the tone fit entirely. The
+        # frequencies ascend, so a tone's nearest neighbour is adjacent.
+        near = np.diff(freqs) <= 6.0 * bin_hz
+        if not near.any():
             return freqs
-        amplitudes = self._fit_tones(wave, freqs)[0]
+        has_close = np.zeros(freqs.size, dtype=bool)
+        has_close[:-1] = near
+        has_close[1:] |= near
+        close = np.flatnonzero(has_close)
+        # The cancellation fit reads no sub-windows.
+        amplitudes = self._fit_tones(wave, freqs, block_kernel=False)[0]
         omega = 2.0 * np.pi * freqs
         weights = np.tile(amplitudes * np.exp(1j * omega * wave.t0_s), (close.size, 1))
         weights[np.arange(close.size), close] = 0.0  # a tone is not its own leakage
@@ -535,25 +551,12 @@ class CollisionCounter:
         refined[close] = (centres + offsets) * bin_hz
         return refined
 
-    def _merge_candidates(
-        self, refined: list[tuple[float, float, float]], resolution_hz: float
-    ) -> list[tuple[float, float, float]]:
-        """Merge candidates whose refined frequencies nearly coincide.
-
-        Refinement can walk two adjacent local maxima onto the same tone;
-        fitting both would make the least-squares basis singular. Keep the
-        higher-SNR member of any group closer than ``_MERGE_BINS`` bins.
-        """
-        kept: list[tuple[float, float, float]] = []
-        for freq, snr, floor in sorted(refined, key=lambda r: -r[1]):
-            if all(abs(freq - other[0]) > _MERGE_BINS * resolution_hz for other in kept):
-                kept.append((freq, snr, floor))
-        return sorted(kept)
-
     # -- tone model --------------------------------------------------------------
 
-    def _tone_basis(self, wave: Waveform, freqs: np.ndarray) -> tuple[tuple, np.ndarray]:
-        """``(factors, gram)`` of the tone model on one capture's time base.
+    def _tone_basis(
+        self, wave: Waveform, freqs: np.ndarray, block_kernel: bool = True
+    ) -> _ToneBasis:
+        """The tone model of ``freqs`` on one capture's time base.
 
         ``factors = (outer, inner)`` factor the probes ``exp(-j w_k t)``
         with ``w_k = 2 pi f_k`` by block
@@ -562,16 +565,24 @@ class CollisionCounter:
         conj(probe_k)``. The Gram ``probes @ probes.conj().T`` is a
         Dirichlet kernel per tone pair, ``exp(-j (w_j - w_k) t0)
         D(-(w_j - w_k)/fs, N)``: m^2 closed-form terms instead of an
-        m^2 N product.
+        m^2 N product. With ``block_kernel``, the same pairs' kernel
+        over one probe block of ``L`` samples, which the sub-window
+        leakage reads (:meth:`_aligned_subwindow_values`), comes from the
+        same evaluation; a fit that reads no sub-windows goes without.
         """
-        factors = tone_factors(freqs, wave.t0_s, wave.sample_rate_hz, wave.n_samples)
+        fs = wave.sample_rate_hz
+        factors = tone_factors(freqs, wave.t0_s, fs, wave.n_samples)
         d_omega = _omega_differences(freqs)
-        gram = np.exp(-1j * d_omega * wave.t0_s) * dirichlet_kernel(
-            -d_omega / wave.sample_rate_hz, wave.n_samples
-        )
+        phi = -d_omega / fs
+        if block_kernel:
+            lengths = np.array([wave.n_samples, factors[1].shape[1]])[:, None, None]
+            kernel, block = dirichlet_kernel(phi, lengths)
+        else:
+            kernel, block = dirichlet_kernel(phi, wave.n_samples), None
+        gram = np.exp(-1j * d_omega * wave.t0_s) * kernel
         self._work("exp_samples", "fit", factors[0].size + factors[1].size)
         self._work("kernel_terms", "fit", gram.size)
-        return factors, gram
+        return _ToneBasis(factors, gram, d_omega, block, wave.t0_s, fs)
 
     def _solve_tones(self, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Tone amplitudes from the m x m normal equations ``gram a = rhs``.
@@ -590,21 +601,23 @@ class CollisionCounter:
             return np.linalg.lstsq(gram, rhs, rcond=_GRAM_RCOND)[0]
         return np.linalg.solve(gram, rhs)
 
-    def _fit_tones(self, wave: Waveform, freqs: np.ndarray) -> tuple:
+    def _fit_tones(
+        self, wave: Waveform, freqs: np.ndarray, block_kernel: bool = True
+    ) -> tuple:
         """Jointly fit complex amplitudes of all detected tones.
 
-        Returns ``(amplitudes, sums, factors)``: ``sums`` are the block
+        Returns ``(amplitudes, sums, basis)``: ``sums`` are the block
         sums of the capture under each probe
         (:func:`~repro.dsp.spectrum.tone_block_sums`), whose row sums
-        are the normal equations' right-hand side; ``factors`` as in
-        :meth:`_tone_basis`.
+        are the normal equations' right-hand side; ``basis`` as
+        :meth:`_tone_basis` returns it.
         """
-        return self._fit_on_basis(wave, *self._tone_basis(wave, freqs))
+        return self._fit_on_basis(wave, self._tone_basis(wave, freqs, block_kernel))
 
-    def _fit_on_basis(self, wave: Waveform, factors: tuple, gram: np.ndarray) -> tuple:
+    def _fit_on_basis(self, wave: Waveform, basis: _ToneBasis) -> tuple:
         """:meth:`_fit_tones` on a basis already built for ``wave``'s time base."""
-        sums = tone_block_sums(*factors, wave.samples)
-        return self._solve_tones(gram, sums.sum(axis=1)), sums, factors
+        sums = tone_block_sums(*basis.factors, wave.samples)
+        return self._solve_tones(basis.gram, sums.sum(axis=1)), sums, basis
 
     def _fit_tones_burst(
         self, waves: list[Waveform], freqs: np.ndarray, stacked: bool = True
@@ -624,15 +637,10 @@ class CollisionCounter:
         first = waves[0]
         if not stacked or any(w.t0_s != first.t0_s for w in waves[1:]):
             return [self._fit_tones(w, freqs) for w in waves]
-        factors, gram = self._tone_basis(first, freqs)
-        return [self._fit_on_basis(w, factors, gram) for w in waves]
+        basis = self._tone_basis(first, freqs)
+        return [self._fit_on_basis(w, basis) for w in waves]
 
-    def _aligned_subwindow_values(
-        self,
-        waves: list[Waveform],
-        freqs: np.ndarray,
-        per_capture: list[tuple],
-    ) -> np.ndarray:
+    def _aligned_subwindow_values(self, per_capture: list[tuple]) -> np.ndarray:
         """(m, Q * n_captures) cancelled, phase-aligned sub-window DFTs.
 
         The sub-windows are the first Q = ``PROBE_BLOCKS`` probe blocks of
@@ -646,26 +654,26 @@ class CollisionCounter:
         across captures despite its per-response random phase.
         """
         q = PROBE_BLOCKS
-        d_omega = _omega_differences(freqs)
         chunks = []
-        leak = leak_t0 = None
-        for wave, (amplitudes, sums, (_, inner)) in zip(waves, per_capture):
-            length = inner.shape[1]
+        leak = leak_basis = None
+        for amplitudes, sums, basis in per_capture:
+            length = basis.factors[1].shape[1]
             x = sums[:, :q] / length  # (m, Q)
-            if leak is None or wave.t0_s != leak_t0:
+            if basis is not leak_basis:
                 # leak[k, q, j]: tone j's mean over sub-window q of tone k's
                 # demodulation; a tone's own term (j == k) is not leakage.
-                kernel = dirichlet_kernel(-d_omega / wave.sample_rate_hz, length) / length
+                kernel = basis.block_kernel / length
                 np.fill_diagonal(kernel, 0.0)
-                starts = wave.t0_s + np.arange(q) * length / wave.sample_rate_hz
+                d_omega = basis.d_omega
+                starts = basis.t0_s + np.arange(q) * length / basis.sample_rate_hz
                 leak = np.exp(-1j * d_omega[:, None, :] * starts[None, :, None]) * kernel[:, None, :]
-                leak_t0 = wave.t0_s
+                leak_basis = basis
                 self._work("kernel_terms", "align", leak.size)
             x_cancelled = x - leak @ amplitudes
             phases = np.exp(-1j * np.angle(amplitudes))
             self._work("exp_samples", "align", phases.size)
             chunks.append(x_cancelled * phases[:, None])
-        return np.concatenate(chunks, axis=1)
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
 
     # -- classifiers -------------------------------------------------------------
 
@@ -776,6 +784,35 @@ class CollisionCounter:
         if worst <= _SHIFT_TOLERANCE:
             return BinClass.SINGLE, _stats(np.nan, 1.0, 1.0, worst)
         return BinClass.MULTIPLE, _stats(np.nan, 0.0, 1.0, worst)
+
+
+def _merge_candidates(freqs: np.ndarray, snrs: np.ndarray, resolution_hz: float) -> np.ndarray:
+    """Which candidates survive merging, as indices by ascending frequency.
+
+    Refinement can walk two adjacent local maxima onto the same tone;
+    fitting both would make the least-squares basis singular. Keep the
+    higher-SNR member (the earlier on a tie) of any group closer than
+    ``_MERGE_BINS`` bins, strongest first. A candidate with no other
+    that close (in ascending order, no adjacent gap within the limit)
+    is kept and blocks no other, so only the contested ones run the
+    greedy pass; most counts have none.
+    """
+    order = np.argsort(freqs)
+    limit = _MERGE_BINS * resolution_hz
+    near = np.diff(freqs[order]) <= limit
+    if not near.any():
+        return order
+    contested = np.zeros(freqs.size, dtype=bool)
+    contested[order[:-1][near]] = True
+    contested[order[1:][near]] = True
+    rivals = np.flatnonzero(contested)
+    values = freqs.tolist()
+    kept: list[int] = []
+    for k in rivals[np.argsort(-snrs[rivals], kind="stable")].tolist():
+        if all(abs(values[k] - values[j]) > limit for j in kept):
+            kept.append(k)
+    keep = np.concatenate([np.flatnonzero(~contested), kept])
+    return keep[np.argsort(freqs[keep])]
 
 
 def _stats(gamma: float, coherence: float, expected: float, dispersion: float) -> dict:

@@ -51,6 +51,7 @@ _ROAD_MARGIN_M = 1.5
 #: a ghost (e.g. a tag that is really outside this reader's road segment)
 #: and is rejected rather than reported.
 _MAX_PHASE_ERROR_DEG = 15.0
+_MAX_PHASE_ERROR_RAD = float(np.deg2rad(_MAX_PHASE_ERROR_DEG))
 
 
 def aoa_from_phase(
@@ -248,13 +249,13 @@ class AoAEstimator:
         Elementwise, this is :func:`aoa_from_phase` per pair (clamped) and
         the broadside pick per spike, rounded as they round.
         """
-        if np.any(np.abs(channels) == 0.0):
+        if (channels == 0.0).any():
             raise LocalizationError("zero channel estimate; no signal at the CFO")
         first, second = zip(*self.array.pair_indices())
         spacings = self.array.baselines[2]
         delta_phi = np.angle(channels[:, list(second)] / channels[:, list(first)])
         cos_alpha = delta_phi * WAVELENGTH_M / (2.0 * np.pi * spacings)
-        alphas = np.arccos(np.clip(cos_alpha, -1.0, 1.0))
+        alphas = np.arccos(np.minimum(np.maximum(cos_alpha, -1.0), 1.0))
         best = np.argmin(np.abs(alphas - np.pi / 2.0), axis=1)
         return [
             AoAEstimate(
@@ -464,38 +465,44 @@ class LaneProjectionLocalizer:
         pairs = estimator.array.pairs()
         z = self.road.z_m + TAG_HEIGHT_M
         cosines = np.cos([estimate.alphas_rad for estimate in estimates])
-        owners, xs, ys = [], [], []
+        # Candidates spike by spike: owners ascend, and ``starts`` holds
+        # where each spike with a candidate begins.
+        owners, roots, starts = [], [], []
         for spike, (estimate, row) in enumerate(zip(estimates, cosines.tolist())):
             best = estimate.best_pair_index
-            for x, y in self._lane_roots(pairs[best], row[best], z):
-                owners.append(spike)
-                xs.append(x)
-                ys.append(y)
+            found = self._lane_roots(pairs[best], row[best], z)
+            if found:
+                starts.append(len(owners))
+                owners.extend([spike] * len(found))
+                roots.extend(found)
         if not owners:
             return fixes
         owner = np.array(owners)
-        points = np.column_stack([xs, ys])
+        points = np.array(roots)
         gains = 2.0 * np.pi * estimator.array.baselines[2] / WAVELENGTH_M
         errors, pointless = self._phase_errors_rad(
             points, z, (gains * cosines)[owner], estimator
         )
-        # A candidate on a baseline's midpoint fails its whole spike.
-        failed = np.zeros(n_spikes, dtype=bool)
-        failed[owner[pointless]] = True
-        scored = ~failed[owner]
         # A real tag matches all three measured baselines to within phase
         # noise; a ghost (wrong lane, or a tag outside this road segment
         # whose cone happens to graze it) only matches the selected one.
-        ceiling = float(np.deg2rad(_MAX_PHASE_ERROR_DEG))
-        kept = scored & (errors.max(axis=1) <= ceiling)
+        kept = errors.max(axis=1) <= _MAX_PHASE_ERROR_RAD
+        n_scored = len(owners)
+        if pointless.any():
+            # A candidate on a baseline's midpoint fails its whole spike.
+            failed = np.zeros(n_spikes, dtype=bool)
+            failed[owner[pointless]] = True
+            scored = ~failed[owner]
+            kept &= scored
+            n_scored = int(np.count_nonzero(scored))
         if self.obs is not None:
             n_kept = int(np.count_nonzero(kept))
-            n_gated = int(np.count_nonzero(scored)) - n_kept
+            n_gated = n_scored - n_kept
             if n_kept:
                 self.obs.count("locate.candidates", n_kept, outcome="kept")
             if n_gated:
                 self.obs.count("locate.candidates", n_gated, outcome="gated")
-        score = np.sum(errors**2, axis=1)
+        score = (errors**2).sum(axis=1)
         hinted = [hint is not None for hint in hints]
         if any(hinted):
             anchors = np.array(
@@ -507,9 +514,10 @@ class LaneProjectionLocalizer:
             distance = np.sqrt((delta[:, None, :] @ delta[:, :, None])[:, 0, 0])
             score = np.where(np.array(hinted)[owner], distance, score)
         score[~kept] = np.inf
-        # Each spike's first lowest score: a stable sort by spike, then score.
-        order = np.lexsort((score, owner))
-        firsts = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+        # Each spike's first lowest score: sorted by spike, then score
+        # (stably), each spike's candidates keep their block, which
+        # begins at the spike's ``starts`` entry.
+        firsts = np.lexsort((score, owner))[starts]
         for index in firsts[kept[firsts]].tolist():
             fixes[owners[index]] = points[index].copy()
         return fixes
@@ -576,16 +584,18 @@ class LaneProjectionLocalizer:
             are meaningless).
         """
         midpoints, unit_axes, spacings = estimator.array.baselines
-        tags = np.column_stack([points, np.full(len(points), z)])
+        tags = np.empty((len(points), 3))
+        tags[:, :2] = points
+        tags[:, 2] = z
         directions = tags[:, None, :] - midpoints
         norms = np.sqrt((directions[..., None, :] @ directions[..., :, None])[..., 0, 0])
-        pointless = np.any(norms == 0.0, axis=1)
+        pointless = (norms == 0.0).any(axis=1)
         if pointless.any():
             norms[pointless] = 1.0
         cosines = (
             (directions / norms[..., None])[..., None, :] @ unit_axes[None, :, :, None]
         )[..., 0, 0]
-        true_alphas = np.arccos(np.clip(cosines, -1.0, 1.0))
+        true_alphas = np.arccos(np.minimum(np.maximum(cosines, -1.0), 1.0))
         gains = 2.0 * np.pi * spacings / WAVELENGTH_M
         # Wrap each difference into (-pi, pi]: near end-fire the true
         # phase sits next to +-pi and noise can flip the measured sign —

@@ -8,7 +8,9 @@ sparse outliers) and keeps local maxima that clear the floor by a margin.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,7 @@ __all__ = [
     "estimate_noise_floor",
     "local_noise_floor",
     "band_floors",
+    "BandScan",
     "parabolic_offset",
     "quinn_offset",
     "detected_bins",
@@ -84,11 +87,13 @@ def parabolic_offset(left, center, right):
 
 
 _QUINN_ROOT = np.sqrt(2.0 / 3.0)
+_QUINN_LOG_WEIGHT = np.sqrt(6.0) / 24.0
 
 
 def _quinn_tau(x: np.ndarray) -> np.ndarray:
-    return 0.25 * np.log(3.0 * x * x + 6.0 * x + 1.0) - np.sqrt(6.0) / 24.0 * np.log(
-        (x + 1.0 - _QUINN_ROOT) / (x + 1.0 + _QUINN_ROOT)
+    shifted = x + 1.0
+    return 0.25 * np.log(3.0 * x * x + 6.0 * x + 1.0) - _QUINN_LOG_WEIGHT * np.log(
+        (shifted - _QUINN_ROOT) / (shifted + _QUINN_ROOT)
     )
 
 
@@ -112,15 +117,17 @@ def quinn_offset(left, center, right) -> np.ndarray:
     )
     power = (center.real**2 + center.imag**2).sum(axis=-1)
     norm = np.where(power > 0.0, power, 1.0)
-    ap = (right * center.conj()).real.sum(axis=-1) / norm
-    am = (left * center.conj()).real.sum(axis=-1) / norm
+    # The ratios to the right and left bins, a[0] and a[1], in one pass.
+    ratios = (np.stack([right, left]) * center.conj()).real.sum(axis=-1) / norm
     # A ratio near 1 is no tone's (a lone tone's ratios stay below 1/2
     # within a bin of the centre): such an estimate overflows and either
     # saturates at the clip or, undefined, falls back to the centre bin.
     with np.errstate(all="ignore"):
-        dp = -ap / (1.0 - ap)
-        dm = am / (1.0 - am)
-        offset = (dp + dm) / 2.0 + _quinn_tau(dp * dp) - _quinn_tau(dm * dm)
+        # d[0] = -a[0] / (1 - a[0]) (negation is exact), d[1] = a[1] / (1 - a[1]).
+        d = ratios / (1.0 - ratios)
+        d[0] = -d[0]
+        tau = _quinn_tau(d * d)
+        offset = (d[0] + d[1]) / 2.0 + tau[0] - tau[1]
     return np.where(np.isnan(offset), 0.0, np.minimum(np.maximum(offset, -1.0), 1.0))
 
 
@@ -140,12 +147,63 @@ def local_noise_floor(
 
     This is the full-array form of the floor detection uses; detection
     itself only needs it where a spike can be declared (see
-    :func:`band_floors`).
+    :func:`band_floors` and :class:`BandScan`).
     """
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
     return _floors_at(
         magnitudes, np.arange(magnitudes.size), window_bins, guard_bins
     )
+
+
+#: The Rayleigh median over its scale: a floor is a window median over it.
+_RAYLEIGH_MEDIAN = np.sqrt(np.log(4.0))
+
+
+class _WindowGeometry(NamedTuple):
+    """Where each bin's floor window lies in an ``n``-bin array.
+
+    Attributes:
+        counts: how many values each bin's window keeps: its bins inside
+            the array and outside the guard, or all of its inside bins
+            when none is outside the guard (then it is not ``guarded``).
+        guarded: whether each bin's window leaves out its guard.
+        rank: each window's lower-middle rank, ``(counts - 1) // 2``.
+        pair: the block pair of :func:`_floor_bounds` holding each window.
+        columns: the window offsets outside the guard, counted from the
+            window's first bin.
+    """
+
+    counts: np.ndarray
+    guarded: np.ndarray
+    rank: np.ndarray
+    pair: np.ndarray
+    columns: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _window_geometry(n: int, window_bins: int, guard_bins: int) -> _WindowGeometry:
+    """The :class:`_WindowGeometry` of an ``n``-bin array, computed once
+    per array length and window shape (its arrays are read-only)."""
+    bins = np.arange(n)
+    half = window_bins // 2
+    left = np.minimum(bins, half)
+    right = np.minimum(n - 1 - bins, half)
+    kept = np.maximum(left - guard_bins, 0) + np.maximum(right - guard_bins, 0)
+    guarded = kept > 0
+    counts = np.where(guarded, kept, left + right + 1)
+    n_pairs = max(1, -(-n // window_bins) - 1)
+    geometry = _WindowGeometry(
+        counts=counts,
+        guarded=guarded,
+        rank=(counts - 1) // 2,
+        pair=np.minimum((bins - left) // window_bins, n_pairs - 1),
+        columns=np.concatenate(
+            [np.arange(half - guard_bins), np.arange(half + guard_bins + 1, window_bins)]
+        ),
+    )
+    for values in geometry:
+        values.flags.writeable = False
+    return geometry
 
 
 def _floors_at(
@@ -156,9 +214,12 @@ def _floors_at(
 ) -> np.ndarray:
     """The :func:`local_noise_floor` of ``magnitudes`` at ``bins`` only.
 
-    Both branches produce the two order statistics ``np.median`` averages
-    (or its one middle value), so every floor is bit-identical to the
-    per-bin median.
+    Interior and clipped windows alike are one gather from the array
+    padded with ``+inf`` on both sides, leaving out the guard; one sort
+    of the rows then puts each row's real values first, and its median
+    is read off its own count of them. These are the two order
+    statistics ``np.median`` averages (or its one middle value), so
+    every floor is bit-identical to the per-bin median.
     """
     n = magnitudes.size
     if window_bins % 2 == 0 or window_bins < 2 * guard_bins + 3:
@@ -166,41 +227,52 @@ def _floors_at(
             f"window_bins must be odd and > 2*guard_bins+2, got {window_bins}"
         )
     half = window_bins // 2
-    scale = np.sqrt(np.log(4.0))
-    floors = np.empty(bins.size)
-    interior = (bins >= half) & (bins < n - half)
-    if interior.any():
-        # A full window minus the guard keeps window_bins - 2*guard_bins - 1
-        # bins, an even count: the median averages the two middle order
-        # statistics. One partition at the upper middle places it, and the
-        # lower middle is the largest value left of it.
-        offsets = np.concatenate(
-            [np.arange(-half, -guard_bins), np.arange(guard_bins + 1, half + 1)]
-        )
-        mid = offsets.size // 2
-        part = np.partition(
-            magnitudes[bins[interior][:, None] + offsets[None, :]], mid, axis=1
-        )
-        floors[interior] = (part[:, :mid].max(axis=1) + part[:, mid]) / 2.0 / scale
-    edge = ~interior
-    if edge.any():
-        # Clipped windows have irregular sizes: pad each to the full window
-        # with +inf, sort the rows once, and read each row's median off
-        # its own count of real values.
-        centers = bins[edge]
-        window = centers[:, None] + np.arange(-half, half + 1)[None, :]
-        inside = (window >= 0) & (window < n)
-        kept = inside & (np.abs(window - centers[:, None]) > guard_bins)
-        empty = ~kept.any(axis=1)
-        kept[empty] = inside[empty]
-        values = np.where(kept, magnitudes[np.clip(window, 0, n - 1)], np.inf)
-        values.sort(axis=1)
-        count = kept.sum(axis=1)
-        rows = np.arange(centers.size)
-        upper = values[rows, count // 2]
-        lower = values[rows, (count - 1) // 2]
-        floors[edge] = np.where(count % 2 == 1, upper, (lower + upper) / 2.0) / scale
-    return floors
+    geometry = _window_geometry(n, window_bins, guard_bins)
+    padding = np.full(half, np.inf)
+    padded = np.concatenate([padding, magnitudes, padding])
+    # Column c of row r is bin bins[r] - half + c.
+    if n > 2 * guard_bins + 1:  # then every window keeps a bin outside its guard
+        values = padded[bins[:, None] + geometry.columns]
+    else:
+        values = padded[bins[:, None] + np.arange(window_bins)]
+        values[geometry.guarded[bins], half - guard_bins : half + guard_bins + 1] = np.inf
+    values.sort(axis=1)
+    counts = geometry.counts[bins]
+    rows = np.arange(bins.size)
+    upper = values[rows, counts // 2]
+    lower = values[rows, (counts - 1) // 2]
+    return np.where(counts % 2 == 1, upper, (lower + upper) / 2.0) / _RAYLEIGH_MEDIAN
+
+
+def _floor_bounds(
+    band: np.ndarray, bins: np.ndarray, window_bins: int = 65, guard_bins: int = 3
+) -> np.ndarray:
+    """A lower bound on the CFAR floor of ``band`` at each of ``bins``.
+
+    Cut the band into blocks of ``window_bins`` bins (the last one
+    short). A floor window is at most ``window_bins`` consecutive bins,
+    so it lies inside two adjacent blocks: the block holding its first
+    bin and the next (or, in a band shorter than two blocks, inside the
+    band). The values a window keeps are a subset of that block pair's,
+    and the r-th smallest of a subset is at least the r-th smallest of
+    the whole (its r smallest values are r values of the whole, none
+    above it). A floor is ``fl(fl(a + b) / 2) / s`` with ``a <= b`` the
+    window's lower and upper middle values, or ``b / s`` with ``a == b``
+    for an odd count; ``fl(a + b) >= fl(a + a) = 2a`` and halving is
+    exact, so it is at least ``fl(a / s)``. Rounding is monotone, so the
+    block pair's order statistic at the window's lower-middle rank,
+    divided by ``s``, bounds the floor from below; times a threshold it
+    bounds ``floor * threshold`` from below.
+    """
+    n = band.size
+    n_blocks = -(-n // window_bins)
+    blocks = np.full(n_blocks * window_bins, np.inf)
+    blocks[:n] = band
+    blocks = blocks.reshape(n_blocks, window_bins)
+    pairs = np.concatenate([blocks[:-1], blocks[1:]], axis=1) if n_blocks > 1 else blocks
+    pairs.sort(axis=1)
+    geometry = _window_geometry(n, window_bins, guard_bins)
+    return pairs[geometry.pair[bins], geometry.rank[bins]] / _RAYLEIGH_MEDIAN
 
 
 def _peak_bins(band: np.ndarray) -> np.ndarray:
@@ -216,14 +288,6 @@ def _peak_bins(band: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _candidate_floors(band: np.ndarray) -> np.ndarray:
-    """The band's CFAR floor at its :func:`_peak_bins`, NaN elsewhere."""
-    floors = np.full(band.size, np.nan)
-    bins = _peak_bins(band)
-    floors[bins] = _floors_at(band, bins)
-    return floors
-
-
 def _band_bounds(
     n_bins: int, bin_hz: float, search_lo_hz: float, search_hi_hz: float
 ) -> tuple[int, int]:
@@ -235,6 +299,83 @@ def _band_bounds(
     if hi_bin <= lo_bin:
         raise SpectrumError("search band narrower than one bin")
     return lo_bin, hi_bin
+
+
+class BandScan:
+    """A search band's local maxima, scanned once, and their CFAR floors.
+
+    A spike can only be declared at a local maximum of the band (or an
+    end bin above its neighbour), so one scan finds those bins and every
+    detection pass over the same magnitudes reads them:
+    :meth:`detect` at one threshold, then at another (the §5 counter's
+    density probe, then its decision pass). The floor of a maximum is
+    computed only where the maximum can clear it: a maximum below a
+    lower bound on its floor (:func:`_floor_bounds`) times the threshold
+    is never detected at that threshold or any higher one, so its floor
+    is left uncomputed (NaN) until a lower threshold needs it.
+    ``screened=False`` computes every maximum's floor up front, as
+    :func:`band_floors` does. Either way, every computed floor is
+    :func:`local_noise_floor`'s of the band, and the detections are the
+    same.
+
+    Attributes:
+        bins: ascending absolute bin indices of the band's local maxima.
+        magnitudes: the magnitude at each of ``bins``.
+        floors: the floor of each maximum, NaN where not computed.
+        n_floors: how many floors the scan has computed.
+    """
+
+    def __init__(
+        self,
+        magnitudes: np.ndarray,
+        bin_hz: float,
+        search_lo_hz: float,
+        search_hi_hz: float,
+        screened: bool = True,
+    ) -> None:
+        magnitudes = np.asarray(magnitudes, dtype=np.float64)
+        lo_bin, hi_bin = _band_bounds(magnitudes.size, bin_hz, search_lo_hz, search_hi_hz)
+        self._band = magnitudes[lo_bin : hi_bin + 1]
+        self._peaks = _peak_bins(self._band)
+        self.bins = lo_bin + self._peaks
+        self.magnitudes = self._band[self._peaks]
+        self._bounds = None
+        if screened:
+            self.floors = np.full(self._peaks.size, np.nan)
+            self.n_floors = 0
+            # The lowest threshold screened so far: every maximum that
+            # can clear it has its floor.
+            self._screened = np.inf
+        else:
+            self.floors = _floors_at(self._band, self._peaks)
+            self.n_floors = self._peaks.size
+            self._screened = 0.0
+
+    def detect(self, min_snr_db: float) -> np.ndarray:
+        """Indices into :attr:`bins` of the maxima at least ``min_snr_db``
+        above their floor, ascending. No two are adjacent bins (a local
+        maximum is above its right neighbour and at least its left one),
+        so tags two bins apart stay distinct detections."""
+        threshold = db_to_amplitude(min_snr_db)
+        if threshold < self._screened:
+            if self._bounds is None:
+                self._bounds = _floor_bounds(self._band, self._peaks)
+            need = np.isnan(self.floors) & (self.magnitudes >= self._bounds * threshold)
+            needed = self._peaks[need]
+            if needed.size:
+                self.floors[need] = _floors_at(self._band, needed)
+                self.n_floors += needed.size
+            self._screened = threshold
+        # An uncomputed (NaN) floor compares False.
+        return np.flatnonzero(self.magnitudes >= self.floors * threshold)
+
+    def snrs(self, hits: np.ndarray) -> np.ndarray:
+        """Magnitude over floor at ``hits`` (:attr:`SpectralPeak.snr`)."""
+        floors = self.floors[hits]
+        positive = floors > 0.0
+        return np.divide(
+            self.magnitudes[hits], floors, out=np.full(floors.size, np.inf), where=positive
+        )
 
 
 def band_floors(
@@ -249,14 +390,15 @@ def band_floors(
     end bin above its neighbour), so the floor is computed at those bins
     only and every other entry is NaN; the computed entries equal
     :func:`local_noise_floor` of the band. A caller that probes the
-    *same* magnitudes at several thresholds (the §5 counter's density
-    probe followed by its decision pass) computes the floor once here
+    *same* magnitudes at several thresholds computes the floor once here
     and hands it back to :func:`detected_bins` or
-    :func:`find_peaks_in_magnitudes` via ``floors``.
+    :func:`find_peaks_in_magnitudes` via ``floors`` (a :class:`BandScan`
+    computes fewer floors for the same detections).
     """
-    magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    lo_bin, hi_bin = _band_bounds(magnitudes.size, bin_hz, search_lo_hz, search_hi_hz)
-    return _candidate_floors(magnitudes[lo_bin : hi_bin + 1])
+    scan = BandScan(magnitudes, bin_hz, search_lo_hz, search_hi_hz, screened=False)
+    floors = np.full(scan._band.size, np.nan)
+    floors[scan._peaks] = scan.floors
+    return floors
 
 
 def detected_bins(
@@ -270,29 +412,26 @@ def detected_bins(
     """The FFT bins where a spike clears its local floor, and those floors.
 
     The detection core of :func:`find_peaks_in_magnitudes`, with its
-    arguments (``floors`` may be None): local maxima of the search band
-    at least ``min_snr_db`` above their CFAR floor. A caller that only needs how many spikes a
-    threshold admits (the §5 counter's density probe) takes the size of
-    the bins and builds no peak records.
+    arguments: local maxima of the search band at least ``min_snr_db``
+    above their CFAR floor. Without ``floors`` it scans the band once
+    (:class:`BandScan`, which computes a floor only where a maximum can
+    clear it); with ``floors`` (from :func:`band_floors`) it reads them.
 
     Returns:
         ``(bins, floors)``: ascending absolute bin indices, and the
         floor each was detected against.
     """
+    if floors is None:
+        scan = BandScan(magnitudes, bin_hz, search_lo_hz, search_hi_hz)
+        hits = scan.detect(min_snr_db)
+        return scan.bins[hits], scan.floors[hits]
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
     lo_bin, hi_bin = _band_bounds(magnitudes.size, bin_hz, search_lo_hz, search_hi_hz)
-
     band = magnitudes[lo_bin : hi_bin + 1]
-    if floors is None:
-        floors = _candidate_floors(band)
-    elif floors.size != band.size:
+    if floors.size != band.size:
         raise SpectrumError(
             f"precomputed floors cover {floors.size} bins, band has {band.size}"
         )
-
-    # Local maxima above their local threshold. No two are adjacent (a
-    # local maximum is above its right neighbour and at least its left
-    # one), so tags two bins apart stay distinct peaks with no suppression.
     bins = _peak_bins(band)
     bins = bins[band[bins] >= floors[bins] * db_to_amplitude(min_snr_db)]
     return lo_bin + bins, floors[bins]

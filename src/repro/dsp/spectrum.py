@@ -41,11 +41,8 @@ __all__ = [
 #: coherence test's sub-windows are these blocks.
 PROBE_BLOCKS = 8
 
-_WINDOWS = {
-    "rect": lambda n: np.ones(n),
-    "hann": lambda n: np.hanning(n),
-    "hamming": lambda n: np.hamming(n),
-}
+#: Tapers by name; the rectangular window transforms the samples as they are.
+_WINDOWS = {"rect": None, "hann": np.hanning, "hamming": np.hamming}
 
 
 @dataclass
@@ -125,15 +122,19 @@ def fft_spectrum(
     """
     if length_samples is None:
         length_samples = wave.n_samples - offset_samples
-    segment = wave.window(offset_samples, length_samples)
-    try:
-        taper = _WINDOWS[window](segment.n_samples)
-    except KeyError:
+    if window not in _WINDOWS:
         raise SpectrumError(f"unknown window {window!r}; options: {sorted(_WINDOWS)}")
+    if offset_samples == 0 and 0 < length_samples == wave.n_samples:
+        segment = wave  # the whole capture: nothing to cut out
+    else:
+        segment = wave.window(offset_samples, length_samples)
     n_fft = n_fft or segment.n_samples
     if n_fft < segment.n_samples:
         raise SpectrumError(f"n_fft={n_fft} shorter than window {segment.n_samples}")
-    values = np.fft.fft(segment.samples * taper, n=n_fft)
+    samples = segment.samples
+    if _WINDOWS[window] is not None:
+        samples = samples * _WINDOWS[window](segment.n_samples)
+    values = np.fft.fft(samples, n=n_fft)
     return Spectrum(
         values=values,
         sample_rate_hz=wave.sample_rate_hz,
@@ -193,8 +194,9 @@ def tone_factors(
     n_blocks = -(-n_samples // length)
     # b L / fs rounds as Waveform.times() rounds sample b L.
     starts = t0_s + np.arange(n_blocks) * length / sample_rate_hz
-    outer = np.exp(-2j * np.pi * freqs * starts)
-    inner = np.exp(-2j * np.pi * freqs * (np.arange(length) / sample_rate_hz))
+    phase_rates = -2j * np.pi * freqs
+    outer = np.exp(phase_rates * starts)
+    inner = np.exp(phase_rates * (np.arange(length) / sample_rate_hz))
     return outer, inner
 
 
@@ -219,7 +221,7 @@ def tone_block_sums(
     return outer * sums
 
 
-def dirichlet_kernel(phi_rad, length: int) -> np.ndarray:
+def dirichlet_kernel(phi_rad, length) -> np.ndarray:
     """``D(phi, L) = sum_{n<L} exp(j phi n)`` in closed form, elementwise.
 
     The geometric series is ``exp(j phi (L-1)/2) sin(phi L/2) / sin(phi/2)``,
@@ -228,12 +230,17 @@ def dirichlet_kernel(phi_rad, length: int) -> np.ndarray:
     over ``L`` samples as ``exp(j 2 pi (f_j - f_k) t0) D(2 pi (f_j - f_k)/fs,
     L)`` — the Gram of a tone basis, the leakage between tones in a
     sub-window, or a tone's value in one FFT bin, without touching a
-    sample.
+    sample. ``length`` is an integer or an integer array broadcast
+    against ``phi``, so one call evaluates the same phases over several
+    window lengths.
     """
     phi = np.asarray(phi_rad, dtype=np.float64)
+    length = np.asarray(length)
     # D is 2 pi-periodic in phi: reduce to [-pi, pi] so the ratio's
     # removable singularity sits at phi == 0 alone.
     half = (phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi))) / 2.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(half == 0.0, float(length), np.sin(half * length) / np.sin(half))
+        ratio = np.where(
+            half == 0.0, length.astype(np.float64), np.sin(half * length) / np.sin(half)
+        )
     return np.exp(1j * half * (length - 1)) * ratio

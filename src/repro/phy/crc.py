@@ -91,10 +91,8 @@ class Crc:
         if n_bytes and self.width >= 8:
             table = _byte_table(self.width, self.poly)
             shift = self.width - 8
-            for byte in np.packbits(bits[: n_bytes * 8]):
-                register = ((register << 8) & mask) ^ table[
-                    ((register >> shift) ^ int(byte)) & 0xFF
-                ]
+            for byte in np.packbits(bits[: n_bytes * 8]).tolist():
+                register = ((register << 8) & mask) ^ table[((register >> shift) ^ byte) & 0xFF]
             bits = bits[n_bytes * 8 :]
         for bit in bits:
             register ^= int(bit) << (self.width - 1)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,6 +159,28 @@ class TagWaveformBank:
         return cached
 
 
+def _response_start_s(query_start_s: float) -> float:
+    """When the responses to a query starting at ``query_start_s`` begin."""
+    return query_start_s + QUERY_DURATION_S + TURNAROUND_S
+
+
+class _Responders(NamedTuple):
+    """One window's responders, as the superposition reads them.
+
+    Attributes:
+        transponders / templates: the responders and their bank templates.
+        rows: their bank rows stacked, (m, N).
+        positions: where they are heard from, (m, 3).
+        gains: (antennas × m) channel gains times transmit amplitudes.
+    """
+
+    transponders: list[Transponder]
+    templates: tuple[TagResponse, ...]
+    rows: np.ndarray
+    positions: np.ndarray
+    gains: np.ndarray
+
+
 class MovingCollisionSource:
     """One pole's radio front-end over a moving scene.
 
@@ -209,14 +232,14 @@ class MovingCollisionSource:
                 another reader's query (the capture's air time is still
                 spent, its content is garbage).
         """
-        response_t0 = query_start_s + QUERY_DURATION_S + TURNAROUND_S
+        response_t0 = _response_start_s(query_start_s)
         if not tags or corrupted:
             return self._package(
                 np.zeros((self.n_antennas, self.bank.n_samples), dtype=np.complex128),
                 [],
                 response_t0,
             )
-        return self._synthesize(tags, None, response_t0)
+        return self._synthesize(self._responders(tags, response_t0), None, response_t0)
 
     def overhear(
         self,
@@ -252,43 +275,54 @@ class MovingCollisionSource:
         tags = [tag for tag, _ in entries]
         phases = np.exp(1j * np.asarray([phase for _, phase in entries]))
         return self._synthesize(
-            tags, phases, response_t0, overheard_from=origin, rng=rng
+            self._responders(tags, response_t0),
+            phases,
+            response_t0,
+            overheard_from=origin,
+            rng=rng,
         )
+
+    def _responders(self, tags: list[MovingTag], response_t0: float) -> _Responders:
+        """A window's responders as one unit, heard at ``response_t0``.
+
+        Their positions come from one :func:`positions_at` call and the
+        whole (antennas × tags) gain matrix from one
+        ``channel.coefficients`` call, equal bit for bit to a per-tag,
+        per-antenna loop; their bank rows are stacked into one matrix.
+        """
+        transponders = [tag.transponder for tag in tags]
+        rows, templates = zip(*(self.bank.row(t) for t in transponders))
+        positions = positions_at(tags, response_t0)
+        amplitudes = np.array([t.tx_amplitude for t in transponders])
+        gains = self.channel.coefficients(positions, self.antenna_positions_m) * amplitudes
+        return _Responders(transponders, templates, np.asarray(rows), positions, gains)
 
     def _synthesize(
         self,
-        tags: list[MovingTag],
+        responders: _Responders,
         phases: np.ndarray | None,
         response_t0: float,
         overheard_from: str | None = None,
         rng=None,
     ) -> ReceivedCollision:
-        """Superpose the tags' precomputed rows under per-query gains.
+        """Superpose the responders' rows under their gains.
 
-        The window's responders are one unit: their positions at
-        ``response_t0`` come from one :func:`positions_at` call and the
-        whole (antennas × tags) gain matrix from one
-        ``channel.coefficients`` call, equal bit for bit to a per-tag,
-        per-antenna loop. Each transponder's ``position_m`` is left at its
-        response-time position. ``phases`` carries each response's
-        oscillator phase; None draws fresh ones (an own-query trigger) —
-        after the gain rebuild, so the rng draw order matches the
-        original single-pole path exactly.
+        Each transponder's ``position_m`` is left at its response-time
+        position. ``phases`` carries each response's oscillator phase;
+        None draws fresh ones (an own-query trigger) — after the bank
+        rows, so the rng draw order matches the original single-pole path
+        exactly.
         """
-        transponders = [tag.transponder for tag in tags]
-        rows, templates = zip(*(self.bank.row(t) for t in transponders))
-        positions = positions_at(tags, response_t0)
-        for transponder, position in zip(transponders, positions):
+        transponders = responders.transponders
+        for transponder, position in zip(transponders, responders.positions):
             transponder.position_m = position
-        amplitudes = np.array([t.tx_amplitude for t in transponders])
-        gains = self.channel.coefficients(positions, self.antenna_positions_m) * amplitudes
         if phases is None:
-            phases = np.exp(1j * self.rng.uniform(0.0, 2.0 * np.pi, size=len(tags)))
-        weights = gains * phases[None, :]
-        clean = weights @ np.asarray(rows)
+            phases = np.exp(1j * self.rng.uniform(0.0, 2.0 * np.pi, size=len(transponders)))
+        weights = responders.gains * phases[None, :]
+        clean = weights @ responders.rows
         truth = truth_entries(
             transponders,
-            templates,
+            responders.templates,
             weights,
             phases,
             response_t0,
@@ -335,7 +369,10 @@ class ParkedSource:
     the templates, then per query the phases, then the noise.
 
     The bank keys rows by account id, so a roster that repeats one is
-    rejected: the two tags would share one waveform.
+    rejected: the two tags would share one waveform. What the frozen
+    roster fixes (bank rows, positions, gains) is stacked once, at
+    construction, and every query superposes it with fresh phases and
+    noise.
     """
 
     def __init__(
@@ -363,7 +400,16 @@ class ParkedSource:
             bank.row(tag)
             parked = ConstantSpeedTrajectory(np.array(tag.position_m), np.zeros(3))
             self._roster.append(MovingTag(tag, parked))
+        # A parked tag stands at its trajectory's start (zero velocity
+        # from t = 0) at every query, so its row, position and gains are
+        # the same each time; they are shared across queries, read-only.
+        self._fixed = self.source._responders(self._roster, 0.0) if self._roster else None
+        if self._fixed is not None:
+            for values in (self._fixed.rows, self._fixed.positions, self._fixed.gains):
+                values.flags.writeable = False
 
     def query(self, query_start_s: float = 0.0) -> ReceivedCollision:
         """Issue one query; all tags respond with fresh random phases."""
-        return self.source.query(self._roster, query_start_s)
+        if self._fixed is None:
+            return self.source.query(self._roster, query_start_s)
+        return self.source._synthesize(self._fixed, None, _response_start_s(query_start_s))

@@ -134,12 +134,19 @@ def prbs_bits(n_bits: int, seed: int) -> np.ndarray:
     Fibonacci x^16 + x^14 + x^13 + x^11 + 1.
     """
     state = (seed & 0xFFFF) or 0xACE1
-    out = np.empty(n_bits, dtype=np.uint8)
-    for i in range(n_bits):
-        bit = ((state >> 0) ^ (state >> 2) ^ (state >> 3) ^ (state >> 5)) & 1
-        state = (state >> 1) | (bit << 15)
-        out[i] = state & 1
-    return out
+    # The register holds b_t .. b_{t+15} (bit j is b_{t+j}) and shifts in
+    # b_{t+16} = b_t ^ b_{t+2} ^ b_{t+3} ^ b_{t+5}; output bit i is b_{i+1}.
+    # The taps reach at most five bits deep, so the register fixes its next
+    # eleven feedback bits at once: step eleven at a time, collecting the
+    # stream b_0 b_1 ... as one integer, and unpack it once.
+    stream, width = state, 16
+    while width <= n_bits:
+        feedback = (state ^ (state >> 2) ^ (state >> 3) ^ (state >> 5)) & 0x7FF
+        state = (state >> 11) | (feedback << 5)
+        stream |= feedback << width
+        width += 11
+    packed = np.frombuffer(stream.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, bitorder="little")[1 : n_bits + 1]
 
 
 def wrap_angle(radians: float | np.ndarray) -> float | np.ndarray:

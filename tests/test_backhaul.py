@@ -233,7 +233,6 @@ class TestMuleDelivery:
 
 
 class TestWiredGoldenPin:
-    @pytest.mark.slow
     def test_wired_serial_reproduces_the_pre_backhaul_golden_sha(self):
         """An explicit ``backhaul="wired"`` is the default: it
         reproduces the mesh golden."""

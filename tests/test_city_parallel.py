@@ -71,7 +71,6 @@ class TestQuantumBoundaries:
 
 
 class TestSerialGoldenPin:
-    @pytest.mark.slow
     def test_serial_mesh_unchanged_by_sharding_pr(self):
         """``mesh.run`` (the one-worker in-process engine) reproduces
         the mesh golden."""

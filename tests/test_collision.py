@@ -443,6 +443,25 @@ class TestParkedSourceBitForBit:
             for want, got in both:
                 self.query_both(want, got, want_rng, got_rng, starts=(t,))
 
+    @pytest.mark.parametrize("m", [1, 12, 50])
+    def test_fixed_roster_equals_the_restacking_path(self, array, m):
+        """A parked roster's rows, positions and gains are stacked once,
+        at construction; every query equals the moving source's query
+        over the same roster, which restacks them per query (a fixed
+        unit built in another order, or from other positions, fails)."""
+        tags = street_tags(m, seed=60 + m)
+        fixed, restacked = (
+            ParkedSource(tags, array.positions_m, LosChannel(), noise_power_w=NOISE_W, rng=9)
+            for _ in range(2)
+        )
+        for start in self.STARTS:
+            got = fixed.query(start)
+            got_positions = [t.position_m.tobytes() for t in tags]
+            want = restacked.source.query(restacked._roster, start)
+            assert_same_capture(got, want)
+            assert got_positions == [t.position_m.tobytes() for t in tags]
+            assert fixed.source.rng.bit_generator.state == restacked.source.rng.bit_generator.state
+
     def test_multipath_channel(self, array):
         channel = MultipathChannel(
             paths=(GroundBounce(), PointScatterer(np.array([5.0, 5.0, 1.0])))

@@ -12,7 +12,7 @@ from repro.core import counting
 from repro.core.cfo import DEFAULT_SEARCH_HI_HZ, DEFAULT_SEARCH_LO_HZ
 from repro.core.counting import BinClass, CollisionCounter, CountEstimate
 from repro.dsp.peaks import find_peaks_in_magnitudes, quinn_offset
-from repro.dsp.spectrum import PROBE_BLOCKS, fft_spectrum
+from repro.dsp.spectrum import PROBE_BLOCKS, dirichlet_kernel, fft_spectrum
 from repro.errors import ConfigurationError
 from repro.obs import Obs
 from repro.phy.waveform import Waveform
@@ -206,6 +206,68 @@ class TestBatchedToneFit:
             ]
 
 
+class TestOraclesSparseAndDense:
+    """One- and three-capture bursts, sparse and dense, equal both
+    private oracles observation for observation: the oracle pass scans
+    the band afresh with every local maximum's floor computed and fits
+    each capture on its own basis."""
+
+    @pytest.mark.parametrize("n_tags, dense", [(4, False), (40, True)])
+    @pytest.mark.parametrize("n_captures", [1, 3])
+    def test_default_equals_the_oracles(self, n_tags, dense, n_captures):
+        rng = np.random.default_rng(n_tags + n_captures)
+        sim = build_simulator(rng.uniform(20e3, 1.19e6, size=n_tags), seed=n_tags)
+        counter = CollisionCounter()
+        for t_s in (0.0, 2e-3):
+            burst = [sim.query(t_s).antenna(0) for _ in range(n_captures)]
+            got = counter.count_multi(burst)
+            want = counter._count_burst(burst, share_spectra=False, stacked_fit=False)
+            assert got.dense_mode == want.dense_mode == dense
+            assert got.count == want.count
+            assert [str(o) for o in got.observations] == [str(o) for o in want.observations]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.basis, want.basis))
+
+    def test_one_capture_skips_the_mean_over_one_row(self):
+        """A one-capture burst detects on its magnitudes as they are: the
+        mean over one row they replace, bit for bit."""
+        sim = build_simulator([150e3, 420e3, 900e3], seed=2)
+        wave = sim.query(0.0).antenna(0)
+        spectra, avg_mag, _ = CollisionCounter()._spectral_state([wave])
+        assert avg_mag.tobytes() == np.mean([s.magnitude() for s in spectra], axis=0).tobytes()
+
+
+class TestFloorWork:
+    """``count.work{kind="floor_bins", stage="detect"}`` counts the bins
+    whose CFAR floor a pass computed; it repeats exactly run to run."""
+
+    def test_counts_the_floors_the_scan_computed(self):
+        rng = np.random.default_rng(8)
+        for n_tags, n_captures in ((3, 1), (30, 1), (5, 3)):
+            sim = build_simulator(rng.uniform(20e3, 1.19e6, size=n_tags), seed=n_tags)
+            burst = [sim.query(0.0).antenna(0) for _ in range(n_captures)]
+            work = []
+            for _ in range(2):
+                obs = Obs()
+                estimate = CollisionCounter(obs=obs).count_multi(burst)
+                work.append(obs.metrics.counter("count.work", kind="floor_bins", stage="detect"))
+            assert work[0] == work[1] > 0
+            # The same scan, run through the same two thresholds.
+            counter = CollisionCounter()
+            _, _, scan = counter._spectral_state(burst)
+            probe = scan.detect(counting._PROBE_SNR_DB)
+            relief = counting._MULTI_CAPTURE_RELIEF_DB * np.log2(n_captures)
+            dense_db = max(counting._MIN_MULTI_SNR_DB, counting._DENSE_SNR_DB - relief)
+            assert (probe.size >= counting._DENSE_TRIGGER) == estimate.dense_mode
+            scan.detect(dense_db if estimate.dense_mode else counting._MIN_SNR_DB)
+            assert work[0] == scan.n_floors == np.count_nonzero(~np.isnan(scan.floors))
+            assert work[0] < scan.bins.size
+            # The oracle computes every maximum's floor, once per pass.
+            obs = Obs()
+            CollisionCounter(obs=obs)._count_burst(burst, share_spectra=False)
+            oracle = obs.metrics.counter("count.work", kind="floor_bins", stage="detect")
+            assert oracle == 2 * scan.bins.size
+
+
 class TestDensityProbe:
     """The dense probe counts the bins a permissive threshold admits and
     builds no peak records: its count is the peak count."""
@@ -281,6 +343,18 @@ class TestThreeBinEstimator:
         multi = [o.cfo_hz for o in counter.count_multi(burst).observations]
         assert multi == pytest.approx(single, abs=1e-6)
 
+    def test_equals_the_two_tau_reference(self):
+        """Both ratios in one pass and one ``_quinn_tau`` call give the
+        two-call estimator's offsets bit for bit, one capture or several
+        (swapping the two corrections, or not negating the right-hand
+        estimate, fails)."""
+        rng = np.random.default_rng(23)
+        for shape in ((7, 1), (5, 3), (1, 4)):
+            taps = rng.normal(size=(3,) + shape) + 1j * rng.normal(size=(3,) + shape)
+            taps[1] *= rng.uniform(0.5, 4.0, shape)
+            got = quinn_offset(taps[0], taps[1], taps[2])
+            assert got.tobytes() == _reference_quinn(taps[0], taps[1], taps[2]).tobytes()
+
     def test_zero_centre_bin_is_finite_and_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -292,6 +366,55 @@ class TestThreeBinEstimator:
         assert np.isfinite(zero) and abs(float(zero)) <= 1.0
         assert np.array_equal(all_zero, np.zeros(3))
         assert np.isfinite(freq)
+
+
+def _reference_merge(freqs, snrs, floors, resolution_hz):
+    """The candidate merge as the counter ran it on (freq, snr, floor)
+    tuples: strongest first (stable), then ascending."""
+    kept = []
+    for freq, snr, floor in sorted(zip(freqs, snrs, floors), key=lambda r: -r[1]):
+        if all(abs(freq - other[0]) > counting._MERGE_BINS * resolution_hz for other in kept):
+            kept.append((freq, snr, floor))
+    return sorted(kept)
+
+
+class TestMergeCandidates:
+    def test_equals_the_tuple_merge(self):
+        """The index merge keeps the tuple merge's candidates in its
+        order, ties and near-coincident pairs included (keeping the
+        weaker of a close pair fails)."""
+        rng = np.random.default_rng(17)
+        bin_hz = FS / 2048
+        merged = 0
+        for trial in range(400):
+            m = int(rng.integers(1, 12))
+            freqs = np.sort(rng.uniform(0.0, 30.0, m)) * bin_hz
+            close = rng.integers(0, m, m // 2)
+            freqs[close] = freqs[close - 1] + rng.choice([0.0, 0.5, 1.2, 1.3]) * bin_hz
+            snrs = rng.choice([3.0, 5.0, 9.0, np.inf], m) * rng.choice([1.0, 1.0, 0.5], m)
+            floors = rng.uniform(1.0, 2.0, m)
+            keep = counting._merge_candidates(freqs, snrs, bin_hz)
+            want = _reference_merge(freqs.tolist(), snrs.tolist(), floors.tolist(), bin_hz)
+            got = list(zip(freqs[keep].tolist(), snrs[keep].tolist(), floors[keep].tolist()))
+            assert got == want
+            merged += keep.size < m
+        assert merged > 100
+
+
+def _reference_quinn(left, center, right):
+    """Quinn's second estimator with one correction call per ratio, as
+    ``quinn_offset`` computed it before folding them into one."""
+    from repro.dsp.peaks import _quinn_tau
+
+    power = (center.real**2 + center.imag**2).sum(axis=-1)
+    norm = np.where(power > 0.0, power, 1.0)
+    ap = (right * center.conj()).real.sum(axis=-1) / norm
+    am = (left * center.conj()).real.sum(axis=-1) / norm
+    with np.errstate(all="ignore"):
+        dp = -ap / (1.0 - ap)
+        dm = am / (1.0 - am)
+        offset = (dp + dm) / 2.0 + _quinn_tau(dp * dp) - _quinn_tau(dm * dm)
+    return np.where(np.isnan(offset), 0.0, np.minimum(np.maximum(offset, -1.0), 1.0))
 
 
 class TestBurstGrid:
@@ -382,10 +505,10 @@ def _rel_err(got, want):
     return float(np.abs(np.asarray(got) - np.asarray(want)).max() / np.abs(want).max())
 
 
-def _probes(factors, n):
-    """The m x N probe rows ``exp(-j w_k t)`` rebuilt from their block
-    factors: sample ``b L + l`` is ``outer[k, b] * inner[k, l]``."""
-    outer, inner = factors
+def _probes(basis, n):
+    """The m x N probe rows ``exp(-j w_k t)`` rebuilt from a fit basis's
+    block factors: sample ``b L + l`` is ``outer[k, b] * inner[k, l]``."""
+    outer, inner = basis.factors
     return (outer[:, :, None] * inner[:, None, :]).reshape(len(outer), -1)[:, :n]
 
 
@@ -394,8 +517,8 @@ def _einsum_aligned_values(waves, freqs, per_capture):
     probe rows, as the counter computed it before the closed form."""
     q = PROBE_BLOCKS
     chunks = []
-    for wave, (amplitudes, _, factors) in zip(waves, per_capture):
-        probes = _probes(factors, wave.n_samples)
+    for wave, (amplitudes, _, basis) in zip(waves, per_capture):
+        probes = _probes(basis, wave.n_samples)
         length = wave.n_samples // q
         usable = length * q
         reshaped = probes[:, :usable].reshape(freqs.size, q, length)
@@ -422,12 +545,26 @@ class TestClosedFormToneAlgebra:
             m = int(rng.integers(2, 36))
             yield _tone_scene(rng, m, self.CLOCKS_S[i % 3], n_captures)
 
+    def test_one_kernel_call_gives_the_gram_and_the_block_kernel(self):
+        """The fit evaluates the tone pairs' Dirichlet kernel over the
+        capture and over one probe block in one call; each equals its own
+        call bit for bit (a block kernel over the wrong length fails)."""
+        counter = CollisionCounter()
+        for freqs, (wave,) in self.scenes(n=9):
+            basis = counter._tone_basis(wave, freqs)
+            d_omega = counting._omega_differences(freqs)
+            phi = -d_omega / wave.sample_rate_hz
+            gram = np.exp(-1j * d_omega * wave.t0_s) * dirichlet_kernel(phi, wave.n_samples)
+            assert basis.gram.tobytes() == gram.tobytes()
+            length = wave.n_samples // PROBE_BLOCKS
+            assert basis.block_kernel.tobytes() == dirichlet_kernel(phi, length).tobytes()
+
     def test_gram_matches_probe_products(self):
         counter = CollisionCounter()
         for freqs, (wave,) in self.scenes():
-            factors, gram = counter._tone_basis(wave, freqs)
-            probes = _probes(factors, wave.n_samples)
-            assert _rel_err(gram, probes @ probes.conj().T) < self.TOL
+            basis = counter._tone_basis(wave, freqs)
+            probes = _probes(basis, wave.n_samples)
+            assert _rel_err(basis.gram, probes @ probes.conj().T) < self.TOL
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision longdouble"
@@ -440,7 +577,7 @@ class TestClosedFormToneAlgebra:
         rng = np.random.default_rng(5)
         for _ in range(5):
             freqs, (wave,) = _tone_scene(rng, 12, 89.9)
-            _, gram = counter._tone_basis(wave, freqs)
+            gram = counter._tone_basis(wave, freqs).gram
             omega = (2.0 * np.pi * freqs).astype(np.longdouble)
             t = np.longdouble(89.9) + np.arange(2048, dtype=np.longdouble) / np.longdouble(FS)
             exact = np.exp(-1j * omega[:, None] * t[None, :])
@@ -450,7 +587,7 @@ class TestClosedFormToneAlgebra:
         counter = CollisionCounter()
         for freqs, waves in self.scenes(n=12, n_captures=2):
             per_capture = counter._fit_tones_burst(waves, freqs)
-            got = counter._aligned_subwindow_values(waves, freqs, per_capture)
+            got = counter._aligned_subwindow_values(per_capture)
             want = _einsum_aligned_values(waves, freqs, per_capture)
             assert _rel_err(got, want) < self.TOL
 
@@ -471,8 +608,8 @@ class TestClosedFormToneAlgebra:
         for freqs, (wave,) in self.scenes():
             seen.clear()
             counter._joint_refine(wave, fft_spectrum(wave), freqs, bin_hz)
-            amplitudes, _, factors = counter._fit_tones(wave, freqs)
-            probes = _probes(factors, n)
+            amplitudes, _, basis = counter._fit_tones(wave, freqs)
+            probes = _probes(basis, n)
             close = [
                 k for k in range(freqs.size)
                 if np.abs(np.delete(freqs, k) - freqs[k]).min() <= 6.0 * bin_hz
@@ -490,8 +627,8 @@ class TestClosedFormToneAlgebra:
     def test_fit_matches_lstsq_one_capture(self):
         counter = CollisionCounter()
         for freqs, (wave,) in self.scenes():
-            amplitudes, _, factors = counter._fit_tones(wave, freqs)
-            probes = _probes(factors, wave.n_samples)
+            amplitudes, _, basis = counter._fit_tones(wave, freqs)
+            probes = _probes(basis, wave.n_samples)
             want, *_ = np.linalg.lstsq(probes.conj().T, wave.samples, rcond=None)
             assert _rel_err(amplitudes, want) < self.TOL
 
@@ -499,9 +636,9 @@ class TestClosedFormToneAlgebra:
         counter = CollisionCounter()
         for freqs, waves in self.scenes(n=12, n_captures=3):
             fits = counter._fit_tones_burst(waves, freqs)
-            assert all(factors is fits[0][2] for _, _, factors in fits)
-            for wave, (amplitudes, _, factors) in zip(waves, fits):
-                probes = _probes(factors, wave.n_samples)
+            assert all(basis is fits[0][2] for _, _, basis in fits)
+            for wave, (amplitudes, _, basis) in zip(waves, fits):
+                probes = _probes(basis, wave.n_samples)
                 want, *_ = np.linalg.lstsq(probes.conj().T, wave.samples, rcond=None)
                 assert _rel_err(amplitudes, want) < self.TOL
 
@@ -516,8 +653,8 @@ class TestClosedFormToneAlgebra:
             freqs = np.sort(np.append(freqs, freqs[3]))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                amplitudes, _, factors = counter._fit_tones(wave, freqs)
-            probes = _probes(factors, wave.n_samples)
+                amplitudes, _, basis = counter._fit_tones(wave, freqs)
+            probes = _probes(basis, wave.n_samples)
             want, *_ = np.linalg.lstsq(probes.conj().T, wave.samples, rcond=None)
             assert np.all(np.isfinite(amplitudes))
             assert _rel_err(amplitudes, want) < self.TOL

@@ -506,7 +506,6 @@ class TestCorridorOverheard:
         assert result.ledger.overheard_captures_used() == 0
 
 
-@pytest.mark.slow
 class TestIgnoreIsBitForBitPrePool:
     """The ablation contract: ``opportunistic="ignore"`` reproduces the
     corridor as it behaved before the response pool existed, bit for bit

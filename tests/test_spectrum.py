@@ -5,6 +5,7 @@ import pytest
 
 from repro.constants import CFO_BIN_COUNT, FFT_RESOLUTION_HZ, READER_LO_HZ
 from repro.dsp.peaks import (
+    BandScan,
     SpectralPeak,
     band_floors,
     detected_bins,
@@ -63,6 +64,20 @@ class TestSpectrum:
         assert spectrum.window_start_s == pytest.approx(256 / FS)
         assert spectrum.n_input == 1024
 
+    def test_full_rect_window_transforms_the_samples_as_they_are(self):
+        """The whole capture under the rectangular window is transformed
+        without a copy or a unit taper, equal bit for bit to the tapered
+        copy (a shortcut that tapered, or cut the window, fails)."""
+        rng = np.random.default_rng(5)
+        samples = rng.normal(size=2048) + 1j * rng.normal(size=2048)
+        wave = Waveform(samples, FS, 1.5e-3)
+        spectrum = fft_spectrum(wave)
+        taper = np.ones(wave.n_samples)
+        assert spectrum.values.tobytes() == np.fft.fft(samples.copy() * taper).tobytes()
+        assert (spectrum.window_start_s, spectrum.n_input) == (1.5e-3, 2048)
+        padded = fft_spectrum(wave, n_fft=4096)
+        assert padded.values.tobytes() == np.fft.fft(samples * taper, n=4096).tobytes()
+
     def test_unknown_window_rejected(self):
         with pytest.raises(SpectrumError):
             fft_spectrum(Waveform.silence(1e-4, FS), window="kaiser")
@@ -118,6 +133,18 @@ class TestDirichletKernel:
             series = np.exp(1j * phis[:, None] * np.arange(length)[None, :]).sum(axis=1)
             got = dirichlet_kernel(phis, length)
             assert np.abs(got - series).max() < 1e-11 * length
+
+    def test_lengths_broadcast_as_separate_calls(self):
+        """One call over an array of lengths equals one call per length,
+        bit for bit (the §5 fit reads the Gram's and the sub-window
+        kernels off one call); a zero phase gives each its own length."""
+        rng = np.random.default_rng(12)
+        phis = rng.uniform(-4.0, 4.0, (9, 9))
+        np.fill_diagonal(phis, 0.0)
+        lengths = np.array([2048, 256])
+        got = dirichlet_kernel(phis, lengths[:, None, None])
+        for row, length in zip(got, lengths.tolist()):
+            assert row.tobytes() == dirichlet_kernel(phis, length).tobytes()
 
     def test_zero_frequency_is_the_length_without_warnings(self):
         import warnings
@@ -450,6 +477,71 @@ class TestFloorBitExact:
             assert computed[inner].all()
             assert computed[0] == (band[0] > band[1])
             assert computed[-1] == (band[-1] > band[-2])
+
+    # The screened scan: the §5 counter's thresholds, applied in either
+    # order, over every band of 2-130 bins (one and two blocks, clipped
+    # edges throughout) and the full 615-bin band.
+    SCREEN_SNRS_DB = (7.5, 10.0, 13.0, 15.0)
+    SCREEN_SIZES = tuple(range(2, 131)) + (615,)
+
+    def screened_scans(self, ties, seed):
+        """``(band, scan)`` pairs with each scan run over the thresholds
+        in ascending or descending order, yielded after every detection
+        with the threshold just applied."""
+        rng = np.random.default_rng(seed + ties)
+        for size in self.SCREEN_SIZES:
+            mags = _random_magnitudes(rng, size + 6, ties)
+            band = mags[3 : size + 3]
+            for snrs in (self.SCREEN_SNRS_DB, self.SCREEN_SNRS_DB[::-1]):
+                scan = BandScan(mags, 1.0, 3.0, size + 2.0)
+                for snr_db in snrs:
+                    yield band, scan, snr_db, scan.detect(snr_db)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_screened_floors_are_the_per_bin_floors(self, ties):
+        """Wherever the screened scan computes a floor, it is the per-bin
+        median's, and ``n_floors`` counts exactly those floors."""
+        references = {}
+        for band, scan, _, _ in self.screened_scans(ties, seed=51):
+            key = band.tobytes()
+            if key not in references:
+                references[key] = _reference_floor(band)
+            computed = ~np.isnan(scan.floors)
+            want = references[key][scan.bins - 3]
+            assert scan.floors[computed].tobytes() == want[computed].tobytes()
+            assert scan.n_floors == np.count_nonzero(computed)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_every_maximum_that_clears_has_its_floor(self, ties):
+        """A local maximum at or above its floor times the threshold (the
+        per-bin floor) always has its floor computed: the screen's lower
+        bound never exceeds the floor. A bound taken from the window's
+        first block alone, instead of the two blocks that hold it, fails
+        here."""
+        cleared = 0
+        for band, scan, snr_db, _ in self.screened_scans(ties, seed=61):
+            floors = _reference_floor(band)[scan.bins - 3]
+            clears = scan.magnitudes >= floors * db_to_amplitude(snr_db)
+            assert not np.isnan(scan.floors[clears]).any()
+            cleared += np.count_nonzero(clears)
+        assert cleared > 1000
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_screened_detections_equal_the_unscreened_ones(self, ties):
+        """The screened scan detects exactly the unscreened scan's bins,
+        against the same floors, at every threshold and in either order,
+        while computing fewer floors overall."""
+        screened = unscreened = 0
+        for band, scan, snr_db, hits in self.screened_scans(ties, seed=71):
+            mags = np.concatenate([np.zeros(3), band, np.zeros(3)])
+            full = BandScan(mags, 1.0, 3.0, band.size + 2.0, screened=False)
+            want = full.detect(snr_db)
+            assert scan.bins[hits].tolist() == full.bins[want].tolist()
+            assert scan.floors[hits].tobytes() == full.floors[want].tobytes()
+            if snr_db == self.SCREEN_SNRS_DB[0]:
+                screened += scan.n_floors
+                unscreened += full.n_floors
+        assert screened < unscreened
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_find_peaks_equals_per_bin_scan(self, ties):

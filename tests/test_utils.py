@@ -117,6 +117,33 @@ class TestPrbs:
         bits = prbs_bits(4096, seed=99)
         assert 0.4 < bits.mean() < 0.6
 
+    def test_equals_the_one_bit_loop_for_every_seed(self):
+        """The eleven-bit stepping is the one-bit LFSR loop, bit for bit,
+        for all 65,536 seeds at lengths around the register width and
+        the packet's 130 factory bits (a dropped or misplaced tap, or an
+        off-by-one in the stream, fails here)."""
+        reference = _reference_prbs(130)
+        for seed in range(1 << 16):
+            for n_bits in (1, 15, 16, 17, 130):
+                bits = prbs_bits(n_bits, seed)
+                assert bits.dtype == np.uint8 and bits.shape == (n_bits,)
+                assert bits.tobytes() == reference[seed, :n_bits].tobytes(), (seed, n_bits)
+        assert prbs_bits(0, 5).shape == (0,)
+
+
+def _reference_prbs(n_bits: int) -> np.ndarray:
+    """The x^16 + x^14 + x^13 + x^11 + 1 LFSR stepped one bit per
+    iteration, as ``prbs_bits`` stepped it per seed, for every 16-bit
+    seed at once: row ``seed`` holds that seed's first ``n_bits`` bits."""
+    state = np.arange(1 << 16, dtype=np.int64)
+    state[0] = 0xACE1
+    out = np.empty((state.size, n_bits), dtype=np.uint8)
+    for i in range(n_bits):
+        bit = ((state >> 0) ^ (state >> 2) ^ (state >> 3) ^ (state >> 5)) & 1
+        state = (state >> 1) | (bit << 15)
+        out[:, i] = state & 1
+    return out
+
 
 class TestWrapAngle:
     def test_identity_inside(self):
