@@ -33,17 +33,27 @@ Alongside the 3-corridor experiment, the same file carries the
 (:func:`repro.sim.city.run_sharded`) with per-group compute *measured*
 (bench-layer wall clock around each shard's ``advance``; the library
 itself never reads the clock) and the N-worker makespan *modeled* from
-those measurements — this container has one core, so actually forking N
-workers measures contention, not scale-out. The model is labeled
+those measurements — forking more workers than the host has cores
+measures contention, not scale-out. The model is labeled
 honestly in the JSON (``"mode": "modeled-makespan"``): it charges the
 coordinator's replay/merge as a serial Amdahl term and assigns shard
 times round-robin exactly as the engine does.
 
+Beside the model sits one **measured** pair of points, ungated: the e2e
+``grid_sharded_16s`` city (8x8 grid, seed 7, 16 sim-s) run through a
+*forked* ``run_sharded`` with 1 and 2 workers, each in a fresh
+interpreter, recording its wall time and the peak resident memory of
+the parent and of its largest worker (``"mode": "measured"``).
+
 Set ``REPRO_BENCH_SCALE`` < 1 to shorten the simulations.
 """
 
+import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from bench_helpers import timer, write_bench_json
 from conftest import bench_scale as _scale
@@ -66,6 +76,35 @@ GRID_RATE_PER_S = 0.3
 SCALEOUT_WORKER_COUNTS = (1, 2, 4, 8, 16)
 SCALEOUT_GATE_WORKERS = 4
 SCALEOUT_GATE_SPEEDUP = 2.0
+
+#: The measured forked points: the e2e ``grid_sharded_16s`` city.
+FORKED_GRID_SIZE = 8
+FORKED_GRID_SEED = 7
+FORKED_WORKER_COUNTS = (1, 2)
+
+#: One forked run in a fresh interpreter; prints its measurements as
+#: JSON. An exec'd child inherits its launcher's ``ru_maxrss`` on Linux,
+#: so the parent's peak is this process's own high-water mark (VmHWM);
+#: the workers are forked from it, so the largest one's peak is
+#: ``RUSAGE_CHILDREN``'s.
+_FORKED_POINT = """
+import json, resource, sys, time
+from repro.sim.city import downtown_grid, run_sharded
+size, seed, duration_s, workers = json.loads(sys.argv[1])
+mesh = downtown_grid(size, size, rng=seed, rate_per_s=0.3)
+t0 = time.perf_counter()
+result = run_sharded(mesh, duration_s, workers=workers)
+wall_s = time.perf_counter() - t0
+with open("/proc/self/status") as status:
+    hwm_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({
+    "workers": workers,
+    "wall_s": wall_s,
+    "queries_sent": result.queries_sent,
+    "parent_peak_rss_mb": hwm_kib / 1024.0,
+    "worker_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+}))
+"""
 
 
 def build_mesh(handoff: str) -> CityMesh:
@@ -135,6 +174,22 @@ def _modeled_makespan(
     for i, key in enumerate(group_keys):
         loads[i % workers] += per_group_s.get(key, 0.0)
     return coordinator_s + max(loads)
+
+
+def _forked_grid_point(duration_s: float, workers: int) -> dict:
+    """Measure one forked ``run_sharded`` of the 8x8 grid in a fresh
+    interpreter (so neither its time nor its memory carries this
+    process's state)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    args = [FORKED_GRID_SIZE, FORKED_GRID_SEED, duration_s, workers]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORKED_POINT, json.dumps(args)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 def bench_city_mesh(benchmark, report):
@@ -230,6 +285,30 @@ def bench_city_mesh(benchmark, report):
             f"{point['speedup_vs_1']:7.2f}x"
         )
 
+    # --- the second core, measured: forked 1- and 2-worker runs ---
+    forked_duration_s = max(4.0, 16.0 * _scale())
+    with timer.phase("forked"):
+        forked = [
+            _forked_grid_point(forked_duration_s, workers)
+            for workers in FORKED_WORKER_COUNTS
+        ]
+    report(
+        f"\nMeasured forked run_sharded — {FORKED_GRID_SIZE}x{FORKED_GRID_SIZE} "
+        f"grid, seed {FORKED_GRID_SEED}, {forked_duration_s:.0f} s sim, each "
+        f"point a fresh interpreter ({os.cpu_count()} CPUs; not gated)"
+    )
+    report(
+        f"{'workers':>8} {'wall s':>7} {'speedup':>8} {'parent MB':>10} "
+        f"{'worker MB':>10}"
+    )
+    for point in forked:
+        point["speedup_vs_1"] = forked[0]["wall_s"] / point["wall_s"]
+        report(
+            f"{point['workers']:8d} {point['wall_s']:7.2f} "
+            f"{point['speedup_vs_1']:7.2f}x {point['parent_peak_rss_mb']:10.1f} "
+            f"{point['worker_peak_rss_mb']:10.1f}"
+        )
+
     write_bench_json(
         "city_mesh",
         {
@@ -250,8 +329,8 @@ def bench_city_mesh(benchmark, report):
                 "note": (
                     "per-group compute measured on one core in-process; "
                     "N-worker makespan modeled as serial coordinator time "
-                    "plus the max round-robin worker load — this container "
-                    "cannot measure real N-core wall time"
+                    "plus the max round-robin worker load; forked_grid holds "
+                    "measured forked points"
                 ),
                 "measured": {
                     "total_s": grid_total_s,
@@ -262,6 +341,20 @@ def bench_city_mesh(benchmark, report):
                     "cars_injected": grid.cars_injected,
                 },
                 "curve": curve,
+            },
+            "forked_grid": {
+                "mode": "measured",
+                "rows": FORKED_GRID_SIZE,
+                "cols": FORKED_GRID_SIZE,
+                "seed": FORKED_GRID_SEED,
+                "duration_s": forked_duration_s,
+                "cpu_cores": os.cpu_count(),
+                "note": (
+                    "forked run_sharded wall time and peak resident memory "
+                    "(parent VmHWM, largest worker's RUSAGE_CHILDREN maxrss), "
+                    "each point a fresh interpreter; recorded, not gated"
+                ),
+                "points": forked,
             },
         },
     )

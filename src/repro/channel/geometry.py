@@ -14,10 +14,11 @@ the car.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import ConfigurationError, GeometryError
 
@@ -207,13 +208,13 @@ def intersect_conics(
             if g0 == 0.0:
                 crossing_x = float(xs[i])
             elif g0 * g1 < 0.0:
-                crossing_x = brentq(
+                crossing_x = _brentq(
                     lambda x: second.evaluate(x, y_on_branch(x, branch))
                     if y_on_branch(x, branch) is not None
                     else np.nan,
                     float(xs[i]),
                     float(xs[i + 1]),
-                    xtol=tolerance_m,
+                    tolerance_m,
                 )
             else:
                 continue
@@ -228,6 +229,81 @@ def intersect_conics(
             if all(np.linalg.norm(candidate - p) > 10 * tolerance_m for p in points):
                 points.append(candidate)
     return points
+
+
+#: Brent's relative tolerance and iteration cap: SciPy's ``brentq``
+#: defaults (``4 * eps`` is the smallest ``rtol`` SciPy accepts).
+_BRENT_RTOL = 4.0 * float(np.finfo(np.float64).eps)
+_BRENT_MAXITER = 100
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
+    """Root of ``f`` in the bracket ``[xa, xb]`` by Brent's method.
+
+    A line-for-line port of SciPy's C ``brentq`` (``scipy/optimize/Zeros/
+    brentq.c``) with its Python wrapper's checks, so it returns the same
+    float: an endpoint where ``f`` is exactly zero is returned before any
+    iteration, a same-sign bracket raises ``ValueError``, a NaN value of
+    ``f`` raises ``ValueError`` and no convergence within
+    ``_BRENT_MAXITER`` iterations raises ``RuntimeError``. (``f`` is never
+    zero or NaN where C tests ``signbit``, so ``< 0`` stands in for it.)
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f({x}) is NaN; Brent's method cannot continue")
+        return float(fx)
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # The tolerance is 2 * delta.
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # Interpolate.
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # Extrapolate.
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # Good short step.
+                spre, scur = scur, stry
+            else:
+                # Bisect.
+                spre = scur = sbis
+        else:
+            # Bisect.
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"no convergence in {_BRENT_MAXITER} iterations, at {xcur}")
 
 
 @dataclass(frozen=True)

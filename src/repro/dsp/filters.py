@@ -11,7 +11,6 @@ failure quantitatively.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from ..errors import ConfigurationError
 from ..phy.waveform import Waveform
@@ -52,11 +51,14 @@ def design_complex_bandpass(
 def apply_fir(wave: Waveform, taps: np.ndarray) -> Waveform:
     """Filter a waveform, compensating the FIR group delay.
 
-    Uses 'same'-mode convolution and keeps ``t0`` aligned so chip timing
-    downstream is unchanged (the taps must be symmetric-length, i.e. odd).
+    Keeps the centered ``len(samples)`` outputs of the full convolution
+    ('same' mode, also for a waveform shorter than the taps) and ``t0``
+    aligned, so chip timing downstream is unchanged (the taps must be
+    symmetric-length, i.e. odd).
     """
     taps = np.asarray(taps)
     if taps.size % 2 == 0:
         raise ConfigurationError("taps must have odd length for delay compensation")
-    filtered = fftconvolve(wave.samples, taps, mode="same")
+    delay = taps.size // 2
+    filtered = np.convolve(wave.samples, taps)[delay : delay + wave.samples.size]
     return Waveform(filtered, wave.sample_rate_hz, wave.t0_s)

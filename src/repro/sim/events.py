@@ -17,9 +17,10 @@ from ..errors import SimulationError
 __all__ = ["Event", "EventScheduler"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Event:
-    """One scheduled callback. Ordering: time, then priority, then FIFO."""
+    """One scheduled callback. The scheduler runs events by time, then
+    priority, then FIFO (``sequence``)."""
 
     time_s: float
     priority: int
@@ -37,7 +38,9 @@ class EventScheduler:
 
     def __init__(self, start_s: float = 0.0, obs=None):
         self.now_s = start_s
-        self._heap: list[Event] = []
+        #: ``(time_s, priority, sequence, event)`` entries: ``sequence`` is
+        #: unique, so a comparison never reaches the event itself.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live: set[int] = set()
         self._cancelled: set[int] = set()
@@ -59,9 +62,10 @@ class EventScheduler:
             raise SimulationError(
                 f"cannot schedule at {time_s} (now is {self.now_s})"
             )
-        event = Event(time_s, priority, next(self._counter), callback, label)
-        heapq.heappush(self._heap, event)
-        self._live.add(event.sequence)
+        sequence = next(self._counter)
+        event = Event(time_s, priority, sequence, callback, label)
+        heapq.heappush(self._heap, (time_s, priority, sequence, event))
+        self._live.add(sequence)
         if self.obs is not None:
             self.obs.count("scheduler.scheduled", kind=label or "event")
         return event
@@ -98,18 +102,18 @@ class EventScheduler:
     def peek_time(self) -> float | None:
         """Time of the next live event, if any."""
         self._drop_cancelled()
-        return self._heap[0].time_s if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].sequence in self._cancelled:
-            self._cancelled.discard(heapq.heappop(self._heap).sequence)
+        while self._heap and self._heap[0][2] in self._cancelled:
+            self._cancelled.discard(heapq.heappop(self._heap)[2])
 
     def step(self) -> Event | None:
         """Run exactly one event; returns it (or None if idle)."""
         self._drop_cancelled()
         if not self._heap:
             return None
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)[3]
         self._live.discard(event.sequence)
         self.now_s = event.time_s
         event.callback(self)
@@ -125,7 +129,7 @@ class EventScheduler:
         """Run all events with time <= end_s; returns how many ran."""
         ran = 0
         self._drop_cancelled()
-        while self._heap and self._heap[0].time_s <= end_s:
+        while self._heap and self._heap[0][0] <= end_s:
             if ran >= max_events:
                 raise SimulationError(f"exceeded {max_events} events before {end_s}s")
             self.step()

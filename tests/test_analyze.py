@@ -378,6 +378,45 @@ class TestParallelPolicyChecker:
         assert check(src, "parallel-policy") == []
 
 
+class TestDependencyPolicyChecker:
+    SCIPY = """\
+    from scipy.signal import fftconvolve
+
+    def root(f, a, b):
+        import scipy.optimize
+        return scipy.optimize.brentq(f, a, b)
+    """
+
+    def test_scipy_flagged_at_module_and_function_level(self):
+        found = check(self.SCIPY, "dependency-policy")
+        assert [f.line for f in found] == [1, 4]
+        assert "`scipy.signal`" in found[0].message
+        assert "`scipy.optimize`" in found[1].message
+        assert all("numpy" in f.message for f in found)
+
+    def test_numpy_stdlib_and_package_imports_clean(self):
+        good = """\
+        from __future__ import annotations
+
+        import json
+        import numpy as np
+        import numpy.fft
+        from numpy.fft import rfft
+        from repro.errors import GeometryError
+        from . import sibling
+        from ..dsp import peaks
+
+        def lazy():
+            import math
+            return math.pi
+        """
+        assert check(good, "dependency-policy") == []
+
+    def test_non_library_code_exempt(self):
+        for rel_path in ("benchmarks/bench_fake.py", "tests/test_fake.py"):
+            assert check(self.SCIPY, "dependency-policy", rel_path=rel_path) == []
+
+
 class TestBackhaulPolicyChecker:
     def test_direct_directory_report_flagged(self):
         bad = """\

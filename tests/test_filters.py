@@ -42,6 +42,23 @@ class TestBandpass:
         wave = Waveform.tone(100e3, 1e-4, FS, t0_s=0.5)
         assert apply_fir(wave, taps).t0_s == 0.5
 
+    @pytest.mark.parametrize("n_samples", [2048, 400, 100])
+    def test_matches_scipy_same_mode(self, n_samples):
+        """The direct convolution keeps SciPy's 'same' output (within
+        1e-12 relative), its length, and ``t0``, also when the taps are
+        longer than the waveform."""
+        fftconvolve = pytest.importorskip("scipy.signal").fftconvolve
+        rng = np.random.default_rng(8)
+        samples = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
+        wave = Waveform(samples, FS, t0_s=0.25)
+        taps = design_complex_bandpass(FS, 400e3, 25e3, n_taps=257)
+        out = apply_fir(wave, taps)
+        expected = fftconvolve(samples, taps, mode="same")
+        assert out.samples.shape == expected.shape
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(out.samples - expected)) <= 1e-12 * scale
+        assert out.t0_s == 0.25
+
 
 class TestBeamforming:
     @pytest.fixture

@@ -1,10 +1,14 @@
 """Unit tests for repro.channel.geometry."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.channel import geometry
 from repro.channel.geometry import (
     RoadSegment,
+    _brentq,
     aoa_cone_conic,
     hyperbola_y,
     intersect_conics,
@@ -106,6 +110,102 @@ class TestIntersectConics:
         conic = aoa_cone_conic(apex, np.array([1.0, 0.0, 0.0]), 1.0, 0.0)
         with pytest.raises(ConfigurationError):
             intersect_conics(conic, conic, (5.0, 5.0))
+
+
+@pytest.fixture
+def scipy_brentq():
+    """SciPy's ``brentq``: the oracle the port must match bit for bit."""
+    return pytest.importorskip("scipy.optimize").brentq
+
+
+def _seeded_brackets(n_cases: int = 600):
+    """(f, a, b, xtol) cases whose endpoints differ in sign: cubics,
+    shifted sines, exponentials and steep arctangents, both bracket
+    orders, xtol log-uniform in [1e-12, 1e-3]."""
+    rng = np.random.default_rng(2015)
+    families = (
+        lambda c: lambda x: c[0] * x**3 + c[1] * x**2 + c[2] * x + c[3],
+        lambda c: lambda x: math.sin(3.0 * c[0] * x + c[1]) - 0.3 * c[2],
+        lambda c: lambda x: math.exp(c[0] * x) - 1.5 - c[1],
+        lambda c: lambda x: math.atan(5.0 * c[0] * (x - c[1])) + 0.01 * c[2],
+    )
+    cases = []
+    while len(cases) < n_cases:
+        f = families[len(cases) % len(families)](rng.normal(size=4))
+        a, b = rng.uniform(-3.0, 3.0, size=2)
+        xtol = 10.0 ** rng.uniform(-12.0, -3.0)
+        if f(a) * f(b) < 0.0:
+            cases.append((f, float(a), float(b), float(xtol)))
+    return cases
+
+
+class TestBrentPort:
+    def test_matches_scipy_bit_for_bit(self, scipy_brentq):
+        cases = _seeded_brackets()
+        assert {a < b for _, a, b, _ in cases} == {True, False}
+        for f, a, b, xtol in cases:
+            expected = scipy_brentq(f, a, b, xtol=xtol)
+            got = _brentq(f, a, b, xtol)
+            assert type(got) is float
+            assert got == expected, (a, b, xtol)
+
+    def test_callable_nan_off_its_branch(self, scipy_brentq):
+        """Like ``intersect_conics``' callable: NaN where the first
+        conic has no y root, finite on the bracketed branch."""
+
+        def on_branch(x):
+            return math.sqrt(1.0 - x * x) - 0.6 if abs(x) <= 1.0 else math.nan
+
+        for a, b in ((0.0, 1.0), (1.0, 0.0), (-1.0, -0.2), (-0.2, -1.0)):
+            for xtol in (1e-12, 1e-6, 1e-3):
+                assert _brentq(on_branch, a, b, xtol) == scipy_brentq(
+                    on_branch, a, b, xtol=xtol
+                )
+        # A NaN the iteration reaches stops both with a ValueError.
+        holed = lambda x: math.nan if 0.4 < x < 0.9 else x**3 - 0.5  # noqa: E731
+        with pytest.raises(ValueError, match="NaN"):
+            scipy_brentq(holed, 0.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(holed, 0.0, 1.0, 1e-6)
+
+    def test_zero_endpoint_returned_before_any_step(self, scipy_brentq):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * (x - 2.0)
+
+        # An endpoint where f is exactly zero is the root: both endpoints
+        # are evaluated, then no step is taken.
+        assert _brentq(f, 0.0, 1.0, 1e-9) == scipy_brentq(f, 0.0, 1.0) == 0.0
+        assert _brentq(f, 1.0, 2.0, 1e-9) == scipy_brentq(f, 1.0, 2.0) == 2.0
+        assert _brentq(f, 3.0, 0.0, 1e-9) == 0.0
+        calls.clear()
+        _brentq(f, 2.0, 3.0, 1e-9)
+        assert calls == [2.0, 3.0]
+
+    def test_same_sign_bracket_raises(self, scipy_brentq):
+        f = lambda x: x * x + 1.0  # noqa: E731
+        with pytest.raises(ValueError, match="different signs"):
+            scipy_brentq(f, -1.0, 1.0)
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(f, -1.0, 1.0, 1e-6)
+
+    def test_conic_fix_identical_to_scipy(self, scipy_brentq, monkeypatch):
+        tag = np.array([12.0, -3.0, 1.0])
+        apex_a = np.array([0.0, 5.0, 4.0])
+        apex_b = np.array([20.0, -5.0, 4.0])
+        axis = np.array([1.0, 0.0, 0.0])
+        conic_a = aoa_cone_conic(apex_a, axis, spatial_angle_rad(tag - apex_a, axis), 1.0)
+        conic_b = aoa_cone_conic(apex_b, axis, spatial_angle_rad(tag - apex_b, axis), 1.0)
+        ported = intersect_conics(conic_a, conic_b, (-5.0, 30.0))
+        monkeypatch.setattr(
+            geometry, "_brentq", lambda f, a, b, xtol: scipy_brentq(f, a, b, xtol=xtol)
+        )
+        oracle = intersect_conics(conic_a, conic_b, (-5.0, 30.0))
+        assert len(ported) == len(oracle) >= 1
+        for got, expected in zip(ported, oracle):
+            assert np.array_equal(got, expected)
 
 
 class TestRoadSegment:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from . import (  # noqa: F401
     ablation,
     backhaul_policy,
+    dependency_policy,
     determinism,
     imports,
     obs_policy,
@@ -16,6 +17,7 @@ from . import (  # noqa: F401
 __all__ = [
     "ablation",
     "backhaul_policy",
+    "dependency_policy",
     "determinism",
     "imports",
     "obs_policy",
