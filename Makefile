@@ -1,6 +1,6 @@
 # Developer entrypoints. `make check` is the gate a change must pass:
 # lint (`ruff check` when ruff is on PATH) + the domain-aware static analysis
-# suite (determinism, unit suffixes, RNG policy, ablation API — see
+# suite (`python -m tools.analyze --list-rules` names its rules — see
 # docs/ANALYSIS.md) + the full tier-1 test suite. `make check-fast` is
 # the per-push CI tier: it deselects the `slow` whole-corridor
 # simulations (the nightly schedule runs everything plus the perf-gate

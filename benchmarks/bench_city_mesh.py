@@ -45,6 +45,24 @@ Beside the model sits one **measured** pair of points, ungated: the e2e
 interpreter, recording its wall time and the peak resident memory of
 the parent and of its largest worker (``"mode": "measured"``).
 
+The **run-length ladder** (``"run_length"``, measured and gated) runs the
+e2e ``mainline_40s`` world (this 3-corridor main line with push handoff,
+a 1 s scheduled backhaul and a billing tap, seed 2026) for 40, 80 and
+160 sim-s, each in a fresh interpreter, recording reads (occupied
+reader rounds), wall time, the process's own ``VmHWM`` and what the run
+holds at its end (air-log records, pool windows and waveform-bank rows,
+summed over the corridors just before they settle for good). Gates: the
+160 s peak stays within 10 MB of the 40 s one, and the 160 s run holds
+at most twice the 40 s run's air records and pool windows — memory
+grows with the work done, not with how long the run has gone on. At
+``REPRO_BENCH_SCALE=1.0`` a 900 sim-s soak point also runs, long enough
+to pass the hint horizon (300 s), the identity caches' and directory's
+age bound (600 s) and the push horizon (60 s); it must pass every
+invariant its run checks (billing completeness and consistency,
+directory consistency, exactly-once backhaul delivery, a clean street
+and a clean capture audit), and its peak is recorded beside the
+ladder's.
+
 Set ``REPRO_BENCH_SCALE`` < 1 to shorten the simulations.
 """
 
@@ -103,6 +121,85 @@ print(json.dumps({
     "queries_sent": result.queries_sent,
     "parent_peak_rss_mb": hwm_kib / 1024.0,
     "worker_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+}))
+"""
+
+
+#: The run-length ladder: the e2e ``mainline_40s`` world run for each
+#: length, and the soak length that runs at full scale only.
+RUN_LENGTHS_S = (40.0, 80.0, 160.0)
+SOAK_S = 900.0
+#: Gates: the longest ladder point's peak within this of the shortest's,
+#: and its held air records / pool windows within this factor.
+RUN_LENGTH_PEAK_SLACK_MB = 10.0
+RUN_LENGTH_HELD_FACTOR = 2.0
+
+#: One run-length point in a fresh interpreter; prints its measurements
+#: as JSON. The world mirrors ``benchmarks/e2e``'s ``mainline_40s``
+#: (billing events are not kept; the checks need only the totals).
+#: Held history is read as each corridor finishes, just before its last
+#: settle empties the air log and the pool.
+_RUN_LENGTH_POINT = """
+import json, sys, time
+from repro.apps.tolling import TollingService
+from repro.sim.city import BackhaulConfig, CityCorridor, CityMesh
+from repro.sim.traffic import TrafficLight
+seed, duration_s, n_poles, through, rate = json.loads(sys.argv[1])
+held = {"air_records": 0, "pool_windows": 0, "bank_rows": 0}
+finish = CityCorridor.finish
+def counted_finish(corridor):
+    held["air_records"] += len(corridor.air.transmissions)
+    held["pool_windows"] += len(corridor.pool)
+    banks = {id(s.source.bank): s.source.bank for s in corridor.stations}
+    held["bank_rows"] += sum(len(bank) for bank in banks.values())
+    return finish(corridor)
+CityCorridor.finish = counted_finish
+mesh = CityMesh(
+    rng=seed, handoff="push",
+    backhaul=BackhaulConfig(policy="scheduled", sync_period_s=1.0),
+)
+mesh.add_node("u", light=TrafficLight(green_s=8.0, yellow_s=1.0, red_s=4.0))
+mesh.add_node("v", light=TrafficLight(green_s=8.0, yellow_s=1.0, red_s=4.0, offset_s=3.0))
+mesh.add_edge("A", dst="u", n_poles=n_poles)
+mesh.add_edge("B", src="u", dst="v", n_poles=n_poles)
+mesh.add_edge("C", src="v", n_poles=n_poles)
+mesh.add_traffic(
+    [(("A", "B", "C"), through), (("A", "B"), 1.0 - through)],
+    rate_per_s=rate, speed_range_m_s=(10.0, 16.0),
+)
+service = TollingService(policy="as-sighted", max_lag_s=10.0 * duration_s)
+mesh.add_sighting_tap(service)
+t0 = time.perf_counter()
+result = mesh.run(duration_s)
+wall_s = time.perf_counter() - t0
+billing = service.finish()
+failures = []
+for check in (service.check_consistent, mesh.directory.check_consistent):
+    try:
+        check()
+    except Exception as exc:
+        failures.append(f"{type(exc).__name__}: {exc}")
+items = result.backhaul["items"]
+if items["delivered"] != items["submitted"]:
+    failures.append(f"backhaul delivered {items['delivered']} of {items['submitted']}")
+if billing["charged"] != billing["toll_events"]:
+    failures.append(f"charged {billing['charged']} of {billing['toll_events']} tolls")
+for name, edge in result.edges.items():
+    for field in ("corrupted_responses", "burst_corruption_undercount",
+                  "overheard_corrupted_posthoc"):
+        if getattr(edge, field):
+            failures.append(f"edge {name}: {field} = {getattr(edge, field)}")
+with open("/proc/self/status") as status:
+    hwm_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({
+    "duration_s": duration_s,
+    "reads": sum(e.rounds - e.empty_rounds for e in result.edges.values()),
+    "wall_s": wall_s,
+    "peak_rss_mb": hwm_kib / 1024.0,
+    "held": held,
+    "toll_events": billing["toll_events"],
+    "directory": result.directory,
+    "failures": failures,
 }))
 """
 
@@ -184,6 +281,21 @@ def _forked_grid_point(duration_s: float, workers: int) -> dict:
     args = [FORKED_GRID_SIZE, FORKED_GRID_SEED, duration_s, workers]
     proc = subprocess.run(
         [sys.executable, "-c", _FORKED_POINT, json.dumps(args)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def _run_length_point(duration_s: float) -> dict:
+    """Run the ``mainline_40s`` world for ``duration_s`` sim-s in a fresh
+    interpreter (its peak then carries nothing of this process)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    args = [MESH_SEED, duration_s, N_POLES_PER_EDGE, THROUGH_WEIGHT, ARRIVAL_RATE_PER_S]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_LENGTH_POINT, json.dumps(args)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -309,6 +421,28 @@ def bench_city_mesh(benchmark, report):
             f"{point['worker_peak_rss_mb']:10.1f}"
         )
 
+    # --- run length: memory grows with work done, not with run time ---
+    with timer.phase("run_length"):
+        ladder = [_run_length_point(d) for d in RUN_LENGTHS_S]
+        soak = _run_length_point(SOAK_S) if _scale() >= 1.0 else None
+    report(
+        "\nRun-length ladder — the mainline_40s world (seed "
+        f"{MESH_SEED}), each point a fresh interpreter; held = what the "
+        "corridors hold as the run ends"
+    )
+    report(
+        f"{'sim s':>6} {'reads':>6} {'wall s':>7} {'peak MB':>8} "
+        f"{'air rec':>8} {'windows':>8} {'rows':>5}"
+    )
+    for point in ladder + ([soak] if soak else []):
+        held = point["held"]
+        report(
+            f"{point['duration_s']:6.0f} {point['reads']:6d} "
+            f"{point['wall_s']:7.2f} {point['peak_rss_mb']:8.1f} "
+            f"{held['air_records']:8d} {held['pool_windows']:8d} "
+            f"{held['bank_rows']:5d}"
+        )
+
     write_bench_json(
         "city_mesh",
         {
@@ -356,6 +490,22 @@ def bench_city_mesh(benchmark, report):
                 ),
                 "points": forked,
             },
+            "run_length": {
+                "mode": "measured",
+                "seed": MESH_SEED,
+                "world": "benchmarks/e2e mainline_40s (billing events not kept)",
+                "note": (
+                    "each point a fresh interpreter: reads are occupied reader "
+                    "rounds, peak_rss_mb the process's VmHWM, held what the "
+                    "corridors hold just before their final settle; gated: "
+                    f"the longest ladder peak within {RUN_LENGTH_PEAK_SLACK_MB:g} "
+                    "MB of the shortest, held air records and pool windows "
+                    f"within {RUN_LENGTH_HELD_FACTOR:g}x; the soak (full scale "
+                    "only) must pass every invariant"
+                ),
+                "points": ladder,
+                "soak": soak,
+            },
         },
     )
 
@@ -393,3 +543,17 @@ def bench_city_mesh(benchmark, report):
         f"{SCALEOUT_GATE_SPEEDUP}x throughput vs 1, got {gate_speedup:.2f}x"
     )
     assert grid.corrupted_responses == 0
+    # Gate 5: run length. The longest ladder run peaks within the slack
+    # of the shortest, and holds at most twice its air records and pool
+    # windows; the soak keeps every invariant.
+    short, long = ladder[0], ladder[-1]
+    assert long["peak_rss_mb"] <= short["peak_rss_mb"] + RUN_LENGTH_PEAK_SLACK_MB, (
+        f"{long['duration_s']:.0f} s run peaked at {long['peak_rss_mb']:.1f} MB, "
+        f"{short['duration_s']:.0f} s run at {short['peak_rss_mb']:.1f} MB"
+    )
+    for kind in ("air_records", "pool_windows"):
+        assert long["held"][kind] <= RUN_LENGTH_HELD_FACTOR * short["held"][kind], (
+            f"held {kind} grew {short['held'][kind]} -> {long['held'][kind]}"
+        )
+    for point in ladder + ([soak] if soak else []):
+        assert not point["failures"], point["failures"]

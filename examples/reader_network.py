@@ -36,6 +36,17 @@ from repro.sim.traffic import TrafficLight
 LANES = (-1.75, -5.25)
 
 
+class ObservationLog:
+    """A service that keeps every observation the corridor fans out
+    (the corridor counts them but keeps none)."""
+
+    def __init__(self):
+        self.observations = []
+
+    def observe(self, observation):
+        self.observations.append(observation)
+
+
 def parking_and_car_finder() -> None:
     print("=== Parked cars on a lock-step corridor: parking billing + find-my-car ===")
     round_s = 120.0
@@ -60,12 +71,13 @@ def parking_and_car_finder() -> None:
     parking = corridor.subscribe(
         ParkingBillingService(spot_positions_m=spots, rate_per_hour=3.0)
     )
+    log = corridor.subscribe(ObservationLog())
     result = corridor.run(2.5 * round_s)
 
     for index in range(result.rounds // len(corridor.stations)):
         t_s = index * round_s
         observed = sum(
-            1 for o in corridor.observations if t_s <= o.timestamp_s < t_s + round_s
+            1 for o in log.observations if t_s <= o.timestamp_s < t_s + round_s
         )
         kinds = Counter(
             r.kind for r in corridor.ledger.records if t_s <= r.t_s < t_s + round_s
@@ -119,9 +131,10 @@ def red_light_via_network() -> None:
     detector = corridor.subscribe(
         RedLightDetector(light=light, stop_line_x_m=stop_line_x)
     )
+    log = corridor.subscribe(ObservationLog())
     corridor.run(50.0)
 
-    for obs in corridor.observations:
+    for obs in log.observations:
         t_s = obs.timestamp_s
         print(
             f"t = {t_s:4.1f} s ({light.phase(t_s)}): car at x = "

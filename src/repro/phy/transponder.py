@@ -163,6 +163,12 @@ class Transponder:
             phase0_rad=float(rng.uniform(0.0, 2.0 * np.pi)),
         )
 
+    def release_waveforms(self) -> None:
+        """Forget the cached chip trains. Each is a pure function of the
+        packet and the sample rate, so the next :meth:`respond` rebuilds
+        it unchanged; a long run drops them as cars leave."""
+        self._baseband_cache.clear()
+
     def _baseband(self, sample_rate_hz: float) -> np.ndarray:
         """The tag's fixed OOK chip train, cached per sample rate."""
         cached = self._baseband_cache.get(sample_rate_hz)

@@ -51,17 +51,24 @@ windows check corruption against the log as known when they are
 synthesized. Under the §9 MAC no query recorded later lands on a window
 judged clean earlier: an event-mode query senses the log first,
 announced burst queries included, every burst query does, and a rounds
-turn is exclusive. The end-of-run audit checks that invariant: it reads
-every burst capture's and donated window's verdict off the final log's
-one corruption sweep (:meth:`AirLog.corrupted_responses`), so
+turn is exclusive. The capture audit checks that invariant: it reads
+every burst capture's and donated window's final verdict as the air log
+settles its response (:meth:`AirLog.settle`), so
 :attr:`CorridorResult.burst_corruption_undercount` and
 :attr:`CorridorResult.overheard_corrupted_posthoc` stay at zero unless
 it broke.
+
+Run history is settled at the event clock: every record a round makes
+starts at or after the clock, so each round first settles the air log,
+the response pool and the waveform bank at its query time, keeping
+running totals plus whatever a later event can still read. Memory then
+grows with the traffic in flight, not with how long the run has gone on.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +87,7 @@ from ...core.network import IdentityCache, resolve_cached_ids
 from ...errors import ConfigurationError
 from ...utils import as_rng
 from ..events import EventScheduler
-from ..medium import AirLog
+from ..medium import AirLog, TxKind
 from .cells import StationCell, carve_cells
 from .handoff import HANDOFF, OWN_HIT, PUSH, HandoffLedger
 from .moving import (
@@ -100,6 +107,13 @@ OPPORTUNISTIC_POLICIES = ("accept", "ignore")
 #: decode bursts; windows older than this at harvest time are lost, not
 #: combined.
 OVERHEARD_HORIZON_S = 0.25
+
+#: How far back from the settle clock a later read can reach: a harvest
+#: looks back :data:`OVERHEARD_HORIZON_S` from its round's query start,
+#: which trails the clock by at most one measurement (632 µs), at
+#: windows that start a response (512 µs) before they end. Two query
+#: periods cover both.
+HARVEST_LOOKBACK_S = OVERHEARD_HORIZON_S + 2 * QUERY_PERIOD_S
 
 #: Spikes below this detection SNR are not worth a decode burst yet (the
 #: tag is still far; a later, closer round decodes it in fewer queries).
@@ -304,7 +318,7 @@ class CorridorResult:
     #: Decode-burst captures that carried responses, and how many of them
     #: were stepped on by another reader's query: as judged when the
     #: capture was synthesized (only transmissions known by then) versus
-    #: as the final air log's corruption sweep judges them. The post-hoc
+    #: the final verdict the air log settles. The post-hoc
     #: count is the CSMA invariant audit: the §9 MAC keeps every
     #: later-recorded query off earlier captures, so the two counts agree
     #: (the e2e corridor workload and ``bench_city_corridor`` check the
@@ -319,8 +333,8 @@ class CorridorResult:
     #: capture slots); of those, windows judged corrupted against the air
     #: log as known at harvest time were skipped and the rest were
     #: donated to decode sessions. The post-hoc
-    #: count reads every *donated* window's verdict off the final log's
-    #: corruption sweep — nonzero means a later-recorded query stepped on
+    #: count reads every *donated* window's final verdict as the air log
+    #: settles it — nonzero means a later-recorded query stepped on
     #: evidence a combiner already consumed, which CSMA rules out (the
     #: e2e corridor workload and ``bench_city_corridor`` check it at
     #: zero).
@@ -521,8 +535,21 @@ class CityCorridor:
         # through the evidence actually donated.
         self.overhear_rng = self.rng.spawn(1)[0]
         self.ledger = HandoffLedger()
+        #: Every observation is fanned to the subscribed services and
+        #: counted; the corridor keeps none.
         self.services: list[object] = []
-        self.observations: list = []
+        self.n_observations = 0
+        # Labels of the held-history gauges (see _report_held).
+        self._held_labels = {"corridor": self.name} if self.name else {}
+        # The stations' waveform banks (one, when built by build()).
+        self._banks = list({id(s.source.bank): s.source.bank for s in stations}.values())
+        self._x_max_m = max(s.cell.x_max_m for s in self.stations)
+        #: (release time, tag id) of cars that left the corridor for
+        #: good: their bank rows go once the settle clock passes it.
+        self._departures: deque[tuple[float, int]] = deque()
+        #: Accounts the mesh admits here more than once: their rows
+        #: outlive their cars' departures (see expect_returns).
+        self._returning: set[int] = set()
         self._cell_index = {s.cell.name: i for i, s in enumerate(self.stations)}
         self._roster: list[set[int]] = [set() for _ in self.stations]
         # Which cell rosters can hold a tag audible to each pole: every
@@ -545,18 +572,24 @@ class CityCorridor:
         self._first_seen: dict[int, float] = {}
         #: tag id -> (identified at, own decode queries, overheard used).
         self._identified: dict[int, tuple[float, int, int]] = {}
-        # Every decode-burst capture that carried responses, for the
-        # end-of-run audit against the *final* air log: (station,
-        # response start, response end, corrupted as judged at synthesis
-        # time).
-        self._burst_log: list[tuple[str, float, float, bool]] = []
-        # Every harvested overheard window: (station, origin, window
-        # start, window end, corrupted as judged at harvest time). Clean
-        # entries were synthesized over the station's geometry and
-        # donated; _result audits them against the final log. The
-        # harvesting station is kept as provenance: no window it
-        # harvests may overlap its own capture slots.
-        self._overheard_log: list[tuple[str, str, float, float, bool]] = []
+        # Decode-burst captures that carried responses, and harvested
+        # overheard windows, as running totals: captures, corrupted as
+        # judged at synthesis/harvest time, and corrupted by the final
+        # verdict of the response behind them.
+        self._burst_captures = 0
+        self._burst_corrupted_at_synthesis = 0
+        self._overheard_harvested = 0
+        self._overheard_corrupted_at_harvest = 0
+        self._posthoc = {"burst": 0, "overheard": 0}
+        # The capture audit: (response end, (triggered_by, start),
+        # kind) of the burst captures and donated windows not classified
+        # yet (every capture put a response on the log, triggered by its
+        # querying reader at the window's start, so the key names it),
+        # and the settled stepped-on responses' keys (-> end) within the
+        # harvest lookback, which a window harvested after its response
+        # settled is classified against.
+        self._pending_audit: list[tuple[float, tuple[str, float], str]] = []
+        self._stepped_on: dict[tuple[str, float], float] = {}
         self._ran = False
         self._primed = False
 
@@ -721,6 +754,13 @@ class CityCorridor:
                     )
         return tag_index
 
+    def expect_returns(self, tag_ids) -> None:
+        """Note accounts whose cars the mesh admits to this corridor
+        more than once (a route that comes back). Their waveform rows
+        are kept for the whole run: a row rebuilt after a car's first
+        departure would draw a new phase."""
+        self._returning.update(tag_ids)
+
     def finish(self) -> CorridorResult:
         """Collect this corridor's result after the primed run ended."""
         if not self._ran:
@@ -798,6 +838,19 @@ class CityCorridor:
         else:
             self._roster[cell_index].discard(tag_index)
             self.ledger.record_cell_exit(t_s, cell.name, tag.tag_id)
+            if (
+                cell.x_max_m >= self._x_max_m
+                and tag.trajectory.velocity_m_s[0] > 0.0
+                and tag.tag_id not in self._returning
+            ):
+                # Past the far end at constant velocity: no measurement
+                # lists the car again, a burst already under way lists it
+                # for at most the pool's slack (the burst span), and once
+                # those windows are past the harvest lookback no harvest
+                # reaches its row.
+                self._departures.append(
+                    (t_s + self.pool.slack_s + HARVEST_LOOKBACK_S, tag.tag_id)
+                )
 
     def _tags_near(self, station: CorridorStation, t_s: float) -> list[MovingTag]:
         """Tags that would hear this station's query at ``t_s``.
@@ -871,6 +924,9 @@ class CityCorridor:
         burst end is delivered to :meth:`_schedule_next` from there; the
         returned value is then only the measurement's own extent.
         """
+        self._settle(t_query)
+        if self.obs is not None:
+            self._report_held()
         station.rounds += 1
         station.queries_sent += 1
         sobs = self._station_obs[station.name]
@@ -1088,10 +1144,12 @@ class CityCorridor:
                     exclude_start_s=t_actual,
                 )
                 # The synthesis-time verdict only sees transmissions
-                # recorded so far; _result audits this capture against
-                # the final log.
-                self._burst_log.append(
-                    (station.name, response.start_s, response.end_s, corrupted)
+                # recorded so far; the audit reads the final one when
+                # the response settles.
+                self._burst_captures += 1
+                self._burst_corrupted_at_synthesis += corrupted
+                self._pending_audit.append(
+                    (response.end_s, (station.name, response.start_s), "burst")
                 )
             state["cursor"] = t_actual + QUERY_PERIOD_S
             state["busy_end"] = start + RESPONSE_DURATION_S
@@ -1250,9 +1308,9 @@ class CityCorridor:
         least one responder in radio range are re-synthesized over this
         pole's geometry — same per-response phases, this pole's
         channel/noise. Each harvested window's corruption verdict against
-        the air log as known *now* is recorded; corrupted windows are
-        dropped (their content is query-energy garbage), and `_result`
-        audits the donated ones against the final log.
+        the air log as known *now* is counted; corrupted windows are
+        dropped (their content is query-energy garbage), and the donated
+        ones are audited against their response's final verdict.
         """
         lo = max(station.last_harvest_s, now_s - OVERHEARD_HORIZON_S)
         station.last_harvest_s = now_s
@@ -1275,14 +1333,16 @@ class CityCorridor:
                 exclude_source=window.origin,
                 exclude_start_s=window.t_query_s,
             )
-            self._overheard_log.append(
-                (station.name, window.origin, window.start_s, window.end_s, corrupted)
-            )
+            self._overheard_harvested += 1
             sobs = self._station_obs[station.name]
             if corrupted:
+                self._overheard_corrupted_at_harvest += 1
                 if sobs is not None:
                     sobs.count("corridor.overheard", outcome="corrupted")
                 continue
+            self._pending_audit.append(
+                (window.end_s, (window.origin, window.start_s), "overheard")
+            )
             if sobs is not None:
                 sobs.count("corridor.overheard", outcome="donated")
             captures.append(
@@ -1366,42 +1426,56 @@ class CityCorridor:
                 station=station.name,
                 cell=station.cell.name,
             )
-            self.observations.append(observation)
+            self.n_observations += 1
             for service in self.services:
                 service.observe(observation)
 
-    # -- results -----------------------------------------------------------------
+    # -- settlement ----------------------------------------------------------------
 
-    def _recheck_captures_posthoc(self) -> tuple[int, int]:
-        """The CSMA invariant audit: ``(burst, overheard)`` counts of
-        captures stepped on, against the *final* air log.
+    def _settle(self, now_s: float) -> None:
+        """Settle the run's history at event time ``now_s``.
 
-        A synthesis- or harvest-time check only sees transmissions
-        recorded before it; the log's one corruption sweep
-        (:meth:`AirLog.corrupted_responses`) sees them all. Every burst
-        capture and donated overheard window put a response on the log,
-        triggered by its querying reader at the window's start, so a
-        capture was stepped on exactly when its ``(triggered_by,
-        start_s)`` is among the swept responses. Under the §9 MAC the
-        burst count equals the synthesis-time verdicts and no donated
-        window was stepped on (the e2e corridor workload and
-        ``bench_city_corridor`` check both).
+        Every record made from here on starts at or after ``now_s`` (a
+        round's query at the clock, a burst's later), so the air log
+        gives every ended response its final verdict and the capture
+        audit classifies the captures those responses back. The pool
+        drops windows no harvest can reach, and the banks drop the rows
+        of departed cars whose release time has passed. ``math.inf``
+        settles everything (the run's end).
         """
-        stepped_on = {
-            (response.triggered_by, response.start_s)
-            for response in self.air.corrupted_responses()
-        }
-        burst = sum(
-            1
-            for source, start_s, _, _ in self._burst_log
-            if (source, start_s) in stepped_on
-        )
-        overheard = sum(
-            1
-            for _, origin, start_s, _, corrupted in self._overheard_log
-            if not corrupted and (origin, start_s) in stepped_on
-        )
-        return burst, overheard
+        stepped_on = self._stepped_on
+        for response in self.air.settle(now_s, HARVEST_LOOKBACK_S):
+            stepped_on[(response.triggered_by, response.start_s)] = response.end_s
+        if self._pending_audit:
+            pending = []
+            for end_s, key, kind in self._pending_audit:
+                if end_s > now_s:
+                    pending.append((end_s, key, kind))
+                elif key in stepped_on:
+                    self._posthoc[kind] += 1
+            self._pending_audit = pending
+        if stepped_on:
+            floor = now_s - HARVEST_LOOKBACK_S
+            self._stepped_on = {k: end for k, end in stepped_on.items() if end >= floor}
+        self.pool.settle(now_s, OVERHEARD_HORIZON_S)
+        departures = self._departures
+        while departures and departures[0][0] <= now_s:
+            tag_id = departures.popleft()[1]
+            for bank in self._banks:
+                bank.evict(tag_id)
+
+    def _report_held(self) -> None:
+        """Gauge what the run holds after a round's settle: air records
+        by kind, pool windows and bank rows (metrics only)."""
+        obs, labels = self.obs, self._held_labels
+        records = self.air.transmissions
+        n_queries = sum(1 for tx in records if tx.kind is TxKind.QUERY)
+        obs.gauge("air.held", n_queries, kind="query", **labels)
+        obs.gauge("air.held", len(records) - n_queries, kind="response", **labels)
+        obs.gauge("pool.held", len(self.pool), **labels)
+        obs.gauge("bank.rows", sum(len(bank) for bank in self._banks), **labels)
+
+    # -- results -----------------------------------------------------------------
 
     def _result(self, duration_s: float) -> CorridorResult:
         identifications = [
@@ -1416,7 +1490,7 @@ class CityCorridor:
                 self._identified.items()
             )
         ]
-        burst_posthoc, overheard_posthoc = self._recheck_captures_posthoc()
+        self._settle(math.inf)
         return CorridorResult(
             scheduling=self.scheduling,
             duration_s=duration_s,
@@ -1425,23 +1499,19 @@ class CityCorridor:
             rounds=sum(s.rounds for s in self.stations),
             empty_rounds=sum(s.empty_rounds for s in self.stations),
             corrupted_rounds=sum(s.corrupted_rounds for s in self.stations),
-            responses=len(self.air.responses()),
-            corrupted_responses=len(self.air.corrupted_responses()),
-            n_observations=len(self.observations),
+            responses=self.air.settled_responses,
+            corrupted_responses=self.air.settled_corrupted,
+            n_observations=self.n_observations,
             ledger=self.ledger,
             identifications=identifications,
             tags_seen=len(self._first_seen),
-            burst_captures=len(self._burst_log),
-            burst_corrupted_at_synthesis=sum(
-                1 for entry in self._burst_log if entry[3]
-            ),
-            burst_corrupted_posthoc=burst_posthoc,
+            burst_captures=self._burst_captures,
+            burst_corrupted_at_synthesis=self._burst_corrupted_at_synthesis,
+            burst_corrupted_posthoc=self._posthoc["burst"],
             opportunistic=self.opportunistic,
-            overheard_windows=len(self.pool),
-            overheard_harvested=len(self._overheard_log),
-            overheard_corrupted_at_harvest=sum(
-                1 for entry in self._overheard_log if entry[4]
-            ),
+            overheard_windows=self.pool.published,
+            overheard_harvested=self._overheard_harvested,
+            overheard_corrupted_at_harvest=self._overheard_corrupted_at_harvest,
             overheard_donated=sum(s.overheard_donated for s in self.stations),
-            overheard_corrupted_posthoc=overheard_posthoc,
+            overheard_corrupted_posthoc=self._posthoc["overheard"],
         )

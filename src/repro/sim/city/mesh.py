@@ -54,6 +54,7 @@ ledger, and the car simply re-decodes wherever it actually went.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -681,10 +682,8 @@ class CityMesh:
         """
         first_poles = {e.first_station.name: e.name for e in self.edges.values()}
         edges_knowing: dict[int, set[str]] = {}
-        ordered = sorted(
-            enumerate(self.ledger.records), key=lambda p: (p[1].t_s, p[0])
-        )
-        for _, record in ordered:
+        # A stable sort by time keeps same-time records in ledger order.
+        for record in sorted(self.ledger.records, key=attrgetter("t_s")):
             if record.tag_id is None or record.kind not in _ATTRIBUTED:
                 continue
             edge_name = station_edge.get(record.station)

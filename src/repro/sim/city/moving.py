@@ -131,6 +131,14 @@ class TagWaveformBank:
     query of a run. Rows are keyed by the transponder's account id, so a
     bank outliving one scene's objects can never serve a freed tag's
     waveform to a newcomer.
+
+    Building a row draws the template's phase from the bank's rng, so a
+    row is built once and never rebuilt: a second draw would move every
+    later output. The owner settles the bank with :meth:`evict` once no
+    query or harvest can ask for a row again — a corridor does so for a
+    car that has left its extent for good, once every trigger window
+    that can list the car (up to a burst span past its exit) is past the
+    harvest horizon.
     """
 
     def __init__(
@@ -146,6 +154,9 @@ class TagWaveformBank:
         self._tau = np.arange(self.n_samples) / sample_rate_hz
         self._rows: dict[int, tuple[np.ndarray, TagResponse]] = {}
 
+    def __len__(self) -> int:
+        return len(self._rows)
+
     def row(self, transponder: Transponder) -> tuple[np.ndarray, TagResponse]:
         """(CFO-mixed baseband, template response) for one transponder."""
         key = transponder.tag_id
@@ -157,6 +168,13 @@ class TagWaveformBank:
             cached = (mixed, template)
             self._rows[key] = cached
         return cached
+
+    def evict(self, tag_id: int) -> None:
+        """Drop one account's row and template, if held, and the chip
+        train its transponder cached for them."""
+        row = self._rows.pop(tag_id, None)
+        if row is not None:
+            row[1].transponder.release_waveforms()
 
 
 def _response_start_s(query_start_s: float) -> float:

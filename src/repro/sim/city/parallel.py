@@ -65,9 +65,12 @@ final per-shard payloads travel the pipes.
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import traceback
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -75,16 +78,7 @@ from ...constants import TAG_HEIGHT_M
 from ...errors import ConfigurationError
 from ..events import EventScheduler
 from ..mobility import ConstantSpeedTrajectory
-from .handoff import (
-    DECODE,
-    DECODE_DEFERRED,
-    DECODE_FAILED,
-    HANDOFF,
-    OWN_HIT,
-    PUSH,
-    REDECODE,
-    HandoffLedger,
-)
+from .handoff import HandoffLedger
 from .mesh import CityMesh, MeshResult
 from .moving import MovingTag
 
@@ -96,6 +90,8 @@ __all__ = ["run_sharded"]
 #: ahead of arrival; identical for every worker count by construction,
 #: so it never breaks invariance — only push timing.
 SYNC_QUANTUM_S = 0.25
+
+_T_S = attrgetter("t_s")
 
 
 # -- the itinerary (coordinator-side car motion) ---------------------------
@@ -228,6 +224,8 @@ class _ShardGroup:
         corridor.prime(self.scheduler, duration_s)
 
     def schedule_admissions(self, admissions: list[_Admission]) -> None:
+        tag_ids = Counter(adm.transponder.tag_id for adm in admissions)
+        self.edge.corridor.expect_returns(t for t, n in tag_ids.items() if n > 1)
         for adm in admissions:
             self.scheduler.schedule(
                 adm.t_s,
@@ -622,63 +620,33 @@ def _merge(
     The merged ledger is a *replay*, not a concatenation: sighting
     records stream in global ``(t_s, edge, local index)`` order through
     a fresh ledger so decode/redecode classification sees city-wide
-    knowledge. The push-miss sweep then records every pushed entry no
-    sighting consumed (edge order, station order, sorted tag ids): the
-    car turned off-route, parked, or the run ended first. Every
-    per-edge result is re-pointed at the merged ledger, so all edge
-    results share the one mesh-wide ledger.
+    knowledge (:meth:`HandoffLedger.adopt` appends a shard's own record
+    whenever its kind holds). The push-miss sweep then records every
+    pushed entry no sighting consumed (edge order, station order, sorted
+    tag ids): the car turned off-route, parked, or the run ended first.
+    Every per-edge result and corridor is re-pointed at the merged
+    ledger, so all edges share the one mesh-wide ledger and no shard
+    ledger outlives the merge.
     """
     merged = HandoffLedger()
     ordered_keys = sorted(payloads)
 
-    records = []
-    for key in ordered_keys:
-        for idx, rec in enumerate(payloads[key]["ledger"].records):
-            records.append((rec.t_s, key, idx, rec))
-    records.sort(key=lambda item: item[:3])
-    for _, _, _, rec in records:
-        if rec.kind in (DECODE, REDECODE):
-            merged.record_decode(
-                rec.station,
-                rec.tag_id,
-                rec.t_s,
-                rec.cfo_hz,
-                n_queries=rec.n_queries,
-                n_overheard=rec.n_overheard,
-            )
-        elif rec.kind == OWN_HIT:
-            merged.record_own_hit(rec.station, rec.tag_id, rec.t_s, rec.cfo_hz)
-        elif rec.kind == HANDOFF:
-            merged.record_handoff(
-                rec.station, rec.from_station, rec.tag_id, rec.t_s, rec.cfo_hz
-            )
-        elif rec.kind == PUSH:
-            merged.record_push_hit(
-                rec.station, rec.from_station, rec.tag_id, rec.t_s, rec.cfo_hz
-            )
-        elif rec.kind == DECODE_FAILED:
-            merged.record_decode_failure(
-                rec.station,
-                rec.t_s,
-                rec.cfo_hz,
-                n_queries=rec.n_queries,
-                n_overheard=rec.n_overheard,
-            )
-        elif rec.kind == DECODE_DEFERRED:
-            merged.record_decode_deferred(rec.station, rec.t_s, rec.cfo_hz)
+    def in_time_order(attr):
+        # Each shard's rows sorted stably by time, merged lazily in edge
+        # order: global (t_s, edge, local index) order, with no per-row
+        # sort key built.
+        return heapq.merge(
+            *(
+                sorted(getattr(payloads[key]["ledger"], attr), key=_T_S)
+                for key in ordered_keys
+            ),
+            key=_T_S,
+        )
 
-    def gather(attr):
-        out = []
-        for key in ordered_keys:
-            out.extend(
-                (item.t_s, key, idx, item)
-                for idx, item in enumerate(getattr(payloads[key]["ledger"], attr))
-            )
-        out.sort(key=lambda item: item[:3])
-        return [item[3] for item in out]
-
-    merged.pushes.extend(gather("pushes"))
-    merged.push_misses.extend(gather("push_misses"))
+    for rec in in_time_order("records"):
+        merged.adopt(rec)
+    merged.pushes.extend(in_time_order("pushes"))
+    merged.push_misses.extend(in_time_order("push_misses"))
     for attr in ("cell_entries", "cell_exits"):
         rows = []
         for key in ordered_keys:
@@ -697,9 +665,10 @@ def _merge(
                 )
 
     edges = {}
-    for edge_name in mesh.edges:
+    for edge_name, edge in mesh.edges.items():
         result = payloads[edge_name]["result"]
         result.ledger = merged
+        edge.corridor.ledger = merged
         edges[edge_name] = result
 
     if mesh.obs is not None:

@@ -29,6 +29,7 @@ capture-effect/near-far suppression between overheard responses.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,12 +104,15 @@ class ResponsePool:
     its future windows when the burst executes, bounded by the burst
     span), so time-range scans walk back from the newest record and stop
     ``slack_s`` past the range — O(recent traffic), like the
-    :class:`~repro.sim.medium.AirLog` it mirrors.
+    :class:`~repro.sim.medium.AirLog` it mirrors. :meth:`settle` drops
+    the windows no harvest can reach any more, so ``windows`` holds only
+    recent traffic and ``published`` counts every window.
     """
 
     def __init__(self, slack_s: float = 0.25, obs=None) -> None:
         self.slack_s = float(slack_s)
-        self.windows: list[TriggerWindow] = []
+        self.windows: deque[TriggerWindow] = deque()
+        self.published = 0
         #: Nullable observability hook (see :mod:`repro.obs`): counts
         #: windows published and each harvest's kept/dropped verdicts.
         self.obs = obs
@@ -119,6 +123,7 @@ class ResponsePool:
     def publish(self, window: TriggerWindow) -> TriggerWindow:
         """Record one trigger window; returns it for chaining."""
         self.windows.append(window)
+        self.published += 1
         if self.obs is not None:
             self.obs.count(
                 "pool.published",
@@ -126,6 +131,15 @@ class ResponsePool:
                 corrupted=str(window.corrupted).lower(),
             )
         return window
+
+    def settle(self, now_s: float, horizon_s: float) -> None:
+        """Drop the windows that ended more than ``horizon_s`` plus the
+        scan slack before ``now_s``: a harvest reaching back at most
+        ``horizon_s`` from its time stops its scan before them."""
+        floor = now_s - horizon_s - self.slack_s
+        windows = self.windows
+        while windows and windows[0].end_s < floor:
+            windows.popleft()
 
     def windows_ending_in(
         self, lo_s: float, hi_s: float, exclude_origin: str | None = None

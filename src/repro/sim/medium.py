@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import bisect
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..constants import QUERY_DURATION_S, RESPONSE_DURATION_S, TURNAROUND_S
 from ..core.mac import CsmaState, ReaderMac
@@ -46,6 +48,9 @@ __all__ = ["TxKind", "Transmission", "AirLog", "ReaderNode", "Medium"]
 #: Slack on the corruption sweep's lower bound, far above the rounding
 #: error of a recorded query span at any simulated time.
 _SWEEP_MARGIN_S = 1e-6
+
+_start_s = attrgetter("start_s")
+_end_s = attrgetter("end_s")
 
 
 class TxKind(enum.Enum):
@@ -84,16 +89,28 @@ class AirLog:
       interval classified by kind (queries are bare sinewaves and thus
       recognizable; a reader hearing one also knows, from the protocol
       timing, when it will end and when its response slot opens).
-    * :meth:`corrupted_responses` — every response some query stepped on.
+    * :meth:`corrupted_responses` — every held response some query
+      stepped on.
 
-    ``transmissions`` keeps one record per transmission, one per
-    responding tag included, and every count and sweep reads it.
-    Carrier sensing reads a smaller view instead: one entry per query
-    and one per response window, since the responders one query
-    triggers share one interval (§3). The view is built lazily from
-    records the last sense has not seen (a log nobody senses builds
-    none) and trimmed from the front as its entries die, so it holds
-    only recent traffic.
+    ``transmissions`` holds one record per transmission, one per
+    responding tag included. Carrier sensing reads a smaller view
+    instead: one entry per query and one per response window, since the
+    responders one query triggers share one interval (§3). The view is
+    built lazily from records the last sense has not seen (a log nobody
+    senses or settles builds none) and trimmed from the front as its
+    entries die, so it holds only recent traffic.
+
+    **Settlement.** An event engine records every transmission at or
+    after its event clock, so at clock ``T`` a response that has
+    already ended can never be stepped on again. :meth:`settle` gives
+    each such response its final verdict (:meth:`corrupted_responses`
+    over the responses it settles), adds it to the running totals
+    :attr:`settled_responses` and :attr:`settled_corrupted`, and drops
+    it. A query is dropped once it ends before every held response
+    starts and more than the caller's lookback before ``T``. Records
+    are folded into the sensing view before they leave it. From then
+    on :meth:`record` refuses a transmission starting before ``T``. A
+    log nobody settles (the §9 :class:`Medium`) keeps every record.
     """
 
     def __init__(self, sense_slack_s: float = 0.25, obs=None) -> None:
@@ -104,31 +121,48 @@ class AirLog:
         #: any such lookback. Callers that issue longer bursts must size
         #: this to at least the burst span (CityCorridor does).
         self.sense_slack_s = float(sense_slack_s)
+        #: The held records, in record order.
         self.transmissions: list[Transmission] = []
+        #: Held queries by start time, and unsettled responses by end
+        #: time (ties in record order).
         self._queries: list[Transmission] = []
+        self._responses: list[Transmission] = []
         #: Longest recorded query, end minus start: bounds how far back
         #: the corruption sweep looks for a query overlapping a response.
         self._longest_query_s = 0.0
         #: The sensing view: ``(start_s, end_s, kind, triggered_by)``
-        #: entries in record order, and how many records it has folded
-        #: in (see :meth:`heard_state`).
+        #: entries in record order, and how many held records it has
+        #: folded in (see :meth:`heard_state`).
         self._heard: deque[tuple] = deque()
         self._heard_folded = 0
-        # The end-of-run sweep may be repeated by several callers; the log
-        # is append-only, so a one-slot cache keyed by record count makes
-        # the repeats O(1) instead of re-sorting/re-scanning the whole
-        # history each time.
-        self._corrupted_cache: tuple[int, list[Transmission]] | None = None
+        #: The last settle time: no record may start before it.
+        self.settled_s = -math.inf
+        #: Running totals: responses settled, and those of them some
+        #: query stepped on.
+        self.settled_responses = 0
+        self.settled_corrupted = 0
         #: Nullable observability hook (see :mod:`repro.obs`): counts
         #: every recorded transmission by kind and source.
         self.obs = obs
 
     def record(self, tx: Transmission) -> Transmission:
-        """Append one transmission; returns it for chaining."""
+        """Append one transmission; returns it for chaining.
+
+        Raises :class:`~repro.errors.SimulationError` for a
+        transmission starting before the last settle time: its verdicts
+        were already final.
+        """
+        if tx.start_s < self.settled_s:
+            raise SimulationError(
+                f"{tx.kind.value} from {tx.source} starts at {tx.start_s!r} s, "
+                f"before the air log settled at {self.settled_s!r} s"
+            )
         self.transmissions.append(tx)
         if tx.kind is TxKind.QUERY:
-            self._queries.append(tx)
+            bisect.insort(self._queries, tx, key=_start_s)
             self._longest_query_s = max(self._longest_query_s, tx.end_s - tx.start_s)
+        else:
+            bisect.insort(self._responses, tx, key=_end_s)
         if self.obs is not None:
             self.obs.count(f"air.{tx.kind.value}", source=tx.source)
         return tx
@@ -159,6 +193,7 @@ class AirLog:
         )
 
     def queries(self) -> list[Transmission]:
+        """The held queries, by start time."""
         return list(self._queries)
 
     def any_query_overlapping(
@@ -168,19 +203,15 @@ class AirLog:
         exclude_source: str | None = None,
         exclude_start_s: float | None = None,
     ) -> bool:
-        """Whether any recorded query steps on the interval.
+        """Whether any held query steps on the interval.
 
         ``exclude_source``/``exclude_start_s`` skip one transmission (a
-        caller's own query). Queries are recorded in near time order, so
-        the scan walks back from the newest record and stops once it is
-        ``sense_slack_s`` past any possible overlap — O(recent traffic),
-        not O(run history).
+        caller's own query). The scan walks back from the latest-starting
+        query and stops once it is ``sense_slack_s`` past any possible
+        overlap — O(recent traffic), not O(run history).
         """
         for query in reversed(self._queries):
             if query.end_s < start_s - self.sense_slack_s:
-                # Records are appended in near time order (disorder is
-                # bounded by the slack), so nothing earlier in the list
-                # can still reach the interval.
                 break
             if query.start_s >= end_s or query.end_s <= start_s:
                 continue
@@ -194,7 +225,8 @@ class AirLog:
         return False
 
     def responses(self) -> list[Transmission]:
-        return [t for t in self.transmissions if t.kind is TxKind.RESPONSE]
+        """The unsettled responses, by end time."""
+        return list(self._responses)
 
     def heard_state(self, now_s: float, horizon_s: float = 10e-3) -> CsmaState:
         """What a reader carrier-sensing at ``now_s`` knows about the air.
@@ -219,6 +251,16 @@ class AirLog:
         """
         floor = now_s - horizon_s
         prune_floor = floor - self.sense_slack_s
+        self._fold()
+        heard = self._heard
+        while heard and heard[0][1] < prune_floor:
+            heard.popleft()
+        return CsmaState.from_heard(
+            [(start, end, kind) for start, end, kind, _ in heard if end >= floor]
+        )
+
+    def _fold(self) -> None:
+        """Fold the records the sensing view has not seen into it."""
         heard = self._heard
         transmissions = self.transmissions
         for tx in transmissions[self._heard_folded :]:
@@ -230,36 +272,90 @@ class AirLog:
                 continue
             heard.append((tx.start_s, tx.end_s, tx.kind.value, tx.triggered_by))
         self._heard_folded = len(transmissions)
-        while heard and heard[0][1] < prune_floor:
-            heard.popleft()
-        return CsmaState.from_heard(
-            [(start, end, kind) for start, end, kind, _ in heard if end >= floor]
-        )
 
-    def corrupted_responses(self) -> list[Transmission]:
-        """Responses overlapped by some reader's query transmission.
+    def corrupted_responses(
+        self, responses: list[Transmission] | None = None
+    ) -> list[Transmission]:
+        """The responses some held query overlaps, in order: of
+        ``responses`` when given (:meth:`settle` passes those it
+        settles), else of every held response.
 
-        The sweep is cached until the next record, so repeated result
-        collection pays for it once (callers must not mutate the
-        returned list).
+        On a log nobody settles the held responses are every response
+        recorded; settled ones are counted in :attr:`settled_corrupted`
+        instead.
         """
-        key = len(self.transmissions)
-        cache = self._corrupted_cache
-        if cache is not None and cache[0] == key:
-            return cache[1]
-        queries = sorted(self._queries, key=lambda q: q.start_s)
-        starts = [q.start_s for q in queries]
+        if responses is None:
+            responses = self._responses
+        queries = self._queries
         reach_s = self._longest_query_s + _SWEEP_MARGIN_S
-        corrupted = []
-        for response in self.responses():
+        stepped_on = []
+        for response in responses:
             # Only queries starting before the response ends, and no more
             # than the longest query before it starts, can overlap.
-            lo = bisect.bisect_left(starts, response.start_s - reach_s)
-            hi = bisect.bisect_left(starts, response.end_s)
+            lo = bisect.bisect_left(queries, response.start_s - reach_s, key=_start_s)
+            hi = bisect.bisect_left(queries, response.end_s, key=_start_s)
             if any(q.overlaps(response) for q in queries[lo:hi]):
-                corrupted.append(response)
-        self._corrupted_cache = (key, corrupted)
-        return corrupted
+                stepped_on.append(response)
+        return stepped_on
+
+    def settle(self, now_s: float, lookback_s: float) -> list[Transmission]:
+        """Settle the log at event time ``now_s``; returns the newly
+        settled responses some query stepped on.
+
+        The caller promises that every record it makes from now on
+        starts at or after ``now_s``, so every response ending by then
+        has its final verdict: it is counted and dropped. A query is
+        dropped once it ends before ``now_s - lookback_s`` and before
+        every held response starts, so later :meth:`any_query_overlapping`
+        calls reaching back ``lookback_s`` see every query they could.
+        Records are folded into the sensing view before they go, and the
+        view keeps what a later :meth:`heard_state` reaching back up to
+        ``lookback_s`` plus the sense slack can read, so a log sensed
+        rarely (a rounds corridor) stays as small as one sensed often.
+        A settle time at or before the last one does nothing.
+        """
+        if now_s <= self.settled_s:
+            return []
+        self.settled_s = now_s
+        responses = self._responses
+        n_settled = bisect.bisect_right(responses, now_s, key=_end_s)
+        settled = responses[:n_settled]
+        del responses[:n_settled]
+        stepped_on = self.corrupted_responses(settled) if settled else []
+        self.settled_responses += n_settled
+        self.settled_corrupted += len(stepped_on)
+
+        floor = now_s - lookback_s
+        if responses:
+            floor = min(floor, min(r.start_s for r in responses))
+        queries = self._queries
+        n_dropped = 0
+        while n_dropped < len(queries) and queries[n_dropped].end_s < floor:
+            n_dropped += 1
+        del queries[:n_dropped]
+
+        records = self.transmissions
+        n_dropped = 0
+        for tx in records:
+            # The dropped prefix ends at the first query still reachable
+            # or the first response not yet settled.
+            if tx.kind is TxKind.QUERY:
+                held = tx.end_s >= floor
+            else:
+                held = tx.end_s > now_s
+            if held:
+                break
+            n_dropped += 1
+        if n_dropped:
+            if n_dropped > self._heard_folded:
+                self._fold()
+            del records[:n_dropped]
+            self._heard_folded -= n_dropped
+        heard = self._heard
+        prune_floor = now_s - lookback_s - self.sense_slack_s
+        while heard and heard[0][1] < prune_floor:
+            heard.popleft()
+        return stepped_on
 
 
 @dataclass

@@ -575,6 +575,23 @@ class TestCommittedTree:
         for rule in ("determinism", "unit-suffix", "rng-policy", "ablation-api"):
             assert rule in result.stdout
 
+    def test_help_and_docs_name_every_registered_rule(self):
+        """The ``--help`` text is built from the registry, and
+        docs/ANALYSIS.md has one section per registered rule."""
+        result = subprocess.run(
+            [sys.executable, "-m", "tools.analyze", "--help"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        # argparse may wrap a rule name at its hyphen.
+        help_text = " ".join(result.stdout.split()).replace("- ", "-")
+        doc = (REPO_ROOT / "docs" / "ANALYSIS.md").read_text()
+        for rule in all_checkers():
+            assert rule in help_text
+            assert f"### `{rule}`" in doc
+
 
 if __name__ == "__main__":
     sys.exit(pytest.main([__file__, "-q"]))

@@ -1,12 +1,19 @@
 """Unit tests for repro.sim.city (the discrete-event corridor engine)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.apps import CarFinder, ParkingBillingService
 from repro.channel.geometry import RoadSegment
-from repro.constants import QUERY_DURATION_S, READER_RANGE_M, TURNAROUND_S
-from repro.errors import ConfigurationError
+from repro.constants import (
+    QUERY_DURATION_S,
+    QUERY_PERIOD_S,
+    READER_RANGE_M,
+    TURNAROUND_S,
+)
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.city import (
     CityCorridor,
     HandoffLedger,
@@ -14,12 +21,69 @@ from repro.sim.city import (
     StationCell,
     carve_cells,
 )
+from repro.sim.city.corridor import HARVEST_LOOKBACK_S
 from repro.sim.city.handoff import DECODE, OWN_HIT
 from repro.sim.city.moving import in_range_mask, positions_at
+from repro.sim.medium import AirLog
 from repro.sim.mobility import ConstantSpeedTrajectory
 from repro.sim.scenario import city_corridor_scene, corridor_scene
 
 LANES = (-1.75, -5.25)
+
+
+class Collector:
+    """A service keeping every observation a corridor fans out to it
+    (the corridor itself keeps none)."""
+
+    def __init__(self):
+        self.observations = []
+
+    def observe(self, observation):
+        self.observations.append(observation)
+
+
+class History:
+    """A corridor run's whole history, which the corridor itself does
+    not keep: every transmission its air log records (replayed into an
+    unsettled :class:`AirLog`, whose sweep then covers the run), every
+    window its pool publishes and every window a station harvests
+    (``(station, origin, start_s, end_s)``), collected by wrapping the
+    corridor's ``air.record``, ``pool.publish`` and ``pool.harvest``."""
+
+    def __init__(self, corridor):
+        self.air = AirLog()
+        self.windows = []
+        self.harvested = []
+        record, publish, harvest = (
+            corridor.air.record, corridor.pool.publish, corridor.pool.harvest
+        )
+
+        def record_copy(tx):
+            self.air.record(record(tx))
+            return tx
+
+        def publish_copy(window):
+            self.windows.append(publish(window))
+            return window
+
+        def harvest_copy(station, *args, **kwargs):
+            out = harvest(station, *args, **kwargs)
+            self.harvested.extend(
+                (station, w.origin, w.start_s, w.end_s) for w, _ in out
+            )
+            return out
+
+        corridor.air.record = record_copy
+        corridor.pool.publish = publish_copy
+        corridor.pool.harvest = harvest_copy
+
+    def bursts(self):
+        """``(station, start_s, end_s)`` of every decode-burst capture."""
+        return [
+            (r.triggered_by, r.start_s, r.end_s)
+            for r in self.air.responses()
+            if r.source.endswith("-burst")
+        ]
 
 
 def small_corridor(mode="event", seed=17, n_poles=3, n_cars=5, **kwargs):
@@ -270,12 +334,13 @@ class TestParkedCarRounds:
     def test_round_identifies_and_localizes(self):
         scene, corridor = parked_corridor([(-6.0, 0), (5.0, 1)], seed=21)
         finder = corridor.subscribe(CarFinder())
+        collected = corridor.subscribe(Collector())
         result = corridor.run(0.5 * ROUND_S)
         assert result.rounds == 1
         truth = {tag.packet.tag_id: tag for tag in scene.tags}
         assert result.identified == len(truth)
-        assert {obs.tag_id for obs in corridor.observations} == set(truth)
-        for obs in corridor.observations:
+        assert {obs.tag_id for obs in collected.observations} == set(truth)
+        for obs in collected.observations:
             truth_xy = truth[obs.tag_id].position_m[:2]
             assert np.linalg.norm(obs.position_m - truth_xy) < 1.0
         assert set(finder.known_tags()) == set(truth)
@@ -283,6 +348,7 @@ class TestParkedCarRounds:
     def test_identity_cache_skips_redecode(self):
         cars = [(-4.0, 0), (4.0, 1)]
         _, corridor = parked_corridor(cars, seed=12)
+        collected = corridor.subscribe(Collector())
         corridor.run(1.5 * ROUND_S)
         station = corridor.stations[0]
         assert len(station.identities) == len(cars)
@@ -296,7 +362,7 @@ class TestParkedCarRounds:
         assert [r.kind for r in second] == [OWN_HIT] * len(cars)
         assert sum(r.n_queries for r in second) == 0
         assert {r.tag_id for r in second} == {r.tag_id for r in first}
-        seen = {obs.tag_id for obs in corridor.observations if obs.timestamp_s >= ROUND_S}
+        seen = {obs.tag_id for obs in collected.observations if obs.timestamp_s >= ROUND_S}
         assert seen == {r.tag_id for r in first}
 
     def test_cached_id_claimed_by_at_most_one_spike_per_round(self):
@@ -309,8 +375,9 @@ class TestParkedCarRounds:
         identities = corridor.stations[0].identities
         identities.tolerance_hz = 1e6
         identities.store(cfos[0] + 1e3, 999)
+        collected = corridor.subscribe(Collector())
         corridor.run(0.5 * ROUND_S)
-        seen = {obs.tag_id for obs in corridor.observations}
+        seen = {obs.tag_id for obs in collected.observations}
         assert len(seen) == 2  # never both mapped onto account 999
         # The far spike was decoded to its true account.
         truth_far = next(
@@ -337,8 +404,9 @@ class TestParkedCarRounds:
         station = corridor.stations[0]
         station.localizer = None
         finder = corridor.subscribe(CarFinder())
+        collected = corridor.subscribe(Collector())
         result = corridor.run(0.5 * ROUND_S)
-        assert corridor.observations == [] and result.n_observations == 0
+        assert collected.observations == [] and result.n_observations == 0
         assert finder.known_tags() == []
         assert len(station.identities) == 1  # ids still cached
 
@@ -347,18 +415,182 @@ class TestParkedCarRounds:
             [(-6.0, 0), (18.0, 1)], pole_xs=(0.0, 14.0), seed=16
         )
         finder = corridor.subscribe(CarFinder())
+        collected = corridor.subscribe(Collector())
         result = corridor.run(0.5 * ROUND_S)
         assert result.rounds == 2  # 2 stations x 1 round
         # Each car is fixed by the pole whose cell holds it.
-        assert {obs.station for obs in corridor.observations} == {"pole-0", "pole-1"}
+        assert {obs.station for obs in collected.observations} == {"pole-0", "pole-1"}
         truth_ids = {tag.packet.tag_id for tag in scene.tags}
         assert set(finder.known_tags()) == truth_ids
+
+
+def tight_corridor(seed=17, **kwargs):
+    """Three poles 10 m apart under a steady car stream: a car leaving
+    the far end is still audible at the other poles, so their harvests
+    reach windows that list it after it has left."""
+    scene, trajectories = city_corridor_scene(
+        n_poles=3,
+        pole_spacing_m=10.0,
+        n_cars=12,
+        speed_range_m_s=(10.0, 16.0),
+        entry_window_s=3.0,
+        rng=seed,
+    )
+    return CityCorridor.build(
+        scene, trajectories, lane_ys_m=LANES, rng=seed, max_queries=16, **kwargs
+    )
+
+
+class TestSettledHistory:
+    """The corridor settles its history at the event clock and keeps
+    only what a later event can still read."""
+
+    def test_a_departed_cars_row_outlives_the_harvest_horizon(self):
+        """A harvest reaching a window that lists a car which has since
+        left the corridor synthesizes from the row the bank still holds,
+        bit for bit as a bank that never evicts. Every window listing a
+        departed car ends within the pool's slack of its exit, and the
+        row is gone once that bound is past the harvest lookback."""
+        reference = tight_corridor(seed=14)
+        for station in reference.stations:
+            station.source.bank.evict = lambda tag_id: None
+        kept = reference.run(4.0)
+
+        corridor = tight_corridor(seed=14)
+        history = History(corridor)
+        bank = corridor.stations[0].source.bank
+        last = len(corridor.stations) - 1
+        exits, late, rows = {}, [], []
+        apply, harvest, settle = (
+            corridor._apply_transition, corridor.pool.harvest, corridor._settle
+        )
+
+        def spy_transition(t_s, kind, tag_index, cell_index):
+            apply(t_s, kind, tag_index, cell_index)
+            if kind == "exit" and cell_index == last:
+                exits[corridor.tags[tag_index].tag_id] = t_s
+
+        def spy_harvest(station, pole_m, lo_s, hi_s, *args):
+            out = harvest(station, pole_m, lo_s, hi_s, *args)
+            late.extend(
+                tag.tag_id
+                for _, audible in out
+                for tag, _ in audible
+                if exits.get(tag.tag_id, hi_s) < hi_s
+            )
+            return out
+
+        def spy_settle(now_s):
+            settle(now_s)
+            rows.append((now_s, set(bank._rows)))
+
+        corridor._apply_transition = spy_transition
+        corridor.pool.harvest = spy_harvest
+        corridor._settle = spy_settle
+        settled = corridor.run(4.0)
+
+        assert late, "no harvest reached a departed car's window"
+        assert settled.summary() == kept.summary()
+        assert settled.ledger.records == kept.ledger.records
+        last_end = {}
+        for window in history.windows:
+            for tag in window.tags:
+                last_end[tag.tag_id] = max(last_end.get(tag.tag_id, 0.0), window.end_s)
+        # A decode burst under way at the far pole as a car exits lists
+        # it in windows ending well after the exit.
+        assert max(last_end.get(t, -math.inf) - exits[t] for t in exits) > QUERY_PERIOD_S
+        evicted_in_run = set()
+        for tag_id, exit_s in exits.items():
+            # A harvest reaches a window listing the car until the window
+            # is a harvest lookback old; the row is held until a bound on
+            # that, the exit plus the burst span plus the lookback.
+            reachable_s = last_end.get(tag_id, -math.inf) + HARVEST_LOOKBACK_S
+            release_s = exit_s + corridor.pool.slack_s + HARVEST_LOOKBACK_S
+            assert reachable_s <= release_s
+            for now_s, held in rows:
+                if exit_s <= now_s < release_s and tag_id in last_end:
+                    assert tag_id in held
+                if now_s >= release_s:
+                    assert tag_id not in held
+                    if now_s < math.inf:
+                        evicted_in_run.add(tag_id)
+        assert evicted_in_run
+
+    def test_harvest_verdicts_see_every_query_within_the_horizon(self):
+        """A query planted on a burst capture's window right after its
+        capture was synthesized is still on the log when another pole
+        harvests the window, so every harvested window the whole
+        history's sweep calls stepped on is judged so at harvest."""
+        corridor = tight_corridor()
+        history = History(corridor)
+        publish = corridor.pool.publish
+
+        def publish_then_intrude(window):
+            publish(window)
+            last = history.air.transmissions[-1]
+            if last.source.endswith("-burst") and last.start_s == window.start_s:
+                corridor.air.record_query("intruder", window.start_s + 100e-6)
+            return window
+
+        corridor.pool.publish = publish_then_intrude
+        result = corridor.run(4.0)
+        stepped_on = {
+            (r.triggered_by, r.start_s) for r in history.air.corrupted_responses()
+        }
+        harvested_stepped_on = sum(
+            (origin, start_s) in stepped_on
+            for _, origin, start_s, _ in history.harvested
+        )
+        assert harvested_stepped_on > 0
+        assert result.overheard_corrupted_at_harvest == harvested_stepped_on
+        assert result.overheard_corrupted_posthoc == 0
+        assert result.corrupted_responses == len(history.air.corrupted_responses())
+
+    def test_the_corridor_holds_recent_traffic_only(self):
+        """Through the run the air log, the pool and the banks hold only
+        recent traffic; the run's end settles the log and the pool
+        empty, and the result counts every record."""
+        corridor = tight_corridor()
+        history = History(corridor)
+        held = []
+        settle = corridor._settle
+
+        def spy_settle(now_s):
+            settle(now_s)
+            held.append((len(corridor.air.transmissions), len(corridor.pool)))
+
+        corridor._settle = spy_settle
+        result = corridor.run(4.0)
+        assert max(air for air, _ in held) < len(history.air.transmissions) / 4
+        assert max(pool for _, pool in held) < len(history.windows) / 4
+        assert corridor.air.transmissions == [] and len(corridor.pool) == 0
+        assert result.responses == len(history.air.responses())
+        assert result.overheard_windows == len(history.windows)
+        with pytest.raises(SimulationError):
+            corridor.air.record_query("late", 4.0)
+
+    def test_held_history_gauges(self):
+        from repro.obs import Obs
+
+        obs = Obs()
+        corridor = tight_corridor(obs=obs)
+        corridor.run(2.0)
+        gauges = obs.metrics.snapshot()["gauges"]
+        assert set(gauges) == {
+            "air.held{kind=query}",
+            "air.held{kind=response}",
+            "bank.rows",
+            "pool.held",
+        }
+        assert 0 < gauges["air.held{kind=query}"] < corridor.air.settled_responses
+        assert gauges["pool.held"] > 0 and gauges["bank.rows"] > 0
 
 
 @pytest.mark.slow
 class TestCityCorridorRun:
     def test_event_run_identifies_localizes_and_hands_off(self):
         corridor = small_corridor(seed=17)
+        collected = corridor.subscribe(Collector())
         result = corridor.run(6.0)
         summary = result.summary()
         # Every car that showed a spike got identified.
@@ -374,9 +606,10 @@ class TestCityCorridorRun:
         # Observations carry station/cell provenance and land inside
         # the claimed cell (up to the localizer's road margin — a fix
         # may sit just past the cell edge, footnote 10 style).
-        assert corridor.observations
+        assert collected.observations
+        assert result.n_observations == len(collected.observations)
         cells = {s.cell.name: s.cell for s in corridor.stations}
-        for obs in corridor.observations:
+        for obs in collected.observations:
             assert obs.station is not None
             cell = cells[obs.cell]
             x = float(obs.position_m[0])
@@ -384,10 +617,11 @@ class TestCityCorridorRun:
 
     def test_fix_accuracy_against_trajectories(self):
         corridor = small_corridor(seed=17)
+        collected = corridor.subscribe(Collector())
         corridor.run(6.0)
         by_id = {tag.tag_id: tag for tag in corridor.tags}
         errors = []
-        for obs in corridor.observations:
+        for obs in collected.observations:
             truth = by_id[obs.tag_id].position(
                 obs.timestamp_s + 120e-6  # fix refers to response time
             )
@@ -467,26 +701,37 @@ class TestCityCorridorRun:
     def test_blind_bursts_undercount_fixed_posthoc(self):
         """A query recorded *after* a capture was synthesized can step on
         its response window, which the synthesis-time verdict cannot
-        see. The end-of-run audit reads the final air log: after one
-        such query is planted on a clean corridor's log, ``finish``
-        counts the capture it lands on, and the count equals the log's
-        own sweep over burst responses."""
-        corridor = small_corridor(seed=17)
-        result = corridor.run(6.0)
+        see. The audit reads each response's final verdict: after one
+        such query is planted on a clean corridor's log, right after a
+        clean burst capture is synthesized (when its window is
+        published), the capture it lands on is counted, and the count
+        equals the whole history's sweep over burst responses."""
+        result = small_corridor(seed=17).run(6.0)
         assert result.burst_captures > 0
         assert result.burst_corrupted_posthoc == result.burst_corrupted_at_synthesis
-        stepped_on = set(corridor.air.corrupted_responses())
-        burst = next(
-            r
-            for r in corridor.air.responses()
-            if r.source.endswith("-burst") and r not in stepped_on
-        )
-        corridor.air.record_query("intruder", burst.start_s + 100e-6)
-        audited = corridor.finish()
+
+        corridor = small_corridor(seed=17)
+        history = History(corridor)
+        publish = corridor.pool.publish
+        planted = []
+
+        def publish_then_intrude(window):
+            publish(window)
+            last = history.air.transmissions[-1]
+            burst = last.source.endswith("-burst") and (
+                (last.triggered_by, last.start_s) == (window.origin, window.start_s)
+            )
+            if burst and not window.corrupted and not planted:
+                planted.append(corridor.air.record_query("intruder", last.start_s + 100e-6))
+            return window
+
+        corridor.pool.publish = publish_then_intrude
+        audited = corridor.run(6.0)
+        assert planted
         assert audited.burst_corrupted_posthoc > audited.burst_corrupted_at_synthesis
         stepped_on = [
             r
-            for r in corridor.air.corrupted_responses()
+            for r in history.air.corrupted_responses()
             if r.source.endswith("-burst")
         ]
         assert audited.burst_corrupted_posthoc == len(stepped_on)
@@ -535,6 +780,7 @@ class TestFixHints:
             basis=(np.zeros((1, 8), complex), np.zeros((1, 256), complex)),
         )
         collision = SimpleNamespace(n_antennas=3)
+        corridor.subscribe(Collector())
         corridor._emit_observations(station, collision, count, {cfo_hz: tag_id}, t_query)
         return corridor, station
 
@@ -548,7 +794,8 @@ class TestFixHints:
         assert list(station._last_fixes) == [7]
         fix, seen_s = station._last_fixes[7]
         assert seen_s == 400.0 and fix.tolist() == [0.0, -1.75]
-        assert len(corridor.observations) == 1
+        (collected,) = corridor.services
+        assert len(collected.observations) == 1
 
     def test_hint_within_the_horizon_is_used(self):
         _, station = self.emit(hint_age_s=299.0)
@@ -646,6 +893,7 @@ class TestRoundFixes:
         )
         spy = self.SpyLocalizer(station.localizer)
         station.localizer = spy
+        collected = corridor.subscribe(Collector())
         corridor._emit_observations(
             station, SimpleNamespace(n_antennas=3), count, ids, t_query
         )
@@ -666,9 +914,12 @@ class TestRoundFixes:
                 continue
             ref_station.record_fix(tag, fix, t_query)
             want.append((tag, fix.tobytes()))
-        got = [(o.tag_id, np.asarray(o.position_m).tobytes()) for o in corridor.observations]
+        got = [(o.tag_id, np.asarray(o.position_m).tobytes()) for o in collected.observations]
         assert got == want
-        assert all(o.timestamp_s == t_query and o.station == station.name for o in corridor.observations)
+        assert all(
+            o.timestamp_s == t_query and o.station == station.name
+            for o in collected.observations
+        )
         assert [
             (tag, fix.tobytes(), seen) for tag, (fix, seen) in station._last_fixes.items()
         ] == [(tag, fix.tobytes(), seen) for tag, (fix, seen) in ref_station._last_fixes.items()]

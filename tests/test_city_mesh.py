@@ -299,3 +299,34 @@ class TestCityMeshRun:
         assert first.ledger.pushes == second.ledger.pushes
         assert first.ledger.push_misses == second.ledger.push_misses
         assert first.first_pole_queries == second.first_pole_queries
+
+    def test_a_route_that_comes_back_keeps_its_cars_rows(self, monkeypatch):
+        """A car whose route revisits an edge is admitted there twice. Its
+        waveform row must outlive its first pass: a rebuilt row would draw
+        a new phase and move every later output. The run equals one whose
+        banks never evict."""
+        import json
+
+        from repro.sim.city.moving import TagWaveformBank
+
+        def loop_mesh():
+            mesh = CityMesh(rng=5)
+            mesh.add_node("u")
+            mesh.add_node("v")
+            mesh.add_edge("A", src="u", dst="v", n_poles=2)
+            mesh.add_edge("B", src="v", dst="u", n_poles=2)
+            mesh.add_traffic(
+                [(("A", "B", "A"), 1.0)], rate_per_s=0.5, speed_range_m_s=(12.0, 16.0)
+            )
+            return mesh
+
+        mesh = loop_mesh()
+        settled = mesh.run(20.0)
+        assert mesh.edges["A"].corridor._returning
+        assert not mesh.edges["B"].corridor._returning
+        monkeypatch.setattr(TagWaveformBank, "evict", lambda self, tag_id: None)
+        kept = loop_mesh().run(20.0)
+        assert json.dumps(settled.summary(), sort_keys=True) == json.dumps(
+            kept.summary(), sort_keys=True
+        )
+        assert settled.ledger.records == kept.ledger.records

@@ -1,7 +1,11 @@
 """Unit tests for repro.core.mac and repro.sim.medium (§9)."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.constants import (
     CSMA_LISTEN_S,
@@ -10,6 +14,7 @@ from repro.constants import (
     TURNAROUND_S,
 )
 from repro.core.mac import CsmaState, ReaderMac, _idle_since
+from repro.errors import SimulationError
 from repro.sim.medium import AirLog, Medium, ReaderNode, Transmission, TxKind
 
 
@@ -445,6 +450,133 @@ class TestSensingView:
             air.record_response("t", k * 1e-3 + 140e-6, triggered_by="A")
         assert len(air._heard) == 0 and air._heard_folded == 0
         assert len(air.transmissions) == 200
+
+
+class TestSettlement:
+    """Settling a log at event times keeps its verdicts: a response is
+    settled once it has ended, and every record made at event time T
+    starts at or after T, so the running totals and the stepped-on
+    responses equal the sweep of a copy nobody settled, and what the
+    settled log still answers (sensing, overlap checks reaching back the
+    lookback) equals what the copy answers."""
+
+    LOOKBACK_S = 2e-3
+
+    #: One event: microseconds since the previous one, whether the log
+    #: settles and whether a reader senses at it (rarely, so records go
+    #: unsensed across settles), and the records it makes as (kind,
+    #: microseconds after the event, reader, responders).
+    EVENT = st.tuples(
+        st.integers(0, 700),
+        st.booleans(),
+        st.sampled_from((False, False, False, True)),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["query", "window", "burst"]),
+                st.integers(0, 1200),
+                st.integers(0, 2),
+                st.integers(1, 3),
+            ),
+            max_size=4,
+        ),
+    )
+
+    @staticmethod
+    def _keys(responses):
+        return Counter((r.triggered_by, r.start_s, r.end_s, r.source) for r in responses)
+
+    @given(st.lists(EVENT, min_size=1, max_size=50), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_totals_and_stepped_on_equal_an_unsettled_copy(self, events, data):
+        air, copy = AirLog(sense_slack_s=0.01), AirLog(sense_slack_s=0.01)
+        stepped_on = []
+        t = 0.0
+        for dt_us, settle, sense, records in events:
+            t += dt_us * 1e-6
+            if settle:
+                stepped_on += air.settle(t, self.LOOKBACK_S)
+            for kind, offset_us, reader, n in records:
+                start = t + offset_us * 1e-6
+                name = f"r{reader}"
+                if kind == "query":
+                    copy.record(air.record_query(name, start))
+                    continue
+                if kind == "burst":
+                    copy.record(air.record_query(name, start))
+                    start += QUERY_DURATION_S + TURNAROUND_S
+                for k in range(n):
+                    copy.record(air.record_response(f"{name}-{k}", start, triggered_by=name))
+            if sense:
+                assert same_state(air.heard_state(t), copy.heard_state(t))
+            if air.settled_s == t:
+                # Overlap checks reaching back no further than the lookback.
+                offset_s = data.draw(st.integers(0, 2000)) * 1e-6
+                lo = t - self.LOOKBACK_S + offset_s
+                hi = lo + RESPONSE_DURATION_S
+                assert air.any_query_overlapping(lo, hi) == copy.any_query_overlapping(lo, hi)
+                assert self._keys(air.corrupted_responses()) == self._keys(
+                    r for r in copy.corrupted_responses() if r.end_s > t
+                )
+        stepped_on += air.settle(math.inf, self.LOOKBACK_S)
+        assert air.settled_responses == len(copy.responses())
+        assert air.settled_corrupted == len(copy.corrupted_responses())
+        assert self._keys(stepped_on) == self._keys(copy.corrupted_responses())
+        assert air.transmissions == [] and air.responses() == [] and air.queries() == []
+
+    def test_a_response_ending_after_the_clock_stays_open(self):
+        """A response still on the air at the settle time can be stepped
+        on by a query starting at that time."""
+        air = AirLog()
+        air.record_response("tag0", 0.0, triggered_by="A")
+        assert air.settle(RESPONSE_DURATION_S - 12e-6, 0.0) == []
+        assert air.settled_responses == 0
+        query = air.record_query("B", RESPONSE_DURATION_S - 12e-6)
+        (stepped_on,) = air.settle(RESPONSE_DURATION_S, 0.0)
+        assert stepped_on.overlaps(query)
+        assert (air.settled_responses, air.settled_corrupted) == (1, 1)
+
+    def test_queries_stay_for_the_lookback(self):
+        air = AirLog()
+        query = air.record_query("A", 0.0)
+        air.settle(1e-3, 2e-3)
+        assert air.queries() == [query]
+        assert air.any_query_overlapping(0.0, 1e-3)
+        air.settle(3e-3, 2e-3)
+        assert air.queries() == [] and not air.any_query_overlapping(0.0, 1e-3)
+
+    def test_the_sensing_view_keeps_what_settling_dropped(self):
+        """Records nobody sensed before they were dropped still reach
+        the sensing view."""
+        air = AirLog()
+        query = air.record_query("A", 0.0)
+        response = air.record_response("tag0", 120e-6, triggered_by="A")
+        air.settle(1e-3, 0.0)
+        assert air.transmissions == []
+        state = air.heard_state(1e-3)
+        assert state.query_spans() == [(query.start_s, query.end_s)]
+        assert state.response_energy_intervals() == [(response.start_s, response.end_s)]
+
+    def test_a_log_settled_but_never_sensed_keeps_a_small_view(self):
+        """Settling folds what it drops into the sensing view, and trims
+        the view to what a later sense can still read."""
+        air = AirLog(sense_slack_s=1e-3)
+        sizes = []
+        for k in range(200):
+            air.settle(k * 1e-3, self.LOOKBACK_S)
+            air.record_query("A", k * 1e-3)
+            air.record_response("t", k * 1e-3 + 140e-6, triggered_by="A")
+            sizes.append(len(air._heard) + len(air.transmissions))
+        # Two records a millisecond, held for the lookback plus the slack.
+        assert max(sizes) <= 4 * (self.LOOKBACK_S + 1e-3) / 1e-3 + 4
+
+    def test_a_record_before_the_settle_time_raises(self):
+        air = AirLog()
+        air.settle(1.0, 0.25)
+        air.record_query("A", 1.0)
+        with pytest.raises(SimulationError, match="settled at 1.0"):
+            air.record_query("A", 1.0 - 1e-9)
+        with pytest.raises(SimulationError):
+            air.record_response("tag0", 0.5)
 
 
 class TestMedium:

@@ -194,16 +194,17 @@ class TestSharedAirProperties:
     @given(st.integers(min_value=0, max_value=40))
     @settings(max_examples=4, deadline=None)
     def test_air_time_conservation_and_pool_bookkeeping(self, seed):
-        from tests.test_city_corridor import small_corridor
+        from tests.test_city_corridor import History, small_corridor
 
         corridor = small_corridor(
             seed=seed, n_poles=3, n_cars=4, opportunistic="accept"
         )
+        history = History(corridor)
         result = corridor.run(4.0)
 
         # Index the shared log's response energy by (trigger, window).
         on_air = set()
-        for response in corridor.air.responses():
+        for response in history.air.responses():
             on_air.add(
                 (response.triggered_by, response.start_s, response.end_s)
             )
@@ -212,11 +213,11 @@ class TestSharedAirProperties:
         # from the shared log: published trigger windows, burst captures
         # and harvested overheard windows all map onto recorded
         # transmissions with matching provenance and extent.
-        for window in corridor.pool.windows:
+        for window in history.windows:
             assert (window.origin, window.start_s, window.end_s) in on_air
-        for station, start_s, end_s, _ in corridor._burst_log:
+        for station, start_s, end_s in history.bursts():
             assert (station, start_s, end_s) in on_air
-        for _, origin, start_s, end_s, _ in corridor._overheard_log:
+        for _, origin, start_s, end_s in history.harvested:
             assert (origin, start_s, end_s) in on_air
 
         # Under CSMA the street stays clean, so the pool's harvest-time

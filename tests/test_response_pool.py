@@ -30,7 +30,12 @@ from repro.sim.city import (
 from repro.sim.mobility import ConstantSpeedTrajectory
 from repro.sim.scenario import city_corridor_scene
 
-from tests.test_city_corridor import random_tags, reference_in_range, small_corridor
+from tests.test_city_corridor import (
+    History,
+    random_tags,
+    reference_in_range,
+    small_corridor,
+)
 from tests.test_propagation import reference_coefficient, same_bits
 
 #: Ledger digests of the pre-pool corridor (captured before the pool
@@ -440,14 +445,15 @@ class TestDecodeSessionDonations:
 class TestCorridorOverheard:
     def test_harvested_windows_never_overlap_own_capture_slots(self):
         corridor = small_corridor(seed=17, opportunistic="accept")
+        history = History(corridor)
         result = corridor.run(6.0)
         assert result.overheard_harvested > 0
         own_windows = {}
-        for query in corridor.air.queries():
+        for query in history.air.queries():
             own_windows.setdefault(query.source, []).append(
                 (query.end_s + 100e-6, query.end_s + 100e-6 + 512e-6)
             )
-        for station, origin, start_s, end_s, _ in corridor._overheard_log:
+        for station, origin, start_s, end_s in history.harvested:
             assert origin != station
             for w_lo, w_hi in own_windows.get(station, []):
                 assert not (start_s < w_hi and w_lo < end_s), (
@@ -460,14 +466,15 @@ class TestCorridorOverheard:
         holds response transmissions triggered by the window's origin
         over exactly that interval."""
         corridor = small_corridor(seed=17, opportunistic="accept")
+        history = History(corridor)
         corridor.run(6.0)
         by_trigger = {}
-        for response in corridor.air.responses():
+        for response in history.air.responses():
             by_trigger.setdefault(
                 (response.triggered_by, response.start_s, response.end_s), 0
             )
             by_trigger[(response.triggered_by, response.start_s, response.end_s)] += 1
-        for _, origin, start_s, end_s, _ in corridor._overheard_log:
+        for _, origin, start_s, end_s in history.harvested:
             assert (origin, start_s, end_s) in by_trigger
 
     def test_accept_uses_overheard_evidence_on_overlap_traffic(self):

@@ -27,8 +27,8 @@ from .core import (
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.analyze",
-        description="Domain-aware static analysis for the Caraoke repro "
-        "(determinism, unit suffixes, RNG policy, ablation API, unused imports).",
+        description="Domain-aware static analysis for the Caraoke repro; "
+        f"rules: {', '.join(sorted(all_checkers()))}.",
     )
     parser.add_argument(
         "paths",
