@@ -1,6 +1,6 @@
 """Discrete-event world: clocks, media, traffic, mobility, parking, scenes."""
 
-from .events import Event, EventScheduler
+from .events import EventScheduler
 from .clock import DriftingClock, NtpClock
 from .medium import AirLog, Medium, ReaderNode, Transmission, TxKind
 from .traffic import IntersectionSimulator, PoissonArrivals, TrafficLight, TrafficSample
@@ -16,7 +16,6 @@ from .scenario import (
 )
 
 __all__ = [
-    "Event",
     "EventScheduler",
     "DriftingClock",
     "NtpClock",

@@ -45,7 +45,6 @@ from .backhaul import (
     BackhaulPlane,
     FaultPlan,
     OutageWindow,
-    SyncBuffer,
 )
 from .cells import StationCell, carve_cells
 from .handoff import HandoffLedger, PushRecord, SightingRecord
@@ -62,7 +61,6 @@ __all__ = [
     "BackhaulPlane",
     "FaultPlan",
     "OutageWindow",
-    "SyncBuffer",
     "StationCell",
     "carve_cells",
     "HandoffLedger",

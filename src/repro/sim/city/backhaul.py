@@ -9,10 +9,10 @@ reports, pushes and charge events must ride scheduled syncs or cars
 acting as data mules. This module turns "directory RTT is free" into a
 configured, measured axis:
 
-* :class:`BackhaulLink` — one pole's link state: the uplink
-  :class:`SyncBuffer` of pending sighting deltas, the downlink queue of
-  push intents waiting to reach the pole, and the link's sync schedule
-  (next attempt, retry backoff).
+* :class:`BackhaulLink` — one pole's link state: the uplink buffer of
+  pending sighting deltas, the downlink queue of push intents waiting
+  to reach the pole, and the link's sync schedule (next attempt, retry
+  backoff).
 * :class:`BackhaulConfig` — the delivery policy. ``"wired"``, the
   default, applies every item the moment it is submitted;
   ``"scheduled"`` batches each pole's traffic and flushes it on a
@@ -62,7 +62,6 @@ __all__ = [
     "POLICIES",
     "OutageWindow",
     "FaultPlan",
-    "SyncBuffer",
     "BackhaulLink",
     "BackhaulConfig",
     "BackhaulPlane",
@@ -201,47 +200,26 @@ class FaultPlan:
         }
 
 
-class SyncBuffer:
-    """A pole's uplink buffer of sighting deltas awaiting transport."""
-
-    def __init__(self) -> None:
-        self.items: list[tuple] = []
-        self.total = 0
-
-    def append(self, item: tuple) -> None:
-        self.items.append(item)
-        self.total += 1
-
-    def drain(self) -> list[tuple]:
-        out, self.items = self.items, []
-        return out
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
 @dataclass
 class BackhaulLink:
     """One pole↔directory link: buffers, schedule and retry state.
 
     Attributes:
         station: the pole this link belongs to.
-        buffer: uplink :class:`SyncBuffer` of sighting deltas (under
+        buffer: uplink sighting deltas awaiting transport (under
             ``mule`` this is the pile a passing car picks up).
         downlink: push intents queued at the directory side, delivered
             to the pole on its next successful sync.
         next_attempt_s: next scheduled flush attempt (``scheduled``
             policy; unused under ``mule``).
         backoff_s: current retry backoff (0 when the link is healthy).
-        retries: failed attempts this link has re-queued.
     """
 
     station: str
-    buffer: SyncBuffer = field(default_factory=SyncBuffer)
+    buffer: list[tuple] = field(default_factory=list)
     downlink: list[tuple] = field(default_factory=list)
     next_attempt_s: float = float("inf")
     backoff_s: float = 0.0
-    retries: int = 0
 
 
 @dataclass
@@ -438,7 +416,7 @@ class BackhaulPlane:
             else:
                 self._satchels[tag_id] = batch
         else:
-            picked = link.buffer.drain()
+            picked, link.buffer = link.buffer, []
             if picked:
                 self._satchels.setdefault(tag_id, []).extend(picked)
                 self.mule_pickups += len(picked)
@@ -469,7 +447,7 @@ class BackhaulPlane:
                 return
             if cand_link is None:
                 self._pop_delivery()
-            elif not cand_link.buffer.items and not cand_link.downlink:
+            elif not cand_link.buffer and not cand_link.downlink:
                 # An empty sync is a no-op on the air: roll the schedule
                 # one period. Rolled as an ordinary event — one step per
                 # loop, in global time order — so a delivery landing
@@ -498,7 +476,8 @@ class BackhaulPlane:
         self._closing = True
         before = self.items_delivered
         for name in self.stations:
-            items = self._links[name].buffer.drain()
+            link = self._links[name]
+            items, link.buffer = link.buffer, []
             if items:
                 self._apply_batch(items, end_s)
         for tag_id in sorted(self._satchels):
@@ -530,7 +509,6 @@ class BackhaulPlane:
             return 0.0
         if plan.outage_covers(link.station, t_s):
             self.batches_retried += 1
-            link.retries += 1
             if self.obs is not None:
                 self.obs.count("backhaul.batch", kind="retried", link=link.station)
             return None
@@ -542,19 +520,27 @@ class BackhaulPlane:
             return None
         return delay_s
 
+    def _send(
+        self, link: BackhaulLink, direction: str, batch: list[tuple], due_s: float
+    ) -> None:
+        """Put one batch in flight (``"up"`` to the directory, ``"down"``
+        to the pole), delivered at ``due_s``."""
+        if direction == "up":
+            self.batches_sent += 1
+            if self.obs is not None:
+                self.obs.count("backhaul.batch", kind="sent", link=link.station)
+        heapq.heappush(
+            self._inflight, (due_s, self._seq, direction, link.station, batch)
+        )
+        self._seq += 1
+
     def _transmit(self, link: BackhaulLink, batch: list[tuple], t_s: float) -> bool:
         """Put one uplink batch on the air; False means it stays with
         the sender (outage/drop — retry later, nothing lost)."""
         delay_s = self._attempt_fate(link, t_s)
         if delay_s is None:
             return False
-        self.batches_sent += 1
-        if self.obs is not None:
-            self.obs.count("backhaul.batch", kind="sent", link=link.station)
-        heapq.heappush(
-            self._inflight, (t_s + delay_s, self._seq, "up", link.station, batch)
-        )
-        self._seq += 1
+        self._send(link, "up", batch, t_s + delay_s)
         return True
 
     def _sync_attempt(self, link: BackhaulLink, t_s: float) -> None:
@@ -570,23 +556,12 @@ class BackhaulPlane:
             return
         link.backoff_s = 0.0
         link.next_attempt_s = t_s + self.config.sync_period_s
-        batch_up = link.buffer.drain()
+        batch_up, link.buffer = link.buffer, []
         batch_down, link.downlink = link.downlink, []
         if batch_up:
-            self.batches_sent += 1
-            if self.obs is not None:
-                self.obs.count("backhaul.batch", kind="sent", link=link.station)
-            heapq.heappush(
-                self._inflight,
-                (t_s + delay_s, self._seq, "up", link.station, batch_up),
-            )
-            self._seq += 1
+            self._send(link, "up", batch_up, t_s + delay_s)
         if batch_down:
-            heapq.heappush(
-                self._inflight,
-                (t_s + delay_s, self._seq, "down", link.station, batch_down),
-            )
-            self._seq += 1
+            self._send(link, "down", batch_down, t_s + delay_s)
 
     def _pop_delivery(self) -> None:
         delivery_s, _, kind, station, payload = heapq.heappop(self._inflight)
@@ -690,7 +665,7 @@ class BackhaulPlane:
         leftover = [
             name
             for name in self.stations
-            if self._links[name].buffer.items or self._links[name].downlink
+            if self._links[name].buffer or self._links[name].downlink
         ]
         if leftover:
             raise ConfigurationError(f"links still hold traffic: {leftover}")

@@ -68,7 +68,7 @@ grows with the traffic in flight, not with how long the run has gone on.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,8 +111,10 @@ OVERHEARD_HORIZON_S = 0.25
 #: How far back from the settle clock a later read can reach: a harvest
 #: looks back :data:`OVERHEARD_HORIZON_S` from its round's query start,
 #: which trails the clock by at most one measurement (632 µs), at
-#: windows that start a response (512 µs) before they end. Two query
-#: periods cover both.
+#: windows that start a response (512 µs) before they end, and at the
+#: harvesting station's own queries whose capture slots can overlap
+#: those windows (started up to a query, a turnaround and two responses,
+#: 1,144 µs, before the horizon). Two query periods cover all three.
 HARVEST_LOOKBACK_S = OVERHEARD_HORIZON_S + 2 * QUERY_PERIOD_S
 
 #: Spikes below this detection SNR are not worth a decode burst yet (the
@@ -203,11 +205,6 @@ class CorridorStation:
     #: Harvest cursor: pool windows ending at or before this were already
     #: offered to (or aged past) this station.
     last_harvest_s: float = 0.0
-    #: This pole's own capture slots (the response window each own query
-    #: opened) — overheard windows overlapping them are off limits: the
-    #: receiver was busy, and coincident triggers already merged into the
-    #: own capture.
-    _own_windows: list[tuple[float, float]] = field(default_factory=list, repr=False)
     _last_fixes: OrderedDict[int, tuple[np.ndarray, float]] = field(
         default_factory=OrderedDict, repr=False
     )
@@ -547,8 +544,10 @@ class CityCorridor:
         #: (release time, tag id) of cars that left the corridor for
         #: good: their bank rows go once the settle clock passes it.
         self._departures: deque[tuple[float, int]] = deque()
-        #: Accounts the mesh admits here more than once: their rows
-        #: outlive their cars' departures (see expect_returns).
+        #: Accounts listed more than once in ``tags`` (a mesh route that
+        #: comes back to this edge): their waveform rows are kept for the
+        #: whole run, since a row rebuilt after a car's first departure
+        #: would draw a new phase.
         self._returning: set[int] = set()
         self._cell_index = {s.cell.name: i for i, s in enumerate(self.stations)}
         self._roster: list[set[int]] = [set() for _ in self.stations]
@@ -591,7 +590,6 @@ class CityCorridor:
         self._pending_audit: list[tuple[float, tuple[str, float], str]] = []
         self._stepped_on: dict[tuple[str, float], float] = {}
         self._ran = False
-        self._primed = False
 
     # -- construction ----------------------------------------------------------
 
@@ -695,23 +693,23 @@ class CityCorridor:
         The mesh path: a mesh shard owns the
         :class:`~repro.sim.events.EventScheduler` and advances it one
         sync quantum at a time, so instead of :meth:`run` owning the
-        loop, the corridor *primes* that scheduler — cell transitions
-        for the tags it already holds, plus every station's first
-        cadence attempt — and the caller drives ``scheduler.run_until``,
-        then collects the result via :meth:`finish`. Cars may keep
-        arriving after priming through :meth:`admit`.
+        loop, the corridor *primes* that scheduler — the cell crossings
+        of every car in :attr:`tags`, plus every station's first cadence
+        attempt — and the caller drives ``scheduler.run_until``, then
+        collects the result via :meth:`finish`. A car that reaches the
+        corridor later is a tag whose trajectory starts then (``t0_s``
+        at its entry point): its first crossing enters it, at that time.
         """
         if self.scheduling != "event":
             raise ConfigurationError("prime() requires scheduling='event'")
         self._mark_ran()
-        self._primed = True
         self._end_s = float(duration_s)
         for t, kind, tag_index, cell_index in self._cell_transitions(duration_s):
             scheduler.schedule(
                 t,
                 self._make_transition(kind, tag_index, cell_index),
+                "transition",
                 priority=-1,
-                label=f"{kind}-tag{tag_index}-cell{cell_index}",
             )
         # Every station starts its cadence at t=0: simultaneous queries
         # are benign (§9 rule 1), so there is nothing to stagger — the
@@ -719,47 +717,8 @@ class CityCorridor:
         start_s = scheduler.now_s
         for station in self.stations:
             scheduler.schedule(
-                start_s,
-                self._make_attempt(station, anchor=start_s),
-                label=f"{station.name}-first",
+                start_s, self._make_attempt(station, anchor=start_s), "attempt"
             )
-
-    def admit(self, tag: MovingTag, scheduler: EventScheduler, now_s: float) -> int:
-        """Add a car to a primed corridor mid-run; returns its index.
-
-        The mesh calls this when a routed car enters this corridor edge
-        (its trajectory's ``t0_s`` is the entry time). The tag is
-        rostered into whichever cell holds it right now and its future
-        cell entry/exit crossings are scheduled, exactly as
-        :meth:`prime` does for cars known up front.
-        """
-        if not self._primed:
-            raise ConfigurationError("admit() needs a primed corridor")
-        tag_index = len(self.tags)
-        self.tags.append(tag)
-        x_now = float(tag.position(now_s)[0])
-        for cell_index, station in enumerate(self.stations):
-            cell = station.cell
-            if cell.contains_x(x_now):
-                self._roster[cell_index].add(tag_index)
-                self.ledger.record_cell_entry(now_s, cell.name, tag.tag_id)
-            for x_edge, kind in ((cell.x_min_m, "enter"), (cell.x_max_m, "exit")):
-                t_cross = tag.time_at_x(x_edge)
-                if t_cross is not None and now_s < t_cross <= self._end_s:
-                    scheduler.schedule(
-                        t_cross,
-                        self._make_transition(kind, tag_index, cell_index),
-                        priority=-1,
-                        label=f"{kind}-tag{tag_index}-cell{cell_index}",
-                    )
-        return tag_index
-
-    def expect_returns(self, tag_ids) -> None:
-        """Note accounts whose cars the mesh admits to this corridor
-        more than once (a route that comes back). Their waveform rows
-        are kept for the whole run: a row rebuilt after a car's first
-        departure would draw a new phase."""
-        self._returning.update(tag_ids)
 
     def finish(self) -> CorridorResult:
         """Collect this corridor's result after the primed run ended."""
@@ -800,7 +759,11 @@ class CityCorridor:
         Crossing times come straight from the trajectories: cars enter a
         cell when they cross its lower edge and leave at its upper edge.
         Tags already inside the corridor at t=0 are rostered immediately.
+        An account listed more than once comes back: it is noted in
+        ``_returning``.
         """
+        counts = Counter(tag.tag_id for tag in self.tags)
+        self._returning = {tag_id for tag_id, n in counts.items() if n > 1}
         events = []
         for tag_index, tag in enumerate(self.tags):
             x0 = float(tag.position(0.0)[0])
@@ -888,7 +851,7 @@ class CityCorridor:
                     sobs.count("mac.deferral", context="cadence")
                 retry = station.mac.next_opportunity(now, state)
                 retry += float(self.rng.uniform(0.0, 20e-6))
-                scheduler.schedule(retry, attempt, label=f"{station.name}-retry")
+                scheduler.schedule(retry, attempt, "retry")
                 return
             self._transmit(
                 station, now, sequential=False, scheduler=scheduler, anchor=anchor
@@ -904,9 +867,7 @@ class CityCorridor:
         nxt = max(next_anchor + jitter, busy_end + CSMA_LISTEN_S)
         if nxt <= self._end_s:
             scheduler.schedule(
-                nxt,
-                self._make_attempt(station, anchor=next_anchor),
-                label=f"{station.name}-next",
+                nxt, self._make_attempt(station, anchor=next_anchor), "attempt"
             )
 
     def _transmit(
@@ -933,7 +894,6 @@ class CityCorridor:
         if sobs is not None:
             sobs.count("corridor.query", kind="measurement")
         self.air.record_query(station.name, t_query)
-        self._note_own_window(station, t_query)
         candidates = self._tags_near(station, t_query)
         if not candidates:
             station.empty_rounds += 1
@@ -961,9 +921,7 @@ class CityCorridor:
             busy_end = self._process(station, t_query, candidates)
             self._schedule_next(station, anchor, busy_end, sched)
 
-        scheduler.schedule(
-            response_end + 1e-9, process, label=f"{station.name}-process"
-        )
+        scheduler.schedule(response_end + 1e-9, process, "process")
         return response_end
 
     # -- measurement processing ---------------------------------------------------
@@ -1129,7 +1087,6 @@ class CityCorridor:
             if sobs is not None:
                 sobs.count("corridor.query", kind="decode")
             self.air.record_query(station.name, t_actual)
-            self._note_own_window(station, t_actual)
             subset = self._tags_near(station, t_actual)
             start = t_actual + QUERY_DURATION_S + TURNAROUND_S
             corrupted = False
@@ -1241,24 +1198,6 @@ class CityCorridor:
 
     # -- the shared response pool -------------------------------------------------
 
-    def _note_own_window(self, station: CorridorStation, t_query_s: float) -> None:
-        """Remember the capture slot an own query opens, bounded.
-
-        Harvesting needs recent own windows for the overlap exclusion;
-        windows far past the receiver-buffer horizon can never matter
-        again, so the list is trimmed as it grows — including under
-        ``opportunistic="ignore"``, where no station harvests (and each
-        would otherwise accumulate one entry per query for the whole
-        run).
-        """
-        window = station.mac.response_window(t_query_s)
-        station._own_windows.append(window)
-        if len(station._own_windows) > 256:
-            floor = window[1] - (OVERHEARD_HORIZON_S + 1.0)
-            station._own_windows = [
-                w for w in station._own_windows if w[1] > floor
-            ]
-
     def _publish_window(
         self,
         station: CorridorStation,
@@ -1304,25 +1243,33 @@ class CityCorridor:
 
         Windows ending since the station's last harvest (bounded by the
         receiver's buffer horizon) that another pole triggered, that
-        stay clear of this pole's own capture slots, and that carry at
-        least one responder in radio range are re-synthesized over this
-        pole's geometry — same per-response phases, this pole's
-        channel/noise. Each harvested window's corruption verdict against
-        the air log as known *now* is counted; corrupted windows are
-        dropped (their content is query-energy garbage), and the donated
-        ones are audited against their response's final verdict.
+        stay clear of this pole's own capture slots (the receiver was
+        busy there, and coincident triggers already merged into its own
+        capture), and that carry at least one responder in radio range
+        are re-synthesized over this pole's geometry — same per-response
+        phases, this pole's channel/noise. Each harvested window's
+        corruption verdict against the air log as known *now* is
+        counted; corrupted windows are dropped (their content is
+        query-energy garbage), and the donated ones are audited against
+        their response's final verdict.
         """
         lo = max(station.last_harvest_s, now_s - OVERHEARD_HORIZON_S)
         station.last_harvest_s = now_s
-        station._own_windows = [
-            w for w in station._own_windows if w[1] > lo - 1e-3
+        # A window ending after lo starts after lo - RESPONSE_DURATION_S,
+        # so only an own query started less than two query periods
+        # before lo opened a slot it can overlap; the air log holds
+        # those (HARVEST_LOOKBACK_S).
+        own_windows = [
+            station.mac.response_window(query.start_s)
+            for query in self.air.queries(lo - 2 * QUERY_PERIOD_S, now_s)
+            if query.source == station.name
         ]
         harvested = self.pool.harvest(
             station.name,
             station.pole_position_m,
             lo,
             now_s,
-            station._own_windows,
+            own_windows,
             READER_RANGE_M,
         )
         captures = []

@@ -21,8 +21,9 @@ same backend. :class:`CityMesh` is that layer:
   :class:`~repro.sim.traffic.TrafficLight` (plus a saturation headway
   between released cars). Each leg is an ordinary
   :class:`~repro.sim.city.moving.MovingTag` on a
-  :class:`~repro.sim.mobility.ConstantSpeedTrajectory`, admitted into
-  the edge's corridor mid-run.
+  :class:`~repro.sim.mobility.ConstantSpeedTrajectory` that starts at
+  the edge's entry point when the car enters, handed to the edge's
+  corridor before the run.
 * **City-wide identity** — every resolved sighting is reported to the
   :class:`~repro.sim.city.directory.IdentityDirectory`, the bounded,
   aging fingerprint service above the per-pole caches; the edges'
@@ -54,7 +55,6 @@ ledger, and the car simply re-decodes wherever it actually went.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -682,8 +682,8 @@ class CityMesh:
         """
         first_poles = {e.first_station.name: e.name for e in self.edges.values()}
         edges_knowing: dict[int, set[str]] = {}
-        # A stable sort by time keeps same-time records in ledger order.
-        for record in sorted(self.ledger.records, key=attrgetter("t_s")):
+        # The merged ledger holds its records in time order already.
+        for record in self.ledger.records:
             if record.tag_id is None or record.kind not in _ATTRIBUTED:
                 continue
             edge_name = station_edge.get(record.station)

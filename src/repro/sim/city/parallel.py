@@ -17,7 +17,10 @@ guarantees:
   depends only on its draw (route, speed, lane), the intersection
   signals, and the release headway — never on what the readers decoded.
   The coordinator therefore *precomputes the complete itinerary* on a
-  private scheduler and hands each shard its admissions up front.
+  private scheduler and hands each shard its cars up front: one
+  :class:`~repro.sim.city.moving.MovingTag` per edge a car drives,
+  whose trajectory starts at the edge's entry point at the entry time.
+  The shard's corridor plants their cell crossings when it is primed.
 
 What cannot be sharded is the *coupling that remains*: the city-wide
 :class:`~repro.sim.city.directory.IdentityDirectory` (bounded and
@@ -68,8 +71,6 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import traceback
-from collections import Counter
-from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -97,48 +98,39 @@ _T_S = attrgetter("t_s")
 # -- the itinerary (coordinator-side car motion) ---------------------------
 
 
-@dataclass(frozen=True)
-class _Admission:
-    """One car entering one edge: everything the shard needs to admit it."""
-
-    t_s: float
-    transponder: object
-    speed_m_s: float
-    lane_y_m: float
-
-
-def _plan_itinerary(
-    mesh: CityMesh, duration_s: float
-) -> dict[str, list[_Admission]]:
-    """Precompute every edge admission of the run.
+def _plan_itinerary(mesh: CityMesh, duration_s: float) -> dict[str, list[MovingTag]]:
+    """Precompute every edge entry of the run, as each edge's cars.
 
     Draws the cars (``CityMesh._draw_cars``, the itinerary's only
     ``mesh.rng`` consumer) and runs their entry/exit and intersection
     release (:meth:`CityMesh._release`) on a private ghost scheduler
-    that touches no corridor. The mesh's ``cars_injected`` /
-    ``cars_transferred`` / ``cars_departed`` counters and ``mesh.car``
-    obs counts are produced here.
+    that touches no corridor. Each entry becomes a tag on the entered
+    edge, in entry order, riding from the edge's entry point at the
+    car's speed and lane from the entry time on. The mesh's
+    ``cars_injected`` / ``cars_transferred`` / ``cars_departed``
+    counters and ``mesh.car`` obs counts are produced here.
     """
-    admissions: dict[str, list[_Admission]] = {name: [] for name in mesh.edges}
+    cars: dict[str, list[MovingTag]] = {name: [] for name in mesh.edges}
     ghost = EventScheduler()
 
     def make_entry(car):
         def enter(scheduler: EventScheduler) -> None:
             now_s = scheduler.now_s
             edge = mesh.edges[car.route[car.leg]]
-            admissions[edge.name].append(
-                _Admission(now_s, car.transponder, car.speed_m_s, car.lane_y_m)
+            trajectory = ConstantSpeedTrajectory(
+                start_m=np.array([edge.entry_x_m, car.lane_y_m, TAG_HEIGHT_M]),
+                velocity_m_s=np.array([car.speed_m_s, 0.0, 0.0]),
+                t0_s=now_s,
+            )
+            cars[edge.name].append(
+                MovingTag(transponder=car.transponder, trajectory=trajectory)
             )
             mesh.cars_injected += 1
             if mesh.obs is not None:
                 mesh.obs.count("mesh.car", kind="injected", edge=edge.name)
             t_exit = now_s + (edge.exit_x_m - edge.entry_x_m) / car.speed_m_s
             if t_exit <= duration_s:
-                scheduler.schedule(
-                    t_exit,
-                    make_exit(car, edge),
-                    label=f"car{car.transponder.tag_id}-exit-{edge.name}",
-                )
+                scheduler.schedule(t_exit, make_exit(car, edge), "car-exit")
 
         return enter
 
@@ -156,20 +148,14 @@ def _plan_itinerary(
                 mesh.cars_transferred += 1
                 if mesh.obs is not None:
                     mesh.obs.count("mesh.car", kind="transferred", edge=edge.name)
-                scheduler.schedule(
-                    depart_s,
-                    make_entry(car),
-                    label=f"car{car.transponder.tag_id}-enter-{car.route[car.leg]}",
-                )
+                scheduler.schedule(depart_s, make_entry(car), "car-enter")
 
         return exit_edge
 
     for car, t_arrival in mesh._draw_cars(duration_s):
-        ghost.schedule(
-            t_arrival, make_entry(car), label=f"car{car.transponder.tag_id}-enter"
-        )
+        ghost.schedule(t_arrival, make_entry(car), "car-enter")
     ghost.run_until(duration_s)
-    return admissions
+    return cars
 
 
 # -- shards ----------------------------------------------------------------
@@ -179,9 +165,10 @@ class _ShardGroup:
     """One corridor edge: its own scheduler, ether and ledger.
 
     Built by the coordinator *before* forking, so workers inherit the
-    fully-wired shard by memory. The edge's corridor keeps its own
-    air log, response pool and handoff ledger (the ledger is
-    re-classified city-wide at merge); the shard rewires only:
+    fully-wired shard by memory. The edge's corridor receives the
+    edge's cars from the itinerary and is primed with them; it keeps
+    its own air log, response pool and handoff ledger (the ledger is
+    re-classified city-wide at merge). The shard rewires only:
 
     * a per-edge RNG stream (one ``Generator`` shared by the corridor,
       its waveform bank and every station source);
@@ -195,7 +182,13 @@ class _ShardGroup:
     """
 
     def __init__(
-        self, mesh: CityMesh, edge, seed: int, duration_s: float, obs=None
+        self,
+        mesh: CityMesh,
+        edge,
+        cars: list[MovingTag],
+        seed: int,
+        duration_s: float,
+        obs=None,
     ) -> None:
         self.key = edge.name
         self.edge = edge
@@ -221,31 +214,8 @@ class _ShardGroup:
             station.source.bank.rng = rng
             for part in station.observed_parts():
                 part.obs = corridor._station_obs[station.name]
+        corridor.tags.extend(cars)
         corridor.prime(self.scheduler, duration_s)
-
-    def schedule_admissions(self, admissions: list[_Admission]) -> None:
-        tag_ids = Counter(adm.transponder.tag_id for adm in admissions)
-        self.edge.corridor.expect_returns(t for t, n in tag_ids.items() if n > 1)
-        for adm in admissions:
-            self.scheduler.schedule(
-                adm.t_s,
-                self._make_entry(adm),
-                label=f"car{adm.transponder.tag_id}-enter",
-            )
-
-    def _make_entry(self, adm: _Admission):
-        edge = self.edge
-
-        def enter(scheduler: EventScheduler) -> None:
-            trajectory = ConstantSpeedTrajectory(
-                start_m=np.array([edge.entry_x_m, adm.lane_y_m, TAG_HEIGHT_M]),
-                velocity_m_s=np.array([adm.speed_m_s, 0.0, 0.0]),
-                t0_s=scheduler.now_s,
-            )
-            tag = MovingTag(transponder=adm.transponder, trajectory=trajectory)
-            edge.corridor.admit(tag, scheduler, scheduler.now_s)
-
-        return enter
 
     def _post(self, t_s: float, item) -> None:
         # (t_s, arrival index, item): the index is the canonical
@@ -328,7 +298,12 @@ class _ShardGroup:
 
 
 def _handle(groups: list[_ShardGroup], msg: tuple) -> tuple:
-    """One protocol step over a host's groups; returns the reply."""
+    """One protocol step over a host's groups; returns the reply.
+
+    ``("advance", t_s, intents)`` plants the delivered pushes and runs
+    every group to ``t_s``; ``("finish", intents)`` plants the last
+    quantum's pushes and collects the groups' results.
+    """
     if msg[0] == "advance":
         _, t_s, intents_by_group = msg
         reports = []
@@ -336,12 +311,10 @@ def _handle(groups: list[_ShardGroup], msg: tuple) -> tuple:
             out = group.advance(t_s, intents_by_group.get(group.key, []))
             reports.extend((group.key,) + r for r in out)
         return ("reports", reports)
-    if msg[0] == "apply":
+    if msg[0] == "finish":
         _, intents_by_group = msg
         for group in groups:
             group.apply_intents(intents_by_group.get(group.key, []))
-        return ("ok",)
-    if msg[0] == "finish":
         return ("result", [g.finish_payload() for g in groups])
     raise RuntimeError(f"unknown message {msg[0]!r}")  # pragma: no cover
 
@@ -375,8 +348,6 @@ def _worker_main(groups: list[_ShardGroup], conn, inherited: list) -> None:
 def _describe(msg: tuple) -> str:
     if msg[0] == "advance":
         return f"advancing to the t={msg[1]:g} s quantum boundary"
-    if msg[0] == "apply":
-        return "applying the final push intents"
     return "collecting its results"
 
 
@@ -504,7 +475,7 @@ def run_sharded(
     # The itinerary consumes mesh.rng first; per-edge stream seeds are
     # drawn after it, in sorted edge order — both independent of worker
     # count.
-    admissions = _plan_itinerary(mesh, duration_s)
+    cars = _plan_itinerary(mesh, duration_s)
     edge_seeds = {
         name: int(mesh.rng.integers(np.iinfo(np.int64).max))
         for name in sorted(mesh.edges)
@@ -518,11 +489,11 @@ def run_sharded(
         return shard_obs_factory()
 
     groups = [
-        _ShardGroup(mesh, mesh.edges[name], seed, duration_s, obs=shard_obs())
+        _ShardGroup(
+            mesh, mesh.edges[name], cars[name], seed, duration_s, obs=shard_obs()
+        )
         for name, seed in edge_seeds.items()
     ]
-    for group in groups:
-        group.schedule_admissions(admissions[group.key])
     # One shard per edge, so a station's shard key is its edge's name.
     station_edge = {
         station.name: edge.name
@@ -591,11 +562,7 @@ def run_sharded(
         # Pushes triggered by the final quantum's sightings are still
         # planted (they become push misses in the merge's sweep).
         for host in hosts:
-            host.send(("apply", intents_by_group))
-        for host in hosts:
-            host.recv()
-        for host in hosts:
-            host.send(("finish",))
+            host.send(("finish", intents_by_group))
         payloads = {}
         for host in hosts:
             for payload in host.recv()[1]:

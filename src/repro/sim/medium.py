@@ -164,7 +164,10 @@ class AirLog:
         else:
             bisect.insort(self._responses, tx, key=_end_s)
         if self.obs is not None:
-            self.obs.count(f"air.{tx.kind.value}", source=tx.source)
+            # A response counts under the reader that triggered it, as a
+            # query does under its reader: one series per reader.
+            reader = tx.source if tx.kind is TxKind.QUERY else tx.triggered_by
+            self.obs.count(f"air.{tx.kind.value}", source=reader)
         return tx
 
     def record_query(self, source: str, start_s: float) -> Transmission:
@@ -192,9 +195,14 @@ class AirLog:
             )
         )
 
-    def queries(self) -> list[Transmission]:
-        """The held queries, by start time."""
-        return list(self._queries)
+    def queries(
+        self, lo_s: float = -math.inf, hi_s: float = math.inf
+    ) -> list[Transmission]:
+        """The held queries starting in ``[lo_s, hi_s)``, by start time."""
+        queries = self._queries
+        lo = bisect.bisect_left(queries, lo_s, key=_start_s)
+        hi = bisect.bisect_left(queries, hi_s, key=_start_s)
+        return queries[lo:hi]
 
     def any_query_overlapping(
         self,
@@ -426,7 +434,7 @@ class Medium:
         scheduler = EventScheduler(obs=self.obs)
         for reader in self.readers:
             first = float(self.rng.uniform(0.0, reader.query_interval_s))
-            scheduler.schedule(first, self._make_attempt(reader), label=f"{reader.name}-first")
+            scheduler.schedule(first, self._make_attempt(reader), "attempt")
         scheduler.run_until(duration_s)
         return self.stats()
 
@@ -441,16 +449,14 @@ class Medium:
                 retry = reader.mac.next_opportunity(now, state)
                 # Defer; small jitter avoids lock-step retries of two readers.
                 retry += float(self.rng.uniform(0.0, 20e-6))
-                scheduler.schedule(retry, self._make_attempt(reader), label=f"{reader.name}-retry")
+                scheduler.schedule(retry, self._make_attempt(reader), "retry")
                 return
             self._transmit_query(scheduler, reader, now)
             next_attempt = now + reader.query_interval_s + float(
                 self.rng.uniform(-reader.jitter_s, reader.jitter_s)
             )
             scheduler.schedule(
-                max(next_attempt, now + 1e-9),
-                self._make_attempt(reader),
-                label=f"{reader.name}-next",
+                max(next_attempt, now + 1e-9), self._make_attempt(reader), "attempt"
             )
 
         return attempt

@@ -329,6 +329,43 @@ class TestObsPolicyChecker:
         src = "from repro.obs import Obs  # repro: allow[obs-policy] — demo\n"
         assert check(src, "obs-policy") == []
 
+    def test_formatted_event_kind_flagged(self):
+        bad = """\
+        def plan(scheduler, station, car):
+            scheduler.schedule(1.0, cb, f"{station.name}-next")
+            scheduler.schedule(1.0, cb, kind="car%d-enter" % car.tag_id)
+            self.scheduler.schedule(2.0, cb, "{}-exit".format(car), priority=-1)
+        """
+        found = check(bad, "obs-policy")
+        assert [f.line for f in found] == [2, 3, 4]
+        assert all("series" in f.message for f in found)
+
+    def test_formatted_obs_label_flagged(self):
+        bad = """\
+        def report(self, obs, sobs, station, tag_id):
+            obs.count("air.response", source=f"tag{tag_id}")
+            sobs.instant("identified", 1.0, tag="tag%d" % tag_id)
+            self._station_obs[station.name].gauge("held", 3, kind="{}".format(tag_id))
+            self.obs.labeled(station=f"{station.name}-burst")
+        """
+        found = check(bad, "obs-policy")
+        assert [f.line for f in found] == [2, 3, 4, 5]
+
+    def test_fixed_kinds_names_and_tracks_clean(self):
+        good = """\
+        def report(scheduler, obs, station, tx, log):
+            scheduler.schedule(1.0, cb, "attempt", priority=-1)
+            scheduler.schedule(1.0, cb, kind=KIND)
+            obs.count(f"air.{tx.kind.value}", source=tx.triggered_by)
+            obs.count("corridor.round", outcome="clean", station=station.name)
+            obs.span("round", 0.0, 1.0, track=f"sim/{station.name}")
+            log.count("lines", tag=f"tag{tx.source}")
+        """
+        assert check(good, "obs-policy") == []
+        bad = "obs.count('x', source=f'tag{tag_id}')\n"
+        assert check(bad, "obs-policy")
+        assert check(bad, "obs-policy", rel_path="tests/test_fake.py") == []
+
 
 class TestParallelPolicyChecker:
     def test_multiprocessing_import_in_library_flagged(self):

@@ -169,22 +169,44 @@ class TestCorridorPriming:
             scene, trajectories, lane_ys_m=(-1.75, -5.25), rng=1
         )
 
-    def test_admit_requires_primed_corridor(self):
+    def test_a_car_arriving_after_zero_enters_at_its_crossings(self):
+        """A mesh hands each edge its cars before the run, each on a
+        trajectory that starts at the edge's entry point at its entry
+        time. The primed corridor rosters the car only once it enters,
+        and ledgers every cell entry and exit at its crossing time."""
         from repro.sim.city import MovingTag
         from repro.sim.mobility import ConstantSpeedTrajectory
         from repro.sim.scenario import make_tags
         import numpy as np
 
         corridor = self.corridor()
+        cells = [station.cell for station in corridor.stations]
+        start_m = np.array([cells[0].x_min_m, -1.75, 1.0])
         tag = MovingTag(
-            transponder=make_tags(np.array([[0.0, -1.75, 1.0]]), rng=1)[0],
+            transponder=make_tags(start_m[None, :], rng=1)[0],
             trajectory=ConstantSpeedTrajectory(
-                start_m=np.array([0.0, -1.75, 1.0]),
-                velocity_m_s=np.array([12.0, 0.0, 0.0]),
+                start_m=start_m,
+                velocity_m_s=np.array([20.0, 0.0, 0.0]),
+                t0_s=0.5,
             ),
         )
-        with pytest.raises(ConfigurationError):
-            corridor.admit(tag, EventScheduler(), 0.0)
+        corridor.tags.append(tag)
+        scheduler = EventScheduler()
+        corridor.prime(scheduler, 6.0)
+        scheduler.run_until(0.4)
+        assert not any(corridor._roster)
+        scheduler.run_until(0.5)
+        assert corridor._roster[0] == {0}
+        scheduler.run_until(6.0)
+        assert not any(corridor._roster)
+        ledger = corridor.finish().ledger
+        assert ledger.cell_entries == [
+            (tag.time_at_x(cell.x_min_m), cell.name, tag.tag_id) for cell in cells
+        ]
+        assert ledger.cell_exits == [
+            (tag.time_at_x(cell.x_max_m), cell.name, tag.tag_id) for cell in cells
+        ]
+        assert ledger.cell_entries[0][0] == 0.5
 
     def test_finish_requires_run(self):
         with pytest.raises(ConfigurationError):

@@ -4,33 +4,34 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import Obs
 from repro.sim.clock import DriftingClock, NtpClock
-from repro.sim.events import EventScheduler
+from repro.sim.events import KINDS, EventScheduler
 
 
 class TestEventScheduler:
     def test_time_order(self):
         scheduler = EventScheduler()
         order = []
-        scheduler.schedule(2.0, lambda s: order.append("late"))
-        scheduler.schedule(1.0, lambda s: order.append("early"))
-        scheduler.run()
+        scheduler.schedule(2.0, lambda s: order.append("late"), "attempt")
+        scheduler.schedule(1.0, lambda s: order.append("early"), "attempt")
+        scheduler.run_until(3.0)
         assert order == ["early", "late"]
 
     def test_priority_breaks_ties(self):
         scheduler = EventScheduler()
         order = []
-        scheduler.schedule(1.0, lambda s: order.append("low"), priority=1)
-        scheduler.schedule(1.0, lambda s: order.append("high"), priority=0)
-        scheduler.run()
+        scheduler.schedule(1.0, lambda s: order.append("low"), "attempt", priority=1)
+        scheduler.schedule(1.0, lambda s: order.append("high"), "attempt", priority=0)
+        scheduler.run_until(1.0)
         assert order == ["high", "low"]
 
     def test_fifo_within_same_priority(self):
         scheduler = EventScheduler()
         order = []
-        scheduler.schedule(1.0, lambda s: order.append("first"))
-        scheduler.schedule(1.0, lambda s: order.append("second"))
-        scheduler.run()
+        scheduler.schedule(1.0, lambda s: order.append("first"), "attempt")
+        scheduler.schedule(1.0, lambda s: order.append("second"), "attempt")
+        scheduler.run_until(1.0)
         assert order == ["first", "second"]
 
     def test_callbacks_can_schedule(self):
@@ -40,83 +41,69 @@ class TestEventScheduler:
         def chain(s):
             seen.append(s.now_s)
             if len(seen) < 3:
-                s.schedule_in(1.0, chain)
+                s.schedule(s.now_s + 1.0, chain, "attempt")
 
-        scheduler.schedule(0.0, chain)
-        scheduler.run()
+        scheduler.schedule(0.0, chain, "attempt")
+        assert scheduler.run_until(10.0) == 3
         assert seen == [0.0, 1.0, 2.0]
 
     def test_run_until_stops(self):
         scheduler = EventScheduler()
         seen = []
         for t in (1.0, 2.0, 3.0):
-            scheduler.schedule(t, lambda s, t=t: seen.append(t))
+            scheduler.schedule(t, lambda s, t=t: seen.append(t), "attempt")
         ran = scheduler.run_until(2.0)
         assert ran == 2 and seen == [1.0, 2.0]
-        assert scheduler.pending == 1
         assert scheduler.now_s == 2.0
+        assert scheduler.processed == 2
+        assert scheduler.run_until(3.0) == 1 and seen == [1.0, 2.0, 3.0]
+
+    def test_run_until_advances_an_idle_clock(self):
+        scheduler = EventScheduler()
+        assert scheduler.run_until(4.0) == 0
+        assert scheduler.now_s == 4.0
 
     def test_past_scheduling_rejected(self):
-        scheduler = EventScheduler(start_s=5.0)
+        scheduler = EventScheduler()
+        scheduler.run_until(5.0)
         with pytest.raises(SimulationError):
-            scheduler.schedule(4.0, lambda s: None)
+            scheduler.schedule(4.0, lambda s: None, "attempt")
+
+    def test_unknown_kind_rejected(self):
+        """An event's kind labels its series, so it comes from the fixed
+        vocabulary: a per-instance label would add a series per car."""
+        scheduler = EventScheduler()
+        for kind in KINDS:
+            scheduler.schedule(1.0, lambda s: None, kind)
+        with pytest.raises(SimulationError, match="unknown event kind"):
+            scheduler.schedule(1.0, lambda s: None, "pole-0-next")
+        assert scheduler.run_until(1.0) == len(KINDS)
+
+    def test_obs_counts_by_kind(self):
+        obs = Obs()
+        scheduler = EventScheduler(obs=obs)
+        scheduler.schedule(1.0, lambda s: None, "attempt")
+        scheduler.schedule(2.0, lambda s: None, "retry")
+        scheduler.schedule(3.0, lambda s: None, "retry")
+        scheduler.run_until(2.5)
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters == {
+            "scheduler.processed{kind=attempt}": 1,
+            "scheduler.processed{kind=retry}": 1,
+            "scheduler.scheduled{kind=attempt}": 1,
+            "scheduler.scheduled{kind=retry}": 2,
+        }
 
     def test_runaway_guard(self):
         scheduler = EventScheduler()
 
         def forever(s):
-            s.schedule_in(1e-9, forever)
+            s.schedule(s.now_s + 1e-9, forever, "retry")
 
-        scheduler.schedule(0.0, forever)
+        scheduler.schedule(0.0, forever, "retry")
         with pytest.raises(SimulationError):
             scheduler.run_until(1.0, max_events=100)
-
-    def test_step_returns_event(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(1.0, lambda s: None, label="tick")
-        event = scheduler.step()
-        assert event.label == "tick"
-        assert scheduler.step() is None
-
-    def test_cancel_skips_event(self):
-        ran = []
-        scheduler = EventScheduler()
-        scheduler.schedule(1.0, lambda s: ran.append("a"))
-        doomed = scheduler.schedule(2.0, lambda s: ran.append("b"))
-        scheduler.schedule(3.0, lambda s: ran.append("c"))
-        assert scheduler.cancel(doomed)
-        assert scheduler.pending == 2
-        scheduler.run()
-        assert ran == ["a", "c"]
-        assert scheduler.processed == 2
-
-    def test_cancel_twice_or_after_run_is_false(self):
-        scheduler = EventScheduler()
-        event = scheduler.schedule(1.0, lambda s: None)
-        assert scheduler.cancel(event)
-        assert not scheduler.cancel(event)
-        other = scheduler.schedule(2.0, lambda s: None)
-        scheduler.run()
-        assert not scheduler.cancel(other)
-
-    def test_cancelled_head_does_not_stall_run_until(self):
-        ran = []
-        scheduler = EventScheduler()
-        head = scheduler.schedule(1.0, lambda s: ran.append("head"))
-        scheduler.schedule(5.0, lambda s: ran.append("late"))
-        scheduler.cancel(head)
-        assert scheduler.run_until(2.0) == 0
-        assert ran == []
-        assert scheduler.now_s == 2.0
-        scheduler.run_until(6.0)
-        assert ran == ["late"]
-
-    def test_peek_time_ignores_cancelled(self):
-        scheduler = EventScheduler()
-        first = scheduler.schedule(1.0, lambda s: None)
-        scheduler.schedule(4.0, lambda s: None)
-        scheduler.cancel(first)
-        assert scheduler.peek_time() == 4.0
+        assert scheduler.processed == 100
 
 
 class TestClocks:

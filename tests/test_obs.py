@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import MetricsRegistry, Obs, SpanTracer, TraceError
 from repro.obs.report import main as report_main, validate_metrics, validate_trace
-from repro.sim.city import CityCorridor, CityMesh, run_sharded
+from repro.sim.city import CityCorridor, CityMesh, downtown_grid, run_sharded
 from repro.sim.scenario import city_corridor_scene
 from repro.sim.traffic import TrafficLight
 
@@ -331,6 +331,41 @@ class TestCarrierSenseCounts:
             + total("mac.deferral", "context=burst")
             == result.queries_sent
         )
+
+
+class TestBoundedSeries:
+    def test_scheduler_and_air_series_do_not_grow_with_run_length(self):
+        """Scheduler events count by kind and air records by reader,
+        never by car: a 32 s downtown run, four times the cars of an
+        8 s one, registers the same ``scheduler.*`` series, and its
+        ``air.*`` series are the mesh's readers' (the short run's poles
+        that no car has reached yet have no responses)."""
+        runs = {}
+        for duration_s in (8.0, 32.0):
+            obs = Obs()
+            mesh = downtown_grid(2, 2, rng=7, rate_per_s=0.5, obs=obs)
+            result = mesh.run(duration_s)
+            counters = obs.metrics.snapshot()["counters"]
+            runs[duration_s] = (
+                result.cars_injected,
+                {key for key in counters if key.startswith("scheduler.")},
+                {key for key in counters if key.startswith("air.")},
+            )
+        readers = {
+            f"air.{kind}{{source={station.name}}}"
+            for edge in mesh.edges.values()
+            for station in edge.corridor.stations
+            for kind in ("query", "response")
+        }
+        (short_cars, short_sched, short_air) = runs[8.0]
+        (long_cars, long_sched, long_air) = runs[32.0]
+        assert long_cars > 3 * short_cars
+        assert short_sched == long_sched == {
+            f"scheduler.{what}{{kind={kind}}}"
+            for what in ("scheduled", "processed")
+            for kind in ("attempt", "retry", "process", "transition")
+        }
+        assert short_air <= long_air == readers
 
 
 class TestReportValidation:

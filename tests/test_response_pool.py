@@ -28,7 +28,7 @@ from repro.sim.city import (
     TriggerWindow,
 )
 from repro.sim.mobility import ConstantSpeedTrajectory
-from repro.sim.scenario import city_corridor_scene
+from repro.sim.scenario import city_corridor_scene, make_tags
 
 from tests.test_city_corridor import (
     History,
@@ -439,6 +439,55 @@ class TestDecodeSessionDonations:
         result = session.decode_target(520e3, max_queries=32)
         assert result.success
         assert result.n_overheard == 0  # every donation failed the probe
+
+
+class TestOwnCaptureSlots:
+    def test_overhear_skips_windows_on_the_stations_held_query_slots(self):
+        """A pole never harvests a window its receiver was busy
+        capturing. Its capture slots are read from its own queries on
+        the air log, including one started before the harvest range
+        whose slot reaches into it."""
+        corridor = small_corridor(seed=17, opportunistic="accept")
+        a, b = corridor.stations[0], corridor.stations[1]
+        x_m = float(a.pole_position_m[0])
+        start_m = np.array([x_m, -1.75, 1.0])
+        tag = MovingTag(
+            transponder=make_tags(start_m[None, :], rng=3)[0],
+            trajectory=ConstantSpeedTrajectory(
+                start_m=start_m, velocity_m_s=np.zeros(3)
+            ),
+        )
+
+        def publish(t_query_s):
+            start_s, end_s = b.mac.response_window(t_query_s)
+            corridor.pool.publish(
+                TriggerWindow(
+                    b.name, t_query_s, start_s, end_s, tags=(tag,), phases_rad=(0.0,)
+                )
+            )
+
+        a.last_harvest_s = 0.200
+        # Started before the harvest range: its slot ends 68 us before
+        # the cursor, overlapping a window of b's that ends 100 us after.
+        corridor.air.record_query(a.name, 0.200 - 700e-6)
+        publish(0.200 + 100e-6 - 632e-6)
+        # Inside the range: one of b's windows 50 us after a's own
+        # query (overlapping its slot), one clear of every own slot.
+        corridor.air.record_query(a.name, 0.205)
+        publish(0.205 + 50e-6)
+        publish(0.210)
+        synthesized = []
+        overhear = a.source.overhear
+
+        def recording_overhear(entries, response_t0, **kwargs):
+            synthesized.append(response_t0)
+            return overhear(entries, response_t0, **kwargs)
+
+        a.source.overhear = recording_overhear
+        captures = corridor._overhear(a, 0.220)
+        assert corridor._overheard_harvested == len(captures) == 1
+        assert captures[0].overheard_from == b.name
+        assert synthesized == [b.mac.response_window(0.210)[0]]
 
 
 @pytest.mark.slow
